@@ -2,24 +2,22 @@
 
 __version__ = "0.1.0"
 
-from .kernels import (GramMatrix, Kernel, KernelFamily, gram, kernel_column,
-                      kernel_eval, kernel_self)
+from .kernels import (GramMatrix, Kernel, KernelFamily, gram, kernel_block,
+                      kernel_column, kernel_eval, kernel_self)
 from .exact import (EXACT_SIZE_CAP, ExactSizeLimitError, Partition,
                     cyclic_ratio_exact, cyp_exact, ewens_probability,
                     iter_set_partitions, label_probability_exact,
-                    partition_probability_exact, per_alpha_brute,
-                    per_alpha_exact, ratio_exact, ratio_exact_matrix,
-                    rising_factorial)
+                    partition_probability_exact, per_alpha_exact,
+                    ratio_exact, ratio_exact_matrix, rising_factorial)
 from .cyclic import (ALPHA, EXACT_ORDER, MAX_ORDER,
                      DegenerateConfigurationError, GradedValue, GramStructure,
                      RatioTable, build_ratio_table, closed_form_ratio,
                      closed_form_ratio_matrix, cyclic_ratio_approx,
-                     cyclic_ratio_from_kt, cyclic_ratio_smallalpha,
-                     per_alpha_cyclic, ratio_approx, ratio_approx_matrix,
-                     ratio_from_kt)
+                     cyclic_ratio_from_kt, per_alpha_cyclic, ratio_approx,
+                     ratio_approx_matrix, ratio_batch, ratio_from_kt)
 from .classify import (FittedModel, LabeledDataset, ModelParams, PosteriorRow,
                        PosteriorTable, fit, knn_predict, predict,
-                       predict_finite, predict_infinite, sequential_partition)
+                       predict_infinite, sequential_partition)
 from .model_select import (CVReport, CVSpec, cross_entropy, cross_validate,
                            default_grid, error_rate, fold_assignment,
                            median_pairwise_distance)

@@ -17,9 +17,10 @@ from typing import Sequence
 import numpy as np
 
 from .cyclic import (EXACT_ORDER, MAX_ORDER, RatioTable, build_ratio_table,
-                     cyclic_ratio_from_kt, ratio_from_kt)
+                     cyclic_ratio_from_kt, ratio_batch)
 from .exact import Partition, cyp_exact, ratio_exact
-from .kernels import GramMatrix, Kernel, gram, kernel_column, kernel_self
+from .kernels import (GramMatrix, Kernel, gram, kernel_block, kernel_column,
+                      kernel_self)
 
 __all__ = [
     "LabeledDataset",
@@ -28,12 +29,29 @@ __all__ = [
     "PosteriorRow",
     "PosteriorTable",
     "fit",
-    "predict_finite",
     "predict",
     "predict_infinite",
     "sequential_partition",
     "knn_predict",
 ]
+
+
+# Queries are evaluated in blocks of at most this many kernel entries per
+# class, so the block's Q x n temporaries stay a few hundred kB whatever the
+# query count: unblocked, `reproduce table1` (3,600 grid queries) peaks about
+# 8 MB higher.  Blocks this size are still large enough for matrix products.
+_BLOCK_ENTRIES = 4096
+
+
+def _as_rows(points, what: str) -> np.ndarray:
+    """Points as a 2-d float array whose entries are all finite."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim < 2:
+        pts = pts.reshape(-1, 1)
+    if not np.isfinite(pts).all():
+        r, c = (int(v) for v in np.argwhere(~np.isfinite(pts))[0])
+        raise ValueError(f"{what} row {r}, column {c} is not finite ({pts[r, c]})")
+    return pts
 
 
 @dataclass
@@ -53,9 +71,7 @@ class LabeledDataset:
     partition: Partition | None = None
 
     def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=float)
-        if self.points.ndim == 1:
-            self.points = self.points.reshape(-1, 1)
+        self.points = _as_rows(self.points, "point")
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=int)
             if self.labels.shape[0] != self.points.shape[0]:
@@ -232,43 +248,31 @@ class PosteriorTable:
     argmax: np.ndarray
     class_names: tuple[str, ...] = ()
 
-    @classmethod
-    def from_rows(cls, rows: Sequence[PosteriorRow],
-                  class_names: tuple[str, ...] = ()) -> "PosteriorTable":
-        return cls(probs=np.array([r.probs for r in rows]),
-                   raw=np.array([r.raw for r in rows]),
-                   argmax=np.array([r.argmax for r in rows], dtype=int),
-                   class_names=class_names)
-
-
-def _class_weight(state: _ClassState, model: FittedModel, t) -> float:
-    params = model.params
-    if state.n == 0:
-        return state.alpha * kernel_self(params.kernel, t)
-    if params.order == EXACT_ORDER:
-        return ratio_exact(t, state.points, params.kernel, state.alpha)
-    return ratio_approx_state(state, params.kernel, t, params.order)
-
-
-def ratio_approx_state(state: _ClassState, kernel: Kernel, t, order: int) -> float:
-    kt = kernel_column(kernel, t, state.points)
-    ktt = kernel_self(kernel, t)
-    return ratio_from_kt(state.table, kt, ktt, order)
-
-
-def predict_finite(model: FittedModel, t) -> PosteriorRow:
-    """Posterior over classes for one query point."""
-    raw = np.array([_class_weight(s, model, t) for s in model.classes])
-    return PosteriorRow.from_raw(raw)
-
 
 def predict(model: FittedModel, queries) -> PosteriorTable:
     """Posterior table for a batch of query points."""
-    qs = np.asarray(queries, dtype=float)
-    if qs.ndim == 1:
-        qs = qs.reshape(-1, 1)
-    rows = [predict_finite(model, q) for q in qs]
-    return PosteriorTable.from_rows(rows, model.class_names)
+    qs = _as_rows(queries, "query")
+    params = model.params
+    kernel = params.kernel
+    ktt = np.array([kernel_self(kernel, q) for q in qs])
+    raw = np.empty((qs.shape[0], model.n_classes))
+    for r, state in enumerate(model.classes):
+        if state.n == 0:
+            raw[:, r] = state.alpha * ktt
+        elif params.order == EXACT_ORDER:
+            raw[:, r] = [ratio_exact(q, state.points, kernel, state.alpha) for q in qs]
+        else:
+            step = max(1, _BLOCK_ENTRIES // state.n)
+            for lo in range(0, qs.shape[0], step):
+                Kt = kernel_block(kernel, qs[lo:lo + step], state.points)
+                raw[lo:lo + step, r] = ratio_batch(state.table, Kt, ktt[lo:lo + step],
+                                                   params.order)
+    total = raw.sum(axis=1, keepdims=True)
+    if not (total > 0).all():
+        raise ValueError("degenerate kernel: every class weight is zero")
+    probs = raw / total
+    return PosteriorTable(probs=probs, raw=raw, argmax=probs.argmax(axis=1),
+                          class_names=model.class_names)
 
 
 def predict_infinite(points, partition: Partition, t,
@@ -278,11 +282,15 @@ def predict_infinite(points, partition: Partition, t,
     Entry j < #B is block j of the partition; the last entry is the new
     block, with weight lambda K(t, t).
     """
+    pts = _as_rows(points, "point")
+    t = _as_rows(np.reshape(t, (1, -1)), "query")[0]
+    return _block_posterior(pts, partition, t, params)
+
+
+def _block_posterior(pts: np.ndarray, partition: Partition, t: np.ndarray,
+                     params: ModelParams) -> PosteriorRow:
     if params.lam is None:
         raise ValueError("infinite-class prediction needs lambda")
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts.reshape(-1, 1)
     if partition.n != pts.shape[0]:
         raise ValueError("partition must cover exactly the given points")
     kernel = params.kernel
@@ -320,9 +328,7 @@ def sequential_partition(points, params: ModelParams, rule: str = "argmax",
     if rule not in ("argmax", "sample"):
         raise ValueError(f"rule must be 'argmax' or 'sample', got {rule!r}")
     rng = np.random.default_rng(seed) if rule == "sample" else None
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts.reshape(-1, 1)
+    pts = _as_rows(points, "point")
     assignments: list[int] = []
     blocks: list[list[int]] = []
     for i in range(pts.shape[0]):
@@ -331,7 +337,7 @@ def sequential_partition(points, params: ModelParams, rule: str = "argmax",
             assignments.append(0)
             continue
         part = Partition.from_blocks(blocks)
-        row = predict_infinite(pts[:i], part, pts[i], params)
+        row = _block_posterior(pts[:i], part, pts[i], params)
         if rule == "argmax":
             choice = row.argmax
         else:

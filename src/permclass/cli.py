@@ -5,8 +5,7 @@ on failure.  Outputs are deterministic given --seed, carry a header with
 the version, seed, and resolved configuration, and are written atomically:
 content is staged to a `.partial` file and renamed only on success.  A
 flat key=value config file can supply any flag's value (explicit flags
-win).  The only environment knob is PERMCLASS_WORKERS, the parallel map
-width for folds, splits, and query batches.
+win).
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -34,23 +32,6 @@ from .kernels import Kernel
 from .model_select import CVSpec, cross_validate, default_grid
 
 PROG = "permclass"
-
-
-def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get("PERMCLASS_WORKERS", "1")))
-    except ValueError:
-        return 1
-
-
-def parallel_map(fn, items):
-    """Order-preserving map, threaded when PERMCLASS_WORKERS > 1."""
-    items = list(items)
-    w = _workers()
-    if w == 1 or len(items) < 2:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=w) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -169,16 +150,12 @@ def _model_from_json(path: str):
 def cmd_predict(args) -> int:
     model, _ = _model_from_json(args.model)
     queries = load_features_csv(args.queries, require_label=False)
-    rows_in = list(queries.points)
-    chunks = parallel_map(lambda q: predict(model, q.reshape(1, -1)), rows_in)
+    table = predict(model, queries.points)
     names = model.class_names
     columns = ([f"x{i}" for i in range(queries.dim)]
                + [f"p_{name}" for name in names] + ["label"])
-    rows = []
-    for q, tbl in zip(rows_in, chunks):
-        probs = tbl.probs[0]
-        rows.append(list(map(float, q)) + [float(p) for p in probs]
-                    + [names[int(tbl.argmax[0])]])
+    rows = [list(map(float, q)) + [float(p) for p in probs] + [names[int(k)]]
+            for q, probs, k in zip(queries.points, table.probs, table.argmax)]
     write_csv(args.out, _header(args.seed, _config_of(args)), columns, rows)
     print(f"wrote {args.out}")
     return 0

@@ -10,11 +10,14 @@ approximation:
     k = 2 (three-cycle): adds terms K(t,x_i) K(x_i,x_j) K(x_j,t)
     k = 3 (four-cycle):  adds terms through K(t,x_i) K(x_i,x_j) K(x_j,x_k) K(x_k,t)
 
-Per query the cost is O(1), O(n), O(n^2), O(n^3) for k = 0..3; the nested
-sums are evaluated as displayed, with denominators taken from tables built
-once per training set (leave-one-out and leave-two-out ratios at the next
-lower order).  Order k = n is exact and larger exact sizes are served by
-the oracle layer, not here.
+Per query the cost is O(1), O(n), O(n^2), O(n^3) for k = 0..3 when the
+nested sums are evaluated as displayed (`ratio_from_kt`, the reference),
+with denominators taken from tables built once per training set
+(leave-one-out and leave-two-out ratios at the next lower order).
+`ratio_batch` evaluates the same sums for a block of queries as matrix
+products; the fit-time tables absorb the inner index, so order 3 costs
+O(n^2) per query there.  Order k = n is exact and larger exact sizes are
+served by the oracle layer, not here.
 
 The a -> 0+ limits C^(k) are evaluated by running the same recursion over
 truncated power series in a (`GradedValue`), so configurations where the
@@ -44,11 +47,11 @@ __all__ = [
     "build_ratio_table",
     "ratio_approx",
     "ratio_from_kt",
+    "ratio_batch",
     "ratio_approx_matrix",
     "per_alpha_cyclic",
     "cyclic_ratio_approx",
     "cyclic_ratio_from_kt",
-    "cyclic_ratio_smallalpha",
     "GramStructure",
     "closed_form_ratio",
     "closed_form_ratio_matrix",
@@ -56,11 +59,6 @@ __all__ = [
 
 MAX_ORDER = 3
 EXACT_ORDER = "exact"
-
-# Off-diagonal density below which the four-cycle query walks explicit
-# nonzero neighbour lists instead of dense contractions.  Zero terms are
-# skipped either way; results agree to rounding.
-_SPARSE_DENSITY = 0.25
 
 
 class DegenerateConfigurationError(ArithmeticError):
@@ -236,18 +234,27 @@ class RatioTable:
     r2_loo: np.ndarray | None = None
     _lists: dict = field(default_factory=dict, repr=False)
     _t3: np.ndarray | None = field(default=None, repr=False)
-    _nbrs: list | None = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
         return self.gram.n
+
+    def _python_lists(self) -> dict:
+        """Python-list copies for the single-query reference sums, made on
+        first use so that batched prediction never pays for them."""
+        if not self._lists:
+            self._lists = {"G": self.gram.entries.tolist(),
+                           "d": self.gram.diagonal.tolist(),
+                           "r1_loo": self.r1_loo.tolist()}
+        return self._lists
 
 
 def build_ratio_table(g: GramMatrix, alpha: float, order: int = MAX_ORDER) -> RatioTable:
     """Precompute leave-one-out and leave-two-out denominators.
 
     r1_loo costs O(n^2); for order >= 2 the leave-two-out table and the
-    three-cycle leave-one-out table are added at O(n^2) and O(n^3).
+    three-cycle leave-one-out table are added at O(n^2) and O(n^3), the
+    latter as one matrix product.
     """
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
@@ -268,8 +275,8 @@ def build_ratio_table(g: GramMatrix, alpha: float, order: int = MAX_ORDER) -> Ra
         empty = np.zeros(0)
         return RatioTable(g, a, order, empty, empty.reshape(0, 0), empty)
 
-    Q = (G * G) / d[None, :]            # Q[i, m] = K(x_i, x_m)^2 / K(x_m, x_m)
-    Qoff = Q.copy()
+    # Qoff[i, m] = K(x_i, x_m)^2 / K(x_m, x_m), m != i
+    Qoff = (G * G) / d[None, :]
     np.fill_diagonal(Qoff, 0.0)
     r1_loo = a * d + Qoff.sum(axis=1)
 
@@ -278,28 +285,19 @@ def build_ratio_table(g: GramMatrix, alpha: float, order: int = MAX_ORDER) -> Ra
         # r1_l2o[i, j] removes the i term from r1_loo[j]
         r1_l2o = r1_loo[None, :] - Qoff.T
         np.fill_diagonal(r1_l2o, 1.0)
-        r2_loo = np.empty(n)
-        for i in range(n):
-            u = G[:, i] / d
-            su = G @ u
-            inner = su - G[:, i] * u[i] - d * u      # excludes l = i and l = m
-            contrib = (a * G[:, i] ** 2 + G[:, i] * inner) / r1_l2o[i]
-            r2_loo[i] = a * d[i] + contrib.sum() - contrib[i]
+        # inner[m, i] = sum_{l != i, m} K(x_m, x_l) K(x_l, x_i) / K(x_l, x_l)
+        inner = (G / d) @ G
+        inner -= 2.0 * G
+        # C[m, i] is the three-cycle term of x_i through x_m
+        C = a * G * G
+        C += G * inner
+        C /= r1_l2o.T
+        np.fill_diagonal(C, 0.0)
         table.r1_l2o = r1_l2o
-        table.r2_loo = r2_loo
+        table.r2_loo = a * d + C.sum(axis=0)
         t3 = G / r1_l2o
         np.fill_diagonal(t3, 0.0)
         table._t3 = t3
-        offdiag = G.copy()
-        np.fill_diagonal(offdiag, 0.0)
-        nnz = int(np.count_nonzero(offdiag))
-        if n > 1 and nnz <= _SPARSE_DENSITY * n * (n - 1):
-            table._nbrs = [np.flatnonzero(offdiag[j]).tolist() for j in range(n)]
-    table._lists = {
-        "G": G.tolist(),
-        "d": d.tolist(),
-        "r1_loo": r1_loo.tolist(),
-    }
     return table
 
 
@@ -334,7 +332,7 @@ def ratio_from_kt(table: RatioTable, kt, ktt: float, order: int | None = None) -
     base = a * float(ktt)
     if order == 0 or n == 0:
         return base
-    lists = table._lists
+    lists = table._python_lists()
     dl = lists["d"]
     ktl = kt.tolist()
     if order == 1:
@@ -366,8 +364,6 @@ def _four_cycle(table: RatioTable, kt: np.ndarray, base: float) -> float:
     d = table.gram.diagonal
     a = table.alpha
     w = kt / (a * d)
-    if table._nbrs is not None:
-        return base + _four_cycle_sparse(table, kt.tolist(), w.tolist())
     T = table._t3
     e3 = T @ kt
     e4 = np.einsum("ij,jk,k->i", T, G, w, optimize=False)
@@ -378,30 +374,44 @@ def _four_cycle(table: RatioTable, kt: np.ndarray, base: float) -> float:
     return base + float(coeff @ (kt + e3 + e4))
 
 
-def _four_cycle_sparse(table: RatioTable, ktl: list, wl: list) -> float:
-    Gl = table._lists["G"]
-    n = table.n
-    r2 = table.r2_loo
-    r1_l2o = table.r1_l2o
-    nbrs = table._nbrs
+def ratio_batch(table: RatioTable, Kt, ktt, order: int | None = None) -> np.ndarray:
+    """Order-k ratios for a block of queries, one per row of ``Kt``.
+
+    ``Kt[q, i] = K(t_q, x_i)`` and ``ktt[q] = K(t_q, t_q)``.  The sums are
+    those of `ratio_from_kt`, written as matrix products over the block;
+    results agree with it to rounding.  Negative order >= 2 values are
+    returned as computed and reported in one warning per call.
+    """
+    if order is None:
+        order = table.order
+    _require(table, order)
     a = table.alpha
-    total = 0.0
-    for i in range(n):
-        kti = ktl[i]
-        if kti == 0.0:
-            continue
-        gi = Gl[i]
-        r1row = r1_l2o[i]
-        inner = 0.0
-        for j in nbrs[i]:
-            gj = Gl[j]
-            s = ktl[j]
-            for k in nbrs[j]:
-                if k != i:
-                    s += gj[k] * wl[k]
-            inner += gi[j] / r1row[j] * s
-        total += a * kti * (kti + inner) / r2[i]
-    return total
+    n = table.n
+    Kt = np.asarray(Kt, dtype=float)
+    if Kt.ndim != 2 or Kt.shape[1] != n:
+        raise ValueError(f"kernel block must have {n} columns, got shape {Kt.shape}")
+    out = a * np.broadcast_to(np.asarray(ktt, dtype=float), Kt.shape[:1])
+    if order == 0 or n == 0:
+        return out
+    G = table.gram.entries
+    d = table.gram.diagonal
+    if order == 1:
+        return out + (Kt * Kt / d).sum(axis=1)
+    if order == 2:
+        inner = (Kt / d) @ G - Kt           # sum_{j != i} K(x_i, x_j) K(t, x_j) / d_j
+        out = out + ((a * Kt * Kt + Kt * inner) / table.r1_loo).sum(axis=1)
+    else:
+        T = table._t3
+        W = Kt / (a * d)
+        # the bracket of the four-cycle sum, without the k = i and k = j terms
+        E = Kt + Kt @ T.T + (W @ G - W * d) @ T.T - W * np.einsum("ij,ij->i", T, G)
+        out = out + ((a * Kt / table.r2_loo) * E).sum(axis=1)
+    negative = int(np.count_nonzero(out < 0.0))
+    if negative:
+        # it is open whether orders >= 2 stay nonnegative off the kernel cone
+        log.warning("%d of %d order-%d ratio approximations are negative",
+                    negative, out.size, order)
+    return out
 
 
 def ratio_approx(t, points, table: RatioTable, order: int | None = None) -> float:
@@ -547,20 +557,6 @@ def cyclic_ratio_approx(t, points, g: GramMatrix, order: int) -> float:
     kt = kernel_column(kernel, t, g.points)
     ktt = kernel_self(kernel, t)
     return cyclic_ratio_from_kt(g, kt, ktt, order)
-
-
-def cyclic_ratio_smallalpha(g: GramMatrix, kt, ktt: float, order: int,
-                            eps: float = 1e-6) -> float:
-    """Numeric cross-check of the limit: Richardson step from eps to eps/10.
-
-    Breaks down on degenerate configurations (that is what the series
-    arithmetic is for); kept for validation only.
-    """
-    vals = []
-    for a in (eps, eps / 10.0):
-        table = build_ratio_table(g, a, order=max(order, 2) if order >= 2 else order)
-        vals.append(ratio_from_kt(table, kt, ktt, order))
-    return (10.0 * vals[1] - vals[0]) / 9.0
 
 
 # ---------------------------------------------------------------------------

@@ -279,9 +279,14 @@ def load_features_csv(path: str, require_label: bool = True) -> LabeledDataset:
             raise ValueError(
                 f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
         try:
-            points.append([float(v) for v in row[:n_features]])
+            values = [float(v) for v in row[:n_features]]
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
+        for col, v in enumerate(values):
+            if not math.isfinite(v):
+                raise ValueError(
+                    f"{path}:{lineno}: column {header[col]!r} is not finite ({v})")
+        points.append(values)
         labels.append(row[-1] if has_label else "0")
     return LabeledDataset.from_arrays(np.array(points), labels)
 

@@ -24,7 +24,6 @@ approximation.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -38,7 +37,6 @@ __all__ = [
     "ExactSizeLimitError",
     "Partition",
     "per_alpha_exact",
-    "per_alpha_brute",
     "cyp_exact",
     "ratio_exact",
     "ratio_exact_matrix",
@@ -148,36 +146,6 @@ def per_alpha_exact(A, alpha: float, cap: int = EXACT_SIZE_CAP) -> float:
         cmask, rmask = pairs[S]
         per[S] = a * (cyp[cmask] @ per[rmask])
     return float(per[size - 1])
-
-
-def per_alpha_brute(A, alpha: float, cap: int = 9) -> float:
-    """Literal permutation enumeration with cycle counting.
-
-    Compensated summation over all n! terms; kept as the obviously
-    correct reference for validating the subset dynamic program.
-    """
-    m = _check_square(A)
-    n = m.shape[0]
-    if n == 0:
-        return 1.0
-    _check_cap(n, cap)
-    rows = m.tolist()
-    terms = []
-    for sigma in itertools.permutations(range(n)):
-        prod = 1.0
-        for i in range(n):
-            prod *= rows[i][sigma[i]]
-        seen = [False] * n
-        cycles = 0
-        for i in range(n):
-            if not seen[i]:
-                cycles += 1
-                j = i
-                while not seen[j]:
-                    seen[j] = True
-                    j = sigma[j]
-        terms.append(alpha**cycles * prod)
-    return math.fsum(terms)
 
 
 def cyp_exact(A, cap: int = EXACT_SIZE_CAP) -> float:

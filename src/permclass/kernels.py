@@ -20,6 +20,7 @@ __all__ = [
     "GramMatrix",
     "kernel_eval",
     "kernel_column",
+    "kernel_block",
     "gram",
 ]
 
@@ -262,30 +263,33 @@ def kernel_self(kernel: Kernel, t) -> float:
     return kernel_eval(kernel, t, t)
 
 
-def kernel_column(kernel: Kernel, t, points) -> np.ndarray:
-    """Vector of k(t, x_i) over a point set, vectorized where it pays off."""
+def kernel_block(kernel: Kernel, queries, points) -> np.ndarray:
+    """Matrix of k(t_q, x_i): one row per query, one column per point."""
+    qs = _as_points(queries)
     pts = _as_points(points)
-    tv = _as_point(t)
-    n = pts.shape[0]
+    m, n = qs.shape[0], pts.shape[0]
     if n == 0:
-        return np.zeros(0)
-    if pts.shape[1] != tv.shape[0]:
-        raise ValueError(f"dimension mismatch: query is {tv.shape[0]}-d, points are {pts.shape[1]}-d")
+        return np.zeros((m, 0))
+    if pts.shape[1] != qs.shape[1]:
+        raise ValueError(f"dimension mismatch: query is {qs.shape[1]}-d, points are {pts.shape[1]}-d")
     fam = kernel.family
-    if fam is KernelFamily.EXPONENTIAL:
-        delta = pts - tv
-        sq = np.einsum("ij,ij->i", delta, delta)
-        np.sqrt(sq, out=sq)
-        sq /= -kernel.tau
-        return np.exp(sq, out=sq)
-    if fam is KernelFamily.GAUSSIAN:
-        delta = pts - tv
-        sq = np.einsum("ij,ij->i", delta, delta)
-        sq /= -kernel.tau**2
+    if fam in (KernelFamily.EXPONENTIAL, KernelFamily.GAUSSIAN):
+        delta = pts[None, :, :] - qs[:, None, :]
+        sq = np.einsum("qij,qij->qi", delta, delta)
+        if fam is KernelFamily.EXPONENTIAL:
+            np.sqrt(sq, out=sq)
+            sq /= -kernel.tau
+        else:
+            sq /= -kernel.tau**2
         return np.exp(sq, out=sq)
     if fam is KernelFamily.CONSTANT:
-        return np.full(n, float(kernel.c))
-    return np.array([kernel_eval(kernel, tv, p) for p in pts])
+        return np.full((m, n), float(kernel.c))
+    return np.array([[kernel_eval(kernel, t, p) for p in pts] for t in qs]).reshape(m, n)
+
+
+def kernel_column(kernel: Kernel, t, points) -> np.ndarray:
+    """Vector of k(t, x_i) over a point set."""
+    return kernel_block(kernel, _as_point(t)[None, :], points)[0]
 
 
 @dataclass

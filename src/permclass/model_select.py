@@ -145,8 +145,10 @@ def cross_validate(data: LabeledDataset, spec: CVSpec) -> CVReport:
     """Mean objective per candidate across folds; argmin wins.
 
     A fold missing a class entirely is fine (the empty-class rule covers
-    it); a candidate whose evaluation raises is marked invalid with an
-    infinite score instead of aborting the sweep.
+    it).  A candidate whose evaluation raises ValueError or ArithmeticError
+    (bad parameters, exact size limits, degenerate configurations or
+    weights) is marked invalid with an infinite score instead of aborting
+    the sweep; any other exception is a bug and propagates.
     """
     folds = fold_assignment(data.n, spec.folds, spec.seed,
                             labels=data.labels, stratified=spec.stratified)
@@ -163,7 +165,7 @@ def cross_validate(data: LabeledDataset, spec: CVSpec) -> CVReport:
                 table = predict(model, data.points[heldout])
                 scores.append(objective(table, data.labels[heldout]))
             mean = float(np.mean(scores))
-        except Exception as exc:  # candidate-level isolation
+        except (ValueError, ArithmeticError) as exc:  # candidate-level isolation
             valid, message, mean = False, f"{type(exc).__name__}: {exc}", float("inf")
         results.append(CandidateResult(params, scores, mean, valid, message))
     order = sorted(range(len(results)),

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from permclass.classify import (LabeledDataset, ModelParams, fit, knn_predict,
-                                predict, predict_finite, predict_infinite,
-                                sequential_partition)
+                                predict, predict_infinite, sequential_partition)
+from permclass.cyclic import ratio_from_kt
 from permclass.exact import Partition, cyp_exact, ratio_exact
-from permclass.kernels import Kernel, gram
+from permclass.kernels import Kernel, gram, kernel_column
 
 
 def make_data(rng, n_per=(6, 5), spread=1.0):
@@ -31,9 +33,9 @@ def test_empty_class_rule():
     data = LabeledDataset(points=np.arange(n, dtype=float).reshape(-1, 1),
                           labels=np.zeros(n, dtype=int), n_classes=2)
     model = fit(data, ModelParams(kernel=Kernel.constant(1.0), alphas=alpha))
-    row = predict_finite(model, np.array([0.5]))
-    assert row.probs[0] == pytest.approx((alpha + n) / (2 * alpha + n), rel=1e-12)
-    assert row.argmax == 0
+    table = predict(model, np.array([[0.5]]))
+    assert table.probs[0, 0] == pytest.approx((alpha + n) / (2 * alpha + n), rel=1e-12)
+    assert table.argmax[0] == 0
 
 
 def test_refit_with_permuted_rows_identical(rng):
@@ -52,9 +54,9 @@ def test_mirror_symmetry_gives_half():
     pts = np.array([[-2.0], [-1.0], [1.0], [2.0]])
     data = LabeledDataset(points=pts, labels=np.array([0, 0, 1, 1]), n_classes=2)
     model = fit(data, ModelParams(kernel=Kernel.gaussian(1.0), alphas=1.0))
-    row = predict_finite(model, np.array([0.0]))
-    assert row.probs[0] == pytest.approx(0.5, abs=1e-12)
-    assert row.argmax == 0  # tie resolves to the lowest class index
+    table = predict(model, np.array([[0.0]]))
+    assert table.probs[0, 0] == pytest.approx(0.5, abs=1e-12)
+    assert table.argmax[0] == 0  # tie resolves to the lowest class index
 
 
 def test_posterior_rows_normalized(rng):
@@ -99,8 +101,50 @@ def test_order_consistency_moderate_classes(rng):
 def test_duplicate_query_is_allowed(rng):
     data = make_data(rng)
     model = fit(data, ModelParams(kernel=Kernel.gaussian(1.0)))
-    row = predict_finite(model, data.points[0])
-    assert np.isfinite(row.probs).all()
+    table = predict(model, data.points[:1])
+    assert np.isfinite(table.probs).all()
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_predict_matches_per_query_reference(rng, order):
+    # 70 points per class gives 58-row query blocks, so 150 queries span
+    # three blocks with a ragged last one
+    data = make_data(rng, (70, 70, 0), spread=1.5)
+    params = ModelParams(kernel=Kernel.exponential(1.1), alphas=(0.8, 1.6, 0.5),
+                         order=order)
+    model = fit(data, params)
+    queries = rng.normal(size=(150, 2)) * 2 + 1.5
+    table = predict(model, queries)
+    for q, t in enumerate(queries):
+        ref = [ratio_from_kt(s.table, kernel_column(params.kernel, t, s.points),
+                             1.0, order) if s.n else s.alpha
+               for s in model.classes]
+        np.testing.assert_allclose(table.raw[q], ref, rtol=1e-12, atol=0.0)
+    assert np.array_equal(table.argmax, table.probs.argmax(axis=1))
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 3]),
+       st.sampled_from(["gaussian", "exponential"]))
+def test_predict_properties(seed, order, family):
+    rng = np.random.default_rng(seed)
+    data = make_data(rng, (int(rng.integers(1, 9)), int(rng.integers(1, 9))))
+    params = ModelParams(kernel=Kernel(family, tau=float(rng.uniform(0.5, 3.0))),
+                         alphas=float(rng.uniform(0.2, 3.0)), order=order)
+    queries = rng.normal(size=(7, 2)) * 2 + 1.5
+    base = predict(fit(data, params), queries)
+    assert np.allclose(base.probs.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+    # permuting the training rows leaves every prediction unchanged
+    perm = rng.permutation(data.n)
+    shuffled = LabeledDataset(points=data.points[perm], labels=data.labels[perm],
+                              n_classes=2)
+    moved = predict(fit(shuffled, params), queries)
+    np.testing.assert_allclose(moved.probs, base.probs, rtol=1e-12, atol=0.0)
+    # relabelling the classes permutes the columns
+    swapped = LabeledDataset(points=data.points, labels=1 - data.labels,
+                             n_classes=2)
+    relabelled = predict(fit(swapped, params), queries)
+    np.testing.assert_allclose(relabelled.probs, base.probs[:, ::-1],
+                               rtol=1e-12, atol=0.0)
 
 
 def test_alphas_validation():
@@ -118,10 +162,25 @@ def test_predict_exact_matches_ratio_oracle(rng):
                          order="exact")
     model = fit(data, params)
     t = rng.normal(size=2)
-    row = predict_finite(model, t)
+    table = predict(model, t[None, :])
     w = np.array([ratio_exact(t, data.class_points(r), params.kernel, a)
                   for r, a in enumerate((0.6, 1.1))])
-    assert np.allclose(row.raw, w, rtol=1e-12)
+    assert np.allclose(table.raw[0], w, rtol=1e-12)
+
+
+def test_non_finite_training_points_rejected():
+    with pytest.raises(ValueError, match=r"point row 2, column 1 is not finite \(nan\)"):
+        LabeledDataset(points=[[0.0, 1.0], [1.0, 2.0], [2.0, np.nan]],
+                       labels=[0, 1, 0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_queries_rejected(rng, bad):
+    model = fit(make_data(rng), ModelParams(kernel=Kernel.gaussian(1.0)))
+    queries = np.zeros((4, 2))
+    queries[3, 0] = bad
+    with pytest.raises(ValueError, match="query row 3, column 0 is not finite"):
+        predict(model, queries)
 
 
 # -- infinite-class mode --------------------------------------------------
@@ -199,6 +258,19 @@ def test_sequential_sampling_reproducible():
     assert len(seen) > 1  # sampling really samples
 
 
+def test_infinite_non_finite_input_rejected():
+    params = ModelParams(kernel=Kernel.gaussian(1.0), lam=1.0)
+    pts = np.array([[0.0], [0.1], [np.inf]])
+    with pytest.raises(ValueError, match="point row 2, column 0 is not finite"):
+        sequential_partition(pts, params)
+    part = Partition.from_blocks([[0, 1]])
+    with pytest.raises(ValueError, match="query row 0, column 0 is not finite"):
+        predict_infinite(pts[:2], part, np.array([np.nan]), params)
+    with pytest.raises(ValueError, match="point row 2, column 0"):
+        predict_infinite(pts, Partition.from_blocks([[0, 1, 2]]),
+                         np.array([0.0]), params)
+
+
 def test_sequential_bad_rule():
     params = ModelParams(kernel=Kernel.constant(1.0), lam=1.0)
     with pytest.raises(ValueError, match="rule"):
@@ -232,7 +304,7 @@ def test_all_zero_class_weights_is_an_error():
                           labels=np.array([0, 0]), n_classes=1)
     model = fit(data, ModelParams(kernel=kern, alphas=1.0, order="exact"))
     with pytest.raises(ValueError, match="degenerate kernel"):
-        predict_finite(model, np.array([2.0]))
+        predict(model, np.array([[2.0]]))
 
 
 def test_fit_on_empty_dataset_uses_empty_class_rule():
@@ -240,5 +312,5 @@ def test_fit_on_empty_dataset_uses_empty_class_rule():
                           labels=np.zeros(0, dtype=int), n_classes=2)
     model = fit(data, ModelParams(kernel=Kernel.constant(1.0),
                                   alphas=(1.0, 3.0)))
-    row = predict_finite(model, np.array([0.0]))
-    assert np.allclose(row.probs, [0.25, 0.75], atol=1e-12)
+    table = predict(model, np.array([[0.0]]))
+    assert np.allclose(table.probs[0], [0.25, 0.75], atol=1e-12)

@@ -219,9 +219,17 @@ def test_table1_row_shape(tmp_path, capsys):
             assert r.train_errors is not None and r.test_errors is not None
 
 
-def test_parallel_map_preserves_order(monkeypatch):
-    from permclass.cli import parallel_map
-    monkeypatch.setenv("PERMCLASS_WORKERS", "3")
-    assert parallel_map(lambda x: x * x, range(17)) == [x * x for x in range(17)]
-    monkeypatch.setenv("PERMCLASS_WORKERS", "nonsense")
-    assert parallel_map(lambda x: -x, [1, 2]) == [-1, -2]
+def test_predict_rejects_nan_query_cell(tmp_path, capsys):
+    data = tmp_path / "train.csv"
+    data.write_text("x0,label\n0.0,a\n1.0,b\n")
+    model = tmp_path / "model.json"
+    assert run(["fit", "--data", str(data), "--kernel", "gaussian",
+                "--out", str(model)], capsys)[0] == 0
+    queries = tmp_path / "q.csv"
+    queries.write_text("x0\n0.5\nnan\n")
+    out = tmp_path / "pred.csv"
+    code, _, err = run(["predict", "--model", str(model), "--queries",
+                        str(queries), "--out", str(out)], capsys)
+    assert code == 1
+    assert f"{queries}:3" in err and "not finite" in err
+    assert not out.exists()

@@ -8,8 +8,8 @@ from permclass.cyclic import (ALPHA, DegenerateConfigurationError, GradedValue,
                               GramStructure, build_ratio_table,
                               closed_form_ratio, closed_form_ratio_matrix,
                               cyclic_ratio_approx, cyclic_ratio_from_kt,
-                              cyclic_ratio_smallalpha, per_alpha_cyclic,
-                              ratio_approx, ratio_approx_matrix, ratio_from_kt)
+                              per_alpha_cyclic, ratio_approx,
+                              ratio_approx_matrix, ratio_batch, ratio_from_kt)
 from permclass.cyclic import _generic_ratio, _generic_tables
 from permclass.exact import per_alpha_exact, ratio_exact, ratio_exact_matrix
 from permclass.kernels import GramMatrix, Kernel, gram, kernel_column
@@ -120,6 +120,37 @@ def test_insufficient_table_order(rng):
         ratio_from_kt(table, np.ones(4), 1.0, order=3)
     # one order above the built one is allowed
     ratio_from_kt(table, np.ones(4), 1.0, order=2)
+
+
+def _generic_table_arrays(M, alpha):
+    r1, r12, r2 = _generic_tables(M.tolist(), M.diagonal().tolist(), alpha, 3)
+    r12 = np.array([[np.nan if v is None else v for v in row] for row in r12])
+    return np.array(r1), r12, np.array(r2)
+
+
+def _assert_tables_match_generic(M, alpha):
+    table = build_ratio_table(GramMatrix.from_matrix(M), alpha, order=3)
+    r1, r12, r2 = _generic_table_arrays(M, alpha)
+    off = ~np.eye(M.shape[0], dtype=bool)
+    np.testing.assert_allclose(table.r1_loo, r1, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(table.r1_l2o[off], r12[off], rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(table.r2_loo, r2, rtol=1e-13, atol=0.0)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 30),
+       st.sampled_from([0.1, 0.5, 1.0, 3.0]))
+def test_matrix_form_tables_match_generic_random(seed, n, alpha):
+    _assert_tables_match_generic(sym_nonneg(np.random.default_rng(seed), n), alpha)
+
+
+def test_matrix_form_tables_match_generic_structured(rng):
+    for M in (sym_nonneg(rng, 60),
+              np.diag(rng.uniform(0.5, 2.0, size=60)),
+              np.full((60, 60), 0.7),
+              block_constant_matrix([20, 1, 39], [0.6, 1.3, 0.9]),
+              banded_gram(rng, 60)):
+        for alpha in (0.2, 1.0, 4.0):
+            _assert_tables_match_generic(M, alpha)
 
 
 # -- ratio approximations ------------------------------------------------
@@ -244,20 +275,6 @@ def test_appendix_block_telescoping_identity(rng):
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
-def test_dense_and_sparse_four_cycle_agree(rng):
-    # a wide banded matrix routes through the neighbour-list path
-    A = banded_gram(rng, 20)
-    kt = rng.random(20)
-    alpha = 1.2
-    g = GramMatrix.from_matrix(A)
-    table = build_ratio_table(g, alpha, order=3)
-    assert table._nbrs is not None
-    sparse_val = ratio_from_kt(table, kt, 1.0, 3)
-    table._nbrs = None
-    dense_val = ratio_from_kt(table, kt, 1.0, 3)
-    assert sparse_val == pytest.approx(dense_val, rel=1e-12)
-
-
 def test_fast_path_matches_generic_recursion(rng):
     M = sym_nonneg(rng, 8)
     kt = rng.random(8)
@@ -321,6 +338,72 @@ def test_per_alpha_cyclic_telescoping(rng):
     assert approx == pytest.approx(exact, rel=1e-3)
 
 
+# -- batched queries -----------------------------------------------------
+
+
+def _sparse_block(rng, q, n, zero_frac=0.3):
+    Kt = rng.random((q, n))
+    Kt[rng.random((q, n)) < zero_frac] = 0.0
+    return Kt
+
+
+def _assert_batch_matches_reference(M, Kt, ktt, alpha):
+    for k in (0, 1, 2, 3):
+        table = build_ratio_table(GramMatrix.from_matrix(M), alpha, order=k)
+        batch = ratio_batch(table, Kt, ktt, k)
+        ref = np.array([ratio_from_kt(table, kt, t, k) for kt, t in zip(Kt, ktt)])
+        np.testing.assert_allclose(batch, ref, rtol=1e-12, atol=0.0)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 6),
+       st.sampled_from([0.1, 0.7, 1.0, 2.5]))
+def test_batch_matches_reference_random(seed, n, q, alpha):
+    rng = np.random.default_rng(seed)
+    M = sym_nonneg(rng, n)
+    _assert_batch_matches_reference(M, _sparse_block(rng, q, n),
+                                    rng.uniform(0.5, 1.5, size=q), alpha)
+
+
+def test_batch_matches_reference_structured(rng):
+    grams = (sym_nonneg(rng, 15),
+             np.diag(rng.uniform(0.5, 2.0, size=9)),
+             np.full((8, 8), 0.7),
+             block_constant_matrix([3, 1, 4], [0.6, 1.3, 0.9]),
+             banded_gram(rng, 25))
+    for M in grams:
+        n = M.shape[0]
+        for q in (1, 40):
+            for alpha in (0.3, 1.0, 2.0):
+                _assert_batch_matches_reference(M, _sparse_block(rng, q, n),
+                                                rng.uniform(0.5, 1.5, size=q),
+                                                alpha)
+
+
+def test_batch_shape_and_table_checks(rng):
+    table = build_ratio_table(GramMatrix.from_matrix(sym_nonneg(rng, 4)), 1.0,
+                              order=1)
+    with pytest.raises(ValueError, match="4 columns"):
+        ratio_batch(table, np.ones((2, 3)), np.ones(2), 1)
+    with pytest.raises(ValueError, match="rebuild"):
+        ratio_batch(table, np.ones((2, 4)), np.ones(2), 3)
+    empty = build_ratio_table(GramMatrix.from_matrix(np.zeros((0, 0))), 2.0, order=3)
+    assert np.array_equal(ratio_batch(empty, np.zeros((3, 0)), np.ones(3), 3),
+                          np.full(3, 2.0))
+
+
+def test_batch_negative_values_one_warning(caplog):
+    import logging
+    G = np.array([[1.0, 0.9], [0.9, 1.0]])
+    table = build_ratio_table(GramMatrix.from_matrix(G), 0.5, order=3)
+    Kt = np.tile([1.0, -1.0], (200, 1))
+    with caplog.at_level(logging.WARNING, logger="permclass.cyclic"):
+        values = ratio_batch(table, Kt, np.full(200, 0.1), 2)
+    assert (values < 0.0).all()
+    records = [r for r in caplog.records if r.name == "permclass.cyclic"]
+    assert len(records) == 1
+    assert "200 of 200 order-2" in records[0].getMessage()
+
+
 # -- small-mass limits ---------------------------------------------------
 
 
@@ -355,6 +438,20 @@ def test_cyclic_limit_exact_at_full_order(rng):
     got = cyclic_ratio_from_kt(GramMatrix.from_matrix(M[:3, :3]),
                                M[3, :3], M[3, 3], 3)
     assert got == pytest.approx(exact, rel=1e-10)
+
+
+def cyclic_ratio_smallalpha(g: GramMatrix, kt, ktt: float, order: int,
+                            eps: float = 1e-6) -> float:
+    """Numeric cross-check of the limit: Richardson step from eps to eps/10.
+
+    Breaks down on degenerate configurations (that is what the series
+    arithmetic is for).
+    """
+    vals = []
+    for a in (eps, eps / 10.0):
+        table = build_ratio_table(g, a, order=max(order, 2) if order >= 2 else order)
+        vals.append(ratio_from_kt(table, kt, ktt, order))
+    return (10.0 * vals[1] - vals[0]) / 9.0
 
 
 @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 3]))

@@ -210,6 +210,14 @@ def test_features_csv_errors(tmp_path):
     load_features_csv(str(nolabel), require_label=False)
 
 
+def test_features_csv_rejects_non_finite_cells(tmp_path):
+    for cell in ("nan", "inf", "-inf"):
+        bad = tmp_path / f"{cell}.csv"
+        bad.write_text(f"x0,x1,label\n1.0,2.0,a\n3.0,{cell},b\n")
+        with pytest.raises(ValueError, match=rf"{bad}:3: column 'x1' is not finite"):
+            load_features_csv(str(bad))
+
+
 def _write_expr(tmp_path, expr_text, label_text):
     e = tmp_path / "expr.csv"
     l = tmp_path / "labels.csv"

@@ -10,9 +10,8 @@ from conftest import cyp_oracle, elimination_det, perm_oracle, sym_nonneg
 from permclass.exact import (EXACT_SIZE_CAP, ExactSizeLimitError, Partition,
                              cyclic_ratio_exact, cyp_exact, ewens_probability,
                              iter_set_partitions, label_probability_exact,
-                             partition_probability_exact, per_alpha_brute,
-                             per_alpha_exact, ratio_exact, ratio_exact_matrix,
-                             rising_factorial)
+                             partition_probability_exact, per_alpha_exact,
+                             ratio_exact, ratio_exact_matrix, rising_factorial)
 from permclass.kernels import Kernel
 
 
@@ -33,7 +32,6 @@ def test_per_identity_any_alpha():
 
 def test_per_empty_matrix_is_one():
     assert per_alpha_exact(np.zeros((0, 0)), 3.0) == 1.0
-    assert per_alpha_brute(np.zeros((0, 0)), 3.0) == 1.0
 
 
 def test_per_det_identity_vs_elimination(rng):
@@ -50,7 +48,6 @@ def test_per_matches_enumeration(seed, n, alpha):
     A = np.random.default_rng(seed).normal(size=(n, n))
     expect = perm_oracle(A, alpha)
     assert per_alpha_exact(A, alpha) == pytest.approx(expect, rel=1e-11, abs=1e-12)
-    assert per_alpha_brute(A, alpha) == pytest.approx(expect, rel=1e-11, abs=1e-12)
 
 
 def test_per_size_cap():

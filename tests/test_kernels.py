@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from permclass.kernels import (Kernel, gram, kernel_column, kernel_eval,
-                               kernel_self)
+from permclass.kernels import (Kernel, gram, kernel_block, kernel_column,
+                               kernel_eval, kernel_self)
 
 
 def test_gaussian_zero_distance_is_one():
@@ -136,3 +136,31 @@ def test_serialization_round_trip():
         back = Kernel.from_dict(json.loads(blob))
         assert back.to_dict() == k.to_dict()
         assert back.family is k.family
+
+
+def test_kernel_block_rows_match_pairwise_eval(rng):
+    pts = rng.normal(size=(5, 2))
+    queries = np.vstack([rng.normal(size=(3, 2)), pts[1:2]])
+    keys = [tuple(p) for p in pts]
+    kernels = [
+        Kernel.gaussian(0.7),
+        Kernel.exponential(1.3),
+        Kernel.constant(2.0),
+        Kernel.diagonal_indicator(default=1.5),
+        Kernel.block_constant({k: i % 2 for i, k in enumerate(keys)}, c=0.8),
+    ]
+    for k in kernels:
+        block = kernel_block(k, queries, pts)
+        assert block.shape == (4, 5)
+        for q, t in enumerate(queries):
+            assert np.array_equal(block[q], kernel_column(k, t, pts))
+            assert np.allclose(block[q], [kernel_eval(k, t, p) for p in pts],
+                               rtol=1e-14, atol=0.0)
+
+
+def test_kernel_block_empty_sides():
+    k = Kernel.gaussian(1.0)
+    assert kernel_block(k, np.zeros((3, 2)), np.zeros((0, 2))).shape == (3, 0)
+    assert kernel_block(k, np.zeros((0, 2)), np.zeros((4, 2))).shape == (0, 4)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        kernel_block(k, np.zeros((1, 3)), np.zeros((4, 2)))

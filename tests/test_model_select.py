@@ -83,6 +83,21 @@ def test_invalid_candidate_is_isolated(rng):
     assert report.winner_index == 1
 
 
+def test_programming_errors_are_not_isolated(monkeypatch):
+    # only ValueError/ArithmeticError mark a candidate invalid; anything
+    # else is a bug and must surface instead of becoming an inf score
+    import permclass.model_select as ms
+
+    def broken_fit(data, params):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setattr(ms, "fit", broken_fit)
+    data = gen_chequerboard(2, seed=0)
+    grid = [ModelParams(kernel=Kernel.exponential(0.5), alphas=1.0, order=1)]
+    with pytest.raises(TypeError, match="unsupported operand"):
+        cross_validate(data, CVSpec(grid=grid, folds=3, seed=0))
+
+
 def test_missing_class_fold_is_permitted():
     # 3 points of class 1 vs 9 of class 0 with 3 folds: some training
     # folds may see class 1 underrepresented; the run must not fail
