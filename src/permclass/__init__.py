@@ -11,10 +11,12 @@ from .exact import (EXACT_SIZE_CAP, ExactSizeLimitError, Partition,
                     ratio_exact, ratio_exact_matrix, rising_factorial)
 from .cyclic import (ALPHA, EXACT_ORDER, MAX_ORDER,
                      DegenerateConfigurationError, GradedValue, GramStructure,
-                     RatioTable, build_ratio_table, closed_form_ratio,
+                     LimitTable, RatioTable, build_limit_table,
+                     build_ratio_table, closed_form_ratio,
                      closed_form_ratio_matrix, cyclic_ratio_approx,
-                     cyclic_ratio_from_kt, per_alpha_cyclic, ratio_approx,
-                     ratio_approx_matrix, ratio_batch, ratio_from_kt)
+                     cyclic_ratio_from_kt, limit_ratio, per_alpha_cyclic,
+                     ratio_approx, ratio_approx_matrix, ratio_batch,
+                     ratio_from_kt)
 from .classify import (FittedModel, LabeledDataset, ModelParams, PosteriorRow,
                        PosteriorTable, fit, knn_predict, predict,
                        predict_infinite, sequential_partition)

@@ -11,13 +11,15 @@ dividing by the total; ties in the argmax go to the lowest class index.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .cyclic import (EXACT_ORDER, MAX_ORDER, RatioTable, build_ratio_table,
-                     cyclic_ratio_from_kt, ratio_batch)
+from .cyclic import (EXACT_ORDER, MAX_ORDER, LimitTable, RatioTable,
+                     build_limit_table, build_ratio_table, limit_ratio,
+                     ratio_batch)
 from .exact import Partition, cyp_exact, ratio_exact
 from .kernels import (GramMatrix, Kernel, gram, kernel_block, kernel_column,
                       kernel_self)
@@ -140,8 +142,10 @@ class ModelParams:
     def __post_init__(self):
         if self.order != EXACT_ORDER and self.order not in (0, 1, 2, 3):
             raise ValueError(f"order must be 0..3 or '{EXACT_ORDER}', got {self.order!r}")
-        if self.lam is not None and not self.lam > 0:
-            raise ValueError(f"lambda must be positive, got {self.lam}")
+        if self.lam is not None and not 0 < self.lam < math.inf:
+            raise ValueError(f"lambda must be positive and finite, got {self.lam}")
+        if not np.isfinite(np.asarray(self.alphas, dtype=float)).all():
+            raise ValueError(f"alphas must be finite, got {self.alphas}")
 
     def alpha_vector(self, k: int) -> np.ndarray:
         if np.isscalar(self.alphas):
@@ -275,6 +279,68 @@ def predict(model: FittedModel, queries) -> PosteriorTable:
                           class_names=model.class_names)
 
 
+def _bordered(G: np.ndarray, kt: np.ndarray, ktt: float) -> np.ndarray:
+    """``G`` with one more row and column: ``kt`` off the diagonal, ``ktt`` on it."""
+    n = G.shape[0]
+    out = np.empty((n + 1, n + 1))
+    out[:n, :n] = G
+    out[n, :n] = out[:n, n] = kt
+    out[n, n] = ktt
+    return out
+
+
+class _Block:
+    """One block of a partition with the state its cyclic-ratio weight needs.
+
+    ``gram`` holds the kernel values among the members, in member order;
+    ``table`` holds what the weight divides by (the alpha -> 0 tables, or
+    the block's cyclic product sum on the exact path).  It is rebuilt when
+    the block is next weighed after growing, so only a grown block pays
+    for a rebuild.
+    """
+
+    def __init__(self, members: list[int], gram_entries: np.ndarray):
+        self.members = members
+        self.gram = gram_entries
+        self.table: LimitTable | float | None = None
+
+    def grow(self, i: int, kt: np.ndarray, ktt: float) -> None:
+        """Add point ``i`` with kernel values ``kt`` against the members."""
+        self.members.append(i)
+        self.gram = _bordered(self.gram, kt, ktt)
+        self.table = None
+
+    def weight(self, j: int, kt: np.ndarray, ktt: float, order) -> float:
+        """Cyclic ratio C(t; block) for a query, as block ``j`` of the row."""
+        if self.table is None:
+            if (self.gram < 0).any():
+                raise ValueError("kernel produced a negative Gram entry")
+            if order == EXACT_ORDER:
+                self.table = cyp_exact(self.gram)
+            else:
+                self.table = build_limit_table(GramMatrix.from_matrix(self.gram),
+                                               int(order))
+        if order != EXACT_ORDER:
+            return limit_ratio(self.table, kt, ktt)
+        if self.table == 0.0:
+            raise ZeroDivisionError(
+                f"block {j} ({sorted(self.members)}) has zero cyclic product sum")
+        return cyp_exact(_bordered(self.gram, kt, ktt)) / self.table
+
+
+def _block_row(blocks: list[_Block], col: np.ndarray, ktt: float,
+               params: ModelParams) -> PosteriorRow:
+    """Posterior over ``blocks`` plus a new block, for a query whose kernel
+    values against every point are ``col``."""
+    if params.lam is None:
+        raise ValueError("infinite-class prediction needs lambda")
+    raw = np.empty(len(blocks) + 1)
+    for j, block in enumerate(blocks):
+        raw[j] = block.weight(j, col[block.members], ktt, params.order)
+    raw[-1] = params.lam * ktt
+    return PosteriorRow.from_raw(raw)
+
+
 def predict_infinite(points, partition: Partition, t,
                      params: ModelParams) -> PosteriorRow:
     """Posterior over existing blocks plus a new block for one query.
@@ -284,39 +350,13 @@ def predict_infinite(points, partition: Partition, t,
     """
     pts = _as_rows(points, "point")
     t = _as_rows(np.reshape(t, (1, -1)), "query")[0]
-    return _block_posterior(pts, partition, t, params)
-
-
-def _block_posterior(pts: np.ndarray, partition: Partition, t: np.ndarray,
-                     params: ModelParams) -> PosteriorRow:
-    if params.lam is None:
-        raise ValueError("infinite-class prediction needs lambda")
     if partition.n != pts.shape[0]:
         raise ValueError("partition must cover exactly the given points")
     kernel = params.kernel
-    ktt = kernel_self(kernel, t)
-    raw = np.empty(partition.block_count + 1)
-    for j, block in enumerate(partition.blocks):
-        sub = pts[list(block)]
-        if params.order == EXACT_ORDER:
-            g = gram(kernel, sub)
-            denom = cyp_exact(g.entries)
-            if denom == 0.0:
-                raise ZeroDivisionError(
-                    f"block {j} ({sorted(block)}) has zero cyclic product sum")
-            aug = np.empty((len(block) + 1, len(block) + 1))
-            aug[:-1, :-1] = g.entries
-            col = kernel_column(kernel, t, sub)
-            aug[:-1, -1] = col
-            aug[-1, :-1] = col
-            aug[-1, -1] = ktt
-            raw[j] = cyp_exact(aug) / denom
-        else:
-            g = gram(kernel, sub)
-            kt = kernel_column(kernel, t, sub)
-            raw[j] = cyclic_ratio_from_kt(g, kt, ktt, int(params.order))
-    raw[-1] = params.lam * ktt
-    return PosteriorRow.from_raw(raw)
+    blocks = [_Block(list(b), gram(kernel, pts[list(b)]).entries)
+              for b in partition.blocks]
+    return _block_row(blocks, kernel_column(kernel, t, pts), kernel_self(kernel, t),
+                      params)
 
 
 def sequential_partition(points, params: ModelParams, rule: str = "argmax",
@@ -324,30 +364,33 @@ def sequential_partition(points, params: ModelParams, rule: str = "argmax",
     """Grow a partition one point at a time by repeated block prediction.
 
     ``rule`` is "argmax" (deterministic) or "sample" (seeded, reproducible).
+    Each new point's kernel column is evaluated once and sliced per block;
+    blocks keep their Gram matrices and tables, and only the block that
+    grew is rebuilt, so a step at order k costs one order-k query per
+    block plus one table build.
     """
     if rule not in ("argmax", "sample"):
         raise ValueError(f"rule must be 'argmax' or 'sample', got {rule!r}")
     rng = np.random.default_rng(seed) if rule == "sample" else None
     pts = _as_rows(points, "point")
-    assignments: list[int] = []
-    blocks: list[list[int]] = []
-    for i in range(pts.shape[0]):
-        if not blocks:
-            blocks.append([i])
-            assignments.append(0)
-            continue
-        part = Partition.from_blocks(blocks)
-        row = _block_posterior(pts[:i], part, pts[i], params)
+    if pts.shape[0] < 2:
+        return Partition.from_blocks([[0]] if pts.shape[0] else [])
+    kernel = params.kernel
+    blocks = [_Block([0], np.array([[kernel_self(kernel, pts[0])]]))]
+    for i in range(1, pts.shape[0]):
+        ktt = kernel_self(kernel, pts[i])
+        col = kernel_column(kernel, pts[i], pts[:i])
+        row = _block_row(blocks, col, ktt, params)
         if rule == "argmax":
             choice = row.argmax
         else:
             choice = int(rng.choice(len(row.probs), p=row.probs))
         if choice == len(blocks):
-            blocks.append([i])
+            blocks.append(_Block([i], np.array([[ktt]])))
         else:
-            blocks[choice].append(i)
-        assignments.append(choice)
-    return Partition.from_blocks(blocks) if blocks else Partition(())
+            block = blocks[choice]
+            block.grow(i, col[block.members], ktt)
+    return Partition.from_blocks([b.members for b in blocks])
 
 
 def knn_predict(train_points, train_labels, queries, k: int = 5) -> np.ndarray:

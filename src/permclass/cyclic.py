@@ -20,9 +20,15 @@ O(n^2) per query there.  Order k = n is exact and larger exact sizes are
 served by the oracle layer, not here.
 
 The a -> 0+ limits C^(k) are evaluated by running the same recursion over
-truncated power series in a (`GradedValue`), so configurations where the
-naive limit is 0/0 (e.g. diagonal kernels over distinct points) still get
-their finite limiting value.
+truncated power series in a, so configurations where the naive limit is
+0/0 (e.g. diagonal kernels over distinct points) still get their finite
+limiting value.  `build_limit_table` and `limit_ratio` run it over arrays
+of series, with every excluded index (m != i, k not in {i, j}) left out of
+its sum rather than subtracted afterwards, so exact zeros stay exact.
+Order 3 then costs O(n^3) per point set and O(n^2) per query.  The scalar
+series `GradedValue` defines the arithmetic; run through the displayed
+nested sums (in the test suite) it is the reference the array evaluation
+is checked against.
 """
 
 from __future__ import annotations
@@ -50,6 +56,9 @@ __all__ = [
     "ratio_batch",
     "ratio_approx_matrix",
     "per_alpha_cyclic",
+    "LimitTable",
+    "build_limit_table",
+    "limit_ratio",
     "cyclic_ratio_approx",
     "cyclic_ratio_from_kt",
     "GramStructure",
@@ -461,74 +470,122 @@ def per_alpha_cyclic(A, alpha: float, order: int = MAX_ORDER) -> float:
 
 
 # ---------------------------------------------------------------------------
-# generic recursion (floats or GradedValue), used for the alpha -> 0 limit
+# the alpha -> 0 limit over arrays of truncated series
 # ---------------------------------------------------------------------------
 
 
-def _generic_tables(Gl, dl, alpha, order):
-    n = len(dl)
-    r1_loo = []
-    for i in range(n):
-        s = math.fsum(Gl[i][m] * Gl[i][m] / dl[m] for m in range(n) if m != i)
-        r1_loo.append(alpha * dl[i] + s)
-    if order < 3:
-        return r1_loo, None, None
-    r1_l2o = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if j == i:
-                row.append(None)
-                continue
-            s = math.fsum(Gl[j][m] * Gl[j][m] / dl[m]
-                          for m in range(n) if m != i and m != j)
-            row.append(alpha * dl[j] + s)
-        r1_l2o.append(row)
-    r2_loo = []
-    for i in range(n):
-        acc = alpha * dl[i]
-        for m in range(n):
-            if m == i:
-                continue
-            gim = Gl[i][m]
-            inner = math.fsum(Gl[m][l] * Gl[l][i] / dl[l]
-                              for l in range(n) if l != i and l != m)
-            acc = acc + (alpha * gim * gim + gim * inner) / r1_l2o[i][m]
-        r2_loo.append(acc)
-    return r1_loo, r1_l2o, r2_loo
+_NO_LEAD = 1 << 30  # stands in for the lead of an exact zero in a minimum
 
 
-def _generic_ratio(ktt, ktl, Gl, dl, alpha, order, r1_loo, r1_l2o, r2_loo):
-    n = len(dl)
-    total = alpha * ktt
-    if order == 0 or n == 0:
-        return total
-    if order == 1:
-        return total + math.fsum(ktl[i] * ktl[i] / dl[i] for i in range(n))
-    if order == 2:
-        for i in range(n):
-            kti = ktl[i]
-            inner = math.fsum(Gl[i][j] * ktl[j] / dl[j] for j in range(n) if j != i)
-            total = total + (alpha * kti * kti + kti * inner) / r1_loo[i]
-        return total
-    for i in range(n):
-        kti = ktl[i]
-        bracket = kti * kti
-        for j in range(n):
-            if j == i:
-                continue
-            gij = Gl[i][j]
-            if gij == 0.0 or kti == 0.0:
-                continue
-            tail = sum((kti * gij * Gl[j][k] * ktl[k]) / (alpha * dl[k])
-                       for k in range(n) if k != i and k != j)
-            bracket = bracket + (kti * gij * ktl[j] + tail) / r1_l2o[i][j]
-        total = total + alpha * bracket / r2_loo[i]
-    return total
+@dataclass(frozen=True)
+class _Series:
+    """Arrays of `GradedValue`: entry-wise alpha^lead (c0 + c1 alpha).
+
+    Normalisation and division follow `GradedValue` entry by entry; the
+    exact zero is lead 0, c0 = c1 = 0, so an entry is zero iff c0 == 0.
+    """
+
+    lead: np.ndarray
+    c0: np.ndarray
+    c1: np.ndarray
+
+    @staticmethod
+    def normalized(lead, c0, c1) -> "_Series":
+        z0 = np.equal(c0, 0.0)
+        shift = z0 & np.not_equal(c1, 0.0)
+        return _Series(np.where(shift, lead + 1, np.where(z0, 0, lead)),
+                       np.where(shift, c1, c0), np.where(z0, 0.0, c1))
+
+    @staticmethod
+    def of(c0, c1) -> "_Series":
+        """The values c0 + c1 alpha."""
+        return _Series.normalized(0, c0, c1)
+
+    def times_alpha(self) -> "_Series":
+        return _Series(np.where(self.c0 == 0.0, 0, self.lead + 1), self.c0, self.c1)
+
+    def __truediv__(self, other: "_Series") -> "_Series":
+        b0, b1 = other.c0, other.c1
+        if (b0 == 0.0).any():
+            raise DegenerateConfigurationError(
+                "division by a quantity that is identically zero to tracked "
+                "order; the configuration is degenerate"
+            )
+        return _Series.normalized(self.lead - other.lead, self.c0 / b0,
+                                  (self.c1 * b0 - self.c0 * b1) / (b0 * b0))
+
+    def _lead_or_none(self) -> np.ndarray:
+        return np.where(self.c0 == 0.0, _NO_LEAD, self.lead)
+
+    def _at(self, low):
+        """Coefficients of alpha^low and alpha^(low + 1), where ``low`` is
+        at most the lead of every nonzero entry (zero entries add 0)."""
+        at_low = self.lead == low
+        return (np.where(at_low, self.c0, 0.0),
+                np.where(at_low, self.c1, 0.0)
+                + np.where(self.lead == low + 1, self.c0, 0.0))
+
+    def sum(self, axis: int = -1) -> "_Series":
+        """Sum along an axis: the lowest lead among the nonzero terms leads,
+        and terms one power higher feed its second coefficient."""
+        low = self._lead_or_none().min(axis=axis, keepdims=True)
+        c0, c1 = self._at(low)
+        return _Series.normalized(np.squeeze(low, axis=axis), c0.sum(axis=axis),
+                                  c1.sum(axis=axis))
+
+    def __add__(self, other: "_Series") -> "_Series":
+        low = np.minimum(self._lead_or_none(), other._lead_or_none())
+        a0, a1 = self._at(low)
+        b0, b1 = other._at(low)
+        return _Series.normalized(low, a0 + b0, a1 + b1)
+
+    def scalar(self) -> GradedValue:
+        """The single entry of a 0-d series."""
+        return GradedValue(int(self.lead), float(self.c0), float(self.c1))
 
 
-def cyclic_ratio_from_kt(g: GramMatrix, kt, ktt: float, order: int) -> float:
-    """alpha -> 0+ limit of the order-k ratio, via series arithmetic."""
+def _alpha_times(x) -> _Series:
+    """The values alpha x."""
+    return _Series.normalized(1, x, 0.0)
+
+
+def _sum_without(A: np.ndarray) -> np.ndarray:
+    """S[j, i] = sum over k != i of A[j, k].
+
+    The excluded term is left out by adding prefix and suffix sums, never
+    subtracted from the full row sum: subtraction leaves rounding residue
+    where the exact result is 0, and the series arithmetic would read that
+    residue as a leading term.
+    """
+    S = np.zeros_like(A)
+    np.cumsum(A[:, :-1], axis=1, out=S[:, 1:])
+    S[:, :-1] += np.cumsum(A[:, :0:-1], axis=1)[:, ::-1]
+    return S
+
+
+@dataclass
+class LimitTable:
+    """Series denominators of the alpha -> 0+ recursion for one point set.
+
+    The series counterparts of `RatioTable`'s r1_loo (order 2), r1_l2o and
+    r2_loo (order 3), built once per point set and shared by every query.
+    ``off`` is the Gram matrix with its diagonal zeroed: products through
+    it drop the excluded i = j terms exactly.
+    """
+
+    gram: GramMatrix
+    order: int
+    off: np.ndarray
+    r1_loo: _Series | None = None
+    r1_l2o: _Series | None = None
+    r2_loo: _Series | None = None
+
+
+def build_limit_table(g: GramMatrix, order: int) -> LimitTable:
+    """Denominators for the alpha -> 0+ limit of the order-k ratio.
+
+    Order 2 costs O(n^2) and order 3 O(n^3), one matrix product.
+    """
     if order not in (0, 1, 2, 3):
         raise ValueError(f"order must be in 0..3, got {order}")
     n = g.n
@@ -539,13 +596,55 @@ def cyclic_ratio_from_kt(g: GramMatrix, kt, ktt: float, order: int) -> float:
     if bad.size:
         raise ValueError(f"gram diagonal must be strictly positive; point index "
                          f"{int(bad[0])} has K(x, x) = {d[int(bad[0])]}")
-    Gl = g.entries.tolist()
-    dl = d.tolist()
-    ktl = np.asarray(kt, dtype=float).tolist()
-    r1_loo, r1_l2o, r2_loo = _generic_tables(Gl, dl, ALPHA, order)
-    value = _generic_ratio(float(ktt), ktl, Gl, dl, ALPHA, order,
-                           r1_loo, r1_l2o, r2_loo)
-    return _lift(value).limit()
+    off = g.entries.copy()
+    np.fill_diagonal(off, 0.0)
+    table = LimitTable(g, order, off)
+    # Q[i, m] = K(x_i, x_m)^2 / K(x_m, x_m), m != i
+    Q = off * off / d
+    if order == 2:
+        table.r1_loo = _Series.of(Q.sum(axis=1), d)
+    if order == 3:
+        # r1_l2o[i, j] = a d_j + sum_{m not in {i, j}} Q[j, m]
+        table.r1_l2o = _Series.of(_sum_without(Q).T, d)
+        # inner[m, i] = sum_{l not in {i, m}} K(x_m, x_l) K(x_l, x_i) / d_l
+        inner = (off / d) @ off
+        terms = _Series.of(off * inner.T, off * off) / table.r1_l2o
+        table.r2_loo = _alpha_times(d) + terms.sum(axis=1)
+    return table
+
+
+def limit_ratio(table: LimitTable, kt, ktt: float) -> float:
+    """alpha -> 0+ limit of the order-k ratio for one query.
+
+    ``kt[i] = K(t, x_i)`` and ``ktt = K(t, t)``; the order is the table's.
+    """
+    n = table.gram.n
+    kt = np.asarray(kt, dtype=float)
+    if kt.shape != (n,):
+        raise ValueError(f"kernel column must have length {n}, got {kt.shape}")
+    order = table.order
+    total = ALPHA * float(ktt)
+    w = kt / table.gram.diagonal
+    if order == 1:
+        total = total + float(kt @ w)
+    elif order == 2:
+        # inner[i] = sum_{j != i} K(x_i, x_j) K(t, x_j) / d_j
+        terms = _Series.of(kt * (table.off @ w), kt * kt) / table.r1_loo
+        total = total + terms.sum().scalar()
+    elif order == 3:
+        # x[i, j] = K(t, x_i) K(x_i, x_j); h[i, j] = sum_{k not in {i, j}} K(x_j, x_k) w_k
+        x = kt[:, None] * table.off
+        h = _sum_without(table.off * w).T
+        # the k-sum passes through the uni-cycle 1 / (a d_k): lead -1
+        terms = _Series.normalized(-1, x * h, x * kt) / table.r1_l2o
+        bracket = _Series.of(kt * kt, 0.0) + terms.sum(axis=1)
+        total = total + (bracket.times_alpha() / table.r2_loo).sum().scalar()
+    return total.limit()
+
+
+def cyclic_ratio_from_kt(g: GramMatrix, kt, ktt: float, order: int) -> float:
+    """alpha -> 0+ limit of the order-k ratio, via series arithmetic."""
+    return limit_ratio(build_limit_table(g, order), kt, ktt)
 
 
 def cyclic_ratio_approx(t, points, g: GramMatrix, order: int) -> float:

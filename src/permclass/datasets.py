@@ -309,7 +309,8 @@ def load_expression_csv(expr_path: str, labels_path: str) -> ExpressionMatrix:
 
     The expression header is ``gene_id`` followed by sample ids; the
     sidecar must cover exactly those samples.  Gene rows with missing
-    values are dropped and logged.
+    values are dropped and logged; an infinite value is an error that
+    names its line and sample.
     """
     erows = _rows_of(expr_path)
     if not erows:
@@ -327,9 +328,14 @@ def load_expression_csv(expr_path: str, labels_path: str) -> ExpressionMatrix:
             log.info("dropping gene %s (line %d): missing values", row[0], lineno)
             continue
         try:
-            data.append([float(v) for v in row[1:]])
+            values = [float(v) for v in row[1:]]
         except ValueError as exc:
             raise ValueError(f"{expr_path}:{lineno}: {exc}") from None
+        for sample, v in zip(sample_ids, values):
+            if not math.isfinite(v):
+                raise ValueError(
+                    f"{expr_path}:{lineno}: sample {sample!r} is not finite ({v})")
+        data.append(values)
         gene_ids.append(row[0])
     lrows = _rows_of(labels_path)
     label_map: dict[str, str] = {}

@@ -301,8 +301,8 @@ def partition_probability_exact(points, partition: Partition, lam: float,
 
     lambda^{#B} prod_b cyp{K(x^(b))} / per_lambda{K(x)}.
     """
-    if lam <= 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
+    if not 0 < lam < math.inf:
+        raise ValueError(f"lambda must be positive and finite, got {lam}")
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts.reshape(-1, 1)

@@ -8,6 +8,7 @@ family enforces it at construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Mapping, Sequence
@@ -79,11 +80,12 @@ class Kernel:
     def __post_init__(self):
         self.family = KernelFamily(self.family)
         if self.family in (KernelFamily.EXPONENTIAL, KernelFamily.GAUSSIAN):
-            if self.tau is None or not self.tau > 0:
-                raise ValueError(f"{self.family.value} kernel requires tau > 0, got {self.tau}")
+            if self.tau is None or not 0 < self.tau < math.inf:
+                raise ValueError(f"{self.family.value} kernel requires a finite "
+                                 f"tau > 0, got {self.tau}")
         if self.family is KernelFamily.CONSTANT:
-            if self.c is None or not self.c > 0:
-                raise ValueError(f"constant kernel requires c > 0, got {self.c}")
+            if self.c is None or not 0 < self.c < math.inf:
+                raise ValueError(f"constant kernel requires a finite c > 0, got {self.c}")
 
     # -- constructors -------------------------------------------------
 
@@ -112,10 +114,10 @@ class Kernel:
         """
         tab = {_key(p): float(v) for p, v in (table or {}).items()}
         for v in tab.values():
-            if v < 0:
-                raise ValueError("diagonal values must be nonnegative")
-        if default is not None and default < 0:
-            raise ValueError("diagonal default must be nonnegative")
+            if not 0 <= v < math.inf:
+                raise ValueError(f"diagonal values must be nonnegative and finite, got {v}")
+        if default is not None and not 0 <= default < math.inf:
+            raise ValueError(f"diagonal default must be nonnegative and finite, got {default}")
         return cls(KernelFamily.DIAGONAL_INDICATOR, c=default, aux={"table": tab})
 
     @classmethod
@@ -130,8 +132,8 @@ class Kernel:
         asg = {_key(p): b for p, b in assignment.items()}
         lv = {b: float(v) for b, v in (levels or {}).items()}
         for v in lv.values():
-            if v < 0:
-                raise ValueError("block levels must be nonnegative")
+            if not 0 <= v < math.inf:
+                raise ValueError(f"block levels must be nonnegative and finite, got {v}")
         return cls(KernelFamily.BLOCK_CONSTANT, c=c, aux={"assignment": asg, "levels": lv})
 
     @classmethod
@@ -146,6 +148,8 @@ class Kernel:
             raise ValueError(f"projection matrix must be square, got shape {m.shape}")
         if len(points) != m.shape[0]:
             raise ValueError("ground set size must match the matrix dimension")
+        if not np.isfinite(m).all():
+            raise ValueError("projection matrix entries must be finite")
         if not np.array_equal(m, m.T):
             raise ValueError("projection matrix must be symmetric")
         if (m < 0).any():

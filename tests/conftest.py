@@ -2,7 +2,9 @@
 
 The oracles here (permutation enumeration, elimination determinant) are
 deliberately separate from the package code so the two sides of every
-exactness check stay independent.
+exactness check stay independent.  The scalar order-k recursion over
+floats or `GradedValue` series is the reference that the package's array
+evaluation of the alpha -> 0 limit is tested against.
 """
 
 from __future__ import annotations
@@ -13,6 +15,10 @@ import math
 import numpy as np
 import pytest
 from hypothesis import settings
+
+from permclass.cyclic import ALPHA, GradedValue
+from permclass.exact import Partition, cyp_exact
+from permclass.kernels import gram, kernel_column, kernel_self
 
 settings.register_profile("suite", deadline=None, max_examples=25)
 settings.load_profile("suite")
@@ -129,6 +135,121 @@ def block_constant_matrix(sizes, levels):
         G[i0:i0 + s, i0:i0 + s] = c
         i0 += s
     return G
+
+
+# -- scalar order-k recursion (floats or GradedValue) ----------------------
+
+
+def generic_tables(Gl, dl, alpha, order):
+    """Leave-one-out and leave-two-out denominators as nested Python sums."""
+    n = len(dl)
+    r1_loo = []
+    for i in range(n):
+        s = math.fsum(Gl[i][m] * Gl[i][m] / dl[m] for m in range(n) if m != i)
+        r1_loo.append(alpha * dl[i] + s)
+    if order < 3:
+        return r1_loo, None, None
+    r1_l2o = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            if j == i:
+                row.append(None)
+                continue
+            s = math.fsum(Gl[j][m] * Gl[j][m] / dl[m]
+                          for m in range(n) if m != i and m != j)
+            row.append(alpha * dl[j] + s)
+        r1_l2o.append(row)
+    r2_loo = []
+    for i in range(n):
+        acc = alpha * dl[i]
+        for m in range(n):
+            if m == i:
+                continue
+            gim = Gl[i][m]
+            inner = math.fsum(Gl[m][l] * Gl[l][i] / dl[l]
+                              for l in range(n) if l != i and l != m)
+            acc = acc + (alpha * gim * gim + gim * inner) / r1_l2o[i][m]
+        r2_loo.append(acc)
+    return r1_loo, r1_l2o, r2_loo
+
+
+def generic_ratio(ktt, ktl, Gl, dl, alpha, order, r1_loo, r1_l2o, r2_loo):
+    """Order-k ratio as the displayed nested sums."""
+    n = len(dl)
+    total = alpha * ktt
+    if order == 0 or n == 0:
+        return total
+    if order == 1:
+        return total + math.fsum(ktl[i] * ktl[i] / dl[i] for i in range(n))
+    if order == 2:
+        for i in range(n):
+            kti = ktl[i]
+            inner = math.fsum(Gl[i][j] * ktl[j] / dl[j] for j in range(n) if j != i)
+            total = total + (alpha * kti * kti + kti * inner) / r1_loo[i]
+        return total
+    for i in range(n):
+        kti = ktl[i]
+        bracket = kti * kti
+        for j in range(n):
+            if j == i:
+                continue
+            gij = Gl[i][j]
+            if gij == 0.0 or kti == 0.0:
+                continue
+            tail = sum((kti * gij * Gl[j][k] * ktl[k]) / (alpha * dl[k])
+                       for k in range(n) if k != i and k != j)
+            bracket = bracket + (kti * gij * ktl[j] + tail) / r1_l2o[i][j]
+        total = total + alpha * bracket / r2_loo[i]
+    return total
+
+
+def cyclic_ratio_scalar(G, kt, ktt, order) -> float:
+    """alpha -> 0+ limit of the order-k ratio by scalar series arithmetic."""
+    G = np.asarray(G, dtype=float)
+    Gl, dl = G.tolist(), G.diagonal().tolist()
+    ktl = np.asarray(kt, dtype=float).tolist()
+    tables = generic_tables(Gl, dl, ALPHA, order)
+    value = generic_ratio(float(ktt), ktl, Gl, dl, ALPHA, order, *tables)
+    if not isinstance(value, GradedValue):
+        value = GradedValue.of(value)
+    return value.limit()
+
+
+def sequential_partition_scalar(points, params, rule="argmax", seed=None) -> Partition:
+    """Sequential partition that rebuilds every block's Gram and series
+    recursion at every step, one scalar at a time."""
+    rng = np.random.default_rng(seed) if rule == "sample" else None
+    pts = np.asarray(points, dtype=float).reshape(len(points), -1)
+    kernel = params.kernel
+    blocks: list[list[int]] = []
+    for i in range(pts.shape[0]):
+        if not blocks:
+            blocks.append([i])
+            continue
+        t = pts[i]
+        ktt = kernel_self(kernel, t)
+        raw = []
+        for block in blocks:
+            sub = pts[block]
+            G = gram(kernel, sub).entries
+            kt = kernel_column(kernel, t, sub)
+            if params.order == "exact":
+                aug = augment(G, kt, ktt)
+                raw.append(cyp_exact(aug) / cyp_exact(G))
+            else:
+                raw.append(cyclic_ratio_scalar(G, kt, ktt, int(params.order)))
+        raw = np.array(raw + [params.lam * ktt])
+        probs = raw / raw.sum()
+        if rule == "argmax":
+            choice = int(np.argmax(probs))
+        else:
+            choice = int(rng.choice(len(probs), p=probs))
+        if choice == len(blocks):
+            blocks.append([i])
+        else:
+            blocks[choice].append(i)
+    return Partition.from_blocks(blocks)
 
 
 @pytest.fixture

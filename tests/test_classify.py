@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import cyclic_ratio_scalar, sequential_partition_scalar
 from permclass.classify import (LabeledDataset, ModelParams, fit, knn_predict,
                                 predict, predict_infinite, sequential_partition)
 from permclass.cyclic import ratio_from_kt
@@ -156,6 +157,16 @@ def test_alphas_validation():
         fit(data, ModelParams(kernel=Kernel.gaussian(1.0), alphas=(1.0,) * 3))
 
 
+def test_non_finite_model_parameters_raise():
+    kern = Kernel.gaussian(1.0)
+    for lam in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="lambda must be positive and finite"):
+            ModelParams(kernel=kern, lam=lam)
+    for alphas in (float("inf"), (1.0, float("nan")), (float("-inf"), 1.0)):
+        with pytest.raises(ValueError, match="alphas must be finite"):
+            ModelParams(kernel=kern, alphas=alphas)
+
+
 def test_predict_exact_matches_ratio_oracle(rng):
     data = make_data(rng, (4, 3))
     params = ModelParams(kernel=Kernel.gaussian(1.0), alphas=(0.6, 1.1),
@@ -269,6 +280,46 @@ def test_infinite_non_finite_input_rejected():
     with pytest.raises(ValueError, match="point row 2, column 0"):
         predict_infinite(pts, Partition.from_blocks([[0, 1, 2]]),
                          np.array([0.0]), params)
+
+
+def _partition_configs():
+    rng = np.random.default_rng(2024)
+    clusters = np.vstack([rng.normal(0.0, 0.3, size=(8, 2)),
+                          rng.normal(2.0, 0.3, size=(8, 2))])[rng.permutation(16)]
+    line = np.linspace(0.0, 3.0, 12).reshape(-1, 1)
+    levels = Kernel.block_constant({(float(i),): i % 3 for i in range(12)},
+                                   levels={0: 0.5, 1: 1.0, 2: 2.0})
+    return [("gaussian", Kernel.gaussian(0.8), clusters, 0.5),
+            ("gaussian-chain", Kernel.gaussian(0.6), line, 0.3),
+            ("constant", Kernel.constant(0.7), np.zeros((10, 1)), 0.5),
+            ("block-constant", levels, np.arange(12.0).reshape(-1, 1), 0.8)]
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3, "exact"])
+def test_sequential_partition_matches_scalar_path(order):
+    for name, kern, pts, lam in _partition_configs():
+        if order == "exact":
+            pts = pts[:10]  # blocks stay within the exact size cap
+        params = ModelParams(kernel=kern, lam=lam, order=order)
+        assert (sequential_partition(pts, params).blocks
+                == sequential_partition_scalar(pts, params).blocks), name
+        for seed in (0, 1, 7):
+            assert (sequential_partition(pts, params, rule="sample", seed=seed).blocks
+                    == sequential_partition_scalar(pts, params, rule="sample",
+                                                   seed=seed).blocks), (name, seed)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_predict_infinite_matches_scalar_weights(rng, order):
+    kern = Kernel.gaussian(0.7)
+    pts = rng.normal(size=(9, 2))
+    part = Partition.from_blocks([[0, 3, 4, 8], [1], [2, 5, 6, 7]])
+    t = rng.normal(size=2)
+    row = predict_infinite(pts, part, t, ModelParams(kernel=kern, lam=0.4, order=order))
+    expect = [cyclic_ratio_scalar(gram(kern, pts[list(b)]).entries,
+                                  kernel_column(kern, t, pts[list(b)]), 1.0, order)
+              for b in part.blocks] + [0.4]
+    np.testing.assert_allclose(row.raw, expect, rtol=1e-12, atol=0.0)
 
 
 def test_sequential_bad_rule():

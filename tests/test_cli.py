@@ -85,6 +85,19 @@ def test_partition_command(tmp_path, capsys):
     assert blocks == [[0, 1], [2, 3]]
 
 
+def test_partition_rejects_infinite_parameters(tmp_path, capsys):
+    data = tmp_path / "pts.csv"
+    data.write_text("x0\n0.0\n0.1\n")
+    out = tmp_path / "part.json"
+    for flags, name in ((["--tau", "inf", "--lambda", "0.5"], "tau"),
+                        (["--tau", "0.5", "--lambda", "inf"], "lambda")):
+        code, _, err = run(["partition", "--data", str(data), "--kernel",
+                            "gaussian", *flags, "--out", str(out)], capsys)
+        assert code == 1
+        assert name in err and "finite" in err
+        assert not out.exists()
+
+
 def test_cv_command(tmp_path, capsys):
     data = tmp_path / "train.csv"
     run(["simulate", "chequerboard", "--per-cell", "2", "--seed", "2",

@@ -3,14 +3,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import augment, banded_gram, block_constant_matrix, sym_nonneg
+from conftest import (augment, banded_gram, block_constant_matrix,
+                      cyclic_ratio_scalar, generic_ratio, generic_tables,
+                      sym_nonneg)
 from permclass.cyclic import (ALPHA, DegenerateConfigurationError, GradedValue,
-                              GramStructure, build_ratio_table,
+                              GramStructure, build_limit_table, build_ratio_table,
                               closed_form_ratio, closed_form_ratio_matrix,
                               cyclic_ratio_approx, cyclic_ratio_from_kt,
-                              per_alpha_cyclic, ratio_approx,
+                              limit_ratio, per_alpha_cyclic, ratio_approx,
                               ratio_approx_matrix, ratio_batch, ratio_from_kt)
-from permclass.cyclic import _generic_ratio, _generic_tables
+from permclass.cyclic import _ZERO, _normalize, _Series
 from permclass.exact import per_alpha_exact, ratio_exact, ratio_exact_matrix
 from permclass.kernels import GramMatrix, Kernel, gram, kernel_column
 
@@ -63,6 +65,46 @@ class TestGradedValue:
     def test_at_matches_series(self):
         v = GradedValue(1, 2.0, 3.0)
         assert v.at(0.1) == pytest.approx(0.1 * (2.0 + 0.3))
+
+
+_coefficient = st.sampled_from([0.0, 0.5, 1.0, 2.0, -1.0, 3.25])
+_graded = st.builds(_normalize, st.integers(-2, 2), _coefficient, _coefficient)
+
+
+def _as_series(values):
+    return _Series(np.array([v.lead for v in values]),
+                   np.array([v.c0 for v in values]),
+                   np.array([v.c1 for v in values]))
+
+
+def _entries(series):
+    return [GradedValue(int(l), float(a), float(b))
+            for l, a, b in zip(series.lead, series.c0, series.c1)]
+
+
+@given(st.lists(st.tuples(_graded, _graded), min_size=1, max_size=8))
+def test_series_elementwise_ops_match_graded_value(pairs):
+    a = _as_series([p for p, _ in pairs])
+    b = _as_series([q for _, q in pairs])
+    assert _entries(a + b) == [p + q for p, q in pairs]
+    assert _entries(a.times_alpha()) == [ALPHA * p for p, _ in pairs]
+    if all(not q.is_zero for _, q in pairs):
+        assert _entries(a / b) == [p / q for p, q in pairs]
+    else:
+        with pytest.raises(DegenerateConfigurationError):
+            a / b
+
+
+@given(st.lists(_graded, min_size=1, max_size=8))
+def test_series_sum_matches_graded_value(values):
+    # without cancelling leading coefficients the sum is order-free
+    values = [GradedValue(v.lead, abs(v.c0), v.c1) for v in values]
+    total = _ZERO
+    for v in values:
+        total = total + v
+    got = _as_series(values).sum().scalar()
+    assert (got.lead, got.c0) == (total.lead, pytest.approx(total.c0, rel=1e-12))
+    assert got.c1 == pytest.approx(total.c1, rel=1e-12, abs=1e-12)
 
 
 # -- denominator tables --------------------------------------------------
@@ -123,7 +165,7 @@ def test_insufficient_table_order(rng):
 
 
 def _generic_table_arrays(M, alpha):
-    r1, r12, r2 = _generic_tables(M.tolist(), M.diagonal().tolist(), alpha, 3)
+    r1, r12, r2 = generic_tables(M.tolist(), M.diagonal().tolist(), alpha, 3)
     r12 = np.array([[np.nan if v is None else v for v in row] for row in r12])
     return np.array(r1), r12, np.array(r2)
 
@@ -281,10 +323,10 @@ def test_fast_path_matches_generic_recursion(rng):
     ktt, alpha = 1.1, 0.7
     table = build_ratio_table(GramMatrix.from_matrix(M), alpha, order=3)
     Gl, dl = M.tolist(), M.diagonal().tolist()
-    r1, r12, r2 = _generic_tables(Gl, dl, alpha, 3)
+    r1, r12, r2 = generic_tables(Gl, dl, alpha, 3)
     for k in (0, 1, 2, 3):
         fast = ratio_from_kt(table, kt, ktt, k)
-        slow = _generic_ratio(ktt, kt.tolist(), Gl, dl, alpha, k, r1, r12, r2)
+        slow = generic_ratio(ktt, kt.tolist(), Gl, dl, alpha, k, r1, r12, r2)
         assert fast == pytest.approx(slow, rel=1e-12)
 
 
@@ -438,6 +480,89 @@ def test_cyclic_limit_exact_at_full_order(rng):
     got = cyclic_ratio_from_kt(GramMatrix.from_matrix(M[:3, :3]),
                                M[3, :3], M[3, 3], 3)
     assert got == pytest.approx(exact, rel=1e-10)
+
+
+# -- array series vs the scalar GradedValue recursion ---------------------
+
+
+def _assert_limit_matches_scalar(M, kt, ktt=0.9):
+    """Orders 0-3 agree to 1e-12 relative (exact zeros exactly), or both
+    sides raise DegenerateConfigurationError."""
+    g = GramMatrix.from_matrix(M)
+    for k in (0, 1, 2, 3):
+        try:
+            expect = cyclic_ratio_scalar(M, kt, ktt, k)
+        except DegenerateConfigurationError:
+            with pytest.raises(DegenerateConfigurationError):
+                cyclic_ratio_from_kt(g, kt, ktt, k)
+            continue
+        assert cyclic_ratio_from_kt(g, kt, ktt, k) == pytest.approx(
+            expect, rel=1e-12, abs=0.0)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.floats(0.0, 0.9))
+def test_limit_matches_scalar_recursion(seed, n, sparsity):
+    rng = np.random.default_rng(seed)
+    M = sym_nonneg(rng, n)
+    drop = rng.random((n, n)) < sparsity
+    M[drop | drop.T] = 0.0
+    np.fill_diagonal(M, rng.uniform(0.5, 1.5, size=n))
+    _assert_limit_matches_scalar(M, rng.random(n) * (rng.random(n) >= sparsity))
+
+
+def test_limit_matches_scalar_structured(rng):
+    n = 9
+    pattern = rng.random((n, n)) < 0.3
+    zero_one = (pattern | pattern.T).astype(float)
+    np.fill_diagonal(zero_one, 1.0)
+    for M in (np.diag(rng.uniform(0.5, 2.0, size=n)),
+              np.full((n, n), 0.7),
+              block_constant_matrix([4, 1, 4], [0.6, 1.3, 0.9]),
+              zero_one,
+              banded_gram(rng, n)):
+        for kt in (rng.random(n), (rng.random(n) < 0.5).astype(float),
+                   M[0], np.zeros(n)):
+            _assert_limit_matches_scalar(M, kt)
+
+
+def test_limit_sparse_case_needs_exact_exclusions():
+    # one coupled pair among five points: summing over every index and then
+    # subtracting the excluded terms, as the finite-alpha tables do, leaves
+    # rounding residue where the exact sum is 0, which the series would
+    # read as a leading term
+    M = np.diag([1.9, 2.3, 1.1, 1.9, 1.9])
+    M[1, 4] = M[4, 1] = 0.975
+    off = ~np.eye(5, dtype=bool)
+    residue = ((M / M.diagonal()) @ M - 2.0 * M)[off]
+    assert np.count_nonzero(residue)
+    kt = np.array([0.5, 0.5, 0.0, 0.0, 0.25])
+    _assert_limit_matches_scalar(M, kt, 1.0)
+    got = cyclic_ratio_from_kt(GramMatrix.from_matrix(M), kt, 1.0, 3)
+    assert got == pytest.approx(0.38798920377867, rel=1e-12)
+
+
+def test_limit_degenerate_path_raises_like_scalar():
+    # x_0 - x_1 - x_2 in a path, the query touching both ends: the four-cycle
+    # t -> x_0 -> x_1 -> x_2 -> t outweighs every term of x_0's denominator
+    M = np.array([[1.0, 0.5, 0.0], [0.5, 1.0, 0.5], [0.0, 0.5, 1.0]])
+    kt = np.array([1.0, 0.0, 1.0])
+    with pytest.raises(DegenerateConfigurationError):
+        cyclic_ratio_scalar(M, kt, 1.0, 3)
+    with pytest.raises(DegenerateConfigurationError, match="diverges"):
+        cyclic_ratio_from_kt(GramMatrix.from_matrix(M), kt, 1.0, 3)
+    _assert_limit_matches_scalar(M, kt, 1.0)
+
+
+def test_limit_table_serves_many_queries(rng):
+    M = sym_nonneg(rng, 7)
+    g = GramMatrix.from_matrix(M)
+    for k in (0, 1, 2, 3):
+        table = build_limit_table(g, k)
+        for _ in range(3):
+            kt = rng.random(7)
+            assert limit_ratio(table, kt, 1.0) == cyclic_ratio_from_kt(g, kt, 1.0, k)
+    with pytest.raises(ValueError, match="length 7"):
+        limit_ratio(table, np.ones(6), 1.0)
 
 
 def cyclic_ratio_smallalpha(g: GramMatrix, kt, ktt: float, order: int,

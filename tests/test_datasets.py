@@ -245,6 +245,16 @@ def test_expression_csv_drops_missing_rows(tmp_path, caplog):
     assert expr.gene_ids == ["G1"]
 
 
+def test_expression_csv_rejects_infinite_cells(tmp_path):
+    for cell in ("inf", "-inf", "Infinity"):
+        e, l = _write_expr(
+            tmp_path,
+            f"gene_id,S0,S1\nG0,1.0,2.0\nG1,3.0,{cell}\n",
+            "sample,label\nS0,a\nS1,b\n")
+        with pytest.raises(ValueError, match=rf"{e}:3: sample 'S1' is not finite"):
+            load_expression_csv(e, l)
+
+
 def test_expression_csv_label_errors(tmp_path):
     e, l = _write_expr(
         tmp_path,

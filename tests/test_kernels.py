@@ -47,6 +47,24 @@ def test_nonpositive_tau_raises():
         Kernel.exponential(-1.0)
 
 
+@pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+def test_non_finite_kernel_parameters_raise(bad):
+    with pytest.raises(ValueError, match="tau"):
+        Kernel.gaussian(bad)
+    with pytest.raises(ValueError, match="tau"):
+        Kernel.exponential(bad)
+    with pytest.raises(ValueError, match="constant kernel requires a finite c"):
+        Kernel.constant(bad)
+    with pytest.raises(ValueError, match="diagonal default"):
+        Kernel.diagonal_indicator(default=bad)
+    with pytest.raises(ValueError, match="diagonal values"):
+        Kernel.diagonal_indicator(table={(0.0,): bad})
+    with pytest.raises(ValueError, match="block levels"):
+        Kernel.block_constant({(0.0,): "a"}, levels={"a": bad})
+    with pytest.raises(ValueError, match="projection matrix entries"):
+        Kernel.projection([[bad]], [(0.0,)])
+
+
 def test_gram_constant_all_ones():
     g = gram(Kernel.constant(1.0), np.zeros((3, 1)))
     assert np.array_equal(g.entries, np.ones((3, 3)))
