@@ -96,7 +96,7 @@ def bench_orders(n_list, kernel: Kernel | None = None, alpha: float = 1.0,
         g = gram(kernel, points)
         qpts = rng.random((max(queries, 1), 2)) * 3.0
         for k in orders:
-            table = build_ratio_table(g, alpha, order=max(k, 2) if k >= 2 else k)
+            table = build_ratio_table(g, alpha, order=k)
             for _ in range(warmup):
                 ratio_approx(qpts[0], points, table, order=k)
             t0 = time.perf_counter()

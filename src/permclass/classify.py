@@ -42,6 +42,7 @@ __all__ = [
 # class, so the block's Q x n temporaries stay a few hundred kB whatever the
 # query count: unblocked, `reproduce table1` (3,600 grid queries) peaks about
 # 8 MB higher.  Blocks this size are still large enough for matrix products.
+# `knn_predict` bounds its Q x n x d difference block by the same count.
 _BLOCK_ENTRIES = 4096
 
 
@@ -201,7 +202,9 @@ class FittedModel:
 def fit(data: LabeledDataset, params: ModelParams) -> FittedModel:
     """Build per-class Gram matrices and denominator tables.
 
-    Cost is O(sum_r n_r^3) at order 3.  Empty classes are recorded and
+    Cost is O(sum_r n_r^2) at orders 0-2 and O(sum_r n_r^3) at order 3,
+    the one order whose tables need the leave-two-out ratios; the exact
+    order builds only the Gram matrices.  Empty classes are recorded and
     served by the empty-class rule at prediction time.
     """
     if data.labels is None:
@@ -408,9 +411,11 @@ def knn_predict(train_points, train_labels, queries, k: int = 5) -> np.ndarray:
         X = X.reshape(-1, 1)
     out = np.empty(Q.shape[0], dtype=int)
     n_classes = int(y.max()) + 1 if y.size else 0
-    for qi, q in enumerate(Q):
-        dist = ((X - q) ** 2).sum(axis=1)
-        nearest = np.argsort(dist, kind="stable")[:k]
-        counts = np.bincount(y[nearest], minlength=n_classes)
-        out[qi] = int(np.argmax(counts))
+    step = max(1, _BLOCK_ENTRIES // max(X.size, 1))
+    for lo in range(0, Q.shape[0], step):
+        dist = ((X[None] - Q[lo:lo + step, None]) ** 2).sum(axis=2)
+        nearest = np.argsort(dist, axis=1, kind="stable")[:, :k]
+        votes = y[nearest]
+        counts = (votes[:, :, None] == np.arange(n_classes)).sum(axis=1)
+        out[lo:lo + step] = counts.argmax(axis=1)
     return out

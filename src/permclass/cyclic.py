@@ -230,9 +230,12 @@ class RatioTable:
                   (diagonal entries are inert placeholders),
     r2_loo[i]     three-cycle ratio of x_i against the other points.
 
-    All entries are strictly positive for positive alpha and a positive
-    Gram diagonal.  Tables depend only on the training points, never on
-    the query, and are immutable once built.
+    r1_loo is built at every order and serves queries up to order 2;
+    r1_l2o, r2_loo and the four-cycle weights are built only at order 3,
+    the one order that reads them, and are ``None`` otherwise.  All
+    entries are strictly positive for positive alpha and a positive Gram
+    diagonal.  Tables depend only on the training points, never on the
+    query, and are immutable once built.
     """
 
     gram: GramMatrix
@@ -259,18 +262,19 @@ class RatioTable:
 
 
 def build_ratio_table(g: GramMatrix, alpha: float, order: int = MAX_ORDER) -> RatioTable:
-    """Precompute leave-one-out and leave-two-out denominators.
+    """Precompute the fit-time denominators that order-``order`` queries read.
 
-    r1_loo costs O(n^2); for order >= 2 the leave-two-out table and the
-    three-cycle leave-one-out table are added at O(n^2) and O(n^3), the
-    latter as one matrix product.
+    r1_loo, the one table that orders 1 and 2 read, costs O(n^2) and is
+    built at every order, so a table also serves queries one order above
+    its own up to order 2.  Only order 3 adds the leave-two-out table and
+    the three-cycle leave-one-out table, at O(n^2) and O(n^3), the latter
+    as one matrix product; an order-3 query needs a table built at order 3.
     """
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     if order not in (0, 1, 2, 3):
         raise ValueError(f"order must be in 0..3, got {order}")
     G = g.entries
-    n = g.n
     d = G.diagonal().copy()
     bad = np.flatnonzero(d <= 0)
     if bad.size:
@@ -280,9 +284,6 @@ def build_ratio_table(g: GramMatrix, alpha: float, order: int = MAX_ORDER) -> Ra
             f"K(x, x) = {d[i]}"
         )
     a = float(alpha)
-    if n == 0:
-        empty = np.zeros(0)
-        return RatioTable(g, a, order, empty, empty.reshape(0, 0), empty)
 
     # Qoff[i, m] = K(x_i, x_m)^2 / K(x_m, x_m), m != i
     Qoff = (G * G) / d[None, :]
@@ -290,7 +291,7 @@ def build_ratio_table(g: GramMatrix, alpha: float, order: int = MAX_ORDER) -> Ra
     r1_loo = a * d + Qoff.sum(axis=1)
 
     table = RatioTable(g, a, order, r1_loo)
-    if order >= 2:
+    if order == 3:
         # r1_l2o[i, j] removes the i term from r1_loo[j]
         r1_l2o = r1_loo[None, :] - Qoff.T
         np.fill_diagonal(r1_l2o, 1.0)
@@ -313,14 +314,15 @@ def build_ratio_table(g: GramMatrix, alpha: float, order: int = MAX_ORDER) -> Ra
 def _require(table: RatioTable, order: int):
     if order not in (0, 1, 2, 3):
         raise ValueError(f"order must be in 0..3, got {order}")
-    if table.order < order - 1:
+    # a query reads the tables one order below its own, except that order 3
+    # reads the leave-two-out tables, which only an order-3 build makes
+    needed = 3 if order == 3 else order - 1
+    if table.order < needed:
+        hint = "3" if needed == 3 else f">= {needed}"
         raise ValueError(
             f"table was built at order {table.order} and cannot serve "
-            f"order-{order} queries; rebuild with order >= {order - 1}"
+            f"order-{order} queries; rebuild with order {hint}"
         )
-    if order == 3 and table.r2_loo is None:
-        raise ValueError("order-3 queries need the leave-two-out tables; "
-                         "rebuild with order >= 2")
 
 
 def ratio_from_kt(table: RatioTable, kt, ktt: float, order: int | None = None) -> float:

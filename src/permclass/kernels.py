@@ -338,6 +338,13 @@ class GramMatrix:
         return cls(entries=m, points=pts, kernel=None)
 
 
+# Distance-family Gram matrices are filled in row blocks whose
+# rows x n x d difference temporary holds at most this many entries
+# (512 kB; one row when a row alone is larger), so a build peaks at the
+# n x n result plus one bounded block.
+_GRAM_BLOCK_ENTRIES = 1 << 16
+
+
 def gram(kernel: Kernel, points) -> GramMatrix:
     """Build the Gram matrix K(x) over a point set.
 
@@ -349,12 +356,20 @@ def gram(kernel: Kernel, points) -> GramMatrix:
     n = pts.shape[0]
     fam = kernel.family
     if fam in (KernelFamily.EXPONENTIAL, KernelFamily.GAUSSIAN):
-        sq = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-        sq = 0.5 * (sq + sq.T)
+        # squared distances, filled a row block at a time; (a - b)^2 equals
+        # (b - a)^2 exactly and every entry sums over the same axis in the
+        # same order, so the matrix comes out exactly symmetric
+        entries = np.empty((n, n))
+        step = max(1, _GRAM_BLOCK_ENTRIES // max(n * pts.shape[1], 1))
+        for lo in range(0, n, step):
+            delta = pts[lo:lo + step, None, :] - pts[None, :, :]
+            entries[lo:lo + step] = (delta * delta).sum(axis=2)
         if fam is KernelFamily.GAUSSIAN:
-            entries = np.exp(-sq / kernel.tau**2)
+            entries /= -kernel.tau**2
         else:
-            entries = np.exp(-np.sqrt(np.maximum(sq, 0.0)) / kernel.tau)
+            np.sqrt(entries, out=entries)
+            entries /= -kernel.tau
+        np.exp(entries, out=entries)
         np.fill_diagonal(entries, 1.0)
     elif fam is KernelFamily.CONSTANT:
         entries = np.full((n, n), float(kernel.c))

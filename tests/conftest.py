@@ -18,7 +18,7 @@ from hypothesis import settings
 
 from permclass.cyclic import ALPHA, GradedValue
 from permclass.exact import Partition, cyp_exact
-from permclass.kernels import gram, kernel_column, kernel_self
+from permclass.kernels import KernelFamily, gram, kernel_column, kernel_self
 
 settings.register_profile("suite", deadline=None, max_examples=25)
 settings.load_profile("suite")
@@ -250,6 +250,36 @@ def sequential_partition_scalar(points, params, rule="argmax", seed=None) -> Par
         else:
             blocks[choice].append(i)
     return Partition.from_blocks(blocks)
+
+
+def gram_one_shot(kernel, points) -> np.ndarray:
+    """Distance-family Gram entries from one n x n x d difference array and
+    a symmetrised copy: the formula the row-blocked `gram` must reproduce
+    bit for bit."""
+    pts = np.asarray(points, dtype=float)
+    sq = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
+    sq = 0.5 * (sq + sq.T)
+    if kernel.family is KernelFamily.GAUSSIAN:
+        entries = np.exp(-sq / kernel.tau**2)
+    else:
+        entries = np.exp(-np.sqrt(np.maximum(sq, 0.0)) / kernel.tau)
+    np.fill_diagonal(entries, 1.0)
+    return entries
+
+
+def knn_loop(train_points, train_labels, queries, k) -> np.ndarray:
+    """k-nearest-neighbour vote one query at a time: stable distance order,
+    lowest class code on a tied vote."""
+    X = np.asarray(train_points, dtype=float)
+    y = np.asarray(train_labels, dtype=int)
+    Q = np.asarray(queries, dtype=float)
+    n_classes = int(y.max()) + 1 if y.size else 0
+    out = np.empty(Q.shape[0], dtype=int)
+    for qi, q in enumerate(Q):
+        dist = ((X - q) ** 2).sum(axis=1)
+        nearest = np.argsort(dist, kind="stable")[:k]
+        out[qi] = int(np.argmax(np.bincount(y[nearest], minlength=n_classes)))
+    return out
 
 
 @pytest.fixture

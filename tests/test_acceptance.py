@@ -9,10 +9,9 @@ import itertools
 import time
 
 import numpy as np
-import pytest
 
 from conftest import augment, banded_gram, block_constant_matrix, elimination_det
-from permclass.benchmarks import StudyConfig, accuracy_study, bench_orders
+from permclass.benchmarks import accuracy_study, bench_orders
 from permclass.classify import ModelParams, sequential_partition
 from permclass.cyclic import (build_ratio_table, closed_form_ratio_matrix,
                               ratio_approx, ratio_from_kt)

@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import cyclic_ratio_scalar, sequential_partition_scalar
+from conftest import cyclic_ratio_scalar, knn_loop, sequential_partition_scalar
 from permclass.classify import (LabeledDataset, ModelParams, fit, knn_predict,
                                 predict, predict_infinite, sequential_partition)
-from permclass.cyclic import ratio_from_kt
+from permclass.cyclic import build_ratio_table, ratio_batch, ratio_from_kt
 from permclass.exact import Partition, cyp_exact, ratio_exact
-from permclass.kernels import Kernel, gram, kernel_column
+from permclass.kernels import Kernel, gram, kernel_block, kernel_column
 
 
 def make_data(rng, n_per=(6, 5), spread=1.0):
@@ -18,6 +18,21 @@ def make_data(rng, n_per=(6, 5), spread=1.0):
         labels.extend([r] * n)
     return LabeledDataset(points=np.vstack(pts), labels=np.array(labels),
                           n_classes=len(n_per))
+
+
+def test_order_2_predict_matches_order_3_table(rng):
+    # an order-2 fit builds only r1_loo, which order-2 queries read from a
+    # full order-3 table too, so the raw weights agree bit for bit
+    data = make_data(rng, (9, 7))
+    params = ModelParams(kernel=Kernel.gaussian(1.2), alphas=(0.6, 1.7), order=2)
+    model = fit(data, params)
+    qs = rng.normal(size=(25, 2)) * 2.0
+    raw = predict(model, qs).raw
+    for r, state in enumerate(model.classes):
+        assert state.table.r2_loo is None
+        full = build_ratio_table(state.gram, state.alpha, order=3)
+        Kt = kernel_block(params.kernel, qs, state.points)
+        assert np.array_equal(raw[:, r], ratio_batch(full, Kt, np.ones(25), 2))
 
 
 def test_fit_structure(rng):
@@ -337,6 +352,17 @@ def test_knn_majority_and_ties():
     assert knn_predict(X, y, np.array([[0.05, 0.0]]), k=3)[0] == 0
     # 1-vs-1 vote among k=2 resolves to the lowest class code
     assert knn_predict(X, y, np.array([[0.6, 0.55]]), k=2)[0] == 0
+
+
+@pytest.mark.parametrize("k", [1, 2, 4, 5, 60])
+def test_knn_matches_per_query_loop_with_ties(k):
+    rng = np.random.default_rng(k)
+    # integer grid points and half-integer queries tie many distances
+    # exactly; 50 training points split the 120 queries into three blocks
+    X = rng.integers(0, 5, size=(50, 2)).astype(float)
+    y = rng.integers(0, 3, size=50)
+    Q = rng.integers(0, 9, size=(120, 2)) / 2.0
+    assert np.array_equal(knn_predict(X, y, Q, k=k), knn_loop(X, y, Q, k))
 
 
 def test_knn_self_classification(rng):

@@ -13,7 +13,7 @@ from permclass.cyclic import (ALPHA, DegenerateConfigurationError, GradedValue,
                               limit_ratio, per_alpha_cyclic, ratio_approx,
                               ratio_approx_matrix, ratio_batch, ratio_from_kt)
 from permclass.cyclic import _ZERO, _normalize, _Series
-from permclass.exact import per_alpha_exact, ratio_exact, ratio_exact_matrix
+from permclass.exact import per_alpha_exact, ratio_exact_matrix
 from permclass.kernels import GramMatrix, Kernel, gram, kernel_column
 
 
@@ -162,6 +162,25 @@ def test_insufficient_table_order(rng):
         ratio_from_kt(table, np.ones(4), 1.0, order=3)
     # one order above the built one is allowed
     ratio_from_kt(table, np.ones(4), 1.0, order=2)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_table_builds_only_what_its_order_reads(rng, order):
+    for n in (0, 5):
+        table = build_ratio_table(GramMatrix.from_matrix(sym_nonneg(rng, n)), 0.9,
+                                  order=order)
+        assert table.r1_loo.shape == (n,)
+        leave_two_out = (table.r1_l2o, table.r2_loo, table._t3)
+        assert [t is not None for t in leave_two_out] == [order == 3] * 3
+
+
+def test_order_3_query_needs_order_3_table(rng):
+    table = build_ratio_table(GramMatrix.from_matrix(sym_nonneg(rng, 4)), 1.0,
+                              order=2)
+    with pytest.raises(ValueError, match="rebuild with order 3"):
+        ratio_from_kt(table, np.ones(4), 1.0, order=3)
+    with pytest.raises(ValueError, match="rebuild with order 3"):
+        ratio_batch(table, np.ones((2, 4)), np.ones(2), 3)
 
 
 def _generic_table_arrays(M, alpha):
@@ -574,7 +593,7 @@ def cyclic_ratio_smallalpha(g: GramMatrix, kt, ktt: float, order: int,
     """
     vals = []
     for a in (eps, eps / 10.0):
-        table = build_ratio_table(g, a, order=max(order, 2) if order >= 2 else order)
+        table = build_ratio_table(g, a, order=order)
         vals.append(ratio_from_kt(table, kt, ktt, order))
     return (10.0 * vals[1] - vals[0]) / 9.0
 

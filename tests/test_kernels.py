@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import gram_one_shot
+from permclass import kernels
 from permclass.kernels import (Kernel, gram, kernel_block, kernel_column,
                                kernel_eval, kernel_self)
 
@@ -93,6 +95,20 @@ def test_gram_symmetric_nonneg(seed, n):
         assert np.array_equal(g.entries, g.entries.T)
         assert (g.entries >= 0).all()
         assert np.array_equal(g.diagonal, np.ones(n))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 9, 50])
+def test_gram_blocks_match_one_shot_formula(d):
+    rng = np.random.default_rng(d)
+    b = math.isqrt(kernels._GRAM_BLOCK_ENTRIES // d)  # largest n in one block
+    for n in (0, 1, b - 1, b, b + 1, 2 * b + 1):
+        pts = rng.normal(size=(n, d))
+        if n > 2:
+            # repeated rows give exact zero distances off the diagonal
+            pts[n // 2:n // 2 + 2] = pts[n // 3]
+        for k in (Kernel.gaussian(0.9 * math.sqrt(d)),
+                  Kernel.exponential(0.6 * math.sqrt(d))):
+            assert np.array_equal(gram(k, pts).entries, gram_one_shot(k, pts))
 
 
 def test_gram_matches_eval_and_column(rng):
