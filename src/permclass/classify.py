@@ -21,8 +21,8 @@ from .cyclic import (EXACT_ORDER, MAX_ORDER, LimitTable, RatioTable,
                      build_limit_table, build_ratio_table, limit_ratio,
                      ratio_batch)
 from .exact import Partition, cyp_exact, ratio_exact
-from .kernels import (GramMatrix, Kernel, gram, kernel_block, kernel_column,
-                      kernel_self)
+from .kernels import (GramMatrix, Kernel, _sq_distances, gram, kernel_block,
+                      kernel_column, kernel_self)
 
 __all__ = [
     "LabeledDataset",
@@ -42,7 +42,7 @@ __all__ = [
 # class, so the block's Q x n temporaries stay a few hundred kB whatever the
 # query count: unblocked, `reproduce table1` (3,600 grid queries) peaks about
 # 8 MB higher.  Blocks this size are still large enough for matrix products.
-# `knn_predict` bounds its Q x n x d difference block by the same count.
+# `knn_predict` bounds its squared-distance blocks by the same count.
 _BLOCK_ENTRIES = 4096
 
 
@@ -413,7 +413,7 @@ def knn_predict(train_points, train_labels, queries, k: int = 5) -> np.ndarray:
     n_classes = int(y.max()) + 1 if y.size else 0
     step = max(1, _BLOCK_ENTRIES // max(X.size, 1))
     for lo in range(0, Q.shape[0], step):
-        dist = ((X[None] - Q[lo:lo + step, None]) ** 2).sum(axis=2)
+        dist = _sq_distances(Q[lo:lo + step], X, _BLOCK_ENTRIES)
         nearest = np.argsort(dist, axis=1, kind="stable")[:, :k]
         votes = y[nearest]
         counts = (votes[:, :, None] == np.arange(n_classes)).sum(axis=1)

@@ -278,6 +278,9 @@ def kernel_block(kernel: Kernel, queries, points) -> np.ndarray:
         raise ValueError(f"dimension mismatch: query is {qs.shape[1]}-d, points are {pts.shape[1]}-d")
     fam = kernel.family
     if fam in (KernelFamily.EXPONENTIAL, KernelFamily.GAUSSIAN):
+        # einsum, not `_sq_distances`: its summation order matches the
+        # reduction's only for d <= 2, so switching would change query
+        # kernel bits at d >= 3
         delta = pts[None, :, :] - qs[:, None, :]
         sq = np.einsum("qij,qij->qi", delta, delta)
         if fam is KernelFamily.EXPONENTIAL:
@@ -338,16 +341,63 @@ class GramMatrix:
         return cls(entries=m, points=pts, kernel=None)
 
 
-# Distance-family Gram matrices are filled in row blocks whose
-# rows x n x d difference temporary holds at most this many entries
-# (512 kB; one row when a row alone is larger), so a build peaks at the
-# n x n result plus one bounded block.
+# Squared distances are filled in row blocks of at most this many
+# difference entries (rows x n x d; 512 kB, or one row when a row alone is
+# larger), so a distance-family Gram build peaks at its n x n result plus one
+# bounded temporary: rows x n for d < 8, rows x n x d for d >= 8.
 _GRAM_BLOCK_ENTRIES = 1 << 16
+
+# numpy's add.reduce sums fewer than 8 terms from 0 in sequence and regroups
+# 8 or more pairwise, so accumulating one dimension at a time reproduces
+# `(delta * delta).sum(axis=-1)` bit for bit exactly when d < 8.
+_ACCUMULATE_BELOW_D = 8
+
+
+def _sq_distances(a: np.ndarray, b: np.ndarray, block_entries: int) -> np.ndarray:
+    """out[i, j] = ||a_i - b_j||^2, filled a block of rows of ``a`` at a time.
+
+    Bit-identical to ``((a[:, None] - b[None]) ** 2).sum(axis=2)``.  A block
+    has ``block_entries // (n * d)`` rows (at least one) for ``b`` of shape
+    n x d.  For 0 < d < 8 each block accumulates the squared differences
+    one dimension at a time through one reused rows x n temporary; otherwise
+    it reduces a rows x n x d difference array.  (a - b)^2 equals (b - a)^2
+    exactly, so ``_sq_distances(x, x, ...)`` is exactly symmetric.
+    """
+    m = a.shape[0]
+    n, d = b.shape
+    if a.shape[1] != d:
+        raise ValueError(f"dimension mismatch: rows are {a.shape[1]}-d, points are {d}-d")
+    out = np.empty((m, n))
+    step = max(1, block_entries // max(n * d, 1))
+    if 0 < d < _ACCUMULATE_BELOW_D:
+        # contiguous per-dimension rows make the broadcast subtractions cheap
+        at, bt = a.T.copy(), b.T.copy()
+        tmp = np.empty((min(step, m), n))
+        for lo in range(0, m, step):
+            blk, t = out[lo:lo + step], tmp[:min(step, m - lo)]
+            np.subtract(at[0, lo:lo + step, None], bt[0], out=blk)
+            np.multiply(blk, blk, out=blk)
+            for k in range(1, d):
+                np.subtract(at[k, lo:lo + step, None], bt[k], out=t)
+                np.multiply(t, t, out=t)
+                blk += t
+    else:
+        for lo in range(0, m, step):
+            delta = a[lo:lo + step, None, :] - b[None, :, :]
+            np.multiply(delta, delta, out=delta)
+            delta.sum(axis=2, out=out[lo:lo + step])
+    return out
 
 
 def gram(kernel: Kernel, points) -> GramMatrix:
     """Build the Gram matrix K(x) over a point set.
 
+    Gaussian/exponential entries start from the squared distances of
+    `_sq_distances`, filled in row blocks straight into the n x n result:
+    for d < 8 summed one dimension at a time through a reused rows x n
+    temporary, for d >= 8 reduced from a rows x n x d difference block, both
+    bit-identical to the one-shot ``(delta * delta).sum(axis=2)``.  They are
+    then scaled, square-rooted (exponential) and exponentiated in place.
     Entries are exactly symmetric; gaussian/exponential diagonals are
     exactly 1.  An empty point set yields the 0 x 0 matrix (its
     alpha-permanent is 1 downstream).
@@ -356,14 +406,7 @@ def gram(kernel: Kernel, points) -> GramMatrix:
     n = pts.shape[0]
     fam = kernel.family
     if fam in (KernelFamily.EXPONENTIAL, KernelFamily.GAUSSIAN):
-        # squared distances, filled a row block at a time; (a - b)^2 equals
-        # (b - a)^2 exactly and every entry sums over the same axis in the
-        # same order, so the matrix comes out exactly symmetric
-        entries = np.empty((n, n))
-        step = max(1, _GRAM_BLOCK_ENTRIES // max(n * pts.shape[1], 1))
-        for lo in range(0, n, step):
-            delta = pts[lo:lo + step, None, :] - pts[None, :, :]
-            entries[lo:lo + step] = (delta * delta).sum(axis=2)
+        entries = _sq_distances(pts, pts, _GRAM_BLOCK_ENTRIES)
         if fam is KernelFamily.GAUSSIAN:
             entries /= -kernel.tau**2
         else:

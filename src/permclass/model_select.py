@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .classify import LabeledDataset, ModelParams, PosteriorTable, fit, predict
-from .kernels import Kernel
+from .kernels import _GRAM_BLOCK_ENTRIES, Kernel, _sq_distances
 
 __all__ = [
     "CVSpec",
@@ -154,16 +154,17 @@ def cross_validate(data: LabeledDataset, spec: CVSpec) -> CVReport:
                             labels=data.labels, stratified=spec.stratified)
     objective = _objective_fn(spec.objective)
     all_idx = np.arange(data.n)
+    # every candidate fits and scores the same folds: build each one once
+    splits = [(data.subset(np.setdiff1d(all_idx, heldout)),
+               data.points[heldout], data.labels[heldout]) for heldout in folds]
     results: list[CandidateResult] = []
     for params in spec.grid:
         scores: list[float] = []
         valid, message = True, ""
         try:
-            for heldout in folds:
-                train_idx = np.setdiff1d(all_idx, heldout)
-                model = fit(data.subset(train_idx), params)
-                table = predict(model, data.points[heldout])
-                scores.append(objective(table, data.labels[heldout]))
+            for train, queries, truth in splits:
+                table = predict(fit(train, params), queries)
+                scores.append(objective(table, truth))
             mean = float(np.mean(scores))
         except (ValueError, ArithmeticError) as exc:  # candidate-level isolation
             valid, message, mean = False, f"{type(exc).__name__}: {exc}", float("inf")
@@ -180,7 +181,7 @@ def median_pairwise_distance(points) -> float:
     n = pts.shape[0]
     if n < 2:
         raise ValueError("need at least two points")
-    d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
+    d2 = _sq_distances(pts, pts, _GRAM_BLOCK_ENTRIES)
     iu = np.triu_indices(n, k=1)
     return float(np.median(np.sqrt(d2[iu])))
 

@@ -252,12 +252,24 @@ def sequential_partition_scalar(points, params, rule="argmax", seed=None) -> Par
     return Partition.from_blocks(blocks)
 
 
+def sq_distances_one_shot(a, b) -> np.ndarray:
+    """Squared distances reduced from one m x n x d difference array: the
+    formula `kernels._sq_distances` must reproduce bit for bit."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+
+
+def median_distance_one_shot(points) -> float:
+    """Median over i < j of ||x_i - x_j|| from the one-shot squared distances."""
+    d2 = sq_distances_one_shot(points, points)
+    return float(np.median(np.sqrt(d2[np.triu_indices(d2.shape[0], k=1)])))
+
+
 def gram_one_shot(kernel, points) -> np.ndarray:
     """Distance-family Gram entries from one n x n x d difference array and
     a symmetrised copy: the formula the row-blocked `gram` must reproduce
     bit for bit."""
-    pts = np.asarray(points, dtype=float)
-    sq = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
+    sq = sq_distances_one_shot(points, points)
     sq = 0.5 * (sq + sq.T)
     if kernel.family is KernelFamily.GAUSSIAN:
         entries = np.exp(-sq / kernel.tau**2)

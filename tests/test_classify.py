@@ -365,6 +365,29 @@ def test_knn_matches_per_query_loop_with_ties(k):
     assert np.array_equal(knn_predict(X, y, Q, k=k), knn_loop(X, y, Q, k))
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 9])
+def test_knn_matches_one_shot_distances(d):
+    # training rows are coordinate permutations of one another and queries
+    # lie on the diagonal, so each query's distances are sums of the same
+    # squares in different orders: near-ties that only the same summation
+    # order as the per-query reduction ranks the same way
+    rng = np.random.default_rng(200 + d)
+    base = rng.normal(size=d) * 10.0
+    X = np.array([rng.permutation(base) for _ in range(60)])
+    y = np.arange(60) % 4
+    Q = np.linspace(-3.0, 3.0, 150)[:, None] * np.ones(d)
+    for k in (1, 3):
+        assert np.array_equal(knn_predict(X, y, Q, k=k), knn_loop(X, y, Q, k))
+
+
+def test_knn_rejects_dimension_mismatch():
+    X = np.zeros((4, 3))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        knn_predict(X, np.arange(4) % 2, np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        knn_predict(X, np.arange(4) % 2, np.zeros((2, 4)))
+
+
 def test_knn_self_classification(rng):
     data = make_data(rng, (8, 8), spread=0.3)
     pred = knn_predict(data.points, data.labels, data.points, k=1)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import gram_one_shot
+from conftest import gram_one_shot, sq_distances_one_shot
 from permclass import kernels
 from permclass.kernels import (Kernel, gram, kernel_block, kernel_column,
                                kernel_eval, kernel_self)
@@ -97,7 +97,7 @@ def test_gram_symmetric_nonneg(seed, n):
         assert np.array_equal(g.diagonal, np.ones(n))
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 8, 9, 50])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 7, 8, 9, 50, 200])
 def test_gram_blocks_match_one_shot_formula(d):
     rng = np.random.default_rng(d)
     b = math.isqrt(kernels._GRAM_BLOCK_ENTRIES // d)  # largest n in one block
@@ -109,6 +109,19 @@ def test_gram_blocks_match_one_shot_formula(d):
         for k in (Kernel.gaussian(0.9 * math.sqrt(d)),
                   Kernel.exponential(0.6 * math.sqrt(d))):
             assert np.array_equal(gram(k, pts).entries, gram_one_shot(k, pts))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 9])
+def test_sq_distances_match_one_shot_formula(d):
+    # 7 is the last d summed one dimension at a time, 8 the first reduced
+    # pairwise; the row counts cross the block boundaries of both shapes
+    rng = np.random.default_rng(100 + d)
+    for m, n in ((0, 5), (5, 0), (1, 1), (70, 300), (301, 80)):
+        a = rng.normal(size=(m, d)) * rng.lognormal(size=d)
+        b = rng.normal(size=(n, d)) * rng.lognormal(size=d)
+        for block_entries in (1, 4096, kernels._GRAM_BLOCK_ENTRIES):
+            assert np.array_equal(kernels._sq_distances(a, b, block_entries),
+                                  sq_distances_one_shot(a, b))
 
 
 def test_gram_matches_eval_and_column(rng):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import median_distance_one_shot
 from permclass.classify import LabeledDataset, ModelParams
 from permclass.datasets import gen_chequerboard
 from permclass.kernels import Kernel
@@ -135,6 +136,16 @@ def test_default_grid_shape(rng):
     med = median_pairwise_distance(pts)
     taus = sorted({p.kernel.tau for p in grid})
     assert taus == sorted(s * med for s in (0.25, 0.5, 1.0, 2.0, 4.0))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 9])
+def test_median_distance_matches_one_shot_formula(d):
+    # 101 points split into row blocks at every d; each of the 30-point
+    # sets has an odd pair count, so its median is one distance
+    rng = np.random.default_rng(300 + d)
+    for n in (101,) + (30,) * 10:
+        pts = rng.normal(size=(n, d)) * rng.lognormal(size=d)
+        assert median_pairwise_distance(pts) == median_distance_one_shot(pts)
 
 
 def test_report_serializes(rng):
