@@ -18,11 +18,11 @@ from typing import Sequence
 import numpy as np
 
 from .cyclic import (EXACT_ORDER, MAX_ORDER, LimitTable, RatioTable,
-                     build_limit_table, build_ratio_table, limit_ratio,
-                     ratio_batch)
+                     _finish, _fit_core, _FitCore, build_limit_table,
+                     limit_ratio, ratio_batch)
 from .exact import Partition, cyp_exact, ratio_exact
 from .kernels import (GramMatrix, Kernel, _sq_distances, gram, kernel_block,
-                      kernel_column, kernel_self)
+                      kernel_column, kernel_self, kernel_self_batch)
 
 __all__ = [
     "LabeledDataset",
@@ -199,34 +199,65 @@ class FittedModel:
         return len(self.classes)
 
 
-def fit(data: LabeledDataset, params: ModelParams) -> FittedModel:
-    """Build per-class Gram matrices and denominator tables.
+@dataclass
+class _KernelFit:
+    """The alpha-free part of a fit: per class its points, Gram matrix and
+    table core (``None`` for an empty class; no core on the exact order)."""
 
-    Cost is O(sum_r n_r^2) at orders 0-2 and O(sum_r n_r^3) at order 3,
-    the one order whose tables need the leave-two-out ratios; the exact
-    order builds only the Gram matrices.  Empty classes are recorded and
-    served by the empty-class rule at prediction time.
-    """
+    classes: list[tuple[np.ndarray, GramMatrix | None, _FitCore | None]]
+    class_names: tuple[str, ...]
+    dim: int
+
+
+def _class_alphas(data: LabeledDataset, params: ModelParams) -> np.ndarray:
+    """Per-class masses, after the checks a fit makes before any Gram."""
     if data.labels is None:
         raise ValueError("finite-class fitting needs labelled data")
     k = data.n_classes
     if k == 0:
         raise ValueError("dataset declares zero classes")
-    alphas = params.alpha_vector(k)
-    build_order = params.order if params.order != EXACT_ORDER else None
+    return params.alpha_vector(k)
+
+
+def _fit_kernel(data: LabeledDataset, kernel: Kernel, order) -> _KernelFit:
+    """Build each class's Gram matrix and, below the exact order, its core."""
     classes = []
-    for r in range(k):
+    for r in range(data.n_classes):
         pts = data.class_points(r)
         if pts.shape[0] == 0:
-            classes.append(_ClassState(pts, float(alphas[r]), None, None))
+            classes.append((pts, None, None))
             continue
-        g = gram(params.kernel, pts)
-        table = None
-        if build_order is not None:
-            table = build_ratio_table(g, float(alphas[r]), order=build_order)
-        classes.append(_ClassState(pts, float(alphas[r]), g, table))
+        g = gram(kernel, pts)
+        core = _fit_core(g, order) if order != EXACT_ORDER else None
+        classes.append((pts, g, core))
+    return _KernelFit(classes, data.class_names, data.dim)
+
+
+def _with_alphas(kfit: _KernelFit, params: ModelParams,
+                 alphas: np.ndarray) -> FittedModel:
+    """Finish every class's core for its alpha."""
+    classes = [_ClassState(pts, float(a), g,
+                           None if core is None else _finish(core, float(a)))
+               for (pts, g, core), a in zip(kfit.classes, alphas)]
     return FittedModel(params=params, classes=classes,
-                       class_names=data.class_names, dim=data.dim)
+                       class_names=kfit.class_names, dim=kfit.dim)
+
+
+def fit(data: LabeledDataset, params: ModelParams) -> FittedModel:
+    """Build per-class Gram matrices and denominator tables.
+
+    Cost is O(sum_r n_r^2) at orders 0-2 and O(sum_r n_r^3) at order 3,
+    the one order whose tables need the leave-two-out ratios; the exact
+    order builds only the Gram matrices.  The tables are built as an
+    alpha-free core per class (the Gram diagonal, the two-cycle terms and,
+    at order 3, the O(n^3) product), which is then finished for the
+    class's alpha in O(n_r^2); cross-validation finishes one core for
+    every alpha of a kernel.  Empty classes are recorded and served by the
+    empty-class rule at prediction time.
+    """
+    alphas = _class_alphas(data, params)
+    return _with_alphas(_fit_kernel(data, params.kernel, params.order),
+                        params, alphas)
 
 
 @dataclass
@@ -256,30 +287,49 @@ class PosteriorTable:
     class_names: tuple[str, ...] = ()
 
 
-def predict(model: FittedModel, queries) -> PosteriorTable:
-    """Posterior table for a batch of query points."""
-    qs = _as_rows(queries, "query")
+def _kernel_blocks(kernel: Kernel, qs: np.ndarray, pts: np.ndarray):
+    """Kernel blocks of the queries against one class, in query order."""
+    step = max(1, _BLOCK_ENTRIES // max(pts.shape[0], 1))
+    for lo in range(0, qs.shape[0], step):
+        yield kernel_block(kernel, qs[lo:lo + step], pts)
+
+
+def _posterior(model: FittedModel, qs: np.ndarray, ktt: np.ndarray,
+               blocks) -> PosteriorTable:
+    """Posterior table from the queries, their K(t, t) and, per class, an
+    iterable of the query kernel blocks (not read on the exact order)."""
     params = model.params
-    kernel = params.kernel
-    ktt = np.array([kernel_self(kernel, q) for q in qs])
     raw = np.empty((qs.shape[0], model.n_classes))
     for r, state in enumerate(model.classes):
         if state.n == 0:
             raw[:, r] = state.alpha * ktt
         elif params.order == EXACT_ORDER:
-            raw[:, r] = [ratio_exact(q, state.points, kernel, state.alpha) for q in qs]
+            raw[:, r] = [ratio_exact(q, state.points, params.kernel, state.alpha)
+                         for q in qs]
         else:
-            step = max(1, _BLOCK_ENTRIES // state.n)
-            for lo in range(0, qs.shape[0], step):
-                Kt = kernel_block(kernel, qs[lo:lo + step], state.points)
-                raw[lo:lo + step, r] = ratio_batch(state.table, Kt, ktt[lo:lo + step],
-                                                   params.order)
+            lo = 0
+            for Kt in blocks[r]:
+                hi = lo + Kt.shape[0]
+                raw[lo:hi, r] = ratio_batch(state.table, Kt, ktt[lo:hi], params.order)
+                lo = hi
     total = raw.sum(axis=1, keepdims=True)
     if not (total > 0).all():
         raise ValueError("degenerate kernel: every class weight is zero")
     probs = raw / total
     return PosteriorTable(probs=probs, raw=raw, argmax=probs.argmax(axis=1),
                           class_names=model.class_names)
+
+
+def predict(model: FittedModel, queries) -> PosteriorTable:
+    """Posterior table for a batch of query points.
+
+    Kernel blocks are evaluated one at a time as they are read, so the
+    query count does not set the memory peak.
+    """
+    qs = _as_rows(queries, "query")
+    kernel = model.params.kernel
+    blocks = [_kernel_blocks(kernel, qs, state.points) for state in model.classes]
+    return _posterior(model, qs, kernel_self_batch(kernel, qs), blocks)
 
 
 def _bordered(G: np.ndarray, kt: np.ndarray, ktt: float) -> np.ndarray:

@@ -261,17 +261,29 @@ class RatioTable:
         return self._lists
 
 
-def build_ratio_table(g: GramMatrix, alpha: float, order: int = MAX_ORDER) -> RatioTable:
-    """Precompute the fit-time denominators that order-``order`` queries read.
+@dataclass
+class _FitCore:
+    """The alpha-free part of a `RatioTable`, shared by every alpha.
 
-    r1_loo, the one table that orders 1 and 2 read, costs O(n^2) and is
-    built at every order, so a table also serves queries one order above
-    its own up to order 2.  Only order 3 adds the leave-two-out table and
-    the three-cycle leave-one-out table, at O(n^2) and O(n^3), the latter
-    as one matrix product; an order-3 query needs a table built at order 3.
+    d        the Gram diagonal,
+    q_sum    row sums of Qoff[i, m] = K(x_i, x_m)^2 / K(x_m, x_m), m != i,
+    qoff     Qoff itself (order 3 only; below it only its row sums are read),
+    g_inner  G[m, i] times the leave-two-out product
+             sum_{l != i, m} K(x_m, x_l) K(x_l, x_i) / K(x_l, x_l)
+             (order 3 only).
     """
-    if not alpha > 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+
+    gram: GramMatrix
+    order: int
+    d: np.ndarray
+    q_sum: np.ndarray
+    qoff: np.ndarray | None = None
+    g_inner: np.ndarray | None = None
+
+
+def _fit_core(g: GramMatrix, order: int) -> _FitCore:
+    """Everything of an order-``order`` table that does not depend on alpha:
+    O(n^2), plus one O(n^3) matrix product at order 3."""
     if order not in (0, 1, 2, 3):
         raise ValueError(f"order must be in 0..3, got {order}")
     G = g.entries
@@ -283,24 +295,32 @@ def build_ratio_table(g: GramMatrix, alpha: float, order: int = MAX_ORDER) -> Ra
             f"gram diagonal must be strictly positive; point index {i} has "
             f"K(x, x) = {d[i]}"
         )
-    a = float(alpha)
-
-    # Qoff[i, m] = K(x_i, x_m)^2 / K(x_m, x_m), m != i
     Qoff = (G * G) / d[None, :]
     np.fill_diagonal(Qoff, 0.0)
-    r1_loo = a * d + Qoff.sum(axis=1)
-
-    table = RatioTable(g, a, order, r1_loo)
+    core = _FitCore(g, order, d, Qoff.sum(axis=1))
     if order == 3:
-        # r1_l2o[i, j] removes the i term from r1_loo[j]
-        r1_l2o = r1_loo[None, :] - Qoff.T
-        np.fill_diagonal(r1_l2o, 1.0)
-        # inner[m, i] = sum_{l != i, m} K(x_m, x_l) K(x_l, x_i) / K(x_l, x_l)
+        core.qoff = Qoff
         inner = (G / d) @ G
         inner -= 2.0 * G
-        # C[m, i] is the three-cycle term of x_i through x_m
+        core.g_inner = G * inner
+    return core
+
+
+def _finish(core: _FitCore, alpha: float) -> RatioTable:
+    """The table for one alpha > 0: O(n^2) elementwise work on the core."""
+    G = core.gram.entries
+    d = core.d
+    a = float(alpha)
+    r1_loo = a * d + core.q_sum
+    table = RatioTable(core.gram, a, core.order, r1_loo)
+    if core.order == 3:
+        # r1_l2o[i, j] removes the i term from r1_loo[j]
+        r1_l2o = r1_loo[None, :] - core.qoff.T
+        np.fill_diagonal(r1_l2o, 1.0)
+        # C[m, i] is the three-cycle term of x_i through x_m; the product
+        # groups as (a * G) * G, and a * (G * G) would round differently
         C = a * G * G
-        C += G * inner
+        C += core.g_inner
         C /= r1_l2o.T
         np.fill_diagonal(C, 0.0)
         table.r1_l2o = r1_l2o
@@ -309,6 +329,25 @@ def build_ratio_table(g: GramMatrix, alpha: float, order: int = MAX_ORDER) -> Ra
         np.fill_diagonal(t3, 0.0)
         table._t3 = t3
     return table
+
+
+def build_ratio_table(g: GramMatrix, alpha: float, order: int = MAX_ORDER) -> RatioTable:
+    """Precompute the fit-time denominators that order-``order`` queries read.
+
+    r1_loo, the one table that orders 1 and 2 read, costs O(n^2) and is
+    built at every order, so a table also serves queries one order above
+    its own up to order 2.  Only order 3 adds the leave-two-out table and
+    the three-cycle leave-one-out table, at O(n^2) and O(n^3), the latter
+    as one matrix product; an order-3 query needs a table built at order 3.
+
+    The build is an alpha-free core (`_fit_core`: the diagonal, the
+    two-cycle terms and their row sums, and at order 3 the O(n^3) product)
+    finished for one alpha by O(n^2) elementwise work (`_finish`), so
+    tables for several alphas over one Gram matrix can share one core.
+    """
+    if not alpha > 0:
+        raise ValueError(f"alpha must be positive, got {alpha}")
+    return _finish(_fit_core(g, order), alpha)
 
 
 def _require(table: RatioTable, order: int):

@@ -158,8 +158,27 @@ def cyp_exact(A, cap: int = EXACT_SIZE_CAP) -> float:
     if n == 0:
         raise ValueError("cyclic product sum is undefined for an empty matrix")
     _check_cap(n, cap)
+    if n <= 3:
+        return _cyp_small(m)
     cyp = _cyp_subsets(m)
     return float(cyp[(1 << n) - 1])
+
+
+def _cyp_small(m: np.ndarray) -> float:
+    """cyp(A) for n <= 3 from the subset DP's own products, without its loop:
+    a11; a12 a21; a13 a32 a21 + a12 a23 a31.
+
+    The DP ends in a dot over the path sums, which BLAS may evaluate as a
+    fused multiply-add, so the two n = 3 terms are added by a dot too,
+    where a plain ``x + y`` can differ from the DP in the last bit.  Every
+    value is bit-identical to `_cyp_subsets` for finite entries.
+    """
+    n = m.shape[0]
+    if n == 1:
+        return float(m[0, 0])
+    if n == 2:
+        return float(m[0, 1] * m[1, 0])
+    return float(np.dot((m[0, 2] * m[2, 1], m[0, 1] * m[1, 2]), (m[1, 0], m[2, 0])))
 
 
 def _augmented(kernel: Kernel, t, points) -> np.ndarray:

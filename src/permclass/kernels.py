@@ -267,6 +267,18 @@ def kernel_self(kernel: Kernel, t) -> float:
     return kernel_eval(kernel, t, t)
 
 
+def kernel_self_batch(kernel: Kernel, points) -> np.ndarray:
+    """`kernel_self` for every row of ``points``: ones for the distance
+    families, ``c`` for the constant family, a per-row lookup for the rest."""
+    pts = _as_points(points)
+    fam = kernel.family
+    if fam in (KernelFamily.EXPONENTIAL, KernelFamily.GAUSSIAN):
+        return np.ones(pts.shape[0])
+    if fam is KernelFamily.CONSTANT:
+        return np.full(pts.shape[0], float(kernel.c))
+    return np.array([kernel_eval(kernel, t, t) for t in pts], dtype=float)
+
+
 def kernel_block(kernel: Kernel, queries, points) -> np.ndarray:
     """Matrix of k(t_q, x_i): one row per query, one column per point."""
     qs = _as_points(queries)

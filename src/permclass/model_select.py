@@ -13,8 +13,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .classify import LabeledDataset, ModelParams, PosteriorTable, fit, predict
-from .kernels import _GRAM_BLOCK_ENTRIES, Kernel, _sq_distances
+from .classify import (LabeledDataset, ModelParams, PosteriorTable, _class_alphas,
+                       _fit_kernel, _kernel_blocks, _posterior, _with_alphas)
+from .cyclic import EXACT_ORDER
+from .kernels import _GRAM_BLOCK_ENTRIES, Kernel, _sq_distances, kernel_self_batch
 
 __all__ = [
     "CVSpec",
@@ -141,14 +143,42 @@ def _tie_key(params: ModelParams) -> tuple[float, float]:
     return (tau, alpha)
 
 
+def _kernel_groups(grid: list[ModelParams]) -> list[tuple[Kernel, object, list[int]]]:
+    """Candidate positions grouped by equal (kernel, order), in order of
+    first appearance; equal kernels need not be adjacent in the grid."""
+    groups: list[tuple[Kernel, object, list[int]]] = []
+    for i, params in enumerate(grid):
+        for kernel, order, members in groups:
+            if kernel == params.kernel and order == params.order:
+                members.append(i)
+                break
+        else:
+            groups.append((params.kernel, params.order, [i]))
+    return groups
+
+
+def _failure(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
 def cross_validate(data: LabeledDataset, spec: CVSpec) -> CVReport:
     """Mean objective per candidate across folds; argmin wins.
+
+    Candidates that share a kernel and an order share everything that does
+    not depend on alpha.  For each fold and each such group, the class
+    Gram matrices, their table cores (O(sum_r n_r^2), or O(sum_r n_r^3)
+    at order 3) and the held-out kernel blocks are built once; each
+    candidate of the group then pays only the O(sum_r n_r^2) finish of
+    the cores for its alpha and its held-out queries.
 
     A fold missing a class entirely is fine (the empty-class rule covers
     it).  A candidate whose evaluation raises ValueError or ArithmeticError
     (bad parameters, exact size limits, degenerate configurations or
     weights) is marked invalid with an infinite score instead of aborting
-    the sweep; any other exception is a bug and propagates.
+    the sweep; any other exception is a bug and propagates.  An error in
+    the shared kernel stage marks every candidate of the group that is
+    still valid, at that fold; a bad alpha is reported before any Gram is
+    built, as in a single fit.
     """
     folds = fold_assignment(data.n, spec.folds, spec.seed,
                             labels=data.labels, stratified=spec.stratified)
@@ -157,18 +187,41 @@ def cross_validate(data: LabeledDataset, spec: CVSpec) -> CVReport:
     # every candidate fits and scores the same folds: build each one once
     splits = [(data.subset(np.setdiff1d(all_idx, heldout)),
                data.points[heldout], data.labels[heldout]) for heldout in folds]
-    results: list[CandidateResult] = []
-    for params in spec.grid:
-        scores: list[float] = []
-        valid, message = True, ""
+    grid = spec.grid
+    scores: list[list[float]] = [[] for _ in grid]
+    failed: list[str | None] = [None] * len(grid)
+    alphas: list[np.ndarray | None] = [None] * len(grid)
+    for i, params in enumerate(grid):
         try:
-            for train, queries, truth in splits:
-                table = predict(fit(train, params), queries)
-                scores.append(objective(table, truth))
-            mean = float(np.mean(scores))
+            alphas[i] = _class_alphas(splits[0][0], params)
         except (ValueError, ArithmeticError) as exc:  # candidate-level isolation
-            valid, message, mean = False, f"{type(exc).__name__}: {exc}", float("inf")
-        results.append(CandidateResult(params, scores, mean, valid, message))
+            failed[i] = _failure(exc)
+    groups = _kernel_groups(grid)
+    for train, queries, truth in splits:
+        for kernel, order, members in groups:
+            live = [i for i in members if failed[i] is None]
+            if not live:
+                continue
+            try:
+                kfit = _fit_kernel(train, kernel, order)
+                ktt = kernel_self_batch(kernel, queries)
+                blocks = None if order == EXACT_ORDER else [
+                    list(_kernel_blocks(kernel, queries, pts)) for pts, _, _ in kfit.classes]
+            except (ValueError, ArithmeticError) as exc:
+                for i in live:
+                    failed[i] = _failure(exc)
+                continue
+            for i in live:
+                try:
+                    model = _with_alphas(kfit, grid[i], alphas[i])
+                    scores[i].append(objective(_posterior(model, queries, ktt, blocks),
+                                               truth))
+                except (ValueError, ArithmeticError) as exc:
+                    failed[i] = _failure(exc)
+    results = [CandidateResult(params, scores[i], float(np.mean(scores[i])))
+               if failed[i] is None else
+               CandidateResult(params, scores[i], float("inf"), False, failed[i])
+               for i, params in enumerate(grid)]
     order = sorted(range(len(results)),
                    key=lambda i: (results[i].mean, *_tie_key(results[i].params), i))
     return CVReport(spec=spec, results=results, winner_index=order[0], n=data.n)

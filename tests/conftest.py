@@ -16,9 +16,12 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from permclass.classify import fit, predict
 from permclass.cyclic import ALPHA, GradedValue
 from permclass.exact import Partition, cyp_exact
 from permclass.kernels import KernelFamily, gram, kernel_column, kernel_self
+from permclass.model_select import (CandidateResult, CVReport, _objective_fn,
+                                    _tie_key, fold_assignment)
 
 settings.register_profile("suite", deadline=None, max_examples=25)
 settings.load_profile("suite")
@@ -292,6 +295,58 @@ def knn_loop(train_points, train_labels, queries, k) -> np.ndarray:
         nearest = np.argsort(dist, kind="stable")[:k]
         out[qi] = int(np.argmax(np.bincount(y[nearest], minlength=n_classes)))
     return out
+
+
+def ratio_table_one_shot(G, alpha, order):
+    """(r1_loo, r1_l2o, r2_loo, t3) in one pass over a raw Gram matrix, each
+    alpha-dependent expression in the order `build_ratio_table`'s core and
+    finish must keep bit for bit (``a * G * G`` is ``(a * G) * G``)."""
+    G = np.asarray(G, dtype=float)
+    d = G.diagonal().copy()
+    a = float(alpha)
+    Qoff = (G * G) / d[None, :]
+    np.fill_diagonal(Qoff, 0.0)
+    r1_loo = a * d + Qoff.sum(axis=1)
+    if order < 3:
+        return r1_loo, None, None, None
+    r1_l2o = r1_loo[None, :] - Qoff.T
+    np.fill_diagonal(r1_l2o, 1.0)
+    inner = (G / d) @ G
+    inner -= 2.0 * G
+    C = a * G * G
+    C += G * inner
+    C /= r1_l2o.T
+    np.fill_diagonal(C, 0.0)
+    t3 = G / r1_l2o
+    np.fill_diagonal(t3, 0.0)
+    return r1_loo, r1_l2o, a * d + C.sum(axis=0), t3
+
+
+def cross_validate_reference(data, spec):
+    """Cross-validation one candidate at a time, each refitting every fold
+    through `fit` and `predict`: the report the grouped sweep must
+    reproduce exactly."""
+    folds = fold_assignment(data.n, spec.folds, spec.seed,
+                            labels=data.labels, stratified=spec.stratified)
+    objective = _objective_fn(spec.objective)
+    all_idx = np.arange(data.n)
+    splits = [(data.subset(np.setdiff1d(all_idx, heldout)),
+               data.points[heldout], data.labels[heldout]) for heldout in folds]
+    results = []
+    for params in spec.grid:
+        scores = []
+        valid, message = True, ""
+        try:
+            for train, queries, truth in splits:
+                table = predict(fit(train, params), queries)
+                scores.append(objective(table, truth))
+            mean = float(np.mean(scores))
+        except (ValueError, ArithmeticError) as exc:
+            valid, message, mean = False, f"{type(exc).__name__}: {exc}", float("inf")
+        results.append(CandidateResult(params, scores, mean, valid, message))
+    order = sorted(range(len(results)),
+                   key=lambda i: (results[i].mean, *_tie_key(results[i].params), i))
+    return CVReport(spec=spec, results=results, winner_index=order[0], n=data.n)
 
 
 @pytest.fixture

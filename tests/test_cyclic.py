@@ -5,14 +5,14 @@ from hypothesis import strategies as st
 
 from conftest import (augment, banded_gram, block_constant_matrix,
                       cyclic_ratio_scalar, generic_ratio, generic_tables,
-                      sym_nonneg)
+                      ratio_table_one_shot, sym_nonneg)
 from permclass.cyclic import (ALPHA, DegenerateConfigurationError, GradedValue,
                               GramStructure, build_limit_table, build_ratio_table,
                               closed_form_ratio, closed_form_ratio_matrix,
                               cyclic_ratio_approx, cyclic_ratio_from_kt,
                               limit_ratio, per_alpha_cyclic, ratio_approx,
                               ratio_approx_matrix, ratio_batch, ratio_from_kt)
-from permclass.cyclic import _ZERO, _normalize, _Series
+from permclass.cyclic import _ZERO, _finish, _fit_core, _normalize, _Series
 from permclass.exact import per_alpha_exact, ratio_exact_matrix
 from permclass.kernels import GramMatrix, Kernel, gram, kernel_column
 
@@ -172,6 +172,38 @@ def test_table_builds_only_what_its_order_reads(rng, order):
         assert table.r1_loo.shape == (n,)
         leave_two_out = (table.r1_l2o, table.r2_loo, table._t3)
         assert [t is not None for t in leave_two_out] == [order == 3] * 3
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_core_finish_matches_fresh_build(rng, order):
+    # one core finished for several alphas, repeats and per-class values
+    # included, gives each alpha's fresh table and the one-pass formula bit
+    # for bit, and no finish changes the core
+    points = rng.normal(size=(9, 2))
+    mats = [sym_nonneg(rng, 0), sym_nonneg(rng, 1), sym_nonneg(rng, 8),
+            block_constant_matrix([3, 1, 2], [0.5, 2.0, 1.0]), banded_gram(rng, 7),
+            gram(Kernel.exponential(0.7), points).entries]
+    for M in mats:
+        g = GramMatrix.from_matrix(M)
+        core = _fit_core(g, order)
+        before = [None if v is None else v.copy()
+                  for v in (core.d, core.q_sum, core.qoff, core.g_inner)]
+        for alpha in (2.0, 0.25, 1.0, 0.1 + 0.2, 2.0):
+            got = _finish(core, alpha)
+            fresh = build_ratio_table(g, alpha, order=order)
+            one_pass = ratio_table_one_shot(M, alpha, order)
+            for a, b, c, absent in zip((got.r1_loo, got.r1_l2o, got.r2_loo, got._t3),
+                                       (fresh.r1_loo, fresh.r1_l2o, fresh.r2_loo,
+                                        fresh._t3),
+                                       one_pass, [False] + [order < 3] * 3):
+                if absent:
+                    assert a is None and b is None and c is None
+                else:
+                    assert np.array_equal(a, b) and np.array_equal(a, c)
+            assert (got.alpha, got.order) == (fresh.alpha, fresh.order)
+        after = (core.d, core.q_sum, core.qoff, core.g_inner)
+        for x, y in zip(before, after):
+            assert (x is None and y is None) or np.array_equal(x, y)
 
 
 def test_order_3_query_needs_order_3_table(rng):

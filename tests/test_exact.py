@@ -12,6 +12,7 @@ from permclass.exact import (EXACT_SIZE_CAP, ExactSizeLimitError, Partition,
                              iter_set_partitions, label_probability_exact,
                              partition_probability_exact, per_alpha_exact,
                              ratio_exact, ratio_exact_matrix, rising_factorial)
+from permclass.exact import _cyp_subsets
 from permclass.kernels import Kernel
 
 
@@ -109,6 +110,24 @@ def test_cyp_two_by_two():
 def test_cyp_empty_raises():
     with pytest.raises(ValueError, match="empty"):
         cyp_exact(np.zeros((0, 0)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cyp_direct_forms_match_subset_dp(n):
+    # cyp_exact skips the subset DP for n <= 3; its value must be the DP's
+    # to the last bit, including the fused final dot at n = 3
+    rng = np.random.default_rng(40 + n)
+    mats = []
+    for _ in range(2000):
+        A = rng.random((n, n)) * 10.0 ** rng.uniform(-6, 6, size=(n, n))
+        mats.append(A)
+        mats.append((A + A.T) / 2)
+        mats.append(np.where(rng.random((n, n)) < 0.4, 0.0, A))
+        mats.append(rng.normal(size=(n, n)) * 1e3)
+    mats += [np.ones((n, n)), np.full((n, n), 0.3), np.zeros((n, n)),
+             np.eye(n) * 2.0, np.triu(np.ones((n, n)))]
+    for A in mats:
+        assert cyp_exact(A) == float(_cyp_subsets(A)[(1 << n) - 1])
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 6))

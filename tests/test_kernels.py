@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import gram_one_shot, sq_distances_one_shot
 from permclass import kernels
 from permclass.kernels import (Kernel, gram, kernel_block, kernel_column,
-                               kernel_eval, kernel_self)
+                               kernel_eval, kernel_self, kernel_self_batch)
 
 
 def test_gaussian_zero_distance_is_one():
@@ -166,6 +166,26 @@ def test_kernel_self_matches_eval(rng):
     t = rng.normal(size=2)
     for k in (Kernel.gaussian(1.1), Kernel.exponential(0.4), Kernel.constant(2.5)):
         assert kernel_self(k, t) == kernel_eval(k, t, t)
+
+
+def test_kernel_self_batch_matches_per_row(rng):
+    pts = rng.normal(size=(7, 2))
+    pts[3] = pts[1]
+    keys = [tuple(p) for p in pts]
+    kernels = [
+        Kernel.gaussian(1.1),
+        Kernel.exponential(0.4),
+        Kernel.constant(2.5),
+        Kernel.diagonal_indicator(default=0.5, table={keys[0]: 3.0, keys[1]: 0.0}),
+        Kernel.block_constant({keys[0]: 0, keys[1]: 1}, levels={0: 1.5}, c=0.25),
+        Kernel.projection(np.diag(np.arange(1.0, 7.0)), list(dict.fromkeys(keys))),
+    ]
+    for k in kernels:
+        want = np.array([kernel_self(k, t) for t in pts])
+        got = kernel_self_batch(k, pts)
+        assert got.dtype == np.float64 and got.shape == (7,)
+        assert np.array_equal(got, want)
+        assert kernel_self_batch(k, pts[:0]).shape == (0,)
 
 
 def test_serialization_round_trip():

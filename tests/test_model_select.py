@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import median_distance_one_shot
+from conftest import cross_validate_reference, median_distance_one_shot
 from permclass.classify import LabeledDataset, ModelParams
 from permclass.datasets import gen_chequerboard
 from permclass.kernels import Kernel
-from permclass.model_select import (CVSpec, cross_entropy, cross_validate,
-                                    default_grid, error_rate, fold_assignment,
-                                    median_pairwise_distance)
+from permclass.model_select import (OBJECTIVES, CVSpec, cross_entropy,
+                                    cross_validate, default_grid, error_rate,
+                                    fold_assignment, median_pairwise_distance)
 
 
 def test_fold_assignment_deterministic():
@@ -86,17 +86,20 @@ def test_invalid_candidate_is_isolated(rng):
 
 def test_programming_errors_are_not_isolated(monkeypatch):
     # only ValueError/ArithmeticError mark a candidate invalid; anything
-    # else is a bug and must surface instead of becoming an inf score
+    # else is a bug and must surface instead of becoming an inf score,
+    # whether it comes from the shared kernel stage or a candidate's alpha
     import permclass.model_select as ms
 
-    def broken_fit(data, params):
+    def broken(*args):
         raise TypeError("unsupported operand")
 
-    monkeypatch.setattr(ms, "fit", broken_fit)
     data = gen_chequerboard(2, seed=0)
     grid = [ModelParams(kernel=Kernel.exponential(0.5), alphas=1.0, order=1)]
-    with pytest.raises(TypeError, match="unsupported operand"):
-        cross_validate(data, CVSpec(grid=grid, folds=3, seed=0))
+    for stage in ("_fit_kernel", "_with_alphas"):
+        with monkeypatch.context() as patch:
+            patch.setattr(ms, stage, broken)
+            with pytest.raises(TypeError, match="unsupported operand"):
+                cross_validate(data, CVSpec(grid=grid, folds=3, seed=0))
 
 
 def test_missing_class_fold_is_permitted():
@@ -186,3 +189,132 @@ def test_family_selection_trend():
         else:
             k2_selected += 1
     assert k1_selected >= k2_selected
+
+
+# -- the grouped sweep against one fit per candidate and fold ------------
+
+
+def _assert_matches_reference(data, grid, folds=3, seed=0, stratified=(False, True)):
+    """Equal reports for both objectives and the given fold protocols; the
+    results keep the grid's order and its own parameter objects."""
+    reports = []
+    for objective in OBJECTIVES:
+        for strat in stratified:
+            spec = CVSpec(grid=grid, folds=folds, objective=objective, seed=seed,
+                          stratified=strat)
+            got = cross_validate(data, spec)
+            assert got.to_dict() == cross_validate_reference(data, spec).to_dict()
+            assert all(r.params is p for r, p in zip(got.results, grid))
+            reports.append(got)
+    return reports
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_grouped_cv_matches_reference_default_grid(order):
+    data = gen_chequerboard(2, seed=order)
+    _assert_matches_reference(data, default_grid(data.points, order=order))
+
+
+def test_grouped_cv_matches_reference_exact_order():
+    data = gen_chequerboard(1, seed=4)
+    grid = [ModelParams(kernel=Kernel(fam, tau=t), alphas=a, order="exact")
+            for fam in ("exponential", "gaussian") for t in (0.5, 2.0)
+            for a in (0.5, 2.0, (1.0, 3.0))]
+    _assert_matches_reference(data, grid)
+
+
+def test_grouped_cv_matches_reference_scattered_and_repeated_kernels():
+    data = gen_chequerboard(2, seed=7)
+    grid = default_grid(data.points, tau_scales=(0.5, 2.0), alphas=(0.5, 1.0, 4.0),
+                        order=2)
+    grid = [grid[i] for i in np.random.default_rng(3).permutation(len(grid))]
+    # the same object twice, and an equal kernel built separately
+    twin = ModelParams(kernel=Kernel(grid[2].kernel.family, tau=grid[2].kernel.tau),
+                       alphas=grid[2].alphas, order=2)
+    grid = grid + [grid[5], twin, grid[0]]
+    reports = _assert_matches_reference(data, grid)
+    assert reports[0].results[-3].fold_scores == reports[0].results[5].fold_scores
+
+
+def test_grouped_cv_matches_reference_per_class_alphas():
+    data = gen_chequerboard(2, seed=8)
+    grid = [ModelParams(kernel=Kernel.gaussian(t), alphas=a, order=order)
+            for order in (1, 3) for t in (0.3, 1.0)
+            for a in ((0.5, 2.0), 1.0, (2.0, 0.5), (0.5, 2.0))]
+    _assert_matches_reference(data, grid)
+
+
+def test_grouped_cv_isolates_invalid_candidates_like_reference():
+    data = gen_chequerboard(2, seed=9)
+    gauss = Kernel.gaussian(0.5)
+    zero_diagonal = Kernel.diagonal_indicator(default=0.0)  # Gram diagonal 0
+    grid = [
+        ModelParams(kernel=gauss, alphas=(1.0, 1.0, 1.0), order=3),  # wrong length
+        ModelParams(kernel=gauss, alphas=1.0, order=3),
+        ModelParams(kernel=zero_diagonal, alphas=1.0, order=2),
+        ModelParams(kernel=gauss, alphas=-1.0, order=3),
+        ModelParams(kernel=zero_diagonal, alphas=0.5, order=2),
+        ModelParams(kernel=zero_diagonal, alphas=0.0, order=2),  # alpha error first
+        ModelParams(kernel=gauss, alphas=2.0, order=3),
+    ]
+    report = _assert_matches_reference(data, grid)[0]
+    assert [r.valid for r in report.results] == [False, True, False, False,
+                                                 False, False, True]
+    messages = [r.message for r in report.results]
+    assert "per-class alphas" in messages[0]
+    assert "positive" in messages[3] and "positive" in messages[5]
+    assert "gram diagonal" in messages[2] and messages[2] == messages[4]
+
+
+def test_grouped_cv_isolates_degenerate_candidates_like_reference():
+    # exact order under diagonal-indicator kernels: a point whose K(x, x) is
+    # 0 zeroes its class's alpha-permanent while it trains (ZeroDivisionError)
+    # and every class weight while it is held out (degenerate weights)
+    data = gen_chequerboard(1, seed=10)
+    folds = fold_assignment(data.n, 3, seed=0)
+    keys = [tuple(p) for p in data.points]
+
+    def zero_at(i):
+        return Kernel.diagonal_indicator(
+            default=None, table={k: (0.0 if j == i else 1.0) for j, k in enumerate(keys)})
+
+    grid = [ModelParams(kernel=zero_at(folds[0][0]), alphas=1.0, order="exact"),
+            ModelParams(kernel=zero_at(folds[2][0]), alphas=1.0, order="exact"),
+            ModelParams(kernel=Kernel.diagonal_indicator(default=1.0), alphas=1.0,
+                        order="exact")]
+    report = _assert_matches_reference(data, grid, stratified=(False,))[0]
+    assert "degenerate kernel" in report.results[0].message
+    assert report.results[1].message.startswith("ZeroDivisionError")
+    assert report.results[2].valid
+
+
+def test_grouped_cv_stops_at_the_same_fold_as_reference():
+    # class 0 has 11 points; the fold that holds out only class-1 points
+    # trains on all 11, one more than the exact size cap allows with the
+    # query, so exact candidates fail there after scoring the folds before
+    folds = fold_assignment(16, 4, seed=0)
+    labels = np.zeros(16, dtype=int)
+    labels[folds[2]] = 1
+    labels[folds[0][0]] = 1
+    pts = np.random.default_rng(11).random((16, 2)) * 3
+    data = LabeledDataset(points=pts, labels=labels, n_classes=2)
+    grid = [ModelParams(kernel=Kernel.gaussian(1.0), alphas=a, order=o)
+            for o in ("exact", 2) for a in (0.5, 2.0)]
+    report = _assert_matches_reference(data, grid, folds=4, stratified=(False,))[0]
+    for r in report.results[:2]:
+        assert not r.valid and len(r.fold_scores) == 2
+        assert r.message.startswith("ExactSizeLimitError")
+    assert all(r.valid for r in report.results[2:])
+
+
+def test_grouped_cv_matches_reference_with_a_class_missing_from_a_fold():
+    folds = fold_assignment(15, 3, seed=2)
+    labels = np.zeros(15, dtype=int)
+    labels[folds[1][:3]] = 1  # every class-1 point is held out together
+    pts = np.random.default_rng(12).normal(size=(15, 2))
+    data = LabeledDataset(points=pts, labels=labels, n_classes=2)
+    grid = [ModelParams(kernel=Kernel(fam, tau=1.0), alphas=a, order=order)
+            for fam in ("exponential", "gaussian") for order in (0, 3)
+            for a in (0.5, (1.0, 2.0))]
+    report = _assert_matches_reference(data, grid, seed=2)[0]
+    assert all(r.valid for r in report.results)
