@@ -9,9 +9,8 @@ from .exact import (EXACT_SIZE_CAP, ExactSizeLimitError, Partition,
                     iter_set_partitions, label_probability_exact,
                     partition_probability_exact, per_alpha_exact,
                     ratio_exact, ratio_exact_matrix, rising_factorial)
-from .cyclic import (ALPHA, EXACT_ORDER, MAX_ORDER,
-                     DegenerateConfigurationError, GradedValue, GramStructure,
-                     LimitTable, RatioTable, build_limit_table,
+from .cyclic import (EXACT_ORDER, MAX_ORDER, DegenerateConfigurationError,
+                     GramStructure, LimitTable, RatioTable, build_limit_table,
                      build_ratio_table, closed_form_ratio,
                      closed_form_ratio_matrix, cyclic_ratio_approx,
                      cyclic_ratio_from_kt, limit_ratio, per_alpha_cyclic,

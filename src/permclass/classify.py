@@ -18,9 +18,8 @@ from typing import Sequence
 import numpy as np
 
 from .cyclic import (EXACT_ORDER, MAX_ORDER, LimitTable, RatioTable,
-                     _finish, _fit_core, _FitCore, build_limit_table,
-                     limit_ratio, ratio_batch)
-from .exact import Partition, cyp_exact, ratio_exact
+                     _finish, _fit_core, _FitCore, limit_ratio, ratio_batch)
+from .exact import Partition, _ratio_exact_rows, cyp_exact
 from .kernels import (GramMatrix, Kernel, _sq_distances, gram, kernel_block,
                       kernel_column, kernel_self, kernel_self_batch)
 
@@ -304,8 +303,7 @@ def _posterior(model: FittedModel, qs: np.ndarray, ktt: np.ndarray,
         if state.n == 0:
             raw[:, r] = state.alpha * ktt
         elif params.order == EXACT_ORDER:
-            raw[:, r] = [ratio_exact(q, state.points, params.kernel, state.alpha)
-                         for q in qs]
+            raw[:, r] = _ratio_exact_rows(state.gram, qs, state.alpha)
         else:
             lo = 0
             for Kt in blocks[r]:
@@ -345,36 +343,45 @@ def _bordered(G: np.ndarray, kt: np.ndarray, ktt: float) -> np.ndarray:
 class _Block:
     """One block of a partition with the state its cyclic-ratio weight needs.
 
-    ``gram`` holds the kernel values among the members, in member order;
-    ``table`` holds what the weight divides by (the alpha -> 0 tables, or
-    the block's cyclic product sum on the exact path).  It is rebuilt when
-    the block is next weighed after growing, so only a grown block pays
-    for a rebuild.
+    On the alpha -> 0 orders ``table`` is the block's `LimitTable`, which
+    grows in place with each new member at O(n_b^2).  On the exact path
+    ``gram`` holds the kernel values among the members, in member order,
+    and ``table`` the block's cyclic product sum, recomputed when the block
+    is next weighed after growing.
     """
 
-    def __init__(self, members: list[int], gram_entries: np.ndarray):
-        self.members = members
-        self.gram = gram_entries
-        self.table: LimitTable | float | None = None
+    def __init__(self, order):
+        self.members: list[int] = []
+        self.order = order
+        self.gram = np.zeros((0, 0))
+        self.table: LimitTable | float | None = (
+            None if order == EXACT_ORDER else LimitTable(int(order)))
+
+    @classmethod
+    def of(cls, members, gram_entries: np.ndarray, order) -> "_Block":
+        """A block holding ``members``, whose Gram matrix is ``gram_entries``."""
+        block = cls(order)
+        for p, i in enumerate(members):
+            block.grow(i, gram_entries[p, :p], gram_entries[p, p])
+        return block
 
     def grow(self, i: int, kt: np.ndarray, ktt: float) -> None:
         """Add point ``i`` with kernel values ``kt`` against the members."""
+        if self.order != EXACT_ORDER:
+            self.table.grow(kt, ktt)
+        elif (kt < 0).any() or ktt < 0:
+            raise ValueError("kernel produced a negative Gram entry")
+        else:
+            self.gram = _bordered(self.gram, kt, ktt)
+            self.table = None
         self.members.append(i)
-        self.gram = _bordered(self.gram, kt, ktt)
-        self.table = None
 
-    def weight(self, j: int, kt: np.ndarray, ktt: float, order) -> float:
+    def weight(self, j: int, kt: np.ndarray, ktt: float) -> float:
         """Cyclic ratio C(t; block) for a query, as block ``j`` of the row."""
-        if self.table is None:
-            if (self.gram < 0).any():
-                raise ValueError("kernel produced a negative Gram entry")
-            if order == EXACT_ORDER:
-                self.table = cyp_exact(self.gram)
-            else:
-                self.table = build_limit_table(GramMatrix.from_matrix(self.gram),
-                                               int(order))
-        if order != EXACT_ORDER:
+        if self.order != EXACT_ORDER:
             return limit_ratio(self.table, kt, ktt)
+        if self.table is None:
+            self.table = cyp_exact(self.gram)
         if self.table == 0.0:
             raise ZeroDivisionError(
                 f"block {j} ({sorted(self.members)}) has zero cyclic product sum")
@@ -389,7 +396,7 @@ def _block_row(blocks: list[_Block], col: np.ndarray, ktt: float,
         raise ValueError("infinite-class prediction needs lambda")
     raw = np.empty(len(blocks) + 1)
     for j, block in enumerate(blocks):
-        raw[j] = block.weight(j, col[block.members], ktt, params.order)
+        raw[j] = block.weight(j, col[block.members], ktt)
     raw[-1] = params.lam * ktt
     return PosteriorRow.from_raw(raw)
 
@@ -406,7 +413,7 @@ def predict_infinite(points, partition: Partition, t,
     if partition.n != pts.shape[0]:
         raise ValueError("partition must cover exactly the given points")
     kernel = params.kernel
-    blocks = [_Block(list(b), gram(kernel, pts[list(b)]).entries)
+    blocks = [_Block.of(b, gram(kernel, pts[list(b)]).entries, params.order)
               for b in partition.blocks]
     return _block_row(blocks, kernel_column(kernel, t, pts), kernel_self(kernel, t),
                       params)
@@ -417,10 +424,11 @@ def sequential_partition(points, params: ModelParams, rule: str = "argmax",
     """Grow a partition one point at a time by repeated block prediction.
 
     ``rule`` is "argmax" (deterministic) or "sample" (seeded, reproducible).
-    Each new point's kernel column is evaluated once and sliced per block;
-    blocks keep their Gram matrices and tables, and only the block that
-    grew is rebuilt, so a step at order k costs one order-k query per
-    block plus one table build.
+    Each new point's kernel column is evaluated once and sliced per block.
+    Blocks keep their tables and the block that gains the point grows its
+    table in place, so a step at order 3 costs a few matrix-vector products
+    per block plus one O(n_b^2) table update (n_b a block's size): an
+    order-3 partition of N points costs O(N^3) in all.
     """
     if rule not in ("argmax", "sample"):
         raise ValueError(f"rule must be 'argmax' or 'sample', got {rule!r}")
@@ -429,7 +437,8 @@ def sequential_partition(points, params: ModelParams, rule: str = "argmax",
     if pts.shape[0] < 2:
         return Partition.from_blocks([[0]] if pts.shape[0] else [])
     kernel = params.kernel
-    blocks = [_Block([0], np.array([[kernel_self(kernel, pts[0])]]))]
+    blocks = [_Block.of([0], np.array([[kernel_self(kernel, pts[0])]]),
+                        params.order)]
     for i in range(1, pts.shape[0]):
         ktt = kernel_self(kernel, pts[i])
         col = kernel_column(kernel, pts[i], pts[:i])
@@ -439,7 +448,7 @@ def sequential_partition(points, params: ModelParams, rule: str = "argmax",
         else:
             choice = int(rng.choice(len(row.probs), p=row.probs))
         if choice == len(blocks):
-            blocks.append(_Block([i], np.array([[ktt]])))
+            blocks.append(_Block.of([i], np.array([[ktt]]), params.order))
         else:
             block = blocks[choice]
             block.grow(i, col[block.members], ktt)

@@ -19,16 +19,21 @@ products; the fit-time tables absorb the inner index, so order 3 costs
 O(n^2) per query there.  Order k = n is exact and larger exact sizes are
 served by the oracle layer, not here.
 
-The a -> 0+ limits C^(k) are evaluated by running the same recursion over
-truncated power series in a, so configurations where the naive limit is
-0/0 (e.g. diagonal kernels over distinct points) still get their finite
-limiting value.  `build_limit_table` and `limit_ratio` run it over arrays
-of series, with every excluded index (m != i, k not in {i, j}) left out of
-its sum rather than subtracted afterwards, so exact zeros stay exact.
-Order 3 then costs O(n^3) per point set and O(n^2) per query.  The scalar
-series `GradedValue` defines the arithmetic; run through the displayed
-nested sums (in the test suite) it is the reference the array evaluation
-is checked against.
+The a -> 0+ limits C^(k) follow from the same recursion with every
+quantity a truncated power series in a, so configurations where the naive
+limit is 0/0 (e.g. diagonal kernels over distinct points) still get their
+finite limiting value.  A `LimitTable` holds the series' alpha-free
+coefficients with every division by a denominator already made; it grows
+one point at a time in O(n^2), so a partition block updates its table in
+place, and `limit_ratio` costs one dot product at order 1 and one or two
+matrix-vector products at orders 2 and 3.  Kernel values are nonnegative,
+so every sum whose zero test decides a leading power is formed by addition
+alone and its zero test is exact.  The one subtraction, which takes the
+k = i terms out of a dense order-3 product, is kept only where its result
+is a sizeable part of the sum it came from; elsewhere that sum is formed
+again without those terms.  The scalar series `GradedValue`, run
+through the displayed nested sums (in the test suite), is the reference
+the tables are checked against.
 """
 
 from __future__ import annotations
@@ -37,7 +42,6 @@ import logging
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from numbers import Real
 
 import numpy as np
 
@@ -47,8 +51,6 @@ __all__ = [
     "MAX_ORDER",
     "EXACT_ORDER",
     "DegenerateConfigurationError",
-    "GradedValue",
-    "ALPHA",
     "RatioTable",
     "build_ratio_table",
     "ratio_approx",
@@ -84,136 +86,6 @@ def _surface(value: float, order: int) -> float:
         log.warning("order-%d ratio approximation is negative (%.6g)",
                     order, value)
     return value
-
-
-# ---------------------------------------------------------------------------
-# truncated power series in alpha
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GradedValue:
-    """Value of the form alpha^lead (c0 + c1 alpha + O(alpha^2)).
-
-    Two coefficients are tracked, which is enough to extract the constant
-    term of every ratio formula here: intermediate leads dip to -1 only
-    through the innermost uni-cycle denominators and are lifted back by
-    the leading alpha factor.  The exact zero is canonically
-    ``GradedValue(0, 0.0, 0.0)``.  If leading coefficients ever cancel,
-    the lead is shifted and the next coefficient is no longer tracked;
-    the recursions here only ever add nonnegative terms, so this is a
-    safety net rather than a code path.
-    """
-
-    lead: int
-    c0: float
-    c1: float = 0.0
-
-    @staticmethod
-    def of(value: float) -> "GradedValue":
-        return _normalize(0, float(value), 0.0)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.c0 == 0.0 and self.c1 == 0.0
-
-    def limit(self) -> float:
-        """Value at alpha -> 0+."""
-        if self.is_zero or self.lead > 0:
-            return 0.0
-        if self.lead == 0:
-            return self.c0
-        raise DegenerateConfigurationError(
-            "ratio diverges in the small-mass limit (leading power "
-            f"{self.lead}); the configuration is degenerate"
-        )
-
-    def at(self, alpha: float) -> float:
-        """Evaluate the tracked part at a concrete alpha (for diagnostics)."""
-        return alpha**self.lead * (self.c0 + self.c1 * alpha)
-
-    # -- arithmetic ----------------------------------------------------
-
-    def __add__(self, other):
-        other = _lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        a, b = (self, other) if self.lead <= other.lead else (other, self)
-        gap = b.lead - a.lead
-        if gap == 0:
-            return _normalize(a.lead, a.c0 + b.c0, a.c1 + b.c1)
-        if gap == 1:
-            return _normalize(a.lead, a.c0, a.c1 + b.c0)
-        return a
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return GradedValue(self.lead, -self.c0, -self.c1)
-
-    def __sub__(self, other):
-        other = _lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return _lift(other) + (-self)
-
-    def __mul__(self, other):
-        other = _lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.is_zero or other.is_zero:
-            return _ZERO
-        return _normalize(self.lead + other.lead,
-                          self.c0 * other.c0,
-                          self.c0 * other.c1 + self.c1 * other.c0)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.is_zero:
-            raise DegenerateConfigurationError(
-                "division by a quantity that is identically zero to tracked "
-                "order; the configuration is degenerate"
-            )
-        if self.is_zero:
-            return _ZERO
-        b0, b1 = other.c0, other.c1
-        return _normalize(self.lead - other.lead,
-                          self.c0 / b0,
-                          (self.c1 * b0 - self.c0 * b1) / (b0 * b0))
-
-    def __rtruediv__(self, other):
-        return _lift(other) / self
-
-
-def _normalize(lead: int, c0: float, c1: float) -> GradedValue:
-    if c0 == 0.0:
-        if c1 == 0.0:
-            return GradedValue(0, 0.0, 0.0)
-        return GradedValue(lead + 1, c1, 0.0)
-    return GradedValue(lead, c0, c1)
-
-
-def _lift(x):
-    if isinstance(x, GradedValue):
-        return x
-    if isinstance(x, Real):
-        return GradedValue.of(float(x))
-    return NotImplemented
-
-
-_ZERO = GradedValue(0, 0.0, 0.0)
-ALPHA = GradedValue(1, 1.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -511,146 +383,168 @@ def per_alpha_cyclic(A, alpha: float, order: int = MAX_ORDER) -> float:
 
 
 # ---------------------------------------------------------------------------
-# the alpha -> 0 limit over arrays of truncated series
+# the alpha -> 0 limit
 # ---------------------------------------------------------------------------
 
 
-_NO_LEAD = 1 << 30  # stands in for the lead of an exact zero in a minimum
-
-
-@dataclass(frozen=True)
-class _Series:
-    """Arrays of `GradedValue`: entry-wise alpha^lead (c0 + c1 alpha).
-
-    Normalisation and division follow `GradedValue` entry by entry; the
-    exact zero is lead 0, c0 = c1 = 0, so an entry is zero iff c0 == 0.
-    """
-
-    lead: np.ndarray
-    c0: np.ndarray
-    c1: np.ndarray
-
-    @staticmethod
-    def normalized(lead, c0, c1) -> "_Series":
-        z0 = np.equal(c0, 0.0)
-        shift = z0 & np.not_equal(c1, 0.0)
-        return _Series(np.where(shift, lead + 1, np.where(z0, 0, lead)),
-                       np.where(shift, c1, c0), np.where(z0, 0.0, c1))
-
-    @staticmethod
-    def of(c0, c1) -> "_Series":
-        """The values c0 + c1 alpha."""
-        return _Series.normalized(0, c0, c1)
-
-    def times_alpha(self) -> "_Series":
-        return _Series(np.where(self.c0 == 0.0, 0, self.lead + 1), self.c0, self.c1)
-
-    def __truediv__(self, other: "_Series") -> "_Series":
-        b0, b1 = other.c0, other.c1
-        if (b0 == 0.0).any():
-            raise DegenerateConfigurationError(
-                "division by a quantity that is identically zero to tracked "
-                "order; the configuration is degenerate"
-            )
-        return _Series.normalized(self.lead - other.lead, self.c0 / b0,
-                                  (self.c1 * b0 - self.c0 * b1) / (b0 * b0))
-
-    def _lead_or_none(self) -> np.ndarray:
-        return np.where(self.c0 == 0.0, _NO_LEAD, self.lead)
-
-    def _at(self, low):
-        """Coefficients of alpha^low and alpha^(low + 1), where ``low`` is
-        at most the lead of every nonzero entry (zero entries add 0)."""
-        at_low = self.lead == low
-        return (np.where(at_low, self.c0, 0.0),
-                np.where(at_low, self.c1, 0.0)
-                + np.where(self.lead == low + 1, self.c0, 0.0))
-
-    def sum(self, axis: int = -1) -> "_Series":
-        """Sum along an axis: the lowest lead among the nonzero terms leads,
-        and terms one power higher feed its second coefficient."""
-        low = self._lead_or_none().min(axis=axis, keepdims=True)
-        c0, c1 = self._at(low)
-        return _Series.normalized(np.squeeze(low, axis=axis), c0.sum(axis=axis),
-                                  c1.sum(axis=axis))
-
-    def __add__(self, other: "_Series") -> "_Series":
-        low = np.minimum(self._lead_or_none(), other._lead_or_none())
-        a0, a1 = self._at(low)
-        b0, b1 = other._at(low)
-        return _Series.normalized(low, a0 + b0, a1 + b1)
-
-    def scalar(self) -> GradedValue:
-        """The single entry of a 0-d series."""
-        return GradedValue(int(self.lead), float(self.c0), float(self.c1))
-
-
-def _alpha_times(x) -> _Series:
-    """The values alpha x."""
-    return _Series.normalized(1, x, 0.0)
-
-
-def _sum_without(A: np.ndarray) -> np.ndarray:
-    """S[j, i] = sum over k != i of A[j, k].
+def _sum_without(v: np.ndarray) -> np.ndarray:
+    """out[i] = sum over m != i of v[m].
 
     The excluded term is left out by adding prefix and suffix sums, never
-    subtracted from the full row sum: subtraction leaves rounding residue
-    where the exact result is 0, and the series arithmetic would read that
-    residue as a leading term.
+    subtracted from the full sum: subtraction leaves rounding residue where
+    the exact result is 0, and a zero test would read that residue as a
+    positive term.
     """
-    S = np.zeros_like(A)
-    np.cumsum(A[:, :-1], axis=1, out=S[:, 1:])
-    S[:, :-1] += np.cumsum(A[:, :0:-1], axis=1)[:, ::-1]
-    return S
+    out = np.zeros_like(v)
+    np.cumsum(v[:-1], out=out[1:])
+    out[:-1] += np.cumsum(v[:0:-1])[::-1]
+    return out
 
 
-@dataclass
 class LimitTable:
-    """Series denominators of the alpha -> 0+ recursion for one point set.
+    """The alpha-free tables of the alpha -> 0+ recursion for one point set.
 
-    The series counterparts of `RatioTable`'s r1_loo (order 2), r1_l2o and
-    r2_loo (order 3), built once per point set and shared by every query.
-    ``off`` is the Gram matrix with its diagonal zeroed: products through
-    it drop the excluded i = j terms exactly.
+    The recursion's denominators are series in alpha: r1_loo = s + a d,
+    r1_l2o[i, j] = s2[i, j] + a d_j and r2_loo = r0 + a r1 + O(a^2).  The
+    table keeps their coefficients with every division by them done, so a
+    query is a few matrix-vector products (`limit_ratio`).  With
+    Q[i, m] = K(x_i, x_m)^2 / K(x_m, x_m) for m != i:
+
+    d         the Gram diagonal;
+    off, s    the Gram matrix with its diagonal zeroed, and the row sums of
+              Q (order >= 2);
+    s_terms   the number of positive entries in each row of Q (order 3,
+              as are the rest);
+    s2        s2[i, j] = sum over m not in {i, j} of Q[j, m];
+    inner     inner[m, i] = sum over l of off[m, l] off[l, i] / d_l;
+    t0        off / s2 where s2 > 0, and off where s2 = 0;
+    delta     row sums of t0 * off: the k = i terms a query leaves out;
+    r0        r0[i] = sum over m of off[i, m] inner[m, i] / s2[i, m] where
+              s2 > 0, and of off[i, m]^2 / d_m where s2 = 0; it is stored
+              with inf for 0, so that dividing by it drops those lanes;
+    flat      the i with r0 = 0: every term of r2_loo[i] starts at alpha^1,
+              and r1 there is d + delta;
+    lone      the (i, j) with off[i, j] > 0 and s2[i, j] = 0 (x_i is x_j's
+              only neighbour), and off there.
+
+    Kernel values are nonnegative, so a sum of them is exactly 0 only if
+    none of its terms is positive.  Every value above is built by adding
+    terms, never by subtracting, so its zero test is exact, and where s2
+    can be 0 follows from the counts ``s_terms``.  `grow` adds a point in
+    O(n^2); the square arrays live in buffers with spare room, so a point
+    costs no copy of them.
     """
 
-    gram: GramMatrix
-    order: int
-    off: np.ndarray
-    r1_loo: _Series | None = None
-    r1_l2o: _Series | None = None
-    r2_loo: _Series | None = None
+    _SQUARE = ("off", "s2", "inner", "t0")
+
+    def __init__(self, order: int):
+        if order not in (0, 1, 2, 3):
+            raise ValueError(f"order must be in 0..3, got {order}")
+        self.order = order
+        self.n = 0
+        self.d = self.s = self.delta = self.r0 = np.zeros(0)
+        self.s_terms = np.zeros(0, dtype=int)
+        for name in self._SQUARE:
+            setattr(self, name, np.zeros((0, 0)))
+        self.flat = np.zeros(0, dtype=int)
+        self.lone = (self.flat, self.flat, np.zeros(0))
+        self._room = 0
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def _reserve(self, n: int) -> None:
+        """Buffers for at least ``n`` points, grown by a quarter at a time."""
+        if n <= self._room:
+            return
+        room = max(n, self._room + self._room // 4, 8)
+        names = self._SQUARE if self.order == 3 else ("off",)
+        old, m = self._buffers, self.n
+        self._buffers = {name: np.zeros((room, room)) for name in names}
+        for name, buf in old.items():
+            self._buffers[name][:m, :m] = buf[:m, :m]
+        self._room = room
+
+    def _border(self, name: str, row, col, corner: float) -> np.ndarray:
+        """Write the new point's row and column; returns the grown view."""
+        n = self.n
+        buf = self._buffers[name]
+        buf[n, :n] = row
+        buf[:n, n] = col
+        buf[n, n] = corner
+        view = buf[:n + 1, :n + 1]
+        setattr(self, name, view)
+        return view
+
+    def grow(self, kt, ktt: float) -> None:
+        """Add a point with kernel values ``kt`` against the current points
+        and K(x, x) = ``ktt``: O(n^2) work, and no term is ever subtracted."""
+        n = self.n
+        a = np.asarray(kt, dtype=float)
+        if a.shape != (n,):
+            raise ValueError(f"kernel row must have length {n}, got {a.shape}")
+        if not ktt > 0:
+            raise ValueError(f"gram diagonal must be strictly positive; point "
+                             f"index {n} has K(x, x) = {ktt}")
+        if (a < 0).any():
+            raise ValueError("kernel produced a negative Gram entry")
+        dp, d = float(ktt), self.d
+        self.d = np.append(d, dp)
+        if self.order >= 2:
+            self._reserve(n + 1)
+            q_col = a * a / dp           # Q[j, p] for the new point p
+            q_row = a * a / d            # Q[p, m]
+            s = self.s
+            self.s = np.append(s + q_col, q_row.sum())
+            off = self._border("off", a, a, 0.0)
+            if self.order == 3:
+                self._grow_order3(a, dp, d, s, q_col, q_row, off)
+        self.n += 1
+
+    def _grow_order3(self, a, dp, d, s, q_col, q_row, off) -> None:
+        n = self.n
+        b = self._buffers
+        self.s_terms = np.append(self.s_terms + (q_col > 0),
+                                 np.count_nonzero(q_row))
+        # p lies outside every old pair {i, j}, so s2 gains Q[j, p]
+        b["s2"][:n, :n] += q_col
+        corner = q_row.sum()
+        s2 = self._border("s2", s, _sum_without(q_row), corner)
+        # inner gains the rank-one term through p
+        b["inner"][:n, :n] += np.multiply.outer(a, a / dp)
+        new = (a / d) @ off[:n, :n]
+        inner = self._border("inner", new, new, corner)
+        t0 = self.t0 = b["t0"][:n + 1, :n + 1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(off, s2, out=t0)
+        # s2[i, j] is 0 only in a column j with at most one positive Q[j, m]
+        cols = np.flatnonzero(self.s_terms <= 1)
+        rows, at = np.nonzero(s2[:, cols] == 0)
+        cols = cols[at]
+        t0[rows, cols] = off[rows, cols]
+        self.delta = np.einsum("ij,ij->i", t0, off)
+        r0 = np.einsum("ij,ij->i", t0, inner)
+        keep = off[rows, cols] > 0
+        lr, lc = rows[keep], cols[keep]
+        self.lone = (lr, lc, off[lr, lc])
+        if lr.size:
+            r0 += np.bincount(lr, off[lr, lc] ** 2 / self.d[lc], minlength=n + 1)
+        self.flat = np.flatnonzero(r0 == 0)
+        r0[self.flat] = np.inf
+        self.r0 = r0
 
 
 def build_limit_table(g: GramMatrix, order: int) -> LimitTable:
-    """Denominators for the alpha -> 0+ limit of the order-k ratio.
+    """Tables for the alpha -> 0+ limit of the order-k ratio.
 
-    Order 2 costs O(n^2) and order 3 O(n^3), one matrix product.
+    The table is grown one point at a time, as a partition block grows:
+    O(n^2) a point, so O(n^3) in all at order 3 and O(n^2) below.
     """
-    if order not in (0, 1, 2, 3):
-        raise ValueError(f"order must be in 0..3, got {order}")
     n = g.n
     if n == 0:
         raise ValueError("cyclic ratio is undefined for an empty point set")
-    d = g.diagonal
-    bad = np.flatnonzero(d <= 0)
-    if bad.size:
-        raise ValueError(f"gram diagonal must be strictly positive; point index "
-                         f"{int(bad[0])} has K(x, x) = {d[int(bad[0])]}")
-    off = g.entries.copy()
-    np.fill_diagonal(off, 0.0)
-    table = LimitTable(g, order, off)
-    # Q[i, m] = K(x_i, x_m)^2 / K(x_m, x_m), m != i
-    Q = off * off / d
-    if order == 2:
-        table.r1_loo = _Series.of(Q.sum(axis=1), d)
-    if order == 3:
-        # r1_l2o[i, j] = a d_j + sum_{m not in {i, j}} Q[j, m]
-        table.r1_l2o = _Series.of(_sum_without(Q).T, d)
-        # inner[m, i] = sum_{l not in {i, m}} K(x_m, x_l) K(x_l, x_i) / d_l
-        inner = (off / d) @ off
-        terms = _Series.of(off * inner.T, off * off) / table.r1_l2o
-        table.r2_loo = _alpha_times(d) + terms.sum(axis=1)
+    table = LimitTable(order)
+    G = g.entries
+    for p in range(n):
+        table.grow(G[p, :p], G[p, p])
     return table
 
 
@@ -658,33 +552,81 @@ def limit_ratio(table: LimitTable, kt, ktt: float) -> float:
     """alpha -> 0+ limit of the order-k ratio for one query.
 
     ``kt[i] = K(t, x_i)`` and ``ktt = K(t, t)``; the order is the table's.
+    The a K(t, t) term vanishes in the limit.  Order 1 is one dot product,
+    order 2 one matrix-vector product and order 3 two, plus one more for
+    the few points whose k = i terms must be left out of a sum exactly.
     """
-    n = table.gram.n
+    n = table.n
     kt = np.asarray(kt, dtype=float)
     if kt.shape != (n,):
         raise ValueError(f"kernel column must have length {n}, got {kt.shape}")
     order = table.order
-    total = ALPHA * float(ktt)
-    w = kt / table.gram.diagonal
+    if order == 0:
+        return 0.0
+    w = kt / table.d
     if order == 1:
-        total = total + float(kt @ w)
-    elif order == 2:
-        # inner[i] = sum_{j != i} K(x_i, x_j) K(t, x_j) / d_j
-        terms = _Series.of(kt * (table.off @ w), kt * kt) / table.r1_loo
-        total = total + terms.sum().scalar()
-    elif order == 3:
-        # x[i, j] = K(t, x_i) K(x_i, x_j); h[i, j] = sum_{k not in {i, j}} K(x_j, x_k) w_k
-        x = kt[:, None] * table.off
-        h = _sum_without(table.off * w).T
-        # the k-sum passes through the uni-cycle 1 / (a d_k): lead -1
-        terms = _Series.normalized(-1, x * h, x * kt) / table.r1_l2o
-        bracket = _Series.of(kt * kt, 0.0) + terms.sum(axis=1)
-        total = total + (bracket.times_alpha() / table.r2_loo).sum().scalar()
-    return total.limit()
+        return float(kt @ w)
+    # u[i] = sum_{j != i} K(x_i, x_j) K(t, x_j) / d_j
+    u = table.off @ w
+    if order == 2:
+        # over r1_loo = s + a d; a lone point (s = 0) keeps its two-cycle
+        # term K(t, x_i)^2 / d_i, unless a three-cycle term reaches it
+        c0 = kt * u
+        _diverges((table.s == 0) & (c0 > 0))
+        return float(np.divide(c0, table.s, out=kt * w, where=table.s > 0).sum())
+    return _four_cycle_limit(table, kt, w, u)
+
+
+def _diverges(lanes: np.ndarray) -> None:
+    """Raise if a term of leading power alpha^-1 is left at any of ``lanes``."""
+    if lanes.any():
+        raise DegenerateConfigurationError(
+            "ratio diverges in the small-mass limit: a term of point "
+            f"{int(np.flatnonzero(lanes)[0])} outweighs every term of its "
+            "denominator; the configuration is degenerate")
+
+
+def _four_cycle_limit(table: LimitTable, kt, w, u) -> float:
+    """The order-3 limit: the sum over i of a B_i / r2_loo[i].
+
+    The bracket B_i = B_-1[i] / a + B_0[i] + O(a) sums, over j != i, the
+    four-cycle terms K(t, x_i) K(x_i, x_j) K(x_j, x_k) K(x_k, t) / (a d_k)
+    (k not in {i, j}) and the three-cycle terms K(t, x_i) K(x_i, x_j)
+    K(x_j, t), each over r1_l2o[i, j].
+    """
+    n = table.n
+    lr, lc, lv = table.lone
+    # B_-1 / kt = t0 (off w) - w delta + Z w, Z being off on the lone lanes:
+    # the subtraction takes the k = i terms out of the dense product
+    v = table.t0 @ u
+    b = v - w * table.delta
+    lone_w = np.bincount(lr, lv * w[lc], minlength=n)
+    b += lone_w
+    # the difference is trusted where it keeps at least a quarter of v, so
+    # that rounding moves it by a few units of v's last place at most; the
+    # other lanes (whose exact value may be 0) are summed again with every
+    # term k = i left out, never subtracted
+    redo = np.flatnonzero((4.0 * b < v) & (kt > 0))
+    if redo.size:
+        w_out = w.copy()
+        w_out[redo] = 0.0
+        others = w[redo][:, None] * (1.0 - np.eye(redo.size))
+        U = (table.off @ w_out)[:, None] + table.off[:, redo] @ others
+        b[redo] = np.einsum("ij,ji->i", table.t0[redo], U) + lone_w[redo]
+    b *= kt
+    total = float((b / table.r0).sum())
+    flat = table.flat
+    if flat.size:
+        _diverges(b[flat] > 0)
+        # every term starts one power of alpha later: B_0 over r1 = d + delta
+        ktf = kt[flat]
+        b0 = ktf * (ktf + table.t0[flat] @ kt)
+        total += float((b0 / (table.d[flat] + table.delta[flat])).sum())
+    return total
 
 
 def cyclic_ratio_from_kt(g: GramMatrix, kt, ktt: float, order: int) -> float:
-    """alpha -> 0+ limit of the order-k ratio, via series arithmetic."""
+    """alpha -> 0+ limit of the order-k ratio, through a fresh table."""
     return limit_ratio(build_limit_table(g, order), kt, ktt)
 
 

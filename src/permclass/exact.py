@@ -30,7 +30,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .kernels import Kernel, gram, kernel_column, kernel_eval
+from .kernels import GramMatrix, Kernel, gram, kernel_column, kernel_eval
 
 __all__ = [
     "EXACT_SIZE_CAP",
@@ -181,15 +181,16 @@ def _cyp_small(m: np.ndarray) -> float:
     return float(np.dot((m[0, 2] * m[2, 1], m[0, 1] * m[1, 2]), (m[1, 0], m[2, 0])))
 
 
-def _augmented(kernel: Kernel, t, points) -> np.ndarray:
-    g = gram(kernel, points)
+def _augmented(g: GramMatrix, t) -> np.ndarray:
+    """``g``'s entries bordered by the query: K(t, x_i) off the diagonal and
+    K(t, t) on it, from ``g``'s kernel."""
     n = g.n
     out = np.empty((n + 1, n + 1))
     out[:n, :n] = g.entries
-    col = kernel_column(kernel, t, g.points) if n else np.zeros(0)
+    col = kernel_column(g.kernel, t, g.points) if n else np.zeros(0)
     out[:n, n] = col
     out[n, :n] = col
-    out[n, n] = kernel_eval(kernel, t, t)
+    out[n, n] = kernel_eval(g.kernel, t, t)
     return out
 
 
@@ -203,12 +204,24 @@ def ratio_exact(t, points, kernel: Kernel, alpha: float,
     n = pts.shape[0] if pts.size else 0
     if n == 0:
         return float(alpha) * kernel_eval(kernel, t, t)
-    _check_cap(n + 1, cap)
-    aug = _augmented(kernel, t, points)
-    denom = per_alpha_exact(aug[:n, :n], alpha, cap=cap)
+    return float(_ratio_exact_rows(gram(kernel, points), [t], alpha, cap)[0])
+
+
+def _ratio_exact_rows(g: GramMatrix, queries, alpha: float,
+                     cap: int = EXACT_SIZE_CAP) -> np.ndarray:
+    """`ratio_exact` for each query against the points of ``g``, a nonempty
+    Gram matrix built from a kernel.
+
+    The denominator per_a{K(x)} is computed once for all the queries, and
+    each query's matrix borders ``g``; the values are those of
+    `ratio_exact`, bit for bit.
+    """
+    _check_cap(g.n + 1, cap)
+    denom = per_alpha_exact(g.entries, alpha, cap=cap)
     if denom == 0.0:
         raise ZeroDivisionError("per_alpha of the training configuration is zero")
-    return per_alpha_exact(aug, alpha, cap=cap) / denom
+    return np.array([per_alpha_exact(_augmented(g, t), alpha, cap=cap) / denom
+                     for t in queries])
 
 
 def ratio_exact_matrix(A, alpha: float, cap: int = EXACT_SIZE_CAP) -> float:
@@ -233,7 +246,7 @@ def cyclic_ratio_exact(t, points, kernel: Kernel, cap: int = EXACT_SIZE_CAP) -> 
     if n == 0:
         raise ValueError("cyclic ratio is undefined for an empty point set")
     _check_cap(n + 1, cap)
-    aug = _augmented(kernel, t, points)
+    aug = _augmented(gram(kernel, points), t)
     denom = cyp_exact(aug[:n, :n], cap=cap)
     if denom == 0.0:
         raise ZeroDivisionError("cyp of the training configuration is zero")

@@ -3,21 +3,24 @@
 The oracles here (permutation enumeration, elimination determinant) are
 deliberately separate from the package code so the two sides of every
 exactness check stay independent.  The scalar order-k recursion over
-floats or `GradedValue` series is the reference that the package's array
-evaluation of the alpha -> 0 limit is tested against.
+floats or `GradedValue` series (truncated power series in alpha) is the
+reference that the package's matrix-vector evaluation of the alpha -> 0
+limit is tested against.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from permclass.classify import fit, predict
-from permclass.cyclic import ALPHA, GradedValue
+from permclass.cyclic import DegenerateConfigurationError
 from permclass.exact import Partition, cyp_exact
 from permclass.kernels import KernelFamily, gram, kernel_column, kernel_self
 from permclass.model_select import (CandidateResult, CVReport, _objective_fn,
@@ -138,6 +141,134 @@ def block_constant_matrix(sizes, levels):
         G[i0:i0 + s, i0:i0 + s] = c
         i0 += s
     return G
+
+
+# -- truncated power series in alpha (the reference arithmetic) -----------
+
+
+@dataclass(frozen=True)
+class GradedValue:
+    """Value of the form alpha^lead (c0 + c1 alpha + O(alpha^2)).
+
+    Two coefficients are tracked, which is enough to extract the constant
+    term of every ratio formula here: intermediate leads dip to -1 only
+    through the innermost uni-cycle denominators and are lifted back by
+    the leading alpha factor.  The exact zero is canonically
+    ``GradedValue(0, 0.0, 0.0)``.  If leading coefficients ever cancel,
+    the lead is shifted and the next coefficient is no longer tracked;
+    the recursions here only ever add nonnegative terms, so this is a
+    safety net rather than a code path.
+    """
+
+    lead: int
+    c0: float
+    c1: float = 0.0
+
+    @staticmethod
+    def of(value: float) -> "GradedValue":
+        return _normalize(0, float(value), 0.0)
+
+    @property
+    def is_zero(self) -> bool:
+        return self.c0 == 0.0 and self.c1 == 0.0
+
+    def limit(self) -> float:
+        """Value at alpha -> 0+."""
+        if self.is_zero or self.lead > 0:
+            return 0.0
+        if self.lead == 0:
+            return self.c0
+        raise DegenerateConfigurationError(
+            "ratio diverges in the small-mass limit (leading power "
+            f"{self.lead}); the configuration is degenerate"
+        )
+
+    def at(self, alpha: float) -> float:
+        """Evaluate the tracked part at a concrete alpha (for diagnostics)."""
+        return alpha**self.lead * (self.c0 + self.c1 * alpha)
+
+    # -- arithmetic ----------------------------------------------------
+
+    def __add__(self, other):
+        other = _lift(other)
+        if other is NotImplemented:
+            return NotImplemented
+        if self.is_zero:
+            return other
+        if other.is_zero:
+            return self
+        a, b = (self, other) if self.lead <= other.lead else (other, self)
+        gap = b.lead - a.lead
+        if gap == 0:
+            return _normalize(a.lead, a.c0 + b.c0, a.c1 + b.c1)
+        if gap == 1:
+            return _normalize(a.lead, a.c0, a.c1 + b.c0)
+        return a
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return GradedValue(self.lead, -self.c0, -self.c1)
+
+    def __sub__(self, other):
+        other = _lift(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return _lift(other) + (-self)
+
+    def __mul__(self, other):
+        other = _lift(other)
+        if other is NotImplemented:
+            return NotImplemented
+        if self.is_zero or other.is_zero:
+            return _ZERO
+        return _normalize(self.lead + other.lead,
+                          self.c0 * other.c0,
+                          self.c0 * other.c1 + self.c1 * other.c0)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = _lift(other)
+        if other is NotImplemented:
+            return NotImplemented
+        if other.is_zero:
+            raise DegenerateConfigurationError(
+                "division by a quantity that is identically zero to tracked "
+                "order; the configuration is degenerate"
+            )
+        if self.is_zero:
+            return _ZERO
+        b0, b1 = other.c0, other.c1
+        return _normalize(self.lead - other.lead,
+                          self.c0 / b0,
+                          (self.c1 * b0 - self.c0 * b1) / (b0 * b0))
+
+    def __rtruediv__(self, other):
+        return _lift(other) / self
+
+
+def _normalize(lead: int, c0: float, c1: float) -> GradedValue:
+    if c0 == 0.0:
+        if c1 == 0.0:
+            return GradedValue(0, 0.0, 0.0)
+        return GradedValue(lead + 1, c1, 0.0)
+    return GradedValue(lead, c0, c1)
+
+
+def _lift(x):
+    if isinstance(x, GradedValue):
+        return x
+    if isinstance(x, Real):
+        return GradedValue.of(float(x))
+    return NotImplemented
+
+
+_ZERO = GradedValue(0, 0.0, 0.0)
+ALPHA = GradedValue(1, 1.0, 0.0)
 
 
 # -- scalar order-k recursion (floats or GradedValue) ----------------------

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import cyclic_ratio_scalar, knn_loop, sequential_partition_scalar
+from conftest import (augment, cyclic_ratio_scalar, knn_loop,
+                      sequential_partition_scalar)
 from permclass.classify import (LabeledDataset, ModelParams, fit, knn_predict,
                                 predict, predict_infinite, sequential_partition)
 from permclass.cyclic import build_ratio_table, ratio_batch, ratio_from_kt
@@ -192,6 +193,36 @@ def test_predict_exact_matches_ratio_oracle(rng):
     w = np.array([ratio_exact(t, data.class_points(r), params.kernel, a)
                   for r, a in enumerate((0.6, 1.1))])
     assert np.allclose(table.raw[0], w, rtol=1e-12)
+
+
+def test_predict_exact_builds_each_denominator_once(rng, monkeypatch):
+    import permclass.exact as exact_mod
+    data = make_data(rng, (5, 4, 3))
+    params = ModelParams(kernel=Kernel.exponential(0.9), alphas=(0.6, 1.1, 2.0),
+                         order="exact")
+    model = fit(data, params)
+    qs = rng.normal(size=(7, 2))
+    calls = []
+    per_alpha = exact_mod.per_alpha_exact
+
+    def counted(A, alpha, cap=exact_mod.EXACT_SIZE_CAP):
+        calls.append(np.shape(A)[0])
+        return per_alpha(A, alpha, cap=cap)
+
+    monkeypatch.setattr(exact_mod, "per_alpha_exact", counted)
+    table = predict(model, qs)
+    # m queries x k classes: one bordered matrix each, plus one
+    # denominator per class (one per query and class before)
+    assert len(calls) == 7 * 3 + 3
+    monkeypatch.setattr(exact_mod, "per_alpha_exact", per_alpha)
+    for r, a in enumerate((0.6, 1.1, 2.0)):
+        pts = data.class_points(r)
+        G = gram(params.kernel, pts).entries
+        for q, got in zip(qs, table.raw[:, r]):
+            assert got == ratio_exact(q, pts, params.kernel, a)
+            kt = kernel_column(params.kernel, q, pts)
+            assert got == (per_alpha(augment(G, kt, 1.0), a)
+                           / per_alpha(G, a))
 
 
 def test_non_finite_training_points_rejected():

@@ -3,16 +3,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import (augment, banded_gram, block_constant_matrix,
-                      cyclic_ratio_scalar, generic_ratio, generic_tables,
-                      ratio_table_one_shot, sym_nonneg)
-from permclass.cyclic import (ALPHA, DegenerateConfigurationError, GradedValue,
-                              GramStructure, build_limit_table, build_ratio_table,
+from conftest import (ALPHA, GradedValue, augment, banded_gram,
+                      block_constant_matrix, cyclic_ratio_scalar,
+                      generic_ratio, generic_tables, ratio_table_one_shot,
+                      sym_nonneg)
+from permclass.cyclic import (DegenerateConfigurationError, GramStructure,
+                              LimitTable, build_limit_table, build_ratio_table,
                               closed_form_ratio, closed_form_ratio_matrix,
                               cyclic_ratio_approx, cyclic_ratio_from_kt,
                               limit_ratio, per_alpha_cyclic, ratio_approx,
                               ratio_approx_matrix, ratio_batch, ratio_from_kt)
-from permclass.cyclic import _ZERO, _finish, _fit_core, _normalize, _Series
+from permclass.cyclic import _finish, _fit_core
 from permclass.exact import per_alpha_exact, ratio_exact_matrix
 from permclass.kernels import GramMatrix, Kernel, gram, kernel_column
 
@@ -65,46 +66,6 @@ class TestGradedValue:
     def test_at_matches_series(self):
         v = GradedValue(1, 2.0, 3.0)
         assert v.at(0.1) == pytest.approx(0.1 * (2.0 + 0.3))
-
-
-_coefficient = st.sampled_from([0.0, 0.5, 1.0, 2.0, -1.0, 3.25])
-_graded = st.builds(_normalize, st.integers(-2, 2), _coefficient, _coefficient)
-
-
-def _as_series(values):
-    return _Series(np.array([v.lead for v in values]),
-                   np.array([v.c0 for v in values]),
-                   np.array([v.c1 for v in values]))
-
-
-def _entries(series):
-    return [GradedValue(int(l), float(a), float(b))
-            for l, a, b in zip(series.lead, series.c0, series.c1)]
-
-
-@given(st.lists(st.tuples(_graded, _graded), min_size=1, max_size=8))
-def test_series_elementwise_ops_match_graded_value(pairs):
-    a = _as_series([p for p, _ in pairs])
-    b = _as_series([q for _, q in pairs])
-    assert _entries(a + b) == [p + q for p, q in pairs]
-    assert _entries(a.times_alpha()) == [ALPHA * p for p, _ in pairs]
-    if all(not q.is_zero for _, q in pairs):
-        assert _entries(a / b) == [p / q for p, q in pairs]
-    else:
-        with pytest.raises(DegenerateConfigurationError):
-            a / b
-
-
-@given(st.lists(_graded, min_size=1, max_size=8))
-def test_series_sum_matches_graded_value(values):
-    # without cancelling leading coefficients the sum is order-free
-    values = [GradedValue(v.lead, abs(v.c0), v.c1) for v in values]
-    total = _ZERO
-    for v in values:
-        total = total + v
-    got = _as_series(values).sum().scalar()
-    assert (got.lead, got.c0) == (total.lead, pytest.approx(total.c0, rel=1e-12))
-    assert got.c1 == pytest.approx(total.c1, rel=1e-12, abs=1e-12)
 
 
 # -- denominator tables --------------------------------------------------
@@ -533,22 +494,37 @@ def test_cyclic_limit_exact_at_full_order(rng):
     assert got == pytest.approx(exact, rel=1e-10)
 
 
-# -- array series vs the scalar GradedValue recursion ---------------------
+# -- grown limit tables vs the scalar GradedValue recursion --------------
 
 
 def _assert_limit_matches_scalar(M, kt, ktt=0.9):
-    """Orders 0-3 agree to 1e-12 relative (exact zeros exactly), or both
-    sides raise DegenerateConfigurationError."""
+    """Tables of orders 0-3 grown one point at a time: after every step each
+    limit over the points so far matches the scalar reference to 1e-12
+    relative (exact zeros exactly), or both sides raise, ours saying
+    "diverges".  The full tables are the ones a fresh build makes."""
+    tables = [LimitTable(k) for k in (0, 1, 2, 3)]
+    for p in range(M.shape[0]):
+        for table in tables:
+            table.grow(M[p, :p], M[p, p])
+        sub, q = M[:p + 1, :p + 1], kt[:p + 1]
+        for table in tables:
+            try:
+                expect = cyclic_ratio_scalar(sub, q, ktt, table.order)
+            except DegenerateConfigurationError:
+                with pytest.raises(DegenerateConfigurationError, match="diverges"):
+                    limit_ratio(table, q, ktt)
+                continue
+            assert limit_ratio(table, q, ktt) == pytest.approx(
+                expect, rel=1e-12, abs=0.0), (p, table.order)
     g = GramMatrix.from_matrix(M)
-    for k in (0, 1, 2, 3):
+    for table in tables:
         try:
-            expect = cyclic_ratio_scalar(M, kt, ktt, k)
+            got = limit_ratio(table, kt, ktt)
         except DegenerateConfigurationError:
             with pytest.raises(DegenerateConfigurationError):
-                cyclic_ratio_from_kt(g, kt, ktt, k)
+                cyclic_ratio_from_kt(g, kt, ktt, table.order)
             continue
-        assert cyclic_ratio_from_kt(g, kt, ktt, k) == pytest.approx(
-            expect, rel=1e-12, abs=0.0)
+        assert cyclic_ratio_from_kt(g, kt, ktt, table.order) == got
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.floats(0.0, 0.9))
@@ -566,9 +542,12 @@ def test_limit_matches_scalar_structured(rng):
     pattern = rng.random((n, n)) < 0.3
     zero_one = (pattern | pattern.T).astype(float)
     np.fill_diagonal(zero_one, 1.0)
+    # blocks whose members arrive interleaved, as in a partition
+    mixed = rng.permutation(n)
     for M in (np.diag(rng.uniform(0.5, 2.0, size=n)),
               np.full((n, n), 0.7),
               block_constant_matrix([4, 1, 4], [0.6, 1.3, 0.9]),
+              block_constant_matrix([3, 2, 4], [1.0, 0.5, 1.0])[np.ix_(mixed, mixed)],
               zero_one,
               banded_gram(rng, n)):
         for kt in (rng.random(n), (rng.random(n) < 0.5).astype(float),
@@ -590,6 +569,13 @@ def test_limit_sparse_case_needs_exact_exclusions():
     _assert_limit_matches_scalar(M, kt, 1.0)
     got = cyclic_ratio_from_kt(GramMatrix.from_matrix(M), kt, 1.0, 3)
     assert got == pytest.approx(0.38798920377867, rel=1e-12)
+    # a coupled pair, the query touching one of them: no cycle through t
+    # returns, so the limit is exactly 0, while the dense product minus the
+    # k = i terms leaves rounding residue (3e-17 here)
+    pair = np.array([[1.0, 0.7], [0.7, 1.9]])
+    kt = np.array([0.3, 0.0])
+    _assert_limit_matches_scalar(pair, kt, 1.0)
+    assert cyclic_ratio_from_kt(GramMatrix.from_matrix(pair), kt, 1.0, 3) == 0.0
 
 
 def test_limit_degenerate_path_raises_like_scalar():
@@ -614,6 +600,32 @@ def test_limit_table_serves_many_queries(rng):
             assert limit_ratio(table, kt, 1.0) == cyclic_ratio_from_kt(g, kt, 1.0, k)
     with pytest.raises(ValueError, match="length 7"):
         limit_ratio(table, np.ones(6), 1.0)
+
+
+def test_limit_query_far_from_all_but_one_point():
+    # a gaussian query next to x_0 and far from the rest: the k = i terms
+    # are almost all of t0 (off w) at x_0, and taking them out by
+    # subtraction alone would lose about half the significant digits
+    pts = np.array([[0.0, 0.0], [2.0, 0.3], [2.2, 1.9], [0.4, 2.5]])
+    kern = Kernel.gaussian(0.7)
+    g = gram(kern, pts)
+    kt = kernel_column(kern, np.array([0.05, -0.02]), pts)
+    assert kt.max() / np.sort(kt)[-2] > 1e3
+    for k in (2, 3):
+        assert cyclic_ratio_from_kt(g, kt, 1.0, k) == pytest.approx(
+            cyclic_ratio_scalar(g.entries, kt, 1.0, k), rel=1e-12, abs=0.0)
+
+
+def test_limit_table_grows_checked_rows():
+    table = LimitTable(3)
+    table.grow(np.zeros(0), 1.0)
+    with pytest.raises(ValueError, match="negative Gram entry"):
+        table.grow(np.array([-0.1]), 1.0)
+    with pytest.raises(ValueError, match="strictly positive"):
+        table.grow(np.array([0.1]), 0.0)
+    with pytest.raises(ValueError, match="length 1"):
+        table.grow(np.zeros(2), 1.0)
+    assert table.n == 1
 
 
 def cyclic_ratio_smallalpha(g: GramMatrix, kt, ktt: float, order: int,
