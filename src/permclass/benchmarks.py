@@ -19,7 +19,8 @@ import numpy as np
 
 from .classify import LabeledDataset, ModelParams, fit, predict
 from .cyclic import build_ratio_table, ratio_approx, ratio_from_kt
-from .exact import ratio_exact_matrix
+from .datasets import gen_triangular
+from .exact import _ratio_exact_rows
 from .kernels import Kernel, gram, kernel_column, kernel_self
 
 __all__ = [
@@ -121,8 +122,6 @@ def bench_orders(n_list, kernel: Kernel | None = None, alpha: float = 1.0,
 # ratio accuracy study (triangular sample, gaussian kernel)
 # ---------------------------------------------------------------------------
 
-from .datasets import gen_triangular  # noqa: E402  (avoids a cycle at import)
-
 DEFAULT_STUDY_SEED = 20120704
 
 
@@ -204,19 +203,13 @@ def accuracy_study(config: StudyConfig | None = None) -> StudyReport:
     xs = x1[sub_idx]
     gs = gram(kernel, xs)
     tables = build_ratio_table(gs, cfg.alpha, order=3)
-    t_small = np.linspace(cfg.lo, cfg.hi, cfg.oracle_points)
+    t_small = np.linspace(cfg.lo, cfg.hi, cfg.oracle_points).reshape(-1, 1)
+    exact = _ratio_exact_rows(gs, t_small, cfg.alpha)
     errs: dict[int, list[float]] = {1: [], 2: [], 3: []}
-    m = cfg.subsample
-    for t in t_small:
-        aug = np.empty((m + 1, m + 1))
-        aug[:m, :m] = gs.entries
-        col = kernel_column(kernel, np.array([t]), xs)
-        aug[:m, m] = col
-        aug[m, :m] = col
-        aug[m, m] = kernel_self(kernel, np.array([t]))
-        ex = ratio_exact_matrix(aug, cfg.alpha)
+    for t, ex in zip(t_small, exact):
+        col = kernel_column(kernel, t, xs)
         for k in (1, 2, 3):
-            approx = ratio_from_kt(tables, col, aug[m, m], order=k)
+            approx = ratio_from_kt(tables, col, kernel_self(kernel, t), order=k)
             errs[k].append(abs(approx - ex) / abs(ex))
     oracle_rel_err = {k: float(np.mean(v)) for k, v in errs.items()}
 

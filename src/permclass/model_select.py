@@ -16,7 +16,7 @@ import numpy as np
 from .classify import (LabeledDataset, ModelParams, PosteriorTable, _class_alphas,
                        _fit_kernel, _kernel_blocks, _posterior, _with_alphas)
 from .cyclic import EXACT_ORDER
-from .kernels import _GRAM_BLOCK_ENTRIES, Kernel, _sq_distances, kernel_self_batch
+from .kernels import Kernel, _as_rows, _sq_distances, kernel_self_batch
 
 __all__ = [
     "CVSpec",
@@ -228,13 +228,11 @@ def cross_validate(data: LabeledDataset, spec: CVSpec) -> CVReport:
 
 
 def median_pairwise_distance(points) -> float:
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts.reshape(-1, 1)
+    pts = _as_rows(points, "point")
     n = pts.shape[0]
     if n < 2:
         raise ValueError("need at least two points")
-    d2 = _sq_distances(pts, pts, _GRAM_BLOCK_ENTRIES)
+    d2 = _sq_distances(pts, pts)
     iu = np.triu_indices(n, k=1)
     return float(np.median(np.sqrt(d2[iu])))
 

@@ -1,6 +1,10 @@
+import numpy as np
 import pytest
 
+from conftest import augment
 from permclass.benchmarks import StudyConfig, accuracy_study, bench_orders
+from permclass.exact import ratio_exact_matrix
+from permclass.kernels import kernel_column, kernel_self
 
 
 def test_bench_report_structure():
@@ -33,3 +37,32 @@ def test_accuracy_study_smoke():
     summary = report.summary_dict()
     assert summary["config"]["central_peak"] == "|t| <= 0.5"
     assert summary["config"]["seed"] == 5
+
+
+def test_accuracy_study_computes_the_training_permanent_once(monkeypatch):
+    import permclass.benchmarks as bench_mod
+    import permclass.exact as exact_mod
+    cfg = StudyConfig(n=24, t_points=17, subsample=6, oracle_points=5, seed=5)
+    per_alpha, rows = exact_mod.per_alpha_exact, exact_mod._ratio_exact_rows
+    calls, oracle = [], []
+
+    def counted(A, alpha, cap=exact_mod.EXACT_SIZE_CAP):
+        calls.append(np.shape(A)[0])
+        return per_alpha(A, alpha, cap=cap)
+
+    def recorded(g, queries, alpha):
+        oracle.append((g, queries, alpha, rows(g, queries, alpha)))
+        return oracle[-1][-1]
+
+    monkeypatch.setattr(exact_mod, "per_alpha_exact", counted)
+    monkeypatch.setattr(bench_mod, "_ratio_exact_rows", recorded, raising=False)
+    accuracy_study(cfg)
+    monkeypatch.undo()
+    # the training permanent once, then one bordered matrix per oracle point
+    assert calls == [cfg.subsample] + [cfg.subsample + 1] * cfg.oracle_points
+    (g, queries, alpha, got), = oracle
+    assert len(got) == cfg.oracle_points
+    for t, value in zip(queries, got):
+        kt = kernel_column(g.kernel, t, g.points)
+        assert value == ratio_exact_matrix(augment(g.entries, kt, kernel_self(g.kernel, t)),
+                                           alpha)

@@ -419,6 +419,17 @@ def test_knn_rejects_dimension_mismatch():
         knn_predict(X, np.arange(4) % 2, np.zeros((2, 4)))
 
 
+def test_knn_rejects_non_finite_points():
+    X, y = np.zeros((4, 2)), np.arange(4) % 2
+    X[2, 1] = np.nan
+    with pytest.raises(ValueError, match="point row 2, column 1 is not finite"):
+        knn_predict(X, y, np.zeros((3, 2)))
+    Q = np.zeros((3, 2))
+    Q[1, 0] = np.inf
+    with pytest.raises(ValueError, match="query row 1, column 0 is not finite"):
+        knn_predict(np.zeros((4, 2)), y, Q)
+
+
 def test_knn_self_classification(rng):
     data = make_data(rng, (8, 8), spread=0.3)
     pred = knn_predict(data.points, data.labels, data.points, k=1)

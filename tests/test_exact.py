@@ -222,6 +222,12 @@ def test_label_probability_normalizes(seed, n):
     assert total == pytest.approx(1.0, abs=1e-10)
 
 
+def test_label_probability_rejects_non_finite_points():
+    with pytest.raises(ValueError, match="point row 1, column 0 is not finite"):
+        label_probability_exact([[0.0], [np.nan]], [0, 1], [1.0, 1.0],
+                                Kernel.gaussian(1.0))
+
+
 def test_partition_single_point():
     part = Partition.from_blocks([[0]])
     p = partition_probability_exact(np.array([[0.0]]), part, 2.7,
@@ -236,6 +242,13 @@ def test_partition_probability_normalizes(rng):
     assert len(parts) == 52
     total = sum(partition_probability_exact(pts, b, 1.4, kern) for b in parts)
     assert total == pytest.approx(1.0, abs=1e-10)
+
+
+def test_partition_probability_rejects_non_finite_points():
+    part = Partition.from_blocks([[0, 1], [2]])
+    with pytest.raises(ValueError, match="point row 2, column 0 is not finite"):
+        partition_probability_exact([[0.0], [1.0], [np.inf]], part, 1.0,
+                                    Kernel.gaussian(1.0))
 
 
 def test_partition_ewens_reduction():

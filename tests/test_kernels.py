@@ -149,6 +149,23 @@ def test_block_constant_structure():
     assert np.array_equal(g.entries, expect)
 
 
+def test_gram_non_distance_families_match_pairwise_eval(rng):
+    # repeated points put equal keys off the diagonal
+    ground = [tuple(p) for p in rng.normal(size=(5, 2))]
+    pts = np.array(ground + ground[:2])
+    m = rng.random((5, 5))
+    for k in [
+        Kernel.constant(1.7),
+        Kernel.diagonal_indicator(default=0.4, table={ground[1]: 2.5}),
+        Kernel.block_constant({p: i % 2 for i, p in enumerate(ground)},
+                              levels={0: 0.3}, c=1.9),
+        Kernel.projection(m + m.T, ground),
+    ]:
+        g = gram(k, pts).entries
+        assert np.array_equal(g, [[kernel_eval(k, s, t) for t in pts] for s in pts])
+        assert np.array_equal(g, g.T)
+
+
 def test_projection_kernel_requires_nonneg():
     with pytest.raises(ValueError, match="nonnegative"):
         Kernel.projection([[0.5, -0.5], [-0.5, 0.5]], [(0.0,), (1.0,)])

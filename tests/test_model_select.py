@@ -151,6 +151,13 @@ def test_median_distance_matches_one_shot_formula(d):
         assert median_pairwise_distance(pts) == median_distance_one_shot(pts)
 
 
+def test_median_distance_rejects_non_finite_points():
+    pts = np.zeros((5, 2))
+    pts[3, 1] = np.nan
+    with pytest.raises(ValueError, match="point row 3, column 1 is not finite"):
+        median_pairwise_distance(pts)
+
+
 def test_report_serializes(rng):
     import json
     data = gen_chequerboard(2, seed=0)
