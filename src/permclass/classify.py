@@ -45,6 +45,21 @@ __all__ = [
 _BLOCK_ENTRIES = 4096
 
 
+def _label_codes(labels) -> np.ndarray:
+    """Labels as an int array, refusing values that are not whole numbers
+    and negative codes."""
+    raw = np.asarray(labels)
+    if raw.dtype.kind == "f":
+        bad = np.flatnonzero(~np.isfinite(raw) | (raw != np.round(raw)))
+        if bad.size:
+            i = int(bad[0])
+            raise ValueError(f"label {i} is not an integer class code ({raw[i]})")
+    codes = raw.astype(int)
+    if codes.size and codes.min() < 0:
+        raise ValueError("label codes must be nonnegative")
+    return codes
+
+
 @dataclass
 class LabeledDataset:
     """Feature vectors with class labels.
@@ -61,7 +76,7 @@ class LabeledDataset:
     def __post_init__(self):
         self.points = _as_rows(self.points, "point")
         if self.labels is not None:
-            self.labels = np.asarray(self.labels, dtype=int)
+            self.labels = _label_codes(self.labels)
             if self.labels.shape[0] != self.points.shape[0]:
                 raise ValueError("labels must match the point count")
             observed = int(self.labels.max()) + 1 if self.labels.size else 0
@@ -69,8 +84,6 @@ class LabeledDataset:
                 self.n_classes = observed
             if self.n_classes < observed:
                 raise ValueError("n_classes is smaller than the largest label code")
-            if self.labels.size and self.labels.min() < 0:
-                raise ValueError("label codes must be nonnegative")
             if not self.class_names:
                 self.class_names = tuple(str(r + 1) for r in range(self.n_classes))
 
@@ -160,12 +173,8 @@ class ModelParams:
 class _ClassState:
     points: np.ndarray
     alpha: float
-    gram: GramMatrix | None
+    gram: GramMatrix
     table: RatioTable | None
-
-    @property
-    def n(self) -> int:
-        return self.points.shape[0]
 
 
 @dataclass
@@ -185,9 +194,9 @@ class FittedModel:
 @dataclass
 class _KernelFit:
     """The alpha-free part of a fit: per class its points, Gram matrix and
-    table core (``None`` for an empty class; no core on the exact order)."""
+    table core (``None`` on the exact order)."""
 
-    classes: list[tuple[np.ndarray, GramMatrix | None, _FitCore | None]]
+    classes: list[tuple[np.ndarray, GramMatrix, _FitCore | None]]
     class_names: tuple[str, ...]
     dim: int
 
@@ -207,9 +216,6 @@ def _fit_kernel(data: LabeledDataset, kernel: Kernel, order) -> _KernelFit:
     classes = []
     for r in range(data.n_classes):
         pts = data.class_points(r)
-        if pts.shape[0] == 0:
-            classes.append((pts, None, None))
-            continue
         g = gram(kernel, pts)
         core = _fit_core(g, order) if order != EXACT_ORDER else None
         classes.append((pts, g, core))
@@ -235,8 +241,8 @@ def fit(data: LabeledDataset, params: ModelParams) -> FittedModel:
     alpha-free core per class (the Gram diagonal, the two-cycle terms and,
     at order 3, the O(n^3) product), which is then finished for the
     class's alpha in O(n_r^2); cross-validation finishes one core for
-    every alpha of a kernel.  Empty classes are recorded and served by the
-    empty-class rule at prediction time.
+    every alpha of a kernel.  An empty class gets a 0 x 0 Gram matrix and
+    table, whose ratio is the empty-class weight alpha K(t, t).
     """
     alphas = _class_alphas(data, params)
     return _with_alphas(_fit_kernel(data, params.kernel, params.order),
@@ -284,9 +290,7 @@ def _posterior(model: FittedModel, qs: np.ndarray, ktt: np.ndarray,
     params = model.params
     raw = np.empty((qs.shape[0], model.n_classes))
     for r, state in enumerate(model.classes):
-        if state.n == 0:
-            raw[:, r] = state.alpha * ktt
-        elif params.order == EXACT_ORDER:
+        if params.order == EXACT_ORDER:
             raw[:, r] = _ratio_exact_rows(state.gram, qs, state.alpha)
         else:
             lo = 0
@@ -435,8 +439,12 @@ def knn_predict(train_points, train_labels, queries, k: int = 5) -> np.ndarray:
     Distance ties resolve by training index (stable sort) and vote ties
     by lowest class code, so results are deterministic.
     """
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
     X = _as_rows(train_points, "point")
-    y = np.asarray(train_labels, dtype=int)
+    y = _label_codes(train_labels)
+    if y.shape != (X.shape[0],):
+        raise ValueError(f"expected {X.shape[0]} labels, one per point, got shape {y.shape}")
     Q = _as_rows(queries, "query")
     out = np.empty(Q.shape[0], dtype=int)
     n_classes = int(y.max()) + 1 if y.size else 0

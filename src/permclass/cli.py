@@ -22,13 +22,13 @@ from . import __version__
 from .benchmarks import StudyConfig, accuracy_study, bench_orders
 from .classify import (LabeledDataset, ModelParams, fit, predict,
                        sequential_partition)
-from .cyclic import EXACT_ORDER, per_alpha_cyclic
+from .cyclic import EXACT_ORDER, per_alpha_cyclic, ratio_approx_matrix
 from .datasets import (SplitPlan, gen_chequerboard, gen_expression,
                        gen_triangular, load_expression_csv, load_features_csv,
                        save_features_csv, rank_genes_bw, two_axis_projection)
 from .exact import per_alpha_exact, ratio_exact_matrix
 from .experiments import DEFAULT_TABLE1_SEED, run_chequerboard, run_microarray
-from .kernels import Kernel
+from .kernels import Kernel, _as_rows
 from .model_select import CVSpec, cross_validate, default_grid
 
 PROG = "permclass"
@@ -70,7 +70,7 @@ def _load_matrix(path: str) -> np.ndarray:
     m = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"{path}: matrix must be square, got {m.shape}")
-    return m
+    return _as_rows(m, f"{path}: matrix")
 
 
 def _kernel_from_args(args) -> Kernel:
@@ -100,17 +100,15 @@ def cmd_perm(args) -> int:
     m = _load_matrix(args.matrix)
     if args.mode == "exact":
         value = per_alpha_exact(m, args.alpha)
-        ratio = ratio_exact_matrix(m, args.alpha) if m.shape[0] >= 1 else None
+        ratio = ratio_exact_matrix(m, args.alpha)
         print(f"per_alpha = {value!r}")
-        if ratio is not None:
-            print(f"ratio_last = {ratio!r}")
+        print(f"ratio_last = {ratio!r}")
     else:
         order = _order_value(args.order)
         if order == EXACT_ORDER:
             raise ValueError("--order must be 0..3 for perm approx")
         value = per_alpha_cyclic(m, args.alpha, order=order)
         print(f"per_alpha_order{order} = {value!r}")
-        from .cyclic import ratio_approx_matrix
         print(f"ratio_last_order{order} = {ratio_approx_matrix(m, args.alpha, order)!r}")
     return 0
 

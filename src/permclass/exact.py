@@ -197,17 +197,15 @@ def ratio_exact(t, points, kernel: Kernel, alpha: float,
 
     The empty point set gives alpha * K(t, t).
     """
-    pts = np.asarray(points, dtype=float)
-    n = pts.shape[0] if pts.size else 0
-    if n == 0:
-        return float(alpha) * kernel_eval(kernel, t, t)
-    return float(_ratio_exact_rows(gram(kernel, points), [t], alpha, cap)[0])
+    pts = _as_rows(points, "point")
+    t = _as_rows(np.reshape(t, (1, -1)), "query")[0]
+    return float(_ratio_exact_rows(gram(kernel, pts), [t], alpha, cap)[0])
 
 
 def _ratio_exact_rows(g: GramMatrix, queries, alpha: float,
                      cap: int = EXACT_SIZE_CAP) -> np.ndarray:
-    """`ratio_exact` for each query against the points of ``g``, a nonempty
-    Gram matrix built from a kernel.
+    """`ratio_exact` for each query against the points of ``g``, a Gram
+    matrix built from a kernel (0 x 0 gives alpha K(t, t)).
 
     The denominator per_a{K(x)} is computed once for all the queries, and
     each query's matrix borders ``g``; the values are those of
@@ -241,12 +239,13 @@ def ratio_exact_matrix(A, alpha: float, cap: int = EXACT_SIZE_CAP) -> float:
 
 def cyclic_ratio_exact(t, points, kernel: Kernel, cap: int = EXACT_SIZE_CAP) -> float:
     """Exact cyclic ratio cyp{K(x u t)} / cyp{K(x)} for n >= 1."""
-    pts = np.asarray(points, dtype=float)
-    n = pts.shape[0] if pts.size else 0
+    pts = _as_rows(points, "point")
+    t = _as_rows(np.reshape(t, (1, -1)), "query")[0]
+    n = pts.shape[0]
     if n == 0:
         raise ValueError("cyclic ratio is undefined for an empty point set")
     _check_cap(n + 1, cap)
-    g = gram(kernel, points)
+    g = gram(kernel, pts)
     aug = _bordered(g.entries, kernel_column(kernel, t, g.points), kernel_eval(kernel, t, t))
     denom = cyp_exact(g.entries, cap=cap)
     if denom == 0.0:

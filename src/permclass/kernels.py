@@ -60,6 +60,8 @@ def _as_rows(points, what: str) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim < 2:
         pts = pts.reshape(-1, 1)
+    if pts.ndim > 2:
+        raise ValueError(f"{what} array must be 2-d (one row per point), got shape {pts.shape}")
     if not np.isfinite(pts).all():
         r, c = (int(v) for v in np.argwhere(~np.isfinite(pts))[0])
         raise ValueError(f"{what} row {r}, column {c} is not finite ({pts[r, c]})")
@@ -182,10 +184,7 @@ class Kernel:
         return float(self.c)
 
     def _block_of(self, key):
-        asg = self.aux["assignment"]
-        if key not in asg:
-            return None
-        return asg[key]
+        return self.aux["assignment"].get(key)
 
     def _block_level(self, block) -> float:
         lv = self.aux["levels"]
@@ -247,11 +246,8 @@ def kernel_eval(kernel: Kernel, s, t) -> float:
     if sv.shape != tv.shape:
         raise ValueError(f"dimension mismatch: {sv.shape[0]} vs {tv.shape[0]}")
     fam = kernel.family
-    if fam is KernelFamily.EXPONENTIAL:
-        return float(np.exp(-np.linalg.norm(sv - tv) / kernel.tau))
-    if fam is KernelFamily.GAUSSIAN:
-        delta = sv - tv
-        return float(np.exp(-float(delta @ delta) / kernel.tau**2))
+    if fam in (KernelFamily.EXPONENTIAL, KernelFamily.GAUSSIAN):
+        return float(_distance_kernel(kernel, ((sv - tv) ** 2).sum(keepdims=True))[0])
     if fam is KernelFamily.CONSTANT:
         return float(kernel.c)
     if fam is KernelFamily.DIAGONAL_INDICATOR:
@@ -290,6 +286,19 @@ def kernel_self_batch(kernel: Kernel, points) -> np.ndarray:
     return np.array([kernel_eval(kernel, t, t) for t in pts], dtype=float)
 
 
+def _distance_kernel(kernel: Kernel, sq: np.ndarray) -> np.ndarray:
+    """Exponential or gaussian kernel values, in place, from squared
+    distances ``((s - t) ** 2).sum(-1)``.  Every path sums them that way, so
+    a pair gets one float from `gram`, `kernel_block`, `kernel_column` and
+    `kernel_eval`."""
+    if kernel.family is KernelFamily.EXPONENTIAL:
+        np.sqrt(sq, out=sq)
+        sq /= -kernel.tau
+    else:
+        sq /= -kernel.tau**2
+    return np.exp(sq, out=sq)
+
+
 def kernel_block(kernel: Kernel, queries, points) -> np.ndarray:
     """Matrix of k(t_q, x_i): one row per query, one column per point."""
     qs = _as_points(queries)
@@ -301,30 +310,26 @@ def kernel_block(kernel: Kernel, queries, points) -> np.ndarray:
         raise ValueError(f"dimension mismatch: query is {qs.shape[1]}-d, points are {pts.shape[1]}-d")
     fam = kernel.family
     if fam in (KernelFamily.EXPONENTIAL, KernelFamily.GAUSSIAN):
-        # einsum, not `_sq_distances`, for speed (2-core Xeon, one BLAS
-        # thread): through `_sq_distances` a one-query column costs about
-        # 2 us more at n = 100, d = 2 (9.0 against 7.4 us) and less at
-        # n = 800, which together flatten the order-1 slope that acceptance
-        # criterion 9 bounds from below.  The microarray pipeline also ran
-        # about a fifth slower through it (0.65 -> 0.78 s at 40 repetitions,
-        # 6 alternating pairs) until its d >= 8 branch reused one
-        # difference buffer.
-        delta = pts[None, :, :] - qs[:, None, :]
-        sq = np.einsum("qij,qij->qi", delta, delta)
-        if fam is KernelFamily.EXPONENTIAL:
-            np.sqrt(sq, out=sq)
-            sq /= -kernel.tau
-        else:
-            sq /= -kernel.tau**2
-        return np.exp(sq, out=sq)
+        return _distance_kernel(kernel, _sq_distances(qs, pts))
     if fam is KernelFamily.CONSTANT:
         return np.full((m, n), float(kernel.c))
     return np.array([[kernel_eval(kernel, t, p) for p in pts] for t in qs]).reshape(m, n)
 
 
 def kernel_column(kernel: Kernel, t, points) -> np.ndarray:
-    """Vector of k(t, x_i) over a point set."""
-    return kernel_block(kernel, _as_point(t)[None, :], points)[0]
+    """Vector of k(t, x_i) over a point set.
+
+    The distance families sum ``(x - t)^2`` per row directly, the definition
+    `_sq_distances` reproduces, so a one-query column skips its block set-up.
+    """
+    tv = _as_point(t)
+    pts = _as_points(points)
+    if (kernel.family not in (KernelFamily.EXPONENTIAL, KernelFamily.GAUSSIAN)
+            or pts.shape[1] != tv.shape[0]):
+        return kernel_block(kernel, tv[None, :], pts)[0]
+    delta = pts - tv
+    delta *= delta
+    return _distance_kernel(kernel, delta.sum(axis=1))
 
 
 @dataclass
@@ -389,8 +394,9 @@ def _sq_distances(a: np.ndarray, b: np.ndarray,
     has ``block_entries // (n * d)`` rows (at least one) for ``b`` of shape
     n x d.  For 0 < d < 8 each block accumulates the squared differences
     one dimension at a time through one reused rows x n temporary; otherwise
-    it reduces a rows x n x d difference array.  (a - b)^2 equals (b - a)^2
-    exactly, so ``_sq_distances(x, x)`` is exactly symmetric.
+    it reduces a rows x n x d difference buffer, also reused (a fresh one
+    per block cost more than the arithmetic at n = 24, d = 200).  (a - b)^2
+    equals (b - a)^2 exactly, so ``_sq_distances(x, x)`` is exactly symmetric.
     """
     m = a.shape[0]
     n, d = b.shape
@@ -411,42 +417,25 @@ def _sq_distances(a: np.ndarray, b: np.ndarray,
                 np.multiply(t, t, out=t)
                 blk += t
     else:
+        buf = np.empty((min(step, m), n, d))
         for lo in range(0, m, step):
-            delta = a[lo:lo + step, None, :] - b[None, :, :]
+            delta = buf[:min(step, m - lo)]
+            np.subtract(a[lo:lo + step, None, :], b[None, :, :], out=delta)
             np.multiply(delta, delta, out=delta)
             delta.sum(axis=2, out=out[lo:lo + step])
     return out
 
 
 def gram(kernel: Kernel, points) -> GramMatrix:
-    """Build the Gram matrix K(x) over a point set.
+    """The Gram matrix K(x) over a point set: ``kernel_block(kernel, x, x)``.
 
-    Gaussian/exponential entries start from the squared distances of
-    `_sq_distances`, filled in row blocks straight into the n x n result:
-    for d < 8 summed one dimension at a time through a reused rows x n
-    temporary, for d >= 8 reduced from a rows x n x d difference block, both
-    bit-identical to the one-shot ``(delta * delta).sum(axis=2)``.  They are
-    then scaled, square-rooted (exponential) and exponentiated in place.
-    The other families' entries are ``kernel_block(kernel, x, x)``.
-    Entries are exactly symmetric (every family's `kernel_eval` is
-    symmetric bit for bit); gaussian/exponential diagonals are
-    exactly 1.  An empty point set yields the 0 x 0 matrix (its
-    alpha-permanent is 1 downstream).
+    Entries are exactly symmetric, as `_sq_distances(x, x)` and every
+    family's `kernel_eval` are; gaussian/exponential diagonals are exactly 1,
+    as a point's squared distance to itself is 0.  An empty point set yields
+    the 0 x 0 matrix (its alpha-permanent is 1 downstream).
     """
     pts = _as_points(points)
-    n = pts.shape[0]
-    fam = kernel.family
-    if fam in (KernelFamily.EXPONENTIAL, KernelFamily.GAUSSIAN):
-        entries = _sq_distances(pts, pts)
-        if fam is KernelFamily.GAUSSIAN:
-            entries /= -kernel.tau**2
-        else:
-            np.sqrt(entries, out=entries)
-            entries /= -kernel.tau
-        np.exp(entries, out=entries)
-        np.fill_diagonal(entries, 1.0)
-    else:
-        entries = kernel_block(kernel, pts, pts)
-    if n and (entries < 0).any():
+    entries = kernel_block(kernel, pts, pts)
+    if (entries < 0).any():
         raise ValueError("kernel produced a negative Gram entry")
     return GramMatrix(entries=entries, points=pts, kernel=kernel)

@@ -9,7 +9,7 @@ from permclass.classify import (LabeledDataset, ModelParams, fit, knn_predict,
                                 predict, predict_infinite, sequential_partition)
 from permclass.cyclic import build_ratio_table, ratio_batch, ratio_from_kt
 from permclass.exact import Partition, cyp_exact, ratio_exact
-from permclass.kernels import Kernel, gram, kernel_block, kernel_column
+from permclass.kernels import Kernel, gram, kernel_block, kernel_column, kernel_self
 
 
 def make_data(rng, n_per=(6, 5), spread=1.0):
@@ -134,7 +134,7 @@ def test_predict_matches_per_query_reference(rng, order):
     table = predict(model, queries)
     for q, t in enumerate(queries):
         ref = [ratio_from_kt(s.table, kernel_column(params.kernel, t, s.points),
-                             1.0, order) if s.n else s.alpha
+                             1.0, order) if len(s.points) else s.alpha
                for s in model.classes]
         np.testing.assert_allclose(table.raw[q], ref, rtol=1e-12, atol=0.0)
     assert np.array_equal(table.argmax, table.probs.argmax(axis=1))
@@ -417,6 +417,48 @@ def test_knn_rejects_dimension_mismatch():
         knn_predict(X, np.arange(4) % 2, np.zeros((2, 2)))
     with pytest.raises(ValueError, match="dimension mismatch"):
         knn_predict(X, np.arange(4) % 2, np.zeros((2, 4)))
+
+
+def test_knn_rejects_bad_k_and_labels():
+    X = np.zeros((4, 2))
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            knn_predict(X, np.arange(4) % 2, X, k=k)
+    with pytest.raises(ValueError, match="expected 4 labels"):
+        knn_predict(X, [0, 1, 0], X)
+    with pytest.raises(ValueError, match="label codes must be nonnegative"):
+        knn_predict(X, [0, 1, -1, 0], X)
+    with pytest.raises(ValueError, match=r"label 1 is not an integer class code \(1.5\)"):
+        knn_predict(X, [0.0, 1.5, 1.0, 0.0], X)
+
+
+def test_points_with_more_than_two_axes_rejected():
+    cube = np.zeros((4, 2, 2))
+    with pytest.raises(ValueError, match=r"point array must be 2-d .*\(4, 2, 2\)"):
+        LabeledDataset(points=cube, labels=[0, 1, 0, 1])
+    with pytest.raises(ValueError, match=r"point array must be 2-d"):
+        knn_predict(cube, [0, 1, 0, 1], np.zeros((1, 4)))
+    with pytest.raises(ValueError, match=r"query array must be 2-d"):
+        knn_predict(np.zeros((4, 2)), [0, 1, 0, 1], np.zeros((1, 1, 2)))
+
+
+def test_non_integral_labels_rejected():
+    for labels, bad in (([0, 0.5, 1], 1), ([0, 1, 1.2], 2), ([0, np.nan, 1], 1)):
+        with pytest.raises(ValueError, match=f"label {bad} is not an integer class code"):
+            LabeledDataset(points=np.zeros((3, 1)), labels=labels)
+    assert LabeledDataset(points=np.zeros((2, 1)), labels=[0.0, 1.0]).labels.tolist() == [0, 1]
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3, "exact"])
+def test_empty_class_weight_is_alpha_ktt(rng, order):
+    # an empty class goes through the ordinary table path with a 0 x 0 Gram
+    data = make_data(rng, (4, 0, 3))
+    qs = rng.normal(size=(6, 2))
+    for kernel in (Kernel.gaussian(0.9), Kernel.constant(2.5)):
+        model = fit(data, ModelParams(kernel=kernel, alphas=(1.0, 0.7, 2.0), order=order))
+        assert model.classes[1].gram.entries.shape == (0, 0)
+        raw = predict(model, qs).raw[:, 1]
+        assert np.array_equal(raw, np.full(6, 0.7 * kernel_self(kernel, qs[0])))
 
 
 def test_knn_rejects_non_finite_points():

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from permclass.cli import main
 
 
@@ -34,6 +36,16 @@ def test_perm_rejects_nonsquare(tmp_path, capsys):
                        capsys)
     assert code == 1
     assert "square" in err
+
+
+@pytest.mark.parametrize("mode", ["exact", "approx"])
+def test_perm_rejects_non_finite_matrix(tmp_path, capsys, mode):
+    m = tmp_path / "m.csv"
+    m.write_text("1,0.5\n0.5,nan\n")
+    code, out, err = run(["perm", mode, "--matrix", str(m), "--alpha", "1"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "matrix row 1, column 1 is not finite (nan)" in err
 
 
 def test_simulate_deterministic_bytes(tmp_path, capsys):

@@ -228,6 +228,22 @@ def test_label_probability_rejects_non_finite_points():
                                 Kernel.gaussian(1.0))
 
 
+def test_ratio_exact_rejects_non_finite_input():
+    kern = Kernel.gaussian(1.0)
+    with pytest.raises(ValueError, match="point row 1, column 0 is not finite"):
+        ratio_exact([0.5], [[0.0], [np.nan]], kern, 1.0)
+    with pytest.raises(ValueError, match=r"query row 0, column 1 is not finite \(inf\)"):
+        ratio_exact([0.5, np.inf], [[0.0, 1.0]], kern, 1.0)
+
+
+def test_cyclic_ratio_exact_rejects_non_finite_input():
+    kern = Kernel.exponential(1.0)
+    with pytest.raises(ValueError, match="point row 0, column 0 is not finite"):
+        cyclic_ratio_exact([0.5], [[-np.inf], [1.0]], kern)
+    with pytest.raises(ValueError, match=r"query row 0, column 0 is not finite \(nan\)"):
+        cyclic_ratio_exact([np.nan], [[0.0], [1.0]], kern)
+
+
 def test_partition_single_point():
     part = Partition.from_blocks([[0]])
     p = partition_probability_exact(np.array([[0.0]]), part, 2.7,

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import gram_one_shot, sq_distances_one_shot
 from permclass import kernels
-from permclass.kernels import (Kernel, gram, kernel_block, kernel_column,
+from permclass.kernels import (Kernel, KernelFamily, gram, kernel_block, kernel_column,
                                kernel_eval, kernel_self, kernel_self_batch)
 
 
@@ -124,16 +124,20 @@ def test_sq_distances_match_one_shot_formula(d):
                                   sq_distances_one_shot(a, b))
 
 
+# below 8 dimensions numpy sums squared differences in sequence, from 8 on
+# pairwise; 50 and 200 reach its blocked sums
+DIMS = [*range(1, 10), 50, 200]
+
+
 def test_gram_matches_eval_and_column(rng):
-    pts = rng.normal(size=(5, 2))
-    k = Kernel.exponential(0.8)
-    g = gram(k, pts)
-    for i in range(5):
-        col = kernel_column(k, pts[i], pts)
-        assert np.allclose(col, g.entries[:, i], rtol=1e-15)
-        for j in range(5):
-            assert g.entries[i, j] == pytest.approx(
-                kernel_eval(k, pts[i], pts[j]), rel=1e-15)
+    # one squared distance behind every path: the same float for each pair
+    for d in DIMS:
+        pts = rng.normal(size=(5, d))
+        for k in (Kernel.exponential(0.8 * math.sqrt(d)), Kernel.gaussian(1.1 * math.sqrt(d))):
+            g = gram(k, pts)
+            for i in range(5):
+                assert np.array_equal(kernel_column(k, pts[i], pts), g.entries[:, i]), d
+                assert np.array_equal(g.entries[i], [kernel_eval(k, pts[i], p) for p in pts]), d
 
 
 def test_block_constant_structure():
@@ -223,23 +227,25 @@ def test_serialization_round_trip():
 
 
 def test_kernel_block_rows_match_pairwise_eval(rng):
-    pts = rng.normal(size=(5, 2))
-    queries = np.vstack([rng.normal(size=(3, 2)), pts[1:2]])
-    keys = [tuple(p) for p in pts]
-    kernels = [
-        Kernel.gaussian(0.7),
-        Kernel.exponential(1.3),
-        Kernel.constant(2.0),
-        Kernel.diagonal_indicator(default=1.5),
-        Kernel.block_constant({k: i % 2 for i, k in enumerate(keys)}, c=0.8),
-    ]
-    for k in kernels:
-        block = kernel_block(k, queries, pts)
-        assert block.shape == (4, 5)
-        for q, t in enumerate(queries):
-            assert np.array_equal(block[q], kernel_column(k, t, pts))
-            assert np.allclose(block[q], [kernel_eval(k, t, p) for p in pts],
-                               rtol=1e-14, atol=0.0)
+    for d in DIMS:
+        pts = rng.normal(size=(5, d))
+        queries = np.vstack([rng.normal(size=(3, d)), pts[1:2]])
+        keys = [tuple(p) for p in pts]
+        kernels = [
+            Kernel.gaussian(0.7 * math.sqrt(d)),
+            Kernel.exponential(1.3 * math.sqrt(d)),
+            Kernel.constant(2.0),
+            Kernel.diagonal_indicator(default=1.5),
+            Kernel.block_constant({k: i % 2 for i, k in enumerate(keys)}, c=0.8),
+        ]
+        for k in kernels:
+            block = kernel_block(k, queries, pts)
+            assert block.shape == (4, 5)
+            for q, t in enumerate(queries):
+                assert np.array_equal(block[q], kernel_column(k, t, pts)), d
+                assert np.array_equal(block[q], [kernel_eval(k, t, p) for p in pts]), d
+            if k.family in (KernelFamily.EXPONENTIAL, KernelFamily.GAUSSIAN):
+                assert np.array_equal(block[3], gram(k, pts).entries[1]), d
 
 
 def test_kernel_block_empty_sides():
