@@ -11,14 +11,13 @@ from .exact import (EXACT_SIZE_CAP, ExactSizeLimitError, Partition,
                     ratio_exact, ratio_exact_matrix, rising_factorial)
 from .cyclic import (EXACT_ORDER, MAX_ORDER, DegenerateConfigurationError,
                      GramStructure, LimitTable, RatioTable, build_limit_table,
-                     build_ratio_table, closed_form_ratio,
-                     closed_form_ratio_matrix, cyclic_ratio_approx,
+                     build_ratio_table, closed_form_ratio_matrix,
                      cyclic_ratio_from_kt, limit_ratio, per_alpha_cyclic,
                      ratio_approx, ratio_approx_matrix, ratio_batch,
                      ratio_from_kt)
-from .classify import (FittedModel, LabeledDataset, ModelParams, PosteriorRow,
-                       PosteriorTable, fit, knn_predict, predict,
-                       predict_infinite, sequential_partition)
+from .classify import (FittedModel, LabeledDataset, ModelParams, PosteriorTable,
+                       fit, knn_predict, predict, predict_infinite,
+                       sequential_partition)
 from .model_select import (CVReport, CVSpec, cross_entropy, cross_validate,
                            default_grid, error_rate, fold_assignment,
                            median_pairwise_distance)

@@ -21,7 +21,7 @@ from .classify import LabeledDataset, ModelParams, fit, predict
 from .cyclic import build_ratio_table, ratio_approx, ratio_from_kt
 from .datasets import gen_triangular
 from .exact import _ratio_exact_rows
-from .kernels import Kernel, gram, kernel_column, kernel_self
+from .kernels import Kernel, gram, kernel_block, kernel_self_batch
 
 __all__ = [
     "OrderTiming",
@@ -204,12 +204,12 @@ def accuracy_study(config: StudyConfig | None = None) -> StudyReport:
     gs = gram(kernel, xs)
     tables = build_ratio_table(gs, cfg.alpha, order=3)
     t_small = np.linspace(cfg.lo, cfg.hi, cfg.oracle_points).reshape(-1, 1)
-    exact = _ratio_exact_rows(gs, t_small, cfg.alpha)
+    Kt, ktt = kernel_block(kernel, t_small, xs), kernel_self_batch(kernel, t_small)
+    exact = _ratio_exact_rows(gs.entries, Kt, ktt, cfg.alpha)
     errs: dict[int, list[float]] = {1: [], 2: [], 3: []}
-    for t, ex in zip(t_small, exact):
-        col = kernel_column(kernel, t, xs)
+    for kt, tt, ex in zip(Kt, ktt, exact):
         for k in (1, 2, 3):
-            approx = ratio_from_kt(tables, col, kernel_self(kernel, t), order=k)
+            approx = ratio_from_kt(tables, kt, tt, order=k)
             errs[k].append(abs(approx - ex) / abs(ex))
     oracle_rel_err = {k: float(np.mean(v)) for k, v in errs.items()}
 

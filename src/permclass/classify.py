@@ -20,14 +20,13 @@ import numpy as np
 from .cyclic import (EXACT_ORDER, MAX_ORDER, LimitTable, RatioTable,
                      _finish, _fit_core, _FitCore, limit_ratio, ratio_batch)
 from .exact import Partition, _bordered, _ratio_exact_rows, cyp_exact
-from .kernels import (GramMatrix, Kernel, _as_rows, _sq_distances, gram, kernel_block,
-                      kernel_column, kernel_self, kernel_self_batch)
+from .kernels import (GramMatrix, Kernel, _as_rows, _label_codes, _sq_distances, gram,
+                      kernel_block, kernel_column, kernel_self, kernel_self_batch)
 
 __all__ = [
     "LabeledDataset",
     "ModelParams",
     "FittedModel",
-    "PosteriorRow",
     "PosteriorTable",
     "fit",
     "predict",
@@ -43,21 +42,6 @@ __all__ = [
 # 8 MB higher.  Blocks this size are still large enough for matrix products.
 # `knn_predict` takes its queries in chunks bounded by the same count.
 _BLOCK_ENTRIES = 4096
-
-
-def _label_codes(labels) -> np.ndarray:
-    """Labels as an int array, refusing values that are not whole numbers
-    and negative codes."""
-    raw = np.asarray(labels)
-    if raw.dtype.kind == "f":
-        bad = np.flatnonzero(~np.isfinite(raw) | (raw != np.round(raw)))
-        if bad.size:
-            i = int(bad[0])
-            raise ValueError(f"label {i} is not an integer class code ({raw[i]})")
-    codes = raw.astype(int)
-    if codes.size and codes.min() < 0:
-        raise ValueError("label codes must be nonnegative")
-    return codes
 
 
 @dataclass
@@ -184,7 +168,6 @@ class FittedModel:
     params: ModelParams
     classes: list[_ClassState]
     class_names: tuple[str, ...]
-    dim: int
 
     @property
     def n_classes(self) -> int:
@@ -193,12 +176,11 @@ class FittedModel:
 
 @dataclass
 class _KernelFit:
-    """The alpha-free part of a fit: per class its points, Gram matrix and
-    table core (``None`` on the exact order)."""
+    """The alpha-free part of a fit: per class its Gram matrix and table
+    core (``None`` on the exact order)."""
 
-    classes: list[tuple[np.ndarray, GramMatrix, _FitCore | None]]
+    classes: list[tuple[GramMatrix, _FitCore | None]]
     class_names: tuple[str, ...]
-    dim: int
 
 
 def _class_alphas(data: LabeledDataset, params: ModelParams) -> np.ndarray:
@@ -215,21 +197,18 @@ def _fit_kernel(data: LabeledDataset, kernel: Kernel, order) -> _KernelFit:
     """Build each class's Gram matrix and, below the exact order, its core."""
     classes = []
     for r in range(data.n_classes):
-        pts = data.class_points(r)
-        g = gram(kernel, pts)
-        core = _fit_core(g, order) if order != EXACT_ORDER else None
-        classes.append((pts, g, core))
-    return _KernelFit(classes, data.class_names, data.dim)
+        g = gram(kernel, data.class_points(r))
+        classes.append((g, _fit_core(g, order) if order != EXACT_ORDER else None))
+    return _KernelFit(classes, data.class_names)
 
 
 def _with_alphas(kfit: _KernelFit, params: ModelParams,
                  alphas: np.ndarray) -> FittedModel:
     """Finish every class's core for its alpha."""
-    classes = [_ClassState(pts, float(a), g,
+    classes = [_ClassState(g.points, float(a), g,
                            None if core is None else _finish(core, float(a)))
-               for (pts, g, core), a in zip(kfit.classes, alphas)]
-    return FittedModel(params=params, classes=classes,
-                       class_names=kfit.class_names, dim=kfit.dim)
+               for (g, core), a in zip(kfit.classes, alphas)]
+    return FittedModel(params=params, classes=classes, class_names=kfit.class_names)
 
 
 def fit(data: LabeledDataset, params: ModelParams) -> FittedModel:
@@ -250,30 +229,30 @@ def fit(data: LabeledDataset, params: ModelParams) -> FittedModel:
 
 
 @dataclass
-class PosteriorRow:
-    """Normalized class/block probabilities for one query point."""
+class PosteriorTable:
+    """Class or block probabilities, their raw weights and the argmax: one
+    row per query (2-d arrays, an int array of argmaxes) or, for a single
+    infinite-mode query, 1-d arrays and an int."""
 
     probs: np.ndarray
     raw: np.ndarray
-    argmax: int
+    argmax: np.ndarray | int
 
-    @classmethod
-    def from_raw(cls, raw: np.ndarray) -> "PosteriorRow":
+
+def _normalised(raw: np.ndarray) -> PosteriorTable:
+    """Posterior of raw weights, one row (1-d) or one row per query (2-d),
+    each row divided by its total."""
+    if raw.ndim == 1:  # a partition step: plain scalar work beats the 2-d reductions
         total = raw.sum()
         if not total > 0:
             raise ValueError("degenerate kernel: every class weight is zero")
         probs = raw / total
-        return cls(probs=probs, raw=raw, argmax=int(np.argmax(probs)))
-
-
-@dataclass
-class PosteriorTable:
-    """Stacked posterior rows for a batch of query points."""
-
-    probs: np.ndarray
-    raw: np.ndarray
-    argmax: np.ndarray
-    class_names: tuple[str, ...] = ()
+        return PosteriorTable(probs=probs, raw=raw, argmax=int(probs.argmax()))
+    total = raw.sum(axis=1, keepdims=True)
+    if not (total > 0).all():
+        raise ValueError("degenerate kernel: every class weight is zero")
+    probs = raw / total
+    return PosteriorTable(probs=probs, raw=raw, argmax=probs.argmax(axis=1))
 
 
 def _kernel_blocks(kernel: Kernel, qs: np.ndarray, pts: np.ndarray):
@@ -283,27 +262,22 @@ def _kernel_blocks(kernel: Kernel, qs: np.ndarray, pts: np.ndarray):
         yield kernel_block(kernel, qs[lo:lo + step], pts)
 
 
-def _posterior(model: FittedModel, qs: np.ndarray, ktt: np.ndarray,
-               blocks) -> PosteriorTable:
-    """Posterior table from the queries, their K(t, t) and, per class, an
-    iterable of the query kernel blocks (not read on the exact order)."""
-    params = model.params
-    raw = np.empty((qs.shape[0], model.n_classes))
+def _posterior(model: FittedModel, ktt: np.ndarray, blocks) -> PosteriorTable:
+    """Posterior table from the queries' K(t, t) and, per class, an
+    iterable of the query kernel blocks, at every order."""
+    order = model.params.order
+    raw = np.empty((ktt.shape[0], model.n_classes))
     for r, state in enumerate(model.classes):
-        if params.order == EXACT_ORDER:
-            raw[:, r] = _ratio_exact_rows(state.gram, qs, state.alpha)
-        else:
-            lo = 0
-            for Kt in blocks[r]:
-                hi = lo + Kt.shape[0]
-                raw[lo:hi, r] = ratio_batch(state.table, Kt, ktt[lo:hi], params.order)
-                lo = hi
-    total = raw.sum(axis=1, keepdims=True)
-    if not (total > 0).all():
-        raise ValueError("degenerate kernel: every class weight is zero")
-    probs = raw / total
-    return PosteriorTable(probs=probs, raw=raw, argmax=probs.argmax(axis=1),
-                          class_names=model.class_names)
+        lo = 0
+        for Kt in blocks[r]:
+            hi = lo + Kt.shape[0]
+            if order == EXACT_ORDER:
+                raw[lo:hi, r] = _ratio_exact_rows(state.gram.entries, Kt, ktt[lo:hi],
+                                                  state.alpha)
+            else:
+                raw[lo:hi, r] = ratio_batch(state.table, Kt, ktt[lo:hi], order)
+            lo = hi
+    return _normalised(raw)
 
 
 def predict(model: FittedModel, queries) -> PosteriorTable:
@@ -315,7 +289,7 @@ def predict(model: FittedModel, queries) -> PosteriorTable:
     qs = _as_rows(queries, "query")
     kernel = model.params.kernel
     blocks = [_kernel_blocks(kernel, qs, state.points) for state in model.classes]
-    return _posterior(model, qs, kernel_self_batch(kernel, qs), blocks)
+    return _posterior(model, kernel_self_batch(kernel, qs), blocks)
 
 
 class _Block:
@@ -367,7 +341,7 @@ class _Block:
 
 
 def _block_row(blocks: list[_Block], col: np.ndarray, ktt: float,
-               params: ModelParams) -> PosteriorRow:
+               params: ModelParams) -> PosteriorTable:
     """Posterior over ``blocks`` plus a new block, for a query whose kernel
     values against every point are ``col``."""
     if params.lam is None:
@@ -376,15 +350,16 @@ def _block_row(blocks: list[_Block], col: np.ndarray, ktt: float,
     for j, block in enumerate(blocks):
         raw[j] = block.weight(j, col[block.members], ktt)
     raw[-1] = params.lam * ktt
-    return PosteriorRow.from_raw(raw)
+    return _normalised(raw)
 
 
 def predict_infinite(points, partition: Partition, t,
-                     params: ModelParams) -> PosteriorRow:
+                     params: ModelParams) -> PosteriorTable:
     """Posterior over existing blocks plus a new block for one query.
 
     Entry j < #B is block j of the partition; the last entry is the new
-    block, with weight lambda K(t, t).
+    block, with weight lambda K(t, t).  The table's arrays are 1-d and its
+    argmax is an int.
     """
     pts = _as_rows(points, "point")
     t = _as_rows(np.reshape(t, (1, -1)), "query")[0]

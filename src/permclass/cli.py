@@ -4,8 +4,9 @@ Every subcommand validates its inputs and exits nonzero with a diagnostic
 on failure.  Outputs are deterministic given --seed, carry a header with
 the version, seed, and resolved configuration, and are written atomically:
 content is staged to a `.partial` file and renamed only on success.  A
-flat key=value config file can supply any flag's value (explicit flags
-win).
+flat key=value config file sets the defaults of a subcommand's optional
+flags, so each value goes through the flag's type and explicit flags win;
+required flags and positional arguments stay on the command line.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from .classify import (LabeledDataset, ModelParams, fit, predict,
 from .cyclic import EXACT_ORDER, per_alpha_cyclic, ratio_approx_matrix
 from .datasets import (SplitPlan, gen_chequerboard, gen_expression,
                        gen_triangular, load_expression_csv, load_features_csv,
-                       save_features_csv, rank_genes_bw, two_axis_projection)
+                       save_features_csv, rank_genes_bw, two_axis_projection,
+                       write_text)
 from .exact import per_alpha_exact, ratio_exact_matrix
 from .experiments import DEFAULT_TABLE1_SEED, run_chequerboard, run_microarray
 from .kernels import Kernel, _as_rows
@@ -42,13 +44,6 @@ PROG = "permclass"
 def _header(seed, config: dict) -> list[str]:
     return [f"{PROG} {__version__}", f"seed={seed}",
             "config=" + json.dumps(config, sort_keys=True)]
-
-
-def write_text(path: str, text: str) -> None:
-    tmp = path + ".partial"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
 
 
 def write_csv(path: str, header_lines: list[str], columns: list[str], rows) -> None:
@@ -326,7 +321,7 @@ def cmd_reproduce(args) -> int:
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--config", default=None,
-                   help="flat key=value file mirroring the flags")
+                   help="flat key=value file of optional flags' defaults")
 
 
 def _add_kernel_flags(p: argparse.ArgumentParser):
@@ -336,7 +331,8 @@ def _add_kernel_flags(p: argparse.ArgumentParser):
     p.add_argument("--c", type=float, default=1.0)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each subcommand's parser, by name."""
     parser = argparse.ArgumentParser(
         prog=PROG,
         description="Permanental classification with cyclic approximations")
@@ -436,18 +432,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None,
                    help="default: the experiment's pinned seed")
     p.add_argument("--config", default=None,
-                   help="flat key=value file mirroring the flags")
+                   help="flat key=value file of optional flags' defaults")
     p.set_defaults(func=cmd_reproduce)
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser, commands = build_parser()
     args = parser.parse_args(argv)
     try:
         if getattr(args, "config", None):
-            for key, value in _config_overrides(parser, args, argv).items():
-                setattr(args, key, value)
+            command = commands[args.command]
+            command.set_defaults(**_config_defaults(args, command))
+            args = parser.parse_args(argv)
         return args.func(args)
     except Exception as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
@@ -458,9 +455,15 @@ def main(argv=None) -> int:
 _CONFIG_ALIASES = {"kernel.family": "kernel", "kernel.tau": "tau", "kernel.c": "c"}
 
 
-def _config_overrides(parser, args, argv) -> dict:
-    """Config file fills flags not given explicitly on the command line."""
-    raw = {}
+def _config_defaults(args, command: argparse.ArgumentParser) -> dict:
+    """The config file's values as defaults for ``command``'s flags.
+
+    Values stay strings, so parsing again applies each flag's type; a
+    store_true flag reads 1, true or yes as set.  A key that names no flag,
+    or names one that must be given on the command line, is an error.
+    """
+    actions = {action.dest: action for action in command._actions}
+    out = {}
     with open(args.config, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -468,27 +471,15 @@ def _config_overrides(parser, args, argv) -> dict:
                 continue
             if "=" not in line:
                 raise ValueError(f"{args.config}:{lineno}: expected key=value")
-            key, value = line.split("=", 1)
-            key = key.strip().replace("-", "_")
-            raw[_CONFIG_ALIASES.get(key, key)] = value.strip()
-    argv = sys.argv[1:] if argv is None else list(argv)
-    given = {a.split("=", 1)[0].lstrip("-").replace("-", "_")
-             for a in argv if a.startswith("--")}
-    out = {}
-    for key, value in raw.items():
-        if not hasattr(args, key):
-            raise ValueError(f"{args.config}: unknown config key {key!r}")
-        if key in given:
-            continue
-        current = getattr(args, key)
-        if isinstance(current, bool):
-            out[key] = value.lower() in ("1", "true", "yes")
-        elif isinstance(current, int) and not isinstance(current, bool):
-            out[key] = int(value)
-        elif isinstance(current, float):
-            out[key] = float(value)
-        else:
-            out[key] = value
+            key, value = (part.strip() for part in line.split("=", 1))
+            key = _CONFIG_ALIASES.get(key, key.replace("-", "_"))
+            if key not in actions or not hasattr(args, key):
+                raise ValueError(f"{args.config}: unknown config key {key!r}")
+            if actions[key].required:
+                raise ValueError(f"{args.config}: {key!r} is required on the command "
+                                 f"line and cannot come from a config file")
+            out[key] = (value.lower() in ("1", "true", "yes")
+                        if isinstance(getattr(args, key), bool) else value)
     return out
 
 

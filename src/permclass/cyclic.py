@@ -45,7 +45,7 @@ from enum import Enum
 
 import numpy as np
 
-from .kernels import GramMatrix, Kernel, gram, kernel_column, kernel_self
+from .kernels import GramMatrix, kernel_column, kernel_self
 
 __all__ = [
     "MAX_ORDER",
@@ -61,10 +61,8 @@ __all__ = [
     "LimitTable",
     "build_limit_table",
     "limit_ratio",
-    "cyclic_ratio_approx",
     "cyclic_ratio_from_kt",
     "GramStructure",
-    "closed_form_ratio",
     "closed_form_ratio_matrix",
 ]
 
@@ -630,17 +628,6 @@ def cyclic_ratio_from_kt(g: GramMatrix, kt, ktt: float, order: int) -> float:
     return limit_ratio(build_limit_table(g, order), kt, ktt)
 
 
-def cyclic_ratio_approx(t, points, g: GramMatrix, order: int) -> float:
-    """Order-k approximation of the cyclic ratio C_n(t; x), n >= 1."""
-    kernel = g.kernel
-    if kernel is None:
-        raise ValueError("gram was built from a raw matrix; use "
-                         "cyclic_ratio_from_kt with an explicit kernel column")
-    kt = kernel_column(kernel, t, g.points)
-    ktt = kernel_self(kernel, t)
-    return cyclic_ratio_from_kt(g, kt, ktt, order)
-
-
 # ---------------------------------------------------------------------------
 # closed forms for structured training matrices
 # ---------------------------------------------------------------------------
@@ -735,12 +722,3 @@ def closed_form_ratio_matrix(G, kt, ktt: float, alpha: float,
         cross = s * s - s1
         total += (a * s1 + cross) / (c * (a + len(b) - 1))
     return total
-
-
-def closed_form_ratio(t, points, kernel: Kernel, alpha: float,
-                      structure: GramStructure | str) -> float:
-    """Closed-form ratio with the training matrix built from a kernel."""
-    g = gram(kernel, points)
-    kt = kernel_column(kernel, t, g.points)
-    ktt = kernel_self(kernel, t)
-    return closed_form_ratio_matrix(g.entries, kt, ktt, alpha, structure)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -291,17 +292,25 @@ def load_features_csv(path: str, require_label: bool = True) -> LabeledDataset:
     return LabeledDataset.from_arrays(np.array(points), labels)
 
 
+def write_text(path: str, text: str) -> None:
+    """Write ``text`` atomically: it is staged to ``path + ".partial"`` and
+    renamed onto ``path`` only once complete."""
+    tmp = path + ".partial"
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    os.replace(tmp, path)
+
+
 def save_features_csv(path: str, dataset: LabeledDataset,
                       header_lines: Sequence[str] = ()) -> None:
-    """Write the feature CSV format; floats use shortest round-trip repr."""
-    dim = dataset.dim
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write(",".join([f"x{i}" for i in range(dim)] + ["label"]) + "\n")
-        for p, code in zip(dataset.points, dataset.labels):
-            name = dataset.class_names[code] if dataset.class_names else str(code)
-            fh.write(",".join(repr(float(v)) for v in p) + f",{name}\n")
+    """Write the feature CSV format atomically; floats use shortest
+    round-trip repr."""
+    lines = [f"# {line}" for line in header_lines]
+    lines.append(",".join([f"x{i}" for i in range(dataset.dim)] + ["label"]))
+    for p, code in zip(dataset.points, dataset.labels):
+        name = dataset.class_names[code] if dataset.class_names else str(code)
+        lines.append(",".join(repr(float(v)) for v in p) + f",{name}")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def load_expression_csv(expr_path: str, labels_path: str) -> ExpressionMatrix:

@@ -30,7 +30,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .kernels import GramMatrix, Kernel, _as_rows, gram, kernel_column, kernel_eval
+from .kernels import Kernel, _as_rows, _label_codes, gram, kernel_column, kernel_self
 
 __all__ = [
     "EXACT_SIZE_CAP",
@@ -199,27 +199,25 @@ def ratio_exact(t, points, kernel: Kernel, alpha: float,
     """
     pts = _as_rows(points, "point")
     t = _as_rows(np.reshape(t, (1, -1)), "query")[0]
-    return float(_ratio_exact_rows(gram(kernel, pts), [t], alpha, cap)[0])
+    return float(_ratio_exact_rows(gram(kernel, pts).entries, [kernel_column(kernel, t, pts)],
+                                   [kernel_self(kernel, t)], alpha, cap)[0])
 
 
-def _ratio_exact_rows(g: GramMatrix, queries, alpha: float,
-                     cap: int = EXACT_SIZE_CAP) -> np.ndarray:
-    """`ratio_exact` for each query against the points of ``g``, a Gram
-    matrix built from a kernel (0 x 0 gives alpha K(t, t)).
+def _ratio_exact_rows(G: np.ndarray, Kt, ktt, alpha: float,
+                      cap: int = EXACT_SIZE_CAP) -> np.ndarray:
+    """`ratio_exact` for a block of queries against the points of the Gram
+    matrix ``G``, with ``Kt[q, i] = K(t_q, x_i)`` and ``ktt[q] = K(t_q, t_q)``
+    as `ratio_batch` takes them (a 0 x 0 ``G`` gives alpha K(t, t)).
 
-    The denominator per_a{K(x)} is computed once for all the queries, and
-    each query's matrix borders ``g``; the values are those of
-    `ratio_exact`, bit for bit.
+    The denominator per_a{K(x)} is computed once for the block, and each
+    query's matrix borders ``G``.
     """
-    _check_cap(g.n + 1, cap)
-    denom = per_alpha_exact(g.entries, alpha, cap=cap)
+    _check_cap(G.shape[0] + 1, cap)
+    denom = per_alpha_exact(G, alpha, cap=cap)
     if denom == 0.0:
         raise ZeroDivisionError("per_alpha of the training configuration is zero")
-    k = g.kernel
-    return np.array([
-        per_alpha_exact(_bordered(g.entries, kernel_column(k, t, g.points), kernel_eval(k, t, t)),
-                        alpha, cap=cap) / denom
-        for t in queries])
+    return np.array([per_alpha_exact(_bordered(G, kt, tt), alpha, cap=cap) / denom
+                     for kt, tt in zip(Kt, ktt)])
 
 
 def ratio_exact_matrix(A, alpha: float, cap: int = EXACT_SIZE_CAP) -> float:
@@ -246,7 +244,7 @@ def cyclic_ratio_exact(t, points, kernel: Kernel, cap: int = EXACT_SIZE_CAP) -> 
         raise ValueError("cyclic ratio is undefined for an empty point set")
     _check_cap(n + 1, cap)
     g = gram(kernel, pts)
-    aug = _bordered(g.entries, kernel_column(kernel, t, g.points), kernel_eval(kernel, t, t))
+    aug = _bordered(g.entries, kernel_column(kernel, t, pts), kernel_self(kernel, t))
     denom = cyp_exact(g.entries, cap=cap)
     if denom == 0.0:
         raise ZeroDivisionError("cyp of the training configuration is zero")
@@ -261,7 +259,7 @@ def label_probability_exact(points, labels, alphas: Sequence[float],
     the permanent over an empty class is 1.
     """
     pts = _as_rows(points, "point")
-    y = np.asarray(labels, dtype=int)
+    y = _label_codes(labels)
     n = pts.shape[0]
     if y.shape[0] != n:
         raise ValueError("labels must match the point count")

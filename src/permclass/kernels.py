@@ -68,6 +68,23 @@ def _as_rows(points, what: str) -> np.ndarray:
     return pts
 
 
+def _label_codes(labels) -> np.ndarray:
+    """Labels as a 1-d int array, refusing other shapes, values that are
+    not whole numbers and negative codes."""
+    raw = np.asarray(labels)
+    if raw.ndim != 1:
+        raise ValueError(f"labels must be a 1-d array (one code per point), got shape {raw.shape}")
+    if raw.dtype.kind == "f":
+        bad = np.flatnonzero(~np.isfinite(raw) | (raw != np.round(raw)))
+        if bad.size:
+            i = int(bad[0])
+            raise ValueError(f"label {i} is not an integer class code ({raw[i]})")
+    codes = raw.astype(int)
+    if codes.size and codes.min() < 0:
+        raise ValueError("label codes must be nonnegative")
+    return codes
+
+
 def _key(p) -> tuple[float, ...]:
     return tuple(float(v) for v in np.atleast_1d(np.asarray(p, dtype=float)))
 

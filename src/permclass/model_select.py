@@ -13,9 +13,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .classify import (LabeledDataset, ModelParams, PosteriorTable, _class_alphas,
-                       _fit_kernel, _kernel_blocks, _posterior, _with_alphas)
-from .cyclic import EXACT_ORDER
+from .classify import (LabeledDataset, ModelParams, _class_alphas, _fit_kernel,
+                       _kernel_blocks, _posterior, _with_alphas)
 from .kernels import Kernel, _as_rows, _sq_distances, kernel_self_batch
 
 __all__ = [
@@ -114,21 +113,17 @@ def fold_assignment(n: int, folds: int, seed: int,
     return [np.sort(np.array(b, dtype=int)) for b in buckets]
 
 
-def error_rate(posteriors: PosteriorTable | np.ndarray, truth) -> float:
-    """Fraction of argmax labels that miss the truth."""
+def error_rate(probs, truth) -> float:
+    """Fraction of argmax labels, one row of ``probs`` per query, that miss
+    the truth."""
     y = np.asarray(truth, dtype=int)
-    if isinstance(posteriors, PosteriorTable):
-        pred = posteriors.argmax
-    else:
-        pred = np.asarray(posteriors).argmax(axis=1)
-    return float(np.mean(pred != y))
+    return float(np.mean(np.asarray(probs).argmax(axis=1) != y))
 
 
-def cross_entropy(posteriors: PosteriorTable | np.ndarray, truth) -> float:
+def cross_entropy(probs, truth) -> float:
     """Mean -log p(true class), probabilities floored at 1e-12."""
     y = np.asarray(truth, dtype=int)
-    probs = posteriors.probs if isinstance(posteriors, PosteriorTable) else np.asarray(posteriors)
-    p = probs[np.arange(len(y)), y]
+    p = np.asarray(probs)[np.arange(len(y)), y]
     return float(np.mean(-np.log(np.maximum(p, PROB_FLOOR))))
 
 
@@ -205,8 +200,8 @@ def cross_validate(data: LabeledDataset, spec: CVSpec) -> CVReport:
             try:
                 kfit = _fit_kernel(train, kernel, order)
                 ktt = kernel_self_batch(kernel, queries)
-                blocks = None if order == EXACT_ORDER else [
-                    list(_kernel_blocks(kernel, queries, pts)) for pts, _, _ in kfit.classes]
+                blocks = [list(_kernel_blocks(kernel, queries, g.points))
+                          for g, _ in kfit.classes]
             except (ValueError, ArithmeticError) as exc:
                 for i in live:
                     failed[i] = _failure(exc)
@@ -214,8 +209,7 @@ def cross_validate(data: LabeledDataset, spec: CVSpec) -> CVReport:
             for i in live:
                 try:
                     model = _with_alphas(kfit, grid[i], alphas[i])
-                    scores[i].append(objective(_posterior(model, queries, ktt, blocks),
-                                               truth))
+                    scores[i].append(objective(_posterior(model, ktt, blocks).probs, truth))
                 except (ValueError, ArithmeticError) as exc:
                     failed[i] = _failure(exc)
     results = [CandidateResult(params, scores[i], float(np.mean(scores[i])))

@@ -470,7 +470,7 @@ def cross_validate_reference(data, spec):
         try:
             for train, queries, truth in splits:
                 table = predict(fit(train, params), queries)
-                scores.append(objective(table, truth))
+                scores.append(objective(table.probs, truth))
             mean = float(np.mean(scores))
         except (ValueError, ArithmeticError) as exc:
             valid, message, mean = False, f"{type(exc).__name__}: {exc}", float("inf")

@@ -4,7 +4,6 @@ import pytest
 from conftest import augment
 from permclass.benchmarks import StudyConfig, accuracy_study, bench_orders
 from permclass.exact import ratio_exact_matrix
-from permclass.kernels import kernel_column, kernel_self
 
 
 def test_bench_report_structure():
@@ -50,8 +49,8 @@ def test_accuracy_study_computes_the_training_permanent_once(monkeypatch):
         calls.append(np.shape(A)[0])
         return per_alpha(A, alpha, cap=cap)
 
-    def recorded(g, queries, alpha):
-        oracle.append((g, queries, alpha, rows(g, queries, alpha)))
+    def recorded(G, Kt, ktt, alpha):
+        oracle.append((G, Kt, ktt, alpha, rows(G, Kt, ktt, alpha)))
         return oracle[-1][-1]
 
     monkeypatch.setattr(exact_mod, "per_alpha_exact", counted)
@@ -60,9 +59,7 @@ def test_accuracy_study_computes_the_training_permanent_once(monkeypatch):
     monkeypatch.undo()
     # the training permanent once, then one bordered matrix per oracle point
     assert calls == [cfg.subsample] + [cfg.subsample + 1] * cfg.oracle_points
-    (g, queries, alpha, got), = oracle
+    (G, Kt, ktt, alpha, got), = oracle
     assert len(got) == cfg.oracle_points
-    for t, value in zip(queries, got):
-        kt = kernel_column(g.kernel, t, g.points)
-        assert value == ratio_exact_matrix(augment(g.entries, kt, kernel_self(g.kernel, t)),
-                                           alpha)
+    for kt, tt, value in zip(Kt, ktt, got):
+        assert value == ratio_exact_matrix(augment(G, kt, tt), alpha)

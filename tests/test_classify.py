@@ -449,6 +449,27 @@ def test_non_integral_labels_rejected():
     assert LabeledDataset(points=np.zeros((2, 1)), labels=[0.0, 1.0]).labels.tolist() == [0, 1]
 
 
+def test_two_dimensional_labels_rejected():
+    with pytest.raises(ValueError, match=r"labels must be a 1-d array .* shape \(3, 1\)"):
+        LabeledDataset(points=np.zeros((3, 2)), labels=[[0], [1], [1]])
+
+
+def test_exact_predict_over_many_blocks_equals_ratio_exact(rng, monkeypatch):
+    import permclass.classify as classify_mod
+    # blocks of 2 queries for the 4- and 3-point classes, 8 for the empty one
+    monkeypatch.setattr(classify_mod, "_BLOCK_ENTRIES", 8)
+    data = make_data(rng, (4, 0, 3))
+    qs = np.vstack([rng.normal(size=(19, 2)), data.points[:1]])
+    alphas = (0.6, 1.3, 2.0)
+    for kernel in (Kernel.gaussian(0.9), Kernel.constant(1.5),
+                   Kernel.diagonal_indicator(default=0.7)):
+        model = fit(data, ModelParams(kernel=kernel, alphas=alphas, order="exact"))
+        raw = predict(model, qs).raw
+        for r, a in enumerate(alphas):
+            expect = [ratio_exact(q, data.class_points(r), kernel, a) for q in qs]
+            assert np.array_equal(raw[:, r], expect), (kernel.family, r)
+
+
 @pytest.mark.parametrize("order", [0, 1, 2, 3, "exact"])
 def test_empty_class_weight_is_alpha_ktt(rng, order):
     # an empty class goes through the ordinary table path with a 0 x 0 Gram
@@ -489,6 +510,13 @@ def test_all_zero_class_weights_is_an_error():
     model = fit(data, ModelParams(kernel=kern, alphas=1.0, order="exact"))
     with pytest.raises(ValueError, match="degenerate kernel"):
         predict(model, np.array([[2.0]]))
+    # a partition row too: the block weight and lambda K(t, t) are both 0
+    params = ModelParams(kernel=kern, lam=1.0, order="exact")
+    with pytest.raises(ValueError, match="degenerate kernel"):
+        predict_infinite(np.array(ground[:2]), Partition.from_blocks([[0, 1]]),
+                         np.array([2.0]), params)
+    with pytest.raises(ValueError, match="degenerate kernel"):
+        sequential_partition(np.array(ground), params)
 
 
 def test_fit_on_empty_dataset_uses_empty_class_rule():

@@ -196,6 +196,76 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
     assert "frobnicate" in err
 
 
+def test_config_value_goes_through_the_flag_type(tmp_path, capsys):
+    # --sample defaults to None, so only its type turns the config's "3" into 3
+    data = tmp_path / "pts.csv"
+    data.write_text("x0\n0.0\n0.1\n5.0\n5.1\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("sample = 3\n")
+    flags = ["partition", "--data", str(data), "--lambda", "0.5"]
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert run([*flags, "--config", str(cfg), "--out", str(a)], capsys)[0] == 0
+    assert run([*flags, "--sample", "3", "--out", str(b)], capsys)[0] == 0
+    assert (json.loads(a.read_text())["partition"]
+            == json.loads(b.read_text())["partition"])
+    assert json.loads(a.read_text())["partition"]["rule"] == "sample"
+
+
+def test_abbreviated_flag_beats_config(tmp_path, capsys):
+    data = tmp_path / "train.csv"
+    run(["simulate", "chequerboard", "--per-cell", "2", "--seed", "2",
+         "--out", str(data)], capsys)
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps([{"kernel": {"family": "exponential", "tau": 0.5},
+                                 "alphas": 1.0, "order": 1}]))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("folds = 2\n")
+    out = tmp_path / "cv.json"
+    code, _, _ = run(["cv", "--data", str(data), "--grid", str(grid), "--fold", "3",
+                      "--config", str(cfg), "--out", str(out)], capsys)
+    assert code == 0
+    doc = json.loads(out.read_text())["cv"]
+    assert doc["folds"] == 3
+    assert len(doc["candidates"][0]["fold_scores"]) == 3
+
+
+def test_config_cannot_set_a_required_flag(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"out = {tmp_path / 'other.csv'}\n")
+    out = tmp_path / "x.csv"
+    code, _, err = run(["simulate", "chequerboard", "--config", str(cfg),
+                        "--out", str(out)], capsys)
+    assert code == 1
+    assert "'out' is required on the command line" in err
+    assert not out.exists() and not (tmp_path / "other.csv").exists()
+
+
+def test_config_rejects_keys_that_are_not_flags(tmp_path, capsys):
+    # the parsed namespace also holds the handler and the subcommand name
+    for key in ("func", "command", "help"):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = 1\n")
+        code, _, err = run(["simulate", "chequerboard", "--config", str(cfg),
+                            "--out", str(tmp_path / "x.csv")], capsys)
+        assert code == 1
+        assert f"unknown config key {key!r}" in err
+
+
+def test_simulate_writes_atomically(tmp_path, capsys, monkeypatch):
+    import os
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    out = tmp_path / "sim.csv"
+    for what in ("chequerboard", "triangular"):
+        code, _, err = run(["simulate", what, "--out", str(out)], capsys)
+        assert code == 1
+        assert "rename refused" in err
+        assert not out.exists()
+
+
 def test_bench_command_smoke(tmp_path, capsys):
     out = tmp_path / "bench.json"
     code, stdout, _ = run(["bench", "--orders", "1", "--sizes", "16,32",

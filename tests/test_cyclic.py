@@ -7,10 +7,9 @@ from conftest import (ALPHA, GradedValue, augment, banded_gram,
                       block_constant_matrix, cyclic_ratio_scalar,
                       generic_ratio, generic_tables, ratio_table_one_shot,
                       sym_nonneg)
-from permclass.cyclic import (DegenerateConfigurationError, GramStructure,
-                              LimitTable, build_limit_table, build_ratio_table,
-                              closed_form_ratio, closed_form_ratio_matrix,
-                              cyclic_ratio_approx, cyclic_ratio_from_kt,
+from permclass.cyclic import (DegenerateConfigurationError, LimitTable,
+                              build_limit_table, build_ratio_table,
+                              closed_form_ratio_matrix, cyclic_ratio_from_kt,
                               limit_ratio, per_alpha_cyclic, ratio_approx,
                               ratio_approx_matrix, ratio_batch, ratio_from_kt)
 from permclass.cyclic import _finish, _fit_core
@@ -290,13 +289,6 @@ def test_closed_form_two_blocks_vs_brute(rng):
     got = closed_form_ratio_matrix(G, kt, ktt, 1.4, "block_constant")
     assert got == pytest.approx(ratio_exact_matrix(augment(G, kt, ktt), 1.4),
                                 rel=1e-11)
-
-
-def test_closed_form_kernel_route():
-    pts = np.arange(3, dtype=float).reshape(-1, 1)
-    kern = Kernel.diagonal_indicator(default=2.0)
-    got = closed_form_ratio([9.0], pts, kern, 1.5, GramStructure.DIAGONAL)
-    assert got == pytest.approx(1.5 * 2.0, rel=1e-14)
 
 
 def test_closed_form_structure_validation(rng):
@@ -651,16 +643,6 @@ def test_cyclic_limit_matches_smallalpha(seed, k):
     graded = cyclic_ratio_from_kt(g, kt, 0.9, k)
     numeric = cyclic_ratio_smallalpha(g, kt, 0.9, k)
     assert graded == pytest.approx(numeric, rel=1e-4)
-
-
-def test_cyclic_kernel_route(rng):
-    kern = Kernel.gaussian(0.8)
-    pts = rng.normal(size=(5, 1))
-    g = gram(kern, pts)
-    t = np.array([0.3])
-    kt = kernel_column(kern, t, pts)
-    assert cyclic_ratio_approx(t, pts, g, 2) == pytest.approx(
-        cyclic_ratio_from_kt(g, kt, 1.0, 2), rel=1e-14)
 
 
 def test_cyclic_empty_context_raises():

@@ -228,6 +228,16 @@ def test_label_probability_rejects_non_finite_points():
                                 Kernel.gaussian(1.0))
 
 
+@pytest.mark.parametrize("labels, match", [
+    ([0, 1.7, 1], r"label 1 is not an integer class code \(1\.7\)"),
+    ([0, np.nan, 1], r"label 1 is not an integer class code \(nan\)"),
+    ([[0], [1], [1]], r"labels must be a 1-d array .* shape \(3, 1\)"),
+], ids=["fractional", "nan", "two-d"])
+def test_label_probability_rejects_bad_labels(labels, match):
+    with pytest.raises(ValueError, match=match):
+        label_probability_exact(np.zeros((3, 1)), labels, [1.0, 1.0], Kernel.gaussian(1.0))
+
+
 def test_ratio_exact_rejects_non_finite_input():
     kern = Kernel.gaussian(1.0)
     with pytest.raises(ValueError, match="point row 1, column 0 is not finite"):
