@@ -10,9 +10,8 @@ from .exact import (EXACT_SIZE_CAP, ExactSizeLimitError, Partition,
                     partition_probability_exact, per_alpha_exact,
                     ratio_exact, ratio_exact_matrix, rising_factorial)
 from .cyclic import (EXACT_ORDER, MAX_ORDER, DegenerateConfigurationError,
-                     GramStructure, LimitTable, RatioTable, build_limit_table,
-                     build_ratio_table, closed_form_ratio_matrix,
-                     cyclic_ratio_from_kt, limit_ratio, per_alpha_cyclic,
+                     GramStructure, LimitTable, RatioTable, build_ratio_table,
+                     closed_form_ratio_matrix, limit_ratio, per_alpha_cyclic,
                      ratio_approx, ratio_approx_matrix, ratio_batch,
                      ratio_from_kt)
 from .classify import (FittedModel, LabeledDataset, ModelParams, PosteriorTable,

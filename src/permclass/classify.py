@@ -18,8 +18,8 @@ from typing import Sequence
 import numpy as np
 
 from .cyclic import (EXACT_ORDER, MAX_ORDER, LimitTable, RatioTable,
-                     _finish, _fit_core, _FitCore, limit_ratio, ratio_batch)
-from .exact import Partition, _bordered, _ratio_exact_rows, cyp_exact
+                     _finish, _fit_core, _FitCore, ratio_batch)
+from .exact import EXACT_SIZE_CAP, Partition, _CypTable, _grown, _ratio_exact_rows
 from .kernels import (GramMatrix, Kernel, _as_rows, _label_codes, _sq_distances, gram,
                       kernel_block, kernel_column, kernel_self, kernel_self_batch)
 
@@ -292,64 +292,31 @@ def predict(model: FittedModel, queries) -> PosteriorTable:
     return _posterior(model, kernel_self_batch(kernel, qs), blocks)
 
 
-class _Block:
-    """One block of a partition with the state its cyclic-ratio weight needs.
-
-    On the alpha -> 0 orders ``table`` is the block's `LimitTable`, which
-    grows in place with each new member at O(n_b^2).  On the exact path
-    ``gram`` holds the kernel values among the members, in member order,
-    and ``table`` the block's cyclic product sum, recomputed when the block
-    is next weighed after growing.
-    """
-
-    def __init__(self, order):
-        self.members: list[int] = []
-        self.order = order
-        self.gram = np.zeros((0, 0))
-        self.table: LimitTable | float | None = (
-            None if order == EXACT_ORDER else LimitTable(int(order)))
-
-    @classmethod
-    def of(cls, members, gram_entries: np.ndarray, order) -> "_Block":
-        """A block holding ``members``, whose Gram matrix is ``gram_entries``."""
-        block = cls(order)
-        for p, i in enumerate(members):
-            block.grow(i, gram_entries[p, :p], gram_entries[p, p])
-        return block
-
-    def grow(self, i: int, kt: np.ndarray, ktt: float) -> None:
-        """Add point ``i`` with kernel values ``kt`` against the members."""
-        if self.order != EXACT_ORDER:
-            self.table.grow(kt, ktt)
-        elif (kt < 0).any() or ktt < 0:
-            raise ValueError("kernel produced a negative Gram entry")
-        else:
-            self.gram = _bordered(self.gram, kt, ktt)
-            self.table = None
-        self.members.append(i)
-
-    def weight(self, j: int, kt: np.ndarray, ktt: float) -> float:
-        """Cyclic ratio C(t; block) for a query, as block ``j`` of the row."""
-        if self.order != EXACT_ORDER:
-            return limit_ratio(self.table, kt, ktt)
-        if self.table is None:
-            self.table = cyp_exact(self.gram)
-        if self.table == 0.0:
-            raise ZeroDivisionError(
-                f"block {j} ({sorted(self.members)}) has zero cyclic product sum")
-        return cyp_exact(_bordered(self.gram, kt, ktt)) / self.table
+def _new_table(order) -> LimitTable | _CypTable:
+    """An empty growable table for a block's cyclic-ratio weight: the
+    alpha -> 0 `LimitTable` at orders 0-3, the exact table otherwise."""
+    return _CypTable(EXACT_SIZE_CAP) if order == EXACT_ORDER else LimitTable(int(order))
 
 
-def _block_row(blocks: list[_Block], col: np.ndarray, ktt: float,
-               params: ModelParams) -> PosteriorTable:
-    """Posterior over ``blocks`` plus a new block, for a query whose kernel
-    values against every point are ``col``."""
+def _lam(params: ModelParams) -> float:
+    """The new-block rate, checked before any kernel work."""
     if params.lam is None:
         raise ValueError("infinite-class prediction needs lambda")
-    raw = np.empty(len(blocks) + 1)
-    for j, block in enumerate(blocks):
-        raw[j] = block.weight(j, col[block.members], ktt)
-    raw[-1] = params.lam * ktt
+    return params.lam
+
+
+def _block_row(members: list[list[int]], tables: list, col: np.ndarray, ktt: float,
+               lam: float) -> PosteriorTable:
+    """Posterior over the blocks, ``members[j]`` weighed through
+    ``tables[j]``, plus a new block, for a query whose kernel values against
+    every point are ``col``."""
+    raw = np.empty(len(tables) + 1)
+    for j, (block, table) in enumerate(zip(members, tables)):
+        try:
+            raw[j] = table.ratio(col[block], ktt)
+        except ZeroDivisionError as err:
+            raise ZeroDivisionError(f"block {j} ({sorted(block)}): {err}") from None
+    raw[-1] = lam * ktt
     return _normalised(raw)
 
 
@@ -361,15 +328,17 @@ def predict_infinite(points, partition: Partition, t,
     block, with weight lambda K(t, t).  The table's arrays are 1-d and its
     argmax is an int.
     """
+    lam = _lam(params)
     pts = _as_rows(points, "point")
     t = _as_rows(np.reshape(t, (1, -1)), "query")[0]
     if partition.n != pts.shape[0]:
         raise ValueError("partition must cover exactly the given points")
     kernel = params.kernel
-    blocks = [_Block.of(b, gram(kernel, pts[list(b)]).entries, params.order)
-              for b in partition.blocks]
-    return _block_row(blocks, kernel_column(kernel, t, pts), kernel_self(kernel, t),
-                      params)
+    members = [list(b) for b in partition.blocks]
+    tables = [_grown(_new_table(params.order), gram(kernel, pts[b]).entries)
+              for b in members]
+    return _block_row(members, tables, kernel_column(kernel, t, pts),
+                      kernel_self(kernel, t), lam)
 
 
 def sequential_partition(points, params: ModelParams, rule: str = "argmax",
@@ -385,27 +354,28 @@ def sequential_partition(points, params: ModelParams, rule: str = "argmax",
     """
     if rule not in ("argmax", "sample"):
         raise ValueError(f"rule must be 'argmax' or 'sample', got {rule!r}")
+    lam = _lam(params)
     rng = np.random.default_rng(seed) if rule == "sample" else None
     pts = _as_rows(points, "point")
     if pts.shape[0] < 2:
         return Partition.from_blocks([[0]] if pts.shape[0] else [])
     kernel = params.kernel
-    blocks = [_Block.of([0], np.array([[kernel_self(kernel, pts[0])]]),
-                        params.order)]
+    members, tables = [[0]], [_new_table(params.order)]
+    tables[0].grow(np.zeros(0), kernel_self(kernel, pts[0]))
     for i in range(1, pts.shape[0]):
         ktt = kernel_self(kernel, pts[i])
         col = kernel_column(kernel, pts[i], pts[:i])
-        row = _block_row(blocks, col, ktt, params)
+        row = _block_row(members, tables, col, ktt, lam)
         if rule == "argmax":
             choice = row.argmax
         else:
             choice = int(rng.choice(len(row.probs), p=row.probs))
-        if choice == len(blocks):
-            blocks.append(_Block.of([i], np.array([[ktt]]), params.order))
-        else:
-            block = blocks[choice]
-            block.grow(i, col[block.members], ktt)
-    return Partition.from_blocks([b.members for b in blocks])
+        if choice == len(tables):
+            members.append([])
+            tables.append(_new_table(params.order))
+        tables[choice].grow(col[members[choice]], ktt)
+        members[choice].append(i)
+    return Partition.from_blocks(members)
 
 
 def knn_predict(train_points, train_labels, queries, k: int = 5) -> np.ndarray:

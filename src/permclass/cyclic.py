@@ -45,7 +45,7 @@ from enum import Enum
 
 import numpy as np
 
-from .kernels import GramMatrix, kernel_column, kernel_self
+from .kernels import GramMatrix, _check_finite, _check_kernel_row, kernel_column, kernel_self
 
 __all__ = [
     "MAX_ORDER",
@@ -59,9 +59,7 @@ __all__ = [
     "ratio_approx_matrix",
     "per_alpha_cyclic",
     "LimitTable",
-    "build_limit_table",
     "limit_ratio",
-    "cyclic_ratio_from_kt",
     "GramStructure",
     "closed_form_ratio_matrix",
 ]
@@ -158,16 +156,19 @@ def _fit_core(g: GramMatrix, order: int) -> _FitCore:
         raise ValueError(f"order must be in 0..3, got {order}")
     G = g.entries
     d = G.diagonal().copy()
-    bad = np.flatnonzero(d <= 0)
+    bad = np.flatnonzero(~((d > 0) & (d < np.inf)))
     if bad.size:
         i = int(bad[0])
         raise ValueError(
-            f"gram diagonal must be strictly positive; point index {i} has "
-            f"K(x, x) = {d[i]}"
+            f"gram diagonal must be strictly positive and finite; point index {i} "
+            f"has K(x, x) = {d[i]}"
         )
     Qoff = (G * G) / d[None, :]
     np.fill_diagonal(Qoff, 0.0)
     core = _FitCore(g, order, d, Qoff.sum(axis=1))
+    if not np.isfinite(core.q_sum).all():
+        # a NaN or infinite entry makes its row's sum so; finding it is O(n^2)
+        _check_finite(G, "gram matrix")
     if order == 3:
         core.qoff = Qoff
         inner = (G / d) @ G
@@ -373,10 +374,8 @@ def per_alpha_cyclic(A, alpha: float, order: int = MAX_ORDER) -> float:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix must be square, got shape {m.shape}")
     out = 1.0
-    for size in range(m.shape[0]):
-        table = build_ratio_table(GramMatrix.from_matrix(m[:size, :size]),
-                                  alpha, order=order)
-        out *= ratio_from_kt(table, m[size, :size], float(m[size, size]), order)
+    for size in range(1, m.shape[0] + 1):
+        out *= ratio_approx_matrix(m[:size, :size], alpha, order)
     return out
 
 
@@ -479,11 +478,10 @@ class LimitTable:
         a = np.asarray(kt, dtype=float)
         if a.shape != (n,):
             raise ValueError(f"kernel row must have length {n}, got {a.shape}")
+        _check_kernel_row(a, ktt)
         if not ktt > 0:
             raise ValueError(f"gram diagonal must be strictly positive; point "
                              f"index {n} has K(x, x) = {ktt}")
-        if (a < 0).any():
-            raise ValueError("kernel produced a negative Gram entry")
         dp, d = float(ktt), self.d
         self.d = np.append(d, dp)
         if self.order >= 2:
@@ -529,21 +527,9 @@ class LimitTable:
         r0[self.flat] = np.inf
         self.r0 = r0
 
-
-def build_limit_table(g: GramMatrix, order: int) -> LimitTable:
-    """Tables for the alpha -> 0+ limit of the order-k ratio.
-
-    The table is grown one point at a time, as a partition block grows:
-    O(n^2) a point, so O(n^3) in all at order 3 and O(n^2) below.
-    """
-    n = g.n
-    if n == 0:
-        raise ValueError("cyclic ratio is undefined for an empty point set")
-    table = LimitTable(order)
-    G = g.entries
-    for p in range(n):
-        table.grow(G[p, :p], G[p, p])
-    return table
+    def ratio(self, kt, ktt: float) -> float:
+        """The limit ratio for one query, as `limit_ratio` gives it."""
+        return limit_ratio(self, kt, ktt)
 
 
 def limit_ratio(table: LimitTable, kt, ktt: float) -> float:
@@ -621,11 +607,6 @@ def _four_cycle_limit(table: LimitTable, kt, w, u) -> float:
         b0 = ktf * (ktf + table.t0[flat] @ kt)
         total += float((b0 / (table.d[flat] + table.delta[flat])).sum())
     return total
-
-
-def cyclic_ratio_from_kt(g: GramMatrix, kt, ktt: float, order: int) -> float:
-    """alpha -> 0+ limit of the order-k ratio, through a fresh table."""
-    return limit_ratio(build_limit_table(g, order), kt, ktt)
 
 
 # ---------------------------------------------------------------------------

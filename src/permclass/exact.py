@@ -30,7 +30,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .kernels import Kernel, _as_rows, _label_codes, gram, kernel_column, kernel_self
+from .kernels import (Kernel, _as_rows, _check_kernel_row, _label_codes, gram,
+                      kernel_column, kernel_self)
 
 __all__ = [
     "EXACT_SIZE_CAP",
@@ -221,34 +222,61 @@ def _ratio_exact_rows(G: np.ndarray, Kt, ktt, alpha: float,
 
 
 def ratio_exact_matrix(A, alpha: float, cap: int = EXACT_SIZE_CAP) -> float:
-    """Exact ratio treating the last index of A as the added point."""
+    """Exact ratio treating the last index (its row) of A as the added point."""
     m = _check_square(A)
     n = m.shape[0]
     if n == 0:
         raise ValueError("ratio needs at least the added point on the diagonal")
-    if n == 1:
-        return float(alpha) * float(m[0, 0])
-    _check_cap(n, cap)
-    denom = per_alpha_exact(m[: n - 1, : n - 1], alpha, cap=cap)
-    if denom == 0.0:
-        raise ZeroDivisionError("per_alpha of the leading block is zero")
-    return per_alpha_exact(m, alpha, cap=cap) / denom
+    return float(_ratio_exact_rows(m[:n - 1, :n - 1], m[n - 1:, :n - 1], m[n - 1:, n - 1],
+                                   alpha, cap)[0])
+
+
+class _CypTable:
+    """The exact order's growable table: the Gram matrix of its points, in
+    the order they were added, and its cyclic product sum, computed on the
+    first `ratio` after a growth.  It answers `grow` and `ratio` as
+    `cyclic.LimitTable` does, within ``cap`` points for the bordered matrix.
+    """
+
+    def __init__(self, cap: int):
+        self.cap = cap
+        self.gram = np.zeros((0, 0))
+        self._cyp: float | None = None
+
+    def grow(self, kt, ktt: float) -> None:
+        """Add a point with kernel values ``kt`` against the current points
+        and K(x, x) = ``ktt``."""
+        kt = np.asarray(kt, dtype=float)
+        _check_kernel_row(kt, ktt)
+        self.gram = _bordered(self.gram, kt, ktt)
+        self._cyp = None
+
+    def ratio(self, kt, ktt: float) -> float:
+        """cyp{K(x u t)} / cyp{K(x)} for a query with kernel values ``kt``
+        against the points and K(t, t) = ``ktt``."""
+        _check_cap(self.gram.shape[0] + 1, self.cap)
+        if self._cyp is None:
+            self._cyp = cyp_exact(self.gram, cap=self.cap)
+        if self._cyp == 0.0:
+            raise ZeroDivisionError("cyp of the training configuration is zero")
+        return cyp_exact(_bordered(self.gram, kt, ktt), cap=self.cap) / self._cyp
+
+
+def _grown(table, G: np.ndarray):
+    """``table``, a `_CypTable` or a `cyclic.LimitTable`, grown by the points
+    of the Gram matrix ``G`` in index order."""
+    for p in range(G.shape[0]):
+        table.grow(G[p, :p], G[p, p])
+    return table
 
 
 def cyclic_ratio_exact(t, points, kernel: Kernel, cap: int = EXACT_SIZE_CAP) -> float:
     """Exact cyclic ratio cyp{K(x u t)} / cyp{K(x)} for n >= 1."""
     pts = _as_rows(points, "point")
     t = _as_rows(np.reshape(t, (1, -1)), "query")[0]
-    n = pts.shape[0]
-    if n == 0:
-        raise ValueError("cyclic ratio is undefined for an empty point set")
-    _check_cap(n + 1, cap)
-    g = gram(kernel, pts)
-    aug = _bordered(g.entries, kernel_column(kernel, t, pts), kernel_self(kernel, t))
-    denom = cyp_exact(g.entries, cap=cap)
-    if denom == 0.0:
-        raise ZeroDivisionError("cyp of the training configuration is zero")
-    return cyp_exact(aug, cap=cap) / denom
+    _check_cap(pts.shape[0] + 1, cap)  # before an oversized Gram is built
+    table = _grown(_CypTable(cap), gram(kernel, pts).entries)
+    return table.ratio(kernel_column(kernel, t, pts), kernel_self(kernel, t))
 
 
 def label_probability_exact(points, labels, alphas: Sequence[float],

@@ -62,10 +62,24 @@ def _as_rows(points, what: str) -> np.ndarray:
         pts = pts.reshape(-1, 1)
     if pts.ndim > 2:
         raise ValueError(f"{what} array must be 2-d (one row per point), got shape {pts.shape}")
-    if not np.isfinite(pts).all():
-        r, c = (int(v) for v in np.argwhere(~np.isfinite(pts))[0])
-        raise ValueError(f"{what} row {r}, column {c} is not finite ({pts[r, c]})")
+    _check_finite(pts, what)
     return pts
+
+
+def _check_finite(m: np.ndarray, what: str) -> None:
+    """Refuse a 2-d array with a NaN or infinite entry, naming the first."""
+    if not np.isfinite(m).all():
+        r, c = (int(v) for v in np.argwhere(~np.isfinite(m))[0])
+        raise ValueError(f"{what} row {r}, column {c} is not finite ({m[r, c]})")
+
+
+def _check_kernel_row(kt: np.ndarray, ktt: float) -> None:
+    """Refuse a new point's kernel values ``kt`` against the points before
+    it, or its K(x, x) = ``ktt``, unless each is finite and nonnegative."""
+    if not (np.isfinite(kt).all() and math.isfinite(ktt)):
+        raise ValueError("kernel produced a non-finite Gram entry")
+    if (kt < 0).any() or ktt < 0:
+        raise ValueError("kernel produced a negative Gram entry")
 
 
 def _label_codes(labels) -> np.ndarray:
@@ -385,6 +399,7 @@ class GramMatrix:
         m = np.asarray(matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"matrix must be square, got shape {m.shape}")
+        _check_finite(m, "matrix")
         if not np.array_equal(m, m.T):
             raise ValueError("matrix must be exactly symmetric")
         pts = np.arange(m.shape[0], dtype=float).reshape(-1, 1)

@@ -20,9 +20,9 @@ import pytest
 from hypothesis import settings
 
 from permclass.classify import fit, predict
-from permclass.cyclic import DegenerateConfigurationError
-from permclass.exact import Partition, cyp_exact
-from permclass.kernels import KernelFamily, gram, kernel_column, kernel_self
+from permclass.cyclic import DegenerateConfigurationError, LimitTable
+from permclass.exact import Partition, _grown, cyp_exact
+from permclass.kernels import GramMatrix, KernelFamily, gram, kernel_column, kernel_self
 from permclass.model_select import (CandidateResult, CVReport, _objective_fn,
                                     _tie_key, fold_assignment)
 
@@ -348,6 +348,19 @@ def cyclic_ratio_scalar(G, kt, ktt, order) -> float:
     if not isinstance(value, GradedValue):
         value = GradedValue.of(value)
     return value.limit()
+
+
+def build_limit_table(g: GramMatrix, order: int) -> LimitTable:
+    """The alpha -> 0+ table of an order-k ratio over a Gram matrix, grown
+    one point at a time as a partition block grows."""
+    if g.n == 0:
+        raise ValueError("cyclic ratio is undefined for an empty point set")
+    return _grown(LimitTable(order), g.entries)
+
+
+def cyclic_ratio_from_kt(g: GramMatrix, kt, ktt: float, order: int) -> float:
+    """alpha -> 0+ limit of the order-k ratio, through a fresh table."""
+    return build_limit_table(g, order).ratio(kt, ktt)
 
 
 def sequential_partition_scalar(points, params, rule="argmax", seed=None) -> Partition:

@@ -368,6 +368,19 @@ def test_predict_infinite_matches_scalar_weights(rng, order):
     np.testing.assert_allclose(row.raw, expect, rtol=1e-12, atol=0.0)
 
 
+def test_infinite_needs_lambda_before_kernel_work():
+    params = ModelParams(kernel=Kernel.gaussian(1.0))
+    for n in (0, 1, 2):
+        with pytest.raises(ValueError, match="needs lambda"):
+            sequential_partition(np.zeros((n, 1)), params)
+    # the query lies outside the projection kernel's ground set, which the
+    # kernel would report had it been evaluated first
+    kern = Kernel.projection(np.eye(2), [(0.0,), (1.0,)])
+    with pytest.raises(ValueError, match="needs lambda"):
+        predict_infinite(np.array([[0.0], [1.0]]), Partition.from_blocks([[0, 1]]),
+                         np.array([5.0]), ModelParams(kernel=kern))
+
+
 def test_sequential_bad_rule():
     params = ModelParams(kernel=Kernel.constant(1.0), lam=1.0)
     with pytest.raises(ValueError, match="rule"):

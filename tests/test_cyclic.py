@@ -4,12 +4,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import (ALPHA, GradedValue, augment, banded_gram,
-                      block_constant_matrix, cyclic_ratio_scalar,
+                      block_constant_matrix, build_limit_table,
+                      cyclic_ratio_from_kt, cyclic_ratio_scalar,
                       generic_ratio, generic_tables, ratio_table_one_shot,
                       sym_nonneg)
 from permclass.cyclic import (DegenerateConfigurationError, LimitTable,
-                              build_limit_table, build_ratio_table,
-                              closed_form_ratio_matrix, cyclic_ratio_from_kt,
+                              build_ratio_table, closed_form_ratio_matrix,
                               limit_ratio, per_alpha_cyclic, ratio_approx,
                               ratio_approx_matrix, ratio_batch, ratio_from_kt)
 from permclass.cyclic import _finish, _fit_core
@@ -617,7 +617,18 @@ def test_limit_table_grows_checked_rows():
         table.grow(np.array([0.1]), 0.0)
     with pytest.raises(ValueError, match="length 1"):
         table.grow(np.zeros(2), 1.0)
+    for kt, ktt in (([np.nan], 1.0), ([0.1], np.inf), ([0.1], np.nan)):
+        with pytest.raises(ValueError, match="non-finite Gram entry"):
+            table.grow(np.array(kt), ktt)
     assert table.n == 1
+
+
+def test_limit_table_ratio_is_limit_ratio(rng):
+    M = sym_nonneg(rng, 6)
+    for k in (0, 1, 2, 3):
+        table = build_limit_table(GramMatrix.from_matrix(M), k)
+        kt = rng.random(6)
+        assert table.ratio(kt, 0.8) == limit_ratio(table, kt, 0.8)
 
 
 def cyclic_ratio_smallalpha(g: GramMatrix, kt, ktt: float, order: int,
@@ -680,3 +691,20 @@ def test_projection_normalization_general_matrix(rng):
             total = sum(ratio_from_kt(table, P[t, train], P[t, t], k)
                         for t in range(8))
             assert total / (n + alpha * nu) == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_fit_core_refuses_non_finite_gram(order):
+    def raw(entries):
+        return GramMatrix(entries=np.array(entries), points=np.zeros((2, 1)))
+
+    # a NaN point gives NaN kernel values, which pass a `<= 0` diagonal test
+    g = gram(Kernel.gaussian(1.0), [[np.nan], [0.0]])
+    with pytest.raises(ValueError, match=r"strictly positive and finite; .* = nan"):
+        build_ratio_table(g, 1.0, order)
+    with pytest.raises(ValueError, match=r"strictly positive and finite; .* = inf"):
+        build_ratio_table(raw([[np.inf, 0.5], [0.5, 1.0]]), 1.0, order)
+    with pytest.raises(ValueError, match=r"gram matrix row 0, column 1 is not finite \(nan\)"):
+        build_ratio_table(raw([[1.0, np.nan], [np.nan, 1.0]]), 1.0, order)
+    with pytest.raises(ValueError, match=r"gram matrix row 0, column 1 is not finite \(-inf\)"):
+        build_ratio_table(raw([[1.0, -np.inf], [-np.inf, 1.0]]), 1.0, order)

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import cyp_oracle, elimination_det, perm_oracle, sym_nonneg
+from conftest import augment, cyp_oracle, elimination_det, perm_oracle, sym_nonneg
 from permclass.exact import (EXACT_SIZE_CAP, ExactSizeLimitError, Partition,
                              cyclic_ratio_exact, cyp_exact, ewens_probability,
                              iter_set_partitions, label_probability_exact,
                              partition_probability_exact, per_alpha_exact,
                              ratio_exact, ratio_exact_matrix, rising_factorial)
-from permclass.exact import _cyp_subsets
+from permclass.exact import _CypTable, _cyp_subsets, _grown
 from permclass.kernels import Kernel
 
 
@@ -186,6 +186,41 @@ def test_cyclic_ratio_constant_and_diagonal():
     with pytest.raises(ZeroDivisionError):
         # diagonal kernel, distinct points: cyp of the context is zero
         cyclic_ratio_exact([9.0], pts, Kernel.diagonal_indicator(default=1.0))
+
+
+def test_cyp_table_reads_after_every_growth(rng):
+    # ratios read between growths: a cyp{K(x)} cached before a growth must
+    # not serve the grown table, and a second read reuses the cached value
+    M = sym_nonneg(rng, 8)
+    table = _CypTable(EXACT_SIZE_CAP)
+    table.grow(M[0, :0], M[0, 0])
+    for p in range(1, 8):
+        G = M[:p, :p]
+        for _ in range(2):
+            kt, ktt = rng.random(p), rng.uniform(0.5, 1.5)
+            assert table.ratio(kt, ktt) == cyp_exact(augment(G, kt, ktt)) / cyp_exact(G)
+        table.grow(M[p, :p], M[p, p])
+    np.testing.assert_array_equal(table.gram, M)
+
+
+def test_cyp_table_checks():
+    with pytest.raises(ValueError, match="empty"):
+        _CypTable(EXACT_SIZE_CAP).ratio(np.zeros(0), 1.0)
+    with pytest.raises(ZeroDivisionError, match="cyp of the training configuration"):
+        _grown(_CypTable(EXACT_SIZE_CAP), np.eye(2)).ratio(np.ones(2), 1.0)
+    full = _grown(_CypTable(3), np.ones((3, 3)))
+    with pytest.raises(ExactSizeLimitError, match="n = 4 exceeds the cap of 3"):
+        full.ratio(np.ones(3), 1.0)
+    assert _grown(_CypTable(3), np.ones((2, 2))).ratio(np.ones(2), 1.0) == 2.0
+    table = _CypTable(EXACT_SIZE_CAP)
+    table.grow(np.zeros(0), 1.0)
+    with pytest.raises(ValueError, match="negative Gram entry"):
+        table.grow(np.array([-0.1]), 1.0)
+    with pytest.raises(ValueError, match="non-finite Gram entry"):
+        table.grow(np.array([np.nan]), 1.0)
+    with pytest.raises(ValueError, match="non-finite Gram entry"):
+        table.grow(np.array([0.5]), np.inf)
+    assert table.gram.shape == (1, 1)
 
 
 def test_cyclic_ratio_empty_raises():

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from conftest import gram_one_shot, sq_distances_one_shot
 from permclass import kernels
-from permclass.kernels import (Kernel, KernelFamily, gram, kernel_block, kernel_column,
-                               kernel_eval, kernel_self, kernel_self_batch)
+from permclass.kernels import (GramMatrix, Kernel, KernelFamily, gram, kernel_block,
+                               kernel_column, kernel_eval, kernel_self, kernel_self_batch)
 
 
 def test_gaussian_zero_distance_is_one():
@@ -254,3 +254,13 @@ def test_kernel_block_empty_sides():
     assert kernel_block(k, np.zeros((0, 2)), np.zeros((4, 2))).shape == (0, 4)
     with pytest.raises(ValueError, match="dimension mismatch"):
         kernel_block(k, np.zeros((1, 3)), np.zeros((4, 2)))
+
+
+def test_gram_from_matrix_names_non_finite_entries():
+    # NaN != NaN, so the symmetry test alone would blame the wrong cause
+    with pytest.raises(ValueError, match=r"matrix row 0, column 0 is not finite \(nan\)"):
+        GramMatrix.from_matrix([[np.nan]])
+    with pytest.raises(ValueError, match=r"matrix row 0, column 1 is not finite \(-inf\)"):
+        GramMatrix.from_matrix([[1.0, -np.inf], [-np.inf, 1.0]])
+    with pytest.raises(ValueError, match="exactly symmetric"):
+        GramMatrix.from_matrix([[1.0, 0.5], [0.4, 1.0]])
