@@ -298,13 +298,6 @@ def _new_table(order) -> LimitTable | _CypTable:
     return _CypTable(EXACT_SIZE_CAP) if order == EXACT_ORDER else LimitTable(int(order))
 
 
-def _lam(params: ModelParams) -> float:
-    """The new-block rate, checked before any kernel work."""
-    if params.lam is None:
-        raise ValueError("infinite-class prediction needs lambda")
-    return params.lam
-
-
 def _block_row(members: list[list[int]], tables: list, col: np.ndarray, ktt: float,
                lam: float) -> PosteriorTable:
     """Posterior over the blocks, ``members[j]`` weighed through
@@ -328,7 +321,8 @@ def predict_infinite(points, partition: Partition, t,
     block, with weight lambda K(t, t).  The table's arrays are 1-d and its
     argmax is an int.
     """
-    lam = _lam(params)
+    if params.lam is None:  # before any kernel work
+        raise ValueError("infinite-class prediction needs lambda")
     pts = _as_rows(points, "point")
     t = _as_rows(np.reshape(t, (1, -1)), "query")[0]
     if partition.n != pts.shape[0]:
@@ -338,7 +332,7 @@ def predict_infinite(points, partition: Partition, t,
     tables = [_grown(_new_table(params.order), gram(kernel, pts[b]).entries)
               for b in members]
     return _block_row(members, tables, kernel_column(kernel, t, pts),
-                      kernel_self(kernel, t), lam)
+                      kernel_self(kernel, t), params.lam)
 
 
 def sequential_partition(points, params: ModelParams, rule: str = "argmax",
@@ -354,7 +348,8 @@ def sequential_partition(points, params: ModelParams, rule: str = "argmax",
     """
     if rule not in ("argmax", "sample"):
         raise ValueError(f"rule must be 'argmax' or 'sample', got {rule!r}")
-    lam = _lam(params)
+    if params.lam is None:  # before any kernel work
+        raise ValueError("infinite-class prediction needs lambda")
     rng = np.random.default_rng(seed) if rule == "sample" else None
     pts = _as_rows(points, "point")
     if pts.shape[0] < 2:
@@ -365,7 +360,7 @@ def sequential_partition(points, params: ModelParams, rule: str = "argmax",
     for i in range(1, pts.shape[0]):
         ktt = kernel_self(kernel, pts[i])
         col = kernel_column(kernel, pts[i], pts[:i])
-        row = _block_row(members, tables, col, ktt, lam)
+        row = _block_row(members, tables, col, ktt, params.lam)
         if rule == "argmax":
             choice = row.argmax
         else:

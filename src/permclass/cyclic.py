@@ -478,10 +478,10 @@ class LimitTable:
         a = np.asarray(kt, dtype=float)
         if a.shape != (n,):
             raise ValueError(f"kernel row must have length {n}, got {a.shape}")
-        _check_kernel_row(a, ktt)
-        if not ktt > 0:
+        if ktt <= 0:  # False for NaN, which the next check names
             raise ValueError(f"gram diagonal must be strictly positive; point "
                              f"index {n} has K(x, x) = {ktt}")
+        _check_kernel_row(a, ktt)
         dp, d = float(ktt), self.d
         self.d = np.append(d, dp)
         if self.order >= 2:

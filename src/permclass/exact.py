@@ -222,13 +222,17 @@ def _ratio_exact_rows(G: np.ndarray, Kt, ktt, alpha: float,
 
 
 def ratio_exact_matrix(A, alpha: float, cap: int = EXACT_SIZE_CAP) -> float:
-    """Exact ratio treating the last index (its row) of A as the added point."""
+    """Exact ratio per_a(A) / per_a(A[:-1, :-1]) for any square A, its last
+    index the added point (A's last row and column need not agree)."""
     m = _check_square(A)
     n = m.shape[0]
     if n == 0:
         raise ValueError("ratio needs at least the added point on the diagonal")
-    return float(_ratio_exact_rows(m[:n - 1, :n - 1], m[n - 1:, :n - 1], m[n - 1:, n - 1],
-                                   alpha, cap)[0])
+    _check_cap(n, cap)
+    denom = per_alpha_exact(m[: n - 1, : n - 1], alpha, cap=cap)
+    if denom == 0.0:
+        raise ZeroDivisionError("per_alpha of the leading block is zero")
+    return per_alpha_exact(m, alpha, cap=cap) / denom
 
 
 class _CypTable:

@@ -615,6 +615,8 @@ def test_limit_table_grows_checked_rows():
         table.grow(np.array([-0.1]), 1.0)
     with pytest.raises(ValueError, match="strictly positive"):
         table.grow(np.array([0.1]), 0.0)
+    with pytest.raises(ValueError, match=r"strictly positive; point index 1 has K\(x, x\) = -1.0"):
+        table.grow(np.array([0.1]), -1.0)
     with pytest.raises(ValueError, match="length 1"):
         table.grow(np.zeros(2), 1.0)
     for kt, ktt in (([np.nan], 1.0), ([0.1], np.inf), ([0.1], np.nan)):

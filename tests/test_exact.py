@@ -170,6 +170,17 @@ def test_ratio_matrix_matches_kernel_route(rng):
         ratio_exact(t, pts, kern, 1.3), rel=1e-12)
 
 
+def test_ratio_matrix_reads_the_whole_asymmetric_matrix(rng):
+    # the last row and column differ: the ratio is per_a(A) / per_a(A[:-1, :-1]),
+    # not a ratio of bordered Gram matrices built from either of them
+    A = np.array([[1.0, 0.5, 0.2], [0.5, 2.0, 0.3], [0.4, 0.3, 1.5]])
+    assert ratio_exact_matrix(A, 0.7) == pytest.approx(1.2106060606060605, rel=1e-14)
+    for n in (1, 2, 4, 6):
+        B = rng.random((n, n))
+        assert ratio_exact_matrix(B, 1.3) == (per_alpha_exact(B, 1.3)
+                                              / per_alpha_exact(B[:-1, :-1], 1.3))
+
+
 def test_cyclic_ratio_single_point():
     # the only cycle through {t, x1} uses both off-diagonal entries
     kern = Kernel.gaussian(1.0)
