@@ -40,7 +40,8 @@ __all__ = [
 # class, so the block's Q x n temporaries stay a few hundred kB whatever the
 # query count: unblocked, `reproduce table1` (3,600 grid queries) peaks about
 # 8 MB higher.  Blocks this size are still large enough for matrix products.
-# `knn_predict` takes its queries in chunks bounded by the same count.
+# `knn_predict` takes its queries in chunks of the same Q x n size
+# (`_sq_distances` bounds its own n x d temporaries).
 _BLOCK_ENTRIES = 4096
 
 
@@ -53,23 +54,22 @@ class LabeledDataset:
     """
 
     points: np.ndarray
-    labels: np.ndarray | None = None
+    labels: np.ndarray
     n_classes: int = 0
     class_names: tuple[str, ...] = ()
 
     def __post_init__(self):
         self.points = _as_rows(self.points, "point")
-        if self.labels is not None:
-            self.labels = _label_codes(self.labels)
-            if self.labels.shape[0] != self.points.shape[0]:
-                raise ValueError("labels must match the point count")
-            observed = int(self.labels.max()) + 1 if self.labels.size else 0
-            if self.n_classes == 0:
-                self.n_classes = observed
-            if self.n_classes < observed:
-                raise ValueError("n_classes is smaller than the largest label code")
-            if not self.class_names:
-                self.class_names = tuple(str(r + 1) for r in range(self.n_classes))
+        self.labels = _label_codes(self.labels)
+        if self.labels.shape[0] != self.points.shape[0]:
+            raise ValueError("labels must match the point count")
+        observed = int(self.labels.max()) + 1 if self.labels.size else 0
+        if self.n_classes == 0:
+            self.n_classes = observed
+        if self.n_classes < observed:
+            raise ValueError("n_classes is smaller than the largest label code")
+        if not self.class_names:
+            self.class_names = tuple(str(r + 1) for r in range(self.n_classes))
 
     @classmethod
     def from_arrays(cls, points, labels, n_classes: int = 0) -> "LabeledDataset":
@@ -185,8 +185,6 @@ class _KernelFit:
 
 def _class_alphas(data: LabeledDataset, params: ModelParams) -> np.ndarray:
     """Per-class masses, after the checks a fit makes before any Gram."""
-    if data.labels is None:
-        raise ValueError("finite-class fitting needs labelled data")
     k = data.n_classes
     if k == 0:
         raise ValueError("dataset declares zero classes")
@@ -388,7 +386,7 @@ def knn_predict(train_points, train_labels, queries, k: int = 5) -> np.ndarray:
     Q = _as_rows(queries, "query")
     out = np.empty(Q.shape[0], dtype=int)
     n_classes = int(y.max()) + 1 if y.size else 0
-    step = max(1, _BLOCK_ENTRIES // max(X.size, 1))
+    step = max(1, _BLOCK_ENTRIES // max(X.shape[0], 1))
     for lo in range(0, Q.shape[0], step):
         dist = _sq_distances(Q[lo:lo + step], X)
         nearest = np.argsort(dist, axis=1, kind="stable")[:, :k]

@@ -27,10 +27,10 @@ from .cyclic import EXACT_ORDER, per_alpha_cyclic, ratio_approx_matrix
 from .datasets import (SplitPlan, gen_chequerboard, gen_expression,
                        gen_triangular, load_expression_csv, load_features_csv,
                        save_features_csv, rank_genes_bw, two_axis_projection,
-                       write_text)
+                       write_csv, write_text)
 from .exact import per_alpha_exact, ratio_exact_matrix
 from .experiments import DEFAULT_TABLE1_SEED, run_chequerboard, run_microarray
-from .kernels import Kernel, _as_rows
+from .kernels import Kernel, _as_square
 from .model_select import CVSpec, cross_validate, default_grid
 
 PROG = "permclass"
@@ -46,15 +46,6 @@ def _header(seed, config: dict) -> list[str]:
             "config=" + json.dumps(config, sort_keys=True)]
 
 
-def write_csv(path: str, header_lines: list[str], columns: list[str], rows) -> None:
-    lines = [f"# {h}" for h in header_lines]
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(repr(v) if isinstance(v, float) else str(v)
-                              for v in row))
-    write_text(path, "\n".join(lines) + "\n")
-
-
 def write_json(path: str, payload: dict, seed, config: dict) -> None:
     doc = {"meta": {"version": __version__, "seed": seed, "config": config}}
     doc.update(payload)
@@ -62,10 +53,8 @@ def write_json(path: str, payload: dict, seed, config: dict) -> None:
 
 
 def _load_matrix(path: str) -> np.ndarray:
-    m = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"{path}: matrix must be square, got {m.shape}")
-    return _as_rows(m, f"{path}: matrix")
+    return _as_square(np.loadtxt(path, delimiter=",", comments="#", ndmin=2),
+                      f"{path}: matrix")
 
 
 def _kernel_from_args(args) -> Kernel:

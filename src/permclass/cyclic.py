@@ -45,7 +45,8 @@ from enum import Enum
 
 import numpy as np
 
-from .kernels import GramMatrix, _check_finite, _check_kernel_row, kernel_column, kernel_self
+from .kernels import (GramMatrix, _as_square, _check_finite, _check_kernel_row,
+                      kernel_column, kernel_self)
 
 __all__ = [
     "MAX_ORDER",
@@ -355,11 +356,11 @@ def ratio_approx(t, points, table: RatioTable, order: int | None = None) -> floa
 
 
 def ratio_approx_matrix(A, alpha: float, order: int = MAX_ORDER) -> float:
-    """Order-k ratio over a raw matrix, last index treated as the query."""
-    m = np.asarray(A, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
-        raise ValueError(f"need a nonempty square matrix, got shape {m.shape}")
+    """Order-k ratio over a raw symmetric matrix, last index the query."""
+    m = GramMatrix.from_matrix(A).entries
     n = m.shape[0] - 1
+    if n < 0:
+        raise ValueError("ratio needs at least the added point on the diagonal")
     table = build_ratio_table(GramMatrix.from_matrix(m[:n, :n]), alpha, order=order)
     return ratio_from_kt(table, m[n, :n], float(m[n, n]), order)
 
@@ -370,9 +371,7 @@ def per_alpha_cyclic(A, alpha: float, order: int = MAX_ORDER) -> float:
     per_a(A) = prod_m R_{m-1}(x_m; x_{1..m-1}) with each factor replaced
     by its order-k approximation; polynomial cost, unlike the exact sum.
     """
-    m = np.asarray(A, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {m.shape}")
+    m = GramMatrix.from_matrix(A).entries
     out = 1.0
     for size in range(1, m.shape[0] + 1):
         out *= ratio_approx_matrix(m[:size, :size], alpha, order)
@@ -687,9 +686,7 @@ def closed_form_ratio_matrix(G, kt, ktt: float, alpha: float,
     where even the two-cycle approximation is already exact.
     """
     structure = GramStructure(structure)
-    m = np.asarray(G, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {m.shape}")
+    m = _as_square(G)
     ktv = np.asarray(kt, dtype=float)
     if ktv.shape != (m.shape[0],):
         raise ValueError("kernel column must match the matrix size")

@@ -301,16 +301,23 @@ def write_text(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
+def write_csv(path: str, header_lines: Sequence[str], columns: list[str], rows) -> None:
+    """Write ``# `` header lines, a column row and the rows atomically;
+    floats use shortest round-trip repr."""
+    lines = [f"# {h}" for h in header_lines]
+    lines.append(",".join(columns))
+    for row in rows:
+        lines.append(",".join(repr(v) if isinstance(v, float) else str(v)
+                              for v in row))
+    write_text(path, "\n".join(lines) + "\n")
+
+
 def save_features_csv(path: str, dataset: LabeledDataset,
                       header_lines: Sequence[str] = ()) -> None:
-    """Write the feature CSV format atomically; floats use shortest
-    round-trip repr."""
-    lines = [f"# {line}" for line in header_lines]
-    lines.append(",".join([f"x{i}" for i in range(dataset.dim)] + ["label"]))
-    for p, code in zip(dataset.points, dataset.labels):
-        name = dataset.class_names[code] if dataset.class_names else str(code)
-        lines.append(",".join(repr(float(v)) for v in p) + f",{name}")
-    write_text(path, "\n".join(lines) + "\n")
+    """Write the feature CSV format through `write_csv`."""
+    write_csv(path, header_lines, [f"x{i}" for i in range(dataset.dim)] + ["label"],
+              ([float(v) for v in p] + [dataset.class_names[code]]
+               for p, code in zip(dataset.points, dataset.labels)))
 
 
 def load_expression_csv(expr_path: str, labels_path: str) -> ExpressionMatrix:

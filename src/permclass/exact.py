@@ -30,8 +30,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .kernels import (Kernel, _as_rows, _check_kernel_row, _label_codes, gram,
-                      kernel_column, kernel_self)
+from .kernels import (Kernel, _as_rows, _as_square, _check_kernel_row, _label_codes,
+                      gram, kernel_column, kernel_self)
 
 __all__ = [
     "EXACT_SIZE_CAP",
@@ -54,15 +54,6 @@ EXACT_SIZE_CAP = 11
 
 class ExactSizeLimitError(ValueError):
     """Raised when a matrix exceeds the exact size limit."""
-
-
-def _check_square(A) -> np.ndarray:
-    m = np.asarray(A, dtype=float)
-    if m.size == 0:
-        return m.reshape(0, 0)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {m.shape}")
-    return m
 
 
 def _check_cap(n: int, cap: int):
@@ -132,7 +123,7 @@ def _split_pairs(n: int) -> list:
 
 def per_alpha_exact(A, alpha: float, cap: int = EXACT_SIZE_CAP) -> float:
     """Exact alpha-permanent of a square matrix; the 0 x 0 case is 1."""
-    m = _check_square(A)
+    m = _as_square(A)
     n = m.shape[0]
     if n == 0:
         return 1.0
@@ -154,7 +145,11 @@ def cyp_exact(A, cap: int = EXACT_SIZE_CAP) -> float:
 
     Undefined for the empty matrix (raises); the 1 x 1 case is A[0, 0].
     """
-    m = _check_square(A)
+    return _cyp_square(_as_square(A), cap)
+
+
+def _cyp_square(m: np.ndarray, cap: int) -> float:
+    """`cyp_exact` of a matrix that `_as_square` has already passed."""
     n = m.shape[0]
     if n == 0:
         raise ValueError("cyclic product sum is undefined for an empty matrix")
@@ -224,7 +219,7 @@ def _ratio_exact_rows(G: np.ndarray, Kt, ktt, alpha: float,
 def ratio_exact_matrix(A, alpha: float, cap: int = EXACT_SIZE_CAP) -> float:
     """Exact ratio per_a(A) / per_a(A[:-1, :-1]) for any square A, its last
     index the added point (A's last row and column need not agree)."""
-    m = _check_square(A)
+    m = _as_square(A)
     n = m.shape[0]
     if n == 0:
         raise ValueError("ratio needs at least the added point on the diagonal")
@@ -260,10 +255,10 @@ class _CypTable:
         against the points and K(t, t) = ``ktt``."""
         _check_cap(self.gram.shape[0] + 1, self.cap)
         if self._cyp is None:
-            self._cyp = cyp_exact(self.gram, cap=self.cap)
+            self._cyp = _cyp_square(self.gram, self.cap)
         if self._cyp == 0.0:
             raise ZeroDivisionError("cyp of the training configuration is zero")
-        return cyp_exact(_bordered(self.gram, kt, ktt), cap=self.cap) / self._cyp
+        return _cyp_square(_bordered(self.gram, kt, ktt), self.cap) / self._cyp
 
 
 def _grown(table, G: np.ndarray):

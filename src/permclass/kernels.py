@@ -66,6 +66,18 @@ def _as_rows(points, what: str) -> np.ndarray:
     return pts
 
 
+def _as_square(matrix, what: str = "matrix") -> np.ndarray:
+    """A raw matrix as a square 2-d float array whose entries are all
+    finite; ``[]`` is the 0 x 0 matrix."""
+    m = np.asarray(matrix, dtype=float)
+    if m.shape == (0,):
+        m = m.reshape(0, 0)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"{what} must be square, got shape {m.shape}")
+    _check_finite(m, what)
+    return m
+
+
 def _check_finite(m: np.ndarray, what: str) -> None:
     """Refuse a 2-d array with a NaN or infinite entry, naming the first."""
     if not np.isfinite(m).all():
@@ -396,10 +408,7 @@ class GramMatrix:
     @classmethod
     def from_matrix(cls, matrix) -> "GramMatrix":
         """Wrap a raw symmetric nonnegative matrix (points are index stubs)."""
-        m = np.asarray(matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"matrix must be square, got shape {m.shape}")
-        _check_finite(m, "matrix")
+        m = _as_square(matrix)
         if not np.array_equal(m, m.T):
             raise ValueError("matrix must be exactly symmetric")
         pts = np.arange(m.shape[0], dtype=float).reshape(-1, 1)

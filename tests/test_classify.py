@@ -402,14 +402,14 @@ def test_knn_majority_and_ties():
 def test_knn_matches_per_query_loop_with_ties(k):
     rng = np.random.default_rng(k)
     # integer grid points and half-integer queries tie many distances
-    # exactly; 50 training points split the 120 queries into three blocks
+    # exactly; 50 training points split the 120 queries into two chunks
     X = rng.integers(0, 5, size=(50, 2)).astype(float)
     y = rng.integers(0, 3, size=50)
     Q = rng.integers(0, 9, size=(120, 2)) / 2.0
     assert np.array_equal(knn_predict(X, y, Q, k=k), knn_loop(X, y, Q, k))
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 9])
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 9, 200])
 def test_knn_matches_one_shot_distances(d):
     # training rows are coordinate permutations of one another and queries
     # lie on the diagonal, so each query's distances are sums of the same

@@ -48,6 +48,20 @@ def test_perm_rejects_non_finite_matrix(tmp_path, capsys, mode):
     assert "matrix row 1, column 1 is not finite (nan)" in err
 
 
+def test_perm_approx_refuses_asymmetric_matrix(tmp_path, capsys):
+    # per_a is defined for any square matrix, so `perm exact` reads it whole;
+    # the cyclic ratios need a symmetric one
+    m = tmp_path / "m.csv"
+    m.write_text("1,.5,.2\n.5,2,.3\n.4,.3,1.5\n")
+    code, out, err = run(["perm", "approx", "--matrix", str(m), "--alpha", "0.7"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "exactly symmetric" in err
+    code, out, _ = run(["perm", "exact", "--matrix", str(m), "--alpha", "0.7"], capsys)
+    assert code == 0
+    assert out == "per_alpha = 1.3982499999999995\nratio_last = 1.2106060606060605\n"
+
+
 def test_simulate_deterministic_bytes(tmp_path, capsys):
     out = tmp_path / "a.csv"
     argv = ["simulate", "chequerboard", "--per-cell", "2", "--seed", "7",

@@ -112,6 +112,16 @@ def test_cyp_empty_raises():
         cyp_exact(np.zeros((0, 0)))
 
 
+def test_empty_matrix_is_only_the_square_one():
+    assert per_alpha_exact(np.zeros((0, 0)), 0.7) == 1.0
+    assert per_alpha_exact([], 0.7) == 1.0
+    for shape in ((3, 0), (0, 5)):
+        with pytest.raises(ValueError, match=rf"must be square, got shape \({shape[0]}, {shape[1]}\)"):
+            per_alpha_exact(np.zeros(shape), 0.7)
+        with pytest.raises(ValueError, match="must be square"):
+            cyp_exact(np.zeros(shape))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_cyp_direct_forms_match_subset_dp(n):
     # cyp_exact skips the subset DP for n <= 3; its value must be the DP's

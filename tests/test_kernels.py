@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from conftest import gram_one_shot, sq_distances_one_shot
 from permclass import kernels
+from permclass.cyclic import closed_form_ratio_matrix, per_alpha_cyclic, ratio_approx_matrix
+from permclass.exact import cyp_exact, per_alpha_exact, ratio_exact_matrix
 from permclass.kernels import (GramMatrix, Kernel, KernelFamily, gram, kernel_block,
                                kernel_column, kernel_eval, kernel_self, kernel_self_batch)
 
@@ -264,3 +266,34 @@ def test_gram_from_matrix_names_non_finite_entries():
         GramMatrix.from_matrix([[1.0, -np.inf], [-np.inf, 1.0]])
     with pytest.raises(ValueError, match="exactly symmetric"):
         GramMatrix.from_matrix([[1.0, 0.5], [0.4, 1.0]])
+
+
+# every function that takes a raw matrix, each at alpha 0.7
+MATRIX_FUNCTIONS = {
+    "per_alpha_exact": lambda m: per_alpha_exact(m, 0.7),
+    "cyp_exact": cyp_exact,
+    "ratio_exact_matrix": lambda m: ratio_exact_matrix(m, 0.7),
+    "ratio_approx_matrix": lambda m: ratio_approx_matrix(m, 0.7),
+    "per_alpha_cyclic": lambda m: per_alpha_cyclic(m, 0.7),
+    "closed_form_ratio_matrix":
+        lambda m: closed_form_ratio_matrix(m, np.ones(3), 1.0, 0.7, "diagonal"),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("name", sorted(MATRIX_FUNCTIONS))
+def test_raw_matrices_refuse_non_finite_entries(name, bad):
+    # symmetric, and outside the leading block the cyclic ratios read,
+    # so only a finiteness check over the whole matrix refuses it
+    m = np.diag([1.0, 2.0, 1.5])
+    m[1, 2] = m[2, 1] = bad
+    with pytest.raises(ValueError, match=rf"matrix row 1, column 2 is not finite \({bad}\)"):
+        MATRIX_FUNCTIONS[name](m)
+
+
+def test_cyclic_matrix_functions_refuse_asymmetric_matrices():
+    # only the last row and column disagree: the leading blocks are symmetric
+    m = [[1.0, 0.5, 0.2], [0.5, 2.0, 0.3], [0.4, 0.3, 1.5]]
+    for f in (ratio_approx_matrix, per_alpha_cyclic):
+        with pytest.raises(ValueError, match="exactly symmetric"):
+            f(m, 0.7)
