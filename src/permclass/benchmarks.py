@@ -20,7 +20,7 @@ import numpy as np
 from .classify import LabeledDataset, ModelParams, fit, predict
 from .cyclic import build_ratio_table, ratio_approx, ratio_from_kt
 from .datasets import gen_triangular
-from .exact import _ratio_exact_rows
+from .exact import _PerTable
 from .kernels import Kernel, gram, kernel_block, kernel_self_batch
 
 __all__ = [
@@ -205,7 +205,7 @@ def accuracy_study(config: StudyConfig | None = None) -> StudyReport:
     tables = build_ratio_table(gs, cfg.alpha, order=3)
     t_small = np.linspace(cfg.lo, cfg.hi, cfg.oracle_points).reshape(-1, 1)
     Kt, ktt = kernel_block(kernel, t_small, xs), kernel_self_batch(kernel, t_small)
-    exact = _ratio_exact_rows(gs.entries, Kt, ktt, cfg.alpha)
+    exact = _PerTable(gs, cfg.alpha).rows(Kt, ktt)
     errs: dict[int, list[float]] = {1: [], 2: [], 3: []}
     for kt, tt, ex in zip(Kt, ktt, exact):
         for k in (1, 2, 3):

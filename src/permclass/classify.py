@@ -17,11 +17,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .cyclic import (EXACT_ORDER, MAX_ORDER, LimitTable, RatioTable,
-                     _finish, _fit_core, _FitCore, ratio_batch)
-from .exact import EXACT_SIZE_CAP, Partition, _CypTable, _grown, _ratio_exact_rows
-from .kernels import (GramMatrix, Kernel, _as_rows, _label_codes, _sq_distances, gram,
-                      kernel_block, kernel_column, kernel_self, kernel_self_batch)
+from .cyclic import EXACT_ORDER, MAX_ORDER, LimitTable, RatioTable, _fit_core, _FitCore
+from .exact import EXACT_SIZE_CAP, Partition, _CypTable, _grown, _PerTable
+from .kernels import (Kernel, _as_rows, _label_codes, _sq_distances, gram, kernel_block,
+                      kernel_column, kernel_self, kernel_self_batch)
 
 __all__ = [
     "LabeledDataset",
@@ -129,6 +128,9 @@ class ModelParams:
             raise ValueError(f"alphas must be finite, got {self.alphas}")
 
     def alpha_vector(self, k: int) -> np.ndarray:
+        """Per-class masses for ``k`` classes, checked before any Gram."""
+        if k == 0:
+            raise ValueError("dataset declares zero classes")
         if np.isscalar(self.alphas):
             out = np.full(k, float(self.alphas))
         else:
@@ -154,19 +156,17 @@ class ModelParams:
 
 
 @dataclass
-class _ClassState:
-    points: np.ndarray
-    alpha: float
-    gram: GramMatrix
-    table: RatioTable | None
-
-
-@dataclass
 class FittedModel:
-    """Immutable fitted state; predictions are pure and thread-safe."""
+    """Immutable fitted state; predictions are pure and thread-safe.
+
+    ``classes[r]`` is class r's table: a `cyclic.RatioTable` at orders 0-3,
+    the exact order's `exact._PerTable` otherwise.  Each carries the class's
+    Gram matrix ``gram`` (its ``points`` are the class's points) and mass
+    ``alpha``, and answers ``rows(Kt, ktt)`` for a block of queries.
+    """
 
     params: ModelParams
-    classes: list[_ClassState]
+    classes: list[RatioTable | _PerTable]
     class_names: tuple[str, ...]
 
     @property
@@ -174,39 +174,15 @@ class FittedModel:
         return len(self.classes)
 
 
-@dataclass
-class _KernelFit:
-    """The alpha-free part of a fit: per class its Gram matrix and table
-    core (``None`` on the exact order)."""
-
-    classes: list[tuple[GramMatrix, _FitCore | None]]
-    class_names: tuple[str, ...]
-
-
-def _class_alphas(data: LabeledDataset, params: ModelParams) -> np.ndarray:
-    """Per-class masses, after the checks a fit makes before any Gram."""
-    k = data.n_classes
-    if k == 0:
-        raise ValueError("dataset declares zero classes")
-    return params.alpha_vector(k)
-
-
-def _fit_kernel(data: LabeledDataset, kernel: Kernel, order) -> _KernelFit:
-    """Build each class's Gram matrix and, below the exact order, its core."""
-    classes = []
+def _fit_kernel(data: LabeledDataset, kernel: Kernel, order) -> list[_FitCore | _PerTable]:
+    """Each class's alpha-free table core, whose ``finish(alpha)`` is the
+    class's table: a `cyclic._FitCore` at orders 0-3, an `exact._PerTable`
+    otherwise."""
+    cores = []
     for r in range(data.n_classes):
         g = gram(kernel, data.class_points(r))
-        classes.append((g, _fit_core(g, order) if order != EXACT_ORDER else None))
-    return _KernelFit(classes, data.class_names)
-
-
-def _with_alphas(kfit: _KernelFit, params: ModelParams,
-                 alphas: np.ndarray) -> FittedModel:
-    """Finish every class's core for its alpha."""
-    classes = [_ClassState(g.points, float(a), g,
-                           None if core is None else _finish(core, float(a)))
-               for (g, core), a in zip(kfit.classes, alphas)]
-    return FittedModel(params=params, classes=classes, class_names=kfit.class_names)
+        cores.append(_PerTable(g) if order == EXACT_ORDER else _fit_core(g, order))
+    return cores
 
 
 def fit(data: LabeledDataset, params: ModelParams) -> FittedModel:
@@ -214,16 +190,19 @@ def fit(data: LabeledDataset, params: ModelParams) -> FittedModel:
 
     Cost is O(sum_r n_r^2) at orders 0-2 and O(sum_r n_r^3) at order 3,
     the one order whose tables need the leave-two-out ratios; the exact
-    order builds only the Gram matrices.  The tables are built as an
-    alpha-free core per class (the Gram diagonal, the two-cycle terms and,
-    at order 3, the O(n^3) product), which is then finished for the
-    class's alpha in O(n_r^2); cross-validation finishes one core for
-    every alpha of a kernel.  An empty class gets a 0 x 0 Gram matrix and
-    table, whose ratio is the empty-class weight alpha K(t, t).
+    order builds only the Gram matrices and refuses a class too large for
+    any query to join.  The tables are built as an alpha-free core per
+    class (the Gram diagonal, the two-cycle terms and, at order 3, the
+    O(n^3) product), which is then finished for the class's alpha in
+    O(n_r^2); cross-validation finishes one core for every alpha of a
+    kernel.  An empty class gets a 0 x 0 Gram matrix and table, whose ratio
+    is the empty-class weight alpha K(t, t).
     """
-    alphas = _class_alphas(data, params)
-    return _with_alphas(_fit_kernel(data, params.kernel, params.order),
-                        params, alphas)
+    alphas = params.alpha_vector(data.n_classes)
+    cores = _fit_kernel(data, params.kernel, params.order)
+    return FittedModel(params=params,
+                       classes=[core.finish(a) for core, a in zip(cores, alphas)],
+                       class_names=data.class_names)
 
 
 @dataclass
@@ -260,20 +239,15 @@ def _kernel_blocks(kernel: Kernel, qs: np.ndarray, pts: np.ndarray):
         yield kernel_block(kernel, qs[lo:lo + step], pts)
 
 
-def _posterior(model: FittedModel, ktt: np.ndarray, blocks) -> PosteriorTable:
-    """Posterior table from the queries' K(t, t) and, per class, an
-    iterable of the query kernel blocks, at every order."""
-    order = model.params.order
-    raw = np.empty((ktt.shape[0], model.n_classes))
-    for r, state in enumerate(model.classes):
+def _posterior(tables: list, ktt: np.ndarray, blocks) -> PosteriorTable:
+    """Posterior table from the queries' K(t, t) and, per class, its table
+    and an iterable of the query kernel blocks."""
+    raw = np.empty((ktt.shape[0], len(tables)))
+    for r, table in enumerate(tables):
         lo = 0
         for Kt in blocks[r]:
             hi = lo + Kt.shape[0]
-            if order == EXACT_ORDER:
-                raw[lo:hi, r] = _ratio_exact_rows(state.gram.entries, Kt, ktt[lo:hi],
-                                                  state.alpha)
-            else:
-                raw[lo:hi, r] = ratio_batch(state.table, Kt, ktt[lo:hi], order)
+            raw[lo:hi, r] = table.rows(Kt, ktt[lo:hi])
             lo = hi
     return _normalised(raw)
 
@@ -286,8 +260,8 @@ def predict(model: FittedModel, queries) -> PosteriorTable:
     """
     qs = _as_rows(queries, "query")
     kernel = model.params.kernel
-    blocks = [_kernel_blocks(kernel, qs, state.points) for state in model.classes]
-    return _posterior(model, kernel_self_batch(kernel, qs), blocks)
+    blocks = [_kernel_blocks(kernel, qs, table.gram.points) for table in model.classes]
+    return _posterior(model.classes, kernel_self_batch(kernel, qs), blocks)
 
 
 def _new_table(order) -> LimitTable | _CypTable:

@@ -120,6 +120,10 @@ class RatioTable:
     def n(self) -> int:
         return self.gram.n
 
+    def rows(self, Kt, ktt) -> np.ndarray:
+        """`ratio_batch` for a block of queries at the table's own order."""
+        return ratio_batch(self, Kt, ktt)
+
     def _python_lists(self) -> dict:
         """Python-list copies for the single-query reference sums, made on
         first use so that batched prediction never pays for them."""
@@ -148,6 +152,30 @@ class _FitCore:
     q_sum: np.ndarray
     qoff: np.ndarray | None = None
     g_inner: np.ndarray | None = None
+
+    def finish(self, alpha: float) -> RatioTable:
+        """The table for one alpha > 0: O(n^2) elementwise work on the core."""
+        G = self.gram.entries
+        d = self.d
+        a = float(alpha)
+        r1_loo = a * d + self.q_sum
+        table = RatioTable(self.gram, a, self.order, r1_loo)
+        if self.order == 3:
+            # r1_l2o[i, j] removes the i term from r1_loo[j]
+            r1_l2o = r1_loo[None, :] - self.qoff.T
+            np.fill_diagonal(r1_l2o, 1.0)
+            # C[m, i] is the three-cycle term of x_i through x_m; the product
+            # groups as (a * G) * G, and a * (G * G) would round differently
+            C = a * G * G
+            C += self.g_inner
+            C /= r1_l2o.T
+            np.fill_diagonal(C, 0.0)
+            table.r1_l2o = r1_l2o
+            table.r2_loo = a * d + C.sum(axis=0)
+            t3 = G / r1_l2o
+            np.fill_diagonal(t3, 0.0)
+            table._t3 = t3
+        return table
 
 
 def _fit_core(g: GramMatrix, order: int) -> _FitCore:
@@ -178,31 +206,6 @@ def _fit_core(g: GramMatrix, order: int) -> _FitCore:
     return core
 
 
-def _finish(core: _FitCore, alpha: float) -> RatioTable:
-    """The table for one alpha > 0: O(n^2) elementwise work on the core."""
-    G = core.gram.entries
-    d = core.d
-    a = float(alpha)
-    r1_loo = a * d + core.q_sum
-    table = RatioTable(core.gram, a, core.order, r1_loo)
-    if core.order == 3:
-        # r1_l2o[i, j] removes the i term from r1_loo[j]
-        r1_l2o = r1_loo[None, :] - core.qoff.T
-        np.fill_diagonal(r1_l2o, 1.0)
-        # C[m, i] is the three-cycle term of x_i through x_m; the product
-        # groups as (a * G) * G, and a * (G * G) would round differently
-        C = a * G * G
-        C += core.g_inner
-        C /= r1_l2o.T
-        np.fill_diagonal(C, 0.0)
-        table.r1_l2o = r1_l2o
-        table.r2_loo = a * d + C.sum(axis=0)
-        t3 = G / r1_l2o
-        np.fill_diagonal(t3, 0.0)
-        table._t3 = t3
-    return table
-
-
 def build_ratio_table(g: GramMatrix, alpha: float, order: int = MAX_ORDER) -> RatioTable:
     """Precompute the fit-time denominators that order-``order`` queries read.
 
@@ -214,12 +217,12 @@ def build_ratio_table(g: GramMatrix, alpha: float, order: int = MAX_ORDER) -> Ra
 
     The build is an alpha-free core (`_fit_core`: the diagonal, the
     two-cycle terms and their row sums, and at order 3 the O(n^3) product)
-    finished for one alpha by O(n^2) elementwise work (`_finish`), so
-    tables for several alphas over one Gram matrix can share one core.
+    finished for one alpha by O(n^2) elementwise work (`_FitCore.finish`),
+    so tables for several alphas over one Gram matrix can share one core.
     """
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    return _finish(_fit_core(g, order), alpha)
+    return _fit_core(g, order).finish(alpha)
 
 
 def _require(table: RatioTable, order: int):

@@ -30,8 +30,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .kernels import (Kernel, _as_rows, _as_square, _check_kernel_row, _label_codes,
-                      gram, kernel_column, kernel_self)
+from .kernels import (GramMatrix, Kernel, _as_rows, _as_square, _check_kernel_row,
+                      _label_codes, gram, kernel_column, kernel_self)
 
 __all__ = [
     "EXACT_SIZE_CAP",
@@ -195,25 +195,41 @@ def ratio_exact(t, points, kernel: Kernel, alpha: float,
     """
     pts = _as_rows(points, "point")
     t = _as_rows(np.reshape(t, (1, -1)), "query")[0]
-    return float(_ratio_exact_rows(gram(kernel, pts).entries, [kernel_column(kernel, t, pts)],
-                                   [kernel_self(kernel, t)], alpha, cap)[0])
+    table = _PerTable(gram(kernel, pts), alpha, cap)
+    return float(table.rows([kernel_column(kernel, t, pts)], [kernel_self(kernel, t)])[0])
 
 
-def _ratio_exact_rows(G: np.ndarray, Kt, ktt, alpha: float,
-                      cap: int = EXACT_SIZE_CAP) -> np.ndarray:
-    """`ratio_exact` for a block of queries against the points of the Gram
-    matrix ``G``, with ``Kt[q, i] = K(t_q, x_i)`` and ``ktt[q] = K(t_q, t_q)``
-    as `ratio_batch` takes them (a 0 x 0 ``G`` gives alpha K(t, t)).
-
-    The denominator per_a{K(x)} is computed once for the block, and each
-    query's matrix borders ``G``.
+@dataclass(frozen=True)
+class _PerTable:
+    """The exact order's table for one class: its Gram matrix and, once
+    finished, its alpha.  It answers `finish` and `rows` as a
+    `cyclic._FitCore` and its `cyclic.RatioTable` do, within ``cap`` points
+    for the bordered matrix, which is checked when the table is made.
     """
-    _check_cap(G.shape[0] + 1, cap)
-    denom = per_alpha_exact(G, alpha, cap=cap)
-    if denom == 0.0:
-        raise ZeroDivisionError("per_alpha of the training configuration is zero")
-    return np.array([per_alpha_exact(_bordered(G, kt, tt), alpha, cap=cap) / denom
-                     for kt, tt in zip(Kt, ktt)])
+
+    gram: GramMatrix
+    alpha: float | None = None
+    cap: int = EXACT_SIZE_CAP
+
+    def __post_init__(self):
+        _check_cap(self.gram.n + 1, self.cap)
+
+    def finish(self, alpha: float) -> "_PerTable":
+        return _PerTable(self.gram, float(alpha), self.cap)
+
+    def rows(self, Kt, ktt) -> np.ndarray:
+        """Exact ratios for a block of queries, ``Kt[q, i] = K(t_q, x_i)``
+        and ``ktt[q] = K(t_q, t_q)`` (a 0 x 0 Gram matrix gives alpha K(t, t)).
+
+        The denominator per_a{K(x)} is computed once per call, and each
+        query's matrix borders the Gram matrix.
+        """
+        G = self.gram.entries
+        denom = per_alpha_exact(G, self.alpha, cap=self.cap)
+        if denom == 0.0:
+            raise ZeroDivisionError("per_alpha of the training configuration is zero")
+        return np.array([per_alpha_exact(_bordered(G, kt, tt), self.alpha, cap=self.cap)
+                         / denom for kt, tt in zip(Kt, ktt)])
 
 
 def ratio_exact_matrix(A, alpha: float, cap: int = EXACT_SIZE_CAP) -> float:

@@ -377,11 +377,13 @@ def kernel_column(kernel: Kernel, t, points) -> np.ndarray:
 
 @dataclass
 class GramMatrix:
-    """Symmetric nonnegative matrix of kernel values over a point set.
+    """Symmetric matrix of kernel values over a point set.
 
     Immutable after construction; safe for concurrent reads.  ``kernel`` is
     kept so downstream predictors can evaluate query columns against the
-    same covariance; it is ``None`` for matrices ingested directly.
+    same covariance; it is ``None`` for matrices ingested directly.  A
+    matrix from `gram` has nonnegative entries; one from `from_matrix` may
+    be signed.
     """
 
     entries: np.ndarray
@@ -407,7 +409,8 @@ class GramMatrix:
 
     @classmethod
     def from_matrix(cls, matrix) -> "GramMatrix":
-        """Wrap a raw symmetric nonnegative matrix (points are index stubs)."""
+        """Wrap any finite, exactly symmetric matrix, signed entries included
+        (points are index stubs); nothing here requires them nonnegative."""
         m = _as_square(matrix)
         if not np.array_equal(m, m.T):
             raise ValueError("matrix must be exactly symmetric")

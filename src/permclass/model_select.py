@@ -13,8 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .classify import (LabeledDataset, ModelParams, _class_alphas, _fit_kernel,
-                       _kernel_blocks, _posterior, _with_alphas)
+from .classify import LabeledDataset, ModelParams, _fit_kernel, _kernel_blocks, _posterior
 from .kernels import Kernel, _as_rows, _sq_distances, kernel_self_batch
 
 __all__ = [
@@ -188,7 +187,7 @@ def cross_validate(data: LabeledDataset, spec: CVSpec) -> CVReport:
     alphas: list[np.ndarray | None] = [None] * len(grid)
     for i, params in enumerate(grid):
         try:
-            alphas[i] = _class_alphas(splits[0][0], params)
+            alphas[i] = params.alpha_vector(data.n_classes)
         except (ValueError, ArithmeticError) as exc:  # candidate-level isolation
             failed[i] = _failure(exc)
     groups = _kernel_groups(grid)
@@ -198,18 +197,18 @@ def cross_validate(data: LabeledDataset, spec: CVSpec) -> CVReport:
             if not live:
                 continue
             try:
-                kfit = _fit_kernel(train, kernel, order)
+                cores = _fit_kernel(train, kernel, order)
                 ktt = kernel_self_batch(kernel, queries)
-                blocks = [list(_kernel_blocks(kernel, queries, g.points))
-                          for g, _ in kfit.classes]
+                blocks = [list(_kernel_blocks(kernel, queries, core.gram.points))
+                          for core in cores]
             except (ValueError, ArithmeticError) as exc:
                 for i in live:
                     failed[i] = _failure(exc)
                 continue
             for i in live:
                 try:
-                    model = _with_alphas(kfit, grid[i], alphas[i])
-                    scores[i].append(objective(_posterior(model, ktt, blocks).probs, truth))
+                    tables = [core.finish(a) for core, a in zip(cores, alphas[i])]
+                    scores[i].append(objective(_posterior(tables, ktt, blocks).probs, truth))
                 except (ValueError, ArithmeticError) as exc:
                     failed[i] = _failure(exc)
     results = [CandidateResult(params, scores[i], float(np.mean(scores[i])))

@@ -39,22 +39,21 @@ def test_accuracy_study_smoke():
 
 
 def test_accuracy_study_computes_the_training_permanent_once(monkeypatch):
-    import permclass.benchmarks as bench_mod
     import permclass.exact as exact_mod
     cfg = StudyConfig(n=24, t_points=17, subsample=6, oracle_points=5, seed=5)
-    per_alpha, rows = exact_mod.per_alpha_exact, exact_mod._ratio_exact_rows
+    per_alpha, rows = exact_mod.per_alpha_exact, exact_mod._PerTable.rows
     calls, oracle = [], []
 
     def counted(A, alpha, cap=exact_mod.EXACT_SIZE_CAP):
         calls.append(np.shape(A)[0])
         return per_alpha(A, alpha, cap=cap)
 
-    def recorded(G, Kt, ktt, alpha):
-        oracle.append((G, Kt, ktt, alpha, rows(G, Kt, ktt, alpha)))
+    def recorded(table, Kt, ktt):
+        oracle.append((table.gram.entries, Kt, ktt, table.alpha, rows(table, Kt, ktt)))
         return oracle[-1][-1]
 
     monkeypatch.setattr(exact_mod, "per_alpha_exact", counted)
-    monkeypatch.setattr(bench_mod, "_ratio_exact_rows", recorded, raising=False)
+    monkeypatch.setattr(exact_mod._PerTable, "rows", recorded)
     accuracy_study(cfg)
     monkeypatch.undo()
     # the training permanent once, then one bordered matrix per oracle point

@@ -8,7 +8,7 @@ from conftest import (augment, cyclic_ratio_scalar, knn_loop,
 from permclass.classify import (LabeledDataset, ModelParams, fit, knn_predict,
                                 predict, predict_infinite, sequential_partition)
 from permclass.cyclic import build_ratio_table, ratio_batch, ratio_from_kt
-from permclass.exact import Partition, cyp_exact, ratio_exact
+from permclass.exact import ExactSizeLimitError, Partition, cyp_exact, ratio_exact
 from permclass.kernels import Kernel, gram, kernel_block, kernel_column, kernel_self
 
 
@@ -29,10 +29,10 @@ def test_order_2_predict_matches_order_3_table(rng):
     model = fit(data, params)
     qs = rng.normal(size=(25, 2)) * 2.0
     raw = predict(model, qs).raw
-    for r, state in enumerate(model.classes):
-        assert state.table.r2_loo is None
-        full = build_ratio_table(state.gram, state.alpha, order=3)
-        Kt = kernel_block(params.kernel, qs, state.points)
+    for r, table in enumerate(model.classes):
+        assert table.r2_loo is None
+        full = build_ratio_table(table.gram, table.alpha, order=3)
+        Kt = kernel_block(params.kernel, qs, table.gram.points)
         assert np.array_equal(raw[:, r], ratio_batch(full, Kt, np.ones(25), 2))
 
 
@@ -40,7 +40,7 @@ def test_fit_structure(rng):
     data = make_data(rng, (10, 10))
     model = fit(data, ModelParams(kernel=Kernel.gaussian(1.0), alphas=1.0))
     assert model.n_classes == 2
-    assert all(s.table.n == 10 for s in model.classes)
+    assert all(table.n == 10 for table in model.classes)
 
 
 def test_empty_class_rule():
@@ -133,8 +133,8 @@ def test_predict_matches_per_query_reference(rng, order):
     queries = rng.normal(size=(150, 2)) * 2 + 1.5
     table = predict(model, queries)
     for q, t in enumerate(queries):
-        ref = [ratio_from_kt(s.table, kernel_column(params.kernel, t, s.points),
-                             1.0, order) if len(s.points) else s.alpha
+        ref = [ratio_from_kt(s, kernel_column(params.kernel, t, s.gram.points),
+                             1.0, order) if len(s.gram.points) else s.alpha
                for s in model.classes]
         np.testing.assert_allclose(table.raw[q], ref, rtol=1e-12, atol=0.0)
     assert np.array_equal(table.argmax, table.probs.argmax(axis=1))
@@ -223,6 +223,18 @@ def test_predict_exact_builds_each_denominator_once(rng, monkeypatch):
             kt = kernel_column(params.kernel, q, pts)
             assert got == (per_alpha(augment(G, kt, 1.0), a)
                            / per_alpha(G, a))
+
+
+def test_exact_fit_refuses_a_class_no_query_can_join(rng):
+    # a query borders its class's Gram matrix, so a class of 11 points needs
+    # a 12-point permanent, past the cap of 11: the fit refuses it, naming
+    # that size, where a class of 10 still fits and predicts
+    params = ModelParams(kernel=Kernel.gaussian(1.0), order="exact")
+    with pytest.raises(ExactSizeLimitError, match="n = 12 exceeds the cap of 11"):
+        fit(make_data(rng, (3, 11)), params)
+    model = fit(make_data(rng, (3, 10)), params)
+    assert [table.gram.n for table in model.classes] == [3, 10]
+    assert np.isfinite(predict(model, rng.normal(size=(2, 2))).probs).all()
 
 
 def test_non_finite_training_points_rejected():

@@ -98,6 +98,19 @@ def test_fit_predict_pipeline(tmp_path, capsys):
     assert len(lines) == 3
 
 
+def test_exact_fit_refuses_an_oversized_class_and_writes_nothing(tmp_path, capsys):
+    # 3 points per cell give a class of 15, beyond the exact size cap
+    data = tmp_path / "train.csv"
+    assert run(["simulate", "chequerboard", "--per-cell", "3", "--seed", "1",
+                "--out", str(data)], capsys)[0] == 0
+    model = tmp_path / "model.json"
+    code, _, err = run(["fit", "--data", str(data), "--order", "exact",
+                        "--out", str(model)], capsys)
+    assert code == 1
+    assert "exact size limit: n = 16 exceeds the cap of 11" in err
+    assert not model.exists()
+
+
 def test_partition_command(tmp_path, capsys):
     data = tmp_path / "pts.csv"
     data.write_text("x0\n0.0\n0.1\n5.0\n5.1\n")

@@ -12,7 +12,7 @@ from permclass.cyclic import (DegenerateConfigurationError, LimitTable,
                               build_ratio_table, closed_form_ratio_matrix,
                               limit_ratio, per_alpha_cyclic, ratio_approx,
                               ratio_approx_matrix, ratio_batch, ratio_from_kt)
-from permclass.cyclic import _finish, _fit_core
+from permclass.cyclic import _fit_core
 from permclass.exact import per_alpha_exact, ratio_exact_matrix
 from permclass.kernels import GramMatrix, Kernel, gram, kernel_column
 
@@ -149,7 +149,7 @@ def test_core_finish_matches_fresh_build(rng, order):
         before = [None if v is None else v.copy()
                   for v in (core.d, core.q_sum, core.qoff, core.g_inner)]
         for alpha in (2.0, 0.25, 1.0, 0.1 + 0.2, 2.0):
-            got = _finish(core, alpha)
+            got = core.finish(alpha)
             fresh = build_ratio_table(g, alpha, order=order)
             one_pass = ratio_table_one_shot(M, alpha, order)
             for a, b, c, absent in zip((got.r1_loo, got.r1_l2o, got.r2_loo, got._t3),

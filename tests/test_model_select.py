@@ -89,15 +89,16 @@ def test_programming_errors_are_not_isolated(monkeypatch):
     # else is a bug and must surface instead of becoming an inf score,
     # whether it comes from the shared kernel stage or a candidate's alpha
     import permclass.model_select as ms
+    from permclass.cyclic import _FitCore
 
     def broken(*args):
         raise TypeError("unsupported operand")
 
     data = gen_chequerboard(2, seed=0)
     grid = [ModelParams(kernel=Kernel.exponential(0.5), alphas=1.0, order=1)]
-    for stage in ("_fit_kernel", "_with_alphas"):
+    for owner, stage in ((ms, "_fit_kernel"), (_FitCore, "finish")):
         with monkeypatch.context() as patch:
-            patch.setattr(ms, stage, broken)
+            patch.setattr(owner, stage, broken)
             with pytest.raises(TypeError, match="unsupported operand"):
                 cross_validate(data, CVSpec(grid=grid, folds=3, seed=0))
 
