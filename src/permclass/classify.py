@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .cyclic import EXACT_ORDER, MAX_ORDER, LimitTable, RatioTable, _fit_core, _FitCore
-from .exact import EXACT_SIZE_CAP, Partition, _CypTable, _grown, _PerTable
+from .exact import Partition, _CypTable, _grown, _PerTable
 from .kernels import (Kernel, _as_rows, _label_codes, _sq_distances, gram, kernel_block,
                       kernel_column, kernel_self, kernel_self_batch)
 
@@ -69,23 +69,6 @@ class LabeledDataset:
             raise ValueError("n_classes is smaller than the largest label code")
         if not self.class_names:
             self.class_names = tuple(str(r + 1) for r in range(self.n_classes))
-
-    @classmethod
-    def from_arrays(cls, points, labels, n_classes: int = 0) -> "LabeledDataset":
-        """Build from raw labels: ints are codes, anything else is encoded
-        by sorted distinct value."""
-        raw = list(labels)
-        if all(isinstance(v, (int, np.integer)) for v in raw):
-            codes = np.asarray(raw, dtype=int)
-            names = ()
-        else:
-            names_list = sorted({str(v) for v in raw})
-            lookup = {v: i for i, v in enumerate(names_list)}
-            codes = np.array([lookup[str(v)] for v in raw], dtype=int)
-            names = tuple(names_list)
-            n_classes = max(n_classes, len(names_list))
-        return cls(points=np.asarray(points, dtype=float), labels=codes,
-                   n_classes=n_classes, class_names=names)
 
     @property
     def n(self) -> int:
@@ -267,7 +250,7 @@ def predict(model: FittedModel, queries) -> PosteriorTable:
 def _new_table(order) -> LimitTable | _CypTable:
     """An empty growable table for a block's cyclic-ratio weight: the
     alpha -> 0 `LimitTable` at orders 0-3, the exact table otherwise."""
-    return _CypTable(EXACT_SIZE_CAP) if order == EXACT_ORDER else LimitTable(int(order))
+    return _CypTable() if order == EXACT_ORDER else LimitTable(int(order))
 
 
 def _block_row(members: list[list[int]], tables: list, col: np.ndarray, ktt: float,

@@ -70,9 +70,9 @@ def _order_value(raw: str):
     return EXACT_ORDER if raw == EXACT_ORDER else int(raw)
 
 
-def _config_of(args, skip=("config", "func", "command")) -> dict:
+def _config_of(args) -> dict:
     return {k: v for k, v in sorted(vars(args).items())
-            if k not in skip and not k.startswith("_")}
+            if k not in ("config", "func", "command") and not k.startswith("_")}
 
 
 # ---------------------------------------------------------------------------
@@ -91,9 +91,11 @@ def cmd_perm(args) -> int:
         order = _order_value(args.order)
         if order == EXACT_ORDER:
             raise ValueError("--order must be 0..3 for perm approx")
-        value = per_alpha_cyclic(m, args.alpha, order=order)
+        # the telescoping product's last factor is the last ratio itself
+        last = ratio_approx_matrix(m, args.alpha, order)
+        value = per_alpha_cyclic(m[:-1, :-1], args.alpha, order=order) * last
         print(f"per_alpha_order{order} = {value!r}")
-        print(f"ratio_last_order{order} = {ratio_approx_matrix(m, args.alpha, order)!r}")
+        print(f"ratio_last_order{order} = {last!r}")
     return 0
 
 
@@ -194,6 +196,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_genes(args) -> int:
+    if args.top < 0:
+        raise ValueError(f"--top must be nonnegative (0 keeps all genes), got {args.top}")
     expr = load_expression_csv(args.expr, args.labels)
     ranked = rank_genes_bw(expr)
     top = ranked[: args.top] if args.top else ranked

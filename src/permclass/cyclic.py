@@ -99,12 +99,14 @@ class RatioTable:
                   (diagonal entries are inert placeholders),
     r2_loo[i]     three-cycle ratio of x_i against the other points.
 
-    r1_loo is built at every order and serves queries up to order 2;
-    r1_l2o, r2_loo and the four-cycle weights are built only at order 3,
-    the one order that reads them, and are ``None`` otherwise.  All
-    entries are strictly positive for positive alpha and a positive Gram
-    diagonal.  Tables depend only on the training points, never on the
-    query, and are immutable once built.
+    r1_loo is built at every order; it lets the single-query
+    `ratio_from_kt` serve queries up to order 2 from a lower-order table,
+    while `ratio_batch` serves exactly the table's order.  r1_l2o, r2_loo
+    and the four-cycle weights are built only at order 3, the one order
+    that reads them, and are ``None`` otherwise.  All entries are strictly
+    positive for positive alpha and a positive Gram diagonal.  Tables
+    depend only on the training points, never on the query, and are
+    immutable once built.
     """
 
     gram: GramMatrix
@@ -210,8 +212,9 @@ def build_ratio_table(g: GramMatrix, alpha: float, order: int = MAX_ORDER) -> Ra
     """Precompute the fit-time denominators that order-``order`` queries read.
 
     r1_loo, the one table that orders 1 and 2 read, costs O(n^2) and is
-    built at every order, so a table also serves queries one order above
-    its own up to order 2.  Only order 3 adds the leave-two-out table and
+    built at every order, so `ratio_from_kt` can also serve a single query
+    one order above the table's own up to order 2; `ratio_batch` serves
+    exactly the table's order.  Only order 3 adds the leave-two-out table and
     the three-cycle leave-one-out table, at O(n^2) and O(n^3), the latter
     as one matrix product; an order-3 query needs a table built at order 3.
 
@@ -299,17 +302,15 @@ def _four_cycle(table: RatioTable, kt: np.ndarray, base: float) -> float:
     return base + float(coeff @ (kt + e3 + e4))
 
 
-def ratio_batch(table: RatioTable, Kt, ktt, order: int | None = None) -> np.ndarray:
-    """Order-k ratios for a block of queries, one per row of ``Kt``.
+def ratio_batch(table: RatioTable, Kt, ktt) -> np.ndarray:
+    """Ratios at the table's order for a block of queries, one per row of ``Kt``.
 
     ``Kt[q, i] = K(t_q, x_i)`` and ``ktt[q] = K(t_q, t_q)``.  The sums are
     those of `ratio_from_kt`, written as matrix products over the block;
     results agree with it to rounding.  Negative order >= 2 values are
     returned as computed and reported in one warning per call.
     """
-    if order is None:
-        order = table.order
-    _require(table, order)
+    order = table.order
     a = table.alpha
     n = table.n
     Kt = np.asarray(Kt, dtype=float)

@@ -289,7 +289,10 @@ def load_features_csv(path: str, require_label: bool = True) -> LabeledDataset:
                     f"{path}:{lineno}: column {header[col]!r} is not finite ({v})")
         points.append(values)
         labels.append(row[-1] if has_label else "0")
-    return LabeledDataset.from_arrays(np.array(points), labels)
+    names = sorted(set(labels))
+    lookup = {name: code for code, name in enumerate(names)}
+    return LabeledDataset(points=np.array(points), labels=[lookup[v] for v in labels],
+                          n_classes=len(names), class_names=tuple(names))
 
 
 def write_text(path: str, text: str) -> None:

@@ -17,9 +17,9 @@ a cycle-sum dynamic program over subsets:
     per_a(A[S]) = a * sum_{C <= S, min(S) in C} cyp(A[C]) per_a(A[S \\ C]),
 
 which costs O(2^n n^2) + O(3^n) and is validated in the test suite
-against a literal permutation enumerator.  Sizes are capped (default 11)
-and exceeding the cap raises; there is never a silent fallback to an
-approximation.
+against a literal permutation enumerator.  Sizes are capped at
+`EXACT_SIZE_CAP` = 11 and exceeding the cap raises; there is never a
+silent fallback to an approximation.
 """
 
 from __future__ import annotations
@@ -56,11 +56,11 @@ class ExactSizeLimitError(ValueError):
     """Raised when a matrix exceeds the exact size limit."""
 
 
-def _check_cap(n: int, cap: int):
-    if n > cap:
+def _check_cap(n: int):
+    if n > EXACT_SIZE_CAP:
         raise ExactSizeLimitError(
-            f"exact size limit: n = {n} exceeds the cap of {cap}; "
-            f"raise the cap explicitly or use a cyclic approximation"
+            f"exact size limit: n = {n} exceeds the cap of {EXACT_SIZE_CAP}; "
+            "use a cyclic approximation"
         )
 
 
@@ -121,13 +121,13 @@ def _split_pairs(n: int) -> list:
     return pairs
 
 
-def per_alpha_exact(A, alpha: float, cap: int = EXACT_SIZE_CAP) -> float:
+def per_alpha_exact(A, alpha: float) -> float:
     """Exact alpha-permanent of a square matrix; the 0 x 0 case is 1."""
     m = _as_square(A)
     n = m.shape[0]
     if n == 0:
         return 1.0
-    _check_cap(n, cap)
+    _check_cap(n)
     cyp = _cyp_subsets(m)
     pairs = _split_pairs(n)
     size = 1 << n
@@ -140,20 +140,20 @@ def per_alpha_exact(A, alpha: float, cap: int = EXACT_SIZE_CAP) -> float:
     return float(per[size - 1])
 
 
-def cyp_exact(A, cap: int = EXACT_SIZE_CAP) -> float:
+def cyp_exact(A) -> float:
     """Sum of cyclic products: permutations with a single cycle.
 
     Undefined for the empty matrix (raises); the 1 x 1 case is A[0, 0].
     """
-    return _cyp_square(_as_square(A), cap)
+    return _cyp_square(_as_square(A))
 
 
-def _cyp_square(m: np.ndarray, cap: int) -> float:
+def _cyp_square(m: np.ndarray) -> float:
     """`cyp_exact` of a matrix that `_as_square` has already passed."""
     n = m.shape[0]
     if n == 0:
         raise ValueError("cyclic product sum is undefined for an empty matrix")
-    _check_cap(n, cap)
+    _check_cap(n)
     if n <= 3:
         return _cyp_small(m)
     cyp = _cyp_subsets(m)
@@ -187,15 +187,14 @@ def _bordered(G: np.ndarray, kt: np.ndarray, ktt: float) -> np.ndarray:
     return out
 
 
-def ratio_exact(t, points, kernel: Kernel, alpha: float,
-                cap: int = EXACT_SIZE_CAP) -> float:
+def ratio_exact(t, points, kernel: Kernel, alpha: float) -> float:
     """Exact permanental ratio per_a{K(x u t)} / per_a{K(x)}.
 
     The empty point set gives alpha * K(t, t).
     """
     pts = _as_rows(points, "point")
     t = _as_rows(np.reshape(t, (1, -1)), "query")[0]
-    table = _PerTable(gram(kernel, pts), alpha, cap)
+    table = _PerTable(gram(kernel, pts), alpha)
     return float(table.rows([kernel_column(kernel, t, pts)], [kernel_self(kernel, t)])[0])
 
 
@@ -203,19 +202,19 @@ def ratio_exact(t, points, kernel: Kernel, alpha: float,
 class _PerTable:
     """The exact order's table for one class: its Gram matrix and, once
     finished, its alpha.  It answers `finish` and `rows` as a
-    `cyclic._FitCore` and its `cyclic.RatioTable` do, within ``cap`` points
-    for the bordered matrix, which is checked when the table is made.
+    `cyclic._FitCore` and its `cyclic.RatioTable` do, within
+    `EXACT_SIZE_CAP` points for the bordered matrix, which is checked when
+    the table is made.
     """
 
     gram: GramMatrix
     alpha: float | None = None
-    cap: int = EXACT_SIZE_CAP
 
     def __post_init__(self):
-        _check_cap(self.gram.n + 1, self.cap)
+        _check_cap(self.gram.n + 1)
 
     def finish(self, alpha: float) -> "_PerTable":
-        return _PerTable(self.gram, float(alpha), self.cap)
+        return _PerTable(self.gram, float(alpha))
 
     def rows(self, Kt, ktt) -> np.ndarray:
         """Exact ratios for a block of queries, ``Kt[q, i] = K(t_q, x_i)``
@@ -225,36 +224,36 @@ class _PerTable:
         query's matrix borders the Gram matrix.
         """
         G = self.gram.entries
-        denom = per_alpha_exact(G, self.alpha, cap=self.cap)
+        denom = per_alpha_exact(G, self.alpha)
         if denom == 0.0:
             raise ZeroDivisionError("per_alpha of the training configuration is zero")
-        return np.array([per_alpha_exact(_bordered(G, kt, tt), self.alpha, cap=self.cap)
-                         / denom for kt, tt in zip(Kt, ktt)])
+        return np.array([per_alpha_exact(_bordered(G, kt, tt), self.alpha) / denom
+                         for kt, tt in zip(Kt, ktt)])
 
 
-def ratio_exact_matrix(A, alpha: float, cap: int = EXACT_SIZE_CAP) -> float:
+def ratio_exact_matrix(A, alpha: float) -> float:
     """Exact ratio per_a(A) / per_a(A[:-1, :-1]) for any square A, its last
     index the added point (A's last row and column need not agree)."""
     m = _as_square(A)
     n = m.shape[0]
     if n == 0:
         raise ValueError("ratio needs at least the added point on the diagonal")
-    _check_cap(n, cap)
-    denom = per_alpha_exact(m[: n - 1, : n - 1], alpha, cap=cap)
+    _check_cap(n)
+    denom = per_alpha_exact(m[: n - 1, : n - 1], alpha)
     if denom == 0.0:
         raise ZeroDivisionError("per_alpha of the leading block is zero")
-    return per_alpha_exact(m, alpha, cap=cap) / denom
+    return per_alpha_exact(m, alpha) / denom
 
 
 class _CypTable:
     """The exact order's growable table: the Gram matrix of its points, in
     the order they were added, and its cyclic product sum, computed on the
     first `ratio` after a growth.  It answers `grow` and `ratio` as
-    `cyclic.LimitTable` does, within ``cap`` points for the bordered matrix.
+    `cyclic.LimitTable` does, within `EXACT_SIZE_CAP` points for the
+    bordered matrix.
     """
 
-    def __init__(self, cap: int):
-        self.cap = cap
+    def __init__(self):
         self.gram = np.zeros((0, 0))
         self._cyp: float | None = None
 
@@ -269,12 +268,12 @@ class _CypTable:
     def ratio(self, kt, ktt: float) -> float:
         """cyp{K(x u t)} / cyp{K(x)} for a query with kernel values ``kt``
         against the points and K(t, t) = ``ktt``."""
-        _check_cap(self.gram.shape[0] + 1, self.cap)
+        _check_cap(self.gram.shape[0] + 1)
         if self._cyp is None:
-            self._cyp = _cyp_square(self.gram, self.cap)
+            self._cyp = _cyp_square(self.gram)
         if self._cyp == 0.0:
             raise ZeroDivisionError("cyp of the training configuration is zero")
-        return _cyp_square(_bordered(self.gram, kt, ktt), self.cap) / self._cyp
+        return _cyp_square(_bordered(self.gram, kt, ktt)) / self._cyp
 
 
 def _grown(table, G: np.ndarray):
@@ -285,17 +284,17 @@ def _grown(table, G: np.ndarray):
     return table
 
 
-def cyclic_ratio_exact(t, points, kernel: Kernel, cap: int = EXACT_SIZE_CAP) -> float:
+def cyclic_ratio_exact(t, points, kernel: Kernel) -> float:
     """Exact cyclic ratio cyp{K(x u t)} / cyp{K(x)} for n >= 1."""
     pts = _as_rows(points, "point")
     t = _as_rows(np.reshape(t, (1, -1)), "query")[0]
-    _check_cap(pts.shape[0] + 1, cap)  # before an oversized Gram is built
-    table = _grown(_CypTable(cap), gram(kernel, pts).entries)
+    _check_cap(pts.shape[0] + 1)  # before an oversized Gram is built
+    table = _grown(_CypTable(), gram(kernel, pts).entries)
     return table.ratio(kernel_column(kernel, t, pts), kernel_self(kernel, t))
 
 
 def label_probability_exact(points, labels, alphas: Sequence[float],
-                            kernel: Kernel, cap: int = EXACT_SIZE_CAP) -> float:
+                            kernel: Kernel) -> float:
     """Probability of a label vector given features, all factors exact.
 
     prod_r per_{a_r}{K(x^(r))} / per_{a_.}{K(x)} with the convention that
@@ -309,15 +308,15 @@ def label_probability_exact(points, labels, alphas: Sequence[float],
     k = len(alphas)
     if n and (y.min() < 0 or y.max() >= k):
         raise ValueError(f"labels must lie in 0..{k - 1}")
-    _check_cap(n, cap)
+    _check_cap(n)
     num = 1.0
     for r in range(k):
         idx = np.flatnonzero(y == r)
         if idx.size:
             g = gram(kernel, pts[idx])
-            num *= per_alpha_exact(g.entries, alphas[r], cap=cap)
+            num *= per_alpha_exact(g.entries, alphas[r])
     total = gram(kernel, pts)
-    denom = per_alpha_exact(total.entries, float(sum(alphas)), cap=cap)
+    denom = per_alpha_exact(total.entries, float(sum(alphas)))
     if denom == 0.0:
         raise ZeroDivisionError("per_alpha of the full configuration is zero")
     return num / denom
@@ -367,7 +366,7 @@ class Partition:
 
 
 def partition_probability_exact(points, partition: Partition, lam: float,
-                                kernel: Kernel, cap: int = EXACT_SIZE_CAP) -> float:
+                                kernel: Kernel) -> float:
     """Probability of an unlabelled partition under the infinite-class model.
 
     lambda^{#B} prod_b cyp{K(x^(b))} / per_lambda{K(x)}.
@@ -378,12 +377,12 @@ def partition_probability_exact(points, partition: Partition, lam: float,
     n = pts.shape[0]
     if partition.n != n:
         raise ValueError("partition must cover exactly the given points")
-    _check_cap(n, cap)
+    _check_cap(n)
     num = lam**partition.block_count
     for b in partition.blocks:
         g = gram(kernel, pts[list(b)])
-        num *= cyp_exact(g.entries, cap=cap)
-    denom = per_alpha_exact(gram(kernel, pts).entries, lam, cap=cap)
+        num *= cyp_exact(g.entries)
+    denom = per_alpha_exact(gram(kernel, pts).entries, lam)
     if denom == 0.0:
         raise ZeroDivisionError("per_lambda of the full configuration is zero")
     return num / denom

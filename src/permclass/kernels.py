@@ -430,12 +430,11 @@ _GRAM_BLOCK_ENTRIES = 1 << 16
 _ACCUMULATE_BELOW_D = 8
 
 
-def _sq_distances(a: np.ndarray, b: np.ndarray,
-                  block_entries: int = _GRAM_BLOCK_ENTRIES) -> np.ndarray:
+def _sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """out[i, j] = ||a_i - b_j||^2, filled a block of rows of ``a`` at a time.
 
     Bit-identical to ``((a[:, None] - b[None]) ** 2).sum(axis=2)``.  A block
-    has ``block_entries // (n * d)`` rows (at least one) for ``b`` of shape
+    has ``_GRAM_BLOCK_ENTRIES // (n * d)`` rows (at least one) for ``b`` of shape
     n x d.  For 0 < d < 8 each block accumulates the squared differences
     one dimension at a time through one reused rows x n temporary; otherwise
     it reduces a rows x n x d difference buffer, also reused (a fresh one
@@ -447,7 +446,7 @@ def _sq_distances(a: np.ndarray, b: np.ndarray,
     if a.shape[1] != d:
         raise ValueError(f"dimension mismatch: rows are {a.shape[1]}-d, points are {d}-d")
     out = np.empty((m, n))
-    step = max(1, block_entries // max(n * d, 1))
+    step = max(1, _GRAM_BLOCK_ENTRIES // max(n * d, 1))
     if 0 < d < _ACCUMULATE_BELOW_D:
         # contiguous per-dimension rows make the broadcast subtractions cheap
         at, bt = a.T.copy(), b.T.copy()

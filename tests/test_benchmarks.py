@@ -44,9 +44,9 @@ def test_accuracy_study_computes_the_training_permanent_once(monkeypatch):
     per_alpha, rows = exact_mod.per_alpha_exact, exact_mod._PerTable.rows
     calls, oracle = [], []
 
-    def counted(A, alpha, cap=exact_mod.EXACT_SIZE_CAP):
+    def counted(A, alpha):
         calls.append(np.shape(A)[0])
-        return per_alpha(A, alpha, cap=cap)
+        return per_alpha(A, alpha)
 
     def recorded(table, Kt, ktt):
         oracle.append((table.gram.entries, Kt, ktt, table.alpha, rows(table, Kt, ktt)))

@@ -22,8 +22,8 @@ def make_data(rng, n_per=(6, 5), spread=1.0):
 
 
 def test_order_2_predict_matches_order_3_table(rng):
-    # an order-2 fit builds only r1_loo, which order-2 queries read from a
-    # full order-3 table too, so the raw weights agree bit for bit
+    # an order-2 fit builds only r1_loo, the one table order-2 queries read,
+    # and it is bit for bit the r1_loo of a full order-3 table
     data = make_data(rng, (9, 7))
     params = ModelParams(kernel=Kernel.gaussian(1.2), alphas=(0.6, 1.7), order=2)
     model = fit(data, params)
@@ -33,7 +33,8 @@ def test_order_2_predict_matches_order_3_table(rng):
         assert table.r2_loo is None
         full = build_ratio_table(table.gram, table.alpha, order=3)
         Kt = kernel_block(params.kernel, qs, table.gram.points)
-        assert np.array_equal(raw[:, r], ratio_batch(full, Kt, np.ones(25), 2))
+        assert np.array_equal(table.r1_loo, full.r1_loo)
+        assert np.array_equal(raw[:, r], ratio_batch(table, Kt, np.ones(25)))
 
 
 def test_fit_structure(rng):
@@ -205,9 +206,9 @@ def test_predict_exact_builds_each_denominator_once(rng, monkeypatch):
     calls = []
     per_alpha = exact_mod.per_alpha_exact
 
-    def counted(A, alpha, cap=exact_mod.EXACT_SIZE_CAP):
+    def counted(A, alpha):
         calls.append(np.shape(A)[0])
-        return per_alpha(A, alpha, cap=cap)
+        return per_alpha(A, alpha)
 
     monkeypatch.setattr(exact_mod, "per_alpha_exact", counted)
     table = predict(model, qs)

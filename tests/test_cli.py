@@ -62,6 +62,33 @@ def test_perm_approx_refuses_asymmetric_matrix(tmp_path, capsys):
     assert out == "per_alpha = 1.3982499999999995\nratio_last = 1.2106060606060605\n"
 
 
+def test_perm_approx_computes_the_last_ratio_once(tmp_path, capsys, caplog):
+    # the telescoping product ends with the last ratio, which is printed as
+    # it is and reported negative once, not once more for its own line
+    m = tmp_path / "m.csv"
+    m.write_text("1,.67,-.82\n.67,1,.59\n-.82,.59,1\n")
+    with caplog.at_level("WARNING", logger="permclass.cyclic"):
+        code, out, _ = run(["perm", "approx", "--matrix", str(m), "--alpha", "0.1",
+                            "--order", "2"], capsys)
+    assert code == 0
+    assert out == ("per_alpha_order2 = -0.0491352\n"
+                   "ratio_last_order2 = -0.8951575879030788\n")
+    negative = [r.getMessage() for r in caplog.records if "is negative" in r.getMessage()]
+    assert negative == ["order-2 ratio approximation is negative (-0.895158)"]
+
+
+def test_perm_exact_refuses_a_matrix_past_the_cap(tmp_path, capsys):
+    m = tmp_path / "m.csv"
+    m.write_text("\n".join(",".join("1" if i == j else "0" for j in range(12))
+                           for i in range(12)) + "\n")
+    code, out, err = run(["perm", "exact", "--matrix", str(m), "--alpha", "1"], capsys)
+    assert code == 1
+    assert out == ""
+    assert ("exact size limit: n = 12 exceeds the cap of 11; "
+            "use a cyclic approximation") in err
+    assert "raise the cap" not in err
+
+
 def test_simulate_deterministic_bytes(tmp_path, capsys):
     out = tmp_path / "a.csv"
     argv = ["simulate", "chequerboard", "--per-cell", "2", "--seed", "7",
@@ -169,6 +196,23 @@ def test_genes_rank_command(tmp_path, capsys):
     assert code == 0
     lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
     assert lines[1].startswith("G0,")
+
+
+def test_genes_rank_refuses_a_negative_top(tmp_path, capsys):
+    e = tmp_path / "expr.csv"
+    e.write_text("gene_id,S0,S1,S2,S3\nG0,1,1,5,5\nG1,1,2,1.5,1.6\nG2,3,1,2,2\n")
+    l = tmp_path / "labels.csv"
+    l.write_text("sample,label\nS0,a\nS1,a\nS2,b\nS3,b\n")
+    out = tmp_path / "ranked.csv"
+    argv = ["genes", "rank", "--expr", str(e), "--labels", str(l), "--out", str(out)]
+    code, _, err = run([*argv, "--top", "-2"], capsys)
+    assert code == 1
+    assert "--top must be nonnegative" in err
+    assert not out.exists()
+    # --top 0 keeps every gene
+    assert run([*argv, "--top", "0"], capsys)[0] == 0
+    lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+    assert len(lines) == 1 + 3
 
 
 def test_failure_leaves_no_unsuffixed_output(tmp_path, capsys):

@@ -171,8 +171,6 @@ def test_order_3_query_needs_order_3_table(rng):
                               order=2)
     with pytest.raises(ValueError, match="rebuild with order 3"):
         ratio_from_kt(table, np.ones(4), 1.0, order=3)
-    with pytest.raises(ValueError, match="rebuild with order 3"):
-        ratio_batch(table, np.ones((2, 4)), np.ones(2), 3)
 
 
 def _generic_table_arrays(M, alpha):
@@ -396,7 +394,7 @@ def _sparse_block(rng, q, n, zero_frac=0.3):
 def _assert_batch_matches_reference(M, Kt, ktt, alpha):
     for k in (0, 1, 2, 3):
         table = build_ratio_table(GramMatrix.from_matrix(M), alpha, order=k)
-        batch = ratio_batch(table, Kt, ktt, k)
+        batch = ratio_batch(table, Kt, ktt)
         ref = np.array([ratio_from_kt(table, kt, t, k) for kt, t in zip(Kt, ktt)])
         np.testing.assert_allclose(batch, ref, rtol=1e-12, atol=0.0)
 
@@ -429,21 +427,19 @@ def test_batch_shape_and_table_checks(rng):
     table = build_ratio_table(GramMatrix.from_matrix(sym_nonneg(rng, 4)), 1.0,
                               order=1)
     with pytest.raises(ValueError, match="4 columns"):
-        ratio_batch(table, np.ones((2, 3)), np.ones(2), 1)
-    with pytest.raises(ValueError, match="rebuild"):
-        ratio_batch(table, np.ones((2, 4)), np.ones(2), 3)
+        ratio_batch(table, np.ones((2, 3)), np.ones(2))
     empty = build_ratio_table(GramMatrix.from_matrix(np.zeros((0, 0))), 2.0, order=3)
-    assert np.array_equal(ratio_batch(empty, np.zeros((3, 0)), np.ones(3), 3),
+    assert np.array_equal(ratio_batch(empty, np.zeros((3, 0)), np.ones(3)),
                           np.full(3, 2.0))
 
 
 def test_batch_negative_values_one_warning(caplog):
     import logging
     G = np.array([[1.0, 0.9], [0.9, 1.0]])
-    table = build_ratio_table(GramMatrix.from_matrix(G), 0.5, order=3)
+    table = build_ratio_table(GramMatrix.from_matrix(G), 0.5, order=2)
     Kt = np.tile([1.0, -1.0], (200, 1))
     with caplog.at_level(logging.WARNING, logger="permclass.cyclic"):
-        values = ratio_batch(table, Kt, np.full(200, 0.1), 2)
+        values = ratio_batch(table, Kt, np.full(200, 0.1))
     assert (values < 0.0).all()
     records = [r for r in caplog.records if r.name == "permclass.cyclic"]
     assert len(records) == 1

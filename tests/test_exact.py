@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import permclass.exact as exact_mod
 from conftest import augment, cyp_oracle, elimination_det, perm_oracle, sym_nonneg
+from permclass.classify import LabeledDataset, ModelParams, fit, predict_infinite
 from permclass.exact import (EXACT_SIZE_CAP, ExactSizeLimitError, Partition,
                              cyclic_ratio_exact, cyp_exact, ewens_probability,
                              iter_set_partitions, label_probability_exact,
@@ -54,8 +56,37 @@ def test_per_matches_enumeration(seed, n, alpha):
 def test_per_size_cap():
     with pytest.raises(ExactSizeLimitError, match="exact size limit"):
         per_alpha_exact(np.eye(EXACT_SIZE_CAP + 1), 1.0)
-    # cap is configurable
-    assert per_alpha_exact(np.eye(12), 1.0, cap=12) == 1.0
+
+
+_CAP_KERNEL = Kernel.gaussian(1.0)
+_AT_CAP = np.arange(float(EXACT_SIZE_CAP)).reshape(-1, 1)  # plus a query: one too many
+_PAST_CAP = np.arange(EXACT_SIZE_CAP + 1.0).reshape(-1, 1)
+_PAST_CAP_CALLS = {
+    "per_alpha_exact": lambda: per_alpha_exact(np.eye(EXACT_SIZE_CAP + 1), 1.0),
+    "cyp_exact": lambda: cyp_exact(np.eye(EXACT_SIZE_CAP + 1)),
+    "ratio_exact": lambda: ratio_exact([-1.0], _AT_CAP, _CAP_KERNEL, 1.0),
+    "ratio_exact_matrix": lambda: ratio_exact_matrix(np.eye(EXACT_SIZE_CAP + 1), 1.0),
+    "cyclic_ratio_exact": lambda: cyclic_ratio_exact([-1.0], _AT_CAP, _CAP_KERNEL),
+    "label_probability_exact": lambda: label_probability_exact(
+        _PAST_CAP, np.zeros(EXACT_SIZE_CAP + 1, dtype=int), [1.0], _CAP_KERNEL),
+    "partition_probability_exact": lambda: partition_probability_exact(
+        _PAST_CAP, Partition.from_blocks([range(EXACT_SIZE_CAP + 1)]), 1.0, _CAP_KERNEL),
+    "fit": lambda: fit(LabeledDataset(points=_AT_CAP, labels=np.zeros(EXACT_SIZE_CAP, dtype=int)),
+                       ModelParams(kernel=_CAP_KERNEL, order="exact")),
+    "predict_infinite": lambda: predict_infinite(
+        _AT_CAP, Partition.from_blocks([range(EXACT_SIZE_CAP)]), [-1.0],
+        ModelParams(kernel=_CAP_KERNEL, lam=1.0, order="exact")),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_PAST_CAP_CALLS))
+def test_every_exact_entry_point_refuses_past_the_one_cap(entry):
+    # one cap, EXACT_SIZE_CAP = 11, for every exact entry point: a 12-point
+    # matrix, or 11 points and a query, is refused by size
+    assert EXACT_SIZE_CAP == 11
+    with pytest.raises(ExactSizeLimitError, match="n = 12 exceeds the cap of 11; "
+                                                  "use a cyclic approximation"):
+        _PAST_CAP_CALLS[entry]()
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 6))
@@ -213,7 +244,7 @@ def test_cyp_table_reads_after_every_growth(rng):
     # ratios read between growths: a cyp{K(x)} cached before a growth must
     # not serve the grown table, and a second read reuses the cached value
     M = sym_nonneg(rng, 8)
-    table = _CypTable(EXACT_SIZE_CAP)
+    table = _CypTable()
     table.grow(M[0, :0], M[0, 0])
     for p in range(1, 8):
         G = M[:p, :p]
@@ -224,16 +255,19 @@ def test_cyp_table_reads_after_every_growth(rng):
     np.testing.assert_array_equal(table.gram, M)
 
 
-def test_cyp_table_checks():
+def test_cyp_table_checks(monkeypatch):
     with pytest.raises(ValueError, match="empty"):
-        _CypTable(EXACT_SIZE_CAP).ratio(np.zeros(0), 1.0)
+        _CypTable().ratio(np.zeros(0), 1.0)
     with pytest.raises(ZeroDivisionError, match="cyp of the training configuration"):
-        _grown(_CypTable(EXACT_SIZE_CAP), np.eye(2)).ratio(np.ones(2), 1.0)
-    full = _grown(_CypTable(3), np.ones((3, 3)))
-    with pytest.raises(ExactSizeLimitError, match="n = 4 exceeds the cap of 3"):
-        full.ratio(np.ones(3), 1.0)
-    assert _grown(_CypTable(3), np.ones((2, 2))).ratio(np.ones(2), 1.0) == 2.0
-    table = _CypTable(EXACT_SIZE_CAP)
+        _grown(_CypTable(), np.eye(2)).ratio(np.ones(2), 1.0)
+    with monkeypatch.context() as patch:
+        # the cap is read when checked, so a smaller one shows both sides of it
+        patch.setattr(exact_mod, "EXACT_SIZE_CAP", 3)
+        full = _grown(_CypTable(), np.ones((3, 3)))
+        with pytest.raises(ExactSizeLimitError, match="n = 4 exceeds the cap of 3"):
+            full.ratio(np.ones(3), 1.0)
+        assert _grown(_CypTable(), np.ones((2, 2))).ratio(np.ones(2), 1.0) == 2.0
+    table = _CypTable()
     table.grow(np.zeros(0), 1.0)
     with pytest.raises(ValueError, match="negative Gram entry"):
         table.grow(np.array([-0.1]), 1.0)

@@ -114,15 +114,17 @@ def test_gram_blocks_match_one_shot_formula(d):
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 9])
-def test_sq_distances_match_one_shot_formula(d):
+def test_sq_distances_match_one_shot_formula(d, monkeypatch):
     # 7 is the last d summed one dimension at a time, 8 the first reduced
     # pairwise; the row counts cross the block boundaries of both shapes
     rng = np.random.default_rng(100 + d)
+    sizes = (1, 4096, kernels._GRAM_BLOCK_ENTRIES)
     for m, n in ((0, 5), (5, 0), (1, 1), (70, 300), (301, 80)):
         a = rng.normal(size=(m, d)) * rng.lognormal(size=d)
         b = rng.normal(size=(n, d)) * rng.lognormal(size=d)
-        for block_entries in (1, 4096, kernels._GRAM_BLOCK_ENTRIES):
-            assert np.array_equal(kernels._sq_distances(a, b, block_entries),
+        for block_entries in sizes:
+            monkeypatch.setattr(kernels, "_GRAM_BLOCK_ENTRIES", block_entries)
+            assert np.array_equal(kernels._sq_distances(a, b),
                                   sq_distances_one_shot(a, b))
 
 
