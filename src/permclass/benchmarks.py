@@ -4,9 +4,9 @@
 approximations (O(n), O(n^2), O(n^3) for orders 1..3) by timing queries
 against prebuilt tables and fitting log-log slopes.  ``accuracy_study``
 reproduces the triangular-sample ratio curves: order-by-order ratio
-values on a grid, central-peak gap statistics, an exact-oracle comparison
-on a subsample small enough to enumerate, and the two-class probability
-curves.
+values on a grid, read with the two-class probability curves from one
+`predict` per order, central-peak gap statistics, and an exact-oracle
+comparison on a subsample small enough to enumerate.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classify import LabeledDataset, ModelParams, fit, predict
-from .cyclic import build_ratio_table, ratio_approx, ratio_from_kt
+from .cyclic import build_ratio_table, ratio_approx
 from .datasets import gen_triangular
 from .exact import _PerTable
 from .kernels import Kernel, gram, kernel_block, kernel_self_batch
@@ -124,6 +124,12 @@ def bench_orders(n_list, kernel: Kernel | None = None, alpha: float = 1.0,
 
 DEFAULT_STUDY_SEED = 20120704
 
+# class 1 is triangular on T_RANGE, class 2 on CLASS2_RANGE; the curves are
+# read on a grid over T_RANGE, and the central peak is |t| <= CENTRAL
+T_RANGE = (-math.pi, math.pi)
+CENTRAL = 0.5
+CLASS2_RANGE = (math.pi, 3 * math.pi)
+
 
 @dataclass
 class StudyConfig:
@@ -131,22 +137,17 @@ class StudyConfig:
     tau: float = 1.0
     alpha: float = 1.0
     seed: int = DEFAULT_STUDY_SEED
-    lo: float = -math.pi
-    hi: float = math.pi
     t_points: int = 129
-    central: float = 0.5          # central peak is |t| <= central
     subsample: int = 10           # oracle comparison size (exact enumeration)
     oracle_points: int = 17
-    class2_lo: float = math.pi
-    class2_hi: float = 3 * math.pi
 
     def to_dict(self) -> dict:
         return {
             "n": self.n, "tau": self.tau, "alpha": self.alpha, "seed": self.seed,
-            "t_range": [self.lo, self.hi], "t_points": self.t_points,
-            "central_peak": f"|t| <= {self.central}",
+            "t_range": list(T_RANGE), "t_points": self.t_points,
+            "central_peak": f"|t| <= {CENTRAL}",
             "subsample": self.subsample, "oracle_points": self.oracle_points,
-            "class2_range": [self.class2_lo, self.class2_hi],
+            "class2_range": list(CLASS2_RANGE),
         }
 
 
@@ -177,19 +178,31 @@ class StudyReport:
         }
 
 
-def accuracy_study(config: StudyConfig | None = None) -> StudyReport:
-    """Ratio curves, gap statistics, oracle errors, probability curves."""
-    cfg = config or StudyConfig()
-    kernel = Kernel.gaussian(cfg.tau)
-    x1 = gen_triangular(cfg.n, (cfg.lo + cfg.hi) / 2, (cfg.hi - cfg.lo) / 2,
-                        seed=cfg.seed).reshape(-1, 1)
-    g1 = gram(kernel, x1)
-    table1 = build_ratio_table(g1, cfg.alpha, order=3)
-    t_grid = np.linspace(cfg.lo, cfg.hi, cfg.t_points)
-    curves = {k: np.array([ratio_approx(np.array([t]), x1, table1, order=k)
-                           for t in t_grid]) for k in (1, 2, 3)}
+def _triangular(n: int, bounds: tuple[float, float], seed: int) -> np.ndarray:
+    lo, hi = bounds
+    return gen_triangular(n, (lo + hi) / 2, (hi - lo) / 2, seed=seed).reshape(-1, 1)
 
-    central = np.abs(t_grid) <= cfg.central
+
+def accuracy_study(config: StudyConfig | None = None) -> StudyReport:
+    """Ratio curves, gap statistics, oracle errors, probability curves.
+    Class 1's raw weights in each order's `predict` are its ratio curve."""
+    cfg = config or StudyConfig()
+    t_grid = np.linspace(*T_RANGE, cfg.t_points)
+    central = np.abs(t_grid) <= CENTRAL
+    if not central.any():
+        raise ValueError(f"t_points = {cfg.t_points} puts no grid point in the "
+                         f"central peak |t| <= {CENTRAL}")
+    kernel = Kernel.gaussian(cfg.tau)
+    x1 = _triangular(cfg.n, T_RANGE, cfg.seed)
+    x2 = _triangular(cfg.n, CLASS2_RANGE, cfg.seed + 1)
+    data = LabeledDataset(points=np.vstack([x1, x2]),
+                          labels=np.array([0] * cfg.n + [1] * cfg.n), n_classes=2)
+    curves, prob_curves = {}, {}
+    for k in (1, 2, 3):
+        model = fit(data, ModelParams(kernel=kernel, alphas=cfg.alpha, order=k))
+        post = predict(model, t_grid.reshape(-1, 1))
+        curves[k], prob_curves[k] = post.raw[:, 0], post.probs[:, 0]
+
     r1c, r2c, r3c = (curves[k][central] for k in (1, 2, 3))
     ratio_32 = float(np.mean(r3c / r2c))
     ratio_21 = float(np.mean(r2c / r1c))
@@ -202,29 +215,14 @@ def accuracy_study(config: StudyConfig | None = None) -> StudyReport:
     sub_idx = np.sort(rng.choice(cfg.n, size=cfg.subsample, replace=False))
     xs = x1[sub_idx]
     gs = gram(kernel, xs)
-    tables = build_ratio_table(gs, cfg.alpha, order=3)
-    t_small = np.linspace(cfg.lo, cfg.hi, cfg.oracle_points).reshape(-1, 1)
+    t_small = np.linspace(*T_RANGE, cfg.oracle_points).reshape(-1, 1)
     Kt, ktt = kernel_block(kernel, t_small, xs), kernel_self_batch(kernel, t_small)
     exact = _PerTable(gs, cfg.alpha).rows(Kt, ktt)
-    errs: dict[int, list[float]] = {1: [], 2: [], 3: []}
-    for kt, tt, ex in zip(Kt, ktt, exact):
-        for k in (1, 2, 3):
-            approx = ratio_from_kt(tables, kt, tt, order=k)
-            errs[k].append(abs(approx - ex) / abs(ex))
-    oracle_rel_err = {k: float(np.mean(v)) for k, v in errs.items()}
-
-    # two-class probability curves (class 2 on its own interval)
-    x2 = gen_triangular(cfg.n, (cfg.class2_lo + cfg.class2_hi) / 2,
-                        (cfg.class2_hi - cfg.class2_lo) / 2,
-                        seed=cfg.seed + 1).reshape(-1, 1)
-    points = np.vstack([x1, x2])
-    labels = np.array([0] * cfg.n + [1] * cfg.n)
-    data = LabeledDataset(points=points, labels=labels, n_classes=2)
-    prob_curves = {}
+    oracle_rel_err = {}
     for k in (1, 2, 3):
-        model = fit(data, ModelParams(kernel=kernel, alphas=cfg.alpha, order=k))
-        probs = predict(model, t_grid.reshape(-1, 1)).probs[:, 0]
-        prob_curves[k] = probs
+        approx = build_ratio_table(gs, cfg.alpha, k).rows(Kt, ktt)
+        oracle_rel_err[k] = float(np.mean(np.abs(approx - exact) / np.abs(exact)))
+
     prob_max_abs_diff = {
         f"{a}v{b}": float(np.max(np.abs(prob_curves[a] - prob_curves[b])))
         for a, b in ((1, 2), (2, 3), (1, 3))

@@ -69,6 +69,9 @@ class LabeledDataset:
             raise ValueError("n_classes is smaller than the largest label code")
         if not self.class_names:
             self.class_names = tuple(str(r + 1) for r in range(self.n_classes))
+        if len(self.class_names) != self.n_classes:
+            raise ValueError(f"n_classes = {self.n_classes} but class_names "
+                             f"has {len(self.class_names)}")
 
     @property
     def n(self) -> int:
@@ -76,7 +79,7 @@ class LabeledDataset:
 
     @property
     def dim(self) -> int:
-        return self.points.shape[1] if self.points.ndim == 2 else 1
+        return self.points.shape[1]
 
     def class_points(self, r: int) -> np.ndarray:
         return self.points[self.labels == r]

@@ -31,6 +31,9 @@ DEFAULT_TABLE1_SEED = 9
 EXTERNAL_ROWS = ("neural network", "support vector machine",
                  "aggregated classification tree")
 
+# the neighbour count of the kNN baseline in both experiments
+KNN_K = 5
+
 
 @dataclass
 class ChequerboardRow:
@@ -66,24 +69,16 @@ class ChequerboardResult:
         }
 
 
-def _cv_grid(family: str, taus: Sequence[float], alphas: Sequence[float],
-             order) -> list[ModelParams]:
-    return [ModelParams(kernel=Kernel(family, tau=t), alphas=a, order=order)
-            for t in taus for a in alphas]
-
-
 def run_chequerboard(seed: int = DEFAULT_TABLE1_SEED, per_cell: int = 10,
                      grid_resolution: int = 60,
                      taus: Sequence[float] = (0.125, 0.25, 0.35, 0.5, 1.0),
                      alphas: Sequence[float] = (0.5, 1.0, 2.0),
-                     folds: int = 10, order: int | str = 3,
-                     objective: str = "error", knn_k: int = 5,
-                     ) -> ChequerboardResult:
-    """Chequerboard comparison: two permanental models plus the kNN row.
+                     folds: int = 10) -> ChequerboardResult:
+    """Chequerboard comparison: two order-3 permanental models plus the kNN row.
 
-    Hyperparameters per kernel family come from k-fold cross-validation
-    on the training configuration; errors are counted on the training
-    points and on the cell-centred evaluation grid.  Rows for the
+    Hyperparameters per kernel family come from k-fold cross-validation of
+    the error rate on the training configuration; errors are counted on the
+    training points and on the cell-centred evaluation grid.  Rows for the
     external classifiers are emitted as placeholders.
     """
     data = gen_chequerboard(per_cell, seed)
@@ -91,9 +86,9 @@ def run_chequerboard(seed: int = DEFAULT_TABLE1_SEED, per_cell: int = 10,
     rows: list[ChequerboardRow] = []
     for name, family in (("permanental K1", "exponential"),
                          ("permanental K2", "gaussian")):
-        grid = _cv_grid(family, taus, alphas, order)
-        report = cross_validate(data, CVSpec(grid=grid, folds=folds,
-                                             objective=objective, seed=seed))
+        grid = [ModelParams(kernel=Kernel(family, tau=t), alphas=a)
+                for t in taus for a in alphas]
+        report = cross_validate(data, CVSpec(grid=grid, folds=folds, seed=seed))
         best = report.winner
         model = fit(data, best)
         train_pred = predict(model, data.points).argmax
@@ -108,10 +103,10 @@ def run_chequerboard(seed: int = DEFAULT_TABLE1_SEED, per_cell: int = 10,
     for name in EXTERNAL_ROWS:
         rows.append(ChequerboardRow(name=name, train_errors=None,
                                     test_errors=None, external=True))
-    train_knn = knn_predict(data.points, data.labels, data.points, k=knn_k)
-    test_knn = knn_predict(data.points, data.labels, test_points, k=knn_k)
+    train_knn = knn_predict(data.points, data.labels, data.points, k=KNN_K)
+    test_knn = knn_predict(data.points, data.labels, test_points, k=KNN_K)
     rows.append(ChequerboardRow(
-        name=f"{knn_k}-nearest neighbour",
+        name=f"{KNN_K}-nearest neighbour",
         train_errors=int(np.sum(train_knn != data.labels)),
         test_errors=int(np.sum(test_knn != test_labels)),
     ))
@@ -142,22 +137,23 @@ class MicroarrayResult:
 
 def run_microarray(expr: ExpressionMatrix, plan: SplitPlan | None = None,
                    gene_counts: Sequence[int] = (1, 2, 5, 10, 25, 50, 100, 200),
-                   families: Sequence[str] = ("exponential", "gaussian"),
-                   alpha: float = 1.0, order: int | str = 3,
-                   knn_k: int = 5) -> MicroarrayResult:
+                   ) -> MicroarrayResult:
     """Mean test errors versus number of top-ranked genes.
 
     Every repetition re-ranks genes inside its own training half (no test
     leakage), selects the top m, and scores each classifier on the held
-    out samples.  The kernel length scale is the median pairwise training
-    distance for the selected genes, so it adapts as dimensions grow.
+    out samples.  The classifiers are an order-3 model with alpha = 1 for
+    each distance kernel family, and the kNN baseline.  The kernel length
+    scale is the median pairwise training distance for the selected genes,
+    so it adapts as dimensions grow.
     """
     plan = plan or SplitPlan()
     codes, names = expr.label_codes()
     n = expr.n_samples
     gene_counts = [m for m in gene_counts if m <= expr.n_genes]
     splits = make_splits(n, plan)
-    model_names = [f"permanental {fam}" for fam in families] + [f"{knn_k}-nn"]
+    families = ("exponential", "gaussian")
+    model_names = [f"permanental {fam}" for fam in families] + [f"{KNN_K}-nn"]
     errors = {name: np.zeros((plan.repetitions, len(gene_counts)))
               for name in model_names}
     for rep, (train_idx, test_idx) in enumerate(splits):
@@ -173,13 +169,11 @@ def run_microarray(expr: ExpressionMatrix, plan: SplitPlan | None = None,
                                   n_classes=len(names), class_names=names)
             tau = median_pairwise_distance(X_train)
             for fam in families:
-                params = ModelParams(kernel=Kernel(fam, tau=tau),
-                                     alphas=alpha, order=order)
-                model = fit(data, params)
+                model = fit(data, ModelParams(kernel=Kernel(fam, tau=tau)))
                 pred = predict(model, X_test).argmax
                 errors[f"permanental {fam}"][rep, ci] = np.sum(pred != y_test)
-            pred = knn_predict(X_train, y_train, X_test, k=knn_k)
-            errors[f"{knn_k}-nn"][rep, ci] = np.sum(pred != y_test)
+            pred = knn_predict(X_train, y_train, X_test, k=KNN_K)
+            errors[f"{KNN_K}-nn"][rep, ci] = np.sum(pred != y_test)
     mean_errors = {name: [float(v) for v in arr.mean(axis=0)]
                    for name, arr in errors.items()}
     return MicroarrayResult(gene_counts=list(gene_counts),

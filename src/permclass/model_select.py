@@ -172,7 +172,8 @@ def cross_validate(data: LabeledDataset, spec: CVSpec) -> CVReport:
     the sweep; any other exception is a bug and propagates.  An error in
     the shared kernel stage marks every candidate of the group that is
     still valid, at that fold; a bad alpha is reported before any Gram is
-    built, as in a single fit.
+    built, as in a single fit.  A sweep in which no candidate is valid
+    has no winner and raises ValueError with the first candidate's message.
     """
     folds = fold_assignment(data.n, spec.folds, spec.seed,
                             labels=data.labels, stratified=spec.stratified)
@@ -211,6 +212,8 @@ def cross_validate(data: LabeledDataset, spec: CVSpec) -> CVReport:
                     scores[i].append(objective(_posterior(tables, ktt, blocks).probs, truth))
                 except (ValueError, ArithmeticError) as exc:
                     failed[i] = _failure(exc)
+    if all(f is not None for f in failed):
+        raise ValueError(f"no candidate is valid; the first failed with {failed[0]}")
     results = [CandidateResult(params, scores[i], float(np.mean(scores[i])))
                if failed[i] is None else
                CandidateResult(params, scores[i], float("inf"), False, failed[i])
@@ -230,15 +233,15 @@ def median_pairwise_distance(points) -> float:
     return float(np.median(np.sqrt(d2[iu])))
 
 
-def default_grid(points, families: Sequence[str] = ("exponential", "gaussian"),
-                 tau_scales: Sequence[float] = (0.25, 0.5, 1.0, 2.0, 4.0),
+def default_grid(points, tau_scales: Sequence[float] = (0.25, 0.5, 1.0, 2.0, 4.0),
                  alphas: Sequence[float] = (0.25, 0.5, 1.0, 2.0, 4.0),
                  order: int | str = 3) -> list[ModelParams]:
-    """Scale-aware default grid: tau multiples of the median pairwise
-    distance crossed with a logarithmic alpha grid."""
+    """Scale-aware default grid for both distance kernel families: tau
+    multiples of the median pairwise distance crossed with a logarithmic
+    alpha grid."""
     med = median_pairwise_distance(points)
     grid = []
-    for fam in families:
+    for fam in ("exponential", "gaussian"):
         for ts in tau_scales:
             kernel = Kernel(fam, tau=ts * med)
             for a in alphas:

@@ -1,9 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
 from conftest import augment
 from permclass.benchmarks import StudyConfig, accuracy_study, bench_orders
+from permclass.classify import LabeledDataset, ModelParams, fit, predict
+from permclass.cyclic import ratio_from_kt
+from permclass.datasets import gen_triangular
 from permclass.exact import ratio_exact_matrix
+from permclass.kernels import Kernel
 
 
 def test_bench_report_structure():
@@ -35,7 +41,67 @@ def test_accuracy_study_smoke():
     assert report.oracle_rel_err[3] < report.oracle_rel_err[1]
     summary = report.summary_dict()
     assert summary["config"]["central_peak"] == "|t| <= 0.5"
+    assert summary["config"]["t_range"] == [-math.pi, math.pi]
+    assert summary["config"]["class2_range"] == [math.pi, 3 * math.pi]
     assert summary["config"]["seed"] == 5
+
+
+def test_accuracy_study_reads_its_curves_from_predict(monkeypatch):
+    import permclass.benchmarks as bench_mod
+    import permclass.cyclic as cyclic_mod
+    cfg = StudyConfig(n=24, t_points=17, subsample=6, oracle_points=5, seed=5)
+    reference_calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            reference_calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for mod in (cyclic_mod, bench_mod):
+        for name in ("ratio_approx", "ratio_from_kt"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+    answered = []
+    rows = cyclic_mod.RatioTable.rows
+
+    def recorded(table, Kt, ktt):
+        answered.append((table, Kt, ktt, rows(table, Kt, ktt)))
+        return answered[-1][-1]
+
+    monkeypatch.setattr(cyclic_mod.RatioTable, "rows", recorded)
+    report = accuracy_study(cfg)
+    monkeypatch.undo()
+    assert reference_calls == []
+    # the curves are class 1's raw weights, bit for bit
+    x1 = gen_triangular(cfg.n, 0.0, math.pi, seed=cfg.seed).reshape(-1, 1)
+    x2 = gen_triangular(cfg.n, 2 * math.pi, math.pi, seed=cfg.seed + 1).reshape(-1, 1)
+    data = LabeledDataset(points=np.vstack([x1, x2]),
+                          labels=np.repeat([0, 1], cfg.n), n_classes=2)
+    kernel = Kernel.gaussian(cfg.tau)
+    for k in (1, 2, 3):
+        model = fit(data, ModelParams(kernel=kernel, alphas=cfg.alpha, order=k))
+        post = predict(model, report.t_grid.reshape(-1, 1))
+        assert np.array_equal(report.curves[k], post.raw[:, 0])
+        assert np.array_equal(report.prob_curves[k], post.probs[:, 0])
+    # the oracle's order-k tables agree with the single-query sums
+    oracle = [(t, Kt, ktt, got) for t, Kt, ktt, got in answered
+              if t.gram.n == cfg.subsample]
+    assert sorted(t.order for t, *_ in oracle) == [1, 2, 3]
+    for table, Kt, ktt, got in oracle:
+        ref = [ratio_from_kt(table, kt, tt) for kt, tt in zip(Kt, ktt)]
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+
+
+def test_accuracy_study_refuses_a_grid_that_misses_the_central_peak(monkeypatch):
+    import permclass.benchmarks as bench_mod
+    fits = []
+    monkeypatch.setattr(bench_mod, "fit", lambda *args: fits.append(args))
+    for t_points in (0, 1, 2, 4, 6):
+        with pytest.raises(ValueError, match=f"t_points = {t_points} puts no grid "
+                                             r"point in the central peak \|t\| <= 0.5"):
+            accuracy_study(StudyConfig(n=24, t_points=t_points))
+    assert fits == []
 
 
 def test_accuracy_study_computes_the_training_permanent_once(monkeypatch):

@@ -138,6 +138,28 @@ def test_exact_fit_refuses_an_oversized_class_and_writes_nothing(tmp_path, capsy
     assert not model.exists()
 
 
+@pytest.mark.parametrize("n_classes, names", [
+    (3, ["1", "2"]), (2, ["1"]), (2, ["1", "2", "3"]),
+], ids=["three_classes_two_names", "two_classes_one_name", "two_classes_three_names"])
+def test_predict_refuses_a_model_whose_class_names_miss_its_class_count(
+        tmp_path, capsys, n_classes, names):
+    # a hand-edited model.json: the CSV header would need one p_ column per class
+    data = tmp_path / "train.csv"
+    data.write_text("x0,label\n0.0,a\n0.2,a\n1.0,b\n1.2,b\n")
+    model = tmp_path / "model.json"
+    assert run(["fit", "--data", str(data), "--kernel", "gaussian",
+                "--out", str(model)], capsys)[0] == 0
+    doc = json.loads(model.read_text())
+    doc["model"]["n_classes"], doc["model"]["class_names"] = n_classes, names
+    model.write_text(json.dumps(doc))
+    out = tmp_path / "pred.csv"
+    code, _, err = run(["predict", "--model", str(model), "--queries",
+                        str(data), "--out", str(out)], capsys)
+    assert code == 1
+    assert f"n_classes = {n_classes} but class_names has {len(names)}" in err
+    assert not out.exists()
+
+
 def test_partition_command(tmp_path, capsys):
     data = tmp_path / "pts.csv"
     data.write_text("x0\n0.0\n0.1\n5.0\n5.1\n")
@@ -183,6 +205,26 @@ def test_cv_command(tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert len(doc["cv"]["candidates"]) == 2
     assert doc["cv"]["objective"] == "xent"
+
+
+def test_cv_refuses_a_grid_without_a_valid_candidate(tmp_path, capsys):
+    # a class of 23 points is past the exact size cap, and alpha -1 is not
+    # a mass: no candidate can win, so nothing is written
+    data = tmp_path / "train.csv"
+    run(["simulate", "chequerboard", "--per-cell", "5", "--seed", "9",
+         "--out", str(data)], capsys)
+    kernel = {"family": "gaussian", "tau": 0.5}
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"grid": [
+        {"kernel": kernel, "alphas": 1.0, "order": "exact"},
+        {"kernel": kernel, "alphas": -1.0, "order": 3},
+    ]}))
+    out = tmp_path / "cv.json"
+    code, _, err = run(["cv", "--data", str(data), "--grid", str(grid),
+                        "--folds", "3", "--out", str(out)], capsys)
+    assert code == 1
+    assert "no candidate is valid; the first failed with ExactSizeLimitError" in err
+    assert not out.exists()
 
 
 def test_genes_rank_command(tmp_path, capsys):
@@ -355,6 +397,15 @@ def test_study_command_smoke(tmp_path, capsys):
     assert (outdir / "probability_curves.csv").exists()
     doc = json.loads((outdir / "summary.json").read_text())
     assert "study" in doc
+
+
+def test_study_refuses_a_grid_that_misses_the_central_peak(tmp_path, capsys):
+    outdir = tmp_path / "study"
+    code, _, err = run(["study", "--n", "16", "--t-points", "4",
+                        "--out", str(outdir)], capsys)
+    assert code == 1
+    assert "t_points = 4 puts no grid point in the central peak |t| <= 0.5" in err
+    assert not (outdir / "summary.json").exists()
 
 
 def test_reproduce_microarray_smoke(tmp_path, capsys):

@@ -84,6 +84,15 @@ def test_invalid_candidate_is_isolated(rng):
     assert report.winner_index == 1
 
 
+def test_sweep_without_a_valid_candidate_has_no_winner():
+    data = gen_chequerboard(2, seed=0)
+    grid = [ModelParams(kernel=Kernel.exponential(0.5), alphas=(1.0, 1.0, 1.0), order=1),
+            ModelParams(kernel=Kernel.exponential(0.5), alphas=-1.0, order=1)]
+    with pytest.raises(ValueError, match="no candidate is valid; the first failed "
+                                         "with ValueError: .*per-class alphas"):
+        cross_validate(data, CVSpec(grid=grid, folds=3, seed=0))
+
+
 def test_programming_errors_are_not_isolated(monkeypatch):
     # only ValueError/ArithmeticError mark a candidate invalid; anything
     # else is a bug and must surface instead of becoming an inf score,
