@@ -192,6 +192,9 @@ def accuracy_study(config: StudyConfig | None = None) -> StudyReport:
     if not central.any():
         raise ValueError(f"t_points = {cfg.t_points} puts no grid point in the "
                          f"central peak |t| <= {CENTRAL}")
+    if cfg.n < cfg.subsample:
+        raise ValueError(f"n = {cfg.n} is below the oracle subsample of "
+                         f"{cfg.subsample} points drawn from class 1")
     kernel = Kernel.gaussian(cfg.tau)
     x1 = _triangular(cfg.n, T_RANGE, cfg.seed)
     x2 = _triangular(cfg.n, CLASS2_RANGE, cfg.seed + 1)

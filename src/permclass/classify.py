@@ -19,8 +19,8 @@ import numpy as np
 
 from .cyclic import EXACT_ORDER, MAX_ORDER, LimitTable, RatioTable, _fit_core, _FitCore
 from .exact import Partition, _CypTable, _grown, _PerTable
-from .kernels import (Kernel, _as_rows, _label_codes, _sq_distances, gram, kernel_block,
-                      kernel_column, kernel_self, kernel_self_batch)
+from .kernels import (Kernel, _as_rows, _entry, _label_codes, _sq_distances, gram,
+                      kernel_block, kernel_column, kernel_self, kernel_self_batch)
 
 __all__ = [
     "LabeledDataset",
@@ -137,7 +137,8 @@ class ModelParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelParams":
-        return cls(kernel=Kernel.from_dict(d["kernel"]), alphas=d["alphas"],
+        return cls(kernel=Kernel.from_dict(_entry(d, "kernel", "model params")),
+                   alphas=_entry(d, "alphas", "model params"),
                    lam=d.get("lambda"), order=d.get("order", MAX_ORDER))
 
 
@@ -340,13 +341,15 @@ def knn_predict(train_points, train_labels, queries, k: int = 5) -> np.ndarray:
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     X = _as_rows(train_points, "point")
+    if X.shape[0] == 0:
+        raise ValueError("k-nearest-neighbour vote needs at least one training point")
     y = _label_codes(train_labels)
     if y.shape != (X.shape[0],):
         raise ValueError(f"expected {X.shape[0]} labels, one per point, got shape {y.shape}")
     Q = _as_rows(queries, "query")
     out = np.empty(Q.shape[0], dtype=int)
-    n_classes = int(y.max()) + 1 if y.size else 0
-    step = max(1, _BLOCK_ENTRIES // max(X.shape[0], 1))
+    n_classes = int(y.max()) + 1
+    step = max(1, _BLOCK_ENTRIES // X.shape[0])
     for lo in range(0, Q.shape[0], step):
         dist = _sq_distances(Q[lo:lo + step], X)
         nearest = np.argsort(dist, axis=1, kind="stable")[:, :k]

@@ -261,6 +261,10 @@ def cmd_reproduce(args) -> int:
         args.seed = {"figure1": StudyConfig().seed,
                      "table1": DEFAULT_TABLE1_SEED,
                      "microarray": 0}[args.what]
+    if args.what == "microarray" and (args.expr is None) != (args.labels is None):
+        given, missing = ("--expr", "--labels") if args.labels is None else ("--labels", "--expr")
+        raise ValueError(f"reproduce microarray got {given} without {missing}; "
+                         f"give both, or neither for the synthetic data")
     os.makedirs(args.out, exist_ok=True)
     config = _config_of(args)
     hdr = _header(args.seed, config)
@@ -278,7 +282,7 @@ def cmd_reproduce(args) -> int:
         write_json(os.path.join(args.out, "summary.json"),
                    {"table1": result.to_dict()}, args.seed, config)
     else:
-        if args.expr and args.labels:
+        if args.expr is not None:
             expr = load_expression_csv(args.expr, args.labels)
         else:
             expr, _ = gen_expression(seed=args.seed)

@@ -14,8 +14,8 @@ Per query the cost is O(1), O(n), O(n^2), O(n^3) for k = 0..3 when the
 nested sums are evaluated as displayed (`ratio_from_kt`, the reference),
 with denominators taken from tables built once per training set
 (leave-one-out and leave-two-out ratios at the next lower order).
-`ratio_batch` evaluates the same sums for a block of queries as matrix
-products; the fit-time tables absorb the inner index, so order 3 costs
+`RatioTable.rows` evaluates the same sums for a block of queries as
+matrix products; the fit-time tables absorb the inner index, so order 3 costs
 O(n^2) per query there.  Order k = n is exact and larger exact sizes are
 served by the oracle layer, not here.
 
@@ -25,7 +25,7 @@ limit is 0/0 (e.g. diagonal kernels over distinct points) still get their
 finite limiting value.  A `LimitTable` holds the series' alpha-free
 coefficients with every division by a denominator already made; it grows
 one point at a time in O(n^2), so a partition block updates its table in
-place, and `limit_ratio` costs one dot product at order 1 and one or two
+place, and `LimitTable.ratio` costs one dot product at order 1 and one or two
 matrix-vector products at orders 2 and 3.  Kernel values are nonnegative,
 so every sum whose zero test decides a leading power is formed by addition
 alone and its zero test is exact.  The one subtraction, which takes the
@@ -56,11 +56,9 @@ __all__ = [
     "build_ratio_table",
     "ratio_approx",
     "ratio_from_kt",
-    "ratio_batch",
     "ratio_approx_matrix",
     "per_alpha_cyclic",
     "LimitTable",
-    "limit_ratio",
     "GramStructure",
     "closed_form_ratio_matrix",
 ]
@@ -101,7 +99,7 @@ class RatioTable:
 
     r1_loo is built at every order; it lets the single-query
     `ratio_from_kt` serve queries up to order 2 from a lower-order table,
-    while `ratio_batch` serves exactly the table's order.  r1_l2o, r2_loo
+    while `rows` serves exactly the table's order.  r1_l2o, r2_loo
     and the four-cycle weights are built only at order 3, the one order
     that reads them, and are ``None`` otherwise.  All entries are strictly
     positive for positive alpha and a positive Gram diagonal.  Tables
@@ -123,8 +121,41 @@ class RatioTable:
         return self.gram.n
 
     def rows(self, Kt, ktt) -> np.ndarray:
-        """`ratio_batch` for a block of queries at the table's own order."""
-        return ratio_batch(self, Kt, ktt)
+        """Ratios at the table's order for a block of queries, one per row of ``Kt``.
+
+        ``Kt[q, i] = K(t_q, x_i)`` and ``ktt[q] = K(t_q, t_q)``.  The sums are
+        those of `ratio_from_kt`, written as matrix products over the block;
+        results agree with it to rounding.  Negative order >= 2 values are
+        returned as computed and reported in one warning per call.
+        """
+        order = self.order
+        a = self.alpha
+        n = self.n
+        Kt = np.asarray(Kt, dtype=float)
+        if Kt.ndim != 2 or Kt.shape[1] != n:
+            raise ValueError(f"kernel block must have {n} columns, got shape {Kt.shape}")
+        out = a * np.broadcast_to(np.asarray(ktt, dtype=float), Kt.shape[:1])
+        if order == 0 or n == 0:
+            return out
+        G = self.gram.entries
+        d = self.gram.diagonal
+        if order == 1:
+            return out + (Kt * Kt / d).sum(axis=1)
+        if order == 2:
+            inner = (Kt / d) @ G - Kt           # sum_{j != i} K(x_i, x_j) K(t, x_j) / d_j
+            out = out + ((a * Kt * Kt + Kt * inner) / self.r1_loo).sum(axis=1)
+        else:
+            T = self._t3
+            W = Kt / (a * d)
+            # the bracket of the four-cycle sum, without the k = i and k = j terms
+            E = Kt + Kt @ T.T + (W @ G - W * d) @ T.T - W * np.einsum("ij,ij->i", T, G)
+            out = out + ((a * Kt / self.r2_loo) * E).sum(axis=1)
+        negative = int(np.count_nonzero(out < 0.0))
+        if negative:
+            # it is open whether orders >= 2 stay nonnegative off the kernel cone
+            log.warning("%d of %d order-%d ratio approximations are negative",
+                        negative, out.size, order)
+        return out
 
     def _python_lists(self) -> dict:
         """Python-list copies for the single-query reference sums, made on
@@ -213,7 +244,7 @@ def build_ratio_table(g: GramMatrix, alpha: float, order: int = MAX_ORDER) -> Ra
 
     r1_loo, the one table that orders 1 and 2 read, costs O(n^2) and is
     built at every order, so `ratio_from_kt` can also serve a single query
-    one order above the table's own up to order 2; `ratio_batch` serves
+    one order above the table's own up to order 2; `RatioTable.rows` serves
     exactly the table's order.  Only order 3 adds the leave-two-out table and
     the three-cycle leave-one-out table, at O(n^2) and O(n^3), the latter
     as one matrix product; an order-3 query needs a table built at order 3.
@@ -302,44 +333,6 @@ def _four_cycle(table: RatioTable, kt: np.ndarray, base: float) -> float:
     return base + float(coeff @ (kt + e3 + e4))
 
 
-def ratio_batch(table: RatioTable, Kt, ktt) -> np.ndarray:
-    """Ratios at the table's order for a block of queries, one per row of ``Kt``.
-
-    ``Kt[q, i] = K(t_q, x_i)`` and ``ktt[q] = K(t_q, t_q)``.  The sums are
-    those of `ratio_from_kt`, written as matrix products over the block;
-    results agree with it to rounding.  Negative order >= 2 values are
-    returned as computed and reported in one warning per call.
-    """
-    order = table.order
-    a = table.alpha
-    n = table.n
-    Kt = np.asarray(Kt, dtype=float)
-    if Kt.ndim != 2 or Kt.shape[1] != n:
-        raise ValueError(f"kernel block must have {n} columns, got shape {Kt.shape}")
-    out = a * np.broadcast_to(np.asarray(ktt, dtype=float), Kt.shape[:1])
-    if order == 0 or n == 0:
-        return out
-    G = table.gram.entries
-    d = table.gram.diagonal
-    if order == 1:
-        return out + (Kt * Kt / d).sum(axis=1)
-    if order == 2:
-        inner = (Kt / d) @ G - Kt           # sum_{j != i} K(x_i, x_j) K(t, x_j) / d_j
-        out = out + ((a * Kt * Kt + Kt * inner) / table.r1_loo).sum(axis=1)
-    else:
-        T = table._t3
-        W = Kt / (a * d)
-        # the bracket of the four-cycle sum, without the k = i and k = j terms
-        E = Kt + Kt @ T.T + (W @ G - W * d) @ T.T - W * np.einsum("ij,ij->i", T, G)
-        out = out + ((a * Kt / table.r2_loo) * E).sum(axis=1)
-    negative = int(np.count_nonzero(out < 0.0))
-    if negative:
-        # it is open whether orders >= 2 stay nonnegative off the kernel cone
-        log.warning("%d of %d order-%d ratio approximations are negative",
-                    negative, out.size, order)
-    return out
-
-
 def ratio_approx(t, points, table: RatioTable, order: int | None = None) -> float:
     """Order-k approximation of R_n(t; x) for a query feature vector."""
     kernel = table.gram.kernel
@@ -407,7 +400,7 @@ class LimitTable:
     The recursion's denominators are series in alpha: r1_loo = s + a d,
     r1_l2o[i, j] = s2[i, j] + a d_j and r2_loo = r0 + a r1 + O(a^2).  The
     table keeps their coefficients with every division by them done, so a
-    query is a few matrix-vector products (`limit_ratio`).  With
+    query is a few matrix-vector products (`ratio`).  With
     Q[i, m] = K(x_i, x_m)^2 / K(x_m, x_m) for m != i:
 
     d         the Gram diagonal;
@@ -531,37 +524,32 @@ class LimitTable:
         self.r0 = r0
 
     def ratio(self, kt, ktt: float) -> float:
-        """The limit ratio for one query, as `limit_ratio` gives it."""
-        return limit_ratio(self, kt, ktt)
+        """alpha -> 0+ limit of the order-k ratio for one query.
 
-
-def limit_ratio(table: LimitTable, kt, ktt: float) -> float:
-    """alpha -> 0+ limit of the order-k ratio for one query.
-
-    ``kt[i] = K(t, x_i)`` and ``ktt = K(t, t)``; the order is the table's.
-    The a K(t, t) term vanishes in the limit.  Order 1 is one dot product,
-    order 2 one matrix-vector product and order 3 two, plus one more for
-    the few points whose k = i terms must be left out of a sum exactly.
-    """
-    n = table.n
-    kt = np.asarray(kt, dtype=float)
-    if kt.shape != (n,):
-        raise ValueError(f"kernel column must have length {n}, got {kt.shape}")
-    order = table.order
-    if order == 0:
-        return 0.0
-    w = kt / table.d
-    if order == 1:
-        return float(kt @ w)
-    # u[i] = sum_{j != i} K(x_i, x_j) K(t, x_j) / d_j
-    u = table.off @ w
-    if order == 2:
-        # over r1_loo = s + a d; a lone point (s = 0) keeps its two-cycle
-        # term K(t, x_i)^2 / d_i, unless a three-cycle term reaches it
-        c0 = kt * u
-        _diverges((table.s == 0) & (c0 > 0))
-        return float(np.divide(c0, table.s, out=kt * w, where=table.s > 0).sum())
-    return _four_cycle_limit(table, kt, w, u)
+        ``kt[i] = K(t, x_i)`` and ``ktt = K(t, t)``; the order is the table's.
+        The a K(t, t) term vanishes in the limit.  Order 1 is one dot product,
+        order 2 one matrix-vector product and order 3 two, plus one more for
+        the few points whose k = i terms must be left out of a sum exactly.
+        """
+        n = self.n
+        kt = np.asarray(kt, dtype=float)
+        if kt.shape != (n,):
+            raise ValueError(f"kernel column must have length {n}, got {kt.shape}")
+        order = self.order
+        if order == 0:
+            return 0.0
+        w = kt / self.d
+        if order == 1:
+            return float(kt @ w)
+        # u[i] = sum_{j != i} K(x_i, x_j) K(t, x_j) / d_j
+        u = self.off @ w
+        if order == 2:
+            # over r1_loo = s + a d; a lone point (s = 0) keeps its two-cycle
+            # term K(t, x_i)^2 / d_i, unless a three-cycle term reaches it
+            c0 = kt * u
+            _diverges((self.s == 0) & (c0 > 0))
+            return float(np.divide(c0, self.s, out=kt * w, where=self.s > 0).sum())
+        return _four_cycle_limit(self, kt, w, u)
 
 
 def _diverges(lanes: np.ndarray) -> None:

@@ -29,9 +29,7 @@ __all__ = [
 class KernelFamily(str, Enum):
     EXPONENTIAL = "exponential"
     GAUSSIAN = "gaussian"
-    DIAGONAL_INDICATOR = "diagonal_indicator"
     CONSTANT = "constant"
-    BLOCK_CONSTANT = "block_constant"
     PROJECTION_MATRIX = "projection_matrix"
 
 
@@ -111,6 +109,13 @@ def _label_codes(labels) -> np.ndarray:
     return codes
 
 
+def _entry(d: Mapping[str, Any], key: str, what: str) -> Any:
+    """``d[key]``, refusing a missing key by name."""
+    if key not in d:
+        raise ValueError(f"{what} has no {key!r} key")
+    return d[key]
+
+
 def _key(p) -> tuple[float, ...]:
     return tuple(float(v) for v in np.atleast_1d(np.asarray(p, dtype=float)))
 
@@ -120,12 +125,8 @@ class Kernel:
     """Covariance function specification, plain data so configs round-trip.
 
     ``tau`` is the length scale for the exponential/gaussian families and
-    ``c`` the level for the constant family (and the fallback level for
-    block-constant and diagonal-indicator kernels).  ``aux`` carries the
-    family-specific payload: a point-to-value table for diagonal-indicator
-    kernels, a point-to-block assignment plus per-block levels for
-    block-constant kernels, and an explicit matrix over an indexed ground
-    set for projection kernels.
+    ``c`` the level for the constant family.  ``aux`` carries a projection
+    kernel's explicit matrix over its indexed ground set.
     """
 
     family: KernelFamily
@@ -161,38 +162,6 @@ class Kernel:
         return cls(KernelFamily.CONSTANT, c=c)
 
     @classmethod
-    def diagonal_indicator(cls, default: float | None = None,
-                           table: Mapping[Any, float] | None = None) -> "Kernel":
-        """k(s, t) = f(t) when s == t exactly and 0 otherwise.
-
-        ``f`` is looked up in ``table`` (point tuple -> value) with
-        ``default`` as fallback.
-        """
-        tab = {_key(p): float(v) for p, v in (table or {}).items()}
-        for v in tab.values():
-            if not 0 <= v < math.inf:
-                raise ValueError(f"diagonal values must be nonnegative and finite, got {v}")
-        if default is not None and not 0 <= default < math.inf:
-            raise ValueError(f"diagonal default must be nonnegative and finite, got {default}")
-        return cls(KernelFamily.DIAGONAL_INDICATOR, c=default, aux={"table": tab})
-
-    @classmethod
-    def block_constant(cls, assignment: Mapping[Any, Any],
-                       levels: Mapping[Any, float] | None = None,
-                       c: float | None = None) -> "Kernel":
-        """k(s, t) = c_b when s and t share block b, 0 otherwise.
-
-        ``assignment`` maps point tuples to block ids; ``levels`` gives the
-        per-block level c_b (fallback ``c`` for unlabelled blocks).
-        """
-        asg = {_key(p): b for p, b in assignment.items()}
-        lv = {b: float(v) for b, v in (levels or {}).items()}
-        for v in lv.values():
-            if not 0 <= v < math.inf:
-                raise ValueError(f"block levels must be nonnegative and finite, got {v}")
-        return cls(KernelFamily.BLOCK_CONSTANT, c=c, aux={"assignment": asg, "levels": lv})
-
-    @classmethod
     def projection(cls, matrix, points: Sequence) -> "Kernel":
         """Explicit finite matrix over an indexed ground set (counting measure).
 
@@ -218,25 +187,6 @@ class Kernel:
 
     # -- evaluation helpers -------------------------------------------
 
-    def _diag_value(self, key) -> float:
-        tab = self.aux["table"] if self.aux else {}
-        if key in tab:
-            return tab[key]
-        if self.c is None:
-            raise ValueError(f"diagonal-indicator kernel has no value for point {key}")
-        return float(self.c)
-
-    def _block_of(self, key):
-        return self.aux["assignment"].get(key)
-
-    def _block_level(self, block) -> float:
-        lv = self.aux["levels"]
-        if block in lv:
-            return lv[block]
-        if self.c is None:
-            raise ValueError(f"block-constant kernel has no level for block {block!r}")
-        return float(self.c)
-
     def _proj_index(self, key) -> int:
         pts = self.aux["points"]
         try:
@@ -253,34 +203,18 @@ class Kernel:
         if self.c is not None:
             out["c"] = self.c
         if self.aux is not None:
-            aux: dict[str, Any] = {}
-            if "table" in self.aux:
-                aux["table"] = [[list(k), v] for k, v in sorted(self.aux["table"].items())]
-            if "assignment" in self.aux:
-                aux["assignment"] = [[list(k), b] for k, b in sorted(self.aux["assignment"].items())]
-                aux["levels"] = [[b, v] for b, v in sorted(self.aux["levels"].items(), key=lambda kv: str(kv[0]))]
-            if "matrix" in self.aux:
-                aux["matrix"] = self.aux["matrix"]
-                aux["points"] = [list(k) for k in self.aux["points"]]
-            out["aux"] = aux
+            out["aux"] = {"matrix": self.aux["matrix"],
+                          "points": [list(k) for k in self.aux["points"]]}
         return out
 
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "Kernel":
-        family = KernelFamily(d["family"])
-        tau = d.get("tau")
-        c = d.get("c")
-        aux_in = d.get("aux")
-        if family is KernelFamily.DIAGONAL_INDICATOR:
-            table = {tuple(k): v for k, v in (aux_in or {}).get("table", [])}
-            return cls.diagonal_indicator(default=c, table=table)
-        if family is KernelFamily.BLOCK_CONSTANT:
-            assignment = {tuple(k): b for k, b in (aux_in or {}).get("assignment", [])}
-            levels = {b: v for b, v in (aux_in or {}).get("levels", [])}
-            return cls.block_constant(assignment, levels, c=c)
+        family = KernelFamily(_entry(d, "family", "kernel"))
         if family is KernelFamily.PROJECTION_MATRIX:
-            return cls.projection(aux_in["matrix"], [tuple(p) for p in aux_in["points"]])
-        return cls(family, tau=tau, c=c)
+            aux = _entry(d, "aux", "projection kernel")
+            return cls.projection(_entry(aux, "matrix", "projection kernel aux"),
+                                  _entry(aux, "points", "projection kernel aux"))
+        return cls(family, tau=d.get("tau"), c=d.get("c"))
 
 
 def kernel_eval(kernel: Kernel, s, t) -> float:
@@ -290,16 +224,9 @@ def kernel_eval(kernel: Kernel, s, t) -> float:
         raise ValueError(f"dimension mismatch: {sv.shape[0]} vs {tv.shape[0]}")
     fam = kernel.family
     if fam in (KernelFamily.EXPONENTIAL, KernelFamily.GAUSSIAN):
-        return float(_distance_kernel(kernel, ((sv - tv) ** 2).sum(keepdims=True))[0])
+        return float(kernel_column(kernel, tv, sv[None, :])[0])
     if fam is KernelFamily.CONSTANT:
         return float(kernel.c)
-    if fam is KernelFamily.DIAGONAL_INDICATOR:
-        return kernel._diag_value(_key(tv)) if np.array_equal(sv, tv) else 0.0
-    if fam is KernelFamily.BLOCK_CONSTANT:
-        bs, bt = kernel._block_of(_key(sv)), kernel._block_of(_key(tv))
-        if bs is None or bt is None or bs != bt:
-            return 0.0
-        return kernel._block_level(bs)
     if fam is KernelFamily.PROJECTION_MATRIX:
         i, j = kernel._proj_index(_key(sv)), kernel._proj_index(_key(tv))
         return float(kernel.aux["matrix"][i][j])

@@ -22,7 +22,8 @@ from hypothesis import settings
 from permclass.classify import fit, predict
 from permclass.cyclic import DegenerateConfigurationError, LimitTable
 from permclass.exact import Partition, _grown, cyp_exact
-from permclass.kernels import GramMatrix, KernelFamily, gram, kernel_column, kernel_self
+from permclass.kernels import (GramMatrix, Kernel, KernelFamily, gram, kernel_column,
+                               kernel_self)
 from permclass.model_select import (CandidateResult, CVReport, _objective_fn,
                                     _tie_key, fold_assignment)
 
@@ -131,6 +132,14 @@ def banded_gram(rng, n):
                 v = math.exp(-((pos[i + off] - pos[i]) ** 2))
                 A[i, i + off] = A[i + off, i] = v
     return A
+
+
+def projection_kernel(points, matrix) -> Kernel:
+    """Explicit kernel whose Gram matrix over the rows of ``points`` is
+    ``matrix``, or the diagonal matrix of ``matrix`` when it is 1-d: the
+    diagonal, zero-diagonal and block-constant covariances of the tests."""
+    m = np.asarray(matrix, dtype=float)
+    return Kernel.projection(np.diag(m) if m.ndim == 1 else m, points)
 
 
 def block_constant_matrix(sizes, levels):

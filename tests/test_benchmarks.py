@@ -104,6 +104,17 @@ def test_accuracy_study_refuses_a_grid_that_misses_the_central_peak(monkeypatch)
     assert fits == []
 
 
+def test_accuracy_study_refuses_fewer_points_than_the_oracle_subsample(monkeypatch):
+    import permclass.benchmarks as bench_mod
+    fits = []
+    monkeypatch.setattr(bench_mod, "fit", lambda *args: fits.append(args))
+    for n, subsample in ((5, 10), (5, 6), (0, 10)):
+        with pytest.raises(ValueError, match=f"n = {n} is below the oracle subsample "
+                                             f"of {subsample} points"):
+            accuracy_study(StudyConfig(n=n, subsample=subsample))
+    assert fits == []
+
+
 def test_accuracy_study_computes_the_training_permanent_once(monkeypatch):
     import permclass.exact as exact_mod
     cfg = StudyConfig(n=24, t_points=17, subsample=6, oracle_points=5, seed=5)

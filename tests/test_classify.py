@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import (augment, cyclic_ratio_scalar, knn_loop,
+from conftest import (augment, cyclic_ratio_scalar, knn_loop, projection_kernel,
                       sequential_partition_scalar)
 from permclass.classify import (LabeledDataset, ModelParams, fit, knn_predict,
                                 predict, predict_infinite, sequential_partition)
-from permclass.cyclic import build_ratio_table, ratio_batch, ratio_from_kt
+from permclass.cyclic import build_ratio_table, ratio_from_kt
 from permclass.exact import ExactSizeLimitError, Partition, cyp_exact, ratio_exact
 from permclass.kernels import Kernel, gram, kernel_block, kernel_column, kernel_self
 
@@ -34,7 +34,7 @@ def test_order_2_predict_matches_order_3_table(rng):
         full = build_ratio_table(table.gram, table.alpha, order=3)
         Kt = kernel_block(params.kernel, qs, table.gram.points)
         assert np.array_equal(table.r1_loo, full.r1_loo)
-        assert np.array_equal(raw[:, r], ratio_batch(table, Kt, np.ones(25)))
+        assert np.array_equal(raw[:, r], table.rows(Kt, np.ones(25)))
 
 
 def test_fit_structure(rng):
@@ -294,8 +294,8 @@ def test_infinite_matches_exact_cyp_ratios(rng):
 
 
 def test_infinite_zero_cyp_block_named():
-    kern = Kernel.diagonal_indicator(default=1.0)
     pts = np.arange(2, dtype=float).reshape(-1, 1)
+    kern = projection_kernel(np.vstack([pts, [[5.0]]]), np.ones(3))
     part = Partition.from_blocks([[0, 1]])
     params = ModelParams(kernel=kern, lam=1.0, order="exact")
     with pytest.raises(ZeroDivisionError, match="block 0"):
@@ -346,8 +346,9 @@ def _partition_configs():
     clusters = np.vstack([rng.normal(0.0, 0.3, size=(8, 2)),
                           rng.normal(2.0, 0.3, size=(8, 2))])[rng.permutation(16)]
     line = np.linspace(0.0, 3.0, 12).reshape(-1, 1)
-    levels = Kernel.block_constant({(float(i),): i % 3 for i in range(12)},
-                                   levels={0: 0.5, 1: 1.0, 2: 2.0})
+    block = np.arange(12) % 3
+    levels = projection_kernel(np.arange(12.0), np.where(
+        block[:, None] == block, np.array([0.5, 1.0, 2.0])[block], 0.0))
     return [("gaussian", Kernel.gaussian(0.8), clusters, 0.5),
             ("gaussian-chain", Kernel.gaussian(0.6), line, 0.3),
             ("constant", Kernel.constant(0.7), np.zeros((10, 1)), 0.5),
@@ -445,6 +446,11 @@ def test_knn_rejects_dimension_mismatch():
         knn_predict(X, np.arange(4) % 2, np.zeros((2, 4)))
 
 
+def test_knn_rejects_an_empty_training_set():
+    with pytest.raises(ValueError, match="needs at least one training point"):
+        knn_predict(np.zeros((0, 2)), np.zeros(0, dtype=int), np.zeros((3, 2)))
+
+
 def test_knn_rejects_bad_k_and_labels():
     X = np.zeros((4, 2))
     for k in (0, -1):
@@ -487,8 +493,8 @@ def test_exact_predict_over_many_blocks_equals_ratio_exact(rng, monkeypatch):
     data = make_data(rng, (4, 0, 3))
     qs = np.vstack([rng.normal(size=(19, 2)), data.points[:1]])
     alphas = (0.6, 1.3, 2.0)
-    for kernel in (Kernel.gaussian(0.9), Kernel.constant(1.5),
-                   Kernel.diagonal_indicator(default=0.7)):
+    diagonal = projection_kernel(np.vstack([data.points, qs[:19]]), np.full(26, 0.7))
+    for kernel in (Kernel.gaussian(0.9), Kernel.constant(1.5), diagonal):
         model = fit(data, ModelParams(kernel=kernel, alphas=alphas, order="exact"))
         raw = predict(model, qs).raw
         for r, a in enumerate(alphas):

@@ -227,6 +227,25 @@ def test_cv_refuses_a_grid_without_a_valid_candidate(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cv_grid_entry_without_alphas_names_the_key(tmp_path, capsys):
+    data = tmp_path / "train.csv"
+    run(["simulate", "chequerboard", "--per-cell", "2", "--seed", "9",
+         "--out", str(data)], capsys)
+    grid = tmp_path / "grid.json"
+    for entry, message in (({"kernel": {"family": "gaussian", "tau": 0.5}},
+                            "model params has no 'alphas' key"),
+                           ({"alphas": 1.0}, "model params has no 'kernel' key"),
+                           ({"kernel": {"tau": 0.5}, "alphas": 1.0},
+                            "kernel has no 'family' key")):
+        grid.write_text(json.dumps({"grid": [entry]}))
+        out = tmp_path / "cv.json"
+        code, _, err = run(["cv", "--data", str(data), "--grid", str(grid),
+                            "--folds", "3", "--out", str(out)], capsys)
+        assert code == 1
+        assert message in err
+        assert not out.exists()
+
+
 def test_genes_rank_command(tmp_path, capsys):
     e = tmp_path / "expr.csv"
     e.write_text("gene_id,S0,S1,S2,S3\nG0,1,1,5,5\nG1,1,2,1.5,1.6\n")
@@ -406,6 +425,25 @@ def test_study_refuses_a_grid_that_misses_the_central_peak(tmp_path, capsys):
     assert code == 1
     assert "t_points = 4 puts no grid point in the central peak |t| <= 0.5" in err
     assert not (outdir / "summary.json").exists()
+
+
+def test_study_refuses_fewer_points_than_the_oracle_subsample(tmp_path, capsys):
+    outdir = tmp_path / "study"
+    code, _, err = run(["study", "--n", "5", "--out", str(outdir)], capsys)
+    assert code == 1
+    assert "n = 5 is below the oracle subsample of 10 points" in err
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("given,missing", [("--expr", "--labels"), ("--labels", "--expr")])
+def test_reproduce_microarray_refuses_half_a_data_pair(tmp_path, capsys, given, missing):
+    outdir = tmp_path / "micro"
+    code, _, err = run(["reproduce", "microarray", "--repetitions", "2",
+                        given, str(tmp_path / "missing.csv"), "--out", str(outdir)],
+                       capsys)
+    assert code == 1
+    assert f"reproduce microarray got {given} without {missing}" in err
+    assert not outdir.exists()
 
 
 def test_reproduce_microarray_smoke(tmp_path, capsys):

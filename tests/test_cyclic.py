@@ -10,8 +10,8 @@ from conftest import (ALPHA, GradedValue, augment, banded_gram,
                       sym_nonneg)
 from permclass.cyclic import (DegenerateConfigurationError, LimitTable,
                               build_ratio_table, closed_form_ratio_matrix,
-                              limit_ratio, per_alpha_cyclic, ratio_approx,
-                              ratio_approx_matrix, ratio_batch, ratio_from_kt)
+                              per_alpha_cyclic, ratio_approx,
+                              ratio_approx_matrix, ratio_from_kt)
 from permclass.cyclic import _fit_core
 from permclass.exact import per_alpha_exact, ratio_exact_matrix
 from permclass.kernels import GramMatrix, Kernel, gram, kernel_column
@@ -394,7 +394,7 @@ def _sparse_block(rng, q, n, zero_frac=0.3):
 def _assert_batch_matches_reference(M, Kt, ktt, alpha):
     for k in (0, 1, 2, 3):
         table = build_ratio_table(GramMatrix.from_matrix(M), alpha, order=k)
-        batch = ratio_batch(table, Kt, ktt)
+        batch = table.rows(Kt, ktt)
         ref = np.array([ratio_from_kt(table, kt, t, k) for kt, t in zip(Kt, ktt)])
         np.testing.assert_allclose(batch, ref, rtol=1e-12, atol=0.0)
 
@@ -427,9 +427,9 @@ def test_batch_shape_and_table_checks(rng):
     table = build_ratio_table(GramMatrix.from_matrix(sym_nonneg(rng, 4)), 1.0,
                               order=1)
     with pytest.raises(ValueError, match="4 columns"):
-        ratio_batch(table, np.ones((2, 3)), np.ones(2))
+        table.rows(np.ones((2, 3)), np.ones(2))
     empty = build_ratio_table(GramMatrix.from_matrix(np.zeros((0, 0))), 2.0, order=3)
-    assert np.array_equal(ratio_batch(empty, np.zeros((3, 0)), np.ones(3)),
+    assert np.array_equal(empty.rows(np.zeros((3, 0)), np.ones(3)),
                           np.full(3, 2.0))
 
 
@@ -439,7 +439,7 @@ def test_batch_negative_values_one_warning(caplog):
     table = build_ratio_table(GramMatrix.from_matrix(G), 0.5, order=2)
     Kt = np.tile([1.0, -1.0], (200, 1))
     with caplog.at_level(logging.WARNING, logger="permclass.cyclic"):
-        values = ratio_batch(table, Kt, np.full(200, 0.1))
+        values = table.rows(Kt, np.full(200, 0.1))
     assert (values < 0.0).all()
     records = [r for r in caplog.records if r.name == "permclass.cyclic"]
     assert len(records) == 1
@@ -500,14 +500,14 @@ def _assert_limit_matches_scalar(M, kt, ktt=0.9):
                 expect = cyclic_ratio_scalar(sub, q, ktt, table.order)
             except DegenerateConfigurationError:
                 with pytest.raises(DegenerateConfigurationError, match="diverges"):
-                    limit_ratio(table, q, ktt)
+                    table.ratio(q, ktt)
                 continue
-            assert limit_ratio(table, q, ktt) == pytest.approx(
+            assert table.ratio(q, ktt) == pytest.approx(
                 expect, rel=1e-12, abs=0.0), (p, table.order)
     g = GramMatrix.from_matrix(M)
     for table in tables:
         try:
-            got = limit_ratio(table, kt, ktt)
+            got = table.ratio(kt, ktt)
         except DegenerateConfigurationError:
             with pytest.raises(DegenerateConfigurationError):
                 cyclic_ratio_from_kt(g, kt, ktt, table.order)
@@ -585,9 +585,9 @@ def test_limit_table_serves_many_queries(rng):
         table = build_limit_table(g, k)
         for _ in range(3):
             kt = rng.random(7)
-            assert limit_ratio(table, kt, 1.0) == cyclic_ratio_from_kt(g, kt, 1.0, k)
+            assert table.ratio(kt, 1.0) == cyclic_ratio_from_kt(g, kt, 1.0, k)
     with pytest.raises(ValueError, match="length 7"):
-        limit_ratio(table, np.ones(6), 1.0)
+        table.ratio(np.ones(6), 1.0)
 
 
 def test_limit_query_far_from_all_but_one_point():
@@ -619,14 +619,6 @@ def test_limit_table_grows_checked_rows():
         with pytest.raises(ValueError, match="non-finite Gram entry"):
             table.grow(np.array(kt), ktt)
     assert table.n == 1
-
-
-def test_limit_table_ratio_is_limit_ratio(rng):
-    M = sym_nonneg(rng, 6)
-    for k in (0, 1, 2, 3):
-        table = build_limit_table(GramMatrix.from_matrix(M), k)
-        kt = rng.random(6)
-        assert table.ratio(kt, 0.8) == limit_ratio(table, kt, 0.8)
 
 
 def cyclic_ratio_smallalpha(g: GramMatrix, kt, ktt: float, order: int,

@@ -7,7 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import permclass.exact as exact_mod
-from conftest import augment, cyp_oracle, elimination_det, perm_oracle, sym_nonneg
+from conftest import (augment, cyp_oracle, elimination_det, perm_oracle,
+                      projection_kernel, sym_nonneg)
 from permclass.classify import LabeledDataset, ModelParams, fit, predict_infinite
 from permclass.exact import (EXACT_SIZE_CAP, ExactSizeLimitError, Partition,
                              cyclic_ratio_exact, cyp_exact, ewens_probability,
@@ -190,8 +191,8 @@ def test_ratio_constant_kernel():
 
 
 def test_ratio_diagonal_kernel_distinct_points():
-    kern = Kernel.diagonal_indicator(default=2.0)
     pts = np.arange(4, dtype=float).reshape(-1, 1)
+    kern = projection_kernel(np.vstack([pts, [[9.0]]]), np.full(5, 2.0))
     assert ratio_exact([9.0], pts, kern, 1.5) == pytest.approx(1.5 * 2.0,
                                                                rel=1e-12)
 
@@ -237,7 +238,8 @@ def test_cyclic_ratio_constant_and_diagonal():
         0.6 * 4, rel=1e-12)
     with pytest.raises(ZeroDivisionError):
         # diagonal kernel, distinct points: cyp of the context is zero
-        cyclic_ratio_exact([9.0], pts, Kernel.diagonal_indicator(default=1.0))
+        cyclic_ratio_exact([9.0], pts, projection_kernel(np.vstack([pts, [[9.0]]]),
+                                                         np.ones(5)))
 
 
 def test_cyp_table_reads_after_every_growth(rng):

@@ -24,18 +24,6 @@ def test_exponential_unit_distance():
     assert v == pytest.approx(math.exp(-1.0), rel=1e-12)
 
 
-def test_diagonal_indicator_values():
-    k = Kernel.diagonal_indicator(default=2.0)
-    assert kernel_eval(k, [0.0], [1.0]) == 0.0
-    assert kernel_eval(k, [1.0], [1.0]) == 2.0
-
-
-def test_diagonal_indicator_table_lookup():
-    k = Kernel.diagonal_indicator(default=1.0, table={(2.0,): 5.0})
-    assert kernel_eval(k, [2.0], [2.0]) == 5.0
-    assert kernel_eval(k, [3.0], [3.0]) == 1.0
-
-
 def test_dimension_mismatch_raises():
     k = Kernel.gaussian(1.0)
     with pytest.raises(ValueError, match="dimension mismatch"):
@@ -59,12 +47,6 @@ def test_non_finite_kernel_parameters_raise(bad):
         Kernel.exponential(bad)
     with pytest.raises(ValueError, match="constant kernel requires a finite c"):
         Kernel.constant(bad)
-    with pytest.raises(ValueError, match="diagonal default"):
-        Kernel.diagonal_indicator(default=bad)
-    with pytest.raises(ValueError, match="diagonal values"):
-        Kernel.diagonal_indicator(table={(0.0,): bad})
-    with pytest.raises(ValueError, match="block levels"):
-        Kernel.block_constant({(0.0,): "a"}, levels={"a": bad})
     with pytest.raises(ValueError, match="projection matrix entries"):
         Kernel.projection([[bad]], [(0.0,)])
 
@@ -144,19 +126,6 @@ def test_gram_matches_eval_and_column(rng):
                 assert np.array_equal(g.entries[i], [kernel_eval(k, pts[i], p) for p in pts]), d
 
 
-def test_block_constant_structure():
-    pts = [(0.0,), (1.0,), (2.0,), (3.0,)]
-    k = Kernel.block_constant(
-        assignment={pts[0]: "a", pts[1]: "a", pts[2]: "b", pts[3]: "b"},
-        levels={"a": 0.5, "b": 2.0})
-    g = gram(k, np.array(pts))
-    expect = np.array([[0.5, 0.5, 0.0, 0.0],
-                       [0.5, 0.5, 0.0, 0.0],
-                       [0.0, 0.0, 2.0, 2.0],
-                       [0.0, 0.0, 2.0, 2.0]])
-    assert np.array_equal(g.entries, expect)
-
-
 def test_gram_non_distance_families_match_pairwise_eval(rng):
     # repeated points put equal keys off the diagonal
     ground = [tuple(p) for p in rng.normal(size=(5, 2))]
@@ -164,9 +133,6 @@ def test_gram_non_distance_families_match_pairwise_eval(rng):
     m = rng.random((5, 5))
     for k in [
         Kernel.constant(1.7),
-        Kernel.diagonal_indicator(default=0.4, table={ground[1]: 2.5}),
-        Kernel.block_constant({p: i % 2 for i, p in enumerate(ground)},
-                              levels={0: 0.3}, c=1.9),
         Kernel.projection(m + m.T, ground),
     ]:
         g = gram(k, pts).entries
@@ -201,8 +167,6 @@ def test_kernel_self_batch_matches_per_row(rng):
         Kernel.gaussian(1.1),
         Kernel.exponential(0.4),
         Kernel.constant(2.5),
-        Kernel.diagonal_indicator(default=0.5, table={keys[0]: 3.0, keys[1]: 0.0}),
-        Kernel.block_constant({keys[0]: 0, keys[1]: 1}, levels={0: 1.5}, c=0.25),
         Kernel.projection(np.diag(np.arange(1.0, 7.0)), list(dict.fromkeys(keys))),
     ]
     for k in kernels:
@@ -218,8 +182,6 @@ def test_serialization_round_trip():
         Kernel.gaussian(0.7),
         Kernel.exponential(2.0),
         Kernel.constant(1.5),
-        Kernel.diagonal_indicator(default=2.0, table={(1.0, 2.0): 3.0}),
-        Kernel.block_constant({(0.0,): 0, (1.0,): 1}, levels={0: 1.0, 1: 2.0}),
         Kernel.projection([[1.0, 0.0], [0.0, 1.0]], [(0.0,), (1.0,)]),
     ]
     import json
@@ -230,17 +192,25 @@ def test_serialization_round_trip():
         assert back.family is k.family
 
 
+def test_from_dict_names_a_missing_key():
+    with pytest.raises(ValueError, match="kernel has no 'family' key"):
+        Kernel.from_dict({"tau": 1.0})
+    with pytest.raises(ValueError, match="projection kernel has no 'aux' key"):
+        Kernel.from_dict({"family": "projection_matrix"})
+    with pytest.raises(ValueError, match="projection kernel aux has no 'points' key"):
+        Kernel.from_dict({"family": "projection_matrix", "aux": {"matrix": [[1.0]]}})
+
+
 def test_kernel_block_rows_match_pairwise_eval(rng):
     for d in DIMS:
         pts = rng.normal(size=(5, d))
         queries = np.vstack([rng.normal(size=(3, d)), pts[1:2]])
-        keys = [tuple(p) for p in pts]
+        m = rng.random((8, 8))
         kernels = [
             Kernel.gaussian(0.7 * math.sqrt(d)),
             Kernel.exponential(1.3 * math.sqrt(d)),
             Kernel.constant(2.0),
-            Kernel.diagonal_indicator(default=1.5),
-            Kernel.block_constant({k: i % 2 for i, k in enumerate(keys)}, c=0.8),
+            Kernel.projection(m + m.T, np.vstack([pts, queries[:3]])),
         ]
         for k in kernels:
             block = kernel_block(k, queries, pts)

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import cross_validate_reference, median_distance_one_shot
+from conftest import (cross_validate_reference, median_distance_one_shot,
+                      projection_kernel)
 from permclass.classify import LabeledDataset, ModelParams
 from permclass.datasets import gen_chequerboard
 from permclass.kernels import Kernel
@@ -264,7 +265,7 @@ def test_grouped_cv_matches_reference_per_class_alphas():
 def test_grouped_cv_isolates_invalid_candidates_like_reference():
     data = gen_chequerboard(2, seed=9)
     gauss = Kernel.gaussian(0.5)
-    zero_diagonal = Kernel.diagonal_indicator(default=0.0)  # Gram diagonal 0
+    zero_diagonal = projection_kernel(data.points, np.zeros(data.n))  # Gram diagonal 0
     grid = [
         ModelParams(kernel=gauss, alphas=(1.0, 1.0, 1.0), order=3),  # wrong length
         ModelParams(kernel=gauss, alphas=1.0, order=3),
@@ -284,21 +285,19 @@ def test_grouped_cv_isolates_invalid_candidates_like_reference():
 
 
 def test_grouped_cv_isolates_degenerate_candidates_like_reference():
-    # exact order under diagonal-indicator kernels: a point whose K(x, x) is
+    # exact order under diagonal kernels: a point whose K(x, x) is
     # 0 zeroes its class's alpha-permanent while it trains (ZeroDivisionError)
     # and every class weight while it is held out (degenerate weights)
     data = gen_chequerboard(1, seed=10)
     folds = fold_assignment(data.n, 3, seed=0)
-    keys = [tuple(p) for p in data.points]
 
     def zero_at(i):
-        return Kernel.diagonal_indicator(
-            default=None, table={k: (0.0 if j == i else 1.0) for j, k in enumerate(keys)})
+        return projection_kernel(data.points, np.arange(data.n) != i)
 
     grid = [ModelParams(kernel=zero_at(folds[0][0]), alphas=1.0, order="exact"),
             ModelParams(kernel=zero_at(folds[2][0]), alphas=1.0, order="exact"),
-            ModelParams(kernel=Kernel.diagonal_indicator(default=1.0), alphas=1.0,
-                        order="exact")]
+            ModelParams(kernel=projection_kernel(data.points, np.ones(data.n)),
+                        alphas=1.0, order="exact")]
     report = _assert_matches_reference(data, grid, stratified=(False,))[0]
     assert "degenerate kernel" in report.results[0].message
     assert report.results[1].message.startswith("ZeroDivisionError")
