@@ -181,9 +181,11 @@ def fit(data: LabeledDataset, params: ModelParams) -> FittedModel:
     any query to join.  The tables are built as an alpha-free core per
     class (the Gram diagonal, the two-cycle terms and, at order 3, the
     O(n^3) product), which is then finished for the class's alpha in
-    O(n_r^2); cross-validation finishes one core for every alpha of a
-    kernel.  An empty class gets a 0 x 0 Gram matrix and table, whose ratio
-    is the empty-class weight alpha K(t, t).
+    O(n_r^2).  Cross-validation finishes each core once for an array of
+    alphas, every candidate's of a kernel, into one stacked table whose
+    slices are bit for bit the tables `fit` makes.  An empty class gets a
+    0 x 0 Gram matrix and table, whose ratio is the empty-class weight
+    alpha K(t, t).
     """
     alphas = params.alpha_vector(data.n_classes)
     cores = _fit_kernel(data, params.kernel, params.order)
@@ -226,17 +228,20 @@ def _kernel_blocks(kernel: Kernel, qs: np.ndarray, pts: np.ndarray):
         yield kernel_block(kernel, qs[lo:lo + step], pts)
 
 
-def _posterior(tables: list, ktt: np.ndarray, blocks) -> PosteriorTable:
-    """Posterior table from the queries' K(t, t) and, per class, its table
-    and an iterable of the query kernel blocks."""
-    raw = np.empty((ktt.shape[0], len(tables)))
+def _weights(tables: list, ktt: np.ndarray, blocks) -> np.ndarray:
+    """Raw class weights from the queries' K(t, t) and, per class, its table
+    and an iterable of the query kernel blocks: one row per query and one
+    column per class, behind a leading alpha axis when the tables are
+    finished for an array of alphas (one call to each table's ``rows`` per
+    block serves every alpha)."""
+    raw = np.empty((*np.shape(tables[0].alpha), ktt.shape[0], len(tables)))
     for r, table in enumerate(tables):
         lo = 0
         for Kt in blocks[r]:
             hi = lo + Kt.shape[0]
-            raw[lo:hi, r] = table.rows(Kt, ktt[lo:hi])
+            raw[..., lo:hi, r] = table.rows(Kt, ktt[lo:hi])
             lo = hi
-    return _normalised(raw)
+    return raw
 
 
 def predict(model: FittedModel, queries) -> PosteriorTable:
@@ -248,7 +253,7 @@ def predict(model: FittedModel, queries) -> PosteriorTable:
     qs = _as_rows(queries, "query")
     kernel = model.params.kernel
     blocks = [_kernel_blocks(kernel, qs, table.gram.points) for table in model.classes]
-    return _posterior(model.classes, kernel_self_batch(kernel, qs), blocks)
+    return _normalised(_weights(model.classes, kernel_self_batch(kernel, qs), blocks))
 
 
 def _new_table(order) -> LimitTable | _CypTable:

@@ -35,6 +35,9 @@ from .model_select import CVSpec, cross_validate, default_grid
 
 PROG = "permclass"
 
+# `reproduce microarray`'s split count when --repetitions is not given
+DEFAULT_REPETITIONS = 200
+
 
 # ---------------------------------------------------------------------------
 # output plumbing
@@ -261,13 +264,21 @@ def cmd_reproduce(args) -> int:
         args.seed = {"figure1": StudyConfig().seed,
                      "table1": DEFAULT_TABLE1_SEED,
                      "microarray": 0}[args.what]
-    if args.what == "microarray" and (args.expr is None) != (args.labels is None):
+    if args.what != "microarray":
+        for flag in ("expr", "labels", "repetitions"):
+            if getattr(args, flag) is not None:
+                raise ValueError(f"reproduce {args.what} does not read --{flag}; "
+                                 f"only reproduce microarray does")
+    elif (args.expr is None) != (args.labels is None):
         given, missing = ("--expr", "--labels") if args.labels is None else ("--labels", "--expr")
         raise ValueError(f"reproduce microarray got {given} without {missing}; "
                          f"give both, or neither for the synthetic data")
-    os.makedirs(args.out, exist_ok=True)
+    if args.repetitions is None:
+        args.repetitions = DEFAULT_REPETITIONS
     config = _config_of(args)
     hdr = _header(args.seed, config)
+    # every input is read and every result computed before --out is made,
+    # so a failed run leaves no directory behind
     if args.what == "figure1":
         report = accuracy_study(StudyConfig(seed=args.seed))
         _study_outputs(args.out, report, args.seed, config)
@@ -277,6 +288,7 @@ def cmd_reproduce(args) -> int:
                  "external" if r.external else r.train_errors,
                  "external" if r.external else r.test_errors)
                 for r in result.rows]
+        os.makedirs(args.out, exist_ok=True)
         write_csv(os.path.join(args.out, "table1.csv"), hdr,
                   ["classifier", "train_errors", "test_errors"], rows)
         write_json(os.path.join(args.out, "summary.json"),
@@ -296,12 +308,13 @@ def cmd_reproduce(args) -> int:
             row = [m] + [result.mean_test_errors[k][i]
                          for k in sorted(result.mean_test_errors)]
             rows.append(row)
-        write_csv(os.path.join(args.out, "errors_vs_genes.csv"), hdr,
-                  ["n_genes"] + sorted(result.mean_test_errors), rows)
         coords = two_axis_projection(expr)
         proj_rows = [(sid, lbl, float(c[0]), float(c[1]))
                      for sid, lbl, c in zip(expr.sample_ids,
                                             expr.sample_labels, coords)]
+        os.makedirs(args.out, exist_ok=True)
+        write_csv(os.path.join(args.out, "errors_vs_genes.csv"), hdr,
+                  ["n_genes"] + sorted(result.mean_test_errors), rows)
         write_csv(os.path.join(args.out, "projection.csv"), hdr,
                   ["sample", "label", "centroid_axis", "pc1"], proj_rows)
         write_json(os.path.join(args.out, "summary.json"),
@@ -425,7 +438,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--out", required=True)
     p.add_argument("--expr", default=None, help="microarray: expression CSV")
     p.add_argument("--labels", default=None, help="microarray: sample,label CSV")
-    p.add_argument("--repetitions", type=int, default=200)
+    p.add_argument("--repetitions", type=int, default=None,
+                   help=f"microarray: train/test splits (default {DEFAULT_REPETITIONS})")
     p.add_argument("--seed", type=int, default=None,
                    help="default: the experiment's pinned seed")
     p.add_argument("--config", default=None,

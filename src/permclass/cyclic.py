@@ -93,28 +93,34 @@ class RatioTable:
     """Fit-time denominators for a fixed training configuration.
 
     r1_loo[i]     two-cycle ratio of x_i against the other points,
-    r1_l2o[i, j]  two-cycle ratio of x_j against the points minus {i, j}
-                  (diagonal entries are inert placeholders),
     r2_loo[i]     three-cycle ratio of x_i against the other points.
 
     r1_loo is built at every order; it lets the single-query
     `ratio_from_kt` serve queries up to order 2 from a lower-order table,
-    while `rows` serves exactly the table's order.  r1_l2o, r2_loo
-    and the four-cycle weights are built only at order 3, the one order
-    that reads them, and are ``None`` otherwise.  All entries are strictly
-    positive for positive alpha and a positive Gram diagonal.  Tables
+    while `rows` serves exactly the table's order.  r2_loo and the
+    four-cycle weights (over the leave-two-out ratios of
+    `_FitCore._leave_two_out`, which the table does not keep) are built
+    only at order 3, the one order that reads them, and are ``None``
+    otherwise.  All entries are strictly positive for positive alpha and a
+    positive Gram diagonal.  Tables
     depend only on the training points, never on the query, and are
     immutable once built.
+
+    ``alpha`` is one mass or, for a table finished for several at once, a
+    1-d array of them; every alpha-dependent entry then has a leading axis
+    with one slice per alpha, bit for bit that alpha's own table, and
+    `rows` answers for every alpha in one pass.  Such a stacked table
+    serves `rows` only, not the single-query `ratio_from_kt`.
     """
 
     gram: GramMatrix
-    alpha: float
+    alpha: float | np.ndarray
     order: int
     r1_loo: np.ndarray
-    r1_l2o: np.ndarray | None = None
     r2_loo: np.ndarray | None = None
     _lists: dict = field(default_factory=dict, repr=False)
     _t3: np.ndarray | None = field(default=None, repr=False)
+    _s3: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
@@ -125,31 +131,35 @@ class RatioTable:
 
         ``Kt[q, i] = K(t_q, x_i)`` and ``ktt[q] = K(t_q, t_q)``.  The sums are
         those of `ratio_from_kt`, written as matrix products over the block;
-        results agree with it to rounding.  Negative order >= 2 values are
+        results agree with it to rounding.  The result has shape (Q,) for a
+        table of one alpha and (A, Q) for a table of A alphas, each row the
+        one-alpha result bit for bit.  Negative order >= 2 values are
         returned as computed and reported in one warning per call.
         """
         order = self.order
-        a = self.alpha
         n = self.n
         Kt = np.asarray(Kt, dtype=float)
         if Kt.ndim != 2 or Kt.shape[1] != n:
             raise ValueError(f"kernel block must have {n} columns, got shape {Kt.shape}")
-        out = a * np.broadcast_to(np.asarray(ktt, dtype=float), Kt.shape[:1])
+        # alpha broadcast against a block: (1, 1) for one alpha, (A, 1, 1) for A
+        a = np.asarray(self.alpha)[..., None, None]
+        out = a[..., 0] * np.asarray(ktt, dtype=float)
         if order == 0 or n == 0:
             return out
         G = self.gram.entries
         d = self.gram.diagonal
         if order == 1:
-            return out + (Kt * Kt / d).sum(axis=1)
+            return out + (Kt * Kt / d).sum(axis=-1)
         if order == 2:
             inner = (Kt / d) @ G - Kt           # sum_{j != i} K(x_i, x_j) K(t, x_j) / d_j
-            out = out + ((a * Kt * Kt + Kt * inner) / self.r1_loo).sum(axis=1)
+            out = out + ((a * Kt * Kt + Kt * inner) / self.r1_loo[..., None, :]).sum(axis=-1)
         else:
             T = self._t3
             W = Kt / (a * d)
             # the bracket of the four-cycle sum, without the k = i and k = j terms
-            E = Kt + Kt @ T.T + (W @ G - W * d) @ T.T - W * np.einsum("ij,ij->i", T, G)
-            out = out + ((a * Kt / self.r2_loo) * E).sum(axis=1)
+            Tt = np.swapaxes(T, -1, -2)
+            E = Kt + Kt @ Tt + (W @ G - W * d) @ Tt - W * self._s3[..., None, :]
+            out = out + ((a * Kt / self.r2_loo[..., None, :]) * E).sum(axis=-1)
         negative = int(np.count_nonzero(out < 0.0))
         if negative:
             # it is open whether orders >= 2 stay nonnegative off the kernel cone
@@ -186,29 +196,49 @@ class _FitCore:
     qoff: np.ndarray | None = None
     g_inner: np.ndarray | None = None
 
-    def finish(self, alpha: float) -> RatioTable:
-        """The table for one alpha > 0: O(n^2) elementwise work on the core."""
+    def finish(self, alpha) -> RatioTable:
+        """The table for one alpha > 0, or for a 1-d array of them stacked
+        along a leading axis: O(n^2) elementwise work on the core per alpha,
+        each slice bit for bit the one-alpha table."""
         G = self.gram.entries
         d = self.d
-        a = float(alpha)
-        r1_loo = a * d + self.q_sum
-        table = RatioTable(self.gram, a, self.order, r1_loo)
+        alpha = _alpha_arg(alpha)
+        a = np.asarray(alpha)[..., None]  # (1,) for one alpha, (A, 1) for A
+        ad = a * d
+        r1_loo = ad + self.q_sum
+        table = RatioTable(self.gram, alpha, self.order, r1_loo)
         if self.order == 3:
-            # r1_l2o[i, j] removes the i term from r1_loo[j]
-            r1_l2o = r1_loo[None, :] - self.qoff.T
-            np.fill_diagonal(r1_l2o, 1.0)
+            r1_l2o = self._leave_two_out(r1_loo)
             # C[m, i] is the three-cycle term of x_i through x_m; the product
             # groups as (a * G) * G, and a * (G * G) would round differently
-            C = a * G * G
+            C = a[..., None] * G
+            C *= G
             C += self.g_inner
-            C /= r1_l2o.T
-            np.fill_diagonal(C, 0.0)
-            table.r1_l2o = r1_l2o
-            table.r2_loo = a * d + C.sum(axis=0)
-            t3 = G / r1_l2o
-            np.fill_diagonal(t3, 0.0)
+            C /= np.swapaxes(r1_l2o, -1, -2)
+            diag = (..., *np.diag_indices(self.gram.n))
+            C[diag] = 0.0
+            table.r2_loo = ad + C.sum(axis=-2)
+            t3 = np.divide(G, r1_l2o, out=C)  # into C's buffer, not read again
+            t3[diag] = 0.0
             table._t3 = t3
+            # row sums of t3 * G: the k = i terms the four-cycle bracket leaves out
+            table._s3 = np.einsum("...ij,ij->...i", t3, G)
         return table
+
+    def _leave_two_out(self, r1_loo: np.ndarray) -> np.ndarray:
+        """r1_l2o[..., i, j], the two-cycle ratio of x_j against the points
+        minus {i, j}: r1_loo[..., j] without its i term.  The diagonal
+        entries are inert placeholders (1.0).  Only `finish` needs it, so
+        no table keeps it."""
+        r1_l2o = r1_loo[..., None, :] - self.qoff.T
+        r1_l2o[(..., *np.diag_indices(self.gram.n))] = 1.0
+        return r1_l2o
+
+
+def _alpha_arg(alpha):
+    """A table's alpha as given to ``finish``: a float, or a float array for
+    a table finished for several alphas at once."""
+    return np.asarray(alpha, dtype=float) if np.ndim(alpha) else float(alpha)
 
 
 def _fit_core(g: GramMatrix, order: int) -> _FitCore:
@@ -252,7 +282,8 @@ def build_ratio_table(g: GramMatrix, alpha: float, order: int = MAX_ORDER) -> Ra
     The build is an alpha-free core (`_fit_core`: the diagonal, the
     two-cycle terms and their row sums, and at order 3 the O(n^3) product)
     finished for one alpha by O(n^2) elementwise work (`_FitCore.finish`),
-    so tables for several alphas over one Gram matrix can share one core.
+    so tables for several alphas over one Gram matrix can share one core,
+    or be finished from it together as one stacked table.
     """
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha}")

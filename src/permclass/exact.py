@@ -30,6 +30,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .cyclic import _alpha_arg
 from .kernels import (GramMatrix, Kernel, _as_rows, _as_square, _check_kernel_row,
                       _label_codes, gram, kernel_column, kernel_self)
 
@@ -201,34 +202,38 @@ def ratio_exact(t, points, kernel: Kernel, alpha: float) -> float:
 @dataclass(frozen=True)
 class _PerTable:
     """The exact order's table for one class: its Gram matrix and, once
-    finished, its alpha.  It answers `finish` and `rows` as a
-    `cyclic._FitCore` and its `cyclic.RatioTable` do, within
+    finished, its alpha, or a 1-d array of alphas.  It answers `finish` and
+    `rows` as a `cyclic._FitCore` and its `cyclic.RatioTable` do, within
     `EXACT_SIZE_CAP` points for the bordered matrix, which is checked when
     the table is made.
     """
 
     gram: GramMatrix
-    alpha: float | None = None
+    alpha: float | np.ndarray | None = None
 
     def __post_init__(self):
         _check_cap(self.gram.n + 1)
 
-    def finish(self, alpha: float) -> "_PerTable":
-        return _PerTable(self.gram, float(alpha))
+    def finish(self, alpha) -> "_PerTable":
+        return _PerTable(self.gram, _alpha_arg(alpha))
 
     def rows(self, Kt, ktt) -> np.ndarray:
         """Exact ratios for a block of queries, ``Kt[q, i] = K(t_q, x_i)``
-        and ``ktt[q] = K(t_q, t_q)`` (a 0 x 0 Gram matrix gives alpha K(t, t)).
+        and ``ktt[q] = K(t_q, t_q)`` (a 0 x 0 Gram matrix gives alpha K(t, t)):
+        shape (Q,) for one alpha, (A, Q) for A alphas, one alpha at a time.
 
-        The denominator per_a{K(x)} is computed once per call, and each
-        query's matrix borders the Gram matrix.
+        The denominator per_a{K(x)} is computed once per call and alpha, and
+        each query's matrix borders the Gram matrix.
         """
         G = self.gram.entries
-        denom = per_alpha_exact(G, self.alpha)
-        if denom == 0.0:
-            raise ZeroDivisionError("per_alpha of the training configuration is zero")
-        return np.array([per_alpha_exact(_bordered(G, kt, tt), self.alpha) / denom
-                         for kt, tt in zip(Kt, ktt)])
+        out = []
+        for alpha in np.atleast_1d(self.alpha).tolist():
+            denom = per_alpha_exact(G, alpha)
+            if denom == 0.0:
+                raise ZeroDivisionError("per_alpha of the training configuration is zero")
+            out.append([per_alpha_exact(_bordered(G, kt, tt), alpha) / denom
+                        for kt, tt in zip(Kt, ktt)])
+        return np.reshape(out, np.shape(self.alpha) + (len(ktt),))
 
 
 def ratio_exact_matrix(A, alpha: float) -> float:

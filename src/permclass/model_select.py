@@ -13,7 +13,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .classify import LabeledDataset, ModelParams, _fit_kernel, _kernel_blocks, _posterior
+from .classify import (_BLOCK_ENTRIES, LabeledDataset, ModelParams, _fit_kernel,
+                       _kernel_blocks, _normalised, _weights)
+from .cyclic import EXACT_ORDER
 from .kernels import Kernel, _as_rows, _sq_distances, kernel_self_batch
 
 __all__ = [
@@ -155,25 +157,55 @@ def _failure(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
+# one stacked finish takes as many alphas as keep its alpha-stacked arrays
+# within this many entries each (8 MB of float64)
+_STACK_ENTRIES = 1 << 20
+
+
+def _alpha_chunks(live: list[int], cores: list, order) -> list[list[int]]:
+    """The live candidates of a group in runs of those whose alphas one
+    stacked finish answers together.  Per alpha, an order-3 table stacks
+    n_r x n_r arrays for every class and any table's ``rows`` stacks its
+    query block; the exact order gains nothing from stacking (its ``rows``
+    loops over the alphas) and takes one alpha at a time, so that a zero
+    denominator per_alpha{K(x)} marks only its own candidate."""
+    if order == EXACT_ORDER:
+        return [[i] for i in live]
+    per_alpha = sum(core.gram.n ** 2 for core in cores) if order == 3 else _BLOCK_ENTRIES
+    step = max(1, _STACK_ENTRIES // max(per_alpha, 1))
+    return [live[k:k + step] for k in range(0, len(live), step)]
+
+
 def cross_validate(data: LabeledDataset, spec: CVSpec) -> CVReport:
     """Mean objective per candidate across folds; argmin wins.
 
     Candidates that share a kernel and an order share everything that does
     not depend on alpha.  For each fold and each such group, the class
     Gram matrices, their table cores (O(sum_r n_r^2), or O(sum_r n_r^3)
-    at order 3) and the held-out kernel blocks are built once; each
-    candidate of the group then pays only the O(sum_r n_r^2) finish of
-    the cores for its alpha and its held-out queries.
+    at order 3) and the held-out kernel blocks are built once.  Each
+    class's core is then finished once for the alphas of the group's live
+    candidates, stacked along a leading axis (O(sum_r n_r^2) per alpha),
+    and one ``rows`` call per held-out block answers every alpha; each
+    candidate's slice of the raw weights is the one-alpha result bit for
+    bit, and only its normalisation and objective are its own, so a
+    negative order >= 2 ratio is logged once per stacked call, not once
+    per candidate.  The alphas are stacked in runs (`_alpha_chunks`) that
+    bound the stacked arrays: an order-3 sweep over large classes
+    finishes them a few at a time, and the exact order one at a time.
 
     A fold missing a class entirely is fine (the empty-class rule covers
     it).  A candidate whose evaluation raises ValueError or ArithmeticError
     (bad parameters, exact size limits, degenerate configurations or
     weights) is marked invalid with an infinite score instead of aborting
-    the sweep; any other exception is a bug and propagates.  An error in
+    the sweep; any other exception is a bug and propagates.  A bad alpha
+    is reported before any Gram is built, as in a single fit.  An error in
     the shared kernel stage marks every candidate of the group that is
-    still valid, at that fold; a bad alpha is reported before any Gram is
-    built, as in a single fit.  A sweep in which no candidate is valid
-    has no winner and raises ValueError with the first candidate's message.
+    still valid, at that fold, and an error in a stacked finish or its
+    rows marks the candidates of that run.  After the alpha checks the
+    only alpha-dependent error there is the exact order's zero
+    per_alpha{K(x)}, and its runs hold one candidate each.  A sweep
+    in which no candidate is valid has no winner and raises ValueError
+    with the first candidate's message.
     """
     folds = fold_assignment(data.n, spec.folds, spec.seed,
                             labels=data.labels, stratified=spec.stratified)
@@ -206,12 +238,22 @@ def cross_validate(data: LabeledDataset, spec: CVSpec) -> CVReport:
                 for i in live:
                     failed[i] = _failure(exc)
                 continue
-            for i in live:
+            for run in _alpha_chunks(live, cores, order):
                 try:
-                    tables = [core.finish(a) for core, a in zip(cores, alphas[i])]
-                    scores[i].append(objective(_posterior(tables, ktt, blocks).probs, truth))
+                    # each class finished for its column of the run x classes alphas;
+                    # the stacked tables are freed once their weights are read
+                    run_alphas = np.array([alphas[i] for i in run])
+                    raw = _weights([core.finish(run_alphas[:, r]) for r, core in enumerate(cores)],
+                                   ktt, blocks)
                 except (ValueError, ArithmeticError) as exc:
-                    failed[i] = _failure(exc)
+                    for i in run:
+                        failed[i] = _failure(exc)
+                    continue
+                for j, i in enumerate(run):
+                    try:
+                        scores[i].append(objective(_normalised(raw[j]).probs, truth))
+                    except (ValueError, ArithmeticError) as exc:
+                        failed[i] = _failure(exc)
     if all(f is not None for f in failed):
         raise ValueError(f"no candidate is valid; the first failed with {failed[0]}")
     results = [CandidateResult(params, scores[i], float(np.mean(scores[i])))

@@ -7,6 +7,7 @@ from conftest import (augment, cyclic_ratio_scalar, knn_loop, projection_kernel,
                       sequential_partition_scalar)
 from permclass.classify import (LabeledDataset, ModelParams, fit, knn_predict,
                                 predict, predict_infinite, sequential_partition)
+from permclass.classify import _fit_kernel, _kernel_blocks, _weights
 from permclass.cyclic import build_ratio_table, ratio_from_kt
 from permclass.exact import ExactSizeLimitError, Partition, cyp_exact, ratio_exact
 from permclass.kernels import Kernel, gram, kernel_block, kernel_column, kernel_self
@@ -182,6 +183,24 @@ def test_non_finite_model_parameters_raise():
     for alphas in (float("inf"), (1.0, float("nan")), (float("-inf"), 1.0)):
         with pytest.raises(ValueError, match="alphas must be finite"):
             ModelParams(kernel=kern, alphas=alphas)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3, "exact"])
+def test_stacked_weights_equal_each_candidates_predict(rng, order):
+    # class tables finished for a live x classes array of per-class alphas,
+    # one column per class, give each row's own predict weights bit for bit
+    data = make_data(rng, (5, 4))
+    kernel = Kernel.gaussian(0.8)
+    alphas = np.array([[0.5, 2.0], [1.0, 1.0], [2.0, 0.5]])
+    qs = rng.normal(size=(9, 2)) * 2.0
+    cores = _fit_kernel(data, kernel, order)
+    blocks = [_kernel_blocks(kernel, qs, core.gram.points) for core in cores]
+    raw = _weights([core.finish(alphas[:, r]) for r, core in enumerate(cores)],
+                   np.ones(9), blocks)
+    assert raw.shape == (3, 9, 2)
+    for j, a in enumerate(alphas):
+        model = fit(data, ModelParams(kernel=kernel, alphas=tuple(a), order=order))
+        assert np.array_equal(raw[j], predict(model, qs).raw)
 
 
 def test_predict_exact_matches_ratio_oracle(rng):

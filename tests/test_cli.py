@@ -446,6 +446,28 @@ def test_reproduce_microarray_refuses_half_a_data_pair(tmp_path, capsys, given, 
     assert not outdir.exists()
 
 
+def test_reproduce_microarray_missing_files_leave_no_directory(tmp_path, capsys):
+    outdir = tmp_path / "micro"
+    code, _, err = run(["reproduce", "microarray", "--repetitions", "2",
+                        "--expr", str(tmp_path / "missing.csv"),
+                        "--labels", str(tmp_path / "missing-labels.csv"),
+                        "--out", str(outdir)], capsys)
+    assert code == 1
+    assert "missing.csv" in err
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("what", ["table1", "figure1"])
+@pytest.mark.parametrize("flag,value", [("--expr", "e.csv"), ("--labels", "l.csv"),
+                                        ("--repetitions", "1")])
+def test_reproduce_refuses_the_microarray_flags(tmp_path, capsys, what, flag, value):
+    outdir = tmp_path / "out"
+    code, _, err = run(["reproduce", what, flag, value, "--out", str(outdir)], capsys)
+    assert code == 1
+    assert f"reproduce {what} does not read {flag}" in err
+    assert not outdir.exists()
+
+
 def test_reproduce_microarray_smoke(tmp_path, capsys):
     outdir = tmp_path / "micro"
     code, _, _ = run(["reproduce", "microarray", "--repetitions", "2",

@@ -70,6 +70,13 @@ class TestGradedValue:
 # -- denominator tables --------------------------------------------------
 
 
+def _leave_two_out(g, alpha):
+    """The leave-two-out ratios r1_l2o that an order-3 finish forms for
+    ``alpha`` and no table keeps."""
+    core = _fit_core(g, 3)
+    return core._leave_two_out(core.finish(alpha).r1_loo)
+
+
 def test_table_constant_kernel():
     n, c, alpha = 5, 0.8, 1.3
     g = GramMatrix.from_matrix(np.full((n, n), c))
@@ -77,7 +84,7 @@ def test_table_constant_kernel():
     assert np.allclose(table.r1_loo, c * (alpha + n - 1), rtol=1e-12)
     assert np.allclose(table.r2_loo, c * (alpha + n - 1), rtol=1e-12)
     off = ~np.eye(n, dtype=bool)
-    assert np.allclose(table.r1_l2o[off], c * (alpha + n - 2), rtol=1e-12)
+    assert np.allclose(_leave_two_out(g, alpha)[off], c * (alpha + n - 2), rtol=1e-12)
 
 
 def test_table_diagonal_kernel():
@@ -98,7 +105,7 @@ def test_table_positive_denominators(rng):
     table = build_ratio_table(g, 0.4, order=3)
     assert (table.r1_loo > 0).all()
     assert (table.r2_loo > 0).all()
-    assert (table.r1_l2o > 0).all()
+    assert (_leave_two_out(g, 0.4) > 0).all()
 
 
 def test_table_zero_diagonal_names_point():
@@ -130,8 +137,8 @@ def test_table_builds_only_what_its_order_reads(rng, order):
         table = build_ratio_table(GramMatrix.from_matrix(sym_nonneg(rng, n)), 0.9,
                                   order=order)
         assert table.r1_loo.shape == (n,)
-        leave_two_out = (table.r1_l2o, table.r2_loo, table._t3)
-        assert [t is not None for t in leave_two_out] == [order == 3] * 3
+        order_3_only = (table.r2_loo, table._t3, table._s3)
+        assert [t is not None for t in order_3_only] == [order == 3] * 3
 
 
 @pytest.mark.parametrize("order", [0, 1, 2, 3])
@@ -152,18 +159,69 @@ def test_core_finish_matches_fresh_build(rng, order):
             got = core.finish(alpha)
             fresh = build_ratio_table(g, alpha, order=order)
             one_pass = ratio_table_one_shot(M, alpha, order)
-            for a, b, c, absent in zip((got.r1_loo, got.r1_l2o, got.r2_loo, got._t3),
-                                       (fresh.r1_loo, fresh.r1_l2o, fresh.r2_loo,
-                                        fresh._t3),
-                                       one_pass, [False] + [order < 3] * 3):
+            r1_loo, r1_l2o, r2_loo, t3 = one_pass
+            for a, b, c, absent in zip((got.r1_loo, got.r2_loo, got._t3),
+                                       (fresh.r1_loo, fresh.r2_loo, fresh._t3),
+                                       (r1_loo, r2_loo, t3), [False] + [order < 3] * 2):
                 if absent:
                     assert a is None and b is None and c is None
                 else:
                     assert np.array_equal(a, b) and np.array_equal(a, c)
+            if order == 3:
+                assert np.array_equal(core._leave_two_out(got.r1_loo), r1_l2o)
             assert (got.alpha, got.order) == (fresh.alpha, fresh.order)
         after = (core.d, core.q_sum, core.qoff, core.g_inner)
         for x, y in zip(before, after):
             assert (x is None and y is None) or np.array_equal(x, y)
+
+
+def _stacking_grams(rng):
+    """Random (n = 0, 1, 2, 40), diagonal, constant, block-constant and
+    banded Gram matrices."""
+    return [sym_nonneg(rng, 0), sym_nonneg(rng, 1), sym_nonneg(rng, 2), sym_nonneg(rng, 40),
+            np.diag(rng.uniform(0.5, 2.0, size=9)), np.full((8, 8), 0.7),
+            block_constant_matrix([3, 1, 4], [0.6, 1.3, 0.9]), banded_gram(rng, 40)]
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_stacked_finish_and_rows_equal_each_alphas_table(rng, order):
+    # one finish for an array of alphas (repeats included, and a column of
+    # a per-class array, as cross-validation passes them) stacks each
+    # alpha's table along a leading axis, and one rows call answers every
+    # alpha, bit for bit
+    per_class = np.array([[2.0, 0.5], [0.25, 1.0], [1.0, 1.0], [0.1 + 0.2, 4.0], [2.0, 0.5]])
+    for M in _stacking_grams(rng):
+        n = M.shape[0]
+        core = _fit_core(GramMatrix.from_matrix(M), order)
+        Kt = _sparse_block(rng, 40, n)
+        ktt = rng.uniform(0.5, 1.5, size=40)
+        for alphas in per_class.T:
+            stacked = core.finish(alphas)
+            got = stacked.rows(Kt, ktt)
+            assert got.shape == (len(alphas), 40)
+            for j, alpha in enumerate(alphas):
+                one = core.finish(alpha)
+                assert stacked.alpha[j] == one.alpha
+                for name in ("r1_loo", "r2_loo", "_t3", "_s3"):
+                    a, b = getattr(stacked, name), getattr(one, name)
+                    assert (a is None and b is None) or np.array_equal(a[j], b)
+                if order == 3:
+                    assert np.array_equal(core._leave_two_out(stacked.r1_loo)[j],
+                                          core._leave_two_out(one.r1_loo))
+                assert np.array_equal(got[j], one.rows(Kt, ktt))
+
+
+def test_stacked_rows_warn_once_per_call(caplog):
+    import logging
+    G = np.array([[1.0, 0.9], [0.9, 1.0]])
+    table = _fit_core(GramMatrix.from_matrix(G), 2).finish(np.array([0.5, 1.0, 2.0]))
+    Kt = np.tile([1.0, -1.0], (10, 1))
+    with caplog.at_level(logging.WARNING, logger="permclass.cyclic"):
+        values = table.rows(Kt, np.full(10, 0.1))
+    assert (values[0] < 0.0).all() and (values[2] > 0.0).all()
+    records = [r for r in caplog.records if r.name == "permclass.cyclic"]
+    assert len(records) == 1
+    assert f"{np.count_nonzero(values < 0.0)} of 30 order-2" in records[0].getMessage()
 
 
 def test_order_3_query_needs_order_3_table(rng):
@@ -180,11 +238,12 @@ def _generic_table_arrays(M, alpha):
 
 
 def _assert_tables_match_generic(M, alpha):
-    table = build_ratio_table(GramMatrix.from_matrix(M), alpha, order=3)
+    g = GramMatrix.from_matrix(M)
+    table = build_ratio_table(g, alpha, order=3)
     r1, r12, r2 = _generic_table_arrays(M, alpha)
     off = ~np.eye(M.shape[0], dtype=bool)
     np.testing.assert_allclose(table.r1_loo, r1, rtol=1e-13, atol=0.0)
-    np.testing.assert_allclose(table.r1_l2o[off], r12[off], rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(_leave_two_out(g, alpha)[off], r12[off], rtol=1e-13, atol=0.0)
     np.testing.assert_allclose(table.r2_loo, r2, rtol=1e-13, atol=0.0)
 
 
@@ -306,7 +365,7 @@ def test_appendix_block_telescoping_identity(rng):
     c, alpha, size = 0.8, 0.9, 4
     G = block_constant_matrix([size], [c])
     kt = rng.random(size)
-    table = build_ratio_table(GramMatrix.from_matrix(G), alpha, order=3)
+    r1_l2o = _leave_two_out(GramMatrix.from_matrix(G), alpha)
     i = 1
     lhs = sum(kt[i] * c * kt[j] / (c * alpha) for j in range(size) if j != i)
     rhs = 0.0
@@ -315,7 +374,7 @@ def test_appendix_block_telescoping_identity(rng):
             continue
         tail = sum(kt[i] * c * c * kt[m] / (c * alpha)
                    for m in range(size) if m not in (i, j))
-        rhs += (kt[i] * c * kt[j] + tail) / table.r1_l2o[i, j]
+        rhs += (kt[i] * c * kt[j] + tail) / r1_l2o[i, j]
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 

@@ -7,16 +7,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import permclass.exact as exact_mod
-from conftest import (augment, cyp_oracle, elimination_det, perm_oracle,
-                      projection_kernel, sym_nonneg)
+from conftest import (augment, banded_gram, block_constant_matrix, cyp_oracle,
+                      elimination_det, perm_oracle, projection_kernel, sym_nonneg)
 from permclass.classify import LabeledDataset, ModelParams, fit, predict_infinite
 from permclass.exact import (EXACT_SIZE_CAP, ExactSizeLimitError, Partition,
                              cyclic_ratio_exact, cyp_exact, ewens_probability,
                              iter_set_partitions, label_probability_exact,
                              partition_probability_exact, per_alpha_exact,
                              ratio_exact, ratio_exact_matrix, rising_factorial)
-from permclass.exact import _CypTable, _cyp_subsets, _grown
-from permclass.kernels import Kernel
+from permclass.exact import _CypTable, _cyp_subsets, _grown, _PerTable
+from permclass.kernels import GramMatrix, Kernel
 
 
 # -- per_alpha ---------------------------------------------------------
@@ -200,6 +200,26 @@ def test_ratio_diagonal_kernel_distinct_points():
 def test_ratio_empty_context():
     kern = Kernel.gaussian(1.0)
     assert ratio_exact([0.0], np.zeros((0, 1)), kern, 2.0) == 2.0
+
+
+def test_stacked_exact_table_equals_each_alphas_table(rng):
+    # the exact order takes the same alpha arrays as the cyclic tables and
+    # answers them one alpha at a time; n = 10 is the largest Gram whose
+    # bordered matrix stays within the exact size cap
+    grams = [sym_nonneg(rng, 0), sym_nonneg(rng, 1), sym_nonneg(rng, 2), sym_nonneg(rng, 10),
+             np.diag(rng.uniform(0.5, 2.0, size=5)), np.full((4, 4), 0.7),
+             block_constant_matrix([2, 1, 3], [0.6, 1.3, 0.9]), banded_gram(rng, 7)]
+    per_class = np.array([[2.0, 0.5], [0.25, 1.0], [2.0, 0.5]])
+    for M in grams:
+        n = M.shape[0]
+        core = _PerTable(GramMatrix.from_matrix(M))
+        Kt = rng.random((2, n))
+        ktt = rng.uniform(0.5, 1.5, size=2)
+        for alphas in per_class.T:
+            got = core.finish(alphas).rows(Kt, ktt)
+            assert got.shape == (3, 2)
+            for j, alpha in enumerate(alphas):
+                assert np.array_equal(got[j], core.finish(alpha).rows(Kt, ktt))
 
 
 def test_ratio_matrix_matches_kernel_route(rng):

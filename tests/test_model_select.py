@@ -1,16 +1,19 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from conftest import (cross_validate_reference, median_distance_one_shot,
                       projection_kernel)
-from permclass.classify import LabeledDataset, ModelParams
+import permclass.model_select as model_select
+from permclass.classify import _BLOCK_ENTRIES, LabeledDataset, ModelParams
 from permclass.datasets import gen_chequerboard
 from permclass.kernels import Kernel
 from permclass.model_select import (OBJECTIVES, CVSpec, cross_entropy,
                                     cross_validate, default_grid, error_rate,
                                     fold_assignment, median_pairwise_distance)
+from permclass.model_select import _alpha_chunks
 
 
 def test_fold_assignment_deterministic():
@@ -302,6 +305,63 @@ def test_grouped_cv_isolates_degenerate_candidates_like_reference():
     assert "degenerate kernel" in report.results[0].message
     assert report.results[1].message.startswith("ZeroDivisionError")
     assert report.results[2].valid
+
+
+def test_grouped_cv_marks_every_alpha_of_a_zero_exact_denominator():
+    # over a nonnegative Gram the exact-order denominator is zero for every
+    # alpha > 0 or for none, so a zero one marks each alpha of the kernel,
+    # as one fit per candidate does
+    data = gen_chequerboard(1, seed=10)
+    folds = fold_assignment(data.n, 3, seed=0)
+    zero = projection_kernel(data.points, np.arange(data.n) != folds[2][0])
+    grid = [ModelParams(kernel=zero, alphas=a, order="exact")
+            for a in (0.5, 2.0, (1.0, 3.0))]
+    grid.append(ModelParams(kernel=projection_kernel(data.points, np.ones(data.n)),
+                            alphas=1.0, order="exact"))
+    report = _assert_matches_reference(data, grid, stratified=(False,))[0]
+    for r in report.results[:3]:
+        assert not r.valid and r.message.startswith("ZeroDivisionError")
+    assert report.results[3].valid
+
+
+def test_grouped_cv_marks_only_the_alpha_whose_exact_denominator_underflows():
+    # at alpha = 1e-300 every term alpha^cycles times a product of
+    # narrow-kernel entries underflows to 0, at alpha = 1 the identity term
+    # is 1: the exact order answers its alphas one at a time, so only the
+    # tiny alpha's candidate is marked
+    data = gen_chequerboard(1, seed=4)
+    grid = [ModelParams(kernel=Kernel.gaussian(0.1), alphas=a, order="exact")
+            for a in (1e-300, 1.0)]
+    report = _assert_matches_reference(data, grid, stratified=(False,))[0]
+    assert report.results[0].message.startswith("ZeroDivisionError")
+    assert report.results[1].valid
+
+
+def test_alpha_chunks_bound_the_stacked_arrays(monkeypatch):
+    def cores(*sizes):
+        return [SimpleNamespace(gram=SimpleNamespace(n=n)) for n in sizes]
+
+    live = [0, 2, 3, 5, 7]
+    assert _alpha_chunks(live, cores(30, 40), 3) == [live]
+    assert _alpha_chunks(live, cores(30, 40), "exact") == [[i] for i in live]
+    monkeypatch.setattr(model_select, "_STACK_ENTRIES", 2 * (30**2 + 40**2))
+    assert _alpha_chunks(live, cores(30, 40), 3) == [[0, 2], [3, 5], [7]]
+    assert _alpha_chunks(live, cores(0, 0), 3) == [live]
+    monkeypatch.setattr(model_select, "_STACK_ENTRIES", 2 * _BLOCK_ENTRIES)
+    assert _alpha_chunks(live, cores(30, 40), 1) == [[0, 2], [3, 5], [7]]
+    monkeypatch.setattr(model_select, "_STACK_ENTRIES", 1)
+    assert _alpha_chunks(live, cores(30, 40), 2) == [[i] for i in live]
+
+
+@pytest.mark.parametrize("order", [1, 3])
+def test_grouped_cv_matches_reference_in_bounded_runs(monkeypatch, order):
+    # a budget of two alphas' arrays at order 1, and of less than one at
+    # order 3, splits the group's five alphas into runs
+    monkeypatch.setattr(model_select, "_STACK_ENTRIES", 2 * _BLOCK_ENTRIES if order == 1 else 1)
+    data = gen_chequerboard(2, seed=11)
+    grid = default_grid(data.points, tau_scales=(0.5, 2.0),
+                        alphas=(0.5, 1.0, (2.0, 0.5), 4.0, 1.0), order=order)
+    _assert_matches_reference(data, grid)
 
 
 def test_grouped_cv_stops_at_the_same_fold_as_reference():
