@@ -10,9 +10,8 @@ from .exact import (EXACT_SIZE_CAP, ExactSizeLimitError, Partition,
                     partition_probability_exact, per_alpha_exact,
                     ratio_exact, ratio_exact_matrix, rising_factorial)
 from .cyclic import (EXACT_ORDER, MAX_ORDER, DegenerateConfigurationError,
-                     GramStructure, LimitTable, RatioTable, build_ratio_table,
-                     closed_form_ratio_matrix, per_alpha_cyclic, ratio_approx,
-                     ratio_approx_matrix, ratio_from_kt)
+                     LimitTable, RatioTable, build_ratio_table, per_alpha_cyclic,
+                     ratio_approx, ratio_approx_matrix, ratio_from_kt)
 from .classify import (FittedModel, LabeledDataset, ModelParams, PosteriorTable,
                        fit, knn_predict, predict, predict_infinite,
                        sequential_partition)

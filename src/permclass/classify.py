@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .cyclic import EXACT_ORDER, MAX_ORDER, LimitTable, RatioTable, _fit_core, _FitCore
 from .exact import Partition, _CypTable, _grown, _PerTable
-from .kernels import (Kernel, _as_rows, _entry, _label_codes, _sq_distances, gram,
-                      kernel_block, kernel_column, kernel_self, kernel_self_batch)
+from .kernels import (GramMatrix, Kernel, _as_rows, _entry, _label_codes, _sq_distances,
+                      gram, kernel_block, kernel_column, kernel_self, kernel_self_batch)
 
 __all__ = [
     "LabeledDataset",
@@ -161,15 +161,14 @@ class FittedModel:
         return len(self.classes)
 
 
-def _fit_kernel(data: LabeledDataset, kernel: Kernel, order) -> list[_FitCore | _PerTable]:
-    """Each class's alpha-free table core, whose ``finish(alpha)`` is the
-    class's table: a `cyclic._FitCore` at orders 0-3, an `exact._PerTable`
-    otherwise."""
-    cores = []
-    for r in range(data.n_classes):
-        g = gram(kernel, data.class_points(r))
-        cores.append(_PerTable(g) if order == EXACT_ORDER else _fit_core(g, order))
-    return cores
+def _fit_kernel(grams: Iterable[GramMatrix], order) -> list[_FitCore | _PerTable]:
+    """Each class's alpha-free table core from its Gram matrix, whose
+    ``finish(alpha)`` is the class's table: a `cyclic._FitCore` at orders
+    0-3, an `exact._PerTable` otherwise.  `fit` passes `gram` of each
+    class's points and cross-validation the Grams of a fold's
+    `kernels._SharedDistances`, both as generators, so each Gram is built
+    just before its core and the first refusal stops the rest."""
+    return [_PerTable(g) if order == EXACT_ORDER else _fit_core(g, order) for g in grams]
 
 
 def fit(data: LabeledDataset, params: ModelParams) -> FittedModel:
@@ -188,7 +187,8 @@ def fit(data: LabeledDataset, params: ModelParams) -> FittedModel:
     alpha K(t, t).
     """
     alphas = params.alpha_vector(data.n_classes)
-    cores = _fit_kernel(data, params.kernel, params.order)
+    cores = _fit_kernel((gram(params.kernel, data.class_points(r))
+                         for r in range(data.n_classes)), params.order)
     return FittedModel(params=params,
                        classes=[core.finish(a) for core, a in zip(cores, alphas)],
                        class_names=data.class_names)
@@ -221,11 +221,16 @@ def _normalised(raw: np.ndarray) -> PosteriorTable:
     return PosteriorTable(probs=probs, raw=raw, argmax=probs.argmax(axis=1))
 
 
+def _query_steps(n_queries: int, n_points: int) -> list[slice]:
+    """The rows of each query block against a class of ``n_points``."""
+    step = max(1, _BLOCK_ENTRIES // max(n_points, 1))
+    return [slice(lo, lo + step) for lo in range(0, n_queries, step)]
+
+
 def _kernel_blocks(kernel: Kernel, qs: np.ndarray, pts: np.ndarray):
     """Kernel blocks of the queries against one class, in query order."""
-    step = max(1, _BLOCK_ENTRIES // max(pts.shape[0], 1))
-    for lo in range(0, qs.shape[0], step):
-        yield kernel_block(kernel, qs[lo:lo + step], pts)
+    for rows in _query_steps(qs.shape[0], pts.shape[0]):
+        yield kernel_block(kernel, qs[rows], pts)
 
 
 def _weights(tables: list, ktt: np.ndarray, blocks) -> np.ndarray:

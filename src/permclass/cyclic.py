@@ -41,11 +41,10 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
-from .kernels import (GramMatrix, _as_square, _check_finite, _check_kernel_row,
+from .kernels import (GramMatrix, _check_finite, _check_kernel_row,
                       kernel_column, kernel_self)
 
 __all__ = [
@@ -59,8 +58,6 @@ __all__ = [
     "ratio_approx_matrix",
     "per_alpha_cyclic",
     "LimitTable",
-    "GramStructure",
-    "closed_form_ratio_matrix",
 ]
 
 MAX_ORDER = 3
@@ -131,7 +128,11 @@ class RatioTable:
 
         ``Kt[q, i] = K(t_q, x_i)`` and ``ktt[q] = K(t_q, t_q)``.  The sums are
         those of `ratio_from_kt`, written as matrix products over the block;
-        results agree with it to rounding.  The result has shape (Q,) for a
+        results agree with it to rounding.  Orders 2 and 3 form the
+        alpha-free product P = (Kt / d) G - Kt once per call; order 3 then
+        reads its four-cycle bracket Kt + (Kt + P / alpha) T^T -
+        (Kt / (alpha d)) s3 (s3 the row sums of T * G) through one more
+        product per alpha.  The result has shape (Q,) for a
         table of one alpha and (A, Q) for a table of A alphas, each row the
         one-alpha result bit for bit.  Negative order >= 2 values are
         returned as computed and reported in one warning per call.
@@ -150,15 +151,15 @@ class RatioTable:
         d = self.gram.diagonal
         if order == 1:
             return out + (Kt * Kt / d).sum(axis=-1)
+        # P[q, i] = sum_{j != i} K(x_i, x_j) K(t_q, x_j) / d_j, the same for every alpha
+        P = (Kt / d) @ G - Kt
         if order == 2:
-            inner = (Kt / d) @ G - Kt           # sum_{j != i} K(x_i, x_j) K(t, x_j) / d_j
-            out = out + ((a * Kt * Kt + Kt * inner) / self.r1_loo[..., None, :]).sum(axis=-1)
+            out = out + ((a * Kt * Kt + Kt * P) / self.r1_loo[..., None, :]).sum(axis=-1)
         else:
-            T = self._t3
-            W = Kt / (a * d)
-            # the bracket of the four-cycle sum, without the k = i and k = j terms
-            Tt = np.swapaxes(T, -1, -2)
-            E = Kt + Kt @ Tt + (W @ G - W * d) @ Tt - W * self._s3[..., None, :]
+            # the bracket of the four-cycle sum, without the k = i and k = j
+            # terms: one product with T^T per alpha
+            Tt = np.swapaxes(self._t3, -1, -2)
+            E = Kt + (Kt + P / a) @ Tt - (Kt / (a * d)) * self._s3[..., None, :]
             out = out + ((a * Kt / self.r2_loo[..., None, :]) * E).sum(axis=-1)
         negative = int(np.count_nonzero(out < 0.0))
         if negative:
@@ -628,98 +629,4 @@ def _four_cycle_limit(table: LimitTable, kt, w, u) -> float:
         ktf = kt[flat]
         b0 = ktf * (ktf + table.t0[flat] @ kt)
         total += float((b0 / (table.d[flat] + table.delta[flat])).sum())
-    return total
-
-
-# ---------------------------------------------------------------------------
-# closed forms for structured training matrices
-# ---------------------------------------------------------------------------
-
-
-class GramStructure(str, Enum):
-    DIAGONAL = "diagonal"
-    CONSTANT = "constant"
-    BLOCK_CONSTANT = "block_constant"
-
-
-def _blocks_of(G: np.ndarray) -> list[list[int]]:
-    """Connected components of the nonzero pattern (union by scanning)."""
-    n = G.shape[0]
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if G[i, j] != 0.0:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return sorted(groups.values(), key=lambda b: b[0])
-
-
-def _validate_structure(G: np.ndarray, structure: GramStructure) -> list[tuple[list[int], float]]:
-    n = G.shape[0]
-    if structure is GramStructure.DIAGONAL:
-        off = G.copy()
-        np.fill_diagonal(off, 0.0)
-        if np.count_nonzero(off):
-            raise ValueError("matrix is not diagonal")
-        return [([i], float(G[i, i])) for i in range(n)]
-    if structure is GramStructure.CONSTANT:
-        if n == 0:
-            return []
-        c = float(G[0, 0])
-        if c == 0.0 or not np.all(G == c):
-            raise ValueError("matrix is not constant with a nonzero level")
-        return [(list(range(n)), c)]
-    blocks = []
-    for b in _blocks_of(G):
-        sub = G[np.ix_(b, b)]
-        c = float(sub[0, 0])
-        if c == 0.0 or not np.all(sub == c):
-            raise ValueError(f"block {b} is not constant with a nonzero level")
-        blocks.append((b, c))
-    for bi, (b, _) in enumerate(blocks):
-        for b2, _ in blocks[bi + 1:]:
-            if np.count_nonzero(G[np.ix_(b, b2)]):
-                raise ValueError("cross-block entries must be zero")
-    return blocks
-
-
-def closed_form_ratio_matrix(G, kt, ktt: float, alpha: float,
-                             structure: GramStructure | str) -> float:
-    """Closed-form ratio for a structured training matrix.
-
-    For diagonal, constant, or block-constant K(x) the order >= 2
-    approximations coincide with the exact ratio:
-
-        a K(t,t) + sum_b [ a sum_{i in b} K(t,x_i)^2
-                           + sum_{i != j in b} K(t,x_i) K(t,x_j) ]
-                          / ( c_b (a + |b| - 1) )
-
-    The diagonal case reduces to a K(t,t) + sum_i K(t,x_i)^2 / K(x_i,x_i)
-    where even the two-cycle approximation is already exact.
-    """
-    structure = GramStructure(structure)
-    m = _as_square(G)
-    ktv = np.asarray(kt, dtype=float)
-    if ktv.shape != (m.shape[0],):
-        raise ValueError("kernel column must match the matrix size")
-    blocks = _validate_structure(m, structure)
-    a = float(alpha)
-    total = a * float(ktt)
-    for b, c in blocks:
-        v = ktv[b]
-        s1 = float(v @ v)
-        s = float(v.sum())
-        cross = s * s - s1
-        total += (a * s1 + cross) / (c * (a + len(b) - 1))
     return total

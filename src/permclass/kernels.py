@@ -396,6 +396,12 @@ def _sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _checked_gram(kernel: Kernel, pts: np.ndarray, entries: np.ndarray) -> GramMatrix:
+    if (entries < 0).any():
+        raise ValueError("kernel produced a negative Gram entry")
+    return GramMatrix(entries=entries, points=pts, kernel=kernel)
+
+
 def gram(kernel: Kernel, points) -> GramMatrix:
     """The Gram matrix K(x) over a point set: ``kernel_block(kernel, x, x)``.
 
@@ -405,7 +411,36 @@ def gram(kernel: Kernel, points) -> GramMatrix:
     the 0 x 0 matrix (its alpha-permanent is 1 downstream).
     """
     pts = _as_points(points)
-    entries = kernel_block(kernel, pts, pts)
-    if (entries < 0).any():
-        raise ValueError("kernel produced a negative Gram entry")
-    return GramMatrix(entries=entries, points=pts, kernel=kernel)
+    return _checked_gram(kernel, pts, kernel_block(kernel, pts, pts))
+
+
+class _SharedDistances:
+    """A point set's Gram matrix and a query set's block against it, for
+    any number of kernels over the same points.
+
+    The squared distances of each are computed on the first exponential or
+    gaussian kernel that asks for them and kept; every such kernel then
+    transforms a copy, which is `gram` and `kernel_block` bit for bit.  The
+    other families are `gram` and `kernel_block` themselves and read no
+    distances.  Kept are n x n plus queries x n distances, one kernel's
+    worth of matrices.
+    """
+
+    def __init__(self, points: np.ndarray, queries: np.ndarray):
+        self.points, self.queries = _as_points(points), _as_points(queries)
+        self._sq: dict[str, np.ndarray] = {}
+
+    def _block(self, kernel: Kernel, rows: str) -> np.ndarray:
+        a = self.points if rows == "points" else self.queries
+        if kernel.family not in (KernelFamily.EXPONENTIAL, KernelFamily.GAUSSIAN):
+            return kernel_block(kernel, a, self.points)
+        if rows not in self._sq:
+            self._sq[rows] = _sq_distances(a, self.points)
+        return _distance_kernel(kernel, self._sq[rows].copy())
+
+    def gram(self, kernel: Kernel) -> GramMatrix:
+        return _checked_gram(kernel, self.points, self._block(kernel, "points"))
+
+    def block(self, kernel: Kernel) -> np.ndarray:
+        """``kernel_block(kernel, queries, points)``."""
+        return self._block(kernel, "queries")

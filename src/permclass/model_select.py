@@ -14,9 +14,10 @@ from typing import Sequence
 import numpy as np
 
 from .classify import (_BLOCK_ENTRIES, LabeledDataset, ModelParams, _fit_kernel,
-                       _kernel_blocks, _normalised, _weights)
+                       _normalised, _query_steps, _weights)
 from .cyclic import EXACT_ORDER
-from .kernels import Kernel, _as_rows, _sq_distances, kernel_self_batch
+from .kernels import (Kernel, _as_rows, _SharedDistances, _sq_distances,
+                      kernel_self_batch)
 
 __all__ = [
     "CVSpec",
@@ -182,7 +183,13 @@ def cross_validate(data: LabeledDataset, spec: CVSpec) -> CVReport:
     Candidates that share a kernel and an order share everything that does
     not depend on alpha.  For each fold and each such group, the class
     Gram matrices, their table cores (O(sum_r n_r^2), or O(sum_r n_r^3)
-    at order 3) and the held-out kernel blocks are built once.  Each
+    at order 3) and the held-out kernel blocks are built once.  Across the
+    groups, each fold computes every class's squared distances, of its
+    training points and of the held-out points against them, once, on the
+    first exponential or gaussian kernel (`kernels._SharedDistances`); each
+    such kernel's Grams and blocks transform a copy, bit for bit `gram` and
+    `kernel_block`, so a sweep computes 2 x classes x folds distance
+    matrices however many kernels its grid holds.  Each
     class's core is then finished once for the alphas of the group's live
     candidates, stacked along a leading axis (O(sum_r n_r^2) per alpha),
     and one ``rows`` call per held-out block answers every alpha; each
@@ -225,15 +232,21 @@ def cross_validate(data: LabeledDataset, spec: CVSpec) -> CVReport:
             failed[i] = _failure(exc)
     groups = _kernel_groups(grid)
     for train, queries, truth in splits:
+        # each class's distances, computed for the fold's first distance kernel
+        shared = [_SharedDistances(train.class_points(r), queries)
+                  for r in range(data.n_classes)]
         for kernel, order, members in groups:
             live = [i for i in members if failed[i] is None]
             if not live:
                 continue
             try:
-                cores = _fit_kernel(train, kernel, order)
+                cores = _fit_kernel((s.gram(kernel) for s in shared), order)
                 ktt = kernel_self_batch(kernel, queries)
-                blocks = [list(_kernel_blocks(kernel, queries, core.gram.points))
-                          for core in cores]
+                blocks = []
+                for s in shared:
+                    block = s.block(kernel)
+                    blocks.append([block[rows] for rows in
+                                   _query_steps(*block.shape)])
             except (ValueError, ArithmeticError) as exc:
                 for i in live:
                     failed[i] = _failure(exc)

@@ -5,7 +5,9 @@ deliberately separate from the package code so the two sides of every
 exactness check stay independent.  The scalar order-k recursion over
 floats or `GradedValue` series (truncated power series in alpha) is the
 reference that the package's matrix-vector evaluation of the alpha -> 0
-limit is tested against.
+limit is tested against.  The closed-form ratio over diagonal, constant
+and block-constant training matrices, where orders >= 2 are exact, is the
+structured reference.
 """
 
 from __future__ import annotations
@@ -13,17 +15,19 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from enum import Enum
 from numbers import Real
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
+from permclass import kernels
 from permclass.classify import fit, predict
 from permclass.cyclic import DegenerateConfigurationError, LimitTable
 from permclass.exact import Partition, _grown, cyp_exact
-from permclass.kernels import (GramMatrix, Kernel, KernelFamily, gram, kernel_column,
-                               kernel_self)
+from permclass.kernels import (GramMatrix, Kernel, KernelFamily, _as_square, gram,
+                               kernel_column, kernel_self)
 from permclass.model_select import (CandidateResult, CVReport, _objective_fn,
                                     _tie_key, fold_assignment)
 
@@ -502,6 +506,108 @@ def cross_validate_reference(data, spec):
     return CVReport(spec=spec, results=results, winner_index=order[0], n=data.n)
 
 
+# -- closed forms for structured training matrices ---------------------
+
+
+class GramStructure(str, Enum):
+    DIAGONAL = "diagonal"
+    CONSTANT = "constant"
+    BLOCK_CONSTANT = "block_constant"
+
+
+def _blocks_of(G: np.ndarray) -> list[list[int]]:
+    """Connected components of the nonzero pattern (union by scanning)."""
+    n = G.shape[0]
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            if G[i, j] != 0.0:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[ri] = rj
+    groups: dict[int, list[int]] = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    return sorted(groups.values(), key=lambda b: b[0])
+
+
+def _validate_structure(G: np.ndarray, structure: GramStructure) -> list[tuple[list[int], float]]:
+    n = G.shape[0]
+    if structure is GramStructure.DIAGONAL:
+        off = G.copy()
+        np.fill_diagonal(off, 0.0)
+        if np.count_nonzero(off):
+            raise ValueError("matrix is not diagonal")
+        return [([i], float(G[i, i])) for i in range(n)]
+    if structure is GramStructure.CONSTANT:
+        if n == 0:
+            return []
+        c = float(G[0, 0])
+        if c == 0.0 or not np.all(G == c):
+            raise ValueError("matrix is not constant with a nonzero level")
+        return [(list(range(n)), c)]
+    blocks = []
+    for b in _blocks_of(G):
+        sub = G[np.ix_(b, b)]
+        c = float(sub[0, 0])
+        if c == 0.0 or not np.all(sub == c):
+            raise ValueError(f"block {b} is not constant with a nonzero level")
+        blocks.append((b, c))
+    for bi, (b, _) in enumerate(blocks):
+        for b2, _ in blocks[bi + 1:]:
+            if np.count_nonzero(G[np.ix_(b, b2)]):
+                raise ValueError("cross-block entries must be zero")
+    return blocks
+
+
+def closed_form_ratio_matrix(G, kt, ktt: float, alpha: float,
+                             structure: GramStructure | str) -> float:
+    """Closed-form ratio for a structured training matrix.
+
+    For diagonal, constant, or block-constant K(x) the order >= 2
+    approximations coincide with the exact ratio:
+
+        a K(t,t) + sum_b [ a sum_{i in b} K(t,x_i)^2
+                           + sum_{i != j in b} K(t,x_i) K(t,x_j) ]
+                          / ( c_b (a + |b| - 1) )
+
+    The diagonal case reduces to a K(t,t) + sum_i K(t,x_i)^2 / K(x_i,x_i)
+    where even the two-cycle approximation is already exact.
+    """
+    structure = GramStructure(structure)
+    m = _as_square(G)
+    ktv = np.asarray(kt, dtype=float)
+    if ktv.shape != (m.shape[0],):
+        raise ValueError("kernel column must match the matrix size")
+    blocks = _validate_structure(m, structure)
+    a = float(alpha)
+    total = a * float(ktt)
+    for b, c in blocks:
+        v = ktv[b]
+        s1 = float(v @ v)
+        s = float(v.sum())
+        cross = s * s - s1
+        total += (a * s1 + cross) / (c * (a + len(b) - 1))
+    return total
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def sq_distance_calls(monkeypatch):
+    """A list that gains one entry per `kernels._sq_distances` call."""
+    calls = []
+    sq_distances = kernels._sq_distances
+    monkeypatch.setattr(kernels, "_sq_distances",
+                        lambda a, b: calls.append(1) or sq_distances(a, b))
+    return calls

@@ -10,11 +10,11 @@ import time
 
 import numpy as np
 
-from conftest import augment, banded_gram, block_constant_matrix, elimination_det
+from conftest import (augment, banded_gram, block_constant_matrix,
+                      closed_form_ratio_matrix, elimination_det)
 from permclass.benchmarks import accuracy_study, bench_orders
 from permclass.classify import ModelParams, sequential_partition
-from permclass.cyclic import (build_ratio_table, closed_form_ratio_matrix,
-                              ratio_approx, ratio_from_kt)
+from permclass.cyclic import build_ratio_table, ratio_approx, ratio_from_kt
 from permclass.datasets import SplitPlan, gen_expression
 from permclass.exact import (ewens_probability, iter_set_partitions,
                              partition_probability_exact, per_alpha_exact,

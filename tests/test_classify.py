@@ -193,7 +193,7 @@ def test_stacked_weights_equal_each_candidates_predict(rng, order):
     kernel = Kernel.gaussian(0.8)
     alphas = np.array([[0.5, 2.0], [1.0, 1.0], [2.0, 0.5]])
     qs = rng.normal(size=(9, 2)) * 2.0
-    cores = _fit_kernel(data, kernel, order)
+    cores = _fit_kernel((gram(kernel, data.class_points(r)) for r in range(2)), order)
     blocks = [_kernel_blocks(kernel, qs, core.gram.points) for core in cores]
     raw = _weights([core.finish(alphas[:, r]) for r, core in enumerate(cores)],
                    np.ones(9), blocks)

@@ -5,12 +5,11 @@ from hypothesis import strategies as st
 
 from conftest import (ALPHA, GradedValue, augment, banded_gram,
                       block_constant_matrix, build_limit_table,
-                      cyclic_ratio_from_kt, cyclic_ratio_scalar,
-                      generic_ratio, generic_tables, ratio_table_one_shot,
-                      sym_nonneg)
+                      closed_form_ratio_matrix, cyclic_ratio_from_kt,
+                      cyclic_ratio_scalar, generic_ratio, generic_tables,
+                      ratio_table_one_shot, sym_nonneg)
 from permclass.cyclic import (DegenerateConfigurationError, LimitTable,
-                              build_ratio_table, closed_form_ratio_matrix,
-                              per_alpha_cyclic, ratio_approx,
+                              build_ratio_table, per_alpha_cyclic, ratio_approx,
                               ratio_approx_matrix, ratio_from_kt)
 from permclass.cyclic import _fit_core
 from permclass.exact import per_alpha_exact, ratio_exact_matrix
@@ -209,6 +208,24 @@ def test_stacked_finish_and_rows_equal_each_alphas_table(rng, order):
                     assert np.array_equal(core._leave_two_out(stacked.r1_loo)[j],
                                           core._leave_two_out(one.r1_loo))
                 assert np.array_equal(got[j], one.rows(Kt, ktt))
+
+
+def test_order_3_rows_match_the_nested_sums(rng):
+    # rows forms the alpha-free product once and one product with T^T per
+    # alpha; each alpha's row, alone or stacked, stays within 1e-13 of the
+    # single-query nested sums
+    alphas = np.array([0.25, 1.0, 0.1 + 0.2, 4.0])
+    for M in _stacking_grams(rng):
+        n = M.shape[0]
+        core = _fit_core(GramMatrix.from_matrix(M), 3)
+        Kt = _sparse_block(rng, 40, n)
+        ktt = rng.uniform(0.5, 1.5, size=40)
+        stacked = core.finish(alphas).rows(Kt, ktt)
+        for j, alpha in enumerate(alphas):
+            one = core.finish(alpha)
+            ref = np.array([ratio_from_kt(one, kt, t) for kt, t in zip(Kt, ktt)])
+            np.testing.assert_allclose(one.rows(Kt, ktt), ref, rtol=1e-13, atol=0.0)
+            np.testing.assert_allclose(stacked[j], ref, rtol=1e-13, atol=0.0)
 
 
 def test_stacked_rows_warn_once_per_call(caplog):

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import gram_one_shot, sq_distances_one_shot
+from conftest import closed_form_ratio_matrix, gram_one_shot, sq_distances_one_shot
 from permclass import kernels
-from permclass.cyclic import closed_form_ratio_matrix, per_alpha_cyclic, ratio_approx_matrix
+from permclass.classify import _query_steps
+from permclass.cyclic import per_alpha_cyclic, ratio_approx_matrix
 from permclass.exact import cyp_exact, per_alpha_exact, ratio_exact_matrix
 from permclass.kernels import (GramMatrix, Kernel, KernelFamily, gram, kernel_block,
                                kernel_column, kernel_eval, kernel_self, kernel_self_batch)
@@ -138,6 +139,56 @@ def test_gram_non_distance_families_match_pairwise_eval(rng):
         g = gram(k, pts).entries
         assert np.array_equal(g, [[kernel_eval(k, s, t) for t in pts] for s in pts])
         assert np.array_equal(g, g.T)
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_shared_distances_equal_gram_and_kernel_block(d, monkeypatch):
+    # every distance kernel over the kept squared distances is `gram` and
+    # `kernel_block` bit for bit, the held-out block sliced at the query
+    # blocks' row steps; 150 queries against 60 points span three query
+    # blocks, and the distance row blocks are crossed at every d
+    rng = np.random.default_rng(400 + d)
+    pts = rng.normal(size=(60, d)) * rng.lognormal(size=d)
+    pts[7] = pts[3]  # an exact zero distance off the diagonal
+    qs = rng.normal(size=(150, d)) * rng.lognormal(size=d)
+    qs[5] = pts[0]
+    steps = _query_steps(150, 60)
+    assert len(steps) == 3
+    scales = (0.2, 0.6, 0.9, 2.5)
+    kernels_ = [Kernel(fam, tau=s * math.sqrt(d))
+                for s in scales for fam in ("gaussian", "exponential")]
+    for block_entries in (1, 4096, kernels._GRAM_BLOCK_ENTRIES):
+        monkeypatch.setattr(kernels, "_GRAM_BLOCK_ENTRIES", block_entries)
+        shared = kernels._SharedDistances(pts, qs)
+        for k in kernels_:
+            g = shared.gram(k)
+            assert g.kernel is k and np.array_equal(g.points, pts)
+            assert np.array_equal(g.entries, gram(k, pts).entries)
+            block = shared.block(k)
+            for rows in steps:
+                assert np.array_equal(block[rows], kernel_block(k, qs[rows], pts))
+
+
+def test_shared_distances_are_computed_once_and_only_for_distance_kernels(rng, sq_distance_calls):
+    ground = [tuple(p) for p in rng.normal(size=(9, 2))]
+    pts, qs = np.array(ground[:5]), np.array(ground[5:])
+    m = rng.random((9, 9))
+    shared = kernels._SharedDistances(pts, qs)
+    for k in (Kernel.constant(1.7), Kernel.projection(m + m.T, ground)):
+        assert np.array_equal(shared.gram(k).entries, gram(k, pts).entries)
+        assert np.array_equal(shared.block(k), kernel_block(k, qs, pts))
+    assert not sq_distance_calls
+    for k in (Kernel.gaussian(0.5), Kernel.exponential(0.5), Kernel.gaussian(2.0)):
+        shared.gram(k)
+        shared.block(k)
+    assert len(sq_distance_calls) == 2
+
+
+def test_shared_distances_refuse_a_negative_gram_entry(monkeypatch):
+    monkeypatch.setattr(kernels, "kernel_block", lambda k, a, b: -np.ones((len(a), len(b))))
+    shared = kernels._SharedDistances(np.zeros((2, 1)), np.zeros((1, 1)))
+    with pytest.raises(ValueError, match="negative Gram entry"):
+        shared.gram(Kernel.constant(1.0))
 
 
 def test_projection_kernel_requires_nonneg():

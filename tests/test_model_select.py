@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import (cross_validate_reference, median_distance_one_shot,
-                      projection_kernel)
+                      projection_kernel, sym_nonneg)
 import permclass.model_select as model_select
 from permclass.classify import _BLOCK_ENTRIES, LabeledDataset, ModelParams
 from permclass.datasets import gen_chequerboard
@@ -394,3 +394,31 @@ def test_grouped_cv_matches_reference_with_a_class_missing_from_a_fold():
             for a in (0.5, (1.0, 2.0))]
     report = _assert_matches_reference(data, grid, seed=2)[0]
     assert all(r.valid for r in report.results)
+
+
+def test_grouped_cv_matches_reference_mixing_kernel_families():
+    # constant and projection kernels build their Grams and blocks directly,
+    # the distance kernels from one set of squared distances per fold
+    data = gen_chequerboard(2, seed=13)
+    m = sym_nonneg(np.random.default_rng(13), data.n)
+    grid = [ModelParams(kernel=k, alphas=a, order=order)
+            for order in (1, 3)
+            for k in (Kernel.constant(0.8), Kernel.gaussian(0.5), projection_kernel(data.points, m),
+                      Kernel.exponential(1.0), Kernel.gaussian(2.0))
+            for a in (0.5, 2.0)]
+    _assert_matches_reference(data, grid)
+
+
+def test_cv_computes_squared_distances_once_per_class_and_fold(sq_distance_calls):
+    # a Gram and a held-out block per class and fold, however many distance
+    # kernels the grid holds; a grid of none computes no distance
+    data = gen_chequerboard(2, seed=14)
+    one = [ModelParams(kernel=Kernel.gaussian(1.0), alphas=1.0, order=3)]
+    many = default_grid(data.points, order=3) + [
+        ModelParams(kernel=Kernel.constant(1.0), alphas=1.0, order=1),
+        ModelParams(kernel=Kernel.exponential(1.0), alphas=2.0, order=2)]
+    constant = [ModelParams(kernel=Kernel.constant(1.0), alphas=a, order=3) for a in (0.5, 2.0)]
+    for grid, expected in ((one, 2 * 2 * 4), (many, 2 * 2 * 4), (constant, 0)):
+        sq_distance_calls.clear()
+        cross_validate(data, CVSpec(grid=grid, folds=4, seed=1))
+        assert len(sq_distance_calls) == expected
