@@ -17,8 +17,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .cyclic import EXACT_ORDER, MAX_ORDER, LimitTable, RatioTable, _fit_core, _FitCore
-from .exact import Partition, _CypTable, _grown, _PerTable
+from .cyclic import (EXACT_ORDER, MAX_ORDER, LimitTable, RatioTable, _check_gram, _fit_core,
+                     _FitCore)
+from .exact import Partition, _check_cap, _CypTable, _grown, _PerTable
 from .kernels import (GramMatrix, Kernel, _as_rows, _entry, _label_codes, _sq_distances,
                       gram, kernel_block, kernel_column, kernel_self, kernel_self_batch)
 
@@ -165,10 +166,20 @@ def _fit_kernel(grams: Iterable[GramMatrix], order) -> list[_FitCore | _PerTable
     """Each class's alpha-free table core from its Gram matrix, whose
     ``finish(alpha)`` is the class's table: a `cyclic._FitCore` at orders
     0-3, an `exact._PerTable` otherwise.  `fit` passes `gram` of each
-    class's points and cross-validation the Grams of a fold's
-    `kernels._SharedDistances`, both as generators, so each Gram is built
-    just before its core and the first refusal stops the rest."""
+    class's points as a generator, so each Gram is built just before its
+    core and the first refusal stops the rest; cross-validation passes each
+    class's stack of a run's Gram matrices, checked one kernel at a time by
+    `_check_class_gram` first."""
     return [_PerTable(g) if order == EXACT_ORDER else _fit_core(g, order) for g in grams]
+
+
+def _check_class_gram(g: GramMatrix, order) -> None:
+    """Refuse a class's Gram matrix as `_fit_kernel` would, without building
+    its core."""
+    if order == EXACT_ORDER:
+        _check_cap(g.n + 1)
+    else:
+        _check_gram(g.entries)
 
 
 def fit(data: LabeledDataset, params: ModelParams) -> FittedModel:
@@ -205,20 +216,23 @@ class PosteriorTable:
     argmax: np.ndarray | int
 
 
+_DEGENERATE = "degenerate kernel: every class weight is zero"
+
+
 def _normalised(raw: np.ndarray) -> PosteriorTable:
-    """Posterior of raw weights, one row (1-d) or one row per query (2-d),
-    each row divided by its total."""
+    """Posterior of raw weights, one row (1-d), one row per query (2-d) or
+    such tables stacked along leading axes, each row divided by its total."""
     if raw.ndim == 1:  # a partition step: plain scalar work beats the 2-d reductions
         total = raw.sum()
         if not total > 0:
-            raise ValueError("degenerate kernel: every class weight is zero")
+            raise ValueError(_DEGENERATE)
         probs = raw / total
         return PosteriorTable(probs=probs, raw=raw, argmax=int(probs.argmax()))
-    total = raw.sum(axis=1, keepdims=True)
+    total = raw.sum(axis=-1, keepdims=True)
     if not (total > 0).all():
-        raise ValueError("degenerate kernel: every class weight is zero")
+        raise ValueError(_DEGENERATE)
     probs = raw / total
-    return PosteriorTable(probs=probs, raw=raw, argmax=probs.argmax(axis=1))
+    return PosteriorTable(probs=probs, raw=raw, argmax=probs.argmax(axis=-1))
 
 
 def _query_steps(n_queries: int, n_points: int) -> list[slice]:
@@ -233,18 +247,23 @@ def _kernel_blocks(kernel: Kernel, qs: np.ndarray, pts: np.ndarray):
         yield kernel_block(kernel, qs[rows], pts)
 
 
-def _weights(tables: list, ktt: np.ndarray, blocks) -> np.ndarray:
+def _weights(tables: Iterable, ktt: np.ndarray, blocks) -> np.ndarray:
     """Raw class weights from the queries' K(t, t) and, per class, its table
     and an iterable of the query kernel blocks: one row per query and one
-    column per class, behind a leading alpha axis when the tables are
+    column per class, behind leading candidate axes when the tables are
     finished for an array of alphas (one call to each table's ``rows`` per
-    block serves every alpha)."""
-    raw = np.empty((*np.shape(tables[0].alpha), ktt.shape[0], len(tables)))
+    block serves every candidate).  Over tables of stacked Gram matrices,
+    ``ktt`` and the blocks carry the stack's leading kernel axis.  The
+    tables are read one class at a time, so a generator of them keeps one
+    class's table alive at once."""
+    raw = None
     for r, table in enumerate(tables):
+        if raw is None:
+            raw = np.empty((*np.shape(table.alpha), ktt.shape[-1], len(blocks)))
         lo = 0
         for Kt in blocks[r]:
-            hi = lo + Kt.shape[0]
-            raw[..., lo:hi, r] = table.rows(Kt, ktt[lo:hi])
+            hi = lo + Kt.shape[-2]
+            raw[..., lo:hi, r] = table.rows(Kt, ktt[..., lo:hi])
             lo = hi
     return raw
 
@@ -345,8 +364,10 @@ def sequential_partition(points, params: ModelParams, rule: str = "argmax",
 def knn_predict(train_points, train_labels, queries, k: int = 5) -> np.ndarray:
     """Plain k-nearest-neighbour baseline, majority vote.
 
-    Distance ties resolve by training index (stable sort) and vote ties
-    by lowest class code, so results are deterministic.
+    Distance ties resolve by training index (as a stable sort would) and
+    vote ties by lowest class code, so results are deterministic.  The
+    neighbours are selected, not sorted: every point nearer than the k-th
+    smallest distance, then the lowest-indexed points at that distance.
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
@@ -358,12 +379,14 @@ def knn_predict(train_points, train_labels, queries, k: int = 5) -> np.ndarray:
         raise ValueError(f"expected {X.shape[0]} labels, one per point, got shape {y.shape}")
     Q = _as_rows(queries, "query")
     out = np.empty(Q.shape[0], dtype=int)
-    n_classes = int(y.max()) + 1
+    one_hot = (y[:, None] == np.arange(int(y.max()) + 1)).astype(float)
+    k = min(k, X.shape[0])
     step = max(1, _BLOCK_ENTRIES // X.shape[0])
     for lo in range(0, Q.shape[0], step):
         dist = _sq_distances(Q[lo:lo + step], X)
-        nearest = np.argsort(dist, axis=1, kind="stable")[:, :k]
-        votes = y[nearest]
-        counts = (votes[:, :, None] == np.arange(n_classes)).sum(axis=1)
-        out[lo:lo + step] = counts.argmax(axis=1)
+        kth = np.partition(dist, k - 1, axis=1)[:, k - 1, None]
+        nearer = dist < kth
+        tied = dist == kth
+        tied &= np.cumsum(tied, axis=1) <= k - nearer.sum(axis=1, keepdims=True)
+        out[lo:lo + step] = ((nearer | tied) @ one_hot).argmax(axis=1)
     return out

@@ -103,11 +103,16 @@ class RatioTable:
     depend only on the training points, never on the query, and are
     immutable once built.
 
-    ``alpha`` is one mass or, for a table finished for several at once, a
-    1-d array of them; every alpha-dependent entry then has a leading axis
-    with one slice per alpha, bit for bit that alpha's own table, and
-    `rows` answers for every alpha in one pass.  Such a stacked table
-    serves `rows` only, not the single-query `ratio_from_kt`.
+    ``alpha`` is one mass or, for a table finished for several candidates
+    at once, a 1-d array of them; every alpha-dependent entry then has a
+    leading axis with one slice per candidate, bit for bit that candidate's
+    own table, and `rows` answers for every candidate in one pass.  Over a
+    stack of K Gram matrices (one per kernel, as cross-validation builds
+    them) ``alpha`` is a K x A array, row k the alphas of kernel k's A
+    candidates, and the entries gain both leading axes; each kernel's
+    values broadcast over its candidates, so no per-kernel array is copied
+    per candidate.  Such a stacked table serves `rows` only, not the
+    single-query `ratio_from_kt`.
     """
 
     gram: GramMatrix
@@ -126,38 +131,45 @@ class RatioTable:
     def rows(self, Kt, ktt) -> np.ndarray:
         """Ratios at the table's order for a block of queries, one per row of ``Kt``.
 
-        ``Kt[q, i] = K(t_q, x_i)`` and ``ktt[q] = K(t_q, t_q)``.  The sums are
-        those of `ratio_from_kt`, written as matrix products over the block;
-        results agree with it to rounding.  Orders 2 and 3 form the
-        alpha-free product P = (Kt / d) G - Kt once per call; order 3 then
-        reads its four-cycle bracket Kt + (Kt + P / alpha) T^T -
+        ``Kt[q, i] = K(t_q, x_i)`` and ``ktt[q] = K(t_q, t_q)``; over a
+        stack of Gram matrices both gain its leading kernel axis.  The
+        sums are those of `ratio_from_kt`, written as matrix products over
+        the block; results agree with it to rounding.  Orders 2 and 3 form
+        the alpha-free product P = (Kt / d) G - Kt once per call and kernel;
+        order 3 then reads its four-cycle bracket Kt + (Kt + P / alpha) T^T -
         (Kt / (alpha d)) s3 (s3 the row sums of T * G) through one more
-        product per alpha.  The result has shape (Q,) for a
-        table of one alpha and (A, Q) for a table of A alphas, each row the
-        one-alpha result bit for bit.  Negative order >= 2 values are
-        returned as computed and reported in one warning per call.
+        product per candidate.  The result has shape (Q,) for a table of
+        one alpha, (A, Q) for A alphas and (K, A, Q) over a stack of K Gram
+        matrices, each row the one-alpha result bit for bit.  Negative
+        order >= 2 values are returned as computed and reported in one
+        warning per call.
         """
         order = self.order
         n = self.n
         Kt = np.asarray(Kt, dtype=float)
-        if Kt.ndim != 2 or Kt.shape[1] != n:
+        if Kt.ndim != self.gram.entries.ndim or Kt.shape[-1] != n:
             raise ValueError(f"kernel block must have {n} columns, got shape {Kt.shape}")
         # alpha broadcast against a block: (1, 1) for one alpha, (A, 1, 1) for A
         a = np.asarray(self.alpha)[..., None, None]
-        out = a[..., 0] * np.asarray(ktt, dtype=float)
+
+        def each(x):
+            return _per_candidate(x, self.gram)
+
+        out = a[..., 0] * each(np.asarray(ktt, dtype=float))
         if order == 0 or n == 0:
             return out
         G = self.gram.entries
-        d = self.gram.diagonal
+        d = self.gram.diagonal[..., None, :]
         if order == 1:
-            return out + (Kt * Kt / d).sum(axis=-1)
+            return out + each((Kt * Kt / d).sum(axis=-1))
         # P[q, i] = sum_{j != i} K(x_i, x_j) K(t_q, x_j) / d_j, the same for every alpha
         P = (Kt / d) @ G - Kt
+        Kt, P, d = each(Kt), each(P), each(d)
         if order == 2:
             out = out + ((a * Kt * Kt + Kt * P) / self.r1_loo[..., None, :]).sum(axis=-1)
         else:
             # the bracket of the four-cycle sum, without the k = i and k = j
-            # terms: one product with T^T per alpha
+            # terms: one product with T^T per candidate
             Tt = np.swapaxes(self._t3, -1, -2)
             E = Kt + (Kt + P / a) @ Tt - (Kt / (a * d)) * self._s3[..., None, :]
             out = out + ((a * Kt / self.r2_loo[..., None, :]) * E).sum(axis=-1)
@@ -188,6 +200,9 @@ class _FitCore:
     g_inner  G[m, i] times the leave-two-out product
              sum_{l != i, m} K(x_m, x_l) K(x_l, x_i) / K(x_l, x_l)
              (order 3 only).
+
+    Over a stack of Gram matrices every field has the stack's leading
+    kernel axis.
     """
 
     gram: GramMatrix
@@ -197,24 +212,31 @@ class _FitCore:
     qoff: np.ndarray | None = None
     g_inner: np.ndarray | None = None
 
-    def finish(self, alpha) -> RatioTable:
-        """The table for one alpha > 0, or for a 1-d array of them stacked
-        along a leading axis: O(n^2) elementwise work on the core per alpha,
-        each slice bit for bit the one-alpha table."""
-        G = self.gram.entries
-        d = self.d
+    def finish(self, alpha, out: np.ndarray | None = None) -> RatioTable:
+        """The table for one alpha > 0, for a 1-d array of alphas stacked
+        along a leading axis or, over a stack of K Gram matrices, for a
+        K x A array (row k for kernel k): O(n^2) elementwise work on the
+        core per alpha, each slice bit for bit the one-alpha table.  At
+        order 3 the four-cycle weights are written into ``out`` when it is
+        given (an array of their shape, alpha's shape + (n, n)), else into
+        a new array; cross-validation reuses one from run to run."""
         alpha = _alpha_arg(alpha)
         a = np.asarray(alpha)[..., None]  # (1,) for one alpha, (A, 1) for A
-        ad = a * d
-        r1_loo = ad + self.q_sum
+
+        def each(x):
+            return _per_candidate(x, self.gram)
+
+        ad = a * each(self.d)
+        r1_loo = ad + each(self.q_sum)
         table = RatioTable(self.gram, alpha, self.order, r1_loo)
         if self.order == 3:
+            G = each(self.gram.entries)
             r1_l2o = self._leave_two_out(r1_loo)
             # C[m, i] is the three-cycle term of x_i through x_m; the product
             # groups as (a * G) * G, and a * (G * G) would round differently
-            C = a[..., None] * G
+            C = np.multiply(a[..., None], G, out=out)
             C *= G
-            C += self.g_inner
+            C += each(self.g_inner)
             C /= np.swapaxes(r1_l2o, -1, -2)
             diag = (..., *np.diag_indices(self.gram.n))
             C[diag] = 0.0
@@ -223,48 +245,72 @@ class _FitCore:
             t3[diag] = 0.0
             table._t3 = t3
             # row sums of t3 * G: the k = i terms the four-cycle bracket leaves out
-            table._s3 = np.einsum("...ij,ij->...i", t3, G)
+            table._s3 = np.einsum("...ij,...ij->...i", t3, G)
         return table
 
     def _leave_two_out(self, r1_loo: np.ndarray) -> np.ndarray:
         """r1_l2o[..., i, j], the two-cycle ratio of x_j against the points
         minus {i, j}: r1_loo[..., j] without its i term.  The diagonal
-        entries are inert placeholders (1.0).  Only `finish` needs it, so
-        no table keeps it."""
-        r1_l2o = r1_loo[..., None, :] - self.qoff.T
+        entries are inert placeholders (1.0).  Only `finish` needs it, so no
+        table keeps it."""
+        qoff = _per_candidate(self.qoff, self.gram)
+        r1_l2o = r1_loo[..., None, :] - np.swapaxes(qoff, -1, -2)
         r1_l2o[(..., *np.diag_indices(self.gram.n))] = 1.0
         return r1_l2o
 
 
+def _per_candidate(x: np.ndarray, g: GramMatrix) -> np.ndarray:
+    """Per-kernel values broadcast over each kernel's candidates: over a
+    stack of Gram matrices ``g``, a candidate axis (of length 1) after the
+    kernel axis, which is a view; over one Gram matrix, ``x`` itself."""
+    return x[:, None] if g.entries.ndim == 3 else x
+
+
 def _alpha_arg(alpha):
     """A table's alpha as given to ``finish``: a float, or a float array for
-    a table finished for several alphas at once."""
+    a table finished for several candidates at once."""
     return np.asarray(alpha, dtype=float) if np.ndim(alpha) else float(alpha)
+
+
+def _gram_diagonal(G: np.ndarray) -> np.ndarray:
+    """A copy of the diagonal of a Gram matrix, or of each of a stack of
+    them, refusing an entry that is not strictly positive and finite."""
+    d = np.diagonal(G, axis1=-2, axis2=-1).copy()
+    good = (d > 0) & (d < np.inf)
+    if not good.all():
+        at = tuple(np.argwhere(~good)[0])
+        raise ValueError(
+            f"gram diagonal must be strictly positive and finite; point index {int(at[-1])} "
+            f"has K(x, x) = {d[at]}"
+        )
+    return d
+
+
+def _check_gram(G: np.ndarray) -> None:
+    """Refuse a Gram matrix as `_fit_core` would, in its order (the
+    diagonal, then any non-finite entry), without building the core."""
+    _gram_diagonal(G)
+    _check_finite(G, "gram matrix")
 
 
 def _fit_core(g: GramMatrix, order: int) -> _FitCore:
     """Everything of an order-``order`` table that does not depend on alpha:
-    O(n^2), plus one O(n^3) matrix product at order 3."""
+    O(n^2), plus one O(n^3) matrix product at order 3, for one Gram matrix
+    or for each of a stack of them in one pass."""
     if order not in (0, 1, 2, 3):
         raise ValueError(f"order must be in 0..3, got {order}")
     G = g.entries
-    d = G.diagonal().copy()
-    bad = np.flatnonzero(~((d > 0) & (d < np.inf)))
-    if bad.size:
-        i = int(bad[0])
-        raise ValueError(
-            f"gram diagonal must be strictly positive and finite; point index {i} "
-            f"has K(x, x) = {d[i]}"
-        )
-    Qoff = (G * G) / d[None, :]
-    np.fill_diagonal(Qoff, 0.0)
-    core = _FitCore(g, order, d, Qoff.sum(axis=1))
+    d = _gram_diagonal(G)
+    Qoff = G * G
+    Qoff /= d[..., None, :]
+    Qoff[(..., *np.diag_indices(g.n))] = 0.0
+    core = _FitCore(g, order, d, Qoff.sum(axis=-1))
     if not np.isfinite(core.q_sum).all():
         # a NaN or infinite entry makes its row's sum so; finding it is O(n^2)
         _check_finite(G, "gram matrix")
     if order == 3:
         core.qoff = Qoff
-        inner = (G / d) @ G
+        inner = (G / d[..., None, :]) @ G
         inner -= 2.0 * G
         core.g_inner = G * inner
     return core

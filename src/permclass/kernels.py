@@ -77,10 +77,11 @@ def _as_square(matrix, what: str = "matrix") -> np.ndarray:
 
 
 def _check_finite(m: np.ndarray, what: str) -> None:
-    """Refuse a 2-d array with a NaN or infinite entry, naming the first."""
+    """Refuse a 2-d array, or a stack of them, with a NaN or infinite entry,
+    naming the first by its row and column."""
     if not np.isfinite(m).all():
-        r, c = (int(v) for v in np.argwhere(~np.isfinite(m))[0])
-        raise ValueError(f"{what} row {r}, column {c} is not finite ({m[r, c]})")
+        at = tuple(int(v) for v in np.argwhere(~np.isfinite(m))[0])
+        raise ValueError(f"{what} row {at[-2]}, column {at[-1]} is not finite ({m[at]})")
 
 
 def _check_kernel_row(kt: np.ndarray, ktt: float) -> None:
@@ -269,6 +270,19 @@ def _distance_kernel(kernel: Kernel, sq: np.ndarray) -> np.ndarray:
     return np.exp(sq, out=sq)
 
 
+def _distance_kernels(kernels: Sequence[Kernel], sq: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """`_distance_kernel` of each of ``kernels``, all of one distance family,
+    from the same squared distances ``sq``, into ``out[k]`` for kernel k: one
+    operation per step for the whole stack, each matrix bit for bit
+    `_distance_kernel`'s (the steps are the same correctly rounded ones)."""
+    if kernels[0].family is KernelFamily.EXPONENTIAL:
+        base, scale = np.sqrt(sq), [-k.tau for k in kernels]
+    else:
+        base, scale = sq, [-k.tau**2 for k in kernels]
+    np.divide(base, np.array(scale)[:, None, None], out=out)
+    return np.exp(out, out=out)
+
+
 def kernel_block(kernel: Kernel, queries, points) -> np.ndarray:
     """Matrix of k(t_q, x_i): one row per query, one column per point."""
     qs = _as_points(queries)
@@ -310,7 +324,10 @@ class GramMatrix:
     kept so downstream predictors can evaluate query columns against the
     same covariance; it is ``None`` for matrices ingested directly.  A
     matrix from `gram` has nonnegative entries; one from `from_matrix` may
-    be signed.
+    be signed.  ``entries`` may also be a stack of such matrices over the
+    same points along a leading axis, one per kernel, as cross-validation
+    builds them (``kernel`` is then ``None``); ``diagonal`` is then stacked
+    the same way.
     """
 
     entries: np.ndarray
@@ -320,19 +337,19 @@ class GramMatrix:
     def __post_init__(self):
         self.entries = np.asarray(self.entries, dtype=float)
         self.points = _as_points(self.points)
-        n = self.entries.shape[0]
-        if self.entries.shape != (n, n):
+        n = self.entries.shape[-1]
+        if self.entries.ndim not in (2, 3) or self.entries.shape[-2] != n:
             raise ValueError(f"gram matrix must be square, got shape {self.entries.shape}")
         if self.points.shape[0] != n:
             raise ValueError("gram matrix size must match the point count")
 
     @property
     def n(self) -> int:
-        return self.entries.shape[0]
+        return self.entries.shape[-1]
 
     @property
     def diagonal(self) -> np.ndarray:
-        return self.entries.diagonal()
+        return np.diagonal(self.entries, axis1=-2, axis2=-1)
 
     @classmethod
     def from_matrix(cls, matrix) -> "GramMatrix":
@@ -415,32 +432,72 @@ def gram(kernel: Kernel, points) -> GramMatrix:
 
 
 class _SharedDistances:
-    """A point set's Gram matrix and a query set's block against it, for
-    any number of kernels over the same points.
+    """A point set's Gram matrices and a query set's blocks against it, for
+    any number of kernels over the same points, made a run of kernels at a
+    time and stacked along a leading kernel axis.
 
     The squared distances of each are computed on the first exponential or
-    gaussian kernel that asks for them and kept; every such kernel then
-    transforms a copy, which is `gram` and `kernel_block` bit for bit.  The
-    other families are `gram` and `kernel_block` themselves and read no
-    distances.  Kept are n x n plus queries x n distances, one kernel's
-    worth of matrices.
+    gaussian kernel that needs them and kept.  `start` begins a run: its
+    distance kernels' matrices are made at once, one stacked transform per
+    family (`_distance_kernels`), which is `gram` and `kernel_block` bit for
+    bit; the other families' are `gram` and `kernel_block` themselves, made
+    when first asked for.  Kept are n x n plus queries x n distances and
+    one run's stacks.
     """
+
+    _ROWS = ("points", "queries")
 
     def __init__(self, points: np.ndarray, queries: np.ndarray):
         self.points, self.queries = _as_points(points), _as_points(queries)
         self._sq: dict[str, np.ndarray] = {}
+        self._kernels: dict[int, tuple[int, Kernel]] = {}
+        self._stacks: dict[str, np.ndarray] = {}
+        self._made: dict[str, set[int]] = {}
 
-    def _block(self, kernel: Kernel, rows: str) -> np.ndarray:
-        a = self.points if rows == "points" else self.queries
-        if kernel.family not in (KernelFamily.EXPONENTIAL, KernelFamily.GAUSSIAN):
-            return kernel_block(kernel, a, self.points)
-        if rows not in self._sq:
-            self._sq[rows] = _sq_distances(a, self.points)
-        return _distance_kernel(kernel, self._sq[rows].copy())
+    def start(self, kernels: list[Kernel]) -> None:
+        """Begin a run over ``kernels``, which `gram` and `block` then serve;
+        their stacks keep this order."""
+        # each kernel is kept with its position, so that its id stays its own
+        self._kernels = {id(kernel): (k, kernel) for k, kernel in enumerate(kernels)}
+        n = self.points.shape[0]
+        for rows in self._ROWS:
+            a = getattr(self, rows)
+            out = np.empty((len(kernels), a.shape[0], n))
+            made = set()
+            for family in (KernelFamily.EXPONENTIAL, KernelFamily.GAUSSIAN):
+                at = [k for k, kernel in enumerate(kernels) if kernel.family is family]
+                if not at:
+                    continue
+                if rows not in self._sq:
+                    self._sq[rows] = _sq_distances(a, self.points)
+                members = [kernels[k] for k in at]
+                if at[-1] - at[0] + 1 == len(at):  # adjacent: transform in place
+                    _distance_kernels(members, self._sq[rows], out[at[0]:at[-1] + 1])
+                else:
+                    out[at] = _distance_kernels(members, self._sq[rows],
+                                                np.empty((len(at), *out.shape[1:])))
+                made.update(at)
+            self._stacks[rows], self._made[rows] = out, made
+
+    def _matrix(self, kernel: Kernel, rows: str) -> np.ndarray:
+        k, _ = self._kernels[id(kernel)]
+        out = self._stacks[rows]
+        if k not in self._made[rows]:
+            out[k] = kernel_block(kernel, getattr(self, rows), self.points)
+            self._made[rows].add(k)
+        return out[k]
 
     def gram(self, kernel: Kernel) -> GramMatrix:
-        return _checked_gram(kernel, self.points, self._block(kernel, "points"))
+        """``gram(kernel, points)``."""
+        return _checked_gram(kernel, self.points, self._matrix(kernel, "points"))
 
     def block(self, kernel: Kernel) -> np.ndarray:
         """``kernel_block(kernel, queries, points)``."""
-        return self._block(kernel, "queries")
+        return self._matrix(kernel, "queries")
+
+    def stack(self, rows: str, keep: list[int]) -> np.ndarray:
+        """The current run's Gram matrices (``rows`` "points") or blocks
+        ("queries") of the kernels at positions ``keep``, stacked in that
+        order."""
+        out = self._stacks[rows]
+        return out if keep == list(range(out.shape[0])) else out[keep]

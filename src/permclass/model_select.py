@@ -8,15 +8,16 @@ candidate position.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .classify import (_BLOCK_ENTRIES, LabeledDataset, ModelParams, _fit_kernel,
-                       _normalised, _query_steps, _weights)
+from .classify import (_BLOCK_ENTRIES, _DEGENERATE, LabeledDataset, ModelParams,
+                       _check_class_gram, _fit_kernel, _normalised, _query_steps, _weights)
 from .cyclic import EXACT_ORDER
-from .kernels import (Kernel, _as_rows, _SharedDistances, _sq_distances,
+from .kernels import (GramMatrix, Kernel, _as_rows, _SharedDistances, _sq_distances,
                       kernel_self_batch)
 
 __all__ = [
@@ -118,19 +119,33 @@ def fold_assignment(n: int, folds: int, seed: int,
 def error_rate(probs, truth) -> float:
     """Fraction of argmax labels, one row of ``probs`` per query, that miss
     the truth."""
-    y = np.asarray(truth, dtype=int)
-    return float(np.mean(np.asarray(probs).argmax(axis=1) != y))
+    return float(_error_rates(np.asarray(probs), truth))
 
 
 def cross_entropy(probs, truth) -> float:
     """Mean -log p(true class), probabilities floored at 1e-12."""
+    return float(_cross_entropies(np.asarray(probs), truth))
+
+
+def _error_rates(probs: np.ndarray, truth) -> np.ndarray:
+    """`error_rate` of each table of a stack (leading axes) at once."""
     y = np.asarray(truth, dtype=int)
-    p = np.asarray(probs)[np.arange(len(y)), y]
-    return float(np.mean(-np.log(np.maximum(p, PROB_FLOOR))))
+    return np.mean(probs.argmax(axis=-1) != y, axis=-1)
+
+
+def _cross_entropies(probs: np.ndarray, truth) -> np.ndarray:
+    """`cross_entropy` of each table of a stack (leading axes) at once; each
+    row's mean is the same sum in the same order as one table's."""
+    y = np.asarray(truth, dtype=int)
+    # advanced indexing leaves a stack's leading axis innermost; in C order
+    # each row's mean sums its terms as one table's does (pairwise from 8)
+    p = np.ascontiguousarray(probs[..., np.arange(len(y)), y])
+    return np.mean(-np.log(np.maximum(p, PROB_FLOOR)), axis=-1)
 
 
 def _objective_fn(name: str):
-    return error_rate if name == "error" else cross_entropy
+    """The objective over a stack of probability tables, one score each."""
+    return _error_rates if name == "error" else _cross_entropies
 
 
 def _tie_key(params: ModelParams) -> tuple[float, float]:
@@ -140,65 +155,185 @@ def _tie_key(params: ModelParams) -> tuple[float, float]:
     return (tau, alpha)
 
 
-def _kernel_groups(grid: list[ModelParams]) -> list[tuple[Kernel, object, list[int]]]:
-    """Candidate positions grouped by equal (kernel, order), in order of
-    first appearance; equal kernels need not be adjacent in the grid."""
-    groups: list[tuple[Kernel, object, list[int]]] = []
+def _order_passes(grid: list[ModelParams]) -> dict[object, list[tuple[Kernel, list[int]]]]:
+    """Candidate positions grouped by equal kernel within each order, orders
+    and kernels in order of first appearance; equal kernels need not be
+    adjacent in the grid."""
+    passes: dict[object, list[tuple[Kernel, list[int]]]] = {}
     for i, params in enumerate(grid):
-        for kernel, order, members in groups:
-            if kernel == params.kernel and order == params.order:
+        groups = passes.setdefault(params.order, [])
+        for kernel, members in groups:
+            if kernel == params.kernel:
                 members.append(i)
                 break
         else:
-            groups.append((params.kernel, params.order, [i]))
-    return groups
+            groups.append((params.kernel, [i]))
+    return passes
 
 
 def _failure(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-# one stacked finish takes as many alphas as keep its alpha-stacked arrays
-# within this many entries each (8 MB of float64)
+# a run of one pass stacks as many kernels and candidates as keep its stacked
+# cores, and separately its candidates' stacked tables, within this many
+# entries each (8 MB of float64)
 _STACK_ENTRIES = 1 << 20
 
 
-def _alpha_chunks(live: list[int], cores: list, order) -> list[list[int]]:
-    """The live candidates of a group in runs of those whose alphas one
-    stacked finish answers together.  Per alpha, an order-3 table stacks
-    n_r x n_r arrays for every class and any table's ``rows`` stacks its
-    query block; the exact order gains nothing from stacking (its ``rows``
-    loops over the alphas) and takes one alpha at a time, so that a zero
-    denominator per_alpha{K(x)} marks only its own candidate."""
-    if order == EXACT_ORDER:
-        return [[i] for i in live]
-    per_alpha = sum(core.gram.n ** 2 for core in cores) if order == 3 else _BLOCK_ENTRIES
-    step = max(1, _STACK_ENTRIES // max(per_alpha, 1))
-    return [live[k:k + step] for k in range(0, len(live), step)]
+def _runs(groups: list[tuple[Kernel, list[int]]], sizes: list[int], n_queries: int,
+          order) -> tuple[list[list[tuple[Kernel, list[int]]]], int]:
+    """A pass's (kernel, live candidates) groups in runs that one stacked
+    core and finish answer, and how many candidates of a lone kernel one
+    finish takes.
+
+    A stacked table is finished for a kernels x alphas array, so a run's
+    kernels have equal candidate counts (groups are taken fewest first).
+    Per kernel, a stacked core holds each class's n_r x n_r Gram matrix
+    (three such arrays at order 3) and held-out block; per candidate, the
+    stacked tables hold n_r x n_r arrays at order 3, a query block below.
+    A run takes whole kernels while both totals stay within
+    `_STACK_ENTRIES`.  The exact order gains nothing from stacking (its
+    ``rows`` loops over the alphas), so it takes one kernel and one
+    candidate at a time, and a zero denominator per_alpha{K(x)} marks only
+    its own candidate."""
+    squares = sum(n * n for n in sizes)
+    per_kernel = (3 if order == 3 else 1) * squares + n_queries * sum(sizes)
+    per_candidate = max(squares if order == 3 else _BLOCK_ENTRIES, 1)
+    runs: list[list[tuple[Kernel, list[int]]]] = []
+    for kernel, live in sorted(groups, key=lambda group: len(group[1])):
+        run = runs[-1] if runs else None
+        if (order != EXACT_ORDER and run and len(run[0][1]) == len(live)
+                and (len(run) + 1) * per_kernel <= _STACK_ENTRIES
+                and (len(run) + 1) * len(live) * per_candidate <= _STACK_ENTRIES):
+            run.append((kernel, live))
+        else:
+            runs.append([(kernel, live)])
+    step = 1 if order == EXACT_ORDER else max(1, _STACK_ENTRIES // per_candidate)
+    return runs, step
+
+
+class _Sweep:
+    """A sweep's alphas, fold scores and failures per candidate, its
+    objective, and each class's buffer for the four-cycle weights of its
+    order-3 stacked tables, reused from run to run: at `reproduce table1`'s
+    size a fresh one is a few hundred kB that the allocator hands back to
+    the system and faults in again at every run (about 2,600 page faults
+    per command)."""
+
+    def __init__(self, grid: list[ModelParams], n_classes: int, objective):
+        self.scores: list[list[float]] = [[] for _ in grid]
+        self.failed: list[str | None] = [None] * len(grid)
+        self.alphas: list[np.ndarray | None] = [None] * len(grid)
+        for i, params in enumerate(grid):
+            try:
+                self.alphas[i] = params.alpha_vector(n_classes)
+            except (ValueError, ArithmeticError) as exc:  # candidate-level isolation
+                self.failed[i] = _failure(exc)
+        self.objective = objective
+        self._work = [np.empty(0) for _ in range(n_classes)]
+
+    def _fail(self, members, exc: Exception) -> None:
+        for i in members:
+            self.failed[i] = _failure(exc)
+
+    def _finish(self, core, alpha: np.ndarray, r: int, order):
+        """``core.finish(alpha)``, at order 3 into class r's buffer."""
+        if order != 3:
+            return core.finish(alpha)
+        shape = (*alpha.shape, core.gram.n, core.gram.n)
+        size = math.prod(shape)
+        if self._work[r].size < size:
+            self._work[r] = np.empty(size)
+        return core.finish(alpha, out=self._work[r][:size].reshape(shape))
+
+    def run(self, run, order, step: int, shared: list[_SharedDistances], queries,
+            truth) -> None:
+        """Score one run of a fold's pass.  Each kernel's Gram matrices,
+        K(t, t) and held-out blocks are built and checked on their own, so a
+        refusal marks only that kernel's candidates; those that pass are
+        stacked (a lone kernel is not) and finished together, a lone
+        kernel's ``step`` candidates at a time."""
+        for s in shared:
+            s.start([kernel for kernel, _ in run])
+        keep, grams, ktts, cands = [], [], [], []
+        for k, (kernel, live) in enumerate(run):
+            try:
+                kernel_grams = []
+                for s in shared:
+                    kernel_grams.append(s.gram(kernel))
+                    _check_class_gram(kernel_grams[-1], order)
+                ktt = kernel_self_batch(kernel, queries)
+                for s in shared:
+                    s.block(kernel)
+            except (ValueError, ArithmeticError) as exc:  # kernel-level isolation
+                self._fail(live, exc)
+                continue
+            keep.append(k)
+            grams.append(kernel_grams)
+            ktts.append(ktt)
+            cands.append(live)
+        if not keep:
+            return
+        if len(keep) == 1:
+            class_grams, ktt, cands = grams[0], ktts[0], cands[0]
+            blocks = [s.block(run[keep[0]][0]) for s in shared]
+            finishes = [cands[lo:lo + step] for lo in range(0, len(cands), step)]
+        else:
+            class_grams = [GramMatrix(s.stack("points", keep), s.points) for s in shared]
+            ktt = np.stack(ktts)
+            blocks = [s.stack("queries", keep) for s in shared]
+            finishes = [cands]  # kernels x alphas, all of them at once
+        blocks = [[b[..., rows, :] for rows in _query_steps(*b.shape[-2:])] for b in blocks]
+        try:
+            cores = _fit_kernel(class_grams, order)
+        except (ValueError, ArithmeticError) as exc:
+            self._fail(np.ravel(cands), exc)
+            return
+        for members in finishes:
+            members = np.array(members)
+            try:
+                # (kernels x) candidates x classes alphas; each class's core is
+                # finished for its slice just before its blocks are read
+                alpha = np.array([self.alphas[i] for i in members.ravel()])
+                alpha = alpha.reshape(*members.shape, -1)
+                raw = _weights((self._finish(core, alpha[..., r], r, order)
+                                for r, core in enumerate(cores)), ktt, blocks)
+            except (ValueError, ArithmeticError) as exc:
+                self._fail(members.ravel(), exc)
+                continue
+            members = members.ravel()
+            raw = raw.reshape(members.size, *raw.shape[-2:])
+            valid = (raw.sum(axis=-1) > 0).all(axis=-1)
+            self._fail(members[~valid], ValueError(_DEGENERATE))
+            if valid.any():
+                probs = _normalised(raw if valid.all() else raw[valid]).probs
+                for i, score in zip(members[valid], self.objective(probs, truth)):
+                    self.scores[i].append(float(score))
 
 
 def cross_validate(data: LabeledDataset, spec: CVSpec) -> CVReport:
     """Mean objective per candidate across folds; argmin wins.
 
-    Candidates that share a kernel and an order share everything that does
-    not depend on alpha.  For each fold and each such group, the class
-    Gram matrices, their table cores (O(sum_r n_r^2), or O(sum_r n_r^3)
-    at order 3) and the held-out kernel blocks are built once.  Across the
-    groups, each fold computes every class's squared distances, of its
-    training points and of the held-out points against them, once, on the
-    first exponential or gaussian kernel (`kernels._SharedDistances`); each
-    such kernel's Grams and blocks transform a copy, bit for bit `gram` and
-    `kernel_block`, so a sweep computes 2 x classes x folds distance
-    matrices however many kernels its grid holds.  Each
-    class's core is then finished once for the alphas of the group's live
-    candidates, stacked along a leading axis (O(sum_r n_r^2) per alpha),
-    and one ``rows`` call per held-out block answers every alpha; each
-    candidate's slice of the raw weights is the one-alpha result bit for
-    bit, and only its normalisation and objective are its own, so a
-    negative order >= 2 ratio is logged once per stacked call, not once
-    per candidate.  The alphas are stacked in runs (`_alpha_chunks`) that
-    bound the stacked arrays: an order-3 sweep over large classes
-    finishes them a few at a time, and the exact order one at a time.
+    Each fold runs one pass per order over that order's live candidates.
+    Every class's squared distances, of its training points and of the
+    held-out points against them, are computed once per fold on the first
+    distance kernel (`kernels._SharedDistances`), and the kernels of one
+    family transform them in one stacked operation, bit for bit `gram` and
+    `kernel_block`.  Each kernel's class Gram matrices, K(t, t) and
+    held-out blocks are built and checked on their own; the pass then
+    stacks them along a leading kernel axis and builds one table core per
+    class over the stack (O(sum_r n_r^2) per kernel, O(sum_r n_r^3) at
+    order 3 as one batched product).  Each core is finished once for a
+    kernels x alphas array (O(sum_r n_r^2) per candidate), one ``rows``
+    call per class and held-out block answers every candidate, forming the
+    alpha-free product P once per kernel, and normalisation and the
+    objective run as array operations over all of them.  Each candidate's
+    weights, probabilities and scores are the one-fit results bit for bit;
+    a negative order >= 2 ratio is logged once per stacked call.  Runs
+    (`_runs`) bound the stacked arrays: large classes stack few kernels and
+    finish a kernel's candidates a few at a time, and the exact order takes
+    one kernel and one candidate at a time.
 
     A fold missing a class entirely is fine (the empty-class rule covers
     it).  A candidate whose evaluation raises ValueError or ArithmeticError
@@ -206,13 +341,14 @@ def cross_validate(data: LabeledDataset, spec: CVSpec) -> CVReport:
     weights) is marked invalid with an infinite score instead of aborting
     the sweep; any other exception is a bug and propagates.  A bad alpha
     is reported before any Gram is built, as in a single fit.  An error in
-    the shared kernel stage marks every candidate of the group that is
-    still valid, at that fold, and an error in a stacked finish or its
-    rows marks the candidates of that run.  After the alpha checks the
-    only alpha-dependent error there is the exact order's zero
-    per_alpha{K(x)}, and its runs hold one candidate each.  A sweep
-    in which no candidate is valid has no winner and raises ValueError
-    with the first candidate's message.
+    a kernel's build or checks marks that kernel's candidates still valid,
+    at that fold, and an error in a stacked finish or its rows the
+    candidates of that finish; after the alpha checks the only
+    alpha-dependent error there is the exact order's zero per_alpha{K(x)},
+    and its finishes hold one candidate each.  A candidate with a held-out
+    row whose weights total zero or less gets `predict`'s message.  A
+    sweep in which no candidate is valid has no winner and raises
+    ValueError with the first candidate's message.
     """
     folds = fold_assignment(data.n, spec.folds, spec.seed,
                             labels=data.labels, stratified=spec.stratified)
@@ -222,51 +358,20 @@ def cross_validate(data: LabeledDataset, spec: CVSpec) -> CVReport:
     splits = [(data.subset(np.setdiff1d(all_idx, heldout)),
                data.points[heldout], data.labels[heldout]) for heldout in folds]
     grid = spec.grid
-    scores: list[list[float]] = [[] for _ in grid]
-    failed: list[str | None] = [None] * len(grid)
-    alphas: list[np.ndarray | None] = [None] * len(grid)
-    for i, params in enumerate(grid):
-        try:
-            alphas[i] = params.alpha_vector(data.n_classes)
-        except (ValueError, ArithmeticError) as exc:  # candidate-level isolation
-            failed[i] = _failure(exc)
-    groups = _kernel_groups(grid)
+    sweep = _Sweep(grid, data.n_classes, objective)
+    failed, scores = sweep.failed, sweep.scores
+    passes = _order_passes(grid)
     for train, queries, truth in splits:
         # each class's distances, computed for the fold's first distance kernel
         shared = [_SharedDistances(train.class_points(r), queries)
                   for r in range(data.n_classes)]
-        for kernel, order, members in groups:
-            live = [i for i in members if failed[i] is None]
-            if not live:
-                continue
-            try:
-                cores = _fit_kernel((s.gram(kernel) for s in shared), order)
-                ktt = kernel_self_batch(kernel, queries)
-                blocks = []
-                for s in shared:
-                    block = s.block(kernel)
-                    blocks.append([block[rows] for rows in
-                                   _query_steps(*block.shape)])
-            except (ValueError, ArithmeticError) as exc:
-                for i in live:
-                    failed[i] = _failure(exc)
-                continue
-            for run in _alpha_chunks(live, cores, order):
-                try:
-                    # each class finished for its column of the run x classes alphas;
-                    # the stacked tables are freed once their weights are read
-                    run_alphas = np.array([alphas[i] for i in run])
-                    raw = _weights([core.finish(run_alphas[:, r]) for r, core in enumerate(cores)],
-                                   ktt, blocks)
-                except (ValueError, ArithmeticError) as exc:
-                    for i in run:
-                        failed[i] = _failure(exc)
-                    continue
-                for j, i in enumerate(run):
-                    try:
-                        scores[i].append(objective(_normalised(raw[j]).probs, truth))
-                    except (ValueError, ArithmeticError) as exc:
-                        failed[i] = _failure(exc)
+        sizes = [s.points.shape[0] for s in shared]
+        for order, groups in passes.items():
+            live = [(kernel, [i for i in members if failed[i] is None])
+                    for kernel, members in groups]
+            runs, step = _runs([g for g in live if g[1]], sizes, len(truth), order)
+            for run in runs:
+                sweep.run(run, order, step, shared, queries, truth)
     if all(f is not None for f in failed):
         raise ValueError(f"no candidate is valid; the first failed with {failed[0]}")
     results = [CandidateResult(params, scores[i], float(np.mean(scores[i])))

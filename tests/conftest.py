@@ -28,8 +28,8 @@ from permclass.cyclic import DegenerateConfigurationError, LimitTable
 from permclass.exact import Partition, _grown, cyp_exact
 from permclass.kernels import (GramMatrix, Kernel, KernelFamily, _as_square, gram,
                                kernel_column, kernel_self)
-from permclass.model_select import (CandidateResult, CVReport, _objective_fn,
-                                    _tie_key, fold_assignment)
+from permclass.model_select import (CandidateResult, CVReport, _tie_key, cross_entropy,
+                                    error_rate, fold_assignment)
 
 settings.register_profile("suite", deadline=None, max_examples=25)
 settings.load_profile("suite")
@@ -485,7 +485,7 @@ def cross_validate_reference(data, spec):
     reproduce exactly."""
     folds = fold_assignment(data.n, spec.folds, spec.seed,
                             labels=data.labels, stratified=spec.stratified)
-    objective = _objective_fn(spec.objective)
+    objective = error_rate if spec.objective == "error" else cross_entropy
     all_idx = np.arange(data.n)
     splits = [(data.subset(np.setdiff1d(all_idx, heldout)),
                data.points[heldout], data.labels[heldout]) for heldout in folds]

@@ -442,6 +442,19 @@ def test_knn_matches_per_query_loop_with_ties(k):
     assert np.array_equal(knn_predict(X, y, Q, k=k), knn_loop(X, y, Q, k))
 
 
+def test_knn_selection_breaks_heavy_ties_by_training_index():
+    # 24 training points on a 3 x 3 integer grid (every site several times)
+    # and queries on the grid and between its sites: most of a query's
+    # distances tie, so the k-th nearest distance is shared by many points,
+    # and only the lowest-indexed of them may vote, for every k up to n
+    rng = np.random.default_rng(31)
+    X = rng.integers(0, 3, size=(24, 2)).astype(float)
+    y = rng.integers(0, 3, size=24)
+    Q = np.vstack([rng.integers(0, 3, size=(30, 2)), rng.integers(0, 5, size=(30, 2)) / 2.0])
+    for k in range(1, 26):
+        assert np.array_equal(knn_predict(X, y, Q, k=k), knn_loop(X, y, Q, k))
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 9, 200])
 def test_knn_matches_one_shot_distances(d):
     # training rows are coordinate permutations of one another and queries

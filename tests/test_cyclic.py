@@ -11,7 +11,7 @@ from conftest import (ALPHA, GradedValue, augment, banded_gram,
 from permclass.cyclic import (DegenerateConfigurationError, LimitTable,
                               build_ratio_table, per_alpha_cyclic, ratio_approx,
                               ratio_approx_matrix, ratio_from_kt)
-from permclass.cyclic import _fit_core
+from permclass.cyclic import _check_gram, _fit_core
 from permclass.exact import per_alpha_exact, ratio_exact_matrix
 from permclass.kernels import GramMatrix, Kernel, gram, kernel_column
 
@@ -208,6 +208,51 @@ def test_stacked_finish_and_rows_equal_each_alphas_table(rng, order):
                     assert np.array_equal(core._leave_two_out(stacked.r1_loo)[j],
                                           core._leave_two_out(one.r1_loo))
                 assert np.array_equal(got[j], one.rows(Kt, ktt))
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_kernel_stacked_core_finish_and_rows_equal_each_kernels_tables(rng, order):
+    # one core over a stack of K Gram matrices, one finish for a K x A array
+    # of alphas (row k for kernel k) and one rows call over the stacked
+    # blocks give, at [k, j], kernel k's own core, alpha j's own table and
+    # its rows, bit for bit; so does a finish into a given buffer
+    for n in (0, 1, 2, 9, 40):
+        mats = [sym_nonneg(rng, n), np.diag(rng.uniform(0.5, 2.0, size=n)),
+                np.full((n, n), 0.7), banded_gram(rng, n) if n > 2 else sym_nonneg(rng, n)]
+        stack = GramMatrix(np.stack(mats), np.zeros((n, 1)))
+        core = _fit_core(stack, order)
+        alphas = np.array([[2.0, 0.5, 0.25], [1.0, 1.0, 0.1 + 0.2], [4.0, 0.5, 2.0],
+                           [0.25, 3.0, 1.0]])
+        Kt = np.stack([_sparse_block(rng, 30, n) for _ in mats])
+        ktt = rng.uniform(0.5, 1.5, size=(len(mats), 30))
+        stacked = core.finish(alphas)
+        got = stacked.rows(Kt, ktt)
+        assert got.shape == (len(mats), 3, 30)
+        if order == 3:
+            buffer = np.full((*alphas.shape, n, n), np.nan)
+            into = core.finish(alphas, out=buffer)
+            assert into._t3 is buffer and np.array_equal(into.rows(Kt, ktt), got)
+        for k, M in enumerate(mats):
+            own = _fit_core(GramMatrix.from_matrix(M), order)
+            for name in ("d", "q_sum", "qoff", "g_inner"):
+                a, b = getattr(core, name), getattr(own, name)
+                assert (a is None and b is None) or np.array_equal(a[k], b)
+            for j, alpha in enumerate(alphas[k]):
+                one = own.finish(alpha)
+                for name in ("r1_loo", "r2_loo", "_t3", "_s3"):
+                    a, b = getattr(stacked, name), getattr(one, name)
+                    assert (a is None and b is None) or np.array_equal(a[k, j], b)
+                assert np.array_equal(got[k, j], one.rows(Kt[k], ktt[k]))
+
+
+def test_stacked_core_refuses_a_bad_diagonal_naming_its_point():
+    good = np.eye(3)
+    bad = np.eye(3)
+    bad[2, 2] = 0.0
+    with pytest.raises(ValueError, match="point index 2 has K"):
+        _fit_core(GramMatrix(np.stack([good, bad]), np.zeros((3, 1))), 2)
+    with pytest.raises(ValueError, match="gram matrix row 1, column 0 is not finite"):
+        _check_gram(np.array([[1.0, 0.0], [np.inf, 1.0]]))
 
 
 def test_order_3_rows_match_the_nested_sums(rng):

@@ -55,6 +55,21 @@ def test_grid_testset():
     assert (np.abs(frac) > 1e-9).all()
 
 
+def test_grid_labels_match_the_per_point_rule():
+    from permclass.datasets import _chequerboard_labels
+    for resolution in (2, 3, 7, 60):
+        pts, labels = gen_grid_testset(resolution)
+        assert labels.dtype == int
+        assert np.array_equal(labels, [chequerboard_label(p) for p in pts])
+    # random points on and off the board, whole-number coordinates (cell
+    # edges) and the far edge 3.0, which belongs to the last cell
+    rng = np.random.default_rng(5)
+    pts = np.vstack([rng.uniform(-1.0, 4.0, size=(500, 2)),
+                     rng.integers(-1, 5, size=(100, 2)).astype(float),
+                     [[3.0, 3.0], [3.0, 0.0], [0.0, 3.0], [2.999999, 3.0], [-0.0, 1.0]]])
+    assert np.array_equal(_chequerboard_labels(pts), [chequerboard_label(p) for p in pts])
+
+
 def test_grid_resolution_validation():
     with pytest.raises(ValueError, match="resolution"):
         gen_grid_testset(1)

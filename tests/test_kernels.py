@@ -160,6 +160,7 @@ def test_shared_distances_equal_gram_and_kernel_block(d, monkeypatch):
     for block_entries in (1, 4096, kernels._GRAM_BLOCK_ENTRIES):
         monkeypatch.setattr(kernels, "_GRAM_BLOCK_ENTRIES", block_entries)
         shared = kernels._SharedDistances(pts, qs)
+        shared.start(kernels_)
         for k in kernels_:
             g = shared.gram(k)
             assert g.kernel is k and np.array_equal(g.points, pts)
@@ -174,21 +175,68 @@ def test_shared_distances_are_computed_once_and_only_for_distance_kernels(rng, s
     pts, qs = np.array(ground[:5]), np.array(ground[5:])
     m = rng.random((9, 9))
     shared = kernels._SharedDistances(pts, qs)
-    for k in (Kernel.constant(1.7), Kernel.projection(m + m.T, ground)):
+    others = [Kernel.constant(1.7), Kernel.projection(m + m.T, ground)]
+    shared.start(others)
+    for k in others:
         assert np.array_equal(shared.gram(k).entries, gram(k, pts).entries)
         assert np.array_equal(shared.block(k), kernel_block(k, qs, pts))
     assert not sq_distance_calls
-    for k in (Kernel.gaussian(0.5), Kernel.exponential(0.5), Kernel.gaussian(2.0)):
-        shared.gram(k)
-        shared.block(k)
+    for run in ([Kernel.gaussian(0.5), Kernel.exponential(0.5)], [Kernel.gaussian(2.0)]):
+        shared.start(run)
+        for k in run:
+            shared.gram(k)
+            shared.block(k)
     assert len(sq_distance_calls) == 2
+
+
+def test_shared_distances_stack_a_run_of_mixed_kernels(rng, sq_distance_calls):
+    # a run's stacks hold each kernel's `gram` and `kernel_block` in run
+    # order: the distance kernels of one family in one transform, adjacent
+    # in the run or not, the others one at a time; a later run reuses the
+    # squared distances
+    ground = [tuple(p) for p in rng.normal(size=(11, 2))]
+    pts, qs = np.array(ground[:7]), np.array(ground[7:])
+    m = rng.random((11, 11))
+    run = [Kernel.gaussian(0.4), Kernel.constant(1.7), Kernel.exponential(0.8),
+           Kernel.projection(m + m.T, ground), Kernel.gaussian(2.0), Kernel.exponential(0.3),
+           Kernel.exponential(1.1)]
+    other = Kernel.gaussian(0.9)
+    grams = [gram(kernel, pts).entries for kernel in run + [other]]
+    blocks = [kernel_block(kernel, qs, pts) for kernel in run]
+    sq_distance_calls.clear()
+    shared = kernels._SharedDistances(pts, qs)
+    shared.start(run)
+    assert len(sq_distance_calls) == 2
+    for k, kernel in enumerate(run):
+        assert np.array_equal(shared.gram(kernel).entries, grams[k])
+        assert np.array_equal(shared.block(kernel), blocks[k])
+    keep = [0, 2, 4, 6]
+    assert np.array_equal(shared.stack("points", keep), [grams[k] for k in keep])
+    assert np.array_equal(shared.stack("queries", keep), [blocks[k] for k in keep])
+    assert np.array_equal(shared.stack("queries", list(range(len(run)))), blocks)
+    shared.start([other])
+    assert np.array_equal(shared.gram(other).entries, grams[-1])
+    assert shared.stack("points", [0]).shape == (1, 7, 7)
+    assert len(sq_distance_calls) == 2
+
+
+def test_stacked_distance_transform_equals_one_kernel_at_a_time(rng):
+    for family in ("exponential", "gaussian"):
+        members = [Kernel(family, tau=t) for t in (0.05, 0.3, 1.0 / 3.0, 2.5, 1e3)]
+        sq = kernels._sq_distances(rng.normal(size=(30, 3)), rng.normal(size=(20, 3)))
+        sq[0, :5] = 0.0
+        out = kernels._distance_kernels(members, sq, np.empty((len(members), *sq.shape)))
+        for kernel, got in zip(members, out):
+            assert np.array_equal(got, kernels._distance_kernel(kernel, sq.copy()))
 
 
 def test_shared_distances_refuse_a_negative_gram_entry(monkeypatch):
     monkeypatch.setattr(kernels, "kernel_block", lambda k, a, b: -np.ones((len(a), len(b))))
     shared = kernels._SharedDistances(np.zeros((2, 1)), np.zeros((1, 1)))
+    constant = Kernel.constant(1.0)
+    shared.start([constant])
     with pytest.raises(ValueError, match="negative Gram entry"):
-        shared.gram(Kernel.constant(1.0))
+        shared.gram(constant)
 
 
 def test_projection_kernel_requires_nonneg():

@@ -13,7 +13,7 @@ from permclass.kernels import Kernel
 from permclass.model_select import (OBJECTIVES, CVSpec, cross_entropy,
                                     cross_validate, default_grid, error_rate,
                                     fold_assignment, median_pairwise_distance)
-from permclass.model_select import _alpha_chunks
+from permclass.model_select import _runs
 
 
 def test_fold_assignment_deterministic():
@@ -337,20 +337,35 @@ def test_grouped_cv_marks_only_the_alpha_whose_exact_denominator_underflows():
     assert report.results[1].valid
 
 
-def test_alpha_chunks_bound_the_stacked_arrays(monkeypatch):
-    def cores(*sizes):
-        return [SimpleNamespace(gram=SimpleNamespace(n=n)) for n in sizes]
-
-    live = [0, 2, 3, 5, 7]
-    assert _alpha_chunks(live, cores(30, 40), 3) == [live]
-    assert _alpha_chunks(live, cores(30, 40), "exact") == [[i] for i in live]
-    monkeypatch.setattr(model_select, "_STACK_ENTRIES", 2 * (30**2 + 40**2))
-    assert _alpha_chunks(live, cores(30, 40), 3) == [[0, 2], [3, 5], [7]]
-    assert _alpha_chunks(live, cores(0, 0), 3) == [live]
-    monkeypatch.setattr(model_select, "_STACK_ENTRIES", 2 * _BLOCK_ENTRIES)
-    assert _alpha_chunks(live, cores(30, 40), 1) == [[0, 2], [3, 5], [7]]
+def test_runs_bound_the_stacked_arrays(monkeypatch):
+    # a run packs kernels with equal numbers of live candidates, fewest
+    # first, while its stacked cores (per kernel: the classes' Gram matrices,
+    # three such arrays at order 3, and the held-out blocks) and its
+    # candidates' stacked tables (per candidate: n_r x n_r arrays at order 3,
+    # a query block otherwise) each stay within _STACK_ENTRIES; ``step``
+    # candidates of a lone kernel are finished at a time
+    k = [Kernel.gaussian(t) for t in (0.1, 0.2, 0.3, 0.4, 0.5)]
+    groups = [(k[0], [0, 1, 2]), (k[1], [3, 4]), (k[2], [5, 6, 7]), (k[3], [8, 9]),
+              (k[4], [10, 11, 12])]
+    sizes, queries = [30, 40], 9
+    per_kernel = 3 * (30**2 + 40**2) + queries * 70  # order 3
+    assert _runs(groups, sizes, queries, 3) == (
+        [[groups[1], groups[3]], [groups[0], groups[2], groups[4]]],
+        model_select._STACK_ENTRIES // (30**2 + 40**2))
+    by_count = [groups[i] for i in (1, 3, 0, 2, 4)]
+    assert _runs(groups, sizes, queries, "exact") == ([[g] for g in by_count], 1)
+    monkeypatch.setattr(model_select, "_STACK_ENTRIES", 2 * per_kernel)
+    runs, step = _runs(groups, sizes, queries, 3)
+    assert runs == [[groups[1], groups[3]], [groups[0], groups[2]], [groups[4]]]
+    assert step == 2 * per_kernel // (30**2 + 40**2) == 6
+    # at order 1 the candidates' bound binds first: two kernels of two
+    # candidates would stack four query blocks
+    monkeypatch.setattr(model_select, "_STACK_ENTRIES", 3 * _BLOCK_ENTRIES)
+    runs, step = _runs(groups, sizes, queries, 1)
+    assert runs == [[g] for g in by_count] and step == 3
+    assert _runs(groups[1:2], [0, 0], queries, 3) == ([groups[1:2]], 3 * _BLOCK_ENTRIES)
     monkeypatch.setattr(model_select, "_STACK_ENTRIES", 1)
-    assert _alpha_chunks(live, cores(30, 40), 2) == [[i] for i in live]
+    assert _runs(groups, sizes, queries, 2) == ([[g] for g in by_count], 1)
 
 
 @pytest.mark.parametrize("order", [1, 3])
@@ -422,3 +437,78 @@ def test_cv_computes_squared_distances_once_per_class_and_fold(sq_distance_calls
         sq_distance_calls.clear()
         cross_validate(data, CVSpec(grid=grid, folds=4, seed=1))
         assert len(sq_distance_calls) == expected
+
+
+# -- one stacked pass per order against one fit per candidate and fold ----
+
+
+def test_stacked_sweep_matches_reference_mixing_orders_and_families():
+    # every order 0-3 and the exact order, both distance families, in a
+    # scattered grid: one pass per order, the finite ones stacked over kernels
+    data = gen_chequerboard(1, seed=15)
+    grid = [ModelParams(kernel=Kernel(fam, tau=t), alphas=a, order=o)
+            for o in (0, 1, 2, 3, "exact") for fam in ("gaussian", "exponential")
+            for t in (0.4, 1.5) for a in (0.5, 2.0)]
+    grid = [grid[i] for i in np.random.default_rng(15).permutation(len(grid))]
+    _assert_matches_reference(data, grid)
+
+
+def test_stacked_sweep_matches_reference_with_nine_held_out_rows():
+    # nine held-out rows a fold: a candidate's cross-entropy is a mean of
+    # nine terms, which numpy sums pairwise, and each stacked candidate's
+    # mean must sum its own row in the same way as one table's
+    data = gen_chequerboard(3, seed=16)
+    grid = default_grid(data.points, tau_scales=(0.5, 1.0, 2.0), alphas=(0.5, 2.0), order=3)
+    _assert_matches_reference(data, grid)
+
+
+def test_stacked_sweep_matches_reference_with_unequal_alpha_counts():
+    # kernels with one, two and three alphas, some of them per class, land
+    # in runs of equal counts
+    data = gen_chequerboard(2, seed=17)
+    grid = [ModelParams(kernel=Kernel(fam, tau=t), alphas=a, order=o)
+            for t, alphas in ((0.3, (0.5,)), (0.7, (0.5, 1.0, (2.0, 0.5))),
+                              (1.5, (1.0, 4.0)), (3.0, ((0.5, 2.0), 1.0, 2.0)))
+            for fam in ("gaussian", "exponential") for a in alphas for o in (2, 3)]
+    _assert_matches_reference(data, grid)
+
+
+def test_stacked_sweep_isolates_refused_and_degenerate_kernels_like_reference():
+    # stacked with distance kernels, a projection kernel with a zero Gram
+    # diagonal entry and one whose held-out row weighs nothing (K(t, .) = 0)
+    # mark only their own candidates, at every finite order
+    data = gen_chequerboard(2, seed=9)
+    folds = fold_assignment(data.n, 3, seed=0)
+    refused = projection_kernel(data.points, np.arange(data.n) != folds[1][0])
+    degenerate = projection_kernel(data.points, np.arange(data.n) != folds[0][0])
+    kernels = (Kernel.gaussian(0.5), refused, Kernel.exponential(1.0), degenerate)
+    grid = [ModelParams(kernel=k, alphas=a, order=o)
+            for o in (1, 2, 3) for k in kernels for a in (0.5, 2.0)]
+    report = _assert_matches_reference(data, grid, stratified=(False,))[0]
+    for params, r in zip(grid, report.results):
+        if params.kernel is refused:
+            assert not r.valid and "gram diagonal" in r.message and not r.fold_scores
+        elif params.kernel is degenerate:
+            assert not r.valid and r.message == ("ValueError: degenerate kernel: "
+                                                 "every class weight is zero")
+        else:
+            assert r.valid
+
+
+@pytest.mark.parametrize("entries", [1, 1000])
+def test_stacked_sweep_matches_reference_in_runs_split_across_kernels(monkeypatch, entries):
+    # a budget of one entry runs every kernel alone, one candidate a finish;
+    # the larger ones split a pass into runs of a few kernels each
+    monkeypatch.setattr(model_select, "_STACK_ENTRIES", entries)
+    seen = []
+    runs = model_select._runs
+    monkeypatch.setattr(model_select, "_runs",
+                        lambda *args: seen.append(runs(*args)) or seen[-1])
+    data = gen_chequerboard(2, seed=18)
+    grid = default_grid(data.points, tau_scales=(0.5, 1.0, 2.0), alphas=(0.5, 2.0),
+                        order=3) + default_grid(data.points, tau_scales=(0.5, 2.0),
+                                                alphas=(1.0, 4.0), order=1)
+    _assert_matches_reference(data, grid)
+    widest = max(len(run) for pass_runs, _ in seen for run in pass_runs)
+    assert widest == 1 if entries == 1 else 1 < widest < 6
+    assert all(len(pass_runs) > 1 for pass_runs, _ in seen)
