@@ -191,11 +191,11 @@ def fit(data: LabeledDataset, params: ModelParams) -> FittedModel:
     any query to join.  The tables are built as an alpha-free core per
     class (the Gram diagonal, the two-cycle terms and, at order 3, the
     O(n^3) product), which is then finished for the class's alpha in
-    O(n_r^2).  Cross-validation finishes each core once for an array of
-    alphas, every candidate's of a kernel, into one stacked table whose
-    slices are bit for bit the tables `fit` makes.  An empty class gets a
-    0 x 0 Gram matrix and table, whose ratio is the empty-class weight
-    alpha K(t, t).
+    O(n_r^2).  Cross-validation builds one core over a stack of kernels'
+    Gram matrices and finishes it once for their candidates' alphas, into
+    one stacked table whose slices are bit for bit the tables `fit` makes.
+    An empty class gets a 0 x 0 Gram matrix and table, whose ratio is the
+    empty-class weight alpha K(t, t).
     """
     alphas = params.alpha_vector(data.n_classes)
     cores = _fit_kernel((gram(params.kernel, data.class_points(r))
