@@ -17,9 +17,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .cyclic import (EXACT_ORDER, MAX_ORDER, LimitTable, RatioTable, _check_gram, _fit_core,
-                     _FitCore)
-from .exact import Partition, _check_cap, _CypTable, _grown, _PerTable
+from .cyclic import EXACT_ORDER, MAX_ORDER, LimitTable, RatioTable, _fit_core, _FitCore
+from .exact import Partition, _CypTable, _grown, _PerTable
 from .kernels import (GramMatrix, Kernel, _as_rows, _entry, _label_codes, _sq_distances,
                       gram, kernel_block, kernel_column, kernel_self, kernel_self_batch)
 
@@ -167,19 +166,9 @@ def _fit_kernel(grams: Iterable[GramMatrix], order) -> list[_FitCore | _PerTable
     ``finish(alpha)`` is the class's table: a `cyclic._FitCore` at orders
     0-3, an `exact._PerTable` otherwise.  `fit` passes `gram` of each
     class's points as a generator, so each Gram is built just before its
-    core and the first refusal stops the rest; cross-validation passes each
-    class's stack of a run's Gram matrices, checked one kernel at a time by
-    `_check_class_gram` first."""
+    core and the first refusal stops the rest; cross-validation passes a
+    generator of each class's stack of a run's Gram matrices the same way."""
     return [_PerTable(g) if order == EXACT_ORDER else _fit_core(g, order) for g in grams]
-
-
-def _check_class_gram(g: GramMatrix, order) -> None:
-    """Refuse a class's Gram matrix as `_fit_kernel` would, without building
-    its core."""
-    if order == EXACT_ORDER:
-        _check_cap(g.n + 1)
-    else:
-        _check_gram(g.entries)
 
 
 def fit(data: LabeledDataset, params: ModelParams) -> FittedModel:
@@ -192,8 +181,9 @@ def fit(data: LabeledDataset, params: ModelParams) -> FittedModel:
     class (the Gram diagonal, the two-cycle terms and, at order 3, the
     O(n^3) product), which is then finished for the class's alpha in
     O(n_r^2).  Cross-validation builds one core over a stack of kernels'
-    Gram matrices and finishes it once for their candidates' alphas, into
-    one stacked table whose slices are bit for bit the tables `fit` makes.
+    Gram matrices, a stack of one kernel included, and finishes it once for
+    their candidates' alphas, into one stacked table whose slices are bit
+    for bit the tables `fit` makes.
     An empty class gets a 0 x 0 Gram matrix and table, whose ratio is the
     empty-class weight alpha K(t, t).
     """

@@ -286,13 +286,6 @@ def _gram_diagonal(G: np.ndarray) -> np.ndarray:
     return d
 
 
-def _check_gram(G: np.ndarray) -> None:
-    """Refuse a Gram matrix as `_fit_core` would, in its order (the
-    diagonal, then any non-finite entry), without building the core."""
-    _gram_diagonal(G)
-    _check_finite(G, "gram matrix")
-
-
 def _fit_core(g: GramMatrix, order: int) -> _FitCore:
     """Everything of an order-``order`` table that does not depend on alpha:
     O(n^2), plus one O(n^3) matrix product at order 3, for one Gram matrix

@@ -221,13 +221,18 @@ class _PerTable:
         """Exact ratios for a block of queries, ``Kt[q, i] = K(t_q, x_i)``
         and ``ktt[q] = K(t_q, t_q)`` (a 0 x 0 Gram matrix gives alpha K(t, t)):
         shape (Q,) for one alpha, (A, Q) for A alphas, one alpha at a time.
+        Over a stack of one Gram matrix, as cross-validation builds it,
+        ``Kt`` and ``ktt`` gain its leading axis and alpha is a 1 x A array,
+        giving shape (1, A, Q).
 
         The denominator per_a{K(x)} is computed once per call and alpha, and
         each query's matrix borders the Gram matrix.
         """
         G = self.gram.entries
+        if G.ndim == 3:
+            G, Kt, ktt = G[0], Kt[0], ktt[0]
         out = []
-        for alpha in np.atleast_1d(self.alpha).tolist():
+        for alpha in np.ravel(self.alpha).tolist():
             denom = per_alpha_exact(G, alpha)
             if denom == 0.0:
                 raise ZeroDivisionError("per_alpha of the training configuration is zero")

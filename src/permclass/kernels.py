@@ -413,7 +413,7 @@ def _sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _checked_gram(kernel: Kernel, pts: np.ndarray, entries: np.ndarray) -> GramMatrix:
+def _checked_gram(kernel: Kernel | None, pts: np.ndarray, entries: np.ndarray) -> GramMatrix:
     if (entries < 0).any():
         raise ValueError("kernel produced a negative Gram entry")
     return GramMatrix(entries=entries, points=pts, kernel=kernel)
@@ -433,71 +433,47 @@ def gram(kernel: Kernel, points) -> GramMatrix:
 
 class _SharedDistances:
     """A point set's Gram matrices and a query set's blocks against it, for
-    any number of kernels over the same points, made a run of kernels at a
-    time and stacked along a leading kernel axis.
+    any number of kernels over the same points, stacked along a leading
+    kernel axis.
 
     The squared distances of each are computed on the first exponential or
-    gaussian kernel that needs them and kept.  `start` begins a run: its
-    distance kernels' matrices are made at once, one stacked transform per
-    family (`_distance_kernels`), which is `gram` and `kernel_block` bit for
-    bit; the other families' are `gram` and `kernel_block` themselves, made
-    when first asked for.  Kept are n x n plus queries x n distances and
-    one run's stacks.
+    gaussian kernel that needs them and kept.  The distance kernels of a
+    stack are made one transform per family (`_distance_kernels`), which is
+    `gram` and `kernel_block` bit for bit; the other families' are `gram`
+    and `kernel_block` themselves.  Kept are n x n plus queries x n
+    distances.
     """
-
-    _ROWS = ("points", "queries")
 
     def __init__(self, points: np.ndarray, queries: np.ndarray):
         self.points, self.queries = _as_points(points), _as_points(queries)
         self._sq: dict[str, np.ndarray] = {}
-        self._kernels: dict[int, tuple[int, Kernel]] = {}
-        self._stacks: dict[str, np.ndarray] = {}
-        self._made: dict[str, set[int]] = {}
 
-    def start(self, kernels: list[Kernel]) -> None:
-        """Begin a run over ``kernels``, which `gram` and `block` then serve;
-        their stacks keep this order."""
-        # each kernel is kept with its position, so that its id stays its own
-        self._kernels = {id(kernel): (k, kernel) for k, kernel in enumerate(kernels)}
-        n = self.points.shape[0]
-        for rows in self._ROWS:
-            a = getattr(self, rows)
-            out = np.empty((len(kernels), a.shape[0], n))
-            made = set()
-            for family in (KernelFamily.EXPONENTIAL, KernelFamily.GAUSSIAN):
-                at = [k for k, kernel in enumerate(kernels) if kernel.family is family]
-                if not at:
-                    continue
-                if rows not in self._sq:
-                    self._sq[rows] = _sq_distances(a, self.points)
-                members = [kernels[k] for k in at]
-                if at[-1] - at[0] + 1 == len(at):  # adjacent: transform in place
-                    _distance_kernels(members, self._sq[rows], out[at[0]:at[-1] + 1])
-                else:
-                    out[at] = _distance_kernels(members, self._sq[rows],
-                                                np.empty((len(at), *out.shape[1:])))
-                made.update(at)
-            self._stacks[rows], self._made[rows] = out, made
+    def grams(self, kernels: Sequence[Kernel]) -> GramMatrix:
+        """``gram(kernel, points)`` of each of ``kernels``, stacked in their
+        order, refusing a negative entry as `gram` does."""
+        return _checked_gram(None, self.points, self._stack(kernels, "points"))
 
-    def _matrix(self, kernel: Kernel, rows: str) -> np.ndarray:
-        k, _ = self._kernels[id(kernel)]
-        out = self._stacks[rows]
-        if k not in self._made[rows]:
-            out[k] = kernel_block(kernel, getattr(self, rows), self.points)
-            self._made[rows].add(k)
-        return out[k]
+    def blocks(self, kernels: Sequence[Kernel]) -> np.ndarray:
+        """``kernel_block(kernel, queries, points)`` of each of ``kernels``,
+        stacked in their order."""
+        return self._stack(kernels, "queries")
 
-    def gram(self, kernel: Kernel) -> GramMatrix:
-        """``gram(kernel, points)``."""
-        return _checked_gram(kernel, self.points, self._matrix(kernel, "points"))
-
-    def block(self, kernel: Kernel) -> np.ndarray:
-        """``kernel_block(kernel, queries, points)``."""
-        return self._matrix(kernel, "queries")
-
-    def stack(self, rows: str, keep: list[int]) -> np.ndarray:
-        """The current run's Gram matrices (``rows`` "points") or blocks
-        ("queries") of the kernels at positions ``keep``, stacked in that
-        order."""
-        out = self._stacks[rows]
-        return out if keep == list(range(out.shape[0])) else out[keep]
+    def _stack(self, kernels: Sequence[Kernel], rows: str) -> np.ndarray:
+        a = getattr(self, rows)
+        out = np.empty((len(kernels), a.shape[0], self.points.shape[0]))
+        for k, kernel in enumerate(kernels):
+            if kernel.family not in (KernelFamily.EXPONENTIAL, KernelFamily.GAUSSIAN):
+                out[k] = kernel_block(kernel, a, self.points)
+        for family in (KernelFamily.EXPONENTIAL, KernelFamily.GAUSSIAN):
+            at = [k for k, kernel in enumerate(kernels) if kernel.family is family]
+            if not at:
+                continue
+            if rows not in self._sq:
+                self._sq[rows] = _sq_distances(a, self.points)
+            members = [kernels[k] for k in at]
+            if at[-1] - at[0] + 1 == len(at):  # adjacent: transform in place
+                _distance_kernels(members, self._sq[rows], out[at[0]:at[-1] + 1])
+            else:
+                out[at] = _distance_kernels(members, self._sq[rows],
+                                            np.empty((len(at), *out.shape[1:])))
+        return out

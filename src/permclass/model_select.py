@@ -15,10 +15,9 @@ from typing import Sequence
 import numpy as np
 
 from .classify import (_BLOCK_ENTRIES, _DEGENERATE, LabeledDataset, ModelParams,
-                       _check_class_gram, _fit_kernel, _normalised, _query_steps, _weights)
+                       _fit_kernel, _normalised, _query_steps, _weights)
 from .cyclic import EXACT_ORDER
-from .kernels import (GramMatrix, Kernel, _as_rows, _SharedDistances, _sq_distances,
-                      kernel_self_batch)
+from .kernels import Kernel, _as_rows, _SharedDistances, _sq_distances, kernel_self_batch
 
 __all__ = [
     "CVSpec",
@@ -214,12 +213,12 @@ def _runs(groups: list[tuple[Kernel, list[int]]], sizes: list[int], n_queries: i
 
 
 class _Sweep:
-    """A sweep's alphas, fold scores and failures per candidate, its
-    objective, and each class's buffer for the four-cycle weights of its
-    order-3 stacked tables, reused from run to run: at `reproduce table1`'s
-    size a fresh one is a few hundred kB that the allocator hands back to
-    the system and faults in again at every run (about 2,600 page faults
-    per command)."""
+    """A sweep's alphas, fold scores and failures per candidate, which
+    `run` fills one stacked run at a time, its objective, and each class's
+    buffer for the four-cycle weights of its order-3 stacked tables,
+    reused from run to run: at `reproduce table1`'s size a fresh one is a
+    few hundred kB that the allocator hands back to the system and faults
+    in again at every run (about 2,600 page faults per command)."""
 
     def __init__(self, grid: list[ModelParams], n_classes: int, objective):
         self.scores: list[list[float]] = [[] for _ in grid]
@@ -249,51 +248,32 @@ class _Sweep:
 
     def run(self, run, order, step: int, shared: list[_SharedDistances], queries,
             truth) -> None:
-        """Score one run of a fold's pass.  Each kernel's Gram matrices,
-        K(t, t) and held-out blocks are built and checked on their own, so a
-        refusal marks only that kernel's candidates; those that pass are
-        stacked (a lone kernel is not) and finished together, a lone
-        kernel's ``step`` candidates at a time."""
-        for s in shared:
-            s.start([kernel for kernel, _ in run])
-        keep, grams, ktts, cands = [], [], [], []
-        for k, (kernel, live) in enumerate(run):
-            try:
-                kernel_grams = []
-                for s in shared:
-                    kernel_grams.append(s.gram(kernel))
-                    _check_class_gram(kernel_grams[-1], order)
-                ktt = kernel_self_batch(kernel, queries)
-                for s in shared:
-                    s.block(kernel)
-            except (ValueError, ArithmeticError) as exc:  # kernel-level isolation
-                self._fail(live, exc)
-                continue
-            keep.append(k)
-            grams.append(kernel_grams)
-            ktts.append(ktt)
-            cands.append(live)
-        if not keep:
-            return
-        if len(keep) == 1:
-            class_grams, ktt, cands = grams[0], ktts[0], cands[0]
-            blocks = [s.block(run[keep[0]][0]) for s in shared]
-            finishes = [cands[lo:lo + step] for lo in range(0, len(cands), step)]
-        else:
-            class_grams = [GramMatrix(s.stack("points", keep), s.points) for s in shared]
-            ktt = np.stack(ktts)
-            blocks = [s.stack("queries", keep) for s in shared]
-            finishes = [cands]  # kernels x alphas, all of them at once
-        blocks = [[b[..., rows, :] for rows in _query_steps(*b.shape[-2:])] for b in blocks]
+        """Score one run of a fold's pass as one stack: each class's Gram
+        matrices and then its core, K(t, t), and each class's held-out
+        blocks, all stacked along a leading kernel axis, then finished
+        together, a lone kernel's ``step`` candidates at a time.  A refusal
+        there marks a lone kernel's candidates and reruns a run of several
+        one kernel at a time, so that only the refused kernel is marked."""
+        kernels = [kernel for kernel, _ in run]
         try:
-            cores = _fit_kernel(class_grams, order)
-        except (ValueError, ArithmeticError) as exc:
-            self._fail(np.ravel(cands), exc)
+            cores = _fit_kernel((s.grams(kernels) for s in shared), order)
+            ktt = np.stack([kernel_self_batch(kernel, queries) for kernel in kernels])
+            blocks = [s.blocks(kernels) for s in shared]
+        except (ValueError, ArithmeticError) as exc:  # kernel-level isolation
+            if len(run) == 1:
+                self._fail(run[0][1], exc)
+            else:
+                for group in run:
+                    self.run([group], order, step, shared, queries, truth)
             return
-        for members in finishes:
-            members = np.array(members)
+        blocks = [[b[..., rows, :] for rows in _query_steps(*b.shape[-2:])] for b in blocks]
+        # `_runs` stacks several kernels only while all their candidates
+        # fit in one finish of ``step``
+        width = max(1, step // len(run))
+        for lo in range(0, len(run[0][1]), width):
+            members = np.array([live[lo:lo + width] for _, live in run])
             try:
-                # (kernels x) candidates x classes alphas; each class's core is
+                # kernels x candidates x classes alphas; each class's core is
                 # finished for its slice just before its blocks are read
                 alpha = np.array([self.alphas[i] for i in members.ravel()])
                 alpha = alpha.reshape(*members.shape, -1)
@@ -320,11 +300,11 @@ def cross_validate(data: LabeledDataset, spec: CVSpec) -> CVReport:
     held-out points against them, are computed once per fold on the first
     distance kernel (`kernels._SharedDistances`), and the kernels of one
     family transform them in one stacked operation, bit for bit `gram` and
-    `kernel_block`.  Each kernel's class Gram matrices, K(t, t) and
-    held-out blocks are built and checked on their own; the pass then
-    stacks them along a leading kernel axis and builds one table core per
-    class over the stack (O(sum_r n_r^2) per kernel, O(sum_r n_r^3) at
-    order 3 as one batched product).  Each core is finished once for a
+    `kernel_block`.  Each run of a pass builds its kernels' class Gram
+    matrices, K(t, t) and held-out blocks stacked along a leading kernel
+    axis, and one table core per class over the stack (O(sum_r n_r^2) per
+    kernel, O(sum_r n_r^3) at order 3 as one batched product), a lone
+    kernel as a stack of one.  Each core is finished once for a
     kernels x alphas array (O(sum_r n_r^2) per candidate), one ``rows``
     call per class and held-out block answers every candidate, forming the
     alpha-free product P once per kernel, and normalisation and the
@@ -341,14 +321,15 @@ def cross_validate(data: LabeledDataset, spec: CVSpec) -> CVReport:
     weights) is marked invalid with an infinite score instead of aborting
     the sweep; any other exception is a bug and propagates.  A bad alpha
     is reported before any Gram is built, as in a single fit.  An error in
-    a kernel's build or checks marks that kernel's candidates still valid,
-    at that fold, and an error in a stacked finish or its rows the
-    candidates of that finish; after the alpha checks the only
-    alpha-dependent error there is the exact order's zero per_alpha{K(x)},
-    and its finishes hold one candidate each.  A candidate with a held-out
-    row whose weights total zero or less gets `predict`'s message.  A
-    sweep in which no candidate is valid has no winner and raises
-    ValueError with the first candidate's message.
+    a run's stacked build reruns each of its kernels alone, where it marks
+    the refused kernel's candidates still valid, at that fold, with the
+    error one fit and predict of that kernel raise.  An error in a stacked
+    finish or its rows marks the candidates of that finish; after the alpha
+    checks the only alpha-dependent error there is the exact order's zero
+    per_alpha{K(x)}, and its finishes hold one candidate each.  A
+    candidate with a held-out row whose weights total zero or less gets
+    `predict`'s message.  A sweep in which no candidate is valid has no
+    winner and raises ValueError with the first candidate's message.
     """
     folds = fold_assignment(data.n, spec.folds, spec.seed,
                             labels=data.labels, stratified=spec.stratified)

@@ -11,7 +11,7 @@ from conftest import (ALPHA, GradedValue, augment, banded_gram,
 from permclass.cyclic import (DegenerateConfigurationError, LimitTable,
                               build_ratio_table, per_alpha_cyclic, ratio_approx,
                               ratio_approx_matrix, ratio_from_kt)
-from permclass.cyclic import _check_gram, _fit_core
+from permclass.cyclic import _fit_core
 from permclass.exact import per_alpha_exact, ratio_exact_matrix
 from permclass.kernels import GramMatrix, Kernel, gram, kernel_column
 
@@ -252,7 +252,7 @@ def test_stacked_core_refuses_a_bad_diagonal_naming_its_point():
     with pytest.raises(ValueError, match="point index 2 has K"):
         _fit_core(GramMatrix(np.stack([good, bad]), np.zeros((3, 1))), 2)
     with pytest.raises(ValueError, match="gram matrix row 1, column 0 is not finite"):
-        _check_gram(np.array([[1.0, 0.0], [np.inf, 1.0]]))
+        _fit_core(GramMatrix(np.array([[1.0, 0.0], [np.inf, 1.0]]), np.zeros((2, 1))), 2)
 
 
 def test_order_3_rows_match_the_nested_sums(rng):

@@ -160,14 +160,13 @@ def test_shared_distances_equal_gram_and_kernel_block(d, monkeypatch):
     for block_entries in (1, 4096, kernels._GRAM_BLOCK_ENTRIES):
         monkeypatch.setattr(kernels, "_GRAM_BLOCK_ENTRIES", block_entries)
         shared = kernels._SharedDistances(pts, qs)
-        shared.start(kernels_)
-        for k in kernels_:
-            g = shared.gram(k)
-            assert g.kernel is k and np.array_equal(g.points, pts)
-            assert np.array_equal(g.entries, gram(k, pts).entries)
-            block = shared.block(k)
+        grams = shared.grams(kernels_)
+        assert grams.kernel is None and np.array_equal(grams.points, pts)
+        blocks = shared.blocks(kernels_)
+        for k, kernel in enumerate(kernels_):
+            assert np.array_equal(grams.entries[k], gram(kernel, pts).entries)
             for rows in steps:
-                assert np.array_equal(block[rows], kernel_block(k, qs[rows], pts))
+                assert np.array_equal(blocks[k][rows], kernel_block(kernel, qs[rows], pts))
 
 
 def test_shared_distances_are_computed_once_and_only_for_distance_kernels(rng, sq_distance_calls):
@@ -176,16 +175,14 @@ def test_shared_distances_are_computed_once_and_only_for_distance_kernels(rng, s
     m = rng.random((9, 9))
     shared = kernels._SharedDistances(pts, qs)
     others = [Kernel.constant(1.7), Kernel.projection(m + m.T, ground)]
-    shared.start(others)
-    for k in others:
-        assert np.array_equal(shared.gram(k).entries, gram(k, pts).entries)
-        assert np.array_equal(shared.block(k), kernel_block(k, qs, pts))
+    grams, blocks = shared.grams(others).entries, shared.blocks(others)
+    for k, kernel in enumerate(others):
+        assert np.array_equal(grams[k], gram(kernel, pts).entries)
+        assert np.array_equal(blocks[k], kernel_block(kernel, qs, pts))
     assert not sq_distance_calls
     for run in ([Kernel.gaussian(0.5), Kernel.exponential(0.5)], [Kernel.gaussian(2.0)]):
-        shared.start(run)
-        for k in run:
-            shared.gram(k)
-            shared.block(k)
+        shared.grams(run)
+        shared.blocks(run)
     assert len(sq_distance_calls) == 2
 
 
@@ -205,18 +202,15 @@ def test_shared_distances_stack_a_run_of_mixed_kernels(rng, sq_distance_calls):
     blocks = [kernel_block(kernel, qs, pts) for kernel in run]
     sq_distance_calls.clear()
     shared = kernels._SharedDistances(pts, qs)
-    shared.start(run)
+    assert np.array_equal(shared.grams(run).entries, grams[:-1])
+    assert np.array_equal(shared.blocks(run), blocks)
     assert len(sq_distance_calls) == 2
-    for k, kernel in enumerate(run):
-        assert np.array_equal(shared.gram(kernel).entries, grams[k])
-        assert np.array_equal(shared.block(kernel), blocks[k])
     keep = [0, 2, 4, 6]
-    assert np.array_equal(shared.stack("points", keep), [grams[k] for k in keep])
-    assert np.array_equal(shared.stack("queries", keep), [blocks[k] for k in keep])
-    assert np.array_equal(shared.stack("queries", list(range(len(run)))), blocks)
-    shared.start([other])
-    assert np.array_equal(shared.gram(other).entries, grams[-1])
-    assert shared.stack("points", [0]).shape == (1, 7, 7)
+    assert np.array_equal(shared.grams([run[k] for k in keep]).entries,
+                          [grams[k] for k in keep])
+    assert np.array_equal(shared.blocks([run[k] for k in keep]), [blocks[k] for k in keep])
+    one = shared.grams([other])
+    assert one.entries.shape == (1, 7, 7) and np.array_equal(one.entries[0], grams[-1])
     assert len(sq_distance_calls) == 2
 
 
@@ -233,10 +227,8 @@ def test_stacked_distance_transform_equals_one_kernel_at_a_time(rng):
 def test_shared_distances_refuse_a_negative_gram_entry(monkeypatch):
     monkeypatch.setattr(kernels, "kernel_block", lambda k, a, b: -np.ones((len(a), len(b))))
     shared = kernels._SharedDistances(np.zeros((2, 1)), np.zeros((1, 1)))
-    constant = Kernel.constant(1.0)
-    shared.start([constant])
     with pytest.raises(ValueError, match="negative Gram entry"):
-        shared.gram(constant)
+        shared.grams([Kernel.gaussian(1.0), Kernel.constant(1.0)])
 
 
 def test_projection_kernel_requires_nonneg():

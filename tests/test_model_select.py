@@ -512,3 +512,50 @@ def test_stacked_sweep_matches_reference_in_runs_split_across_kernels(monkeypatc
     widest = max(len(run) for pass_runs, _ in seen for run in pass_runs)
     assert widest == 1 if entries == 1 else 1 < widest < 6
     assert all(len(pass_runs) > 1 for pass_runs, _ in seen)
+
+
+def test_stacked_sweep_reads_each_gram_diagonal_once_per_class_run_and_fold(monkeypatch):
+    # a run builds each class's stacked core once and checks its Gram
+    # matrices nowhere else: with no refused kernel `_gram_diagonal` runs
+    # once per class, run and fold, not once more per kernel
+    import permclass.cyclic as cyclic
+    calls = []
+    gram_diagonal = cyclic._gram_diagonal
+    monkeypatch.setattr(cyclic, "_gram_diagonal",
+                        lambda G: calls.append(G.shape) or gram_diagonal(G))
+    seen = []
+    runs = model_select._runs
+    monkeypatch.setattr(model_select, "_runs",
+                        lambda *args: seen.append(runs(*args)) or seen[-1])
+    data = gen_chequerboard(2, seed=19)
+    grid = default_grid(data.points, order=3) + default_grid(
+        data.points, tau_scales=(0.5, 2.0), alphas=(1.0, 4.0), order=1)
+    report = cross_validate(data, CVSpec(grid=grid, folds=4, seed=1))
+    assert all(r.valid for r in report.results)
+    n_runs = sum(len(pass_runs) for pass_runs, _ in seen)
+    assert n_runs == 4 * 2  # every kernel of an order in one run
+    assert len(calls) == data.n_classes * n_runs
+    assert all(shape[0] > 1 for shape in calls)
+
+
+def test_stacked_sweep_isolates_a_kernel_refused_while_its_stack_is_built():
+    # a projection kernel whose ground set lacks one data point fails while
+    # the stack is built, not while it is checked: at a Gram when the point
+    # trains, at K(t, t) or a block when it is held out; stacked with
+    # distance kernels at orders 1-3 it marks only its own candidates
+    data = gen_chequerboard(2, seed=20)
+    missing = int(fold_assignment(data.n, 3, seed=0)[0][0])
+    stratified = fold_assignment(data.n, 3, seed=0, labels=data.labels, stratified=True)
+    assert missing not in stratified[0]  # it trains there: a Gram refuses it
+    partial = projection_kernel(np.delete(data.points, missing, axis=0),
+                                sym_nonneg(np.random.default_rng(20), data.n - 1))
+    kernels = (Kernel.gaussian(0.5), partial, Kernel.exponential(1.0))
+    grid = [ModelParams(kernel=k, alphas=a, order=o)
+            for o in (1, 2, 3) for k in kernels for a in (0.5, 2.0)]
+    for report in _assert_matches_reference(data, grid):
+        for params, r in zip(grid, report.results):
+            if params.kernel is partial:
+                assert not r.valid and not r.fold_scores
+                assert "not in the projection kernel ground set" in r.message
+            else:
+                assert r.valid
