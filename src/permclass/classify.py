@@ -180,7 +180,8 @@ def fit(data: LabeledDataset, params: ModelParams) -> FittedModel:
     any query to join.  The tables are built as an alpha-free core per
     class (the Gram diagonal, the two-cycle terms and, at order 3, the
     O(n^3) product), which is then finished for the class's alpha in
-    O(n_r^2).  Cross-validation builds one core over a stack of kernels'
+    O(n_r^2), plus one O(n_r^3) product at order 3 for the four-cycle
+    matrix.  Cross-validation builds one core over a stack of kernels'
     Gram matrices, a stack of one kernel included, and finishes it once for
     their candidates' alphas, into one stacked table whose slices are bit
     for bit the tables `fit` makes.

@@ -15,8 +15,9 @@ nested sums are evaluated as displayed (`ratio_from_kt`, the reference),
 with denominators taken from tables built once per training set
 (leave-one-out and leave-two-out ratios at the next lower order).
 `RatioTable.rows` evaluates the same sums for a block of queries as
-matrix products; the fit-time tables absorb the inner index, so order 3 costs
-O(n^2) per query there.  Order k = n is exact and larger exact sizes are
+matrix products; the fit-time tables absorb the inner indices, so order 3
+costs O(n^2) per query there, one product with an n x n four-cycle matrix
+that costs O(n^3) per alpha to build.  Order k = n is exact and larger exact sizes are
 served by the oracle layer, not here.
 
 The a -> 0+ limits C^(k) follow from the same recursion with every
@@ -95,11 +96,12 @@ class RatioTable:
     r1_loo is built at every order; it lets the single-query
     `ratio_from_kt` serve queries up to order 2 from a lower-order table,
     while `rows` serves exactly the table's order.  r2_loo and the
-    four-cycle weights (over the leave-two-out ratios of
-    `_FitCore._leave_two_out`, which the table does not keep) are built
-    only at order 3, the one order that reads them, and are ``None``
-    otherwise.  All entries are strictly positive for positive alpha and a
-    positive Gram diagonal.  Tables
+    four-cycle weights are built only at order 3, the one order that reads
+    them, and are ``None`` otherwise: T = G / r1_l2o off the diagonal (the
+    leave-two-out ratios of `_FitCore._leave_two_out`, not kept), which
+    `ratio_from_kt` reads, and the four-cycle matrix M of `_FitCore.finish`,
+    which `rows` reads.  r1_loo and r2_loo are strictly positive for
+    positive alpha and a positive Gram diagonal.  Tables
     depend only on the training points, never on the query, and are
     immutable once built.
 
@@ -122,7 +124,7 @@ class RatioTable:
     r2_loo: np.ndarray | None = None
     _lists: dict = field(default_factory=dict, repr=False)
     _t3: np.ndarray | None = field(default=None, repr=False)
-    _s3: np.ndarray | None = field(default=None, repr=False)
+    _m3: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
@@ -134,15 +136,14 @@ class RatioTable:
         ``Kt[q, i] = K(t_q, x_i)`` and ``ktt[q] = K(t_q, t_q)``; over a
         stack of Gram matrices both gain its leading kernel axis.  The
         sums are those of `ratio_from_kt`, written as matrix products over
-        the block; results agree with it to rounding.  Orders 2 and 3 form
-        the alpha-free product P = (Kt / d) G - Kt once per call and kernel;
-        order 3 then reads its four-cycle bracket Kt + (Kt + P / alpha) T^T -
-        (Kt / (alpha d)) s3 (s3 the row sums of T * G) through one more
-        product per candidate.  The result has shape (Q,) for a table of
-        one alpha, (A, Q) for A alphas and (K, A, Q) over a stack of K Gram
-        matrices, each row the one-alpha result bit for bit.  Negative
-        order >= 2 values are returned as computed and reported in one
-        warning per call.
+        the block; results agree with it to rounding.  Order 2 forms the
+        alpha-free product P = (Kt / d) G - Kt once per call and kernel;
+        order 3 reads its whole four-cycle bracket as one product Kt M per
+        candidate.  The result
+        has shape (Q,) for a table of one alpha, (A, Q) for A alphas and
+        (K, A, Q) over a stack of K Gram matrices, each row the one-alpha
+        result bit for bit.  Negative order >= 2 values are returned as
+        computed and reported in one warning per call.
         """
         order = self.order
         n = self.n
@@ -162,17 +163,16 @@ class RatioTable:
         d = self.gram.diagonal[..., None, :]
         if order == 1:
             return out + each((Kt * Kt / d).sum(axis=-1))
-        # P[q, i] = sum_{j != i} K(x_i, x_j) K(t_q, x_j) / d_j, the same for every alpha
-        P = (Kt / d) @ G - Kt
-        Kt, P, d = each(Kt), each(P), each(d)
         if order == 2:
+            # P[q, i] = sum_{j != i} K(x_i, x_j) K(t_q, x_j) / d_j, the same for every alpha
+            P = (Kt / d) @ G - Kt
+            Kt, P = each(Kt), each(P)
             out = out + ((a * Kt * Kt + Kt * P) / self.r1_loo[..., None, :]).sum(axis=-1)
         else:
             # the bracket of the four-cycle sum, without the k = i and k = j
-            # terms: one product with T^T per candidate
-            Tt = np.swapaxes(self._t3, -1, -2)
-            E = Kt + (Kt + P / a) @ Tt - (Kt / (a * d)) * self._s3[..., None, :]
-            out = out + ((a * Kt / self.r2_loo[..., None, :]) * E).sum(axis=-1)
+            # terms, is Kt M: one product per candidate
+            Kt = each(Kt)
+            out = out + ((Kt * (a / self.r2_loo[..., None, :])) * (Kt @ self._m3)).sum(axis=-1)
         negative = int(np.count_nonzero(out < 0.0))
         if negative:
             # it is open whether orders >= 2 stay nonnegative off the kernel cone
@@ -199,8 +199,11 @@ class _FitCore:
     qoff     Qoff itself (order 3 only; below it only its row sums are read),
     g_inner  G[m, i] times the leave-two-out product
              sum_{l != i, m} K(x_m, x_l) K(x_l, x_i) / K(x_l, x_l)
+             (order 3 only),
+    dg       G with row j divided by K(x_j, x_j) and a zero diagonal
              (order 3 only).
 
+    `finish` costs O(n^2) per alpha, plus one O(n^3) product at order 3.
     Over a stack of Gram matrices every field has the stack's leading
     kernel axis.
     """
@@ -211,15 +214,19 @@ class _FitCore:
     q_sum: np.ndarray
     qoff: np.ndarray | None = None
     g_inner: np.ndarray | None = None
+    dg: np.ndarray | None = None
 
-    def finish(self, alpha, out: np.ndarray | None = None) -> RatioTable:
+    def finish(self, alpha, out: tuple[np.ndarray, np.ndarray] | None = None) -> RatioTable:
         """The table for one alpha > 0, for a 1-d array of alphas stacked
         along a leading axis or, over a stack of K Gram matrices, for a
         K x A array (row k for kernel k): O(n^2) elementwise work on the
-        core per alpha, each slice bit for bit the one-alpha table.  At
-        order 3 the four-cycle weights are written into ``out`` when it is
-        given (an array of their shape, alpha's shape + (n, n)), else into
-        a new array; cross-validation reuses one from run to run."""
+        core per alpha, each slice bit for bit the one-alpha table.  Order 3
+        adds one O(n^3) product per alpha for the four-cycle matrix
+        M = I + T^T + (dg T^T) / alpha with a unit diagonal, so that Kt M
+        is the four-cycle bracket.  T^T and M are written into the pair of
+        arrays ``out`` when it is given (each of alpha's shape + (n, n)),
+        else into new arrays; cross-validation reuses a pair across runs."""
+        t3_out, m3_out = (None, None) if out is None else out
         alpha = _alpha_arg(alpha)
         a = np.asarray(alpha)[..., None]  # (1,) for one alpha, (A, 1) for A
 
@@ -234,18 +241,24 @@ class _FitCore:
             r1_l2o = self._leave_two_out(r1_loo)
             # C[m, i] is the three-cycle term of x_i through x_m; the product
             # groups as (a * G) * G, and a * (G * G) would round differently
-            C = np.multiply(a[..., None], G, out=out)
+            C = np.multiply(a[..., None], G, out=t3_out)
             C *= G
             C += each(self.g_inner)
             C /= np.swapaxes(r1_l2o, -1, -2)
             diag = (..., *np.diag_indices(self.gram.n))
             C[diag] = 0.0
             table.r2_loo = ad + C.sum(axis=-2)
-            t3 = np.divide(G, r1_l2o, out=C)  # into C's buffer, not read again
-            t3[diag] = 0.0
-            table._t3 = t3
-            # row sums of t3 * G: the k = i terms the four-cycle bracket leaves out
-            table._s3 = np.einsum("...ij,...ij->...i", t3, G)
+            # T^T = G / r1_l2o^T (G is symmetric), into C's buffer (not read
+            # again), so that M's product and sum read contiguous arrays
+            Tt = np.divide(G, np.swapaxes(r1_l2o, -1, -2), out=C)
+            Tt[diag] = 0.0
+            table._t3 = np.swapaxes(Tt, -1, -2)
+            # the diagonal of dg T^T holds the k = i terms, which M leaves out
+            m3 = np.matmul(each(self.dg), Tt, out=m3_out)
+            m3 *= 1.0 / a[..., None]
+            m3 += Tt
+            m3[diag] = 1.0
+            table._m3 = m3
         return table
 
     def _leave_two_out(self, r1_loo: np.ndarray) -> np.ndarray:
@@ -306,6 +319,8 @@ def _fit_core(g: GramMatrix, order: int) -> _FitCore:
         inner = (G / d[..., None, :]) @ G
         inner -= 2.0 * G
         core.g_inner = G * inner
+        core.dg = G / d[..., :, None]
+        core.dg[(..., *np.diag_indices(g.n))] = 0.0
     return core
 
 
@@ -315,14 +330,16 @@ def build_ratio_table(g: GramMatrix, alpha: float, order: int = MAX_ORDER) -> Ra
     r1_loo, the one table that orders 1 and 2 read, costs O(n^2) and is
     built at every order, so `ratio_from_kt` can also serve a single query
     one order above the table's own up to order 2; `RatioTable.rows` serves
-    exactly the table's order.  Only order 3 adds the leave-two-out table and
-    the three-cycle leave-one-out table, at O(n^2) and O(n^3), the latter
-    as one matrix product; an order-3 query needs a table built at order 3.
+    exactly the table's order.  Only order 3 adds the leave-two-out table,
+    the three-cycle leave-one-out table and the four-cycle matrix, at O(n^2)
+    and two O(n^3) matrix products; an order-3 query needs a table built at
+    order 3.
 
     The build is an alpha-free core (`_fit_core`: the diagonal, the
     two-cycle terms and their row sums, and at order 3 the O(n^3) product)
-    finished for one alpha by O(n^2) elementwise work (`_FitCore.finish`),
-    so tables for several alphas over one Gram matrix can share one core,
+    finished for one alpha by O(n^2) elementwise work and, at order 3, one
+    product (`_FitCore.finish`), so tables for several alphas over one Gram
+    matrix can share one core,
     or be finished from it together as one stacked table.
     """
     if not alpha > 0:

@@ -455,9 +455,12 @@ def knn_loop(train_points, train_labels, queries, k) -> np.ndarray:
 
 
 def ratio_table_one_shot(G, alpha, order):
-    """(r1_loo, r1_l2o, r2_loo, t3) in one pass over a raw Gram matrix, each
-    alpha-dependent expression in the order `build_ratio_table`'s core and
-    finish must keep bit for bit (``a * G * G`` is ``(a * G) * G``)."""
+    """(r1_loo, r1_l2o, r2_loo, t3, m3) in one pass over a raw Gram matrix,
+    each alpha-dependent expression in the order `build_ratio_table`'s core
+    and finish must keep bit for bit (``a * G * G`` is ``(a * G) * G``); m3
+    is the four-cycle matrix I + t3^T + (dg t3^T) (1 / alpha) with a unit
+    diagonal, dg being G with each row divided by its diagonal entry and
+    its diagonal zeroed."""
     G = np.asarray(G, dtype=float)
     d = G.diagonal().copy()
     a = float(alpha)
@@ -465,7 +468,7 @@ def ratio_table_one_shot(G, alpha, order):
     np.fill_diagonal(Qoff, 0.0)
     r1_loo = a * d + Qoff.sum(axis=1)
     if order < 3:
-        return r1_loo, None, None, None
+        return r1_loo, None, None, None, None
     r1_l2o = r1_loo[None, :] - Qoff.T
     np.fill_diagonal(r1_l2o, 1.0)
     inner = (G / d) @ G
@@ -476,7 +479,13 @@ def ratio_table_one_shot(G, alpha, order):
     np.fill_diagonal(C, 0.0)
     t3 = G / r1_l2o
     np.fill_diagonal(t3, 0.0)
-    return r1_loo, r1_l2o, a * d + C.sum(axis=0), t3
+    dg = G / d[:, None]
+    np.fill_diagonal(dg, 0.0)
+    m3 = dg @ np.ascontiguousarray(t3.T)
+    m3 *= 1.0 / a
+    m3 += t3.T
+    np.fill_diagonal(m3, 1.0)
+    return r1_loo, r1_l2o, a * d + C.sum(axis=0), t3, m3
 
 
 def cross_validate_reference(data, spec):

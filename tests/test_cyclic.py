@@ -7,13 +7,16 @@ from conftest import (ALPHA, GradedValue, augment, banded_gram,
                       block_constant_matrix, build_limit_table,
                       closed_form_ratio_matrix, cyclic_ratio_from_kt,
                       cyclic_ratio_scalar, generic_ratio, generic_tables,
-                      ratio_table_one_shot, sym_nonneg)
+                      projection_kernel, ratio_table_one_shot, sym_nonneg)
+from permclass.classify import ModelParams, fit
 from permclass.cyclic import (DegenerateConfigurationError, LimitTable,
                               build_ratio_table, per_alpha_cyclic, ratio_approx,
                               ratio_approx_matrix, ratio_from_kt)
 from permclass.cyclic import _fit_core
 from permclass.exact import per_alpha_exact, ratio_exact_matrix
-from permclass.kernels import GramMatrix, Kernel, gram, kernel_column
+from permclass.datasets import gen_chequerboard
+from permclass.kernels import (GramMatrix, Kernel, gram, kernel_block, kernel_column,
+                               kernel_self_batch)
 
 
 # -- graded series arithmetic -------------------------------------------
@@ -136,7 +139,7 @@ def test_table_builds_only_what_its_order_reads(rng, order):
         table = build_ratio_table(GramMatrix.from_matrix(sym_nonneg(rng, n)), 0.9,
                                   order=order)
         assert table.r1_loo.shape == (n,)
-        order_3_only = (table.r2_loo, table._t3, table._s3)
+        order_3_only = (table.r2_loo, table._t3, table._m3)
         assert [t is not None for t in order_3_only] == [order == 3] * 3
 
 
@@ -153,15 +156,15 @@ def test_core_finish_matches_fresh_build(rng, order):
         g = GramMatrix.from_matrix(M)
         core = _fit_core(g, order)
         before = [None if v is None else v.copy()
-                  for v in (core.d, core.q_sum, core.qoff, core.g_inner)]
+                  for v in (core.d, core.q_sum, core.qoff, core.g_inner, core.dg)]
         for alpha in (2.0, 0.25, 1.0, 0.1 + 0.2, 2.0):
             got = core.finish(alpha)
             fresh = build_ratio_table(g, alpha, order=order)
             one_pass = ratio_table_one_shot(M, alpha, order)
-            r1_loo, r1_l2o, r2_loo, t3 = one_pass
-            for a, b, c, absent in zip((got.r1_loo, got.r2_loo, got._t3),
-                                       (fresh.r1_loo, fresh.r2_loo, fresh._t3),
-                                       (r1_loo, r2_loo, t3), [False] + [order < 3] * 2):
+            r1_loo, r1_l2o, r2_loo, t3, m3 = one_pass
+            for a, b, c, absent in zip((got.r1_loo, got.r2_loo, got._t3, got._m3),
+                                       (fresh.r1_loo, fresh.r2_loo, fresh._t3, fresh._m3),
+                                       (r1_loo, r2_loo, t3, m3), [False] + [order < 3] * 3):
                 if absent:
                     assert a is None and b is None and c is None
                 else:
@@ -169,7 +172,7 @@ def test_core_finish_matches_fresh_build(rng, order):
             if order == 3:
                 assert np.array_equal(core._leave_two_out(got.r1_loo), r1_l2o)
             assert (got.alpha, got.order) == (fresh.alpha, fresh.order)
-        after = (core.d, core.q_sum, core.qoff, core.g_inner)
+        after = (core.d, core.q_sum, core.qoff, core.g_inner, core.dg)
         for x, y in zip(before, after):
             assert (x is None and y is None) or np.array_equal(x, y)
 
@@ -201,7 +204,7 @@ def test_stacked_finish_and_rows_equal_each_alphas_table(rng, order):
             for j, alpha in enumerate(alphas):
                 one = core.finish(alpha)
                 assert stacked.alpha[j] == one.alpha
-                for name in ("r1_loo", "r2_loo", "_t3", "_s3"):
+                for name in ("r1_loo", "r2_loo", "_t3", "_m3"):
                     a, b = getattr(stacked, name), getattr(one, name)
                     assert (a is None and b is None) or np.array_equal(a[j], b)
                 if order == 3:
@@ -229,17 +232,18 @@ def test_kernel_stacked_core_finish_and_rows_equal_each_kernels_tables(rng, orde
         got = stacked.rows(Kt, ktt)
         assert got.shape == (len(mats), 3, 30)
         if order == 3:
-            buffer = np.full((*alphas.shape, n, n), np.nan)
-            into = core.finish(alphas, out=buffer)
-            assert into._t3 is buffer and np.array_equal(into.rows(Kt, ktt), got)
+            buffers = tuple(np.full((*alphas.shape, n, n), np.nan) for _ in range(2))
+            into = core.finish(alphas, out=buffers)
+            assert into._t3.base is buffers[0] and into._m3 is buffers[1]
+            assert np.array_equal(into.rows(Kt, ktt), got)
         for k, M in enumerate(mats):
             own = _fit_core(GramMatrix.from_matrix(M), order)
-            for name in ("d", "q_sum", "qoff", "g_inner"):
+            for name in ("d", "q_sum", "qoff", "g_inner", "dg"):
                 a, b = getattr(core, name), getattr(own, name)
                 assert (a is None and b is None) or np.array_equal(a[k], b)
             for j, alpha in enumerate(alphas[k]):
                 one = own.finish(alpha)
-                for name in ("r1_loo", "r2_loo", "_t3", "_s3"):
+                for name in ("r1_loo", "r2_loo", "_t3", "_m3"):
                     a, b = getattr(stacked, name), getattr(one, name)
                     assert (a is None and b is None) or np.array_equal(a[k, j], b)
                 assert np.array_equal(got[k, j], one.rows(Kt[k], ktt[k]))
@@ -255,22 +259,98 @@ def test_stacked_core_refuses_a_bad_diagonal_naming_its_point():
         _fit_core(GramMatrix(np.array([[1.0, 0.0], [np.inf, 1.0]]), np.zeros((2, 1))), 2)
 
 
+def _order_3_grams(rng):
+    """Random Gram matrices at n = 0-3 and 40, and diagonal, constant,
+    block-constant (through a projection kernel), banded and mostly zero
+    off-diagonal ones."""
+    points = rng.normal(size=(9, 2))
+    blocks = block_constant_matrix([3, 1, 5], [0.6, 1.3, 0.9])
+    sparse = sym_nonneg(rng, 12)
+    drop = np.triu(rng.random((12, 12)) < 0.8, 1)
+    sparse[drop | drop.T] = 0.0
+    return [*(sym_nonneg(rng, n) for n in (0, 1, 2, 3, 40)),
+            np.diag(rng.uniform(0.5, 2.0, size=9)), np.full((8, 8), 0.7),
+            gram(projection_kernel(points, blocks), points).entries,
+            banded_gram(rng, 40), sparse]
+
+
 def test_order_3_rows_match_the_nested_sums(rng):
-    # rows forms the alpha-free product once and one product with T^T per
-    # alpha; each alpha's row, alone or stacked, stays within 1e-13 of the
-    # single-query nested sums
+    # rows reads the four-cycle matrix M, one product per alpha, and
+    # ratio_from_kt the nested sums over T; each alpha's row, alone or
+    # stacked, stays within 1e-13 of the nested sums, and M's diagonal is
+    # exactly 1
     alphas = np.array([0.25, 1.0, 0.1 + 0.2, 4.0])
-    for M in _stacking_grams(rng):
+    for M in _order_3_grams(rng):
         n = M.shape[0]
         core = _fit_core(GramMatrix.from_matrix(M), 3)
         Kt = _sparse_block(rng, 40, n)
         ktt = rng.uniform(0.5, 1.5, size=40)
-        stacked = core.finish(alphas).rows(Kt, ktt)
+        stacked = core.finish(alphas)
+        assert (np.diagonal(stacked._m3, axis1=-2, axis2=-1) == 1.0).all()
+        got = stacked.rows(Kt, ktt)
         for j, alpha in enumerate(alphas):
             one = core.finish(alpha)
+            assert (np.diagonal(one._m3) == 1.0).all()
             ref = np.array([ratio_from_kt(one, kt, t) for kt, t in zip(Kt, ktt)])
             np.testing.assert_allclose(one.rows(Kt, ktt), ref, rtol=1e-13, atol=0.0)
-            np.testing.assert_allclose(stacked[j], ref, rtol=1e-13, atol=0.0)
+            np.testing.assert_allclose(got[j], ref, rtol=1e-13, atol=0.0)
+
+
+def test_kernel_stacked_order_3_rows_equal_each_one_alpha_fit(rng):
+    # each [k, j] slice of a K x A order-3 table's rows is the rows of the
+    # table `fit` makes for kernel k and alpha j alone, bit for bit
+    data = gen_chequerboard(4, seed=5)
+    kernels = [Kernel.gaussian(0.4), Kernel.exponential(1.1), Kernel.gaussian(2.0)]
+    alphas = np.array([[0.5, 2.0], [1.0, 0.1 + 0.2], [4.0, 0.25]])
+    queries = rng.uniform(0.0, 3.0, size=(20, 2))
+    for r in range(data.n_classes):
+        pts = data.class_points(r)
+        core = _fit_core(GramMatrix(np.stack([gram(k, pts).entries for k in kernels]), pts), 3)
+        stacked = core.finish(alphas)
+        Kt = np.stack([kernel_block(k, queries, pts) for k in kernels])
+        ktt = np.stack([kernel_self_batch(k, queries) for k in kernels])
+        got = stacked.rows(Kt, ktt)
+        for k, kernel in enumerate(kernels):
+            for j, alpha in enumerate(alphas[k]):
+                one = fit(data, ModelParams(kernel=kernel, alphas=alpha, order=3)).classes[r]
+                assert np.array_equal(got[k, j], one.rows(Kt[k], ktt[k]))
+
+
+def _four_cycle_bracket_longdouble(T, G, Kt, alpha):
+    """E[q, i] = Kt[q, i] + sum_{j != i} T[i, j] (Kt[q, j]
+    + sum_{k not in {i, j}} G[j, k] Kt[q, k] / (alpha G[k, k])), every
+    term formed and summed in np.longdouble."""
+    T, G, Kt = (np.asarray(x, dtype=np.longdouble) for x in (T, G, Kt))
+    n = G.shape[0]
+    w = Kt / (np.longdouble(alpha) * np.diagonal(G))
+    idx = np.arange(n)
+    keep = (idx[None, None, :] != idx[:, None, None]) & (idx[None, None, :] != idx[None, :, None])
+    tail = (G[None, None, :, :] * w[:, None, None, :] * keep[None]).sum(axis=-1)
+    return Kt + (T[None] * (Kt[:, None, :] + tail)).sum(axis=-1)
+
+
+def test_order_3_bracket_is_no_further_from_longdouble_than_before():
+    # the bracket as Kt M against the earlier form Kt + (Kt + P / a) T^T -
+    # (Kt / (a d)) s3, which subtracts the k = i terms from a dense product,
+    # each measured against a long-double evaluation of the nested sums
+    rng = np.random.default_rng(20)
+    worst_new = worst_old = 0.0
+    for _ in range(20):
+        n = int(rng.integers(2, 25))
+        alpha = float(rng.choice([0.1, 0.5, 1.0, 4.0]))
+        G = sym_nonneg(rng, n)
+        Kt = rng.random((10, n))
+        table = build_ratio_table(GramMatrix.from_matrix(G), alpha, order=3)
+        T, d = table._t3, np.diagonal(G)
+        ref = _four_cycle_bracket_longdouble(T, G, Kt, alpha)
+        P = (Kt / d) @ G - Kt
+        s3 = np.einsum("ij,ij->i", T, G)
+        old = Kt + (Kt + P / alpha) @ T.T - (Kt / (alpha * d)) * s3
+        new = Kt @ table._m3
+        worst_old = max(worst_old, float(np.max(np.abs((old - ref) / ref))))
+        worst_new = max(worst_new, float(np.max(np.abs((new - ref) / ref))))
+    assert worst_new <= worst_old
+    assert worst_new < 2e-15
 
 
 def test_stacked_rows_warn_once_per_call(caplog):

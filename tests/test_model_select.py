@@ -1,5 +1,4 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -340,24 +339,28 @@ def test_grouped_cv_marks_only_the_alpha_whose_exact_denominator_underflows():
 def test_runs_bound_the_stacked_arrays(monkeypatch):
     # a run packs kernels with equal numbers of live candidates, fewest
     # first, while its stacked cores (per kernel: the classes' Gram matrices,
-    # three such arrays at order 3, and the held-out blocks) and its
-    # candidates' stacked tables (per candidate: n_r x n_r arrays at order 3,
-    # a query block otherwise) each stay within _STACK_ENTRIES; ``step``
-    # candidates of a lone kernel are finished at a time
+    # four such arrays at order 3, and the held-out blocks) and its
+    # candidates' stacked tables (per candidate: two n_r x n_r arrays at
+    # order 3, T and M, a query block otherwise) each stay within
+    # _STACK_ENTRIES; ``step`` candidates of a lone kernel are finished at a
+    # time
     k = [Kernel.gaussian(t) for t in (0.1, 0.2, 0.3, 0.4, 0.5)]
     groups = [(k[0], [0, 1, 2]), (k[1], [3, 4]), (k[2], [5, 6, 7]), (k[3], [8, 9]),
               (k[4], [10, 11, 12])]
     sizes, queries = [30, 40], 9
-    per_kernel = 3 * (30**2 + 40**2) + queries * 70  # order 3
+    per_kernel = 4 * (30**2 + 40**2) + queries * 70  # order 3
+    per_candidate = 2 * (30**2 + 40**2)
     assert _runs(groups, sizes, queries, 3) == (
         [[groups[1], groups[3]], [groups[0], groups[2], groups[4]]],
-        model_select._STACK_ENTRIES // (30**2 + 40**2))
+        model_select._STACK_ENTRIES // per_candidate)
     by_count = [groups[i] for i in (1, 3, 0, 2, 4)]
     assert _runs(groups, sizes, queries, "exact") == ([[g] for g in by_count], 1)
+    # two kernels' cores fit; two kernels of two candidates (4 x 5,000
+    # entries) fit, two of three (6 x 5,000) do not
     monkeypatch.setattr(model_select, "_STACK_ENTRIES", 2 * per_kernel)
     runs, step = _runs(groups, sizes, queries, 3)
-    assert runs == [[groups[1], groups[3]], [groups[0], groups[2]], [groups[4]]]
-    assert step == 2 * per_kernel // (30**2 + 40**2) == 6
+    assert runs == [[groups[1], groups[3]], [groups[0]], [groups[2]], [groups[4]]]
+    assert step == 2 * per_kernel // per_candidate == 4
     # at order 1 the candidates' bound binds first: two kernels of two
     # candidates would stack four query blocks
     monkeypatch.setattr(model_select, "_STACK_ENTRIES", 3 * _BLOCK_ENTRIES)
