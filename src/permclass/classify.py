@@ -19,8 +19,9 @@ import numpy as np
 
 from .cyclic import EXACT_ORDER, MAX_ORDER, LimitTable, RatioTable, _fit_core, _FitCore
 from .exact import Partition, _CypTable, _grown, _PerTable
-from .kernels import (GramMatrix, Kernel, _as_rows, _entry, _label_codes, _sq_distances,
-                      gram, kernel_block, kernel_column, kernel_self, kernel_self_batch)
+from .kernels import (_BLOCK_ENTRIES, GramMatrix, Kernel, _as_rows, _entry, _label_codes,
+                      _sq_distances, gram, kernel_block, kernel_column, kernel_self,
+                      kernel_self_batch)
 
 __all__ = [
     "LabeledDataset",
@@ -33,15 +34,6 @@ __all__ = [
     "sequential_partition",
     "knn_predict",
 ]
-
-
-# Queries are evaluated in blocks of at most this many kernel entries per
-# class, so the block's Q x n temporaries stay a few hundred kB whatever the
-# query count: unblocked, `reproduce table1` (3,600 grid queries) peaks about
-# 8 MB higher.  Blocks this size are still large enough for matrix products.
-# `knn_predict` takes its queries in chunks of the same Q x n size
-# (`_sq_distances` bounds its own n x d temporaries).
-_BLOCK_ENTRIES = 4096
 
 
 @dataclass
@@ -180,12 +172,11 @@ def fit(data: LabeledDataset, params: ModelParams) -> FittedModel:
     any query to join.  The tables are built as an alpha-free core per
     class (the Gram diagonal, the two-cycle terms and, at order 3, the
     O(n^3) product), which is then finished for the class's alpha in
-    O(n_r^2), plus one O(n_r^3) product at order 3 for the four-cycle
-    matrix.  Cross-validation builds one core over a stack of kernels'
-    Gram matrices, a stack of one kernel included, and finishes it once for
-    their candidates' alphas, into one stacked table whose slices are bit
-    for bit the tables `fit` makes.
-    An empty class gets a 0 x 0 Gram matrix and table, whose ratio is the
+    O(n_r^2); an order-3 table's four-cycle matrix, one more O(n_r^3)
+    product, waits for a query block of n_r rows or more.  Cross-validation
+    finishes one core over a stack of kernels' Gram matrices for all their
+    candidates, into one stacked table whose slices are bit for bit the
+    tables `fit` makes.  An empty class gets a 0 x 0 Gram matrix and table, whose ratio is the
     empty-class weight alpha K(t, t).
     """
     alphas = params.alpha_vector(data.n_classes)
@@ -226,9 +217,14 @@ def _normalised(raw: np.ndarray) -> PosteriorTable:
     return PosteriorTable(probs=probs, raw=raw, argmax=probs.argmax(axis=-1))
 
 
+def _block_rows(n_points: int) -> int:
+    """How many queries one block against ``n_points`` points holds."""
+    return max(1, _BLOCK_ENTRIES // max(n_points, 1))
+
+
 def _query_steps(n_queries: int, n_points: int) -> list[slice]:
     """The rows of each query block against a class of ``n_points``."""
-    step = max(1, _BLOCK_ENTRIES // max(n_points, 1))
+    step = _block_rows(n_points)
     return [slice(lo, lo + step) for lo in range(0, n_queries, step)]
 
 
@@ -372,7 +368,7 @@ def knn_predict(train_points, train_labels, queries, k: int = 5) -> np.ndarray:
     out = np.empty(Q.shape[0], dtype=int)
     one_hot = (y[:, None] == np.arange(int(y.max()) + 1)).astype(float)
     k = min(k, X.shape[0])
-    step = max(1, _BLOCK_ENTRIES // X.shape[0])
+    step = _block_rows(X.shape[0])
     for lo in range(0, Q.shape[0], step):
         dist = _sq_distances(Q[lo:lo + step], X)
         kth = np.partition(dist, k - 1, axis=1)[:, k - 1, None]

@@ -16,9 +16,10 @@ with denominators taken from tables built once per training set
 (leave-one-out and leave-two-out ratios at the next lower order).
 `RatioTable.rows` evaluates the same sums for a block of queries as
 matrix products; the fit-time tables absorb the inner indices, so order 3
-costs O(n^2) per query there, one product with an n x n four-cycle matrix
-that costs O(n^3) per alpha to build.  Order k = n is exact and larger exact sizes are
-served by the oracle layer, not here.
+costs O(n^2) per query there: two products per block, or one with an
+n x n four-cycle matrix (built once, in O(n^3)) for a block of n rows or
+more.  Order k = n is exact and larger exact sizes are served
+by the oracle layer, not here.
 
 The a -> 0+ limits C^(k) follow from the same recursion with every
 quantity a truncated power series in a, so configurations where the naive
@@ -97,13 +98,12 @@ class RatioTable:
     `ratio_from_kt` serve queries up to order 2 from a lower-order table,
     while `rows` serves exactly the table's order.  r2_loo and the
     four-cycle weights are built only at order 3, the one order that reads
-    them, and are ``None`` otherwise: T = G / r1_l2o off the diagonal (the
-    leave-two-out ratios of `_FitCore._leave_two_out`, not kept), which
-    `ratio_from_kt` reads, and the four-cycle matrix M of `_FitCore.finish`,
-    which `rows` reads.  r1_loo and r2_loo are strictly positive for
-    positive alpha and a positive Gram diagonal.  Tables
-    depend only on the training points, never on the query, and are
-    immutable once built.
+    them, and are ``None`` otherwise: T = G / r1_l2o off the diagonal
+    (r1_l2o, the leave-two-out ratios, is not kept), s3 and dg (see
+    `_FitCore`), and the four-cycle matrix M, built on `rows`' first block
+    of n rows or more.  r1_loo and r2_loo are strictly positive for
+    positive alpha and a positive Gram diagonal.  Tables depend only on
+    the training points, never on the query.
 
     ``alpha`` is one mass or, for a table finished for several candidates
     at once, a 1-d array of them; every alpha-dependent entry then has a
@@ -124,6 +124,8 @@ class RatioTable:
     r2_loo: np.ndarray | None = None
     _lists: dict = field(default_factory=dict, repr=False)
     _t3: np.ndarray | None = field(default=None, repr=False)
+    _s3: np.ndarray | None = field(default=None, repr=False)
+    _dg: np.ndarray | None = field(default=None, repr=False)
     _m3: np.ndarray | None = field(default=None, repr=False)
 
     @property
@@ -138,10 +140,10 @@ class RatioTable:
         sums are those of `ratio_from_kt`, written as matrix products over
         the block; results agree with it to rounding.  Order 2 forms the
         alpha-free product P = (Kt / d) G - Kt once per call and kernel;
-        order 3 reads its whole four-cycle bracket as one product Kt M per
-        candidate.  The result
-        has shape (Q,) for a table of one alpha, (A, Q) for A alphas and
-        (K, A, Q) over a stack of K Gram matrices, each row the one-alpha
+        order 3 its four-cycle bracket from Kt M for a block of Q >= n
+        rows, else from Kt dg, once per call and kernel, and Kt T^T.  The
+        result has shape (Q,) for a table of one alpha, (A, Q) for A alphas
+        and (K, A, Q) over a stack of K Gram matrices, each row the one-alpha
         result bit for bit.  Negative order >= 2 values are returned as
         computed and reported in one warning per call.
         """
@@ -169,16 +171,37 @@ class RatioTable:
             Kt, P = each(Kt), each(P)
             out = out + ((a * Kt * Kt + Kt * P) / self.r1_loo[..., None, :]).sum(axis=-1)
         else:
-            # the bracket of the four-cycle sum, without the k = i and k = j
-            # terms, is Kt M: one product per candidate
-            Kt = each(Kt)
-            out = out + ((Kt * (a / self.r2_loo[..., None, :])) * (Kt @ self._m3)).sum(axis=-1)
+            # the four-cycle bracket E: Kt M, or without M (for fewer rows)
+            # Kt + (Kt + (Kt dg) / a) T^T less the k = i terms Kt s3 / a
+            if Kt.shape[-2] >= n:
+                Kt = each(Kt)
+                E = Kt @ self._four_cycle_matrix()
+            else:
+                E = each(Kt @ self._dg) / a
+                Kt = each(Kt)
+                E += Kt
+                E = E @ np.swapaxes(self._t3, -1, -2)
+                E += Kt
+                E -= Kt * (self._s3[..., None, :] / a)
+            out = out + ((Kt * (a / self.r2_loo[..., None, :])) * E).sum(axis=-1)
         negative = int(np.count_nonzero(out < 0.0))
         if negative:
             # it is open whether orders >= 2 stay nonnegative off the kernel cone
             log.warning("%d of %d order-%d ratio approximations are negative",
                         negative, out.size, order)
         return out
+
+    def _four_cycle_matrix(self) -> np.ndarray:
+        """M = I + T^T + (dg T^T) / alpha with a unit diagonal (no k = i
+        terms): one O(n^3) product per alpha, made on first use and kept."""
+        if self._m3 is None:
+            Tt = np.swapaxes(self._t3, -1, -2)
+            m3 = _per_candidate(self._dg, self.gram) @ Tt
+            m3 *= 1.0 / np.asarray(self.alpha)[..., None, None]
+            m3 += Tt
+            m3[(..., *np.diag_indices(self.n))] = 1.0
+            self._m3 = m3
+        return self._m3
 
     def _python_lists(self) -> dict:
         """Python-list copies for the single-query reference sums, made on
@@ -203,9 +226,8 @@ class _FitCore:
     dg       G with row j divided by K(x_j, x_j) and a zero diagonal
              (order 3 only).
 
-    `finish` costs O(n^2) per alpha, plus one O(n^3) product at order 3.
-    Over a stack of Gram matrices every field has the stack's leading
-    kernel axis.
+    `finish` costs O(n^2) per alpha.  Over a stack of Gram matrices every
+    field has the stack's leading kernel axis.
     """
 
     gram: GramMatrix
@@ -216,17 +238,13 @@ class _FitCore:
     g_inner: np.ndarray | None = None
     dg: np.ndarray | None = None
 
-    def finish(self, alpha, out: tuple[np.ndarray, np.ndarray] | None = None) -> RatioTable:
+    def finish(self, alpha, out: np.ndarray | None = None) -> RatioTable:
         """The table for one alpha > 0, for a 1-d array of alphas stacked
         along a leading axis or, over a stack of K Gram matrices, for a
         K x A array (row k for kernel k): O(n^2) elementwise work on the
-        core per alpha, each slice bit for bit the one-alpha table.  Order 3
-        adds one O(n^3) product per alpha for the four-cycle matrix
-        M = I + T^T + (dg T^T) / alpha with a unit diagonal, so that Kt M
-        is the four-cycle bracket.  T^T and M are written into the pair of
-        arrays ``out`` when it is given (each of alpha's shape + (n, n)),
-        else into new arrays; cross-validation reuses a pair across runs."""
-        t3_out, m3_out = (None, None) if out is None else out
+        core per alpha, each slice bit for bit the one-alpha table.  At
+        order 3 T^T is written into ``out`` when it is given (alpha's shape
+        + (n, n)), else into a new array; cross-validation reuses one."""
         alpha = _alpha_arg(alpha)
         a = np.asarray(alpha)[..., None]  # (1,) for one alpha, (A, 1) for A
 
@@ -238,38 +256,28 @@ class _FitCore:
         table = RatioTable(self.gram, alpha, self.order, r1_loo)
         if self.order == 3:
             G = each(self.gram.entries)
-            r1_l2o = self._leave_two_out(r1_loo)
+            # r1_l2o^T: l2o[m, i] is x_m's two-cycle ratio against the points
+            # minus {i, m}, r1_loo[m] without its i term (1.0 on the diagonal)
+            l2o = r1_loo[..., :, None] - each(self.qoff)
+            diag = (..., *np.diag_indices(self.gram.n))
+            l2o[diag] = 1.0
             # C[m, i] is the three-cycle term of x_i through x_m; the product
             # groups as (a * G) * G, and a * (G * G) would round differently
-            C = np.multiply(a[..., None], G, out=t3_out)
+            C = np.multiply(a[..., None], G, out=out)
             C *= G
             C += each(self.g_inner)
-            C /= np.swapaxes(r1_l2o, -1, -2)
-            diag = (..., *np.diag_indices(self.gram.n))
+            C /= l2o
             C[diag] = 0.0
             table.r2_loo = ad + C.sum(axis=-2)
-            # T^T = G / r1_l2o^T (G is symmetric), into C's buffer (not read
-            # again), so that M's product and sum read contiguous arrays
-            Tt = np.divide(G, np.swapaxes(r1_l2o, -1, -2), out=C)
+            # T^T = G / r1_l2o^T (G is symmetric), contiguous, into C's buffer
+            Tt = np.divide(G, l2o, out=C)
             Tt[diag] = 0.0
             table._t3 = np.swapaxes(Tt, -1, -2)
-            # the diagonal of dg T^T holds the k = i terms, which M leaves out
-            m3 = np.matmul(each(self.dg), Tt, out=m3_out)
-            m3 *= 1.0 / a[..., None]
-            m3 += Tt
-            m3[diag] = 1.0
-            table._m3 = m3
+            # s3[i] = (dg T^T)[i, i], the k = i terms, from the very products
+            # dg[i, j] T[i, j] that (Kt dg) T^T sums
+            table._s3 = (each(self.dg)[..., None, :] @ table._t3[..., None])[..., 0, 0]
+            table._dg = self.dg
         return table
-
-    def _leave_two_out(self, r1_loo: np.ndarray) -> np.ndarray:
-        """r1_l2o[..., i, j], the two-cycle ratio of x_j against the points
-        minus {i, j}: r1_loo[..., j] without its i term.  The diagonal
-        entries are inert placeholders (1.0).  Only `finish` needs it, so no
-        table keeps it."""
-        qoff = _per_candidate(self.qoff, self.gram)
-        r1_l2o = r1_loo[..., None, :] - np.swapaxes(qoff, -1, -2)
-        r1_l2o[(..., *np.diag_indices(self.gram.n))] = 1.0
-        return r1_l2o
 
 
 def _per_candidate(x: np.ndarray, g: GramMatrix) -> np.ndarray:
@@ -330,16 +338,15 @@ def build_ratio_table(g: GramMatrix, alpha: float, order: int = MAX_ORDER) -> Ra
     r1_loo, the one table that orders 1 and 2 read, costs O(n^2) and is
     built at every order, so `ratio_from_kt` can also serve a single query
     one order above the table's own up to order 2; `RatioTable.rows` serves
-    exactly the table's order.  Only order 3 adds the leave-two-out table,
-    the three-cycle leave-one-out table and the four-cycle matrix, at O(n^2)
-    and two O(n^3) matrix products; an order-3 query needs a table built at
-    order 3.
+    exactly the table's order.  Only order 3 adds the leave-two-out and
+    three-cycle leave-one-out tables, at one O(n^3) product, and builds
+    the four-cycle matrix (one more) only when `rows` reads it; an order-3
+    query needs a table built at order 3.
 
     The build is an alpha-free core (`_fit_core`: the diagonal, the
     two-cycle terms and their row sums, and at order 3 the O(n^3) product)
-    finished for one alpha by O(n^2) elementwise work and, at order 3, one
-    product (`_FitCore.finish`), so tables for several alphas over one Gram
-    matrix can share one core,
+    finished for one alpha by O(n^2) elementwise work (`_FitCore.finish`),
+    so tables for several alphas over one Gram matrix can share one core,
     or be finished from it together as one stacked table.
     """
     if not alpha > 0:

@@ -362,11 +362,10 @@ class GramMatrix:
         return cls(entries=m, points=pts, kernel=None)
 
 
-# Squared distances are filled in row blocks of at most this many
-# difference entries (rows x n x d; 512 kB, or one row when a row alone is
-# larger), so a distance-family Gram build peaks at its n x n result plus one
-# bounded temporary: rows x n for d < 8, rows x n x d for d >= 8.
-_GRAM_BLOCK_ENTRIES = 1 << 16
+# Every blocked loop keeps its temporaries within this many entries (128 kB),
+# whatever the point or query count: `_sq_distances`' row blocks, query
+# blocks (Q x n per class) and `knn_predict`'s chunks of queries.
+_BLOCK_ENTRIES = 1 << 14
 
 # numpy's add.reduce sums fewer than 8 terms from 0 in sequence and regroups
 # 8 or more pairwise, so accumulating one dimension at a time reproduces
@@ -377,12 +376,13 @@ _ACCUMULATE_BELOW_D = 8
 def _sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """out[i, j] = ||a_i - b_j||^2, filled a block of rows of ``a`` at a time.
 
-    Bit-identical to ``((a[:, None] - b[None]) ** 2).sum(axis=2)``.  A block
-    has ``_GRAM_BLOCK_ENTRIES // (n * d)`` rows (at least one) for ``b`` of shape
-    n x d.  For 0 < d < 8 each block accumulates the squared differences
-    one dimension at a time through one reused rows x n temporary; otherwise
-    it reduces a rows x n x d difference buffer, also reused (a fresh one
-    per block cost more than the arithmetic at n = 24, d = 200).  (a - b)^2
+    Bit-identical to ``((a[:, None] - b[None]) ** 2).sum(axis=2)``.  For
+    ``b`` of shape n x d, a block's rows keep its one temporary within
+    ``_BLOCK_ENTRIES`` entries (or one row): for 0 < d < 8 it accumulates the
+    squared differences one dimension at a time through a reused rows x n
+    temporary; otherwise it reduces a rows x n x d difference buffer, also
+    reused (a fresh one per block cost more than the arithmetic at n = 24,
+    d = 200).  (a - b)^2
     equals (b - a)^2 exactly, so ``_sq_distances(x, x)`` is exactly symmetric.
     """
     m = a.shape[0]
@@ -390,7 +390,7 @@ def _sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape[1] != d:
         raise ValueError(f"dimension mismatch: rows are {a.shape[1]}-d, points are {d}-d")
     out = np.empty((m, n))
-    step = max(1, _GRAM_BLOCK_ENTRIES // max(n * d, 1))
+    step = max(1, _BLOCK_ENTRIES // max(n * (d if d >= _ACCUMULATE_BELOW_D else 1), 1))
     if 0 < d < _ACCUMULATE_BELOW_D:
         # contiguous per-dimension rows make the broadcast subtractions cheap
         at, bt = a.T.copy(), b.T.copy()

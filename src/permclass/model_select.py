@@ -14,8 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .classify import (_BLOCK_ENTRIES, _DEGENERATE, LabeledDataset, ModelParams,
-                       _fit_kernel, _normalised, _query_steps, _weights)
+from .classify import (_DEGENERATE, LabeledDataset, ModelParams, _block_rows, _fit_kernel,
+                       _normalised, _query_steps, _weights)
 from .cyclic import EXACT_ORDER
 from .kernels import Kernel, _as_rows, _SharedDistances, _sq_distances, kernel_self_batch
 
@@ -190,15 +190,18 @@ def _runs(groups: list[tuple[Kernel, list[int]]], sizes: list[int], n_queries: i
     kernels have equal candidate counts (groups are taken fewest first).
     Per kernel, a stacked core holds each class's n_r x n_r Gram matrix
     (four such arrays at order 3) and held-out block; per candidate, the
-    stacked tables hold two n_r x n_r arrays at order 3, a query block below.
-    A run takes whole kernels while both totals stay within
-    `_STACK_ENTRIES`.  The exact order gains nothing from stacking (its
+    stacked tables hold each class's T^T at order 3, and M where a block
+    reaches n_r rows, and each class's first block below.  A run takes
+    whole kernels while both totals stay within `_STACK_ENTRIES`.  The
+    exact order gains nothing from stacking (its
     ``rows`` loops over the alphas), so it takes one kernel and one
     candidate at a time, and a zero denominator per_alpha{K(x)} marks only
     its own candidate."""
     squares = sum(n * n for n in sizes)
     per_kernel = (4 if order == 3 else 1) * squares + n_queries * sum(sizes)
-    per_candidate = max(2 * squares if order == 3 else _BLOCK_ENTRIES, 1)
+    blocks = [(min(n_queries, _block_rows(n)), n) for n in sizes]
+    per_candidate = max(sum(n * n * (1 + (q >= n)) if order == 3 else q * n
+                            for q, n in blocks), 1)
     runs: list[list[tuple[Kernel, list[int]]]] = []
     for kernel, live in sorted(groups, key=lambda group: len(group[1])):
         run = runs[-1] if runs else None
@@ -215,10 +218,10 @@ def _runs(groups: list[tuple[Kernel, list[int]]], sizes: list[int], n_queries: i
 class _Sweep:
     """A sweep's alphas, fold scores and failures per candidate, which
     `run` fills one stacked run at a time, its objective, and each class's
-    buffer for the four-cycle arrays T and M of its order-3 stacked tables,
-    reused from run to run: at `reproduce table1`'s size a fresh one is a
-    few hundred kB that the allocator hands back to the system and faults
-    in again at every run (thousands of page faults per command)."""
+    buffer for the T^T of its order-3 stacked tables, reused from run to
+    run: at `reproduce table1`'s size a fresh one is a few hundred kB that
+    the allocator hands back to the system and faults in again at every
+    run (thousands of page faults per command)."""
 
     def __init__(self, grid: list[ModelParams], n_classes: int, objective):
         self.scores: list[list[float]] = [[] for _ in grid]
@@ -242,10 +245,9 @@ class _Sweep:
             return core.finish(alpha)
         shape = (*alpha.shape, core.gram.n, core.gram.n)
         size = math.prod(shape)
-        if self._work[r].size < 2 * size:
-            self._work[r] = np.empty(2 * size)
-        halves = self._work[r][:2 * size].reshape(2, *shape)
-        return core.finish(alpha, out=(halves[0], halves[1]))
+        if self._work[r].size < size:
+            self._work[r] = np.empty(size)
+        return core.finish(alpha, out=self._work[r][:size].reshape(shape))
 
     def run(self, run, order, step: int, shared: list[_SharedDistances], queries,
             truth) -> None:
@@ -306,10 +308,9 @@ def cross_validate(data: LabeledDataset, spec: CVSpec) -> CVReport:
     axis, and one table core per class over the stack (O(sum_r n_r^2) per
     kernel, O(sum_r n_r^3) at order 3 as one batched product), a lone
     kernel as a stack of one.  Each core is finished once for a
-    kernels x alphas array (O(sum_r n_r^2) per candidate, O(sum_r n_r^3)
-    at order 3), one ``rows`` call per class and held-out block answers
-    every candidate, and normalisation and the
-    objective run as array operations over all of them.  Each candidate's
+    kernels x alphas array (O(sum_r n_r^2) per candidate), one ``rows``
+    call per class and held-out block answers every candidate, and
+    normalisation and the objective run as array operations over them.  Each candidate's
     weights, probabilities and scores are the one-fit results bit for bit;
     a negative order >= 2 ratio is logged once per stacked call.  Runs
     (`_runs`) bound the stacked arrays: large classes stack few kernels and

@@ -455,10 +455,11 @@ def knn_loop(train_points, train_labels, queries, k) -> np.ndarray:
 
 
 def ratio_table_one_shot(G, alpha, order):
-    """(r1_loo, r1_l2o, r2_loo, t3, m3) in one pass over a raw Gram matrix,
+    """(r1_loo, r2_loo, t3, s3, m3) in one pass over a raw Gram matrix,
     each alpha-dependent expression in the order `build_ratio_table`'s core
-    and finish must keep bit for bit (``a * G * G`` is ``(a * G) * G``); m3
-    is the four-cycle matrix I + t3^T + (dg t3^T) (1 / alpha) with a unit
+    and finish must keep bit for bit (``a * G * G`` is ``(a * G) * G``); s3
+    is the diagonal of dg t3^T, a dot product per row, and m3
+    the four-cycle matrix I + t3^T + (dg t3^T) (1 / alpha) with a unit
     diagonal, dg being G with each row divided by its diagonal entry and
     its diagonal zeroed."""
     G = np.asarray(G, dtype=float)
@@ -485,7 +486,10 @@ def ratio_table_one_shot(G, alpha, order):
     m3 *= 1.0 / a
     m3 += t3.T
     np.fill_diagonal(m3, 1.0)
-    return r1_loo, r1_l2o, a * d + C.sum(axis=0), t3, m3
+    # t3 laid out as `finish` keeps it, the transpose of a contiguous t3^T,
+    # so that each row's dot product reads the same strides
+    s3 = (dg[:, None, :] @ np.ascontiguousarray(t3.T).T[:, :, None])[:, 0, 0]
+    return r1_loo, a * d + C.sum(axis=0), t3, s3, m3
 
 
 def cross_validate_reference(data, spec):

@@ -74,9 +74,19 @@ class TestGradedValue:
 
 def _leave_two_out(g, alpha):
     """The leave-two-out ratios r1_l2o that an order-3 finish forms for
-    ``alpha`` and no table keeps."""
+    ``alpha`` and no table keeps: r1_l2o[i, j] is r1_loo[j] without its i
+    term, with 1.0 on the diagonal."""
     core = _fit_core(g, 3)
-    return core._leave_two_out(core.finish(alpha).r1_loo)
+    r1_l2o = core.finish(alpha).r1_loo[None, :] - core.qoff.T
+    np.fill_diagonal(r1_l2o, 1.0)
+    return r1_l2o
+
+
+def _table_arrays(table):
+    """r1_loo, r2_loo, T, s3 and the four-cycle matrix M of a table (None
+    where its order reads none); M is built here if no rows call has."""
+    m3 = table._four_cycle_matrix() if table.order == 3 else None
+    return table.r1_loo, table.r2_loo, table._t3, table._s3, m3
 
 
 def test_table_constant_kernel():
@@ -139,8 +149,13 @@ def test_table_builds_only_what_its_order_reads(rng, order):
         table = build_ratio_table(GramMatrix.from_matrix(sym_nonneg(rng, n)), 0.9,
                                   order=order)
         assert table.r1_loo.shape == (n,)
-        order_3_only = (table.r2_loo, table._t3, table._m3)
-        assert [t is not None for t in order_3_only] == [order == 3] * 3
+        order_3_only = (table.r2_loo, table._t3, table._s3, table._dg)
+        assert [t is not None for t in order_3_only] == [order == 3] * 4
+        # the four-cycle matrix is built on first use, and then kept
+        assert table._m3 is None
+        if order == 3:
+            m3 = table._four_cycle_matrix()
+            assert m3.shape == (n, n) and table._four_cycle_matrix() is m3
 
 
 @pytest.mark.parametrize("order", [0, 1, 2, 3])
@@ -161,16 +176,12 @@ def test_core_finish_matches_fresh_build(rng, order):
             got = core.finish(alpha)
             fresh = build_ratio_table(g, alpha, order=order)
             one_pass = ratio_table_one_shot(M, alpha, order)
-            r1_loo, r1_l2o, r2_loo, t3, m3 = one_pass
-            for a, b, c, absent in zip((got.r1_loo, got.r2_loo, got._t3, got._m3),
-                                       (fresh.r1_loo, fresh.r2_loo, fresh._t3, fresh._m3),
-                                       (r1_loo, r2_loo, t3, m3), [False] + [order < 3] * 3):
+            for a, b, c, absent in zip(_table_arrays(got), _table_arrays(fresh), one_pass,
+                                       [False] + [order < 3] * 4):
                 if absent:
                     assert a is None and b is None and c is None
                 else:
                     assert np.array_equal(a, b) and np.array_equal(a, c)
-            if order == 3:
-                assert np.array_equal(core._leave_two_out(got.r1_loo), r1_l2o)
             assert (got.alpha, got.order) == (fresh.alpha, fresh.order)
         after = (core.d, core.q_sum, core.qoff, core.g_inner, core.dg)
         for x, y in zip(before, after):
@@ -204,12 +215,8 @@ def test_stacked_finish_and_rows_equal_each_alphas_table(rng, order):
             for j, alpha in enumerate(alphas):
                 one = core.finish(alpha)
                 assert stacked.alpha[j] == one.alpha
-                for name in ("r1_loo", "r2_loo", "_t3", "_m3"):
-                    a, b = getattr(stacked, name), getattr(one, name)
+                for a, b in zip(_table_arrays(stacked), _table_arrays(one)):
                     assert (a is None and b is None) or np.array_equal(a[j], b)
-                if order == 3:
-                    assert np.array_equal(core._leave_two_out(stacked.r1_loo)[j],
-                                          core._leave_two_out(one.r1_loo))
                 assert np.array_equal(got[j], one.rows(Kt, ktt))
 
 
@@ -232,9 +239,9 @@ def test_kernel_stacked_core_finish_and_rows_equal_each_kernels_tables(rng, orde
         got = stacked.rows(Kt, ktt)
         assert got.shape == (len(mats), 3, 30)
         if order == 3:
-            buffers = tuple(np.full((*alphas.shape, n, n), np.nan) for _ in range(2))
-            into = core.finish(alphas, out=buffers)
-            assert into._t3.base is buffers[0] and into._m3 is buffers[1]
+            buffer = np.full((*alphas.shape, n, n), np.nan)
+            into = core.finish(alphas, out=buffer)
+            assert into._t3.base is buffer
             assert np.array_equal(into.rows(Kt, ktt), got)
         for k, M in enumerate(mats):
             own = _fit_core(GramMatrix.from_matrix(M), order)
@@ -243,8 +250,7 @@ def test_kernel_stacked_core_finish_and_rows_equal_each_kernels_tables(rng, orde
                 assert (a is None and b is None) or np.array_equal(a[k], b)
             for j, alpha in enumerate(alphas[k]):
                 one = own.finish(alpha)
-                for name in ("r1_loo", "r2_loo", "_t3", "_m3"):
-                    a, b = getattr(stacked, name), getattr(one, name)
+                for a, b in zip(_table_arrays(stacked), _table_arrays(one)):
                     assert (a is None and b is None) or np.array_equal(a[k, j], b)
                 assert np.array_equal(got[k, j], one.rows(Kt[k], ktt[k]))
 
@@ -275,25 +281,39 @@ def _order_3_grams(rng):
 
 
 def test_order_3_rows_match_the_nested_sums(rng):
-    # rows reads the four-cycle matrix M, one product per alpha, and
-    # ratio_from_kt the nested sums over T; each alpha's row, alone or
-    # stacked, stays within 1e-13 of the nested sums, and M's diagonal is
+    # a block of at least n rows reads the four-cycle matrix M, one product
+    # per alpha (M is built on that call), a shorter block the two-product
+    # form, which builds no M; ratio_from_kt reads the nested sums over T.
+    # At 1, n - 1, n and n + 1 rows each alpha's row, alone or in a
+    # kernels x alphas stack, stays within 1e-13 of the nested sums, every
+    # stacked slice is the one-alpha row bit for bit, and M's diagonal is
     # exactly 1
-    alphas = np.array([0.25, 1.0, 0.1 + 0.2, 4.0])
+    alphas = np.array([[0.25, 1.0], [0.1 + 0.2, 4.0]])
     for M in _order_3_grams(rng):
         n = M.shape[0]
-        core = _fit_core(GramMatrix.from_matrix(M), 3)
-        Kt = _sparse_block(rng, 40, n)
-        ktt = rng.uniform(0.5, 1.5, size=40)
-        stacked = core.finish(alphas)
-        assert (np.diagonal(stacked._m3, axis1=-2, axis2=-1) == 1.0).all()
-        got = stacked.rows(Kt, ktt)
-        for j, alpha in enumerate(alphas):
-            one = core.finish(alpha)
-            assert (np.diagonal(one._m3) == 1.0).all()
-            ref = np.array([ratio_from_kt(one, kt, t) for kt, t in zip(Kt, ktt)])
-            np.testing.assert_allclose(one.rows(Kt, ktt), ref, rtol=1e-13, atol=0.0)
-            np.testing.assert_allclose(got[j], ref, rtol=1e-13, atol=0.0)
+        mats = [M, sym_nonneg(rng, n)]
+        stack = _fit_core(GramMatrix(np.stack(mats), np.zeros((n, 1))), 3)
+        cores = [_fit_core(GramMatrix.from_matrix(m), 3) for m in mats]
+        for q in sorted({1, max(n - 1, 0), n, n + 1}):
+            Kt = np.stack([_sparse_block(rng, q, n) for _ in mats])
+            ktt = rng.uniform(0.5, 1.5, size=(len(mats), q))
+            stacked = stack.finish(alphas)
+            got = stacked.rows(Kt, ktt)
+            tables = [stacked] + [core.finish(a) for core in cores for a in (0.5, 2.0)]
+            for k, core in enumerate(cores):
+                for j, alpha in enumerate(alphas[k]):
+                    one = core.finish(alpha)
+                    row = one.rows(Kt[k], ktt[k])
+                    tables.append(one)
+                    assert np.array_equal(got[k, j], row)
+                    ref = np.array([ratio_from_kt(one, kt, t) for kt, t in zip(Kt[k], ktt[k])])
+                    np.testing.assert_allclose(row, ref, rtol=1e-13, atol=0.0)
+            for table in tables[1:5]:
+                assert table._m3 is None  # finished, never queried
+            for table in tables[:1] + tables[5:]:
+                assert (table._m3 is not None) == (0 < n <= q)
+                if table._m3 is not None:
+                    assert (np.diagonal(table._m3, axis1=-2, axis2=-1) == 1.0).all()
 
 
 def test_kernel_stacked_order_3_rows_equal_each_one_alpha_fit(rng):
@@ -330,27 +350,47 @@ def _four_cycle_bracket_longdouble(T, G, Kt, alpha):
 
 
 def test_order_3_bracket_is_no_further_from_longdouble_than_before():
-    # the bracket as Kt M against the earlier form Kt + (Kt + P / a) T^T -
-    # (Kt / (a d)) s3, which subtracts the k = i terms from a dense product,
-    # each measured against a long-double evaluation of the nested sums
+    # against a long-double evaluation of the nested sums over 200
+    # configurations, the earlier form of the bracket, Kt + (Kt + P / a) T^T
+    # - (Kt / (a d)) s3, which subtracts the k = i terms from a dense
+    # product, is measured against Kt M, which subtracts nothing and is no
+    # worse anywhere; and the ratios the earlier form gives against those
+    # `rows` gives through M (a block of n rows or more) and through the
+    # two-product form (one row at a time), which also subtracts the k = i
+    # terms (its s3 sums the very products dg[i, j] T[i, j] that (Kt dg) T^T
+    # holds) and matches the earlier form's mean and worst error
     rng = np.random.default_rng(20)
-    worst_new = worst_old = 0.0
-    for _ in range(20):
+    errors = {"old": [], "m": [], "old ratio": [], "m ratio": [], "two ratio": []}
+    for _ in range(200):
         n = int(rng.integers(2, 25))
         alpha = float(rng.choice([0.1, 0.5, 1.0, 4.0]))
         G = sym_nonneg(rng, n)
         Kt = rng.random((10, n))
+        ktt = rng.uniform(0.5, 1.5, size=10)
         table = build_ratio_table(GramMatrix.from_matrix(G), alpha, order=3)
         T, d = table._t3, np.diagonal(G)
         ref = _four_cycle_bracket_longdouble(T, G, Kt, alpha)
+        w = np.longdouble(alpha) / table.r2_loo.astype(np.longdouble)
+        ref_ratio = np.longdouble(alpha) * ktt + (Kt * w * ref).sum(axis=-1)
         P = (Kt / d) @ G - Kt
         s3 = np.einsum("ij,ij->i", T, G)
         old = Kt + (Kt + P / alpha) @ T.T - (Kt / (alpha * d)) * s3
-        new = Kt @ table._m3
-        worst_old = max(worst_old, float(np.max(np.abs((old - ref) / ref))))
-        worst_new = max(worst_new, float(np.max(np.abs((new - ref) / ref))))
-    assert worst_new <= worst_old
-    assert worst_new < 2e-15
+        m = Kt @ table._four_cycle_matrix()
+        reps = -(-n // 10)  # a block of at least n rows reads M
+        forms = {"old": (old, ref), "m": (m, ref),
+                 "old ratio": (alpha * ktt + ((Kt * (alpha / table.r2_loo)) * old).sum(axis=-1),
+                               ref_ratio),
+                 "m ratio": (table.rows(np.tile(Kt, (reps, 1)), np.tile(ktt, reps))[:10],
+                             ref_ratio),
+                 "two ratio": (np.concatenate([table.rows(Kt[q:q + 1], ktt[q:q + 1])
+                                               for q in range(10)]), ref_ratio)}
+        for name, (form, exact) in forms.items():
+            errors[name].extend(np.abs((form - exact) / exact).astype(float).ravel())
+    mean = {name: float(np.mean(e)) for name, e in errors.items()}
+    worst = {name: float(np.max(e)) for name, e in errors.items()}
+    assert worst["m"] <= worst["old"] and worst["m"] < 2e-15
+    for name in ("m ratio", "two ratio"):
+        assert mean[name] <= mean["old ratio"] and worst[name] <= worst["old ratio"]
 
 
 def test_stacked_rows_warn_once_per_call(caplog):

@@ -85,7 +85,9 @@ def test_gram_symmetric_nonneg(seed, n):
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 7, 8, 9, 50, 200])
 def test_gram_blocks_match_one_shot_formula(d):
     rng = np.random.default_rng(d)
-    b = math.isqrt(kernels._GRAM_BLOCK_ENTRIES // d)  # largest n in one block
+    # the largest n in one block: n x n sums below 8 dimensions, n x n x d
+    # differences from 8 on
+    b = math.isqrt(kernels._BLOCK_ENTRIES // (d if d >= 8 else 1))
     for n in (0, 1, b - 1, b, b + 1, 2 * b + 1):
         pts = rng.normal(size=(n, d))
         if n > 2:
@@ -99,14 +101,15 @@ def test_gram_blocks_match_one_shot_formula(d):
 @pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 9])
 def test_sq_distances_match_one_shot_formula(d, monkeypatch):
     # 7 is the last d summed one dimension at a time, 8 the first reduced
-    # pairwise; the row counts cross the block boundaries of both shapes
+    # pairwise; the row counts cross the block boundaries of both shapes,
+    # at the block size itself too (450 rows of 80 points below d = 8)
     rng = np.random.default_rng(100 + d)
-    sizes = (1, 4096, kernels._GRAM_BLOCK_ENTRIES)
-    for m, n in ((0, 5), (5, 0), (1, 1), (70, 300), (301, 80)):
+    sizes = (1, 4096, kernels._BLOCK_ENTRIES)
+    for m, n in ((0, 5), (5, 0), (1, 1), (70, 300), (450, 80)):
         a = rng.normal(size=(m, d)) * rng.lognormal(size=d)
         b = rng.normal(size=(n, d)) * rng.lognormal(size=d)
         for block_entries in sizes:
-            monkeypatch.setattr(kernels, "_GRAM_BLOCK_ENTRIES", block_entries)
+            monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", block_entries)
             assert np.array_equal(kernels._sq_distances(a, b),
                                   sq_distances_one_shot(a, b))
 
@@ -145,20 +148,20 @@ def test_gram_non_distance_families_match_pairwise_eval(rng):
 def test_shared_distances_equal_gram_and_kernel_block(d, monkeypatch):
     # every distance kernel over the kept squared distances is `gram` and
     # `kernel_block` bit for bit, the held-out block sliced at the query
-    # blocks' row steps; 150 queries against 60 points span three query
+    # blocks' row steps; 150 queries against 300 points span three query
     # blocks, and the distance row blocks are crossed at every d
     rng = np.random.default_rng(400 + d)
-    pts = rng.normal(size=(60, d)) * rng.lognormal(size=d)
+    pts = rng.normal(size=(300, d)) * rng.lognormal(size=d)
     pts[7] = pts[3]  # an exact zero distance off the diagonal
     qs = rng.normal(size=(150, d)) * rng.lognormal(size=d)
     qs[5] = pts[0]
-    steps = _query_steps(150, 60)
+    steps = _query_steps(150, 300)
     assert len(steps) == 3
     scales = (0.2, 0.6, 0.9, 2.5)
     kernels_ = [Kernel(fam, tau=s * math.sqrt(d))
                 for s in scales for fam in ("gaussian", "exponential")]
-    for block_entries in (1, 4096, kernels._GRAM_BLOCK_ENTRIES):
-        monkeypatch.setattr(kernels, "_GRAM_BLOCK_ENTRIES", block_entries)
+    for block_entries in (1, 4096, kernels._BLOCK_ENTRIES):
+        monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", block_entries)
         shared = kernels._SharedDistances(pts, qs)
         grams = shared.grams(kernels_)
         assert grams.kernel is None and np.array_equal(grams.points, pts)

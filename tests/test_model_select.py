@@ -6,9 +6,9 @@ import pytest
 from conftest import (cross_validate_reference, median_distance_one_shot,
                       projection_kernel, sym_nonneg)
 import permclass.model_select as model_select
-from permclass.classify import _BLOCK_ENTRIES, LabeledDataset, ModelParams
-from permclass.datasets import gen_chequerboard
-from permclass.kernels import Kernel
+from permclass.classify import LabeledDataset, ModelParams, fit, predict
+from permclass.datasets import gen_chequerboard, gen_grid_testset
+from permclass.kernels import _BLOCK_ENTRIES, Kernel
 from permclass.model_select import (OBJECTIVES, CVSpec, cross_entropy,
                                     cross_validate, default_grid, error_rate,
                                     fold_assignment, median_pairwise_distance)
@@ -340,33 +340,53 @@ def test_runs_bound_the_stacked_arrays(monkeypatch):
     # a run packs kernels with equal numbers of live candidates, fewest
     # first, while its stacked cores (per kernel: the classes' Gram matrices,
     # four such arrays at order 3, and the held-out blocks) and its
-    # candidates' stacked tables (per candidate: two n_r x n_r arrays at
-    # order 3, T and M, a query block otherwise) each stay within
-    # _STACK_ENTRIES; ``step`` candidates of a lone kernel are finished at a
-    # time
+    # candidates' stacked tables (per candidate at order 3: each class's
+    # T^T, and its four-cycle matrix M where a held-out block has at least
+    # n_r rows; below order 3 each class's first held-out block) each stay
+    # within _STACK_ENTRIES; ``step`` candidates of a lone kernel are
+    # finished at a time
     k = [Kernel.gaussian(t) for t in (0.1, 0.2, 0.3, 0.4, 0.5)]
     groups = [(k[0], [0, 1, 2]), (k[1], [3, 4]), (k[2], [5, 6, 7]), (k[3], [8, 9]),
               (k[4], [10, 11, 12])]
     sizes, queries = [30, 40], 9
     per_kernel = 4 * (30**2 + 40**2) + queries * 70  # order 3
-    per_candidate = 2 * (30**2 + 40**2)
+    per_candidate = 30**2 + 40**2  # 9 held-out rows build no M
     assert _runs(groups, sizes, queries, 3) == (
         [[groups[1], groups[3]], [groups[0], groups[2], groups[4]]],
         model_select._STACK_ENTRIES // per_candidate)
+    # 35 rows reach the 30-point class, 45 both: their M count too
+    assert _runs(groups, sizes, 35, 3)[1] == model_select._STACK_ENTRIES // (per_candidate + 900)
+    assert _runs(groups, sizes, 45, 3)[1] == model_select._STACK_ENTRIES // (2 * per_candidate)
+    # below order 3 a candidate counts its blocks' entries, at most one
+    # block of rows per class
+    rows = [_BLOCK_ENTRIES // 30, _BLOCK_ENTRIES // 40]
+    assert _runs(groups, sizes, queries, 1)[1] == model_select._STACK_ENTRIES // (queries * 70)
+    assert _runs(groups, sizes, 2000, 2)[1] == (model_select._STACK_ENTRIES
+                                                 // (rows[0] * 30 + rows[1] * 40))
     by_count = [groups[i] for i in (1, 3, 0, 2, 4)]
     assert _runs(groups, sizes, queries, "exact") == ([[g] for g in by_count], 1)
-    # two kernels' cores fit; two kernels of two candidates (4 x 5,000
-    # entries) fit, two of three (6 x 5,000) do not
+    # two kernels' cores fit, and so do two kernels of three candidates
+    # (6 x 2,500 entries), but not three kernels
     monkeypatch.setattr(model_select, "_STACK_ENTRIES", 2 * per_kernel)
     runs, step = _runs(groups, sizes, queries, 3)
+    assert runs == [[groups[1], groups[3]], [groups[0], groups[2]], [groups[4]]]
+    assert step == 2 * per_kernel // per_candidate == 8
+    # at 45 rows, where each candidate also holds both classes' M, two
+    # kernels of two candidates (4 x 5,000 entries) fit, two of three
+    # (6 x 5,000) do not
+    per_kernel = 4 * (30**2 + 40**2) + 45 * 70
+    monkeypatch.setattr(model_select, "_STACK_ENTRIES", 2 * per_kernel)
+    runs, step = _runs(groups, sizes, 45, 3)
     assert runs == [[groups[1], groups[3]], [groups[0]], [groups[2]], [groups[4]]]
-    assert step == 2 * per_kernel // per_candidate == 4
-    # at order 1 the candidates' bound binds first: two kernels of two
-    # candidates would stack four query blocks
-    monkeypatch.setattr(model_select, "_STACK_ENTRIES", 3 * _BLOCK_ENTRIES)
-    runs, step = _runs(groups, sizes, queries, 1)
+    assert step == 2 * per_kernel // (2 * per_candidate) == 5
+    # at order 1 the candidates' bound binds first: two kernels' cores (the
+    # Gram matrices and 40 held-out rows each) fit, but two kernels of two
+    # candidates would stack four blocks of 40 x 70 entries
+    monkeypatch.setattr(model_select, "_STACK_ENTRIES", 11000)
+    runs, step = _runs(groups, sizes, 40, 1)
+    assert 2 * (30**2 + 40**2 + 40 * 70) <= 11000 < 4 * 40 * 70
     assert runs == [[g] for g in by_count] and step == 3
-    assert _runs(groups[1:2], [0, 0], queries, 3) == ([groups[1:2]], 3 * _BLOCK_ENTRIES)
+    assert _runs(groups[1:2], [0, 0], queries, 3) == ([groups[1:2]], 11000)
     monkeypatch.setattr(model_select, "_STACK_ENTRIES", 1)
     assert _runs(groups, sizes, queries, 2) == ([[g] for g in by_count], 1)
 
@@ -501,7 +521,8 @@ def test_stacked_sweep_isolates_refused_and_degenerate_kernels_like_reference():
 @pytest.mark.parametrize("entries", [1, 1000])
 def test_stacked_sweep_matches_reference_in_runs_split_across_kernels(monkeypatch, entries):
     # a budget of one entry runs every kernel alone, one candidate a finish;
-    # the larger ones split a pass into runs of a few kernels each
+    # the larger ones split a pass into runs of a few kernels each (an
+    # order-1 candidate counts its six held-out rows against each class)
     monkeypatch.setattr(model_select, "_STACK_ENTRIES", entries)
     seen = []
     runs = model_select._runs
@@ -509,8 +530,8 @@ def test_stacked_sweep_matches_reference_in_runs_split_across_kernels(monkeypatc
                         lambda *args: seen.append(runs(*args)) or seen[-1])
     data = gen_chequerboard(2, seed=18)
     grid = default_grid(data.points, tau_scales=(0.5, 1.0, 2.0), alphas=(0.5, 2.0),
-                        order=3) + default_grid(data.points, tau_scales=(0.5, 2.0),
-                                                alphas=(1.0, 4.0), order=1)
+                        order=3) + default_grid(data.points, tau_scales=(0.5, 1.0, 2.0),
+                                                alphas=(1.0, 4.0, 0.5, 2.0), order=1)
     _assert_matches_reference(data, grid)
     widest = max(len(run) for pass_runs, _ in seen for run in pass_runs)
     assert widest == 1 if entries == 1 else 1 < widest < 6
@@ -562,3 +583,49 @@ def test_stacked_sweep_isolates_a_kernel_refused_while_its_stack_is_built():
                 assert "not in the projection kernel ground set" in r.message
             else:
                 assert r.valid
+
+
+# -- which order-3 blocks read the four-cycle matrix ----------------------
+
+
+def test_grouped_cv_matches_reference_with_blocks_on_both_sides_of_n_r():
+    # 12 held-out rows a fold against training classes of about 19 and 5
+    # points: order-3 rows answers the large class in two products and the
+    # small one through its four-cycle matrix, in the stacked sweep as in
+    # one fit and predict
+    rng = np.random.default_rng(21)
+    labels = rng.permutation([0] * 28 + [1] * 8)
+    data = LabeledDataset(points=rng.random((36, 2)) * 3, labels=labels, n_classes=2)
+    for stratified in (False, True):
+        for heldout in fold_assignment(36, 3, 0, labels=labels, stratified=stratified):
+            train = np.bincount(np.delete(labels, heldout), minlength=2)
+            assert train[1] <= len(heldout) < train[0]
+    grid = [ModelParams(kernel=Kernel(fam, tau=t), alphas=a, order=3)
+            for fam in ("gaussian", "exponential") for t in (0.5, 1.5) for a in (0.5, (2.0, 1.0))]
+    _assert_matches_reference(data, grid)
+
+
+def test_table1_sweep_builds_no_four_cycle_matrix_and_a_grid_predict_one_per_class(monkeypatch):
+    # `reproduce table1`'s cross-validation (9 held-out rows against classes
+    # of about 40 points) builds no M; its 3,600-row grid predict builds
+    # one per class and reads it for every block
+    import permclass.cyclic as cyclic
+    builds = []
+    four_cycle_matrix = cyclic.RatioTable._four_cycle_matrix
+
+    def counted(table):
+        if table._m3 is None:
+            builds.append(np.shape(table.alpha))
+        return four_cycle_matrix(table)
+
+    monkeypatch.setattr(cyclic.RatioTable, "_four_cycle_matrix", counted)
+    data = gen_chequerboard(10, seed=9)
+    queries, _ = gen_grid_testset(60)
+    for family in ("exponential", "gaussian"):
+        grid = [ModelParams(kernel=Kernel(family, tau=t), alphas=a)
+                for t in (0.125, 0.25, 0.35, 0.5, 1.0) for a in (0.5, 1.0, 2.0)]
+        report = cross_validate(data, CVSpec(grid=grid, folds=10, seed=9))
+        assert builds == []
+        predict(fit(data, report.winner), queries)
+        assert builds == [(), ()]
+        builds.clear()
