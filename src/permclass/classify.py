@@ -170,13 +170,12 @@ def fit(data: LabeledDataset, params: ModelParams) -> FittedModel:
     the one order whose tables need the leave-two-out ratios; the exact
     order builds only the Gram matrices and refuses a class too large for
     any query to join.  The tables are built as an alpha-free core per
-    class (the Gram diagonal, the two-cycle terms and, at order 3, the
-    O(n^3) product), which is then finished for the class's alpha in
-    O(n_r^2); an order-3 table's four-cycle matrix, one more O(n_r^3)
-    product, waits for a query block of n_r rows or more.  Cross-validation
-    finishes one core over a stack of kernels' Gram matrices for all their
-    candidates, into one stacked table whose slices are bit for bit the
-    tables `fit` makes.  An empty class gets a 0 x 0 Gram matrix and table, whose ratio is the
+    class, then finished for the class's alpha in O(n_r^2); an order-3
+    table's four-cycle matrix, one more O(n_r^3) product, waits for a
+    query set of n_r rows or more.  Cross-validation finishes one core
+    over a stack of kernels' Gram matrices for all their candidates, into
+    one stacked table whose slices are bit for bit the tables `fit` makes.
+    An empty class gets a 0 x 0 Gram matrix and table, whose ratio is the
     empty-class weight alpha K(t, t).
     """
     alphas = params.alpha_vector(data.n_classes)
@@ -239,10 +238,10 @@ def _weights(tables: Iterable, ktt: np.ndarray, blocks) -> np.ndarray:
     and an iterable of the query kernel blocks: one row per query and one
     column per class, behind leading candidate axes when the tables are
     finished for an array of alphas (one call to each table's ``rows`` per
-    block serves every candidate).  Over tables of stacked Gram matrices,
-    ``ktt`` and the blocks carry the stack's leading kernel axis.  The
-    tables are read one class at a time, so a generator of them keeps one
-    class's table alive at once."""
+    block serves every candidate, told the query count).  Over tables of
+    stacked Gram matrices, ``ktt`` and the blocks carry the stack's leading
+    kernel axis.  The tables are read one class at a time, so a generator
+    of them keeps one class's table alive at once."""
     raw = None
     for r, table in enumerate(tables):
         if raw is None:
@@ -250,7 +249,7 @@ def _weights(tables: Iterable, ktt: np.ndarray, blocks) -> np.ndarray:
         lo = 0
         for Kt in blocks[r]:
             hi = lo + Kt.shape[-2]
-            raw[..., lo:hi, r] = table.rows(Kt, ktt[..., lo:hi])
+            raw[..., lo:hi, r] = table.rows(Kt, ktt[..., lo:hi], ktt.shape[-1])
             lo = hi
     return raw
 

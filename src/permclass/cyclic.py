@@ -17,7 +17,7 @@ with denominators taken from tables built once per training set
 `RatioTable.rows` evaluates the same sums for a block of queries as
 matrix products; the fit-time tables absorb the inner indices, so order 3
 costs O(n^2) per query there: two products per block, or one with an
-n x n four-cycle matrix (built once, in O(n^3)) for a block of n rows or
+n x n four-cycle matrix (one O(n^3) build) for a query set of n rows or
 more.  Order k = n is exact and larger exact sizes are served
 by the oracle layer, not here.
 
@@ -101,7 +101,7 @@ class RatioTable:
     them, and are ``None`` otherwise: T = G / r1_l2o off the diagonal
     (r1_l2o, the leave-two-out ratios, is not kept), s3 and dg (see
     `_FitCore`), and the four-cycle matrix M, built on `rows`' first block
-    of n rows or more.  r1_loo and r2_loo are strictly positive for
+    of a query set of n rows or more.  r1_loo and r2_loo are strictly positive for
     positive alpha and a positive Gram diagonal.  Tables depend only on
     the training points, never on the query.
 
@@ -132,7 +132,7 @@ class RatioTable:
     def n(self) -> int:
         return self.gram.n
 
-    def rows(self, Kt, ktt) -> np.ndarray:
+    def rows(self, Kt, ktt, n_queries: int | None = None) -> np.ndarray:
         """Ratios at the table's order for a block of queries, one per row of ``Kt``.
 
         ``Kt[q, i] = K(t_q, x_i)`` and ``ktt[q] = K(t_q, t_q)``; over a
@@ -140,8 +140,9 @@ class RatioTable:
         sums are those of `ratio_from_kt`, written as matrix products over
         the block; results agree with it to rounding.  Order 2 forms the
         alpha-free product P = (Kt / d) G - Kt once per call and kernel;
-        order 3 its four-cycle bracket from Kt M for a block of Q >= n
-        rows, else from Kt dg, once per call and kernel, and Kt T^T.  The
+        order 3 its four-cycle bracket from Kt M for a query set of
+        ``n_queries`` >= n rows (default: the block), else from Kt dg,
+        once per call and kernel, and Kt T^T.  The
         result has shape (Q,) for a table of one alpha, (A, Q) for A alphas
         and (K, A, Q) over a stack of K Gram matrices, each row the one-alpha
         result bit for bit.  Negative order >= 2 values are returned as
@@ -173,7 +174,7 @@ class RatioTable:
         else:
             # the four-cycle bracket E: Kt M, or without M (for fewer rows)
             # Kt + (Kt + (Kt dg) / a) T^T less the k = i terms Kt s3 / a
-            if Kt.shape[-2] >= n:
+            if _reads_four_cycle_matrix(Kt.shape[-2] if n_queries is None else n_queries, n):
                 Kt = each(Kt)
                 E = Kt @ self._four_cycle_matrix()
             else:
@@ -280,6 +281,12 @@ class _FitCore:
         return table
 
 
+def _reads_four_cycle_matrix(n_queries: int, n: int) -> bool:
+    """Whether an order-3 table of n points reads ``n_queries`` queries
+    by M: its O(n^3) build saves one O(n^2) product per query."""
+    return n_queries >= n
+
+
 def _per_candidate(x: np.ndarray, g: GramMatrix) -> np.ndarray:
     """Per-kernel values broadcast over each kernel's candidates: over a
     stack of Gram matrices ``g``, a candidate axis (of length 1) after the
@@ -335,19 +342,14 @@ def _fit_core(g: GramMatrix, order: int) -> _FitCore:
 def build_ratio_table(g: GramMatrix, alpha: float, order: int = MAX_ORDER) -> RatioTable:
     """Precompute the fit-time denominators that order-``order`` queries read.
 
-    r1_loo, the one table that orders 1 and 2 read, costs O(n^2) and is
-    built at every order, so `ratio_from_kt` can also serve a single query
-    one order above the table's own up to order 2; `RatioTable.rows` serves
-    exactly the table's order.  Only order 3 adds the leave-two-out and
-    three-cycle leave-one-out tables, at one O(n^3) product, and builds
-    the four-cycle matrix (one more) only when `rows` reads it; an order-3
-    query needs a table built at order 3.
+    r1_loo, read by orders 1 and 2, costs O(n^2) and is built at every
+    order (see `RatioTable`).  Only order 3 adds the leave-two-out and
+    three-cycle leave-one-out tables, at one O(n^3) product (the
+    four-cycle matrix, one more, waits for `rows`).
 
-    The build is an alpha-free core (`_fit_core`: the diagonal, the
-    two-cycle terms and their row sums, and at order 3 the O(n^3) product)
-    finished for one alpha by O(n^2) elementwise work (`_FitCore.finish`),
-    so tables for several alphas over one Gram matrix can share one core,
-    or be finished from it together as one stacked table.
+    The build is an alpha-free core (`_fit_core`) finished for one alpha in
+    O(n^2) (`_FitCore.finish`), so several alphas over one Gram matrix can
+    share a core, or be finished from it together as one stacked table.
     """
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha}")

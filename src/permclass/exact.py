@@ -217,7 +217,7 @@ class _PerTable:
     def finish(self, alpha) -> "_PerTable":
         return _PerTable(self.gram, _alpha_arg(alpha))
 
-    def rows(self, Kt, ktt) -> np.ndarray:
+    def rows(self, Kt, ktt, n_queries=None) -> np.ndarray:
         """Exact ratios for a block of queries, ``Kt[q, i] = K(t_q, x_i)``
         and ``ktt[q] = K(t_q, t_q)`` (a 0 x 0 Gram matrix gives alpha K(t, t)):
         shape (Q,) for one alpha, (A, Q) for A alphas, one alpha at a time.

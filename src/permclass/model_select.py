@@ -16,7 +16,7 @@ import numpy as np
 
 from .classify import (_DEGENERATE, LabeledDataset, ModelParams, _block_rows, _fit_kernel,
                        _normalised, _query_steps, _weights)
-from .cyclic import EXACT_ORDER
+from .cyclic import EXACT_ORDER, _reads_four_cycle_matrix
 from .kernels import Kernel, _as_rows, _SharedDistances, _sq_distances, kernel_self_batch
 
 __all__ = [
@@ -190,8 +190,8 @@ def _runs(groups: list[tuple[Kernel, list[int]]], sizes: list[int], n_queries: i
     kernels have equal candidate counts (groups are taken fewest first).
     Per kernel, a stacked core holds each class's n_r x n_r Gram matrix
     (four such arrays at order 3) and held-out block; per candidate, the
-    stacked tables hold each class's T^T at order 3, and M where a block
-    reaches n_r rows, and each class's first block below.  A run takes
+    stacked tables hold each class's T^T at order 3, and M where the
+    held-out rows reach n_r, and each class's first block below.  A run takes
     whole kernels while both totals stay within `_STACK_ENTRIES`.  The
     exact order gains nothing from stacking (its
     ``rows`` loops over the alphas), so it takes one kernel and one
@@ -200,8 +200,8 @@ def _runs(groups: list[tuple[Kernel, list[int]]], sizes: list[int], n_queries: i
     squares = sum(n * n for n in sizes)
     per_kernel = (4 if order == 3 else 1) * squares + n_queries * sum(sizes)
     blocks = [(min(n_queries, _block_rows(n)), n) for n in sizes]
-    per_candidate = max(sum(n * n * (1 + (q >= n)) if order == 3 else q * n
-                            for q, n in blocks), 1)
+    per_candidate = max(sum(n * n * (1 + _reads_four_cycle_matrix(n_queries, n))
+                            if order == 3 else q * n for q, n in blocks), 1)
     runs: list[list[tuple[Kernel, list[int]]]] = []
     for kernel, live in sorted(groups, key=lambda group: len(group[1])):
         run = runs[-1] if runs else None

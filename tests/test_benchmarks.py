@@ -65,8 +65,8 @@ def test_accuracy_study_reads_its_curves_from_predict(monkeypatch):
     answered = []
     rows = cyclic_mod.RatioTable.rows
 
-    def recorded(table, Kt, ktt):
-        answered.append((table, Kt, ktt, rows(table, Kt, ktt)))
+    def recorded(table, Kt, ktt, *n_queries):
+        answered.append((table, Kt, ktt, rows(table, Kt, ktt, *n_queries)))
         return answered[-1][-1]
 
     monkeypatch.setattr(cyclic_mod.RatioTable, "rows", recorded)

@@ -363,6 +363,10 @@ def test_runs_bound_the_stacked_arrays(monkeypatch):
     assert _runs(groups, sizes, queries, 1)[1] == model_select._STACK_ENTRIES // (queries * 70)
     assert _runs(groups, sizes, 2000, 2)[1] == (model_select._STACK_ENTRIES
                                                  // (rows[0] * 30 + rows[1] * 40))
+    # M is counted by all the held-out rows, not by one block's: 300 rows
+    # against a 200-point class come in blocks of 81
+    assert _BLOCK_ENTRIES // 200 < 200
+    assert _runs(groups, [200], 300, 3)[1] == model_select._STACK_ENTRIES // (2 * 200**2)
     by_count = [groups[i] for i in (1, 3, 0, 2, 4)]
     assert _runs(groups, sizes, queries, "exact") == ([[g] for g in by_count], 1)
     # two kernels' cores fit, and so do two kernels of three candidates
@@ -605,10 +609,8 @@ def test_grouped_cv_matches_reference_with_blocks_on_both_sides_of_n_r():
     _assert_matches_reference(data, grid)
 
 
-def test_table1_sweep_builds_no_four_cycle_matrix_and_a_grid_predict_one_per_class(monkeypatch):
-    # `reproduce table1`'s cross-validation (9 held-out rows against classes
-    # of about 40 points) builds no M; its 3,600-row grid predict builds
-    # one per class and reads it for every block
+def _four_cycle_builds(monkeypatch) -> list:
+    """A list that gains the alpha shape of each four-cycle matrix built."""
     import permclass.cyclic as cyclic
     builds = []
     four_cycle_matrix = cyclic.RatioTable._four_cycle_matrix
@@ -619,6 +621,14 @@ def test_table1_sweep_builds_no_four_cycle_matrix_and_a_grid_predict_one_per_cla
         return four_cycle_matrix(table)
 
     monkeypatch.setattr(cyclic.RatioTable, "_four_cycle_matrix", counted)
+    return builds
+
+
+def test_table1_sweep_builds_no_four_cycle_matrix_and_a_grid_predict_one_per_class(monkeypatch):
+    # `reproduce table1`'s cross-validation (9 held-out rows against classes
+    # of about 40 points) builds no M; its 3,600-row grid predict builds
+    # one per class and reads it for every block
+    builds = _four_cycle_builds(monkeypatch)
     data = gen_chequerboard(10, seed=9)
     queries, _ = gen_grid_testset(60)
     for family in ("exponential", "gaussian"):
@@ -629,3 +639,24 @@ def test_table1_sweep_builds_no_four_cycle_matrix_and_a_grid_predict_one_per_cla
         predict(fit(data, report.winner), queries)
         assert builds == [(), ()]
         builds.clear()
+
+
+def test_order_3_predict_picks_the_four_cycle_matrix_by_queries_not_block_rows(monkeypatch):
+    # against a 150-point class a query block holds 109 rows: 320 queries
+    # read that class's M in every block, 100 at a time read two products
+    # per block, and both forms give the same weights to rounding
+    builds = _four_cycle_builds(monkeypatch)
+    rng = np.random.default_rng(5)
+    data = LabeledDataset(points=rng.random((180, 2)) * 3, labels=[0] * 150 + [1] * 30,
+                          n_classes=2)
+    queries = rng.random((320, 2)) * 3
+    assert _BLOCK_ENTRIES // 150 < 150
+    params = ModelParams(kernel=Kernel.gaussian(0.5), alphas=1.0, order=3)
+    whole = predict(fit(data, params), queries).raw
+    assert builds == [(), ()]
+    builds.clear()
+    pieces = np.concatenate([predict(fit(data, params), queries[lo:lo + 100]).raw
+                             for lo in range(0, 320, 100)])
+    # the 30-point class's M, once per fit of 100 queries, none for the last 20
+    assert builds == [()] * 3
+    np.testing.assert_allclose(pieces, whole, rtol=1e-12, atol=0)
