@@ -19,7 +19,7 @@ import numpy as np
 
 from .cyclic import EXACT_ORDER, MAX_ORDER, LimitTable, RatioTable, _fit_core, _FitCore
 from .exact import Partition, _CypTable, _grown, _PerTable
-from .kernels import (_BLOCK_ENTRIES, GramMatrix, Kernel, _as_rows, _entry, _label_codes,
+from .kernels import (GramMatrix, Kernel, _as_rows, _entry, _label_codes, _query_steps,
                       _sq_distances, gram, kernel_block, kernel_column, kernel_self,
                       kernel_self_batch)
 
@@ -216,17 +216,6 @@ def _normalised(raw: np.ndarray) -> PosteriorTable:
     return PosteriorTable(probs=probs, raw=raw, argmax=probs.argmax(axis=-1))
 
 
-def _block_rows(n_points: int) -> int:
-    """How many queries one block against ``n_points`` points holds."""
-    return max(1, _BLOCK_ENTRIES // max(n_points, 1))
-
-
-def _query_steps(n_queries: int, n_points: int) -> list[slice]:
-    """The rows of each query block against a class of ``n_points``."""
-    step = _block_rows(n_points)
-    return [slice(lo, lo + step) for lo in range(0, n_queries, step)]
-
-
 def _kernel_blocks(kernel: Kernel, qs: np.ndarray, pts: np.ndarray):
     """Kernel blocks of the queries against one class, in query order."""
     for rows in _query_steps(qs.shape[0], pts.shape[0]):
@@ -367,12 +356,11 @@ def knn_predict(train_points, train_labels, queries, k: int = 5) -> np.ndarray:
     out = np.empty(Q.shape[0], dtype=int)
     one_hot = (y[:, None] == np.arange(int(y.max()) + 1)).astype(float)
     k = min(k, X.shape[0])
-    step = _block_rows(X.shape[0])
-    for lo in range(0, Q.shape[0], step):
-        dist = _sq_distances(Q[lo:lo + step], X)
+    for rows in _query_steps(Q.shape[0], X.shape[0]):
+        dist = _sq_distances(Q[rows], X)
         kth = np.partition(dist, k - 1, axis=1)[:, k - 1, None]
         nearer = dist < kth
         tied = dist == kth
         tied &= np.cumsum(tied, axis=1) <= k - nearer.sum(axis=1, keepdims=True)
-        out[lo:lo + step] = ((nearer | tied) @ one_hot).argmax(axis=1)
+        out[rows] = ((nearer | tied) @ one_hot).argmax(axis=1)
     return out

@@ -213,6 +213,10 @@ def cmd_genes(args) -> int:
 
 def cmd_bench(args) -> int:
     sizes = [int(s) for s in args.sizes.split(",")]
+    if min(sizes) < 1:
+        raise ValueError(f"--sizes must each be at least 1, got {args.sizes}")
+    if args.queries < 1:
+        raise ValueError(f"--queries must be at least 1, got {args.queries}")
     orders = tuple(int(k) for k in args.orders.split(","))
     report = bench_orders(sizes, alpha=args.alpha, seed=args.seed,
                           orders=orders, queries=args.queries)

@@ -257,29 +257,19 @@ def kernel_self_batch(kernel: Kernel, points) -> np.ndarray:
     return np.array([kernel_eval(kernel, t, t) for t in pts], dtype=float)
 
 
-def _distance_kernel(kernel: Kernel, sq: np.ndarray) -> np.ndarray:
-    """Exponential or gaussian kernel values, in place, from squared
-    distances ``((s - t) ** 2).sum(-1)``.  Every path sums them that way, so
-    a pair gets one float from `gram`, `kernel_block`, `kernel_column` and
-    `kernel_eval`."""
+def _distance_kernel(kernel: Kernel, sq: np.ndarray,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """Exponential or gaussian kernel values from squared distances
+    ``((s - t) ** 2).sum(-1)``, into ``out`` (by default ``sq`` itself, in
+    place): the one distance transform.  Every path sums the distances that
+    way and transforms them here, so a pair gets one float from `gram`,
+    `kernel_block`, `kernel_column`, `kernel_eval` and `_SharedDistances`."""
+    out = sq if out is None else out
     if kernel.family is KernelFamily.EXPONENTIAL:
-        np.sqrt(sq, out=sq)
-        sq /= -kernel.tau
+        np.sqrt(sq, out=out)
+        out /= -kernel.tau
     else:
-        sq /= -kernel.tau**2
-    return np.exp(sq, out=sq)
-
-
-def _distance_kernels(kernels: Sequence[Kernel], sq: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """`_distance_kernel` of each of ``kernels``, all of one distance family,
-    from the same squared distances ``sq``, into ``out[k]`` for kernel k: one
-    operation per step for the whole stack, each matrix bit for bit
-    `_distance_kernel`'s (the steps are the same correctly rounded ones)."""
-    if kernels[0].family is KernelFamily.EXPONENTIAL:
-        base, scale = np.sqrt(sq), [-k.tau for k in kernels]
-    else:
-        base, scale = sq, [-k.tau**2 for k in kernels]
-    np.divide(base, np.array(scale)[:, None, None], out=out)
+        np.divide(sq, -kernel.tau**2, out=out)
     return np.exp(out, out=out)
 
 
@@ -364,8 +354,22 @@ class GramMatrix:
 
 # Every blocked loop keeps its temporaries within this many entries (128 kB),
 # whatever the point or query count: `_sq_distances`' row blocks, query
-# blocks (Q x n per class) and `knn_predict`'s chunks of queries.
+# blocks (Q x n per class) and `knn_predict`'s chunks of queries.  Each cuts
+# its rows through `_block_rows`, so nothing else reads this constant.
 _BLOCK_ENTRIES = 1 << 14
+
+
+def _block_rows(width: int) -> int:
+    """How many rows of ``width`` entries one block holds (at least one)."""
+    return max(1, _BLOCK_ENTRIES // max(width, 1))
+
+
+def _query_steps(n_queries: int, n_points: int) -> list[slice]:
+    """The rows of each block of ``n_queries`` rows against ``n_points``
+    points, in order."""
+    step = _block_rows(n_points)
+    return [slice(lo, lo + step) for lo in range(0, n_queries, step)]
+
 
 # numpy's add.reduce sums fewer than 8 terms from 0 in sequence and regroups
 # 8 or more pairwise, so accumulating one dimension at a time reproduces
@@ -377,20 +381,19 @@ def _sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """out[i, j] = ||a_i - b_j||^2, filled a block of rows of ``a`` at a time.
 
     Bit-identical to ``((a[:, None] - b[None]) ** 2).sum(axis=2)``.  For
-    ``b`` of shape n x d, a block's rows keep its one temporary within
-    ``_BLOCK_ENTRIES`` entries (or one row): for 0 < d < 8 it accumulates the
-    squared differences one dimension at a time through a reused rows x n
-    temporary; otherwise it reduces a rows x n x d difference buffer, also
-    reused (a fresh one per block cost more than the arithmetic at n = 24,
-    d = 200).  (a - b)^2
-    equals (b - a)^2 exactly, so ``_sq_distances(x, x)`` is exactly symmetric.
+    ``b`` of shape n x d, `_block_rows` sizes a block by its one temporary:
+    for 0 < d < 8 it accumulates the squared differences one dimension at a
+    time through a reused rows x n temporary; otherwise it reduces a
+    rows x n x d difference buffer, also reused (a fresh one per block cost
+    more than the arithmetic at n = 24, d = 200).  (a - b)^2 equals
+    (b - a)^2 exactly, so ``_sq_distances(x, x)`` is exactly symmetric.
     """
     m = a.shape[0]
     n, d = b.shape
     if a.shape[1] != d:
         raise ValueError(f"dimension mismatch: rows are {a.shape[1]}-d, points are {d}-d")
     out = np.empty((m, n))
-    step = max(1, _BLOCK_ENTRIES // max(n * (d if d >= _ACCUMULATE_BELOW_D else 1), 1))
+    step = _block_rows(n * (d if d >= _ACCUMULATE_BELOW_D else 1))
     if 0 < d < _ACCUMULATE_BELOW_D:
         # contiguous per-dimension rows make the broadcast subtractions cheap
         at, bt = a.T.copy(), b.T.copy()
@@ -437,11 +440,10 @@ class _SharedDistances:
     kernel axis.
 
     The squared distances of each are computed on the first exponential or
-    gaussian kernel that needs them and kept.  The distance kernels of a
-    stack are made one transform per family (`_distance_kernels`), which is
-    `gram` and `kernel_block` bit for bit; the other families' are `gram`
-    and `kernel_block` themselves.  Kept are n x n plus queries x n
-    distances.
+    gaussian kernel that needs them and kept.  `_distance_kernel` transforms
+    them into each distance kernel's slot of the stack, so the slot is
+    `gram` and `kernel_block` bit for bit; the other families' slots are
+    `kernel_block` itself.  Kept are n x n plus queries x n distances.
     """
 
     def __init__(self, points: np.ndarray, queries: np.ndarray):
@@ -462,18 +464,10 @@ class _SharedDistances:
         a = getattr(self, rows)
         out = np.empty((len(kernels), a.shape[0], self.points.shape[0]))
         for k, kernel in enumerate(kernels):
-            if kernel.family not in (KernelFamily.EXPONENTIAL, KernelFamily.GAUSSIAN):
-                out[k] = kernel_block(kernel, a, self.points)
-        for family in (KernelFamily.EXPONENTIAL, KernelFamily.GAUSSIAN):
-            at = [k for k, kernel in enumerate(kernels) if kernel.family is family]
-            if not at:
-                continue
-            if rows not in self._sq:
-                self._sq[rows] = _sq_distances(a, self.points)
-            members = [kernels[k] for k in at]
-            if at[-1] - at[0] + 1 == len(at):  # adjacent: transform in place
-                _distance_kernels(members, self._sq[rows], out[at[0]:at[-1] + 1])
+            if kernel.family in (KernelFamily.EXPONENTIAL, KernelFamily.GAUSSIAN):
+                if rows not in self._sq:
+                    self._sq[rows] = _sq_distances(a, self.points)
+                _distance_kernel(kernel, self._sq[rows], out[k])
             else:
-                out[at] = _distance_kernels(members, self._sq[rows],
-                                            np.empty((len(at), *out.shape[1:])))
+                out[k] = kernel_block(kernel, a, self.points)
         return out

@@ -14,10 +14,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .classify import (_DEGENERATE, LabeledDataset, ModelParams, _block_rows, _fit_kernel,
-                       _normalised, _query_steps, _weights)
+from .classify import _DEGENERATE, LabeledDataset, ModelParams, _fit_kernel, _normalised, _weights
 from .cyclic import EXACT_ORDER, _reads_four_cycle_matrix
-from .kernels import Kernel, _as_rows, _SharedDistances, _sq_distances, kernel_self_batch
+from .kernels import (Kernel, _as_rows, _block_rows, _query_steps, _SharedDistances,
+                      _sq_distances, kernel_self_batch)
 
 __all__ = [
     "CVSpec",
@@ -301,15 +301,16 @@ def cross_validate(data: LabeledDataset, spec: CVSpec) -> CVReport:
     Each fold runs one pass per order over that order's live candidates.
     Every class's squared distances, of its training points and of the
     held-out points against them, are computed once per fold on the first
-    distance kernel (`kernels._SharedDistances`), and the kernels of one
-    family transform them in one stacked operation, bit for bit `gram` and
-    `kernel_block`.  Each run of a pass builds its kernels' class Gram
-    matrices, K(t, t) and held-out blocks stacked along a leading kernel
-    axis, and one table core per class over the stack (O(sum_r n_r^2) per
-    kernel, O(sum_r n_r^3) at order 3 as one batched product), a lone
-    kernel as a stack of one.  Each core is finished once for a
-    kernels x alphas array (O(sum_r n_r^2) per candidate), one ``rows``
-    call per class and held-out block answers every candidate, and
+    distance kernel (`kernels._SharedDistances`), and each distance kernel
+    transforms them into its own slot with `gram`'s own transform, bit for
+    bit `gram` and `kernel_block`.  Each run of a pass builds its kernels' class
+    Gram matrices, K(t, t) and held-out blocks stacked along a leading
+    kernel axis, and one table core per class over the stack
+    (O(sum_r n_r^2) per kernel, O(sum_r n_r^3) at order 3 as one batched
+    product), a lone kernel as a stack of one.  Each core is finished once
+    for a kernels x alphas array (O(sum_r n_r^2) per candidate), one
+    ``rows`` call per class and held-out block answers every candidate (the
+    held-out rows are cut by `predict`'s rule, `kernels._query_steps`), and
     normalisation and the objective run as array operations over them.  Each candidate's
     weights, probabilities and scores are the one-fit results bit for bit;
     a negative order >= 2 ratio is logged once per stacked call.  Runs

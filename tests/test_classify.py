@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import (augment, cyclic_ratio_scalar, knn_loop, projection_kernel,
                       sequential_partition_scalar)
+from permclass import kernels
 from permclass.classify import (LabeledDataset, ModelParams, fit, knn_predict,
                                 predict, predict_infinite, sequential_partition)
 from permclass.classify import _fit_kernel, _kernel_blocks, _weights
@@ -125,9 +126,11 @@ def test_duplicate_query_is_allowed(rng):
 
 
 @pytest.mark.parametrize("order", [0, 1, 2, 3])
-def test_predict_matches_per_query_reference(rng, order):
-    # 70 points per class gives 58-row query blocks, so 150 queries span
-    # three blocks with a ragged last one
+def test_predict_matches_per_query_reference(rng, order, monkeypatch):
+    # 4,096-entry blocks against 70 points per class hold 58 rows, so 150
+    # queries span three blocks with a ragged last one
+    monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", 4096)
+    assert [s.stop for s in kernels._query_steps(150, 70)] == [58, 116, 174]
     data = make_data(rng, (70, 70, 0), spread=1.5)
     params = ModelParams(kernel=Kernel.exponential(1.1), alphas=(0.8, 1.6, 0.5),
                          order=order)
@@ -432,10 +435,13 @@ def test_knn_majority_and_ties():
 
 
 @pytest.mark.parametrize("k", [1, 2, 4, 5, 60])
-def test_knn_matches_per_query_loop_with_ties(k):
+def test_knn_matches_per_query_loop_with_ties(k, monkeypatch):
     rng = np.random.default_rng(k)
     # integer grid points and half-integer queries tie many distances
-    # exactly; 50 training points split the 120 queries into two chunks
+    # exactly; 3,200-entry chunks against 50 training points split the 120
+    # queries in two
+    monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", 3200)
+    assert len(kernels._query_steps(120, 50)) == 2
     X = rng.integers(0, 5, size=(50, 2)).astype(float)
     y = rng.integers(0, 3, size=50)
     Q = rng.integers(0, 9, size=(120, 2)) / 2.0
@@ -519,9 +525,9 @@ def test_two_dimensional_labels_rejected():
 
 
 def test_exact_predict_over_many_blocks_equals_ratio_exact(rng, monkeypatch):
-    import permclass.classify as classify_mod
-    # blocks of 2 queries for the 4- and 3-point classes, 8 for the empty one
-    monkeypatch.setattr(classify_mod, "_BLOCK_ENTRIES", 8)
+    # blocks of 2 queries for the 4- and 3-point classes, 8 for the empty
+    # one, and distance row blocks of 2 and 2 rows
+    monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", 8)
     data = make_data(rng, (4, 0, 3))
     qs = np.vstack([rng.normal(size=(19, 2)), data.points[:1]])
     alphas = (0.6, 1.3, 2.0)

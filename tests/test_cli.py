@@ -407,6 +407,20 @@ def test_bench_command_smoke(tmp_path, capsys):
     assert json.loads(out.read_text())["bench"]["timings"]
 
 
+@pytest.mark.parametrize("flag, value", [("--queries", "0"), ("--queries", "-3"),
+                                         ("--sizes", "0,10"), ("--sizes", "-5,10")])
+def test_bench_refuses_sizes_and_query_counts_below_one(tmp_path, capsys, flag, value):
+    # refused before any timing: a size of 0 would reach LAPACK, a negative
+    # one numpy, and a query count below 1 would time one query
+    out = tmp_path / "bench.json"
+    code, stdout, err = run(["bench", "--orders", "1", f"{flag}={value}", "--out", str(out)],
+                            capsys)
+    assert code == 1
+    assert stdout == ""
+    assert f"{flag} must" in err and value in err
+    assert not out.exists()
+
+
 def test_study_command_smoke(tmp_path, capsys):
     outdir = tmp_path / "study"
     code, _, _ = run(["study", "--n", "16", "--t-points", "9",

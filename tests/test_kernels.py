@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from conftest import closed_form_ratio_matrix, gram_one_shot, sq_distances_one_shot
 from permclass import kernels
-from permclass.classify import _query_steps
 from permclass.cyclic import per_alpha_cyclic, ratio_approx_matrix
 from permclass.exact import cyp_exact, per_alpha_exact, ratio_exact_matrix
 from permclass.kernels import (GramMatrix, Kernel, KernelFamily, gram, kernel_block,
@@ -148,16 +147,17 @@ def test_gram_non_distance_families_match_pairwise_eval(rng):
 def test_shared_distances_equal_gram_and_kernel_block(d, monkeypatch):
     # every distance kernel over the kept squared distances is `gram` and
     # `kernel_block` bit for bit, the held-out block sliced at the query
-    # blocks' row steps; 150 queries against 300 points span three query
-    # blocks, and the distance row blocks are crossed at every d
+    # blocks' row steps, down to tau scales of 0.05 and up to 1e3;
+    # 150 queries against 300 points span three query blocks, and the
+    # distance row blocks are crossed at every d
     rng = np.random.default_rng(400 + d)
     pts = rng.normal(size=(300, d)) * rng.lognormal(size=d)
     pts[7] = pts[3]  # an exact zero distance off the diagonal
     qs = rng.normal(size=(150, d)) * rng.lognormal(size=d)
     qs[5] = pts[0]
-    steps = _query_steps(150, 300)
+    steps = kernels._query_steps(150, 300)
     assert len(steps) == 3
-    scales = (0.2, 0.6, 0.9, 2.5)
+    scales = (0.05, 0.2, 0.6, 0.9, 2.5, 1e3)
     kernels_ = [Kernel(fam, tau=s * math.sqrt(d))
                 for s in scales for fam in ("gaussian", "exponential")]
     for block_entries in (1, 4096, kernels._BLOCK_ENTRIES):
@@ -191,9 +191,10 @@ def test_shared_distances_are_computed_once_and_only_for_distance_kernels(rng, s
 
 def test_shared_distances_stack_a_run_of_mixed_kernels(rng, sq_distance_calls):
     # a run's stacks hold each kernel's `gram` and `kernel_block` in run
-    # order: the distance kernels of one family in one transform, adjacent
-    # in the run or not, the others one at a time; a later run reuses the
-    # squared distances
+    # order, whatever the families' order in the run: the distance kernels
+    # each transform the kept squared distances into their own slot, the
+    # others are built one at a time; a later run reuses the squared
+    # distances
     ground = [tuple(p) for p in rng.normal(size=(11, 2))]
     pts, qs = np.array(ground[:7]), np.array(ground[7:])
     m = rng.random((11, 11))
@@ -215,16 +216,6 @@ def test_shared_distances_stack_a_run_of_mixed_kernels(rng, sq_distance_calls):
     one = shared.grams([other])
     assert one.entries.shape == (1, 7, 7) and np.array_equal(one.entries[0], grams[-1])
     assert len(sq_distance_calls) == 2
-
-
-def test_stacked_distance_transform_equals_one_kernel_at_a_time(rng):
-    for family in ("exponential", "gaussian"):
-        members = [Kernel(family, tau=t) for t in (0.05, 0.3, 1.0 / 3.0, 2.5, 1e3)]
-        sq = kernels._sq_distances(rng.normal(size=(30, 3)), rng.normal(size=(20, 3)))
-        sq[0, :5] = 0.0
-        out = kernels._distance_kernels(members, sq, np.empty((len(members), *sq.shape)))
-        for kernel, got in zip(members, out):
-            assert np.array_equal(got, kernels._distance_kernel(kernel, sq.copy()))
 
 
 def test_shared_distances_refuse_a_negative_gram_entry(monkeypatch):

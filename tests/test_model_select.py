@@ -397,13 +397,20 @@ def test_runs_bound_the_stacked_arrays(monkeypatch):
 
 @pytest.mark.parametrize("order", [1, 3])
 def test_grouped_cv_matches_reference_in_bounded_runs(monkeypatch, order):
-    # a budget of two alphas' arrays at order 1, and of less than one at
-    # order 3, splits the group's five alphas into runs
-    monkeypatch.setattr(model_select, "_STACK_ENTRIES", 2 * _BLOCK_ENTRIES if order == 1 else 1)
+    # an order-1 candidate holds its q held-out rows against each class, q x
+    # (n - q) entries: a budget of two candidates at order 1, and of less
+    # than one at order 3, splits each kernel's five alphas into finishes
     data = gen_chequerboard(2, seed=11)
+    q = data.n // 3  # three equal folds
+    monkeypatch.setattr(model_select, "_STACK_ENTRIES", 2 * q * (data.n - q) if order == 1 else 1)
+    seen = []
+    runs = model_select._runs
+    monkeypatch.setattr(model_select, "_runs",
+                        lambda *args: seen.append(runs(*args)) or seen[-1])
     grid = default_grid(data.points, tau_scales=(0.5, 2.0),
                         alphas=(0.5, 1.0, (2.0, 0.5), 4.0, 1.0), order=order)
     _assert_matches_reference(data, grid)
+    assert {step for _, step in seen} == {2 if order == 1 else 1}
 
 
 def test_grouped_cv_stops_at_the_same_fold_as_reference():
