@@ -361,6 +361,10 @@ def knn_predict(train_points, train_labels, queries, k: int = 5) -> np.ndarray:
         kth = np.partition(dist, k - 1, axis=1)[:, k - 1, None]
         nearer = dist < kth
         tied = dist == kth
-        tied &= np.cumsum(tied, axis=1) <= k - nearer.sum(axis=1, keepdims=True)
+        free = k - nearer.sum(axis=1)
+        # only a row with more points at the k-th distance than free slots
+        # cuts its ties, keeping the lowest training indices
+        cut = np.flatnonzero(tied.sum(axis=1) > free)
+        tied[cut] &= np.cumsum(tied[cut], axis=1) <= free[cut, None]
         out[rows] = ((nearer | tied) @ one_hot).argmax(axis=1)
     return out

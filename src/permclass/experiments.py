@@ -11,7 +11,7 @@ from .classify import LabeledDataset, ModelParams, fit, knn_predict, predict
 from .datasets import (ExpressionMatrix, SplitPlan, gen_chequerboard,
                        gen_grid_testset, make_splits, rank_genes_bw)
 from .kernels import Kernel
-from .model_select import CVSpec, cross_validate, median_pairwise_distance
+from .model_select import CVSpec, _winner, cross_validate, median_pairwise_distance
 
 __all__ = [
     "ChequerboardRow",
@@ -77,19 +77,24 @@ def run_chequerboard(seed: int = DEFAULT_TABLE1_SEED, per_cell: int = 10,
     """Chequerboard comparison: two order-3 permanental models plus the kNN row.
 
     Hyperparameters per kernel family come from k-fold cross-validation of
-    the error rate on the training configuration; errors are counted on the
+    the error rate on the training configuration: one sweep over both
+    families' grids, family-major, so each fold's split and class distances
+    serve every kernel of both, and each family's winner is the argmin of
+    its own slice of the report (`model_select._winner`), the candidate a
+    sweep over that family alone would choose.  Errors are counted on the
     training points and on the cell-centred evaluation grid.  Rows for the
     external classifiers are emitted as placeholders.
     """
     data = gen_chequerboard(per_cell, seed)
     test_points, test_labels = gen_grid_testset(grid_resolution)
+    families = (("permanental K1", "exponential"), ("permanental K2", "gaussian"))
+    grid = [ModelParams(kernel=Kernel(family, tau=t), alphas=a)
+            for _, family in families for t in taus for a in alphas]
+    report = cross_validate(data, CVSpec(grid=grid, folds=folds, seed=seed))
+    width = len(grid) // len(families)
     rows: list[ChequerboardRow] = []
-    for name, family in (("permanental K1", "exponential"),
-                         ("permanental K2", "gaussian")):
-        grid = [ModelParams(kernel=Kernel(family, tau=t), alphas=a)
-                for t in taus for a in alphas]
-        report = cross_validate(data, CVSpec(grid=grid, folds=folds, seed=seed))
-        best = report.winner
+    for f, (name, _) in enumerate(families):
+        best = grid[_winner(report.results, range(f * width, (f + 1) * width))]
         model = fit(data, best)
         train_pred = predict(model, data.points).argmax
         test_pred = predict(model, test_points).argmax

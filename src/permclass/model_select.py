@@ -154,6 +154,21 @@ def _tie_key(params: ModelParams) -> tuple[float, float]:
     return (tau, alpha)
 
 
+def _winner(results: list[CandidateResult], positions: Sequence[int]) -> int:
+    """The position, among ``positions`` of ``results``, of the candidate
+    with the smallest mean, ties broken by smaller tau, then smaller alpha,
+    then position.  A slice with no valid candidate has no winner: it
+    raises ValueError with its first candidate's message.  A candidate's
+    fold scores do not depend on what else its sweep holds, so the winner
+    of one family's slice of a sweep over several families is the winner of
+    a sweep over that family alone."""
+    if not any(results[i].valid for i in positions):
+        raise ValueError("no candidate is valid; the first failed with "
+                         f"{results[positions[0]].message}")
+    return sorted(positions,
+                  key=lambda i: (results[i].mean, *_tie_key(results[i].params), i))[0]
+
+
 def _order_passes(grid: list[ModelParams]) -> dict[object, list[tuple[Kernel, list[int]]]]:
     """Candidate positions grouped by equal kernel within each order, orders
     and kernels in order of first appearance; equal kernels need not be
@@ -332,7 +347,8 @@ def cross_validate(data: LabeledDataset, spec: CVSpec) -> CVReport:
     per_alpha{K(x)}, and its finishes hold one candidate each.  A
     candidate with a held-out row whose weights total zero or less gets
     `predict`'s message.  A sweep in which no candidate is valid has no
-    winner and raises ValueError with the first candidate's message.
+    winner and raises ValueError with the first candidate's message
+    (`_winner`).
     """
     folds = fold_assignment(data.n, spec.folds, spec.seed,
                             labels=data.labels, stratified=spec.stratified)
@@ -356,15 +372,12 @@ def cross_validate(data: LabeledDataset, spec: CVSpec) -> CVReport:
             runs, step = _runs([g for g in live if g[1]], sizes, len(truth), order)
             for run in runs:
                 sweep.run(run, order, step, shared, queries, truth)
-    if all(f is not None for f in failed):
-        raise ValueError(f"no candidate is valid; the first failed with {failed[0]}")
     results = [CandidateResult(params, scores[i], float(np.mean(scores[i])))
                if failed[i] is None else
                CandidateResult(params, scores[i], float("inf"), False, failed[i])
                for i, params in enumerate(grid)]
-    order = sorted(range(len(results)),
-                   key=lambda i: (results[i].mean, *_tie_key(results[i].params), i))
-    return CVReport(spec=spec, results=results, winner_index=order[0], n=data.n)
+    return CVReport(spec=spec, results=results, n=data.n,
+                    winner_index=_winner(results, range(len(results))))
 
 
 def median_pairwise_distance(points) -> float:

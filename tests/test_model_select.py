@@ -9,10 +9,10 @@ import permclass.model_select as model_select
 from permclass.classify import LabeledDataset, ModelParams, fit, predict
 from permclass.datasets import gen_chequerboard, gen_grid_testset
 from permclass.kernels import _BLOCK_ENTRIES, Kernel
-from permclass.model_select import (OBJECTIVES, CVSpec, cross_entropy,
+from permclass.model_select import (OBJECTIVES, CandidateResult, CVSpec, cross_entropy,
                                     cross_validate, default_grid, error_rate,
                                     fold_assignment, median_pairwise_distance)
-from permclass.model_select import _runs
+from permclass.model_select import _runs, _winner
 
 
 def test_fold_assignment_deterministic():
@@ -94,6 +94,45 @@ def test_sweep_without_a_valid_candidate_has_no_winner():
     with pytest.raises(ValueError, match="no candidate is valid; the first failed "
                                          "with ValueError: .*per-class alphas"):
         cross_validate(data, CVSpec(grid=grid, folds=3, seed=0))
+
+
+def test_winner_breaks_equal_means_by_tau_then_alpha_then_position():
+    def result(tau, alphas, mean):
+        return CandidateResult(ModelParams(kernel=Kernel.gaussian(tau), alphas=alphas),
+                               [mean], mean)
+    results = [result(0.5, 1.0, 0.25),          # 0: a larger mean
+               result(1.0, 0.5, 0.125),         # 1: the larger tau
+               result(0.5, 2.0, 0.125),         # 2: the larger alpha
+               result(0.5, (4.0, 1.0), 0.125),  # 3: per-class alphas, smallest 1
+               result(0.5, 1.0, 0.125),         # 4: the same key as 3, later
+               # 5: invalid, whatever its smaller tau
+               CandidateResult(ModelParams(kernel=Kernel.gaussian(0.1)), [],
+                               float("inf"), False, "ValueError: bad")]
+    assert _winner(results, range(6)) == 3
+    assert _winner(results, [4, 3]) == 3
+    assert _winner(results, [1, 4]) == 4
+    assert _winner(results, [0, 1, 2]) == 2
+    assert _winner(results, [0, 1]) == 1
+    assert _winner(results, [5, 0]) == 0
+
+
+def test_winner_of_a_slice_with_no_valid_candidate_raises_its_own_first_message():
+    # the exponential slice is valid but for its first candidate; the
+    # gaussian slice is all invalid, and raises its own first message, the
+    # one a sweep over it alone raises, not the grid's first failure
+    data = gen_chequerboard(2, seed=0)
+    exponential = [ModelParams(kernel=Kernel.exponential(0.5), alphas=a, order=3)
+                   for a in (-1.0, 1.0)]
+    gaussian = [ModelParams(kernel=Kernel.gaussian(0.5), alphas=a, order=3)
+                for a in ((1.0, 1.0, 1.0), -1.0)]
+    report = cross_validate(data, CVSpec(grid=exponential + gaussian, folds=3, seed=0))
+    assert report.winner_index == _winner(report.results, range(2)) == 1
+    with pytest.raises(ValueError) as alone:
+        cross_validate(data, CVSpec(grid=gaussian, folds=3, seed=0))
+    with pytest.raises(ValueError, match="no candidate is valid; the first failed "
+                                         "with ValueError: .*per-class alphas") as merged:
+        _winner(report.results, range(2, 4))
+    assert str(merged.value) == str(alone.value)
 
 
 def test_programming_errors_are_not_isolated(monkeypatch):
