@@ -149,6 +149,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_partition(args) -> int:
+    if args.sample is not None and args.sample < 0:
+        raise ValueError(f"--sample must be a nonnegative integer seed, got {args.sample}")
     data = load_features_csv(args.data, require_label=False)
     kernel = _kernel_from_args(args)
     params = ModelParams(kernel=kernel, lam=getattr(args, "lambda"),
@@ -184,16 +186,13 @@ def cmd_cv(args) -> int:
 def cmd_simulate(args) -> int:
     if args.what == "chequerboard":
         data = gen_chequerboard(args.per_cell, args.seed)
-        save_features_csv(args.out, data,
-                          header_lines=_header(args.seed, _config_of(args)))
     else:
         lo, hi = args.lo, args.hi
         draws = gen_triangular(args.n, (lo + hi) / 2, (hi - lo) / 2, args.seed)
         data = LabeledDataset(points=draws.reshape(-1, 1),
                               labels=np.zeros(args.n, dtype=int),
                               n_classes=1, class_names=("1",))
-        save_features_csv(args.out, data,
-                          header_lines=_header(args.seed, _config_of(args)))
+    save_features_csv(args.out, data, header_lines=_header(args.seed, _config_of(args)))
     print(f"wrote {args.out}")
     return 0
 
@@ -235,20 +234,12 @@ def cmd_bench(args) -> int:
 def _study_outputs(outdir: str, report, seed, config) -> None:
     os.makedirs(outdir, exist_ok=True)
     hdr = _header(seed, config)
-    curve_rows = [
-        (float(t), float(report.curves[1][i]), float(report.curves[2][i]),
-         float(report.curves[3][i]))
-        for i, t in enumerate(report.t_grid)
-    ]
-    write_csv(os.path.join(outdir, "ratio_curves.csv"), hdr,
-              ["t", "two_cycle", "three_cycle", "four_cycle"], curve_rows)
-    prob_rows = [
-        (float(t), float(report.prob_curves[1][i]), float(report.prob_curves[2][i]),
-         float(report.prob_curves[3][i]))
-        for i, t in enumerate(report.t_grid)
-    ]
-    write_csv(os.path.join(outdir, "probability_curves.csv"), hdr,
-              ["t", "p1_two_cycle", "p1_three_cycle", "p1_four_cycle"], prob_rows)
+    for name, curves, prefix in (("ratio_curves.csv", report.curves, ""),
+                                 ("probability_curves.csv", report.prob_curves, "p1_")):
+        rows = [(float(t), *(float(curves[k][i]) for k in (1, 2, 3)))
+                for i, t in enumerate(report.t_grid)]
+        columns = ["t"] + [prefix + c for c in ("two_cycle", "three_cycle", "four_cycle")]
+        write_csv(os.path.join(outdir, name), hdr, columns, rows)
     write_json(os.path.join(outdir, "summary.json"),
                {"study": report.summary_dict()}, seed, config)
 
@@ -307,18 +298,16 @@ def cmd_reproduce(args) -> int:
         plan = SplitPlan(repetitions=reps, train_size=half,
                          test_size=expr.n_samples - half, seed=args.seed)
         result = run_microarray(expr, plan)
-        rows = []
-        for i, m in enumerate(result.gene_counts):
-            row = [m] + [result.mean_test_errors[k][i]
-                         for k in sorted(result.mean_test_errors)]
-            rows.append(row)
+        errors = result.mean_test_errors
+        rows = [[m] + [errors[k][i] for k in sorted(errors)]
+                for i, m in enumerate(result.gene_counts)]
         coords = two_axis_projection(expr)
         proj_rows = [(sid, lbl, float(c[0]), float(c[1]))
                      for sid, lbl, c in zip(expr.sample_ids,
                                             expr.sample_labels, coords)]
         os.makedirs(args.out, exist_ok=True)
         write_csv(os.path.join(args.out, "errors_vs_genes.csv"), hdr,
-                  ["n_genes"] + sorted(result.mean_test_errors), rows)
+                  ["n_genes"] + sorted(errors), rows)
         write_csv(os.path.join(args.out, "projection.csv"), hdr,
                   ["sample", "label", "centroid_axis", "pc1"], proj_rows)
         write_json(os.path.join(args.out, "summary.json"),
@@ -332,128 +321,142 @@ def cmd_reproduce(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--config", default=None,
-                   help="flat key=value file of optional flags' defaults")
+def _kernel_flags(add):
+    add("--kernel", default="exponential",
+        choices=["exponential", "gaussian", "constant"])
+    add("--tau", type=float, default=1.0)
+    add("--c", type=float, default=1.0)
 
 
-def _add_kernel_flags(p: argparse.ArgumentParser):
-    p.add_argument("--kernel", default="exponential",
-                   choices=["exponential", "gaussian", "constant"])
-    p.add_argument("--tau", type=float, default=1.0)
-    p.add_argument("--c", type=float, default=1.0)
+def _perm_flags(add):
+    add("mode", choices=["exact", "approx"])
+    add("--matrix", required=True)
+    add("--alpha", type=float, required=True)
+    add("--order", default="3")
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and each subcommand's parser, by name."""
+def _fit_flags(add):
+    add("--data", required=True)
+    _kernel_flags(add)
+    add("--alpha", type=float, default=1.0)
+    add("--order", default="3")
+    add("--out", required=True)
+
+
+def _predict_flags(add):
+    add("--model", required=True)
+    add("--queries", required=True)
+    add("--out", required=True)
+
+
+def _partition_flags(add):
+    add("--data", required=True)
+    add("--lambda", type=float, required=True, dest="lambda")
+    _kernel_flags(add)
+    add("--order", default="3", help="0..3 or 'exact'")
+    add("--sample", type=int, default=None,
+        help="sample assignments with this seed instead of argmax")
+    add("--out", required=True)
+
+
+def _cv_flags(add):
+    add("--data", required=True)
+    add("--grid", default=None, help="JSON grid file (default: scale-aware grid)")
+    add("--folds", type=int, default=10)
+    add("--objective", choices=["error", "xent"], default="error")
+    add("--stratified", action="store_true")
+    add("--out", required=True)
+
+
+def _simulate_flags(add):
+    add("what", choices=["chequerboard", "triangular"])
+    add("--per-cell", type=int, default=10, dest="per_cell")
+    add("--n", type=int, default=100)
+    add("--lo", type=float, default=-math.pi)
+    add("--hi", type=float, default=math.pi)
+    add("--out", required=True)
+
+
+def _genes_flags(add):
+    add("mode", choices=["rank"])
+    add("--expr", required=True)
+    add("--labels", required=True)
+    add("--top", type=int, default=0, help="0 keeps all genes")
+    add("--out", required=True)
+
+
+def _bench_flags(add):
+    add("--orders", default="1,2,3")
+    add("--sizes", default="100,200,400,800")
+    add("--alpha", type=float, default=1.0)
+    add("--queries", type=int, default=20)
+    add("--out", default=None)
+
+
+def _study_flags(add):
+    add("--n", type=int, default=100)
+    add("--tau", type=float, default=1.0)
+    add("--alpha", type=float, default=1.0)
+    add("--t-points", type=int, default=129, dest="t_points")
+    add("--out", required=True)
+
+
+def _reproduce_flags(add):
+    add("what", choices=["table1", "figure1", "microarray"])
+    add("--out", required=True)
+    add("--expr", default=None, help="microarray: expression CSV")
+    add("--labels", default=None, help="microarray: sample,label CSV")
+    add("--repetitions", type=int, default=None,
+        help=f"microarray: train/test splits (default {DEFAULT_REPETITIONS})")
+
+
+# name: (help, adds its flags by `add_argument`, handler)
+_COMMANDS = {
+    "perm": ("alpha-permanents and ratios of a CSV matrix", _perm_flags, cmd_perm),
+    "fit": ("fit a finite-class model", _fit_flags, cmd_fit),
+    "predict": ("class probabilities for query points", _predict_flags, cmd_predict),
+    "partition": ("sequential block assignment", _partition_flags, cmd_partition),
+    "cv": ("k-fold cross-validation over a grid", _cv_flags, cmd_cv),
+    "simulate": ("emit synthetic dataset CSVs", _simulate_flags, cmd_simulate),
+    "genes": ("rank genes by BSS/WSS", _genes_flags, cmd_genes),
+    "bench": ("complexity verification of the orders", _bench_flags, cmd_bench),
+    "study": ("ratio accuracy study", _study_flags, cmd_study),
+    "reproduce": ("end-to-end experiment artifacts", _reproduce_flags, cmd_reproduce),
+}
+
+
+def build_parser(command: str | None = None
+                 ) -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and its subcommand parsers by name: every
+    subcommand's, or ``command``'s alone."""
     parser = argparse.ArgumentParser(
         prog=PROG,
         description="Permanental classification with cyclic approximations")
     parser.add_argument("--version", action="version",
                         version=f"{PROG} {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("perm", help="alpha-permanents and ratios of a CSV matrix")
-    p.add_argument("mode", choices=["exact", "approx"])
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--order", default="3")
-    _add_common(p)
-    p.set_defaults(func=cmd_perm)
-
-    p = sub.add_parser("fit", help="fit a finite-class model")
-    p.add_argument("--data", required=True)
-    _add_kernel_flags(p)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--order", default="3")
-    p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_fit)
-
-    p = sub.add_parser("predict", help="class probabilities for query points")
-    p.add_argument("--model", required=True)
-    p.add_argument("--queries", required=True)
-    p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_predict)
-
-    p = sub.add_parser("partition", help="sequential block assignment")
-    p.add_argument("--data", required=True)
-    p.add_argument("--lambda", type=float, required=True, dest="lambda")
-    _add_kernel_flags(p)
-    p.add_argument("--order", default="3",
-                   help="0..3 or 'exact'")
-    p.add_argument("--sample", type=int, default=None,
-                   help="sample assignments with this seed instead of argmax")
-    p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_partition)
-
-    p = sub.add_parser("cv", help="k-fold cross-validation over a grid")
-    p.add_argument("--data", required=True)
-    p.add_argument("--grid", default=None, help="JSON grid file (default: scale-aware grid)")
-    p.add_argument("--folds", type=int, default=10)
-    p.add_argument("--objective", choices=["error", "xent"], default="error")
-    p.add_argument("--stratified", action="store_true")
-    p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_cv)
-
-    p = sub.add_parser("simulate", help="emit synthetic dataset CSVs")
-    p.add_argument("what", choices=["chequerboard", "triangular"])
-    p.add_argument("--per-cell", type=int, default=10, dest="per_cell")
-    p.add_argument("--n", type=int, default=100)
-    p.add_argument("--lo", type=float, default=-math.pi)
-    p.add_argument("--hi", type=float, default=math.pi)
-    p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("genes", help="rank genes by BSS/WSS")
-    p.add_argument("mode", choices=["rank"])
-    p.add_argument("--expr", required=True)
-    p.add_argument("--labels", required=True)
-    p.add_argument("--top", type=int, default=0, help="0 keeps all genes")
-    p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_genes)
-
-    p = sub.add_parser("bench", help="complexity verification of the orders")
-    p.add_argument("--orders", default="1,2,3")
-    p.add_argument("--sizes", default="100,200,400,800")
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--queries", type=int, default=20)
-    p.add_argument("--out", default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_bench)
-
-    p = sub.add_parser("study", help="ratio accuracy study")
-    p.add_argument("--n", type=int, default=100)
-    p.add_argument("--tau", type=float, default=1.0)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--t-points", type=int, default=129, dest="t_points")
-    p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_study)
-
-    p = sub.add_parser("reproduce", help="end-to-end experiment artifacts")
-    p.add_argument("what", choices=["table1", "figure1", "microarray"])
-    p.add_argument("--out", required=True)
-    p.add_argument("--expr", default=None, help="microarray: expression CSV")
-    p.add_argument("--labels", default=None, help="microarray: sample,label CSV")
-    p.add_argument("--repetitions", type=int, default=None,
-                   help=f"microarray: train/test splits (default {DEFAULT_REPETITIONS})")
-    p.add_argument("--seed", type=int, default=None,
-                   help="default: the experiment's pinned seed")
-    p.add_argument("--config", default=None,
-                   help="flat key=value file of optional flags' defaults")
-    p.set_defaults(func=cmd_reproduce)
+    # a lone subcommand's usage lists every name; the full parser sets
+    # no metavar, which errors would print in place of "command"
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar="{" + ",".join(_COMMANDS) + "}" if command else None)
+    for name in [command] if command else _COMMANDS:
+        text, add_flags, func = _COMMANDS[name]
+        p = sub.add_parser(name, help=text)
+        add = p.add_argument
+        add_flags(add)
+        pinned = name == "reproduce"  # experiments pin their seeds
+        add("--seed", type=int, default=None if pinned else 0,
+            help="default: the experiment's pinned seed" if pinned else None)
+        add("--config", default=None, help="flat key=value file of optional flags' defaults")
+        p.set_defaults(func=func)
     return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    parser, commands = build_parser()
+    """Run the subcommand ``argv`` names, building only its parser; any
+    other ``argv`` (help, version, an unknown command) builds them all."""
+    argv = sys.argv[1:] if argv is None else argv
+    parser, commands = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     args = parser.parse_args(argv)
     try:
         if getattr(args, "config", None):

@@ -521,11 +521,13 @@ class LimitTable:
     none of its terms is positive.  Every value above is built by adding
     terms, never by subtracting, so its zero test is exact, and where s2
     can be 0 follows from the counts ``s_terms``.  `grow` adds a point in
-    O(n^2); the square arrays live in buffers with spare room, so a point
-    costs no copy of them.
+    O(n^2) in place: ``d``, ``s``, ``s_terms`` and the square arrays are
+    views of buffers with spare room, and the rank-one term ``inner`` gains
+    is formed in ``t0``'s buffer, refilled after it.
     """
 
-    _SQUARE = ("off", "s2", "inner", "t0")
+    _BUFFERS = {0: ("d",), 1: ("d",), 2: ("d", "s", "off"),
+                3: ("d", "s", "s_terms", "off", "s2", "inner", "t0")}
 
     def __init__(self, order: int):
         if order not in (0, 1, 2, 3):
@@ -534,10 +536,9 @@ class LimitTable:
         self.n = 0
         self.d = self.s = self.delta = self.r0 = np.zeros(0)
         self.s_terms = np.zeros(0, dtype=int)
-        for name in self._SQUARE:
-            setattr(self, name, np.zeros((0, 0)))
+        self.off = self.s2 = self.inner = self.t0 = np.zeros((0, 0))
         self.flat = np.zeros(0, dtype=int)
-        self.lone = (self.flat, self.flat, np.zeros(0))
+        self.lone = self._no_lone = (self.flat, self.flat, np.zeros(0))
         self._room = 0
         self._buffers: dict[str, np.ndarray] = {}
 
@@ -546,21 +547,24 @@ class LimitTable:
         if n <= self._room:
             return
         room = max(n, self._room + self._room // 4, 8)
-        names = self._SQUARE if self.order == 3 else ("off",)
-        old, m = self._buffers, self.n
-        self._buffers = {name: np.zeros((room, room)) for name in names}
-        for name, buf in old.items():
-            self._buffers[name][:m, :m] = buf[:m, :m]
+        for name in self._BUFFERS[self.order]:
+            value = getattr(self, name)
+            buf = self._buffers[name] = np.zeros((room,) * value.ndim, value.dtype)
+            part = (slice(self.n),) * value.ndim
+            buf[part] = value
+            setattr(self, name, buf[part])
         self._room = room
 
-    def _border(self, name: str, row, col, corner: float) -> np.ndarray:
-        """Write the new point's row and column; returns the grown view."""
+    def _border(self, name: str, corner, row=None, col=None) -> np.ndarray:
+        """Write the new point's entry (and row and column if square);
+        returns the grown view."""
         n = self.n
         buf = self._buffers[name]
-        buf[n, :n] = row
-        buf[:n, n] = col
-        buf[n, n] = corner
-        view = buf[:n + 1, :n + 1]
+        if buf.ndim == 2:
+            buf[n, :n] = row
+            buf[:n, n] = col
+        buf[(n,) * buf.ndim] = corner
+        view = buf[(slice(n + 1),) * buf.ndim]
         setattr(self, name, view)
         return view
 
@@ -575,47 +579,50 @@ class LimitTable:
             raise ValueError(f"gram diagonal must be strictly positive; point "
                              f"index {n} has K(x, x) = {ktt}")
         _check_kernel_row(a, ktt)
+        self._reserve(n + 1)
         dp, d = float(ktt), self.d
-        self.d = np.append(d, dp)
+        self._border("d", dp)
         if self.order >= 2:
-            self._reserve(n + 1)
             q_col = a * a / dp           # Q[j, p] for the new point p
             q_row = a * a / d            # Q[p, m]
-            s = self.s
-            self.s = np.append(s + q_col, q_row.sum())
-            off = self._border("off", a, a, 0.0)
+            off = self._border("off", 0.0, a, a)
             if self.order == 3:
-                self._grow_order3(a, dp, d, s, q_col, q_row, off)
+                self._grow_order3(a, dp, d, q_col, q_row, off)
+            self.s[:n] += q_col  # after order 3 read old s
+            self._border("s", q_row.sum())
         self.n += 1
 
-    def _grow_order3(self, a, dp, d, s, q_col, q_row, off) -> None:
+    def _grow_order3(self, a, dp, d, q_col, q_row, off) -> None:
         n = self.n
         b = self._buffers
-        self.s_terms = np.append(self.s_terms + (q_col > 0),
-                                 np.count_nonzero(q_row))
+        self.s_terms[:n] += q_col > 0
+        s_terms = self._border("s_terms", np.count_nonzero(q_row))
         # p lies outside every old pair {i, j}, so s2 gains Q[j, p]
         b["s2"][:n, :n] += q_col
         corner = q_row.sum()
-        s2 = self._border("s2", s, _sum_without(q_row), corner)
-        # inner gains the rank-one term through p
-        b["inner"][:n, :n] += np.multiply.outer(a, a / dp)
+        s2 = self._border("s2", corner, self.s, _sum_without(q_row))
+        # inner gains the rank-one term through p, formed in t0's buffer
+        b["inner"][:n, :n] += np.multiply.outer(a, a / dp, out=b["t0"][:n, :n])
         new = (a / d) @ off[:n, :n]
-        inner = self._border("inner", new, new, corner)
+        inner = self._border("inner", corner, new, new)
         t0 = self.t0 = b["t0"][:n + 1, :n + 1]
         with np.errstate(divide="ignore", invalid="ignore"):
             np.divide(off, s2, out=t0)
         # s2[i, j] is 0 only in a column j with at most one positive Q[j, m]
-        cols = np.flatnonzero(self.s_terms <= 1)
-        rows, at = np.nonzero(s2[:, cols] == 0)
-        cols = cols[at]
-        t0[rows, cols] = off[rows, cols]
+        cols = np.flatnonzero(s_terms <= 1)
+        lone = self._no_lone
+        if cols.size:
+            rows, at = np.nonzero(s2[:, cols] == 0)
+            cols = cols[at]
+            t0[rows, cols] = off[rows, cols]
+            keep = off[rows, cols] > 0
+            lr, lc = rows[keep], cols[keep]
+            lone = (lr, lc, off[lr, lc])
+        self.lone = lr, lc, lv = lone
         self.delta = np.einsum("ij,ij->i", t0, off)
         r0 = np.einsum("ij,ij->i", t0, inner)
-        keep = off[rows, cols] > 0
-        lr, lc = rows[keep], cols[keep]
-        self.lone = (lr, lc, off[lr, lc])
         if lr.size:
-            r0 += np.bincount(lr, off[lr, lc] ** 2 / self.d[lc], minlength=n + 1)
+            r0 += np.bincount(lr, lv ** 2 / self.d[lc], minlength=n + 1)
         self.flat = np.flatnonzero(r0 == 0)
         r0[self.flat] = np.inf
         self.r0 = r0
@@ -672,7 +679,7 @@ def _four_cycle_limit(table: LimitTable, kt, w, u) -> float:
     # the subtraction takes the k = i terms out of the dense product
     v = table.t0 @ u
     b = v - w * table.delta
-    lone_w = np.bincount(lr, lv * w[lc], minlength=n)
+    lone_w = np.bincount(lr, lv * w[lc], minlength=n) if lr.size else np.zeros(n)
     b += lone_w
     # the difference is trusted where it keeps at least a quarter of v, so
     # that rounding moves it by a few units of v's last place at most; the

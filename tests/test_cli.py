@@ -1,7 +1,9 @@
+import argparse
 import json
 
 import pytest
 
+from permclass import cli
 from permclass.cli import main
 
 
@@ -184,6 +186,18 @@ def test_partition_rejects_infinite_parameters(tmp_path, capsys):
         assert code == 1
         assert name in err and "finite" in err
         assert not out.exists()
+
+
+def test_partition_refuses_a_negative_sample_seed(tmp_path, capsys):
+    # refused by name before the data is read: the file does not exist
+    out = tmp_path / "part.json"
+    code, stdout, err = run(["partition", "--data", str(tmp_path / "missing.csv"),
+                             "--lambda", "0.5", "--sample", "-3", "--out", str(out)],
+                            capsys)
+    assert code == 1
+    assert stdout == ""
+    assert "--sample must be a nonnegative integer seed, got -3" in err
+    assert not out.exists()
 
 
 def test_cv_command(tmp_path, capsys):
@@ -524,3 +538,54 @@ def test_predict_rejects_nan_query_cell(tmp_path, capsys):
     assert code == 1
     assert f"{queries}:3" in err and "not finite" in err
     assert not out.exists()
+
+
+SUBCOMMANDS = ["perm", "fit", "predict", "partition", "cv", "simulate", "genes",
+               "bench", "study", "reproduce"]
+
+
+def _outcome(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["-h"], ["--version"], [], ["nosuch"], *([name, "-h"] for name in SUBCOMMANDS),
+    ["predict", "--model", "m.json", "--queries", "q.csv", "--out", "p.csv", "--bogus"],
+    ["partition", "--data", "pts.csv"],
+    ["bench", "--queries", "many"],
+    ["partition", "--data", "{tmp}/pts.csv", "--lambda", "0.5", "--config", "{tmp}/run.cfg",
+     "--out", "{tmp}/part.json"]], ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_lazy_parser_says_what_the_full_one_says(argv, tmp_path, capsys, monkeypatch):
+    # a command builds its own subcommand's parser alone; whatever argv
+    # gives, exit code, stdout and stderr match a parser holding every one
+    (tmp_path / "run.cfg").write_text("frobnicate = 1\n")
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    lazy = _outcome(argv, capsys)
+    full_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full_parser())
+    assert lazy == _outcome(argv, capsys)
+    assert lazy[1] or lazy[2]
+
+
+def test_partition_command_builds_one_subcommand_parser(tmp_path, capsys, monkeypatch):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def spy(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+    data = tmp_path / "pts.csv"
+    data.write_text("x0\n0.0\n0.1\n5.0\n")
+    assert run(["partition", "--data", str(data), "--lambda", "0.5",
+                "--out", str(tmp_path / "part.json")], capsys)[0] == 0
+    assert built == ["partition"]
+    built.clear()
+    assert _outcome(["-h"], capsys)[0] == 0
+    assert built == SUBCOMMANDS

@@ -862,6 +862,75 @@ def test_limit_table_grows_checked_rows():
     assert table.n == 1
 
 
+def _limit_state(table):
+    arrays = [table.d, table.s, table.s_terms, table.delta, table.r0, table.flat,
+              *table.lone, table.off, table.s2, table.inner, table.t0]
+    return table.n, [a.copy() for a in arrays]
+
+
+def _assert_same_state(a, b):
+    assert a[0] == b[0]
+    for x, y in zip(a[1], b[1]):
+        assert x.dtype == y.dtype and x.shape == y.shape
+        assert x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_limit_table_refused_growth_changes_nothing(rng, order):
+    # the 1-d fields live in buffers as the square ones do, so a refusal
+    # must come before the first write; 8 points fill the first buffers,
+    # so the refused ninth point would also have grown them
+    M = sym_nonneg(rng, 9)
+    table, twin = LimitTable(order), LimitTable(order)
+    for p in range(8):
+        table.grow(M[p, :p], M[p, p])
+        twin.grow(M[p, :p], M[p, p])
+    before = _limit_state(table)
+    row = M[8, :8]
+    for kt, ktt in ((np.append(row[:-1], -0.1), 1.0), (np.append(row[:-1], np.nan), 1.0),
+                    (row[:-1], 1.0), (np.append(row, 0.1), 1.0),
+                    (row, 0.0), (row, -1.0), (row, np.nan), (row, np.inf)):
+        with pytest.raises(ValueError):
+            table.grow(kt, ktt)
+        _assert_same_state(_limit_state(table), before)
+    # and the next point grows it as if nothing had been refused
+    table.grow(row, M[8, 8])
+    twin.grow(row, M[8, 8])
+    _assert_same_state(_limit_state(table), _limit_state(twin))
+
+
+def test_limit_table_chain_takes_then_skips_lone_lanes():
+    # 15 points on a line, each reaching the points within distance 3: the
+    # three pairs that arrive first each have one neighbour, so lone lanes
+    # exist; from the ninth point on every point has at least two and the
+    # lone-lane fix-up is skipped.  The ratios match the scalar series after
+    # every growth, across the buffer sizes 8 -> 10 -> 12 -> 15
+    x = np.arange(15.0)
+    arrival = [0, 1, 6, 7, 12, 13, 14, 3, 9, 2, 4, 5, 8, 10, 11]
+    M = np.clip(1.0 - np.abs(x[:, None] - x) / 3.5, 0.0, None)[np.ix_(arrival, arrival)]
+    queries = [np.clip(1.0 - np.abs(x[arrival] - t) / 3.5, 0.0, None)
+               for t in (0.5, 6.4, 12.9)]
+    table = LimitTable(3)
+    fixes, lone, rooms = [], [], []
+    for p in range(15):
+        table.grow(M[p, :p], M[p, p])
+        fixes.append(bool((table.s_terms <= 1).any()))
+        lone.append(table.lone[0].size)
+        rooms.append(table._room)
+        for kt in queries:
+            q = kt[:p + 1]
+            try:
+                expect = cyclic_ratio_scalar(M[:p + 1, :p + 1], q, 0.9, 3)
+            except DegenerateConfigurationError:
+                with pytest.raises(DegenerateConfigurationError, match="diverges"):
+                    table.ratio(q, 0.9)
+                continue
+            assert table.ratio(q, 0.9) == pytest.approx(expect, rel=1e-12, abs=0.0), p
+    assert fixes == [True] * 8 + [False] * 7
+    assert max(lone[:8]) > 0 and max(lone[8:]) == 0
+    assert rooms == [8] * 8 + [10] * 2 + [12] * 2 + [15] * 3
+
+
 def cyclic_ratio_smallalpha(g: GramMatrix, kt, ktt: float, order: int,
                             eps: float = 1e-6) -> float:
     """Numeric cross-check of the limit: Richardson step from eps to eps/10.
