@@ -153,14 +153,20 @@ class FittedModel:
         return len(self.classes)
 
 
-def _fit_kernel(grams: Iterable[GramMatrix], order) -> list[_FitCore | _PerTable]:
-    """Each class's alpha-free table core from its Gram matrix, whose
-    ``finish(alpha)`` is the class's table: a `cyclic._FitCore` at orders
-    0-3, an `exact._PerTable` otherwise.  `fit` passes `gram` of each
-    class's points as a generator, so each Gram is built just before its
-    core and the first refusal stops the rest; cross-validation passes a
-    generator of each class's stack of a run's Gram matrices the same way."""
-    return [_PerTable(g) if order == EXACT_ORDER else _fit_core(g, order) for g in grams]
+def _fit_kernel(g: GramMatrix, order) -> _FitCore | _PerTable:
+    """A class's alpha-free core from its Gram matrix or a stack of them,
+    whose ``finish(alpha)`` is its table: a `cyclic._FitCore` at orders
+    0-3, an `exact._PerTable` otherwise."""
+    return _PerTable(g) if order == EXACT_ORDER else _fit_core(g, order)
+
+
+def _tables(data: LabeledDataset, params: ModelParams):
+    """Each class's table, its Gram matrix and core built as it is pulled,
+    so a consumer that drops each table holds one class's Gram at a time.
+    The alphas are checked at the call, before any Gram."""
+    alphas = params.alpha_vector(data.n_classes)
+    return (_fit_kernel(gram(params.kernel, data.class_points(r)), params.order).finish(a)
+            for r, a in enumerate(alphas))
 
 
 def fit(data: LabeledDataset, params: ModelParams) -> FittedModel:
@@ -169,20 +175,12 @@ def fit(data: LabeledDataset, params: ModelParams) -> FittedModel:
     Cost is O(sum_r n_r^2) at orders 0-2 and O(sum_r n_r^3) at order 3,
     the one order whose tables need the leave-two-out ratios; the exact
     order builds only the Gram matrices and refuses a class too large for
-    any query to join.  The tables are built as an alpha-free core per
-    class, then finished for the class's alpha in O(n_r^2); an order-3
-    table's four-cycle matrix, one more O(n_r^3) product, waits for a
-    query set of n_r rows or more.  Cross-validation finishes one core
-    over a stack of kernels' Gram matrices for all their candidates, into
-    one stacked table whose slices are bit for bit the tables `fit` makes.
-    An empty class gets a 0 x 0 Gram matrix and table, whose ratio is the
-    empty-class weight alpha K(t, t).
+    any query to join.  Each class's table is an alpha-free core finished
+    for its alpha in O(n_r^2), built after the class before it; at orders
+    0-2 it keeps one n_r x n_r array, the Gram matrix.  An empty class gets
+    a 0 x 0 Gram matrix and table, whose ratio is alpha K(t, t).
     """
-    alphas = params.alpha_vector(data.n_classes)
-    cores = _fit_kernel((gram(params.kernel, data.class_points(r))
-                         for r in range(data.n_classes)), params.order)
-    return FittedModel(params=params,
-                       classes=[core.finish(a) for core, a in zip(cores, alphas)],
+    return FittedModel(params=params, classes=list(_tables(data, params)),
                        class_names=data.class_names)
 
 
@@ -229,10 +227,11 @@ def _weights(tables: Iterable, ktt: np.ndarray, blocks) -> np.ndarray:
     finished for an array of alphas (one call to each table's ``rows`` per
     block serves every candidate, told the query count).  Over tables of
     stacked Gram matrices, ``ktt`` and the blocks carry the stack's leading
-    kernel axis.  The tables are read one class at a time, so a generator
-    of them keeps one class's table alive at once."""
+    kernel axis.  Each table is dropped before the next is pulled, so over
+    a generator one class's table is alive at once."""
     raw = None
-    for r, table in enumerate(tables):
+    r = 0
+    for table in tables:
         if raw is None:
             raw = np.empty((*np.shape(table.alpha), ktt.shape[-1], len(blocks)))
         lo = 0
@@ -240,19 +239,23 @@ def _weights(tables: Iterable, ktt: np.ndarray, blocks) -> np.ndarray:
             hi = lo + Kt.shape[-2]
             raw[..., lo:hi, r] = table.rows(Kt, ktt[..., lo:hi], ktt.shape[-1])
             lo = hi
+        del table  # else held while the next is built
+        r += 1
     return raw
 
 
-def predict(model: FittedModel, queries) -> PosteriorTable:
-    """Posterior table for a batch of query points.
-
-    Kernel blocks are evaluated one at a time as they are read, so the
-    query count does not set the memory peak.
-    """
+def _posterior(kernel: Kernel, tables: Iterable, class_points, queries) -> PosteriorTable:
+    """Posterior table of a batch of queries from each class's table and
+    points; kernel blocks are made one at a time as they are read."""
     qs = _as_rows(queries, "query")
-    kernel = model.params.kernel
-    blocks = [_kernel_blocks(kernel, qs, table.gram.points) for table in model.classes]
-    return _normalised(_weights(model.classes, kernel_self_batch(kernel, qs), blocks))
+    blocks = [_kernel_blocks(kernel, qs, pts) for pts in class_points]
+    return _normalised(_weights(tables, kernel_self_batch(kernel, qs), blocks))
+
+
+def predict(model: FittedModel, queries) -> PosteriorTable:
+    """Posterior table for a batch of query points."""
+    return _posterior(model.params.kernel, model.classes,
+                      [table.gram.points for table in model.classes], queries)
 
 
 def _new_table(order) -> LimitTable | _CypTable:

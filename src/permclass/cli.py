@@ -16,13 +16,13 @@ import json
 import math
 import os
 import sys
+from collections import deque
 
 import numpy as np
 
 from . import __version__
 from .benchmarks import StudyConfig, accuracy_study, bench_orders
-from .classify import (LabeledDataset, ModelParams, fit, predict,
-                       sequential_partition)
+from .classify import LabeledDataset, ModelParams, _posterior, _tables, sequential_partition
 from .cyclic import EXACT_ORDER, per_alpha_cyclic, ratio_approx_matrix
 from .datasets import (SplitPlan, gen_chequerboard, gen_expression,
                        gen_triangular, load_expression_csv, load_features_csv,
@@ -30,7 +30,7 @@ from .datasets import (SplitPlan, gen_chequerboard, gen_expression,
                        write_csv, write_text)
 from .exact import per_alpha_exact, ratio_exact_matrix
 from .experiments import DEFAULT_TABLE1_SEED, run_chequerboard, run_microarray
-from .kernels import Kernel, _as_square
+from .kernels import Kernel, _as_square, _entry
 from .model_select import CVSpec, cross_validate, default_grid
 
 PROG = "permclass"
@@ -104,10 +104,9 @@ def cmd_perm(args) -> int:
 
 def cmd_fit(args) -> int:
     data = load_features_csv(args.data)
-    kernel = _kernel_from_args(args)
-    params = ModelParams(kernel=kernel, alphas=args.alpha,
+    params = ModelParams(kernel=_kernel_from_args(args), alphas=args.alpha,
                          order=_order_value(args.order))
-    fit(data, params)  # validates before anything is written
+    deque(_tables(data, params), maxlen=0)  # checks each class, then drops it
     payload = {
         "model": {
             "params": params.to_dict(),
@@ -122,23 +121,19 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _model_from_json(path: str):
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    stored = doc["model"]
-    params = ModelParams.from_dict(stored["params"])
-    data = LabeledDataset(points=np.array(stored["points"], dtype=float),
-                          labels=np.array(stored["labels"], dtype=int),
-                          n_classes=stored["n_classes"],
-                          class_names=tuple(stored["class_names"]))
-    return fit(data, params), data
-
-
 def cmd_predict(args) -> int:
-    model, _ = _model_from_json(args.model)
+    with open(args.model, encoding="utf-8") as fh:
+        stored = _entry(json.load(fh), "model", args.model)
+    params = ModelParams.from_dict(_entry(stored, "params", "model"))
+    points, labels, n_classes, class_names = (_entry(stored, key, "model") for key in
+                                              ("points", "labels", "n_classes", "class_names"))
+    data = LabeledDataset(np.array(points, dtype=float), np.array(labels, dtype=int), n_classes,
+                          tuple(class_names))
+    tables = _tables(data, params)  # refit a class at a time as queries read it
     queries = load_features_csv(args.queries, require_label=False)
-    table = predict(model, queries.points)
-    names = model.class_names
+    table = _posterior(params.kernel, tables, map(data.class_points, range(data.n_classes)),
+                       queries.points)
+    names = data.class_names
     columns = ([f"x{i}" for i in range(queries.dim)]
                + [f"p_{name}" for name in names] + ["label"])
     rows = [list(map(float, q)) + [float(p) for p in probs] + [names[int(k)]]

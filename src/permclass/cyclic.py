@@ -15,11 +15,8 @@ nested sums are evaluated as displayed (`ratio_from_kt`, the reference),
 with denominators taken from tables built once per training set
 (leave-one-out and leave-two-out ratios at the next lower order).
 `RatioTable.rows` evaluates the same sums for a block of queries as
-matrix products; the fit-time tables absorb the inner indices, so order 3
-costs O(n^2) per query there: two products per block, or one with an
-n x n four-cycle matrix (one O(n^3) build) for a query set of n rows or
-more.  Order k = n is exact and larger exact sizes are served
-by the oracle layer, not here.
+matrix products, in O(n^2) per query at order 3.  Order k = n is exact;
+larger exact sizes are served by the oracle layer.
 
 The a -> 0+ limits C^(k) follow from the same recursion with every
 quantity a truncated power series in a, so configurations where the naive
@@ -46,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import (GramMatrix, _check_finite, _check_kernel_row,
+from .kernels import (GramMatrix, _block_rows, _check_finite, _check_kernel_row,
                       kernel_column, kernel_self)
 
 __all__ = [
@@ -102,8 +99,7 @@ class RatioTable:
     (r1_l2o, the leave-two-out ratios, is not kept), s3 and dg (see
     `_FitCore`), and the four-cycle matrix M, built on `rows`' first block
     of a query set of n rows or more.  r1_loo and r2_loo are strictly positive for
-    positive alpha and a positive Gram diagonal.  Tables depend only on
-    the training points, never on the query.
+    positive alpha and a positive Gram diagonal.
 
     ``alpha`` is one mass or, for a table finished for several candidates
     at once, a 1-d array of them; every alpha-dependent entry then has a
@@ -220,7 +216,7 @@ class _FitCore:
 
     d        the Gram diagonal,
     q_sum    row sums of Qoff[i, m] = K(x_i, x_m)^2 / K(x_m, x_m), m != i,
-    qoff     Qoff itself (order 3 only; below it only its row sums are read),
+    qoff     Qoff itself (order 3 only; below it only its row sums are made),
     g_inner  G[m, i] times the leave-two-out product
              sum_{l != i, m} K(x_m, x_l) K(x_l, x_i) / K(x_l, x_l)
              (order 3 only),
@@ -316,41 +312,47 @@ def _gram_diagonal(G: np.ndarray) -> np.ndarray:
 
 def _fit_core(g: GramMatrix, order: int) -> _FitCore:
     """Everything of an order-``order`` table that does not depend on alpha:
-    O(n^2), plus one O(n^3) matrix product at order 3, for one Gram matrix
-    or for each of a stack of them in one pass."""
+    O(n^2), plus one O(n^3) product at order 3, for one Gram matrix or a
+    stack.  The only n x n arrays made are the three order 3 keeps; below
+    it Qoff's rows are summed a `_block_rows` block at a time in a reused
+    scratch, with the same bits."""
     if order not in (0, 1, 2, 3):
         raise ValueError(f"order must be in 0..3, got {order}")
     G = g.entries
     d = _gram_diagonal(G)
-    Qoff = G * G
-    Qoff /= d[..., None, :]
-    Qoff[(..., *np.diag_indices(g.n))] = 0.0
-    core = _FitCore(g, order, d, Qoff.sum(axis=-1))
-    if not np.isfinite(core.q_sum).all():
+    n = g.n
+    step = max(n, 1) if order == 3 else _block_rows(d.size)
+    Qoff = np.empty((*d.shape[:-1], min(step, n), n))
+    q_sum = np.empty(d.shape)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        Q = Qoff[..., :hi - lo, :]
+        np.multiply(G[..., lo:hi, :], G[..., lo:hi, :], out=Q)
+        Q /= d[..., None, :]
+        at = np.arange(hi - lo)
+        Q[..., at, at + lo] = 0.0
+        Q.sum(axis=-1, out=q_sum[..., lo:hi])
+    if not np.isfinite(q_sum).all():
         # a NaN or infinite entry makes its row's sum so; finding it is O(n^2)
         _check_finite(G, "gram matrix")
-    if order == 3:
-        core.qoff = Qoff
-        inner = (G / d[..., None, :]) @ G
-        inner -= 2.0 * G
-        core.g_inner = G * inner
-        core.dg = G / d[..., :, None]
-        core.dg[(..., *np.diag_indices(g.n))] = 0.0
-    return core
+    if order < 3:
+        return _FitCore(g, order, d, q_sum)
+    # dg's buffer holds G / d, then 2 G; inner becomes g_inner in place
+    dg = G / d[..., None, :]
+    inner = dg @ G
+    inner -= np.multiply(G, 2.0, out=dg)
+    inner *= G
+    np.divide(G, d[..., :, None], out=dg)
+    dg[(..., *np.diag_indices(n))] = 0.0
+    return _FitCore(g, order, d, q_sum, Qoff, inner, dg)
 
 
 def build_ratio_table(g: GramMatrix, alpha: float, order: int = MAX_ORDER) -> RatioTable:
-    """Precompute the fit-time denominators that order-``order`` queries read.
-
-    r1_loo, read by orders 1 and 2, costs O(n^2) and is built at every
-    order (see `RatioTable`).  Only order 3 adds the leave-two-out and
-    three-cycle leave-one-out tables, at one O(n^3) product (the
-    four-cycle matrix, one more, waits for `rows`).
-
+    """Precompute the fit-time denominators that order-``order`` queries
+    read (see `RatioTable`): O(n^2), plus one O(n^3) product at order 3.
     The build is an alpha-free core (`_fit_core`) finished for one alpha in
-    O(n^2) (`_FitCore.finish`), so several alphas over one Gram matrix can
-    share a core, or be finished from it together as one stacked table.
-    """
+    O(n^2) (`_FitCore.finish`), so alphas over one Gram matrix can share a
+    core, or be finished from it together as one stacked table."""
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     return _fit_core(g, order).finish(alpha)
@@ -521,9 +523,7 @@ class LimitTable:
     none of its terms is positive.  Every value above is built by adding
     terms, never by subtracting, so its zero test is exact, and where s2
     can be 0 follows from the counts ``s_terms``.  `grow` adds a point in
-    O(n^2) in place: ``d``, ``s``, ``s_terms`` and the square arrays are
-    views of buffers with spare room, and the rank-one term ``inner`` gains
-    is formed in ``t0``'s buffer, refilled after it.
+    O(n^2) in place, into buffers with spare room.
     """
 
     _BUFFERS = {0: ("d",), 1: ("d",), 2: ("d", "s", "off"),

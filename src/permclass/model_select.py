@@ -274,7 +274,7 @@ class _Sweep:
         one kernel at a time, so that only the refused kernel is marked."""
         kernels = [kernel for kernel, _ in run]
         try:
-            cores = _fit_kernel((s.grams(kernels) for s in shared), order)
+            cores = [_fit_kernel(s.grams(kernels), order) for s in shared]
             ktt = np.stack([kernel_self_batch(kernel, queries) for kernel in kernels])
             blocks = [s.blocks(kernels) for s in shared]
         except (ValueError, ArithmeticError) as exc:  # kernel-level isolation
@@ -329,9 +329,7 @@ def cross_validate(data: LabeledDataset, spec: CVSpec) -> CVReport:
     normalisation and the objective run as array operations over them.  Each candidate's
     weights, probabilities and scores are the one-fit results bit for bit;
     a negative order >= 2 ratio is logged once per stacked call.  Runs
-    (`_runs`) bound the stacked arrays: large classes stack few kernels and
-    finish a kernel's candidates a few at a time, and the exact order takes
-    one kernel and one candidate at a time.
+    (`_runs`) bound the stacked arrays.
 
     A fold missing a class entirely is fine (the empty-class rule covers
     it).  A candidate whose evaluation raises ValueError or ArithmeticError

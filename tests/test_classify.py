@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -196,7 +198,7 @@ def test_stacked_weights_equal_each_candidates_predict(rng, order):
     kernel = Kernel.gaussian(0.8)
     alphas = np.array([[0.5, 2.0], [1.0, 1.0], [2.0, 0.5]])
     qs = rng.normal(size=(9, 2)) * 2.0
-    cores = _fit_kernel((gram(kernel, data.class_points(r)) for r in range(2)), order)
+    cores = [_fit_kernel(gram(kernel, data.class_points(r)), order) for r in range(2)]
     blocks = [_kernel_blocks(kernel, qs, core.gram.points) for core in cores]
     raw = _weights([core.finish(alphas[:, r]) for r, core in enumerate(cores)],
                    np.ones(9), blocks)
@@ -596,3 +598,29 @@ def test_fit_on_empty_dataset_uses_empty_class_rule():
                                   alphas=(1.0, 3.0)))
     table = predict(model, np.array([[0.0]]))
     assert np.allclose(table.probs[0], [0.25, 0.75], atol=1e-12)
+
+
+def test_weights_drops_each_table_before_pulling_the_next():
+    # over a generator of tables, table r is already gone when table r + 1
+    # is built, so one class's table is alive at a time
+    alive = []
+
+    class Table:
+        alpha = 1.0
+
+        def rows(self, Kt, ktt, n_queries):
+            return Kt.sum(axis=-1)
+
+    def track(table):
+        alive.append(weakref.ref(table))
+        return table
+
+    def tables():
+        for r in range(3):
+            assert [ref() for ref in alive] == [None] * r
+            yield track(Table())
+
+    blocks = [[np.full((2, 3), r + 1.0)] for r in range(3)]
+    raw = _weights(tables(), np.ones(2), blocks)
+    assert raw.tolist() == [[3.0, 6.0, 9.0]] * 2
+    assert [ref() for ref in alive] == [None] * 3

@@ -1,6 +1,8 @@
 import argparse
 import json
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from permclass import cli
@@ -589,3 +591,49 @@ def test_partition_command_builds_one_subcommand_parser(tmp_path, capsys, monkey
     built.clear()
     assert _outcome(["-h"], capsys)[0] == 0
     assert built == SUBCOMMANDS
+
+
+def _two_class_files(tmp_path, n):
+    rng = np.random.default_rng(0)
+    data = tmp_path / "train.csv"
+    data.write_text("x0,x1,label\n" + "".join(
+        f"{x!r},{y!r},{label}\n" for label in "ab"
+        for x, y in rng.normal(size=(n, 2)).tolist()))
+    queries = tmp_path / "q.csv"
+    queries.write_text("x0,x1\n0.5,0.5\n-1.0,2.0\n")
+    return data, queries
+
+
+@pytest.mark.parametrize("key", ["model", "params", "points", "labels", "n_classes",
+                                 "class_names"])
+def test_predict_names_a_missing_model_key(tmp_path, capsys, key):
+    data, queries = _two_class_files(tmp_path, 3)
+    model = tmp_path / "model.json"
+    assert run(["fit", "--data", str(data), "--out", str(model)], capsys)[0] == 0
+    doc = json.loads(model.read_text())
+    del (doc if key == "model" else doc["model"])[key]
+    model.write_text(json.dumps(doc))
+    out = tmp_path / "pred.csv"
+    code, stdout, err = run(["predict", "--model", str(model), "--queries", str(queries),
+                             "--out", str(out)], capsys)
+    assert (code, stdout) == (1, "")
+    assert f"has no '{key}' key" in err
+    assert not out.exists()
+
+
+def test_fit_and_predict_hold_one_class_gram_at_a_time(tmp_path, capsys):
+    # two classes of n points at order 2: the peak of traced allocations
+    # stays near one n x n Gram matrix, where both classes' would be twice it
+    n = 600
+    data, queries = _two_class_files(tmp_path, n)
+    model = tmp_path / "model.json"
+    for argv in (["fit", "--data", str(data), "--order", "2", "--out", str(model)],
+                 ["predict", "--model", str(model), "--queries", str(queries),
+                  "--out", str(tmp_path / "pred.csv")]):
+        tracemalloc.start()
+        try:
+            assert run(argv, capsys)[0] == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 8 * n * n, argv[0]

@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -12,6 +15,7 @@ from permclass.classify import ModelParams, fit
 from permclass.cyclic import (DegenerateConfigurationError, LimitTable,
                               build_ratio_table, per_alpha_cyclic, ratio_approx,
                               ratio_approx_matrix, ratio_from_kt)
+from permclass import kernels
 from permclass.cyclic import _fit_core
 from permclass.exact import per_alpha_exact, ratio_exact_matrix
 from permclass.datasets import gen_chequerboard
@@ -1008,3 +1012,67 @@ def test_fit_core_refuses_non_finite_gram(order):
         build_ratio_table(raw([[1.0, np.nan], [np.nan, 1.0]]), 1.0, order)
     with pytest.raises(ValueError, match=r"gram matrix row 0, column 1 is not finite \(-inf\)"):
         build_ratio_table(raw([[1.0, -np.inf], [-np.inf, 1.0]]), 1.0, order)
+
+
+def _one_shot_core(G, order):
+    """The one-pass core formulas over one Gram matrix or a stack: the row
+    sums of Qoff = G * G / d with a zero diagonal and, at order 3, Qoff,
+    g_inner and dg."""
+    d = np.diagonal(G, axis1=-2, axis2=-1)[..., None, :]
+    diag = (..., *np.diag_indices(G.shape[-1]))
+    qoff = G * G
+    qoff /= d
+    qoff[diag] = 0.0
+    if order < 3:
+        return {"q_sum": qoff.sum(axis=-1)}
+    inner = (G / d) @ G
+    inner -= 2.0 * G
+    dg = G / np.swapaxes(d, -1, -2)
+    dg[diag] = 0.0
+    return {"q_sum": qoff.sum(axis=-1), "qoff": qoff, "g_inner": G * inner, "dg": dg}
+
+
+def _assert_one_shot_bits(g, orders):
+    for order in orders:
+        core = _fit_core(g, order)
+        for name, want in _one_shot_core(g.entries, order).items():
+            assert np.array_equal(getattr(core, name), want), (order, name)
+
+
+@pytest.mark.parametrize("block_entries", [kernels._BLOCK_ENTRIES, 40])
+def test_blocked_q_sum_has_the_one_shot_bits(rng, monkeypatch, block_entries):
+    # orders 0-2 sum Qoff's rows a block at a time through one scratch, and
+    # order 3 keeps Qoff whole: every field equals the one-pass formulas,
+    # over one Gram matrix and stacks of 1-10 kernels, with sizes on either
+    # side of a whole block (and 1000 points, crossing many)
+    monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", block_entries)
+    edge = math.isqrt(block_entries)
+    taus = np.geomspace(0.05, 20.0, 5)
+    kernels_ = [Kernel(family, tau=tau) for tau in taus for family in ("gaussian", "exponential")]
+    for n in (1, 2, edge - 1, edge + 1, 1000):
+        for dim in (1, 2, 9, 50):
+            pts = rng.normal(size=(n, dim))
+            shared = kernels._SharedDistances(pts, pts[:1])
+            _assert_one_shot_bits(gram(kernels_[0], pts), (0, 2) if n == 1000 else (0, 2, 3))
+            for k in (1, 2) if n == 1000 else range(1, 11):
+                _assert_one_shot_bits(shared.grams(kernels_[:k]), (2,) if n == 1000 else (2, 3))
+    for n in (1, 2, edge - 1, edge + 1, 30):
+        pts = np.arange(float(n))[:, None]
+        _assert_one_shot_bits(gram(projection_kernel(pts, sym_nonneg(rng, n)), pts), (1, 3))
+
+
+@pytest.mark.parametrize("order, n_squares", [(2, 0), (3, 3)])
+def test_fit_core_makes_no_square_array_it_does_not_keep(rng, order, n_squares):
+    # below order 3 the core and its finish make no n x n array; order 3
+    # makes only the three its core keeps (Qoff, g_inner, dg)
+    n = 600
+    g = gram(Kernel.gaussian(1.0), rng.normal(size=(n, 2)))
+    tracemalloc.start()
+    try:
+        core = _fit_core(g, order)
+        if order < 3:
+            core.finish(1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (n_squares + 0.25) * 8 * n * n
