@@ -284,7 +284,7 @@ def kernel_block(kernel: Kernel, queries, points) -> np.ndarray:
         raise ValueError(f"dimension mismatch: query is {qs.shape[1]}-d, points are {pts.shape[1]}-d")
     fam = kernel.family
     if fam in (KernelFamily.EXPONENTIAL, KernelFamily.GAUSSIAN):
-        return _distance_kernel(kernel, _sq_distances(qs, pts))
+        return _sq_distances(qs, pts, kernel)
     if fam is KernelFamily.CONSTANT:
         return np.full((m, n), float(kernel.c))
     return np.array([[kernel_eval(kernel, t, p) for p in pts] for t in qs]).reshape(m, n)
@@ -353,7 +353,8 @@ class GramMatrix:
 
 
 # Every blocked loop keeps its temporaries within this many entries (128 kB),
-# whatever the point or query count: `_sq_distances`' row blocks, query
+# whatever the point or query count: `_sq_distances`' row blocks (of a
+# triangle's shrinking width for a point set against itself), query
 # blocks (Q x n per class) and `knn_predict`'s chunks of queries.  Each cuts
 # its rows through `_block_rows`, so nothing else reads this constant.
 _BLOCK_ENTRIES = 1 << 14
@@ -377,47 +378,80 @@ def _query_steps(n_queries: int, n_points: int) -> list[slice]:
 _ACCUMULATE_BELOW_D = 8
 
 
-def _sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """out[i, j] = ||a_i - b_j||^2, filled a block of rows of ``a`` at a time.
+def _sq_distances(a: np.ndarray, b: np.ndarray | None = None,
+                  kernel: Kernel | None = None) -> np.ndarray:
+    """out[i, j] = ||a_i - b_j||^2, or with ``kernel`` its `_distance_kernel`
+    value, filled a block of rows of ``a`` at a time; without ``b``, ``a``
+    against itself.
 
-    Bit-identical to ``((a[:, None] - b[None]) ** 2).sum(axis=2)``.  For
-    ``b`` of shape n x d, `_block_rows` sizes a block by its one temporary:
-    for 0 < d < 8 it accumulates the squared differences one dimension at a
-    time through a reused rows x n temporary; otherwise it reduces a
-    rows x n x d difference buffer, also reused (a fresh one per block cost
-    more than the arithmetic at n = 24, d = 200).  (a - b)^2 equals
-    (b - a)^2 exactly, so ``_sq_distances(x, x)`` is exactly symmetric.
+    Bit-identical to ``((a[:, None] - b[None]) ** 2).sum(axis=2)``, then the
+    transform.  A block of rows against its w columns is sized through
+    `_block_rows` by its one temporary: for 0 < d < 8 it accumulates the
+    squared differences one dimension at a time through a rows x w
+    temporary; otherwise it reduces a rows x w x d difference buffer.  Both
+    are cut from one buffer allocated once (a fresh one per block cost more
+    than the arithmetic at n = 24, d = 200), and each block is transformed
+    while it is in cache.  Against itself, only the upper triangle is
+    summed: rows [lo, hi) take columns lo..n, in a scratch cut from the same
+    buffer (the first block, from column 0, is the output's own rows), and
+    their transpose fills rows hi..n of columns [lo, hi).  (a - b)^2 equals
+    (b - a)^2 exactly, so the mirrored entries are the ones a full sum
+    would give, and the result is exactly symmetric.
     """
+    sym = b is None
+    b = a if sym else b
     m = a.shape[0]
     n, d = b.shape
     if a.shape[1] != d:
         raise ValueError(f"dimension mismatch: rows are {a.shape[1]}-d, points are {d}-d")
+    per = d if d >= _ACCUMULATE_BELOW_D else 1
     out = np.empty((m, n))
-    step = _block_rows(n * (d if d >= _ACCUMULATE_BELOW_D else 1))
     if 0 < d < _ACCUMULATE_BELOW_D:
         # contiguous per-dimension rows make the broadcast subtractions cheap
         at, bt = a.T.copy(), b.T.copy()
-        tmp = np.empty((min(step, m), n))
-        for lo in range(0, m, step):
-            blk, t = out[lo:lo + step], tmp[:min(step, m - lo)]
-            np.subtract(at[0, lo:lo + step, None], bt[0], out=blk)
+    # rows x w entries of any block: the first block's, unless several
+    # triangular blocks need a scratch beside the temporary, each within the
+    # budget (one row if it is wider).  A buffer no larger than a single
+    # block keeps small calls under glibc's 128 kB mmap threshold, past
+    # which every call faults its pages in anew; allocated before ``at``
+    # and ``bt``, it cost `table1` about 190 more page faults a command.
+    several = sym and _block_rows(n * per) < m
+    size = max(_BLOCK_ENTRIES // per, n) if several else min(m, _block_rows(n * per)) * n
+    buf = np.empty(size * (per + several))
+    lo = 0
+    while lo < m:
+        c0 = lo if sym else 0
+        w = n - c0
+        hi = min(m, lo + _block_rows(w * per))
+        h = hi - lo
+        blk = buf[size * per:size * per + h * w].reshape(h, w) if c0 else out[lo:hi]
+        work = buf[:h * w * per]
+        if 0 < d < _ACCUMULATE_BELOW_D:
+            t = work.reshape(h, w)
+            np.subtract(at[0, lo:hi, None], bt[0, c0:], out=blk)
             np.multiply(blk, blk, out=blk)
             for k in range(1, d):
-                np.subtract(at[k, lo:lo + step, None], bt[k], out=t)
+                np.subtract(at[k, lo:hi, None], bt[k, c0:], out=t)
                 np.multiply(t, t, out=t)
                 blk += t
-    else:
-        buf = np.empty((min(step, m), n, d))
-        for lo in range(0, m, step):
-            delta = buf[:min(step, m - lo)]
-            np.subtract(a[lo:lo + step, None, :], b[None, :, :], out=delta)
+        else:
+            delta = work.reshape(h, w, d)
+            np.subtract(a[lo:hi, None, :], b[None, c0:, :], out=delta)
             np.multiply(delta, delta, out=delta)
-            delta.sum(axis=2, out=out[lo:lo + step])
+            delta.sum(axis=2, out=blk)
+        if kernel is not None:
+            _distance_kernel(kernel, blk)
+        if c0:
+            out[lo:hi, c0:] = blk
+        if sym and hi < m:
+            out[hi:, lo:hi] = blk[:, h:].T
+        lo = hi
     return out
 
 
 def _checked_gram(kernel: Kernel | None, pts: np.ndarray, entries: np.ndarray) -> GramMatrix:
-    if (entries < 0).any():
+    # fmin skips NaN as ``(entries < 0).any()`` does, and makes no mask
+    if entries.size and np.fmin.reduce(entries, axis=None) < 0:
         raise ValueError("kernel produced a negative Gram entry")
     return GramMatrix(entries=entries, points=pts, kernel=kernel)
 
@@ -425,13 +459,18 @@ def _checked_gram(kernel: Kernel | None, pts: np.ndarray, entries: np.ndarray) -
 def gram(kernel: Kernel, points) -> GramMatrix:
     """The Gram matrix K(x) over a point set: ``kernel_block(kernel, x, x)``.
 
-    Entries are exactly symmetric, as `_sq_distances(x, x)` and every
-    family's `kernel_eval` are; gaussian/exponential diagonals are exactly 1,
+    The distance families sum only the upper triangle of the squared
+    distances, transform each block in cache and mirror it
+    (`_sq_distances` without ``b``); the others are `kernel_block`.
+    Entries are exactly symmetric, as (a - b)^2 == (b - a)^2 and every
+    family's `kernel_eval` is; gaussian/exponential diagonals are exactly 1,
     as a point's squared distance to itself is 0.  An empty point set yields
     the 0 x 0 matrix (its alpha-permanent is 1 downstream).
     """
     pts = _as_points(points)
-    return _checked_gram(kernel, pts, kernel_block(kernel, pts, pts))
+    distance = kernel.family in (KernelFamily.EXPONENTIAL, KernelFamily.GAUSSIAN)
+    return _checked_gram(kernel, pts, _sq_distances(pts, kernel=kernel) if distance
+                         else kernel_block(kernel, pts, pts))
 
 
 class _SharedDistances:
@@ -440,10 +479,12 @@ class _SharedDistances:
     kernel axis.
 
     The squared distances of each are computed on the first exponential or
-    gaussian kernel that needs them and kept.  `_distance_kernel` transforms
-    them into each distance kernel's slot of the stack, so the slot is
-    `gram` and `kernel_block` bit for bit; the other families' slots are
-    `kernel_block` itself.  Kept are n x n plus queries x n distances.
+    gaussian kernel that needs them and kept; the points' own are summed
+    over the upper triangle only and mirrored (`_sq_distances` without
+    ``b``).  `_distance_kernel` transforms them into each distance kernel's
+    slot of the stack, so the slot is `gram` and `kernel_block` bit for
+    bit; the other families' slots are `kernel_block` itself.  Kept are
+    n x n plus queries x n distances.
     """
 
     def __init__(self, points: np.ndarray, queries: np.ndarray):
@@ -466,7 +507,7 @@ class _SharedDistances:
         for k, kernel in enumerate(kernels):
             if kernel.family in (KernelFamily.EXPONENTIAL, KernelFamily.GAUSSIAN):
                 if rows not in self._sq:
-                    self._sq[rows] = _sq_distances(a, self.points)
+                    self._sq[rows] = _sq_distances(a, None if rows == "points" else self.points)
                 _distance_kernel(kernel, self._sq[rows], out[k])
             else:
                 out[k] = kernel_block(kernel, a, self.points)

@@ -379,13 +379,14 @@ def cross_validate(data: LabeledDataset, spec: CVSpec) -> CVReport:
 
 
 def median_pairwise_distance(points) -> float:
+    """Median of ||x_i - x_j|| over the pairs i < j, from the symmetric
+    squared distances (only their upper triangle is summed) gathered in
+    row-major order through a boolean mask, not two index arrays."""
     pts = _as_rows(points, "point")
     n = pts.shape[0]
     if n < 2:
         raise ValueError("need at least two points")
-    d2 = _sq_distances(pts, pts)
-    iu = np.triu_indices(n, k=1)
-    return float(np.median(np.sqrt(d2[iu])))
+    return float(np.median(np.sqrt(_sq_distances(pts)[~np.tri(n, dtype=bool)])))
 
 
 def default_grid(points, tau_scales: Sequence[float] = (0.25, 0.5, 1.0, 2.0, 4.0),

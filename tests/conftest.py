@@ -621,6 +621,6 @@ def sq_distance_calls(monkeypatch):
     """A list that gains one entry per `kernels._sq_distances` call."""
     calls = []
     sq_distances = kernels._sq_distances
-    monkeypatch.setattr(kernels, "_sq_distances",
-                        lambda a, b: calls.append(1) or sq_distances(a, b))
+    monkeypatch.setattr(kernels, "_sq_distances", lambda a, b=None, kernel=None:
+                        calls.append(1) or sq_distances(a, b, kernel))
     return calls

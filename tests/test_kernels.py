@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -111,11 +112,64 @@ def test_sq_distances_match_one_shot_formula(d, monkeypatch):
             monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", block_entries)
             assert np.array_equal(kernels._sq_distances(a, b),
                                   sq_distances_one_shot(a, b))
+            # against itself: upper-triangle blocks, mirrored
+            assert np.array_equal(kernels._sq_distances(b), sq_distances_one_shot(b, b))
 
 
 # below 8 dimensions numpy sums squared differences in sequence, from 8 on
 # pairwise; 50 and 200 reach its blocked sums
 DIMS = [*range(1, 10), 50, 200]
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_gram_triangular_blocks_match_one_shot_formula(d, monkeypatch):
+    # `gram` and the shared stack sum only upper-triangle row blocks and
+    # mirror them: exactly the one-shot entries, exactly symmetric; 150
+    # points span several triangular blocks at every d for the two smaller
+    # block sizes, and 1,000 points at d = 2 have block heights that grow
+    # across the matrix (16 rows at the top, 163 below row 900)
+    rng = np.random.default_rng(500 + d)
+    sets = [rng.normal(size=(150, d)) * rng.lognormal(size=d)]
+    if d == 2:
+        sets.append(rng.normal(size=(1000, d)))
+    for pts in sets:
+        pts[7] = pts[3]  # an exact zero distance off the diagonal
+        kernels_ = [Kernel.gaussian(0.9 * math.sqrt(d)), Kernel.exponential(0.6 * math.sqrt(d))]
+        expected = [gram_one_shot(k, pts) for k in kernels_]
+        for block_entries in (1, 4096, kernels._BLOCK_ENTRIES):
+            monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", block_entries)
+            shared = kernels._SharedDistances(pts, pts[:3]).grams(kernels_).entries
+            for k, kernel in enumerate(kernels_):
+                for entries in (gram(kernel, pts).entries, shared[k]):
+                    assert np.array_equal(entries, expected[k])
+                    assert np.array_equal(entries, entries.T)
+
+
+def test_gram_peak_is_one_matrix_and_its_blocks():
+    # no n x n temporary beside the matrix itself: no full-width distance
+    # block and no n x n mask for the negative-entry refusal
+    n = 1000
+    pts = np.random.default_rng(3).normal(size=(n, 2))
+    tracemalloc.start()
+    try:
+        gram(Kernel.exponential(1.0), pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.07 * 8 * n * n
+
+
+def test_negative_gram_entry_is_refused_past_nan():
+    # a negative entry is refused wherever a NaN sits; NaN alone and the
+    # 0 x 0 matrix are not, for one matrix and for stacks
+    pts = np.zeros((2, 1))
+    for entries in ([[np.nan, -1.0], [-1.0, 1.0]], [[[1.0, 0.0], [0.0, 1.0]],
+                                                     [[-1.0, np.nan], [np.nan, 1.0]]]):
+        with pytest.raises(ValueError, match="negative Gram entry"):
+            kernels._checked_gram(None, pts, np.array(entries))
+    for entries in ([[np.nan, 0.0], [0.0, 1.0]], np.full((3, 2, 2), np.nan)):
+        kernels._checked_gram(None, pts, np.array(entries))
+    assert kernels._checked_gram(None, np.zeros((0, 1)), np.zeros((0, 0))).n == 0
 
 
 def test_gram_matches_eval_and_column(rng):

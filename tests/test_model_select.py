@@ -195,10 +195,11 @@ def test_default_grid_shape(rng):
 
 @pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 9])
 def test_median_distance_matches_one_shot_formula(d):
-    # 101 points split into row blocks at every d; each of the 30-point
-    # sets has an odd pair count, so its median is one distance
+    # 101 points split into row blocks at every d, 301 into several
+    # triangular blocks; each of the 30-point sets has an odd pair count, so
+    # its median is one distance
     rng = np.random.default_rng(300 + d)
-    for n in (101,) + (30,) * 10:
+    for n in (101,) + (30,) * 10 + (301,):
         pts = rng.normal(size=(n, d)) * rng.lognormal(size=d)
         assert median_pairwise_distance(pts) == median_distance_one_shot(pts)
 
