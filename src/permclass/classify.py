@@ -98,7 +98,7 @@ class ModelParams:
     order: int | str = MAX_ORDER
 
     def __post_init__(self):
-        if self.order != EXACT_ORDER and self.order not in (0, 1, 2, 3):
+        if type(self.order) not in (int, str) or self.order not in (0, 1, 2, 3, EXACT_ORDER):
             raise ValueError(f"order must be 0..3 or '{EXACT_ORDER}', got {self.order!r}")
         if self.lam is not None and not 0 < self.lam < math.inf:
             raise ValueError(f"lambda must be positive and finite, got {self.lam}")

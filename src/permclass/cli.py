@@ -162,7 +162,7 @@ def cmd_partition(args) -> int:
 def _grid_from_json(path: str) -> list[ModelParams]:
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    entries = doc["grid"] if isinstance(doc, dict) else doc
+    entries = _entry(doc, "grid", path) if isinstance(doc, dict) else doc
     return [ModelParams.from_dict(e) for e in entries]
 
 

@@ -33,6 +33,10 @@ class KernelFamily(str, Enum):
     PROJECTION_MATRIX = "projection_matrix"
 
 
+# the families whose values are a transform of squared distances
+_DISTANCE_FAMILIES = (KernelFamily.EXPONENTIAL, KernelFamily.GAUSSIAN)
+
+
 def _as_point(p) -> np.ndarray:
     q = np.asarray(p, dtype=float)
     if q.ndim == 0:
@@ -127,7 +131,8 @@ class Kernel:
 
     ``tau`` is the length scale for the exponential/gaussian families and
     ``c`` the level for the constant family.  ``aux`` carries a projection
-    kernel's explicit matrix over its indexed ground set.
+    kernel's explicit matrix over its indexed ground set.  A family refuses
+    the others' parameters, which `to_dict` and CV's tie-break would read.
     """
 
     family: KernelFamily
@@ -137,13 +142,16 @@ class Kernel:
 
     def __post_init__(self):
         self.family = KernelFamily(self.family)
-        if self.family in (KernelFamily.EXPONENTIAL, KernelFamily.GAUSSIAN):
-            if self.tau is None or not 0 < self.tau < math.inf:
+        for key, read in (("tau", self.family in _DISTANCE_FAMILIES),
+                          ("c", self.family is KernelFamily.CONSTANT),
+                          ("aux", self.family is KernelFamily.PROJECTION_MATRIX)):
+            value = getattr(self, key)
+            if value is not None and not read:
+                raise ValueError(f"{self.family.value} kernel takes no {key}, got {value!r}")
+            if read and key != "aux" and (value is None or isinstance(value, bool)
+                                          or not 0 < value < math.inf):
                 raise ValueError(f"{self.family.value} kernel requires a finite "
-                                 f"tau > 0, got {self.tau}")
-        if self.family is KernelFamily.CONSTANT:
-            if self.c is None or not 0 < self.c < math.inf:
-                raise ValueError(f"constant kernel requires a finite c > 0, got {self.c}")
+                                 f"{key} > 0, got {value!r}")
 
     # -- constructors -------------------------------------------------
 
@@ -211,11 +219,12 @@ class Kernel:
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "Kernel":
         family = KernelFamily(_entry(d, "family", "kernel"))
+        aux = d.get("aux")
         if family is KernelFamily.PROJECTION_MATRIX:
             aux = _entry(d, "aux", "projection kernel")
-            return cls.projection(_entry(aux, "matrix", "projection kernel aux"),
-                                  _entry(aux, "points", "projection kernel aux"))
-        return cls(family, tau=d.get("tau"), c=d.get("c"))
+            aux = cls.projection(_entry(aux, "matrix", "projection kernel aux"),
+                                 _entry(aux, "points", "projection kernel aux")).aux
+        return cls(family, tau=d.get("tau"), c=d.get("c"), aux=aux)
 
 
 def kernel_eval(kernel: Kernel, s, t) -> float:
@@ -224,21 +233,19 @@ def kernel_eval(kernel: Kernel, s, t) -> float:
     if sv.shape != tv.shape:
         raise ValueError(f"dimension mismatch: {sv.shape[0]} vs {tv.shape[0]}")
     fam = kernel.family
-    if fam in (KernelFamily.EXPONENTIAL, KernelFamily.GAUSSIAN):
+    if fam in _DISTANCE_FAMILIES:
         return float(kernel_column(kernel, tv, sv[None, :])[0])
     if fam is KernelFamily.CONSTANT:
         return float(kernel.c)
-    if fam is KernelFamily.PROJECTION_MATRIX:
-        i, j = kernel._proj_index(_key(sv)), kernel._proj_index(_key(tv))
-        return float(kernel.aux["matrix"][i][j])
-    raise ValueError(f"unknown kernel family {fam!r}")
+    i, j = kernel._proj_index(_key(sv)), kernel._proj_index(_key(tv))  # a projection
+    return float(kernel.aux["matrix"][i][j])
 
 
 def kernel_self(kernel: Kernel, t) -> float:
     """k(t, t) without the generic two-point path (it is 1 for the
     distance families and a plain lookup for the rest)."""
     fam = kernel.family
-    if fam in (KernelFamily.EXPONENTIAL, KernelFamily.GAUSSIAN):
+    if fam in _DISTANCE_FAMILIES:
         return 1.0
     if fam is KernelFamily.CONSTANT:
         return float(kernel.c)
@@ -250,7 +257,7 @@ def kernel_self_batch(kernel: Kernel, points) -> np.ndarray:
     families, ``c`` for the constant family, a per-row lookup for the rest."""
     pts = _as_points(points)
     fam = kernel.family
-    if fam in (KernelFamily.EXPONENTIAL, KernelFamily.GAUSSIAN):
+    if fam in _DISTANCE_FAMILIES:
         return np.ones(pts.shape[0])
     if fam is KernelFamily.CONSTANT:
         return np.full(pts.shape[0], float(kernel.c))
@@ -263,7 +270,7 @@ def _distance_kernel(kernel: Kernel, sq: np.ndarray,
     ``((s - t) ** 2).sum(-1)``, into ``out`` (by default ``sq`` itself, in
     place): the one distance transform.  Every path sums the distances that
     way and transforms them here, so a pair gets one float from `gram`,
-    `kernel_block`, `kernel_column`, `kernel_eval` and `_SharedDistances`."""
+    `kernel_block`, `kernel_column`, `kernel_eval` and `_kernel_stack`."""
     out = sq if out is None else out
     if kernel.family is KernelFamily.EXPONENTIAL:
         np.sqrt(sq, out=out)
@@ -283,7 +290,7 @@ def kernel_block(kernel: Kernel, queries, points) -> np.ndarray:
     if pts.shape[1] != qs.shape[1]:
         raise ValueError(f"dimension mismatch: query is {qs.shape[1]}-d, points are {pts.shape[1]}-d")
     fam = kernel.family
-    if fam in (KernelFamily.EXPONENTIAL, KernelFamily.GAUSSIAN):
+    if fam in _DISTANCE_FAMILIES:
         return _sq_distances(qs, pts, kernel)
     if fam is KernelFamily.CONSTANT:
         return np.full((m, n), float(kernel.c))
@@ -298,7 +305,7 @@ def kernel_column(kernel: Kernel, t, points) -> np.ndarray:
     """
     tv = _as_point(t)
     pts = _as_points(points)
-    if (kernel.family not in (KernelFamily.EXPONENTIAL, KernelFamily.GAUSSIAN)
+    if (kernel.family not in _DISTANCE_FAMILIES
             or pts.shape[1] != tv.shape[0]):
         return kernel_block(kernel, tv[None, :], pts)[0]
     delta = pts - tv
@@ -468,47 +475,22 @@ def gram(kernel: Kernel, points) -> GramMatrix:
     the 0 x 0 matrix (its alpha-permanent is 1 downstream).
     """
     pts = _as_points(points)
-    distance = kernel.family in (KernelFamily.EXPONENTIAL, KernelFamily.GAUSSIAN)
+    distance = kernel.family in _DISTANCE_FAMILIES
     return _checked_gram(kernel, pts, _sq_distances(pts, kernel=kernel) if distance
                          else kernel_block(kernel, pts, pts))
 
 
-class _SharedDistances:
-    """A point set's Gram matrices and a query set's blocks against it, for
-    any number of kernels over the same points, stacked along a leading
-    kernel axis.
-
-    The squared distances of each are computed on the first exponential or
-    gaussian kernel that needs them and kept; the points' own are summed
-    over the upper triangle only and mirrored (`_sq_distances` without
-    ``b``).  `_distance_kernel` transforms them into each distance kernel's
-    slot of the stack, so the slot is `gram` and `kernel_block` bit for
-    bit; the other families' slots are `kernel_block` itself.  Kept are
-    n x n plus queries x n distances.
-    """
-
-    def __init__(self, points: np.ndarray, queries: np.ndarray):
-        self.points, self.queries = _as_points(points), _as_points(queries)
-        self._sq: dict[str, np.ndarray] = {}
-
-    def grams(self, kernels: Sequence[Kernel]) -> GramMatrix:
-        """``gram(kernel, points)`` of each of ``kernels``, stacked in their
-        order, refusing a negative entry as `gram` does."""
-        return _checked_gram(None, self.points, self._stack(kernels, "points"))
-
-    def blocks(self, kernels: Sequence[Kernel]) -> np.ndarray:
-        """``kernel_block(kernel, queries, points)`` of each of ``kernels``,
-        stacked in their order."""
-        return self._stack(kernels, "queries")
-
-    def _stack(self, kernels: Sequence[Kernel], rows: str) -> np.ndarray:
-        a = getattr(self, rows)
-        out = np.empty((len(kernels), a.shape[0], self.points.shape[0]))
-        for k, kernel in enumerate(kernels):
-            if kernel.family in (KernelFamily.EXPONENTIAL, KernelFamily.GAUSSIAN):
-                if rows not in self._sq:
-                    self._sq[rows] = _sq_distances(a, None if rows == "points" else self.points)
-                _distance_kernel(kernel, self._sq[rows], out[k])
-            else:
-                out[k] = kernel_block(kernel, a, self.points)
-        return out
+def _kernel_stack(kernels: Sequence[Kernel], rows: np.ndarray, points: np.ndarray,
+                  sq: np.ndarray | None) -> np.ndarray:
+    """``kernel_block(kernel, rows, points)`` of each of ``kernels``, stacked
+    in their order.  A distance kernel's slot is `_distance_kernel` of
+    ``sq``, the caller's `_sq_distances` of ``rows`` to ``points`` (of
+    ``points`` alone for their `gram`), bit for bit; no other family reads
+    ``sq``."""
+    out = np.empty((len(kernels), rows.shape[0], points.shape[0]))
+    for k, kernel in enumerate(kernels):
+        if kernel.family in _DISTANCE_FAMILIES:
+            _distance_kernel(kernel, sq, out[k])
+        else:
+            out[k] = kernel_block(kernel, rows, points)
+    return out

@@ -16,8 +16,9 @@ import numpy as np
 
 from .classify import _DEGENERATE, LabeledDataset, ModelParams, _fit_kernel, _normalised, _weights
 from .cyclic import EXACT_ORDER, _reads_four_cycle_matrix
-from .kernels import (Kernel, _as_rows, _block_rows, _query_steps, _SharedDistances,
-                      _sq_distances, kernel_self_batch)
+from . import kernels
+from .kernels import (_DISTANCE_FAMILIES, Kernel, _as_rows, _block_rows, _checked_gram,
+                      _kernel_stack, _query_steps, kernel_self_batch)
 
 __all__ = [
     "CVSpec",
@@ -264,25 +265,25 @@ class _Sweep:
             self._work[r] = np.empty(size)
         return core.finish(alpha, out=self._work[r][:size].reshape(shape))
 
-    def run(self, run, order, step: int, shared: list[_SharedDistances], queries,
-            truth) -> None:
+    def run(self, run, order, step: int, classes, queries, truth) -> None:
         """Score one run of a fold's pass as one stack: each class's Gram
         matrices and then its core, K(t, t), and each class's held-out
         blocks, all stacked along a leading kernel axis, then finished
         together, a lone kernel's ``step`` candidates at a time.  A refusal
         there marks a lone kernel's candidates and reruns a run of several
         one kernel at a time, so that only the refused kernel is marked."""
-        kernels = [kernel for kernel, _ in run]
+        run_kernels = [kernel for kernel, _ in run]
         try:
-            cores = [_fit_kernel(s.grams(kernels), order) for s in shared]
-            ktt = np.stack([kernel_self_batch(kernel, queries) for kernel in kernels])
-            blocks = [s.blocks(kernels) for s in shared]
+            cores = [_fit_kernel(_checked_gram(None, x, _kernel_stack(run_kernels, x, x, sq)),
+                                 order) for x, sq, _ in classes]
+            ktt = np.stack([kernel_self_batch(kernel, queries) for kernel in run_kernels])
+            blocks = [_kernel_stack(run_kernels, queries, x, held) for x, _, held in classes]
         except (ValueError, ArithmeticError) as exc:  # kernel-level isolation
             if len(run) == 1:
                 self._fail(run[0][1], exc)
             else:
                 for group in run:
-                    self.run([group], order, step, shared, queries, truth)
+                    self.run([group], order, step, classes, queries, truth)
             return
         blocks = [[b[..., rows, :] for rows in _query_steps(*b.shape[-2:])] for b in blocks]
         # `_runs` stacks several kernels only while all their candidates
@@ -315,9 +316,9 @@ def cross_validate(data: LabeledDataset, spec: CVSpec) -> CVReport:
 
     Each fold runs one pass per order over that order's live candidates.
     Every class's squared distances, of its training points and of the
-    held-out points against them, are computed once per fold on the first
-    distance kernel (`kernels._SharedDistances`), and each distance kernel
-    transforms them into its own slot with `gram`'s own transform, bit for
+    held-out points against them, are computed once per fold if the grid
+    holds a distance kernel, and `kernels._kernel_stack` transforms them
+    into each distance kernel's slot with `gram`'s own transform, bit for
     bit `gram` and `kernel_block`.  Each run of a pass builds its kernels' class
     Gram matrices, K(t, t) and held-out blocks stacked along a leading
     kernel axis, and one table core per class over the stack
@@ -351,25 +352,27 @@ def cross_validate(data: LabeledDataset, spec: CVSpec) -> CVReport:
     folds = fold_assignment(data.n, spec.folds, spec.seed,
                             labels=data.labels, stratified=spec.stratified)
     objective = _objective_fn(spec.objective)
-    all_idx = np.arange(data.n)
-    # every candidate fits and scores the same folds: build each one once
-    splits = [(data.subset(np.setdiff1d(all_idx, heldout)),
-               data.points[heldout], data.labels[heldout]) for heldout in folds]
     grid = spec.grid
     sweep = _Sweep(grid, data.n_classes, objective)
     failed, scores = sweep.failed, sweep.scores
     passes = _order_passes(grid)
-    for train, queries, truth in splits:
-        # each class's distances, computed for the fold's first distance kernel
-        shared = [_SharedDistances(train.class_points(r), queries)
-                  for r in range(data.n_classes)]
-        sizes = [s.points.shape[0] for s in shared]
+    distance = any(params.kernel.family in _DISTANCE_FAMILIES for params in grid)
+    for heldout in folds:
+        queries, truth = data.points[heldout], data.labels[heldout]
+        train = np.delete(np.arange(data.n), heldout)
+        # per class: its points, their squared distances and the held-out ones'
+        classes = []
+        for r in range(data.n_classes):
+            x = data.points[train[data.labels[train] == r]]
+            classes.append((x, kernels._sq_distances(x), kernels._sq_distances(queries, x))
+                           if distance else (x, None, None))
+        sizes = [x.shape[0] for x, _, _ in classes]
         for order, groups in passes.items():
             live = [(kernel, [i for i in members if failed[i] is None])
                     for kernel, members in groups]
             runs, step = _runs([g for g in live if g[1]], sizes, len(truth), order)
             for run in runs:
-                sweep.run(run, order, step, shared, queries, truth)
+                sweep.run(run, order, step, classes, queries, truth)
     results = [CandidateResult(params, scores[i], float(np.mean(scores[i])))
                if failed[i] is None else
                CandidateResult(params, scores[i], float("inf"), False, failed[i])
@@ -386,7 +389,7 @@ def median_pairwise_distance(points) -> float:
     n = pts.shape[0]
     if n < 2:
         raise ValueError("need at least two points")
-    return float(np.median(np.sqrt(_sq_distances(pts)[~np.tri(n, dtype=bool)])))
+    return float(np.median(np.sqrt(kernels._sq_distances(pts)[~np.tri(n, dtype=bool)])))
 
 
 def default_grid(points, tau_scales: Sequence[float] = (0.25, 0.5, 1.0, 2.0, 4.0),

@@ -624,3 +624,26 @@ def test_weights_drops_each_table_before_pulling_the_next():
     raw = _weights(tables(), np.ones(2), blocks)
     assert raw.tolist() == [[3.0, 6.0, 9.0]] * 2
     assert [ref() for ref in alive] == [None] * 3
+
+
+@pytest.mark.parametrize("order", [True, False, 3.0, 1.0, "3", 4, -1])
+def test_model_params_refuse_an_order_that_is_not_an_int_0_to_3_or_exact(order):
+    # True == 1 and 3.0 == 3, so a membership test alone let them through
+    # and fitted an order-1 or order-3 model reported under the bad value
+    with pytest.raises(ValueError, match=f"order must be 0..3 or 'exact', got {order!r}"):
+        ModelParams(kernel=Kernel.gaussian(1.0), order=order)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: LabeledDataset(np.zeros((3, 1)), [0, 1]), "labels must match the point count"),
+    (lambda: LabeledDataset(np.zeros((2, 1)), [0, 2], n_classes=2),
+     "n_classes is smaller than the largest label code"),
+    (lambda: ModelParams(kernel=Kernel.gaussian(1.0)).alpha_vector(0),
+     "dataset declares zero classes"),
+    (lambda: predict_infinite(np.zeros((3, 1)), Partition.from_labels([0, 0]), [0.0],
+                              ModelParams(kernel=Kernel.gaussian(1.0), lam=1.0)),
+     "partition must cover exactly the given points"),
+], ids=["label-count", "n-classes", "zero-classes", "partition-size"])
+def test_classify_refusals_name_their_cause(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -637,3 +637,56 @@ def test_fit_and_predict_hold_one_class_gram_at_a_time(tmp_path, capsys):
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * 8 * n * n, argv[0]
+
+
+@pytest.mark.parametrize("grid, message", [
+    ({"candidates": []}, "grid.json has no 'grid' key"),
+    ({"grid": [{"kernel": {"family": "gaussian", "tau": 0.5}, "alphas": 1.0, "order": True}]},
+     "order must be 0..3 or 'exact', got True"),
+    ({"grid": [{"kernel": {"family": "gaussian", "tau": 0.5}, "alphas": 1.0, "order": 3.0}]},
+     "order must be 0..3 or 'exact', got 3.0"),
+    ({"grid": [{"kernel": {"family": "constant", "c": 1.0, "tau": 0.1}, "alphas": 1.0}]},
+     "constant kernel takes no tau, got 0.1"),
+], ids=["no-grid-key", "bool-order", "float-order", "constant-tau"])
+def test_cv_refuses_a_bad_grid_file_and_writes_nothing(tmp_path, capsys, grid, message):
+    data = tmp_path / "train.csv"
+    run(["simulate", "chequerboard", "--per-cell", "3", "--seed", "9",
+         "--out", str(data)], capsys)
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(grid))
+    out = tmp_path / "cv.json"
+    code, _, err = run(["cv", "--data", str(data), "--grid", str(path), "--folds", "3",
+                        "--out", str(out)], capsys)
+    assert code == 1
+    assert message in err
+    assert not out.exists()
+
+
+def test_fit_reads_the_constant_kernel_flag(tmp_path, capsys):
+    # `--kernel constant` builds a constant kernel from --c alone: the
+    # stored model carries no tau
+    data = tmp_path / "train.csv"
+    run(["simulate", "chequerboard", "--per-cell", "1", "--seed", "9",
+         "--out", str(data)], capsys)
+    out = tmp_path / "model.json"
+    code, _, _ = run(["fit", "--data", str(data), "--kernel", "constant", "--c", "0.5",
+                      "--order", "1", "--out", str(out)], capsys)
+    assert code == 0
+    params = json.loads(out.read_text())["model"]["params"]
+    assert params["kernel"] == {"family": "constant", "c": 0.5}
+
+
+@pytest.mark.parametrize("argv, files, message", [
+    (["perm", "approx", "--matrix", "{tmp}/m.csv", "--alpha", "1", "--order", "exact"],
+     {"m.csv": "1,0.5\n0.5,1\n"}, "--order must be 0..3 for perm approx"),
+    (["simulate", "chequerboard", "--config", "{tmp}/run.cfg", "--out", "{tmp}/out.csv"],
+     {"run.cfg": "# defaults\nper_cell 3\n"}, "{tmp}/run.cfg:2: expected key=value"),
+], ids=["perm-approx-exact-order", "config-line-without-equals"])
+def test_cli_refusals_name_their_cause(tmp_path, capsys, argv, files, message):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    code, out, err = run([a.replace("{tmp}", str(tmp_path)) for a in argv], capsys)
+    assert code == 1
+    assert out == ""
+    assert message.replace("{tmp}", str(tmp_path)) in err
+    assert not (tmp_path / "out.csv").exists()

@@ -1052,10 +1052,12 @@ def test_blocked_q_sum_has_the_one_shot_bits(rng, monkeypatch, block_entries):
     for n in (1, 2, edge - 1, edge + 1, 1000):
         for dim in (1, 2, 9, 50):
             pts = rng.normal(size=(n, dim))
-            shared = kernels._SharedDistances(pts, pts[:1])
+            sq = kernels._sq_distances(pts)
             _assert_one_shot_bits(gram(kernels_[0], pts), (0, 2) if n == 1000 else (0, 2, 3))
             for k in (1, 2) if n == 1000 else range(1, 11):
-                _assert_one_shot_bits(shared.grams(kernels_[:k]), (2,) if n == 1000 else (2, 3))
+                stack = kernels._checked_gram(None, pts, kernels._kernel_stack(kernels_[:k], pts,
+                                                                               pts, sq))
+                _assert_one_shot_bits(stack, (2,) if n == 1000 else (2, 3))
     for n in (1, 2, edge - 1, edge + 1, 30):
         pts = np.arange(float(n))[:, None]
         _assert_one_shot_bits(gram(projection_kernel(pts, sym_nonneg(rng, n)), pts), (1, 3))
@@ -1076,3 +1078,26 @@ def test_fit_core_makes_no_square_array_it_does_not_keep(rng, order, n_squares):
     finally:
         tracemalloc.stop()
     assert peak <= (n_squares + 0.25) * 8 * n * n
+
+
+def _table(order=2):
+    return build_ratio_table(gram(Kernel.gaussian(1.0), np.arange(3.0)[:, None]), 1.0, order=order)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ratio_from_kt(_table(), np.ones(3), 1.0, order=5), "order must be in 0..3, got 5"),
+    (lambda: ratio_from_kt(_table(), np.ones(2), 1.0),
+     r"kernel column must have length 3, got \(2,\)"),
+    (lambda: ratio_approx([0.5], np.zeros((2, 1)),
+                          build_ratio_table(GramMatrix.from_matrix(np.eye(2)), 1.0, order=2)),
+     "table was built from a raw matrix; use ratio_from_kt"),
+    (lambda: ratio_approx([0.5], np.zeros((2, 1)), _table()),
+     "point set does not match the table's training size"),
+    (lambda: ratio_approx_matrix([], 1.0, order=2),
+     "ratio needs at least the added point on the diagonal"),
+    (lambda: LimitTable(4), "order must be in 0..3, got 4"),
+], ids=["query-order", "column-length", "raw-matrix-table", "point-count", "empty-matrix",
+        "limit-table-order"])
+def test_cyclic_refusals_name_their_cause(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -314,3 +314,60 @@ def test_two_axis_projection_separates_classes():
     m0 = coords[codes == 0, 0].mean()
     m1 = coords[codes == 1, 0].mean()
     assert abs(m0 - m1) > 1.0
+
+
+def _expression(labels):
+    return ExpressionMatrix(values=np.arange(2.0 * len(labels)).reshape(2, -1),
+                            gene_ids=["G0", "G1"],
+                            sample_ids=[f"S{j}" for j in range(len(labels))],
+                            sample_labels=labels)
+
+
+def _write(tmp_path, files):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    return str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda tmp: gen_chequerboard(0, seed=1), "per_cell must be >= 1, got 0"),
+    (lambda tmp: gen_triangular(0, 0.0, 1.0, seed=1), "n must be >= 1, got 0"),
+    (lambda tmp: gen_triangular(5, 0.0, 0.0, seed=1), "halfwidth must be positive, got 0.0"),
+    (lambda tmp: ExpressionMatrix(np.zeros((2, 3)), ["G0"], ["S0", "S1", "S2"], list("aab")),
+     "gene_ids must match the row count"),
+    (lambda tmp: ExpressionMatrix(np.zeros((2, 3)), ["G0", "G1"], ["S0", "S1"], list("aab")),
+     "sample ids/labels must match the column count"),
+    (lambda tmp: gen_expression(n_samples=10), "class sizes must sum to the sample count"),
+    (lambda tmp: rank_genes_bw(_expression(list("aab"))), "class 'b' needs at least two samples"),
+    (lambda tmp: SplitPlan(repetitions=0, train_size=2, test_size=1),
+     "repetitions and sizes must be positive"),
+    (lambda tmp: load_features_csv(_write(tmp, {"a.csv": "# only a comment\n"})[0]),
+     r"a\.csv: no data rows"),
+    (lambda tmp: load_features_csv(_write(tmp, {"a.csv": "label\na\n"})[0]),
+     r"a\.csv: no feature columns"),
+    (lambda tmp: load_features_csv(_write(tmp, {"a.csv": "x0,label\n0.5,a\nabc,b\n"})[0]),
+     r"a\.csv:3: could not convert string to float: 'abc'"),
+    (lambda tmp: load_expression_csv(*_write(tmp, {"a.csv": "", "b.csv": ""})),
+     r"a\.csv: no data rows"),
+    (lambda tmp: load_expression_csv(*_write(tmp, {"a.csv": "gene_id\nG0\n", "b.csv": ""})),
+     r"a\.csv: need a gene id column plus samples"),
+    (lambda tmp: load_expression_csv(*_write(tmp, {"a.csv": "gene_id,S0,S1\nG0,1\n",
+                                                   "b.csv": ""})),
+     r"a\.csv:2: expected 3 fields, got 2"),
+    (lambda tmp: load_expression_csv(*_write(tmp, {"a.csv": "gene_id,S0,S1\nG0,1,x\n",
+                                                   "b.csv": ""})),
+     r"a\.csv:2: could not convert string to float: 'x'"),
+    (lambda tmp: load_expression_csv(*_write(tmp, {"a.csv": "gene_id,S0,S1\nG0,1,2\n",
+                                                   "b.csv": "sample,label\nS0,a,extra\n"})),
+     r"b\.csv:2: expected sample,label"),
+    (lambda tmp: two_axis_projection(ExpressionMatrix(np.ones((2, 4)), ["G0", "G1"],
+                                                      ["S0", "S1", "S2", "S3"], list("abab"))),
+     "class centroids coincide"),
+], ids=["per-cell", "triangular-n", "halfwidth", "gene-ids", "sample-ids", "class-sizes",
+        "one-sample-class", "split-sizes", "features-no-rows", "features-no-columns",
+        "features-not-a-number", "expression-no-rows", "expression-no-samples",
+        "expression-field-count", "expression-not-a-number", "labels-field-count",
+        "coinciding-centroids"])
+def test_dataset_refusals_name_their_cause(tmp_path, call, message):
+    with pytest.raises(ValueError, match=message):
+        call(tmp_path)

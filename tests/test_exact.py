@@ -417,3 +417,39 @@ def test_rising_factorial():
 def test_bell_counts():
     assert sum(1 for _ in iter_set_partitions(4)) == 15
     assert sum(1 for _ in iter_set_partitions(6)) == 203
+
+
+def _zero_kernel(n):
+    # a projection kernel whose every entry is zero: every alpha-permanent
+    # of it is zero
+    return projection_kernel(np.arange(float(n))[:, None], np.zeros((n, n)))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: ratio_exact_matrix([], 1.0), ValueError,
+     "ratio needs at least the added point on the diagonal"),
+    (lambda: ratio_exact_matrix([[0.0, 0.0], [0.0, 1.0]], 1.0), ZeroDivisionError,
+     "per_alpha of the leading block is zero"),
+    (lambda: label_probability_exact(np.zeros((3, 1)), [0, 1], (1.0, 1.0), Kernel.gaussian(1.0)),
+     ValueError, "labels must match the point count"),
+    (lambda: label_probability_exact(np.arange(2.0)[:, None], [0, 2], (1.0, 1.0),
+                                     Kernel.gaussian(1.0)),
+     ValueError, r"labels must lie in 0\.\.1"),
+    (lambda: label_probability_exact(np.arange(2.0)[:, None], [0, 1], (1.0, 1.0),
+                                     _zero_kernel(2)),
+     ZeroDivisionError, "per_alpha of the full configuration is zero"),
+    (lambda: Partition(((0,), ())), ValueError, "partition blocks must be nonempty"),
+    (lambda: partition_probability_exact(np.zeros((1, 1)), Partition.from_labels([0]), 0.0,
+                                         Kernel.gaussian(1.0)),
+     ValueError, "lambda must be positive and finite, got 0.0"),
+    (lambda: partition_probability_exact(np.zeros((2, 1)), Partition.from_labels([0]), 1.0,
+                                         Kernel.gaussian(1.0)),
+     ValueError, "partition must cover exactly the given points"),
+    (lambda: partition_probability_exact(np.arange(2.0)[:, None], Partition.from_labels([0, 1]),
+                                         1.0, _zero_kernel(2)),
+     ZeroDivisionError, "per_lambda of the full configuration is zero"),
+], ids=["empty-matrix", "zero-leading-block", "label-count", "label-range", "zero-labelled",
+        "empty-block", "lambda", "partition-size", "zero-partitioned"])
+def test_exact_refusals_name_their_cause(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

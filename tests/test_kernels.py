@@ -138,7 +138,7 @@ def test_gram_triangular_blocks_match_one_shot_formula(d, monkeypatch):
         expected = [gram_one_shot(k, pts) for k in kernels_]
         for block_entries in (1, 4096, kernels._BLOCK_ENTRIES):
             monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", block_entries)
-            shared = kernels._SharedDistances(pts, pts[:3]).grams(kernels_).entries
+            shared = kernels._kernel_stack(kernels_, pts, pts, kernels._sq_distances(pts))
             for k, kernel in enumerate(kernels_):
                 for entries in (gram(kernel, pts).entries, shared[k]):
                     assert np.array_equal(entries, expected[k])
@@ -216,10 +216,10 @@ def test_shared_distances_equal_gram_and_kernel_block(d, monkeypatch):
                 for s in scales for fam in ("gaussian", "exponential")]
     for block_entries in (1, 4096, kernels._BLOCK_ENTRIES):
         monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", block_entries)
-        shared = kernels._SharedDistances(pts, qs)
-        grams = shared.grams(kernels_)
+        grams = kernels._checked_gram(None, pts, kernels._kernel_stack(
+            kernels_, pts, pts, kernels._sq_distances(pts)))
         assert grams.kernel is None and np.array_equal(grams.points, pts)
-        blocks = shared.blocks(kernels_)
+        blocks = kernels._kernel_stack(kernels_, qs, pts, kernels._sq_distances(qs, pts))
         for k, kernel in enumerate(kernels_):
             assert np.array_equal(grams.entries[k], gram(kernel, pts).entries)
             for rows in steps:
@@ -227,19 +227,22 @@ def test_shared_distances_equal_gram_and_kernel_block(d, monkeypatch):
 
 
 def test_shared_distances_are_computed_once_and_only_for_distance_kernels(rng, sq_distance_calls):
+    # the other families read no squared distances, and the stack computes
+    # none: runs of distance kernels all read the caller's two
     ground = [tuple(p) for p in rng.normal(size=(9, 2))]
     pts, qs = np.array(ground[:5]), np.array(ground[5:])
     m = rng.random((9, 9))
-    shared = kernels._SharedDistances(pts, qs)
     others = [Kernel.constant(1.7), Kernel.projection(m + m.T, ground)]
-    grams, blocks = shared.grams(others).entries, shared.blocks(others)
+    grams = kernels._kernel_stack(others, pts, pts, None)
+    blocks = kernels._kernel_stack(others, qs, pts, None)
     for k, kernel in enumerate(others):
         assert np.array_equal(grams[k], gram(kernel, pts).entries)
         assert np.array_equal(blocks[k], kernel_block(kernel, qs, pts))
     assert not sq_distance_calls
+    sq, held = kernels._sq_distances(pts), kernels._sq_distances(qs, pts)
     for run in ([Kernel.gaussian(0.5), Kernel.exponential(0.5)], [Kernel.gaussian(2.0)]):
-        shared.grams(run)
-        shared.blocks(run)
+        kernels._kernel_stack(run, pts, pts, sq)
+        kernels._kernel_stack(run, qs, pts, held)
     assert len(sq_distance_calls) == 2
 
 
@@ -259,24 +262,27 @@ def test_shared_distances_stack_a_run_of_mixed_kernels(rng, sq_distance_calls):
     grams = [gram(kernel, pts).entries for kernel in run + [other]]
     blocks = [kernel_block(kernel, qs, pts) for kernel in run]
     sq_distance_calls.clear()
-    shared = kernels._SharedDistances(pts, qs)
-    assert np.array_equal(shared.grams(run).entries, grams[:-1])
-    assert np.array_equal(shared.blocks(run), blocks)
+    sq, held = kernels._sq_distances(pts), kernels._sq_distances(qs, pts)
+    assert np.array_equal(kernels._kernel_stack(run, pts, pts, sq), grams[:-1])
+    assert np.array_equal(kernels._kernel_stack(run, qs, pts, held), blocks)
     assert len(sq_distance_calls) == 2
     keep = [0, 2, 4, 6]
-    assert np.array_equal(shared.grams([run[k] for k in keep]).entries,
+    assert np.array_equal(kernels._kernel_stack([run[k] for k in keep], pts, pts, sq),
                           [grams[k] for k in keep])
-    assert np.array_equal(shared.blocks([run[k] for k in keep]), [blocks[k] for k in keep])
-    one = shared.grams([other])
-    assert one.entries.shape == (1, 7, 7) and np.array_equal(one.entries[0], grams[-1])
+    assert np.array_equal(kernels._kernel_stack([run[k] for k in keep], qs, pts, held),
+                          [blocks[k] for k in keep])
+    one = kernels._kernel_stack([other], pts, pts, sq)
+    assert one.shape == (1, 7, 7) and np.array_equal(one[0], grams[-1])
     assert len(sq_distance_calls) == 2
 
 
 def test_shared_distances_refuse_a_negative_gram_entry(monkeypatch):
     monkeypatch.setattr(kernels, "kernel_block", lambda k, a, b: -np.ones((len(a), len(b))))
-    shared = kernels._SharedDistances(np.zeros((2, 1)), np.zeros((1, 1)))
+    pts = np.zeros((2, 1))
+    stack = kernels._kernel_stack([Kernel.gaussian(1.0), Kernel.constant(1.0)], pts, pts,
+                                  kernels._sq_distances(pts))
     with pytest.raises(ValueError, match="negative Gram entry"):
-        shared.grams([Kernel.gaussian(1.0), Kernel.constant(1.0)])
+        kernels._checked_gram(None, pts, stack)
 
 
 def test_projection_kernel_requires_nonneg():
@@ -408,3 +414,52 @@ def test_cyclic_matrix_functions_refuse_asymmetric_matrices():
     for f in (ratio_approx_matrix, per_alpha_cyclic):
         with pytest.raises(ValueError, match="exactly symmetric"):
             f(m, 0.7)
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"family": "constant", "c": 1.0, "tau": 0.1}, "constant kernel takes no tau, got 0.1"),
+    ({"family": "gaussian", "tau": 0.5, "c": 1.0}, "gaussian kernel takes no c, got 1.0"),
+    ({"family": "exponential", "tau": 0.5, "aux": {}}, "exponential kernel takes no aux"),
+    ({"family": "constant", "c": 1.0, "aux": {}}, "constant kernel takes no aux"),
+    ({"family": "projection_matrix", "tau": 0.1,
+      "aux": {"matrix": [[1.0]], "points": [[0.0]]}}, "projection_matrix kernel takes no tau"),
+    ({"family": "projection_matrix", "c": 1.0,
+      "aux": {"matrix": [[1.0]], "points": [[0.0]]}}, "projection_matrix kernel takes no c"),
+    ({"family": "gaussian", "tau": True}, r"gaussian kernel requires a finite tau > 0, got True"),
+    ({"family": "constant", "c": True}, r"constant kernel requires a finite c > 0, got True"),
+], ids=["constant-tau", "gaussian-c", "exponential-aux", "constant-aux", "projection-tau",
+        "projection-c", "bool-tau", "bool-c"])
+def test_a_kernel_refuses_parameters_its_family_does_not_read(spec, message):
+    # a stray parameter would be kept and written back, and cross-validation
+    # breaks its ties on tau: a constant kernel's stray tau sorted it
+    # among the distance kernels
+    with pytest.raises(ValueError, match=message):
+        Kernel.from_dict(spec)
+    kwargs = {k: v for k, v in spec.items() if k != "family"}
+    if spec["family"] != "projection_matrix":
+        with pytest.raises(ValueError, match=message):
+            Kernel(spec["family"], **kwargs)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: kernel_eval(Kernel.gaussian(1.0), [[0.0, 1.0]], [0.0, 1.0]),
+     r"feature vector must be one-dimensional, got shape \(1, 2\)"),
+    (lambda: kernel_block(Kernel.gaussian(1.0), np.zeros((1, 1, 1)), np.zeros((2, 1))),
+     r"point set must be a 2-d array, got shape \(1, 1, 1\)"),
+    (lambda: Kernel.projection([[1.0, 0.0]], [(0.0,)]),
+     r"projection matrix must be square, got shape \(1, 2\)"),
+    (lambda: Kernel.projection(np.eye(2), [(0.0,)]),
+     "ground set size must match the matrix dimension"),
+    (lambda: Kernel.projection([[1.0, 0.5], [0.25, 1.0]], [(0.0,), (1.0,)]),
+     "projection matrix must be symmetric"),
+    (lambda: Kernel.projection(np.eye(2), [(0.0,), (0.0,)]),
+     "ground set points must be distinct"),
+    (lambda: GramMatrix(entries=np.zeros((2, 3)), points=np.zeros((2, 1))),
+     r"gram matrix must be square, got shape \(2, 3\)"),
+    (lambda: GramMatrix(entries=np.eye(2), points=np.zeros((3, 1))),
+     "gram matrix size must match the point count"),
+], ids=["point-shape", "point-set-shape", "projection-not-square", "ground-set-size",
+        "projection-asymmetric", "ground-set-repeats", "gram-not-square", "gram-point-count"])
+def test_kernel_refusals_name_their_cause(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -707,3 +707,12 @@ def test_order_3_predict_picks_the_four_cycle_matrix_by_queries_not_block_rows(m
     # the 30-point class's M, once per fit of 100 queries, none for the last 20
     assert builds == [()] * 3
     np.testing.assert_allclose(pieces, whole, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: fold_assignment(2, 3, 0), "cannot split 2 items into 3 folds"),
+    (lambda: median_pairwise_distance([[0.5, 1.0]]), "need at least two points"),
+], ids=["fewer-items-than-folds", "one-point-median"])
+def test_model_select_refusals_name_their_cause(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
