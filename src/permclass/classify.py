@@ -12,6 +12,7 @@ dividing by the total; ties in the argmax go to the lowest class index.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -82,6 +83,12 @@ class LabeledDataset:
                               n_classes=self.n_classes, class_names=self.class_names)
 
 
+def _is_real(value) -> bool:
+    """Whether ``value`` is a real number and not a bool, which Python and
+    numpy would otherwise take as 0 or 1."""
+    return isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
+
+
 @dataclass
 class ModelParams:
     """Model configuration: kernel, per-class masses, block rate, order.
@@ -100,10 +107,14 @@ class ModelParams:
     def __post_init__(self):
         if type(self.order) not in (int, str) or self.order not in (0, 1, 2, 3, EXACT_ORDER):
             raise ValueError(f"order must be 0..3 or '{EXACT_ORDER}', got {self.order!r}")
+        if self.lam is not None and not _is_real(self.lam):
+            raise ValueError(f"lambda must be a real number, got {self.lam!r}")
         if self.lam is not None and not 0 < self.lam < math.inf:
             raise ValueError(f"lambda must be positive and finite, got {self.lam}")
-        if not np.isfinite(np.asarray(self.alphas, dtype=float)).all():
-            raise ValueError(f"alphas must be finite, got {self.alphas}")
+        alphas = (self.alphas if np.iterable(self.alphas) and not isinstance(self.alphas, str)
+                  else [self.alphas])
+        if not all(_is_real(a) and math.isfinite(a) for a in alphas):
+            raise ValueError(f"alphas must be finite real numbers, got {self.alphas!r}")
 
     def alpha_vector(self, k: int) -> np.ndarray:
         """Per-class masses for ``k`` classes, checked before any Gram."""
@@ -347,6 +358,8 @@ def knn_predict(train_points, train_labels, queries, k: int = 5) -> np.ndarray:
     neighbours are selected, not sorted: every point nearer than the k-th
     smallest distance, then the lowest-indexed points at that distance.
     """
+    if not isinstance(k, numbers.Integral) or isinstance(k, (bool, np.bool_)):
+        raise ValueError(f"k must be an integer, got {k!r}")
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     X = _as_rows(train_points, "point")

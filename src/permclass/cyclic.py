@@ -223,8 +223,9 @@ class _FitCore:
     dg       G with row j divided by K(x_j, x_j) and a zero diagonal
              (order 3 only).
 
-    `finish` costs O(n^2) per alpha.  Over a stack of Gram matrices every
-    field has the stack's leading kernel axis.
+    On a diagonal of exact ones q_sum and qoff are built without dividing
+    by it, with the same bits.  `finish` costs O(n^2) per alpha.  Over a
+    stack of Gram matrices every field has the stack's leading kernel axis.
     """
 
     gram: GramMatrix
@@ -315,11 +316,13 @@ def _fit_core(g: GramMatrix, order: int) -> _FitCore:
     O(n^2), plus one O(n^3) product at order 3, for one Gram matrix or a
     stack.  The only n x n arrays made are the three order 3 keeps; below
     it Qoff's rows are summed a `_block_rows` block at a time in a reused
-    scratch, with the same bits."""
+    scratch, with the same bits.  On a diagonal of exact ones (the
+    distance kernels') Qoff skips its division by it, which changes no bit."""
     if order not in (0, 1, 2, 3):
         raise ValueError(f"order must be in 0..3, got {order}")
     G = g.entries
     d = _gram_diagonal(G)
+    unit = bool((d == 1.0).all())
     n = g.n
     step = max(n, 1) if order == 3 else _block_rows(d.size)
     Qoff = np.empty((*d.shape[:-1], min(step, n), n))
@@ -328,7 +331,8 @@ def _fit_core(g: GramMatrix, order: int) -> _FitCore:
         hi = min(lo + step, n)
         Q = Qoff[..., :hi - lo, :]
         np.multiply(G[..., lo:hi, :], G[..., lo:hi, :], out=Q)
-        Q /= d[..., None, :]
+        if not unit:
+            Q /= d[..., None, :]
         at = np.arange(hi - lo)
         Q[..., at, at + lo] = 0.0
         Q.sum(axis=-1, out=q_sum[..., lo:hi])

@@ -190,6 +190,34 @@ def test_non_finite_model_parameters_raise():
             ModelParams(kernel=kern, alphas=alphas)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("alphas", True, r"alphas must be finite real numbers, got True"),
+    ("alphas", "1.0", r"alphas must be finite real numbers, got '1.0'"),
+    ("alphas", [1.0, True], r"alphas must be finite real numbers, got \[1.0, True\]"),
+    ("alphas", np.array([True, False]), r"alphas must be finite real numbers"),
+    ("lam", True, r"lambda must be a real number, got True"),
+    ("lam", "0.5", r"lambda must be a real number, got '0.5'"),
+], ids=["bool-alpha", "str-alpha", "bool-in-alphas", "bool-array-alphas", "bool-lambda",
+        "str-lambda"])
+def test_model_parameters_that_are_not_numbers_are_refused(field, value, message):
+    # Python and numpy take a bool as 0 or 1, and a string would fail in a
+    # comparison far from the field that holds it
+    with pytest.raises(ValueError, match=message):
+        ModelParams(kernel=Kernel.gaussian(1.0), **{field: value})
+    spec = {"kernel": {"family": "gaussian", "tau": 1.0}, "alphas": 1.0,
+            "alphas" if field == "alphas" else "lambda": value}
+    with pytest.raises(ValueError, match=message):
+        ModelParams.from_dict(spec)
+
+
+def test_model_parameters_take_numpy_numbers():
+    params = ModelParams(kernel=Kernel.gaussian(1.0), alphas=np.array([0.5, 2]),
+                         lam=np.float64(0.5))
+    assert params.to_dict()["alphas"] == [0.5, 2.0]
+    assert ModelParams(kernel=Kernel.gaussian(1.0), alphas=(1, np.int64(2))).alpha_vector(2) \
+        .tolist() == [1.0, 2.0]
+
+
 @pytest.mark.parametrize("order", [0, 1, 2, 3, "exact"])
 def test_stacked_weights_equal_each_candidates_predict(rng, order):
     # class tables finished for a live x classes array of per-class alphas,
@@ -496,6 +524,10 @@ def test_knn_rejects_bad_k_and_labels():
     for k in (0, -1):
         with pytest.raises(ValueError, match="k must be at least 1"):
             knn_predict(X, np.arange(4) % 2, X, k=k)
+    for k in (2.5, 2.0, True, "2"):
+        with pytest.raises(ValueError, match=f"k must be an integer, got {k!r}"):
+            knn_predict(X, np.arange(4) % 2, X, k=k)
+    assert knn_predict(X, np.arange(4) % 2, X, k=np.int64(3)).tolist() == [0, 0, 0, 0]
     with pytest.raises(ValueError, match="expected 4 labels"):
         knn_predict(X, [0, 1, 0], X)
     with pytest.raises(ValueError, match="label codes must be nonnegative"):

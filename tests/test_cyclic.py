@@ -16,7 +16,7 @@ from permclass.cyclic import (DegenerateConfigurationError, LimitTable,
                               build_ratio_table, per_alpha_cyclic, ratio_approx,
                               ratio_approx_matrix, ratio_from_kt)
 from permclass import kernels
-from permclass.cyclic import _fit_core
+from permclass.cyclic import _fit_core, _FitCore
 from permclass.exact import per_alpha_exact, ratio_exact_matrix
 from permclass.datasets import gen_chequerboard
 from permclass.kernels import (GramMatrix, Kernel, gram, kernel_block, kernel_column,
@@ -1061,6 +1061,59 @@ def test_blocked_q_sum_has_the_one_shot_bits(rng, monkeypatch, block_entries):
     for n in (1, 2, edge - 1, edge + 1, 30):
         pts = np.arange(float(n))[:, None]
         _assert_one_shot_bits(gram(projection_kernel(pts, sym_nonneg(rng, n)), pts), (1, 3))
+
+
+def _unit_and_other_diagonals(rng, pts):
+    """Named Gram matrices and stacks over ``pts`` whose diagonals are
+    exact ones, another constant, or a mix: the distance kernels',
+    constant kernels', projections' and a raw matrix one ulp off the unit
+    diagonal in one entry."""
+    n = pts.shape[0]
+    distance = [Kernel.gaussian(0.7), Kernel.exponential(1.3)]
+    unit_projection = sym_nonneg(rng, n, 1.0, 1.0)
+    nearly_unit = sym_nonneg(rng, n, 1.0, 1.0)
+    nearly_unit[n // 2, n // 2] = np.nextafter(1.0, 2.0)
+    index = np.arange(float(n))[:, None]
+    sq = kernels._sq_distances(pts)
+    grams = {
+        "gaussian": gram(distance[0], pts),
+        "exponential": gram(distance[1], pts),
+        "constant-1": gram(Kernel.constant(1.0), pts),
+        "constant-2.5": gram(Kernel.constant(2.5), pts),
+        "unit-projection": gram(projection_kernel(index, unit_projection), index),
+        "projection": gram(projection_kernel(index, sym_nonneg(rng, n)), index),
+        "nearly-unit": GramMatrix.from_matrix(nearly_unit),
+    }
+    for name, ks in (("distance-stack", distance),
+                     ("mixed-stack", [distance[0], Kernel.constant(2.5), distance[1]]),
+                     ("constant-stack", [Kernel.constant(2.5), Kernel.constant(1.0)])):
+        grams[name] = kernels._checked_gram(None, pts, kernels._kernel_stack(ks, pts, pts, sq))
+    return grams
+
+
+@pytest.mark.parametrize("block_entries", [kernels._BLOCK_ENTRIES, 40])
+def test_unit_diagonal_core_has_the_dividing_bits(rng, monkeypatch, block_entries):
+    # the two-cycle pass skips its division by a diagonal of exact ones: the
+    # core's fields and its tables, for one alpha and for several, equal the
+    # one-pass formulas that divide, as they do on every other diagonal
+    monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", block_entries)
+    pts = rng.normal(size=(23, 2))
+    for name, g in _unit_and_other_diagonals(rng, pts).items():
+        stacked = g.entries.ndim == 3
+        alphas = (0.7, np.array([0.3, 1.0, 4.5])) if not stacked else (
+            np.array([[0.3, 1.0]] * g.entries.shape[0]),)
+        d = np.diagonal(g.entries, axis1=-2, axis2=-1).copy()
+        for order in (0, 1, 2, 3):
+            core = _fit_core(g, order)
+            want = _one_shot_core(g.entries, order)
+            for field, value in want.items():
+                assert np.array_equal(getattr(core, field), value), (name, order, field)
+            reference = _FitCore(g, order, d, **want)
+            for alpha in alphas:
+                got, ref = core.finish(alpha), reference.finish(alpha)
+                for field in ("r1_loo", "r2_loo", "_t3", "_s3", "_dg"):
+                    assert np.array_equal(getattr(got, field), getattr(ref, field)), \
+                        (name, order, field)
 
 
 @pytest.mark.parametrize("order, n_squares", [(2, 0), (3, 3)])
