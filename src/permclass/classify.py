@@ -12,7 +12,6 @@ dividing by the total; ties in the argmax go to the lowest class index.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -20,9 +19,9 @@ import numpy as np
 
 from .cyclic import EXACT_ORDER, MAX_ORDER, LimitTable, RatioTable, _fit_core, _FitCore
 from .exact import Partition, _CypTable, _grown, _PerTable
-from .kernels import (GramMatrix, Kernel, _as_rows, _entry, _label_codes, _query_steps,
-                      _sq_distances, gram, kernel_block, kernel_column, kernel_self,
-                      kernel_self_batch)
+from .kernels import (GramMatrix, Kernel, _as_rows, _entry, _is_integer, _is_real,
+                      _label_codes, _query_steps, _sq_distances, gram, kernel_block,
+                      kernel_column, kernel_self, kernel_self_batch)
 
 __all__ = [
     "LabeledDataset",
@@ -76,17 +75,6 @@ class LabeledDataset:
 
     def class_points(self, r: int) -> np.ndarray:
         return self.points[self.labels == r]
-
-    def subset(self, indices) -> "LabeledDataset":
-        idx = np.asarray(indices, dtype=int)
-        return LabeledDataset(points=self.points[idx], labels=self.labels[idx],
-                              n_classes=self.n_classes, class_names=self.class_names)
-
-
-def _is_real(value) -> bool:
-    """Whether ``value`` is a real number and not a bool, which Python and
-    numpy would otherwise take as 0 or 1."""
-    return isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
 
 
 @dataclass
@@ -358,7 +346,7 @@ def knn_predict(train_points, train_labels, queries, k: int = 5) -> np.ndarray:
     neighbours are selected, not sorted: every point nearer than the k-th
     smallest distance, then the lowest-indexed points at that distance.
     """
-    if not isinstance(k, numbers.Integral) or isinstance(k, (bool, np.bool_)):
+    if not _is_integer(k):
         raise ValueError(f"k must be an integer, got {k!r}")
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")

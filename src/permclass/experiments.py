@@ -19,10 +19,7 @@ __all__ = [
     "run_chequerboard",
     "MicroarrayResult",
     "run_microarray",
-    "DEFAULT_TABLE_SEEDS",
 ]
-
-DEFAULT_TABLE_SEEDS = tuple(range(10))
 
 # seed whose draw yields a table close to the reference error counts;
 # `reproduce table1` uses it by default

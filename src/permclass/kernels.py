@@ -9,6 +9,7 @@ family enforces it at construction.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Mapping, Sequence
@@ -114,6 +115,17 @@ def _label_codes(labels) -> np.ndarray:
     return codes
 
 
+def _is_real(value) -> bool:
+    """Whether ``value`` is a real number and not a bool, which Python and
+    numpy would otherwise take as 0 or 1."""
+    return isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
+
+
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an integer and not a bool."""
+    return _is_real(value) and isinstance(value, numbers.Integral)
+
+
 def _entry(d: Mapping[str, Any], key: str, what: str) -> Any:
     """``d[key]``, refusing a missing key by name."""
     if key not in d:
@@ -133,6 +145,9 @@ class Kernel:
     ``c`` the level for the constant family.  ``aux`` carries a projection
     kernel's explicit matrix over its indexed ground set.  A family refuses
     the others' parameters, which `to_dict` and CV's tie-break would read.
+    `__post_init__` checks every kernel when it is made, however it is made,
+    so every family's values are finite and nonnegative by construction and
+    no Gram matrix is scanned for them.
     """
 
     family: KernelFamily
@@ -148,10 +163,25 @@ class Kernel:
             value = getattr(self, key)
             if value is not None and not read:
                 raise ValueError(f"{self.family.value} kernel takes no {key}, got {value!r}")
-            if read and key != "aux" and (value is None or isinstance(value, bool)
-                                          or not 0 < value < math.inf):
+            if read and key != "aux" and not (_is_real(value) and 0 < value < math.inf):
                 raise ValueError(f"{self.family.value} kernel requires a finite "
                                  f"{key} > 0, got {value!r}")
+        if self.family is KernelFamily.PROJECTION_MATRIX:
+            aux = self.aux
+            if aux is None:
+                raise ValueError("projection kernel has no 'aux' key")
+            m = _as_square(_entry(aux, "matrix", "projection kernel aux"), "projection matrix")
+            points = _as_rows(_entry(aux, "points", "projection kernel aux"), "ground set")
+            keys = [tuple(p) for p in points.tolist()]
+            if len(keys) != m.shape[0]:
+                raise ValueError("ground set size must match the matrix dimension")
+            if not np.array_equal(m, m.T):
+                raise ValueError("projection matrix must be symmetric")
+            if (m < 0).any():
+                raise ValueError("kernel matrices must be elementwise nonnegative")
+            if len(set(keys)) != len(keys):
+                raise ValueError("ground set points must be distinct")
+            self.aux = {"matrix": m.tolist(), "points": keys}
 
     # -- constructors -------------------------------------------------
 
@@ -177,31 +207,7 @@ class Kernel:
         The matrix must be square, symmetric, and elementwise nonnegative;
         evaluation outside the ground set is an error.
         """
-        m = np.asarray(matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"projection matrix must be square, got shape {m.shape}")
-        if len(points) != m.shape[0]:
-            raise ValueError("ground set size must match the matrix dimension")
-        if not np.isfinite(m).all():
-            raise ValueError("projection matrix entries must be finite")
-        if not np.array_equal(m, m.T):
-            raise ValueError("projection matrix must be symmetric")
-        if (m < 0).any():
-            raise ValueError("kernel matrices must be elementwise nonnegative")
-        keys = [_key(p) for p in points]
-        if len(set(keys)) != len(keys):
-            raise ValueError("ground set points must be distinct")
-        return cls(KernelFamily.PROJECTION_MATRIX,
-                   aux={"matrix": m.tolist(), "points": keys})
-
-    # -- evaluation helpers -------------------------------------------
-
-    def _proj_index(self, key) -> int:
-        pts = self.aux["points"]
-        try:
-            return pts.index(key)
-        except ValueError:
-            raise ValueError(f"point {key} is not in the projection kernel ground set") from None
+        return cls(KernelFamily.PROJECTION_MATRIX, aux={"matrix": matrix, "points": points})
 
     # -- serialization ------------------------------------------------
 
@@ -218,13 +224,19 @@ class Kernel:
 
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "Kernel":
-        family = KernelFamily(_entry(d, "family", "kernel"))
-        aux = d.get("aux")
-        if family is KernelFamily.PROJECTION_MATRIX:
-            aux = _entry(d, "aux", "projection kernel")
-            aux = cls.projection(_entry(aux, "matrix", "projection kernel aux"),
-                                 _entry(aux, "points", "projection kernel aux")).aux
-        return cls(family, tau=d.get("tau"), c=d.get("c"), aux=aux)
+        return cls(_entry(d, "family", "kernel"), tau=d.get("tau"), c=d.get("c"),
+                   aux=d.get("aux"))
+
+
+def _ground_indices(kernel: Kernel, *point_sets) -> list[np.ndarray]:
+    """Each point set's rows as their indices in a projection kernel's
+    ground set, through one map from point key to index."""
+    index = {key: i for i, key in enumerate(kernel.aux["points"])}
+    try:
+        return [np.array([index[_key(p)] for p in pts], dtype=int) for pts in point_sets]
+    except KeyError as missing:
+        raise ValueError(f"point {missing.args[0]} is not in the projection kernel "
+                         "ground set") from None
 
 
 def kernel_eval(kernel: Kernel, s, t) -> float:
@@ -237,7 +249,7 @@ def kernel_eval(kernel: Kernel, s, t) -> float:
         return float(kernel_column(kernel, tv, sv[None, :])[0])
     if fam is KernelFamily.CONSTANT:
         return float(kernel.c)
-    i, j = kernel._proj_index(_key(sv)), kernel._proj_index(_key(tv))  # a projection
+    i, j = _ground_indices(kernel, [sv, tv])[0]  # a projection
     return float(kernel.aux["matrix"][i][j])
 
 
@@ -254,14 +266,16 @@ def kernel_self(kernel: Kernel, t) -> float:
 
 def kernel_self_batch(kernel: Kernel, points) -> np.ndarray:
     """`kernel_self` for every row of ``points``: ones for the distance
-    families, ``c`` for the constant family, a per-row lookup for the rest."""
+    families, ``c`` for the constant family, the ground set's diagonal
+    entries for a projection."""
     pts = _as_points(points)
     fam = kernel.family
     if fam in _DISTANCE_FAMILIES:
         return np.ones(pts.shape[0])
     if fam is KernelFamily.CONSTANT:
         return np.full(pts.shape[0], float(kernel.c))
-    return np.array([kernel_eval(kernel, t, t) for t in pts], dtype=float)
+    matrix = kernel.aux["matrix"]
+    return np.array([matrix[i][i] for i in _ground_indices(kernel, pts)[0]], dtype=float)
 
 
 def _distance_kernel(kernel: Kernel, sq: np.ndarray,
@@ -294,7 +308,11 @@ def kernel_block(kernel: Kernel, queries, points) -> np.ndarray:
         return _sq_distances(qs, pts, kernel)
     if fam is KernelFamily.CONSTANT:
         return np.full((m, n), float(kernel.c))
-    return np.array([[kernel_eval(kernel, t, p) for p in pts] for t in qs]).reshape(m, n)
+    # only the query rows become an array, O(m N); `take` keeps the block
+    # C-ordered (``rows[:, pi]`` is not), which the fit core's bits need
+    qi, pi = _ground_indices(kernel, qs, pts)
+    rows = np.array([kernel.aux["matrix"][i] for i in qi], dtype=float)
+    return np.take(rows.reshape(m, len(kernel.aux["points"])), pi, axis=1)
 
 
 def kernel_column(kernel: Kernel, t, points) -> np.ndarray:
@@ -456,13 +474,6 @@ def _sq_distances(a: np.ndarray, b: np.ndarray | None = None,
     return out
 
 
-def _checked_gram(kernel: Kernel | None, pts: np.ndarray, entries: np.ndarray) -> GramMatrix:
-    # fmin skips NaN as ``(entries < 0).any()`` does, and makes no mask
-    if entries.size and np.fmin.reduce(entries, axis=None) < 0:
-        raise ValueError("kernel produced a negative Gram entry")
-    return GramMatrix(entries=entries, points=pts, kernel=kernel)
-
-
 def gram(kernel: Kernel, points) -> GramMatrix:
     """The Gram matrix K(x) over a point set: ``kernel_block(kernel, x, x)``.
 
@@ -476,8 +487,8 @@ def gram(kernel: Kernel, points) -> GramMatrix:
     """
     pts = _as_points(points)
     distance = kernel.family in _DISTANCE_FAMILIES
-    return _checked_gram(kernel, pts, _sq_distances(pts, kernel=kernel) if distance
-                         else kernel_block(kernel, pts, pts))
+    return GramMatrix(entries=_sq_distances(pts, kernel=kernel) if distance
+                      else kernel_block(kernel, pts, pts), points=pts, kernel=kernel)
 
 
 def _kernel_stack(kernels: Sequence[Kernel], rows: np.ndarray, points: np.ndarray,

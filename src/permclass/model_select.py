@@ -17,8 +17,8 @@ import numpy as np
 from .classify import _DEGENERATE, LabeledDataset, ModelParams, _fit_kernel, _normalised, _weights
 from .cyclic import EXACT_ORDER, _reads_four_cycle_matrix
 from . import kernels
-from .kernels import (_DISTANCE_FAMILIES, Kernel, _as_rows, _block_rows, _checked_gram,
-                      _kernel_stack, _query_steps, kernel_self_batch)
+from .kernels import (_DISTANCE_FAMILIES, GramMatrix, Kernel, _as_rows, _block_rows,
+                      _is_integer, _kernel_stack, _query_steps, kernel_self_batch)
 
 __all__ = [
     "CVSpec",
@@ -46,6 +46,8 @@ class CVSpec:
     stratified: bool = False
 
     def __post_init__(self):
+        if not _is_integer(self.folds):
+            raise ValueError(f"folds must be an integer, got {self.folds!r}")
         if self.folds < 2:
             raise ValueError(f"need at least 2 folds, got {self.folds}")
         if self.objective not in OBJECTIVES:
@@ -274,8 +276,8 @@ class _Sweep:
         one kernel at a time, so that only the refused kernel is marked."""
         run_kernels = [kernel for kernel, _ in run]
         try:
-            cores = [_fit_kernel(_checked_gram(None, x, _kernel_stack(run_kernels, x, x, sq)),
-                                 order) for x, sq, _ in classes]
+            cores = [_fit_kernel(GramMatrix(_kernel_stack(run_kernels, x, x, sq), x), order)
+                     for x, sq, _ in classes]
             ktt = np.stack([kernel_self_batch(kernel, queries) for kernel in run_kernels])
             blocks = [_kernel_stack(run_kernels, queries, x, held) for x, _, held in classes]
         except (ValueError, ArithmeticError) as exc:  # kernel-level isolation

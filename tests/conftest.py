@@ -23,7 +23,7 @@ import pytest
 from hypothesis import settings
 
 from permclass import kernels
-from permclass.classify import fit, predict
+from permclass.classify import LabeledDataset, fit, predict
 from permclass.cyclic import DegenerateConfigurationError, LimitTable
 from permclass.exact import Partition, _grown, cyp_exact
 from permclass.kernels import (GramMatrix, Kernel, KernelFamily, _as_square, gram,
@@ -33,6 +33,9 @@ from permclass.model_select import (CandidateResult, CVReport, _tie_key, cross_e
 
 settings.register_profile("suite", deadline=None, max_examples=25)
 settings.load_profile("suite")
+
+# the chequerboard draws whose tables the family-selection tests compare
+DEFAULT_TABLE_SEEDS = tuple(range(10))
 
 
 def perm_oracle(A, alpha: float) -> float:
@@ -500,8 +503,10 @@ def cross_validate_reference(data, spec):
                             labels=data.labels, stratified=spec.stratified)
     objective = error_rate if spec.objective == "error" else cross_entropy
     all_idx = np.arange(data.n)
-    splits = [(data.subset(np.setdiff1d(all_idx, heldout)),
-               data.points[heldout], data.labels[heldout]) for heldout in folds]
+    kept = [np.setdiff1d(all_idx, heldout) for heldout in folds]
+    splits = [(LabeledDataset(data.points[idx], data.labels[idx], data.n_classes,
+                              data.class_names), data.points[heldout], data.labels[heldout])
+              for idx, heldout in zip(kept, folds)]
     results = []
     for params in spec.grid:
         scores = []

@@ -2,7 +2,7 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines.  Every
 tolerance is fixed here, not computed; stochastic criteria use the seeds
-pinned in the package.
+pinned in the package or in conftest.
 """
 
 import itertools
@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from conftest import (augment, banded_gram, block_constant_matrix,
+from conftest import (DEFAULT_TABLE_SEEDS, augment, banded_gram, block_constant_matrix,
                       closed_form_ratio_matrix, elimination_det)
 from permclass.benchmarks import accuracy_study, bench_orders
 from permclass.classify import ModelParams, sequential_partition
@@ -19,8 +19,7 @@ from permclass.datasets import SplitPlan, gen_expression
 from permclass.exact import (ewens_probability, iter_set_partitions,
                              partition_probability_exact, per_alpha_exact,
                              ratio_exact, ratio_exact_matrix)
-from permclass.experiments import (DEFAULT_TABLE1_SEED, DEFAULT_TABLE_SEEDS,
-                                   run_chequerboard, run_microarray)
+from permclass.experiments import DEFAULT_TABLE1_SEED, run_chequerboard, run_microarray
 from permclass.kernels import GramMatrix, Kernel, gram
 
 

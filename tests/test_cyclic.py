@@ -1055,8 +1055,7 @@ def test_blocked_q_sum_has_the_one_shot_bits(rng, monkeypatch, block_entries):
             sq = kernels._sq_distances(pts)
             _assert_one_shot_bits(gram(kernels_[0], pts), (0, 2) if n == 1000 else (0, 2, 3))
             for k in (1, 2) if n == 1000 else range(1, 11):
-                stack = kernels._checked_gram(None, pts, kernels._kernel_stack(kernels_[:k], pts,
-                                                                               pts, sq))
+                stack = GramMatrix(kernels._kernel_stack(kernels_[:k], pts, pts, sq), pts)
                 _assert_one_shot_bits(stack, (2,) if n == 1000 else (2, 3))
     for n in (1, 2, edge - 1, edge + 1, 30):
         pts = np.arange(float(n))[:, None]
@@ -1087,7 +1086,7 @@ def _unit_and_other_diagonals(rng, pts):
     for name, ks in (("distance-stack", distance),
                      ("mixed-stack", [distance[0], Kernel.constant(2.5), distance[1]]),
                      ("constant-stack", [Kernel.constant(2.5), Kernel.constant(1.0)])):
-        grams[name] = kernels._checked_gram(None, pts, kernels._kernel_stack(ks, pts, pts, sq))
+        grams[name] = GramMatrix(kernels._kernel_stack(ks, pts, pts, sq), pts)
     return grams
 
 

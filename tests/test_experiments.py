@@ -1,7 +1,8 @@
 import pytest
 
 import permclass.experiments as experiments
-from permclass.experiments import DEFAULT_TABLE_SEEDS, run_chequerboard
+from conftest import DEFAULT_TABLE_SEEDS
+from permclass.experiments import run_chequerboard
 from permclass.model_select import CVSpec, cross_validate
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import closed_form_ratio_matrix, gram_one_shot, sq_distances_one_shot
 from permclass import kernels
+from permclass.classify import ModelParams
 from permclass.cyclic import per_alpha_cyclic, ratio_approx_matrix
 from permclass.exact import cyp_exact, per_alpha_exact, ratio_exact_matrix
 from permclass.kernels import (GramMatrix, Kernel, KernelFamily, gram, kernel_block,
@@ -48,7 +49,8 @@ def test_non_finite_kernel_parameters_raise(bad):
         Kernel.exponential(bad)
     with pytest.raises(ValueError, match="constant kernel requires a finite c"):
         Kernel.constant(bad)
-    with pytest.raises(ValueError, match="projection matrix entries"):
+    with pytest.raises(ValueError, match=rf"projection matrix row 0, column 0 is not finite "
+                                         rf"\({bad}\)"):
         Kernel.projection([[bad]], [(0.0,)])
 
 
@@ -147,7 +149,7 @@ def test_gram_triangular_blocks_match_one_shot_formula(d, monkeypatch):
 
 def test_gram_peak_is_one_matrix_and_its_blocks():
     # no n x n temporary beside the matrix itself: no full-width distance
-    # block and no n x n mask for the negative-entry refusal
+    # block and no scan of the finished matrix
     n = 1000
     pts = np.random.default_rng(3).normal(size=(n, 2))
     tracemalloc.start()
@@ -159,17 +161,54 @@ def test_gram_peak_is_one_matrix_and_its_blocks():
     assert peak <= 1.07 * 8 * n * n
 
 
-def test_negative_gram_entry_is_refused_past_nan():
-    # a negative entry is refused wherever a NaN sits; NaN alone and the
-    # 0 x 0 matrix are not, for one matrix and for stacks
-    pts = np.zeros((2, 1))
-    for entries in ([[np.nan, -1.0], [-1.0, 1.0]], [[[1.0, 0.0], [0.0, 1.0]],
-                                                     [[-1.0, np.nan], [np.nan, 1.0]]]):
-        with pytest.raises(ValueError, match="negative Gram entry"):
-            kernels._checked_gram(None, pts, np.array(entries))
-    for entries in ([[np.nan, 0.0], [0.0, 1.0]], np.full((3, 2, 2), np.nan)):
-        kernels._checked_gram(None, pts, np.array(entries))
-    assert kernels._checked_gram(None, np.zeros((0, 1)), np.zeros((0, 0))).n == 0
+PAIR = [(0.0,), (1.0,)]
+
+
+@pytest.mark.parametrize("family, params, message", [
+    ("projection_matrix", {"aux": {"matrix": [[1.0, -0.5], [-0.5, 1.0]], "points": PAIR}},
+     "kernel matrices must be elementwise nonnegative"),
+    ("projection_matrix", {"aux": {"matrix": [[-1.0, 2.0], [2.0, 1.0]], "points": PAIR}},
+     "kernel matrices must be elementwise nonnegative"),
+    ("projection_matrix", {"aux": {"matrix": [[1, .9, .1], [.2, 1, .3], [.1, .3, 1]],
+                                   "points": PAIR + [(2.0,)]}},
+     "projection matrix must be symmetric"),
+    ("projection_matrix", {"aux": {"matrix": [[1.0, 0.5]], "points": PAIR[:1]}},
+     r"projection matrix must be square, got shape \(1, 2\)"),
+    ("projection_matrix", {"aux": {"matrix": [[1.0, np.nan], [np.nan, 1.0]], "points": PAIR}},
+     r"projection matrix row 0, column 1 is not finite \(nan\)"),
+    ("projection_matrix", {"aux": {"matrix": np.eye(2), "points": [(0.0,), (0.0,)]}},
+     "ground set points must be distinct"),
+    ("projection_matrix", {"aux": {"matrix": np.eye(2), "points": [(np.nan,), (1.0,)]}},
+     r"ground set row 0, column 0 is not finite \(nan\)"),
+    ("projection_matrix", {}, "projection kernel has no 'aux' key"),
+    ("gaussian", {"tau": "0.5"}, "gaussian kernel requires a finite tau > 0, got '0.5'"),
+    ("exponential", {"tau": None}, "exponential kernel requires a finite tau > 0, got None"),
+    ("constant", {"c": np.bool_(True)}, "constant kernel requires a finite c > 0, got "),
+    ("constant", {"c": "1.0"}, "constant kernel requires a finite c > 0, got '1.0'"),
+], ids=["negative", "negative-off-diagonal", "asymmetric", "non-square", "non-finite",
+        "repeated-point", "nan-point", "no-aux", "str-tau", "no-tau", "numpy-bool-c", "str-c"])
+def test_every_way_of_making_a_kernel_refuses_a_bad_one(family, params, message):
+    # the one check in the constructor is the only one: a bad kernel made
+    # directly used to reach `kernel_block`, `fit` and `predict`
+    makers = [lambda: Kernel(family, **params),
+              lambda: Kernel.from_dict({"family": family, **params}),
+              lambda: ModelParams.from_dict({"kernel": {"family": family, **params},
+                                             "alphas": 1.0})]
+    if "aux" in params:
+        makers.append(lambda: Kernel.projection(params["aux"]["matrix"], params["aux"]["points"]))
+    for make in makers:
+        with pytest.raises(ValueError, match=message):
+            make()
+
+
+def test_projection_is_the_checked_constructor(rng):
+    m = rng.random((4, 4))
+    m += m.T
+    pts = rng.normal(size=(4, 2))
+    k = Kernel.projection(m, pts)
+    assert k == Kernel("projection_matrix", aux={"matrix": m, "points": pts})
+    assert k == Kernel.from_dict(k.to_dict())
+    assert k.aux == {"matrix": m.tolist(), "points": [tuple(p) for p in pts.tolist()]}
 
 
 def test_gram_matches_eval_and_column(rng):
@@ -216,8 +255,8 @@ def test_shared_distances_equal_gram_and_kernel_block(d, monkeypatch):
                 for s in scales for fam in ("gaussian", "exponential")]
     for block_entries in (1, 4096, kernels._BLOCK_ENTRIES):
         monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", block_entries)
-        grams = kernels._checked_gram(None, pts, kernels._kernel_stack(
-            kernels_, pts, pts, kernels._sq_distances(pts)))
+        grams = GramMatrix(kernels._kernel_stack(kernels_, pts, pts, kernels._sq_distances(pts)),
+                           pts)
         assert grams.kernel is None and np.array_equal(grams.points, pts)
         blocks = kernels._kernel_stack(kernels_, qs, pts, kernels._sq_distances(qs, pts))
         for k, kernel in enumerate(kernels_):
@@ -276,13 +315,36 @@ def test_shared_distances_stack_a_run_of_mixed_kernels(rng, sq_distance_calls):
     assert len(sq_distance_calls) == 2
 
 
-def test_shared_distances_refuse_a_negative_gram_entry(monkeypatch):
-    monkeypatch.setattr(kernels, "kernel_block", lambda k, a, b: -np.ones((len(a), len(b))))
-    pts = np.zeros((2, 1))
-    stack = kernels._kernel_stack([Kernel.gaussian(1.0), Kernel.constant(1.0)], pts, pts,
-                                  kernels._sq_distances(pts))
-    with pytest.raises(ValueError, match="negative Gram entry"):
-        kernels._checked_gram(None, pts, stack)
+def test_projection_lookups_match_per_pair_entries(rng):
+    # one key-to-index map per call, the block read from its query rows,
+    # against the entry of each pair found by its points' ground-set
+    # positions, with repeated and reordered points on both sides
+    ground = [tuple(p) for p in rng.normal(size=(7, 2))]
+    m = rng.random((7, 7))
+    m += m.T
+    k = Kernel.projection(m, ground)
+    pts = np.array([ground[i] for i in (4, 0, 4, 6, 2)])
+    qs = np.array([ground[i] for i in (1, 6, 6, 3)])
+
+    def entries(a, b):
+        return np.array([[m[ground.index(tuple(s))][ground.index(tuple(t))] for t in b]
+                         for s in a]).reshape(len(a), len(b))
+
+    block = kernel_block(k, qs, pts)
+    assert np.array_equal(block, entries(qs, pts)) and block.flags.c_contiguous
+    assert np.array_equal(kernel_block(k, qs[:0], pts), entries(qs[:0], pts))
+    assert np.array_equal(gram(k, pts).entries, entries(pts, pts))
+    assert np.array_equal(kernel_self_batch(k, qs), np.diag(entries(qs, qs)))
+    for s in qs:
+        for t in pts:
+            assert kernel_eval(k, s, t) == entries([s], [t])[0, 0]
+    outside = np.vstack([pts, [[9.0, 9.0]]])
+    for call in (lambda: kernel_block(k, qs, outside), lambda: kernel_block(k, outside, pts),
+                 lambda: kernel_self_batch(k, outside), lambda: gram(k, outside),
+                 lambda: kernel_eval(k, pts[0], outside[-1])):
+        with pytest.raises(ValueError, match=r"point \(9.0, 9.0\) is not in the projection "
+                                             "kernel ground set"):
+            call()
 
 
 def test_projection_kernel_requires_nonneg():
@@ -436,9 +498,8 @@ def test_a_kernel_refuses_parameters_its_family_does_not_read(spec, message):
     with pytest.raises(ValueError, match=message):
         Kernel.from_dict(spec)
     kwargs = {k: v for k, v in spec.items() if k != "family"}
-    if spec["family"] != "projection_matrix":
-        with pytest.raises(ValueError, match=message):
-            Kernel(spec["family"], **kwargs)
+    with pytest.raises(ValueError, match=message):
+        Kernel(spec["family"], **kwargs)
 
 
 @pytest.mark.parametrize("call, message", [

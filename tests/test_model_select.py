@@ -224,6 +224,11 @@ def test_spec_validation():
     good = [ModelParams(kernel=Kernel.gaussian(1.0))]
     with pytest.raises(ValueError, match="folds"):
         CVSpec(grid=good, folds=1)
+    # 2.5 used to run as 2 folds and be reported as 2.5
+    for folds in (2.5, 3.0, True, np.bool_(True), "3"):
+        with pytest.raises(ValueError, match=rf"folds must be an integer, got {folds!r}"):
+            CVSpec(grid=good, folds=folds)
+    assert CVSpec(grid=good, folds=np.int64(3)).folds == 3
     with pytest.raises(ValueError, match="objective"):
         CVSpec(grid=good, objective="auc")
     with pytest.raises(ValueError, match="empty"):
