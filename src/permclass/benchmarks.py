@@ -99,16 +99,16 @@ def bench_orders(n_list, kernel: Kernel | None = None, alpha: float = 1.0,
         for k in orders:
             table = build_ratio_table(g, alpha, order=k)
             for _ in range(warmup):
-                ratio_approx(qpts[0], points, table, order=k)
+                ratio_approx(qpts[0], table, order=k)
             t0 = time.perf_counter()
-            ratio_approx(qpts[0], points, table, order=k)
+            ratio_approx(qpts[0], table, order=k)
             probe = time.perf_counter() - t0
             reps = max(1, min(50, int(target_time / max(probe, 1e-9))))
             times = []
             for q in qpts:
                 t0 = time.perf_counter()
                 for _ in range(reps):
-                    ratio_approx(q, points, table, order=k)
+                    ratio_approx(q, table, order=k)
                 times.append((time.perf_counter() - t0) / reps)
             per_order[k].append(float(np.median(times)))
     timings = [OrderTiming(order=k, sizes=sizes, medians=per_order[k],

@@ -163,6 +163,8 @@ def _grid_from_json(path: str) -> list[ModelParams]:
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     entries = _entry(doc, "grid", path) if isinstance(doc, dict) else doc
+    if not isinstance(entries, list):
+        raise ValueError(f"{path}: grid must be a list of candidates, got {type(entries).__name__}")
     return [ModelParams.from_dict(e) for e in entries]
 
 

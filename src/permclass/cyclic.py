@@ -97,7 +97,7 @@ class RatioTable:
     four-cycle weights are built only at order 3, the one order that reads
     them, and are ``None`` otherwise: T = G / r1_l2o off the diagonal
     (r1_l2o, the leave-two-out ratios, is not kept), s3 and dg (see
-    `_FitCore`), and the four-cycle matrix M, built on `rows`' first block
+    `_FitCore.finish`), and the four-cycle matrix M, built on `rows`' first block
     of a query set of n rows or more.  r1_loo and r2_loo are strictly positive for
     positive alpha and a positive Gram diagonal.
 
@@ -216,25 +216,23 @@ class _FitCore:
 
     d        the Gram diagonal,
     q_sum    row sums of Qoff[i, m] = K(x_i, x_m)^2 / K(x_m, x_m), m != i,
-    qoff     Qoff itself (order 3 only; below it only its row sums are made),
+    unit     whether every entry of d is exactly 1.0,
     g_inner  G[m, i] times the leave-two-out product
              sum_{l != i, m} K(x_m, x_l) K(x_l, x_i) / K(x_l, x_l)
-             (order 3 only),
-    dg       G with row j divided by K(x_j, x_j) and a zero diagonal
              (order 3 only).
 
-    On a diagonal of exact ones q_sum and qoff are built without dividing
-    by it, with the same bits.  `finish` costs O(n^2) per alpha.  Over a
-    stack of Gram matrices every field has the stack's leading kernel axis.
+    Beside the Gram matrix the core keeps only g_inner, its one O(n^3)
+    product; `finish` makes the rest from G and d, in O(n^2) per alpha.  Qoff
+    skips its division by a diagonal of exact ones, with the same bits.
+    Over a stack of Gram matrices every array has the stack's kernel axis.
     """
 
     gram: GramMatrix
     order: int
     d: np.ndarray
     q_sum: np.ndarray
-    qoff: np.ndarray | None = None
+    unit: bool
     g_inner: np.ndarray | None = None
-    dg: np.ndarray | None = None
 
     def finish(self, alpha, out: np.ndarray | None = None) -> RatioTable:
         """The table for one alpha > 0, for a 1-d array of alphas stacked
@@ -255,8 +253,12 @@ class _FitCore:
         if self.order == 3:
             G = each(self.gram.entries)
             # r1_l2o^T: l2o[m, i] is x_m's two-cycle ratio against the points
-            # minus {i, m}, r1_loo[m] without its i term (1.0 on the diagonal)
-            l2o = r1_loo[..., :, None] - each(self.qoff)
+            # minus {i, m}, r1_loo[m] less q[m, i] = Qoff[m, i] (1.0 on the diagonal)
+            q = self.gram.entries * self.gram.entries
+            if not self.unit:
+                q /= self.d[..., None, :]
+            l2o = r1_loo[..., :, None] - each(q)
+            del q
             diag = (..., *np.diag_indices(self.gram.n))
             l2o[diag] = 1.0
             # C[m, i] is the three-cycle term of x_i through x_m; the product
@@ -270,11 +272,14 @@ class _FitCore:
             # T^T = G / r1_l2o^T (G is symmetric), contiguous, into C's buffer
             Tt = np.divide(G, l2o, out=C)
             Tt[diag] = 0.0
+            del l2o
             table._t3 = np.swapaxes(Tt, -1, -2)
-            # s3[i] = (dg T^T)[i, i], the k = i terms, from the very products
-            # dg[i, j] T[i, j] that (Kt dg) T^T sums
-            table._s3 = (each(self.dg)[..., None, :] @ table._t3[..., None])[..., 0, 0]
-            table._dg = self.dg
+            # dg: G / d by rows, zero diagonal, once per kernel; s3[i] = (dg T^T)[i, i],
+            # the k = i terms, from the very products dg[i, j] T[i, j] that (Kt dg) T^T sums
+            dg = self.gram.entries / self.d[..., :, None]
+            dg[diag] = 0.0
+            table._s3 = (each(dg)[..., None, :] @ table._t3[..., None])[..., 0, 0]
+            table._dg = dg
         return table
 
 
@@ -314,17 +319,17 @@ def _gram_diagonal(G: np.ndarray) -> np.ndarray:
 def _fit_core(g: GramMatrix, order: int) -> _FitCore:
     """Everything of an order-``order`` table that does not depend on alpha:
     O(n^2), plus one O(n^3) product at order 3, for one Gram matrix or a
-    stack.  The only n x n arrays made are the three order 3 keeps; below
-    it Qoff's rows are summed a `_block_rows` block at a time in a reused
-    scratch, with the same bits.  On a diagonal of exact ones (the
-    distance kernels') Qoff skips its division by it, which changes no bit."""
+    stack.  Qoff's rows are summed a `_block_rows` block at a time in a
+    reused scratch, with the same bits, so the only n x n array made and
+    kept is order 3's g_inner.  On a diagonal of exact ones (the distance
+    kernels') Qoff skips its division by it, which changes no bit."""
     if order not in (0, 1, 2, 3):
         raise ValueError(f"order must be in 0..3, got {order}")
     G = g.entries
     d = _gram_diagonal(G)
     unit = bool((d == 1.0).all())
     n = g.n
-    step = max(n, 1) if order == 3 else _block_rows(d.size)
+    step = _block_rows(d.size)
     Qoff = np.empty((*d.shape[:-1], min(step, n), n))
     q_sum = np.empty(d.shape)
     for lo in range(0, n, step):
@@ -340,15 +345,11 @@ def _fit_core(g: GramMatrix, order: int) -> _FitCore:
         # a NaN or infinite entry makes its row's sum so; finding it is O(n^2)
         _check_finite(G, "gram matrix")
     if order < 3:
-        return _FitCore(g, order, d, q_sum)
-    # dg's buffer holds G / d, then 2 G; inner becomes g_inner in place
-    dg = G / d[..., None, :]
-    inner = dg @ G
-    inner -= np.multiply(G, 2.0, out=dg)
+        return _FitCore(g, order, d, q_sum, unit)
+    inner = (G / d[..., None, :]) @ G
+    inner -= 2.0 * G
     inner *= G
-    np.divide(G, d[..., :, None], out=dg)
-    dg[(..., *np.diag_indices(n))] = 0.0
-    return _FitCore(g, order, d, q_sum, Qoff, inner, dg)
+    return _FitCore(g, order, d, q_sum, unit, inner)
 
 
 def build_ratio_table(g: GramMatrix, alpha: float, order: int = MAX_ORDER) -> RatioTable:
@@ -436,17 +437,12 @@ def _four_cycle(table: RatioTable, kt: np.ndarray, base: float) -> float:
     return base + float(coeff @ (kt + e3 + e4))
 
 
-def ratio_approx(t, points, table: RatioTable, order: int | None = None) -> float:
-    """Order-k approximation of R_n(t; x) for a query feature vector."""
+def ratio_approx(t, table: RatioTable, order: int | None = None) -> float:
+    """Order-k approximation of R_n(t; x) at a query, x the table's points."""
     kernel = table.gram.kernel
     if kernel is None:
         raise ValueError("table was built from a raw matrix; use ratio_from_kt "
                          "with an explicit kernel column")
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts.reshape(-1, 1)
-    if pts.shape[0] != table.n:
-        raise ValueError("point set does not match the table's training size")
     ktt = kernel_self(kernel, t)
     if order == 0:
         _require(table, 0)

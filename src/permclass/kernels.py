@@ -127,7 +127,9 @@ def _is_integer(value) -> bool:
 
 
 def _entry(d: Mapping[str, Any], key: str, what: str) -> Any:
-    """``d[key]``, refusing a missing key by name."""
+    """``d[key]``, refusing a ``d`` that is not a mapping or a missing key by name."""
+    if not isinstance(d, Mapping):
+        raise ValueError(f"{what} must be a mapping with a {key!r} key, got {type(d).__name__}")
     if key not in d:
         raise ValueError(f"{what} has no {key!r} key")
     return d[key]

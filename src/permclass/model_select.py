@@ -206,17 +206,17 @@ def _runs(groups: list[tuple[Kernel, list[int]]], sizes: list[int], n_queries: i
 
     A stacked table is finished for a kernels x alphas array, so a run's
     kernels have equal candidate counts (groups are taken fewest first).
-    Per kernel, a stacked core holds each class's n_r x n_r Gram matrix
-    (four such arrays at order 3) and held-out block; per candidate, the
-    stacked tables hold each class's T^T at order 3, and M where the
-    held-out rows reach n_r, and each class's first block below.  A run takes
+    Per kernel, a stacked core holds each class's n_r x n_r Gram matrix and
+    held-out block (at order 3 also g_inner, and its finish Qoff, then dg);
+    per candidate, the stacked tables hold each class's T^T at order 3, and
+    M where the held-out rows reach n_r, and each class's first block below.  A run takes
     whole kernels while both totals stay within `_STACK_ENTRIES`.  The
     exact order gains nothing from stacking (its
     ``rows`` loops over the alphas), so it takes one kernel and one
     candidate at a time, and a zero denominator per_alpha{K(x)} marks only
     its own candidate."""
     squares = sum(n * n for n in sizes)
-    per_kernel = (4 if order == 3 else 1) * squares + n_queries * sum(sizes)
+    per_kernel = (3 if order == 3 else 1) * squares + n_queries * sum(sizes)
     blocks = [(min(n_queries, _block_rows(n)), n) for n in sizes]
     per_candidate = max(sum(n * n * (1 + _reads_four_cycle_matrix(n_queries, n))
                             if order == 3 else q * n for q, n in blocks), 1)

@@ -662,6 +662,39 @@ def test_cv_refuses_a_bad_grid_file_and_writes_nothing(tmp_path, capsys, grid, m
     assert not out.exists()
 
 
+def test_malformed_grid_and_model_documents_are_refused_by_field(tmp_path, capsys):
+    # a grid or model document whose value at some field is not a mapping,
+    # or whose grid is not a list, is refused naming that field, and the
+    # command writes nothing
+    data = tmp_path / "train.csv"
+    run(["simulate", "chequerboard", "--per-cell", "3", "--seed", "9",
+         "--out", str(data)], capsys)
+    documents = [
+        ("cv", [1, 2], "model params must be a mapping with a 'kernel' key, got int"),
+        ("cv", {"grid": [1]}, "model params must be a mapping with a 'kernel' key, got int"),
+        ("cv", {"grid": {"a": 1}}, "doc.json: grid must be a list of candidates, got dict"),
+        ("cv", {"grid": [{"kernel": 3, "alphas": 1.0}]},
+         "kernel must be a mapping with a 'family' key, got int"),
+        ("cv", {"grid": [{"kernel": [1], "alphas": 1.0}]},
+         "kernel must be a mapping with a 'family' key, got list"),
+        ("cv", {"grid": [{"kernel": {"family": "projection_matrix", "aux": 5}, "alphas": 1.0}]},
+         "projection kernel aux must be a mapping with a 'matrix' key, got int"),
+        ("predict", {"model": 3}, "model must be a mapping with a 'params' key, got int"),
+        ("predict", {"model": {"params": 3, "classes": []}},
+         "model params must be a mapping with a 'kernel' key, got int"),
+    ]
+    path, out = tmp_path / "doc.json", tmp_path / "out.json"
+    for command, document, message in documents:
+        path.write_text(json.dumps(document))
+        argv = (["cv", "--data", str(data), "--grid", str(path), "--folds", "3"]
+                if command == "cv" else
+                ["predict", "--model", str(path), "--queries", str(data)])
+        code, _, err = run(argv + ["--out", str(out)], capsys)
+        assert code == 1, document
+        assert message in err, (document, err)
+        assert not out.exists()
+
+
 def test_fit_reads_the_constant_kernel_flag(tmp_path, capsys):
     # `--kernel constant` builds a constant kernel from --c alone: the
     # stored model carries no tau

@@ -78,10 +78,11 @@ class TestGradedValue:
 
 def _leave_two_out(g, alpha):
     """The leave-two-out ratios r1_l2o that an order-3 finish forms for
-    ``alpha`` and no table keeps: r1_l2o[i, j] is r1_loo[j] without its i
-    term, with 1.0 on the diagonal."""
-    core = _fit_core(g, 3)
-    r1_l2o = core.finish(alpha).r1_loo[None, :] - core.qoff.T
+    ``alpha`` and no table keeps, rebuilt from G: r1_l2o[i, j] is r1_loo[j]
+    without its i term K(x_j, x_i)^2 / K(x_i, x_i), with 1.0 on the
+    diagonal."""
+    G = g.entries
+    r1_l2o = build_ratio_table(g, alpha, order=3).r1_loo[None, :] - G * G / g.diagonal[:, None]
     np.fill_diagonal(r1_l2o, 1.0)
     return r1_l2o
 
@@ -174,8 +175,7 @@ def test_core_finish_matches_fresh_build(rng, order):
     for M in mats:
         g = GramMatrix.from_matrix(M)
         core = _fit_core(g, order)
-        before = [None if v is None else v.copy()
-                  for v in (core.d, core.q_sum, core.qoff, core.g_inner, core.dg)]
+        before = [None if v is None else v.copy() for v in (core.d, core.q_sum, core.g_inner)]
         for alpha in (2.0, 0.25, 1.0, 0.1 + 0.2, 2.0):
             got = core.finish(alpha)
             fresh = build_ratio_table(g, alpha, order=order)
@@ -187,7 +187,7 @@ def test_core_finish_matches_fresh_build(rng, order):
                 else:
                     assert np.array_equal(a, b) and np.array_equal(a, c)
             assert (got.alpha, got.order) == (fresh.alpha, fresh.order)
-        after = (core.d, core.q_sum, core.qoff, core.g_inner, core.dg)
+        after = (core.d, core.q_sum, core.g_inner)
         for x, y in zip(before, after):
             assert (x is None and y is None) or np.array_equal(x, y)
 
@@ -249,11 +249,13 @@ def test_kernel_stacked_core_finish_and_rows_equal_each_kernels_tables(rng, orde
             assert np.array_equal(into.rows(Kt, ktt), got)
         for k, M in enumerate(mats):
             own = _fit_core(GramMatrix.from_matrix(M), order)
-            for name in ("d", "q_sum", "qoff", "g_inner", "dg"):
+            for name in ("d", "q_sum", "g_inner"):
                 a, b = getattr(core, name), getattr(own, name)
                 assert (a is None and b is None) or np.array_equal(a[k], b)
             for j, alpha in enumerate(alphas[k]):
                 one = own.finish(alpha)
+                assert (stacked._dg is None and one._dg is None) or np.array_equal(
+                    stacked._dg[k], one._dg)
                 for a, b in zip(_table_arrays(stacked), _table_arrays(one)):
                     assert (a is None and b is None) or np.array_equal(a[k, j], b)
                 assert np.array_equal(got[k, j], one.rows(Kt[k], ktt[k]))
@@ -585,7 +587,7 @@ def test_ratio_approx_kernel_route(rng):
     table = build_ratio_table(g, 1.0, order=3)
     kt = kernel_column(kern, t, pts)
     for k in (0, 1, 2, 3):
-        assert ratio_approx(t, pts, table, order=k) == pytest.approx(
+        assert ratio_approx(t, table, order=k) == pytest.approx(
             ratio_from_kt(table, kt, 1.0, k) if k else 1.0, rel=1e-12)
 
 
@@ -597,7 +599,7 @@ def test_ratio_nonnegative_on_kernels(rng):
     for _ in range(20):
         t = rng.normal(size=2) * 2
         for k in (0, 1, 2, 3):
-            assert ratio_approx(t, pts, table, order=k) > 0
+            assert ratio_approx(t, table, order=k) > 0
 
 
 def test_penta_diagonal_near_exactness(rng):
@@ -1015,36 +1017,47 @@ def test_fit_core_refuses_non_finite_gram(order):
 
 
 def _one_shot_core(G, order):
-    """The one-pass core formulas over one Gram matrix or a stack: the row
-    sums of Qoff = G * G / d with a zero diagonal and, at order 3, Qoff,
-    g_inner and dg."""
+    """The one-pass formulas over one Gram matrix or a stack: the core's
+    row sums of Qoff = G * G / d with a zero diagonal and, at order 3, its
+    g_inner, and the alpha = 1 table's dg and T^T = G / l2o with a zero
+    diagonal, l2o[m, i] being r1_loo[m] less Qoff[m, i]."""
     d = np.diagonal(G, axis1=-2, axis2=-1)[..., None, :]
     diag = (..., *np.diag_indices(G.shape[-1]))
     qoff = G * G
     qoff /= d
     qoff[diag] = 0.0
+    q_sum = qoff.sum(axis=-1)
     if order < 3:
-        return {"q_sum": qoff.sum(axis=-1)}
+        return {"q_sum": q_sum}
     inner = (G / d) @ G
     inner -= 2.0 * G
     dg = G / np.swapaxes(d, -1, -2)
     dg[diag] = 0.0
-    return {"q_sum": qoff.sum(axis=-1), "qoff": qoff, "g_inner": G * inner, "dg": dg}
+    l2o = (d[..., 0, :] + q_sum)[..., :, None] - qoff
+    l2o[diag] = 1.0
+    Tt = G / l2o
+    Tt[diag] = 0.0
+    return {"q_sum": q_sum, "g_inner": G * inner, "dg": dg, "Tt": Tt}
 
 
 def _assert_one_shot_bits(g, orders):
     for order in orders:
         core = _fit_core(g, order)
+        # alpha = 1 as a one-candidate array, over a stack one per kernel
+        table = core.finish(np.ones((*g.entries.shape[:-2], 1)))
+        got = {"q_sum": core.q_sum, "g_inner": core.g_inner, "dg": table._dg,
+               "Tt": None if order < 3 else np.swapaxes(table._t3, -1, -2)[..., 0, :, :]}
         for name, want in _one_shot_core(g.entries, order).items():
-            assert np.array_equal(getattr(core, name), want), (order, name)
+            assert np.array_equal(got[name], want), (order, name)
 
 
 @pytest.mark.parametrize("block_entries", [kernels._BLOCK_ENTRIES, 40])
 def test_blocked_q_sum_has_the_one_shot_bits(rng, monkeypatch, block_entries):
-    # orders 0-2 sum Qoff's rows a block at a time through one scratch, and
-    # order 3 keeps Qoff whole: every field equals the one-pass formulas,
-    # over one Gram matrix and stacks of 1-10 kernels, with sizes on either
-    # side of a whole block (and 1000 points, crossing many)
+    # every order sums Qoff's rows a block at a time through one scratch:
+    # the core's fields and the arrays an order-3 finish makes from G and d
+    # equal the one-pass formulas, over one Gram matrix and stacks of 1-10
+    # kernels, with sizes on either side of a whole block (and 1000 points,
+    # crossing many)
     monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", block_entries)
     edge = math.isqrt(block_entries)
     taus = np.geomspace(0.05, 20.0, 5)
@@ -1092,22 +1105,24 @@ def _unit_and_other_diagonals(rng, pts):
 
 @pytest.mark.parametrize("block_entries", [kernels._BLOCK_ENTRIES, 40])
 def test_unit_diagonal_core_has_the_dividing_bits(rng, monkeypatch, block_entries):
-    # the two-cycle pass skips its division by a diagonal of exact ones: the
-    # core's fields and its tables, for one alpha and for several, equal the
-    # one-pass formulas that divide, as they do on every other diagonal
+    # the two-cycle pass and an order-3 finish skip their division by a
+    # diagonal of exact ones: the core's fields and its tables, for one
+    # alpha and for several, equal the one-pass formulas and the tables of
+    # a core that divides, as they do on every other diagonal
     monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", block_entries)
     pts = rng.normal(size=(23, 2))
+    unit = {"gaussian", "exponential", "constant-1", "unit-projection", "distance-stack"}
     for name, g in _unit_and_other_diagonals(rng, pts).items():
         stacked = g.entries.ndim == 3
         alphas = (0.7, np.array([0.3, 1.0, 4.5])) if not stacked else (
             np.array([[0.3, 1.0]] * g.entries.shape[0]),)
         d = np.diagonal(g.entries, axis1=-2, axis2=-1).copy()
         for order in (0, 1, 2, 3):
+            _assert_one_shot_bits(g, (order,))
             core = _fit_core(g, order)
+            assert core.unit == (name in unit), name
             want = _one_shot_core(g.entries, order)
-            for field, value in want.items():
-                assert np.array_equal(getattr(core, field), value), (name, order, field)
-            reference = _FitCore(g, order, d, **want)
+            reference = _FitCore(g, order, d, want["q_sum"], False, want.get("g_inner"))
             for alpha in alphas:
                 got, ref = core.finish(alpha), reference.finish(alpha)
                 for field in ("r1_loo", "r2_loo", "_t3", "_s3", "_dg"):
@@ -1115,21 +1130,27 @@ def test_unit_diagonal_core_has_the_dividing_bits(rng, monkeypatch, block_entrie
                         (name, order, field)
 
 
-@pytest.mark.parametrize("order, n_squares", [(2, 0), (3, 3)])
+@pytest.mark.parametrize("order, n_squares", [(2, 0), (3, 1)])
 def test_fit_core_makes_no_square_array_it_does_not_keep(rng, order, n_squares):
-    # below order 3 the core and its finish make no n x n array; order 3
-    # makes only the three its core keeps (Qoff, g_inner, dg)
+    # below order 3 the core and its finish make no n x n array; an order-3
+    # core keeps only g_inner, the one O(n^3) product, made beside one
+    # n x n temporary at a time (G / d, then 2 G), and its finish holds at
+    # most two more at once (Qoff and l2o, l2o and T^T, then T^T and dg):
+    # a fit peaks at the Gram matrix plus three arrays
     n = 600
+    square = 8 * n * n
     g = gram(Kernel.gaussian(1.0), rng.normal(size=(n, 2)))
     tracemalloc.start()
     try:
         core = _fit_core(g, order)
-        if order < 3:
-            core.finish(1.0)
+        kept, core_peak = tracemalloc.get_traced_memory()
+        core.finish(1.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= (n_squares + 0.25) * 8 * n * n
+    assert kept <= (n_squares + 0.25) * square
+    assert core_peak <= (2 * n_squares + 0.25) * square
+    assert peak <= (3 * n_squares + 0.25) * square
 
 
 def _table(order=2):
@@ -1140,15 +1161,13 @@ def _table(order=2):
     (lambda: ratio_from_kt(_table(), np.ones(3), 1.0, order=5), "order must be in 0..3, got 5"),
     (lambda: ratio_from_kt(_table(), np.ones(2), 1.0),
      r"kernel column must have length 3, got \(2,\)"),
-    (lambda: ratio_approx([0.5], np.zeros((2, 1)),
+    (lambda: ratio_approx([0.5],
                           build_ratio_table(GramMatrix.from_matrix(np.eye(2)), 1.0, order=2)),
      "table was built from a raw matrix; use ratio_from_kt"),
-    (lambda: ratio_approx([0.5], np.zeros((2, 1)), _table()),
-     "point set does not match the table's training size"),
     (lambda: ratio_approx_matrix([], 1.0, order=2),
      "ratio needs at least the added point on the diagonal"),
     (lambda: LimitTable(4), "order must be in 0..3, got 4"),
-], ids=["query-order", "column-length", "raw-matrix-table", "point-count", "empty-matrix",
+], ids=["query-order", "column-length", "raw-matrix-table", "empty-matrix",
         "limit-table-order"])
 def test_cyclic_refusals_name_their_cause(call, message):
     with pytest.raises(ValueError, match=message):

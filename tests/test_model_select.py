@@ -384,7 +384,7 @@ def test_grouped_cv_marks_only_the_alpha_whose_exact_denominator_underflows():
 def test_runs_bound_the_stacked_arrays(monkeypatch):
     # a run packs kernels with equal numbers of live candidates, fewest
     # first, while its stacked cores (per kernel: the classes' Gram matrices,
-    # four such arrays at order 3, and the held-out blocks) and its
+    # three such arrays at order 3, and the held-out blocks) and its
     # candidates' stacked tables (per candidate at order 3: each class's
     # T^T, and its four-cycle matrix M where a held-out block has at least
     # n_r rows; below order 3 each class's first held-out block) each stay
@@ -394,7 +394,7 @@ def test_runs_bound_the_stacked_arrays(monkeypatch):
     groups = [(k[0], [0, 1, 2]), (k[1], [3, 4]), (k[2], [5, 6, 7]), (k[3], [8, 9]),
               (k[4], [10, 11, 12])]
     sizes, queries = [30, 40], 9
-    per_kernel = 4 * (30**2 + 40**2) + queries * 70  # order 3
+    per_kernel = 3 * (30**2 + 40**2) + queries * 70  # order 3
     per_candidate = 30**2 + 40**2  # 9 held-out rows build no M
     assert _runs(groups, sizes, queries, 3) == (
         [[groups[1], groups[3]], [groups[0], groups[2], groups[4]]],
@@ -419,15 +419,15 @@ def test_runs_bound_the_stacked_arrays(monkeypatch):
     monkeypatch.setattr(model_select, "_STACK_ENTRIES", 2 * per_kernel)
     runs, step = _runs(groups, sizes, queries, 3)
     assert runs == [[groups[1], groups[3]], [groups[0], groups[2]], [groups[4]]]
-    assert step == 2 * per_kernel // per_candidate == 8
+    assert step == 2 * per_kernel // per_candidate == 6
     # at 45 rows, where each candidate also holds both classes' M, two
     # kernels of two candidates (4 x 5,000 entries) fit, two of three
     # (6 x 5,000) do not
-    per_kernel = 4 * (30**2 + 40**2) + 45 * 70
+    per_kernel = 3 * (30**2 + 40**2) + 45 * 70
     monkeypatch.setattr(model_select, "_STACK_ENTRIES", 2 * per_kernel)
     runs, step = _runs(groups, sizes, 45, 3)
     assert runs == [[groups[1], groups[3]], [groups[0]], [groups[2]], [groups[4]]]
-    assert step == 2 * per_kernel // (2 * per_candidate) == 5
+    assert step == 2 * per_kernel // (2 * per_candidate) == 4
     # at order 1 the candidates' bound binds first: two kernels' cores (the
     # Gram matrices and 40 held-out rows each) fit, but two kernels of two
     # candidates would stack four blocks of 40 x 70 entries
