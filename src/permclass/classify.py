@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .cyclic import EXACT_ORDER, MAX_ORDER, LimitTable, RatioTable, _fit_core, _FitCore
-from .exact import Partition, _CypTable, _grown, _PerTable
+from .exact import Partition, _CypTable, _PerTable
 from .kernels import (GramMatrix, Kernel, _as_rows, _entry, _is_integer, _is_real,
                       _label_codes, _query_steps, _sq_distances, gram, kernel_block,
                       kernel_column, kernel_self, kernel_self_batch)
@@ -257,25 +257,81 @@ def predict(model: FittedModel, queries) -> PosteriorTable:
                       [table.gram.points for table in model.classes], queries)
 
 
-def _new_table(order) -> LimitTable | _CypTable:
-    """An empty growable table for a block's cyclic-ratio weight: the
-    alpha -> 0 `LimitTable` at orders 0-3, the exact table otherwise."""
-    return _CypTable() if order == EXACT_ORDER else LimitTable(int(order))
+def _singleton_ratio(order: int, k: np.ndarray, d: np.ndarray):
+    """The limit ratio of one-point blocks, K(t, x) = ``k`` and K(x, x) = ``d``
+    elementwise, bit for bit a one-point `LimitTable.ratio`: 0 at order 0,
+    the two-cycle term k (k / d) at orders 1 and 2, and at order 3 the
+    ``flat`` lane's alpha^1 term (k k) / d."""
+    if order == 0:
+        return 0.0
+    if order == 3:
+        # plus the table's empty pair sum, 0 (k / d): 0, or NaN where k / d overflows
+        return k * k / d + 0.0 * (k / d)
+    return k * (k / d)
 
 
-def _block_row(members: list[list[int]], tables: list, col: np.ndarray, ktt: float,
-               lam: float) -> PosteriorTable:
-    """Posterior over the blocks, ``members[j]`` weighed through
-    ``tables[j]``, plus a new block, for a query whose kernel values against
-    every point are ``col``."""
-    raw = np.empty(len(tables) + 1)
-    for j, (block, table) in enumerate(zip(members, tables)):
-        try:
-            raw[j] = table.ratio(col[block], ktt)
-        except ZeroDivisionError as err:
-            raise ZeroDivisionError(f"block {j} ({sorted(block)}): {err}") from None
-    raw[-1] = lam * ktt
-    return _normalised(raw)
+class _Blocks:
+    """A partition's blocks in the order they opened, and how each is weighed.
+
+    ``members[j]`` is block j's index array.  At orders 0-3 a block of one
+    point is held in the singleton lane, its position, member index and
+    K(x, x) in three arrays, and all of them are weighed at once by
+    `_singleton_ratio`; a block gets a `LimitTable` (``tables[j]``, else
+    None) when it gains its second member.  The exact order gives every
+    block an `exact._CypTable`.
+    """
+
+    def __init__(self, order):
+        self.order = order
+        self.lane = order != EXACT_ORDER
+        self.members: list[np.ndarray] = []
+        self.tables: list[LimitTable | _CypTable | None] = []
+        self.one_at = np.zeros(0, dtype=int)
+        self.one_idx = np.zeros(0, dtype=int)
+        self.one_d = np.zeros(0)
+
+    def open(self, i: int, ktt: float) -> None:
+        """A new last block of point ``i``, whose K(x, x) is ``ktt``."""
+        table = None
+        if self.lane and 0 < ktt < math.inf:
+            self.one_at = np.concatenate((self.one_at, (len(self.tables),)))
+            self.one_idx = np.concatenate((self.one_idx, (i,)))
+            self.one_d = np.concatenate((self.one_d, (ktt,)))
+        else:
+            # the exact order's table, or a one-point table refusing ktt by name
+            table = LimitTable(self.order) if self.lane else _CypTable()
+            table.grow(np.zeros(0), ktt)
+        self.members.append(np.array([i]))
+        self.tables.append(table)
+
+    def add(self, j: int, i: int, kt: np.ndarray, ktt: float) -> None:
+        """Point ``i`` joins block j: ``kt`` its kernel values against the
+        block's members, ``ktt`` its K(x, x)."""
+        table = self.tables[j]
+        if table is None:
+            at = int(np.searchsorted(self.one_at, j))
+            table = self.tables[j] = LimitTable(self.order)
+            table.grow(np.zeros(0), self.one_d[at])
+            self.one_at, self.one_idx, self.one_d = (
+                np.delete(x, at) for x in (self.one_at, self.one_idx, self.one_d))
+        table.grow(kt, ktt)
+        self.members[j] = np.concatenate((self.members[j], (i,)))
+
+    def weights(self, col: np.ndarray, ktt: float, lam: float) -> np.ndarray:
+        """Raw weights of a query whose kernel values against every point
+        are ``col``: one per block, in order, then lambda K(t, t)."""
+        raw = np.empty(len(self.tables) + 1)
+        for j, table in enumerate(self.tables):
+            if table is not None:
+                try:
+                    raw[j] = table.ratio(col[self.members[j]], ktt)
+                except ZeroDivisionError as err:
+                    raise ZeroDivisionError(
+                        f"block {j} ({self.members[j].tolist()}): {err}") from None
+        if self.one_at.size:
+            raw[self.one_at] = _singleton_ratio(self.order, col[self.one_idx], self.one_d)
+        raw[-1] = lam * ktt
+        return raw
 
 
 def predict_infinite(points, partition: Partition, t,
@@ -284,7 +340,8 @@ def predict_infinite(points, partition: Partition, t,
 
     Entry j < #B is block j of the partition; the last entry is the new
     block, with weight lambda K(t, t).  The table's arrays are 1-d and its
-    argmax is an int.
+    argmax is an int.  Blocks are weighed as `sequential_partition` weighs
+    them, each grown from its Gram matrix in index order.
     """
     if params.lam is None:  # before any kernel work
         raise ValueError("infinite-class prediction needs lambda")
@@ -293,11 +350,14 @@ def predict_infinite(points, partition: Partition, t,
     if partition.n != pts.shape[0]:
         raise ValueError("partition must cover exactly the given points")
     kernel = params.kernel
-    members = [list(b) for b in partition.blocks]
-    tables = [_grown(_new_table(params.order), gram(kernel, pts[b]).entries)
-              for b in members]
-    return _block_row(members, tables, kernel_column(kernel, t, pts),
-                      kernel_self(kernel, t), params.lam)
+    blocks = _Blocks(params.order)
+    for j, b in enumerate(partition.blocks):
+        G = gram(kernel, pts[list(b)]).entries
+        blocks.open(b[0], G[0, 0])
+        for p in range(1, len(b)):
+            blocks.add(j, b[p], G[p, :p], G[p, p])
+    return _normalised(blocks.weights(kernel_column(kernel, t, pts),
+                                      kernel_self(kernel, t), params.lam))
 
 
 def sequential_partition(points, params: ModelParams, rule: str = "argmax",
@@ -306,10 +366,12 @@ def sequential_partition(points, params: ModelParams, rule: str = "argmax",
 
     ``rule`` is "argmax" (deterministic) or "sample" (seeded, reproducible).
     Each new point's kernel column is evaluated once and sliced per block.
-    Blocks keep their tables and the block that gains the point grows its
-    table in place, so a step at order 3 costs a few matrix-vector products
-    per block plus one O(n_b^2) table update (n_b a block's size): an
-    order-3 partition of N points costs O(N^3) in all.
+    Blocks of one point are weighed together in one vector operation (see
+    `_Blocks`); larger blocks keep their tables, and the block that gains
+    the point grows its table in place.  So a step at order 3 costs a few
+    matrix-vector products per block of two or more points plus one
+    O(n_b^2) table update (n_b a block's size): an order-3 partition of N
+    points costs O(N^3) in all.
     """
     if rule not in ("argmax", "sample"):
         raise ValueError(f"rule must be 'argmax' or 'sample', got {rule!r}")
@@ -320,22 +382,21 @@ def sequential_partition(points, params: ModelParams, rule: str = "argmax",
     if pts.shape[0] < 2:
         return Partition.from_blocks([[0]] if pts.shape[0] else [])
     kernel = params.kernel
-    members, tables = [[0]], [_new_table(params.order)]
-    tables[0].grow(np.zeros(0), kernel_self(kernel, pts[0]))
+    blocks = _Blocks(params.order)
+    blocks.open(0, kernel_self(kernel, pts[0]))
     for i in range(1, pts.shape[0]):
         ktt = kernel_self(kernel, pts[i])
         col = kernel_column(kernel, pts[i], pts[:i])
-        row = _block_row(members, tables, col, ktt, params.lam)
+        row = _normalised(blocks.weights(col, ktt, params.lam))
         if rule == "argmax":
             choice = row.argmax
         else:
             choice = int(rng.choice(len(row.probs), p=row.probs))
-        if choice == len(tables):
-            members.append([])
-            tables.append(_new_table(params.order))
-        tables[choice].grow(col[members[choice]], ktt)
-        members[choice].append(i)
-    return Partition.from_blocks(members)
+        if choice == len(blocks.tables):
+            blocks.open(i, ktt)
+        else:
+            blocks.add(choice, i, col[blocks.members[choice]], ktt)
+    return Partition.from_blocks(blocks.members)
 
 
 def knn_predict(train_points, train_labels, queries, k: int = 5) -> np.ndarray:

@@ -23,9 +23,12 @@ quantity a truncated power series in a, so configurations where the naive
 limit is 0/0 (e.g. diagonal kernels over distinct points) still get their
 finite limiting value.  A `LimitTable` holds the series' alpha-free
 coefficients with every division by a denominator already made; it grows
-one point at a time in O(n^2), so a partition block updates its table in
-place, and `LimitTable.ratio` costs one dot product at order 1 and one or two
-matrix-vector products at orders 2 and 3.  Kernel values are nonnegative,
+one point at a time in O(n^2), a row block of its square tables at a time,
+so a partition block updates its table in place, and `LimitTable.ratio`
+costs one dot product at order 1 and one or two matrix-vector products at
+orders 2 and 3.  A one-point table's ratio has a closed form (see
+`LimitTable`), by which a partition weighs all its one-point blocks in one
+vector operation instead of keeping tables for them.  Kernel values are nonnegative,
 so every sum whose zero test decides a leading power is formed by addition
 alone and its zero test is exact.  The one subtraction, which takes the
 k = i terms out of a dense order-3 product, is kept only where its result
@@ -91,6 +94,9 @@ class RatioTable:
     r1_loo[i]     two-cycle ratio of x_i against the other points,
     r2_loo[i]     three-cycle ratio of x_i against the other points.
 
+    ``unit`` is whether every entry of the Gram diagonal is exactly 1.0, on
+    which `rows` skips its division by the diagonal (x / 1.0 = x).
+
     r1_loo is built at every order; it lets the single-query
     `ratio_from_kt` serve queries up to order 2 from a lower-order table,
     while `rows` serves exactly the table's order.  r2_loo and the
@@ -118,6 +124,7 @@ class RatioTable:
     order: int
     r1_loo: np.ndarray
     r2_loo: np.ndarray | None = None
+    unit: bool = False
     _lists: dict = field(default_factory=dict, repr=False)
     _t3: np.ndarray | None = field(default=None, repr=False)
     _s3: np.ndarray | None = field(default=None, repr=False)
@@ -159,12 +166,13 @@ class RatioTable:
         if order == 0 or n == 0:
             return out
         G = self.gram.entries
-        d = self.gram.diagonal[..., None, :]
+        # a diagonal of exact ones divides nothing, so it is skipped: x / 1.0 = x
+        d = None if self.unit else self.gram.diagonal[..., None, :]
         if order == 1:
-            return out + each((Kt * Kt / d).sum(axis=-1))
+            return out + each((Kt * Kt if d is None else Kt * Kt / d).sum(axis=-1))
         if order == 2:
             # P[q, i] = sum_{j != i} K(x_i, x_j) K(t_q, x_j) / d_j, the same for every alpha
-            P = (Kt / d) @ G - Kt
+            P = (Kt if d is None else Kt / d) @ G - Kt
             Kt, P = each(Kt), each(P)
             out = out + ((a * Kt * Kt + Kt * P) / self.r1_loo[..., None, :]).sum(axis=-1)
         else:
@@ -249,7 +257,7 @@ class _FitCore:
 
         ad = a * each(self.d)
         r1_loo = ad + each(self.q_sum)
-        table = RatioTable(self.gram, alpha, self.order, r1_loo)
+        table = RatioTable(self.gram, alpha, self.order, r1_loo, unit=self.unit)
         if self.order == 3:
             G = each(self.gram.entries)
             # r1_l2o^T: l2o[m, i] is x_m's two-cycle ratio against the points
@@ -485,11 +493,14 @@ def _sum_without(v: np.ndarray) -> np.ndarray:
     The excluded term is left out by adding prefix and suffix sums, never
     subtracted from the full sum: subtraction leaves rounding residue where
     the exact result is 0, and a zero test would read that residue as a
-    positive term.
+    positive term.  The suffix sums are accumulated straight into ``out``,
+    read backwards.
     """
-    out = np.zeros_like(v)
-    np.cumsum(v[:-1], out=out[1:])
-    out[:-1] += np.cumsum(v[:0:-1])[::-1]
+    out = np.empty_like(v)
+    if v.size:
+        v[:0:-1].cumsum(out=out[-2::-1])
+        out[-1] = 0.0
+        out[1:] += v[:-1].cumsum()
     return out
 
 
@@ -523,7 +534,15 @@ class LimitTable:
     none of its terms is positive.  Every value above is built by adding
     terms, never by subtracting, so its zero test is exact, and where s2
     can be 0 follows from the counts ``s_terms``.  `grow` adds a point in
-    O(n^2) in place, into buffers with spare room.
+    O(n^2) in place, into buffers with spare room: it forms the new point's
+    squared kernel row and its sum once, updates the square tables a
+    `_block_rows` block of rows at a time, and skips the lone-lane and flat
+    work when ``s_terms`` and r0 show there is none.
+
+    With one point x the tables are empty of pairs, and the ratio of a
+    query with k = K(t, x) is, bit for bit: 0 at order 0, k (k / d) at
+    orders 1 and 2, and (k k) / d + 0 (k / d) at order 3, where x is a flat
+    lane (r0 = 0, delta = 0) and the empty pair sum is 0 (k / d).
     """
 
     _BUFFERS = {0: ("d",), 1: ("d",), 2: ("d", "s", "off"),
@@ -560,11 +579,14 @@ class LimitTable:
         returns the grown view."""
         n = self.n
         buf = self._buffers[name]
-        if buf.ndim == 2:
+        if row is None:
+            buf[n] = corner
+            view = buf[:n + 1]
+        else:
             buf[n, :n] = row
             buf[:n, n] = col
-        buf[(n,) * buf.ndim] = corner
-        view = buf[(slice(n + 1),) * buf.ndim]
+            buf[n, n] = corner
+            view = buf[:n + 1, :n + 1]
         setattr(self, name, view)
         return view
 
@@ -578,54 +600,86 @@ class LimitTable:
         if ktt <= 0:  # False for NaN, which the next check names
             raise ValueError(f"gram diagonal must be strictly positive; point "
                              f"index {n} has K(x, x) = {ktt}")
-        _check_kernel_row(a, ktt)
-        self._reserve(n + 1)
         dp, d = float(ktt), self.d
+        if self.order >= 2:
+            aa = a * a
+            q_col = aa / dp              # Q[j, p] for the new point p
+            q_row = aa / d               # Q[p, m]
+            corner = q_row.sum()         # s, s2 and inner at (p, p)
+            finite = corner < math.inf   # an inf or NaN entry makes the sum so
+        else:
+            finite = a.max(initial=0.0) < math.inf
+        # a.min is NaN if any entry is; the row is scanned again only to name
+        # a refusal (or to pass a finite row whose squares overflow)
+        if not (finite and a.min(initial=0.0) >= 0.0 and dp < math.inf):
+            _check_kernel_row(a, ktt)
+        self._reserve(n + 1)
         self._border("d", dp)
         if self.order >= 2:
-            q_col = a * a / dp           # Q[j, p] for the new point p
-            q_row = a * a / d            # Q[p, m]
             off = self._border("off", 0.0, a, a)
             if self.order == 3:
-                self._grow_order3(a, dp, d, q_col, q_row, off)
+                self._grow_order3(a, dp, d, q_col, q_row, corner, off)
             self.s[:n] += q_col  # after order 3 read old s
-            self._border("s", q_row.sum())
+            self._border("s", corner)
         self.n += 1
 
-    def _grow_order3(self, a, dp, d, q_col, q_row, off) -> None:
+    def _grow_order3(self, a, dp, d, q_col, q_row, corner, off) -> None:
         n = self.n
-        b = self._buffers
         self.s_terms[:n] += q_col > 0
         s_terms = self._border("s_terms", np.count_nonzero(q_row))
-        # p lies outside every old pair {i, j}, so s2 gains Q[j, p]
-        b["s2"][:n, :n] += q_col
-        corner = q_row.sum()
+        # s2[i, j] is 0 only in a column j with at most one positive Q[j, m]
+        few = s_terms.min() <= 1
+        # the new row and column of s2 and inner; their old entries gain the
+        # terms through p in `_grow_rows`
         s2 = self._border("s2", corner, self.s, _sum_without(q_row))
-        # inner gains the rank-one term through p, formed in t0's buffer
-        b["inner"][:n, :n] += np.multiply.outer(a, a / dp, out=b["t0"][:n, :n])
         new = (a / d) @ off[:n, :n]
         inner = self._border("inner", corner, new, new)
-        t0 = self.t0 = b["t0"][:n + 1, :n + 1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(off, s2, out=t0)
-        # s2[i, j] is 0 only in a column j with at most one positive Q[j, m]
-        cols = np.flatnonzero(s_terms <= 1)
+        t0 = self.t0 = self._buffers["t0"][:n + 1, :n + 1]
+        self.delta, r0 = np.empty(n + 1), np.empty(n + 1)
         lone = self._no_lone
-        if cols.size:
+        if few:
+            # t0 is off where s2 = 0, a lone lane where off > 0 there; the row
+            # sums read t0 after this fix
+            with np.errstate(divide="ignore", invalid="ignore"):
+                self._grow_rows(a, a / dp, q_col, None)
+            cols = np.flatnonzero(s_terms <= 1)
             rows, at = np.nonzero(s2[:, cols] == 0)
             cols = cols[at]
             t0[rows, cols] = off[rows, cols]
             keep = off[rows, cols] > 0
             lr, lc = rows[keep], cols[keep]
             lone = (lr, lc, off[lr, lc])
+            np.einsum("ij,ij->i", t0, off, out=self.delta)
+            np.einsum("ij,ij->i", t0, inner, out=r0)
+        else:
+            self._grow_rows(a, a / dp, q_col, r0)
         self.lone = lr, lc, lv = lone
-        self.delta = np.einsum("ij,ij->i", t0, off)
-        r0 = np.einsum("ij,ij->i", t0, inner)
         if lr.size:
             r0 += np.bincount(lr, lv ** 2 / self.d[lc], minlength=n + 1)
-        self.flat = np.flatnonzero(r0 == 0)
-        r0[self.flat] = np.inf
+        self.flat = self._no_lone[0]
+        if np.count_nonzero(r0) < r0.size:  # some r0 is 0
+            self.flat = np.flatnonzero(r0 == 0)
+            r0[self.flat] = np.inf
         self.r0 = r0
+
+    def _grow_rows(self, a, a_dp, q_col, r0) -> None:
+        """The square tables' updates for a new point p, a `_block_rows`
+        block of rows at a time, so each block is read from memory once:
+        s2 gains Q[j, p] (p lies outside every old pair {i, j}), inner the
+        rank-one term through p (formed in t0's rows), t0 = off / s2 and,
+        given ``r0``, the row sums delta and r0.  Every entry has the bits
+        of the whole-matrix passes."""
+        n = self.n
+        off, s2, inner, t0 = self.off, self.s2, self.inner, self.t0
+        step = _block_rows(n + 1)
+        for lo in range(0, n + 1, step):
+            rows, old = slice(lo, lo + step), slice(lo, min(lo + step, n))
+            s2[old, :n] += q_col
+            inner[old, :n] += np.multiply.outer(a[old], a_dp, out=t0[old, :n])
+            np.divide(off[rows], s2[rows], out=t0[rows])
+            if r0 is not None:
+                np.einsum("ij,ij->i", t0[rows], off[rows], out=self.delta[rows])
+                np.einsum("ij,ij->i", t0[rows], inner[rows], out=r0[rows])
 
     def ratio(self, kt, ktt: float) -> float:
         """alpha -> 0+ limit of the order-k ratio for one query.
@@ -679,19 +733,24 @@ def _four_cycle_limit(table: LimitTable, kt, w, u) -> float:
     # the subtraction takes the k = i terms out of the dense product
     v = table.t0 @ u
     b = v - w * table.delta
-    lone_w = np.bincount(lr, lv * w[lc], minlength=n) if lr.size else np.zeros(n)
-    b += lone_w
+    if lr.size:
+        lone_w = np.bincount(lr, lv * w[lc], minlength=n)
+        b += lone_w
     # the difference is trusted where it keeps at least a quarter of v, so
     # that rounding moves it by a few units of v's last place at most; the
     # other lanes (whose exact value may be 0) are summed again with every
     # term k = i left out, never subtracted
-    redo = np.flatnonzero((4.0 * b < v) & (kt > 0))
-    if redo.size:
+    lanes = 4.0 * b < v
+    if lanes.any():
+        redo = np.flatnonzero(lanes & (kt > 0))
         w_out = w.copy()
         w_out[redo] = 0.0
         others = w[redo][:, None] * (1.0 - np.eye(redo.size))
         U = (table.off @ w_out)[:, None] + table.off[:, redo] @ others
-        b[redo] = np.einsum("ij,ji->i", table.t0[redo], U) + lone_w[redo]
+        again = np.einsum("ij,ji->i", table.t0[redo], U)
+        if lr.size:
+            again += lone_w[redo]
+        b[redo] = again
     b *= kt
     total = float((b / table.r0).sum())
     flat = table.flat

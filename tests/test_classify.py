@@ -10,8 +10,8 @@ from conftest import (augment, cyclic_ratio_scalar, knn_loop, projection_kernel,
 from permclass import kernels
 from permclass.classify import (LabeledDataset, ModelParams, fit, knn_predict,
                                 predict, predict_infinite, sequential_partition)
-from permclass.classify import _fit_kernel, _kernel_blocks, _weights
-from permclass.cyclic import build_ratio_table, ratio_from_kt
+from permclass.classify import _fit_kernel, _kernel_blocks, _singleton_ratio, _weights
+from permclass.cyclic import LimitTable, build_ratio_table, ratio_from_kt
 from permclass.exact import ExactSizeLimitError, Partition, cyp_exact, ratio_exact
 from permclass.kernels import Kernel, gram, kernel_block, kernel_column, kernel_self
 
@@ -401,10 +401,15 @@ def _partition_configs():
     block = np.arange(12) % 3
     levels = projection_kernel(np.arange(12.0), np.where(
         block[:, None] == block, np.array([0.5, 1.0, 2.0])[block], 0.0))
+    # spread points, a small tau and a small lambda: most blocks stay
+    # singletons for many steps and some gain members, so steps weigh the
+    # singleton lane beside tables and blocks leave the lane
+    spread = rng.uniform(0.0, 3.0, size=(14, 2))
     return [("gaussian", Kernel.gaussian(0.8), clusters, 0.5),
             ("gaussian-chain", Kernel.gaussian(0.6), line, 0.3),
             ("constant", Kernel.constant(0.7), np.zeros((10, 1)), 0.5),
-            ("block-constant", levels, np.arange(12.0).reshape(-1, 1), 0.8)]
+            ("block-constant", levels, np.arange(12.0).reshape(-1, 1), 0.8),
+            ("gaussian-spread", Kernel.gaussian(0.4), spread, 0.01)]
 
 
 @pytest.mark.parametrize("order", [0, 1, 2, 3, "exact"])
@@ -421,17 +426,44 @@ def test_sequential_partition_matches_scalar_path(order):
                                                    seed=seed).blocks), (name, seed)
 
 
-@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
 def test_predict_infinite_matches_scalar_weights(rng, order):
+    # the second partition is mostly singleton blocks, which the singleton
+    # lane weighs beside the tables of the others
     kern = Kernel.gaussian(0.7)
     pts = rng.normal(size=(9, 2))
-    part = Partition.from_blocks([[0, 3, 4, 8], [1], [2, 5, 6, 7]])
     t = rng.normal(size=2)
-    row = predict_infinite(pts, part, t, ModelParams(kernel=kern, lam=0.4, order=order))
-    expect = [cyclic_ratio_scalar(gram(kern, pts[list(b)]).entries,
-                                  kernel_column(kern, t, pts[list(b)]), 1.0, order)
-              for b in part.blocks] + [0.4]
-    np.testing.assert_allclose(row.raw, expect, rtol=1e-12, atol=0.0)
+    params = ModelParams(kernel=kern, lam=0.4, order=order)
+    for part in (Partition.from_blocks([[0, 3, 4, 8], [1], [2, 5, 6, 7]]),
+                 Partition.from_blocks([[0], [1, 6], [2], [3], [4, 5, 8], [7]])):
+        row = predict_infinite(pts, part, t, params)
+        expect = [cyclic_ratio_scalar(gram(kern, pts[list(b)]).entries,
+                                      kernel_column(kern, t, pts[list(b)]), 1.0, order)
+                  for b in part.blocks] + [0.4]
+        np.testing.assert_allclose(row.raw, expect, rtol=1e-12, atol=0.0)
+
+
+def test_singleton_lane_equals_a_one_point_table():
+    # 60,000 seeded one-point blocks, 600 values of K(x, x) over six decades
+    # with 100 of K(t, x) each over thirteen, k = 0, the smallest subnormal,
+    # tiny k and k whose square underflows (to a subnormal, or to 0) among
+    # them, and two subnormal K(x, x) over which k / d overflows: at every
+    # order the lane's weights equal each one-point LimitTable's ratio bit
+    # for bit, inf and NaN included
+    rng = np.random.default_rng(60_000)
+    d = 10.0 ** rng.uniform(-3.0, 3.0, 600)
+    d[:2] = [1e-320, 5e-324]
+    k = rng.random((600, 100)) * 10.0 ** rng.uniform(-12.0, 1.0, (600, 100))
+    k[:, :7] = [0.0, 5e-324, 1e-300, 1e-200, 1e-170, 1e-160, 1.5e-155]
+    for order in (0, 1, 2, 3):
+        with np.errstate(over="ignore", invalid="ignore"):
+            lane = np.broadcast_to(_singleton_ratio(order, k, d[:, None]), k.shape)
+            want = np.empty(k.shape)
+            for i, dx in enumerate(d):
+                table = LimitTable(order)
+                table.grow(np.zeros(0), dx)
+                want[i] = [table.ratio(kx, 1.0) for kx in k[i, :, None]]
+        assert lane.tobytes() == want.tobytes(), order
 
 
 def test_infinite_needs_lambda_before_kernel_work():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -1128,6 +1129,40 @@ def test_unit_diagonal_core_has_the_dividing_bits(rng, monkeypatch, block_entrie
                 for field in ("r1_loo", "r2_loo", "_t3", "_s3", "_dg"):
                     assert np.array_equal(getattr(got, field), getattr(ref, field)), \
                         (name, order, field)
+
+
+def test_rows_skip_a_unit_diagonal_with_the_dividing_bits(rng):
+    # at orders 1 and 2 `rows` skips its division of each query block by a
+    # diagonal of exact ones; its results equal those of the same table made
+    # to divide, for C-ordered blocks, row slices of a stack, a transposed
+    # block and a block of every other column, one alpha and several
+    pts, queries = rng.normal(size=(23, 2)), rng.normal(size=(40, 2))
+    gaussian, constant = Kernel.gaussian(0.7), Kernel.constant(2.5)
+    sq = kernels._sq_distances(queries, pts)
+    cases = {"gaussian": (gram(gaussian, pts), kernel_block(gaussian, queries, pts)),
+             "constant-2.5": (gram(constant, pts), kernel_block(constant, queries, pts))}
+    mixed = [gaussian, constant, Kernel.exponential(1.3)]
+    stack = GramMatrix(kernels._kernel_stack(mixed, pts, pts, kernels._sq_distances(pts)), pts)
+    cases["mixed-stack"] = (stack, kernels._kernel_stack(mixed, queries, pts, sq))
+    for name, (g, block) in cases.items():
+        stacked = g.entries.ndim == 3
+        ktt = np.ones(block.shape[:-1])
+        wide = np.repeat(block, 2, axis=-1)
+        layouts = [block, block[..., 5:17, :], wide[..., ::2]]
+        if not stacked:
+            layouts.append(np.asfortranarray(block))
+        alphas = (np.array([[0.3, 1.0]] * 3),) if stacked else (0.7, np.array([0.3, 1.0, 4.5]))
+        for order in (1, 2):
+            core = _fit_core(g, order)
+            assert core.unit == (name == "gaussian"), name
+            for alpha in alphas:
+                table = core.finish(alpha)
+                assert table.unit == core.unit
+                dividing = dataclasses.replace(table, unit=False)
+                for Kt in layouts:
+                    rows = Kt.shape[-2]
+                    assert np.array_equal(table.rows(Kt, ktt[..., :rows]),
+                                          dividing.rows(Kt, ktt[..., :rows])), (name, order)
 
 
 @pytest.mark.parametrize("order, n_squares", [(2, 0), (3, 1)])
