@@ -78,11 +78,11 @@ def bench_orders(n_list, kernel: Kernel | None = None, alpha: float = 1.0,
                  warmup: int = 3, target_time: float = 2e-3) -> BenchReport:
     """Median per-query wall time of ratio_approx per (n, order).
 
-    Tables are prebuilt outside the timed region so the measurement
-    isolates per-query cost.  Each query point is timed as the mean of
-    enough repeated calls to fill ``target_time`` (median of repeats,
-    after warmup), and the reported value is the median across query
-    points.  Single process, single thread; the heavy contractions here
+    Each order reads its own table, built at that order outside the timed
+    region, so the measurement isolates per-query cost.  Each query point
+    is timed as the mean of enough repeated calls to fill ``target_time``
+    (median of repeats, after warmup), and the reported value is the
+    median across query points.  Single process, single thread; the heavy contractions here
     do not fan out to threads.
     """
     sizes = sorted(int(n) for n in n_list)
@@ -99,16 +99,16 @@ def bench_orders(n_list, kernel: Kernel | None = None, alpha: float = 1.0,
         for k in orders:
             table = build_ratio_table(g, alpha, order=k)
             for _ in range(warmup):
-                ratio_approx(qpts[0], table, order=k)
+                ratio_approx(qpts[0], table)
             t0 = time.perf_counter()
-            ratio_approx(qpts[0], table, order=k)
+            ratio_approx(qpts[0], table)
             probe = time.perf_counter() - t0
             reps = max(1, min(50, int(target_time / max(probe, 1e-9))))
             times = []
             for q in qpts:
                 t0 = time.perf_counter()
                 for _ in range(reps):
-                    ratio_approx(q, table, order=k)
+                    ratio_approx(q, table)
                 times.append((time.perf_counter() - t0) / reps)
             per_order[k].append(float(np.median(times)))
     timings = [OrderTiming(order=k, sizes=sizes, medians=per_order[k],

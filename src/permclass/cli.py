@@ -461,7 +461,8 @@ def main(argv=None) -> int:
             command.set_defaults(**_config_defaults(args, command))
             args = parser.parse_args(argv)
         return args.func(args)
-    except Exception as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
+        # refused input and file errors; anything else is a bug and keeps its traceback
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 1
 

@@ -97,11 +97,10 @@ class RatioTable:
     ``unit`` is whether every entry of the Gram diagonal is exactly 1.0, on
     which `rows` skips its division by the diagonal (x / 1.0 = x).
 
-    r1_loo is built at every order; it lets the single-query
-    `ratio_from_kt` serve queries up to order 2 from a lower-order table,
-    while `rows` serves exactly the table's order.  r2_loo and the
-    four-cycle weights are built only at order 3, the one order that reads
-    them, and are ``None`` otherwise: T = G / r1_l2o off the diagonal
+    A table holds what its own order's sums read, and both `rows` and
+    `ratio_from_kt` answer at that order; the rest is ``None``.  Orders 0
+    and 1 read only the Gram diagonal, order 2 also r1_loo, and order 3
+    r2_loo and the four-cycle weights: T = G / r1_l2o off the diagonal
     (r1_l2o, the leave-two-out ratios, is not kept), s3 and dg (see
     `_FitCore.finish`), and the four-cycle matrix M, built on `rows`' first block
     of a query set of n rows or more.  r1_loo and r2_loo are strictly positive for
@@ -122,7 +121,7 @@ class RatioTable:
     gram: GramMatrix
     alpha: float | np.ndarray
     order: int
-    r1_loo: np.ndarray
+    r1_loo: np.ndarray | None = None
     r2_loo: np.ndarray | None = None
     unit: bool = False
     _lists: dict = field(default_factory=dict, repr=False)
@@ -209,12 +208,12 @@ class RatioTable:
         return self._m3
 
     def _python_lists(self) -> dict:
-        """Python-list copies for the single-query reference sums, made on
-        first use so that batched prediction never pays for them."""
+        """Python-list copies of what the order-1 and order-2 single-query sums
+        read, made on first use so that batched prediction never pays for them."""
         if not self._lists:
-            self._lists = {"G": self.gram.entries.tolist(),
-                           "d": self.gram.diagonal.tolist(),
-                           "r1_loo": self.r1_loo.tolist()}
+            self._lists = {"d": self.gram.diagonal.tolist()}
+            if self.order == 2:
+                self._lists.update(G=self.gram.entries.tolist(), r1_loo=self.r1_loo.tolist())
         return self._lists
 
 
@@ -223,7 +222,7 @@ class _FitCore:
     """The alpha-free part of a `RatioTable`, shared by every alpha.
 
     d        the Gram diagonal,
-    q_sum    row sums of Qoff[i, m] = K(x_i, x_m)^2 / K(x_m, x_m), m != i,
+    q_sum    row sums of Qoff[i, m] = K(x_i, x_m)^2 / K(x_m, x_m), m != i (orders 2-3),
     unit     whether every entry of d is exactly 1.0,
     g_inner  G[m, i] times the leave-two-out product
              sum_{l != i, m} K(x_m, x_l) K(x_l, x_i) / K(x_l, x_l)
@@ -238,7 +237,7 @@ class _FitCore:
     gram: GramMatrix
     order: int
     d: np.ndarray
-    q_sum: np.ndarray
+    q_sum: np.ndarray | None
     unit: bool
     g_inner: np.ndarray | None = None
 
@@ -255,9 +254,11 @@ class _FitCore:
         def each(x):
             return _per_candidate(x, self.gram)
 
+        table = RatioTable(self.gram, alpha, self.order, unit=self.unit)
+        if self.order < 2:
+            return table
         ad = a * each(self.d)
-        r1_loo = ad + each(self.q_sum)
-        table = RatioTable(self.gram, alpha, self.order, r1_loo, unit=self.unit)
+        r1_loo = table.r1_loo = ad + each(self.q_sum)
         if self.order == 3:
             G = each(self.gram.entries)
             # r1_l2o^T: l2o[m, i] is x_m's two-cycle ratio against the points
@@ -327,15 +328,19 @@ def _gram_diagonal(G: np.ndarray) -> np.ndarray:
 def _fit_core(g: GramMatrix, order: int) -> _FitCore:
     """Everything of an order-``order`` table that does not depend on alpha:
     O(n^2), plus one O(n^3) product at order 3, for one Gram matrix or a
-    stack.  Qoff's rows are summed a `_block_rows` block at a time in a
-    reused scratch, with the same bits, so the only n x n array made and
-    kept is order 3's g_inner.  On a diagonal of exact ones (the distance
-    kernels') Qoff skips its division by it, which changes no bit."""
+    stack.  Orders 0 and 1 keep only the diagonal.  At orders 2 and 3
+    Qoff's rows are summed a `_block_rows` block at a time in a reused
+    scratch, with the same bits, so the only n x n array made and kept is
+    order 3's g_inner.  On a diagonal of exact ones (the distance kernels')
+    Qoff skips its division by it, which changes no bit."""
     if order not in (0, 1, 2, 3):
         raise ValueError(f"order must be in 0..3, got {order}")
     G = g.entries
     d = _gram_diagonal(G)
     unit = bool((d == 1.0).all())
+    if order < 2:
+        _check_finite(G, "gram matrix")
+        return _FitCore(g, order, d, None, unit)
     n = g.n
     step = _block_rows(d.size)
     Qoff = np.empty((*d.shape[:-1], min(step, n), n))
@@ -352,7 +357,7 @@ def _fit_core(g: GramMatrix, order: int) -> _FitCore:
     if not np.isfinite(q_sum).all():
         # a NaN or infinite entry makes its row's sum so; finding it is O(n^2)
         _check_finite(G, "gram matrix")
-    if order < 3:
+    if order == 2:
         return _FitCore(g, order, d, q_sum, unit)
     inner = (G / d[..., None, :]) @ G
     inner -= 2.0 * G
@@ -371,30 +376,14 @@ def build_ratio_table(g: GramMatrix, alpha: float, order: int = MAX_ORDER) -> Ra
     return _fit_core(g, order).finish(alpha)
 
 
-def _require(table: RatioTable, order: int):
-    if order not in (0, 1, 2, 3):
-        raise ValueError(f"order must be in 0..3, got {order}")
-    # a query reads the tables one order below its own, except that order 3
-    # reads the leave-two-out tables, which only an order-3 build makes
-    needed = 3 if order == 3 else order - 1
-    if table.order < needed:
-        hint = "3" if needed == 3 else f">= {needed}"
-        raise ValueError(
-            f"table was built at order {table.order} and cannot serve "
-            f"order-{order} queries; rebuild with order {hint}"
-        )
-
-
-def ratio_from_kt(table: RatioTable, kt, ktt: float, order: int | None = None) -> float:
-    """Order-k ratio given the query's kernel column and diagonal value.
+def ratio_from_kt(table: RatioTable, kt, ktt: float) -> float:
+    """The ratio at the table's order from the query's kernel values.
 
     This is the matrix-level entry point: `kt[i] = K(t, x_i)` and
     ``ktt = K(t, t)``.  Values can be negative only if a caller feeds a
     non-kernel matrix; they are returned as computed, never clamped.
     """
-    if order is None:
-        order = table.order
-    _require(table, order)
+    order = table.order
     a = table.alpha
     n = table.n
     kt = np.asarray(kt, dtype=float)
@@ -403,31 +392,31 @@ def ratio_from_kt(table: RatioTable, kt, ktt: float, order: int | None = None) -
     base = a * float(ktt)
     if order == 0 or n == 0:
         return base
+    if order == 3:
+        return _surface(_four_cycle(table, kt, base), 3)
     lists = table._python_lists()
     dl = lists["d"]
     ktl = kt.tolist()
     if order == 1:
         return base + math.fsum(ktl[i] * ktl[i] / dl[i] for i in range(n))
-    if order == 2:
-        Gl = lists["G"]
-        r1 = lists["r1_loo"]
-        total = base
-        for i in range(n):
-            kti = ktl[i]
-            if kti == 0.0:
+    Gl = lists["G"]
+    r1 = lists["r1_loo"]
+    total = base
+    for i in range(n):
+        kti = ktl[i]
+        if kti == 0.0:
+            continue
+        gi = Gl[i]
+        inner = 0.0
+        for j in range(n):
+            if j == i:
                 continue
-            gi = Gl[i]
-            inner = 0.0
-            for j in range(n):
-                if j == i:
-                    continue
-                gij = gi[j]
-                if gij == 0.0:
-                    continue
-                inner += gij * ktl[j] / dl[j]
-            total += (a * kti * kti + kti * inner) / r1[i]
-        return _surface(total, 2)
-    return _surface(_four_cycle(table, kt, base), 3)
+            gij = gi[j]
+            if gij == 0.0:
+                continue
+            inner += gij * ktl[j] / dl[j]
+        total += (a * kti * kti + kti * inner) / r1[i]
+    return _surface(total, 2)
 
 
 def _four_cycle(table: RatioTable, kt: np.ndarray, base: float) -> float:
@@ -445,18 +434,18 @@ def _four_cycle(table: RatioTable, kt: np.ndarray, base: float) -> float:
     return base + float(coeff @ (kt + e3 + e4))
 
 
-def ratio_approx(t, table: RatioTable, order: int | None = None) -> float:
-    """Order-k approximation of R_n(t; x) at a query, x the table's points."""
+def ratio_approx(t, table: RatioTable) -> float:
+    """Approximation of R_n(t; x) at a query at the table's order, x the
+    table's points."""
     kernel = table.gram.kernel
     if kernel is None:
         raise ValueError("table was built from a raw matrix; use ratio_from_kt "
                          "with an explicit kernel column")
     ktt = kernel_self(kernel, t)
-    if order == 0:
-        _require(table, 0)
+    if table.order == 0:
         return table.alpha * ktt
     kt = kernel_column(kernel, t, table.gram.points)
-    return ratio_from_kt(table, kt, ktt, order)
+    return ratio_from_kt(table, kt, ktt)
 
 
 def ratio_approx_matrix(A, alpha: float, order: int = MAX_ORDER) -> float:
@@ -466,7 +455,7 @@ def ratio_approx_matrix(A, alpha: float, order: int = MAX_ORDER) -> float:
     if n < 0:
         raise ValueError("ratio needs at least the added point on the diagonal")
     table = build_ratio_table(GramMatrix.from_matrix(m[:n, :n]), alpha, order=order)
-    return ratio_from_kt(table, m[n, :n], float(m[n, n]), order)
+    return ratio_from_kt(table, m[n, :n], float(m[n, n]))
 
 
 def per_alpha_cyclic(A, alpha: float, order: int = MAX_ORDER) -> float:

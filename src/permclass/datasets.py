@@ -254,13 +254,35 @@ def make_splits(n: int, plan: SplitPlan) -> list[tuple[np.ndarray, np.ndarray]]:
 
 
 def _rows_of(path: str) -> list[tuple[int, list[str]]]:
+    """Non-comment rows and their line numbers; an unreadable row is refused by line."""
     out = []
     with open(path, newline="", encoding="utf-8") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or (row[0].lstrip().startswith("#")):
-                continue
-            out.append((lineno, [cell.strip() for cell in row]))
+        reader = csv.reader(fh)
+        try:
+            for lineno, row in enumerate(reader, start=1):
+                if not row or (row[0].lstrip().startswith("#")):
+                    continue
+                out.append((lineno, [cell.strip() for cell in row]))
+        except csv.Error as exc:
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
     return out
+
+
+def _float_row(path: str, lineno: int, row: list[str], header: list[str],
+               columns: slice, what: str) -> list[float]:
+    """The ``columns`` of a data row as floats.  The row must have as many
+    fields as ``header``; a value that is not a number, or not finite, is
+    refused by its line and by its ``what`` (column or sample) name."""
+    if len(row) != len(header):
+        raise ValueError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
+    try:
+        values = [float(v) for v in row[columns]]
+    except ValueError as exc:
+        raise ValueError(f"{path}:{lineno}: {exc}") from None
+    for name, v in zip(header[columns], values):
+        if not math.isfinite(v):
+            raise ValueError(f"{path}:{lineno}: {what} {name!r} is not finite ({v})")
+    return values
 
 
 def load_features_csv(path: str, require_label: bool = True) -> LabeledDataset:
@@ -281,18 +303,7 @@ def load_features_csv(path: str, require_label: bool = True) -> LabeledDataset:
         raise ValueError(f"{path}: no feature columns")
     points, labels = [], []
     for lineno, row in rows[1:]:
-        if len(row) != len(header):
-            raise ValueError(
-                f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-        try:
-            values = [float(v) for v in row[:n_features]]
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
-        for col, v in enumerate(values):
-            if not math.isfinite(v):
-                raise ValueError(
-                    f"{path}:{lineno}: column {header[col]!r} is not finite ({v})")
-        points.append(values)
+        points.append(_float_row(path, lineno, row, header, slice(n_features), "column"))
         labels.append(row[-1] if has_label else "0")
     names = sorted(set(labels))
     lookup = {name: code for code, name in enumerate(names)}
@@ -345,21 +356,12 @@ def load_expression_csv(expr_path: str, labels_path: str) -> ExpressionMatrix:
     sample_ids = header[1:]
     gene_ids, data = [], []
     for lineno, row in erows[1:]:
-        if len(row) != len(header):
-            raise ValueError(
-                f"{expr_path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-        if any(v == "" or v.upper() in ("NA", "NAN") for v in row[1:]):
+        # a row of the wrong width is refused, missing values or not
+        if len(row) == len(header) and any(v == "" or v.upper() in ("NA", "NAN")
+                                           for v in row[1:]):
             log.info("dropping gene %s (line %d): missing values", row[0], lineno)
             continue
-        try:
-            values = [float(v) for v in row[1:]]
-        except ValueError as exc:
-            raise ValueError(f"{expr_path}:{lineno}: {exc}") from None
-        for sample, v in zip(sample_ids, values):
-            if not math.isfinite(v):
-                raise ValueError(
-                    f"{expr_path}:{lineno}: sample {sample!r} is not finite ({v})")
-        data.append(values)
+        data.append(_float_row(expr_path, lineno, row, header, slice(1, None), "sample"))
         gene_ids.append(row[0])
     lrows = _rows_of(labels_path)
     label_map: dict[str, str] = {}

@@ -24,7 +24,8 @@ from hypothesis import settings
 
 from permclass import kernels
 from permclass.classify import LabeledDataset, fit, predict
-from permclass.cyclic import DegenerateConfigurationError, LimitTable
+from permclass.cyclic import (DegenerateConfigurationError, LimitTable, RatioTable,
+                              build_ratio_table)
 from permclass.exact import Partition, _grown, cyp_exact
 from permclass.kernels import (GramMatrix, Kernel, KernelFamily, _as_square, gram,
                                kernel_column, kernel_self)
@@ -366,6 +367,13 @@ def cyclic_ratio_scalar(G, kt, ktt, order) -> float:
     return value.limit()
 
 
+def at_order(table: RatioTable, order: int) -> RatioTable:
+    """The order-``order`` table over ``table``'s Gram matrix and alpha: a
+    table answers only at its own order, so reading one training set at
+    several orders takes one table per order."""
+    return build_ratio_table(table.gram, table.alpha, order=order)
+
+
 def build_limit_table(g: GramMatrix, order: int) -> LimitTable:
     """The alpha -> 0+ table of an order-k ratio over a Gram matrix, grown
     one point at a time as a partition block grows."""
@@ -458,20 +466,22 @@ def knn_loop(train_points, train_labels, queries, k) -> np.ndarray:
 
 
 def ratio_table_one_shot(G, alpha, order):
-    """(r1_loo, r2_loo, t3, s3, m3) in one pass over a raw Gram matrix,
-    each alpha-dependent expression in the order `build_ratio_table`'s core
-    and finish must keep bit for bit (``a * G * G`` is ``(a * G) * G``); s3
-    is the diagonal of dg t3^T, a dot product per row, and m3
-    the four-cycle matrix I + t3^T + (dg t3^T) (1 / alpha) with a unit
-    diagonal, dg being G with each row divided by its diagonal entry and
-    its diagonal zeroed."""
+    """(r1_loo, r2_loo, t3, s3, m3) in one pass over a raw Gram matrix
+    (None where the order reads none), each alpha-dependent expression in
+    the order `build_ratio_table`'s core and finish must keep bit for bit
+    (``a * G * G`` is ``(a * G) * G``); s3 is the diagonal of dg t3^T, a
+    dot product per row, and m3 the four-cycle matrix I + t3^T +
+    (dg t3^T) (1 / alpha) with a unit diagonal, dg being G with each row
+    divided by its diagonal entry and its diagonal zeroed."""
+    if order < 2:
+        return None, None, None, None, None
     G = np.asarray(G, dtype=float)
     d = G.diagonal().copy()
     a = float(alpha)
     Qoff = (G * G) / d[None, :]
     np.fill_diagonal(Qoff, 0.0)
     r1_loo = a * d + Qoff.sum(axis=1)
-    if order < 3:
+    if order == 2:
         return r1_loo, None, None, None, None
     r1_l2o = r1_loo[None, :] - Qoff.T
     np.fill_diagonal(r1_l2o, 1.0)

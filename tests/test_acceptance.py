@@ -10,8 +10,8 @@ import time
 
 import numpy as np
 
-from conftest import (DEFAULT_TABLE_SEEDS, augment, banded_gram, block_constant_matrix,
-                      closed_form_ratio_matrix, elimination_det)
+from conftest import (DEFAULT_TABLE_SEEDS, at_order, augment, banded_gram,
+                      block_constant_matrix, closed_form_ratio_matrix, elimination_det)
 from permclass.benchmarks import accuracy_study, bench_orders
 from permclass.classify import ModelParams, sequential_partition
 from permclass.cyclic import build_ratio_table, ratio_approx, ratio_from_kt
@@ -41,8 +41,8 @@ def test_criterion_1_oracle_equivalence():
         alpha = float(rng.choice([0.5, 1.0, 2.0]))
         pts = rng.normal(size=(n, 2))
         t = rng.normal(size=2)
-        table = build_ratio_table(gram(kernel, pts), alpha, order=3)
-        approx = ratio_approx(t, table, order=n if n <= 3 else 3)
+        table = build_ratio_table(gram(kernel, pts), alpha, order=n)
+        approx = ratio_approx(t, table)
         exact = ratio_exact(t, pts, kernel, alpha)
         worst = max(worst, abs(approx - exact) / abs(exact))
     elapsed = time.time() - t0
@@ -83,11 +83,11 @@ def test_criterion_2_closed_form_exactness():
         closed = closed_form_ratio_matrix(G, kt, ktt, alpha, structure)
         table = build_ratio_table(GramMatrix.from_matrix(G), alpha, order=3)
         for k in (2, 3):
-            approx = ratio_from_kt(table, kt, ktt, k)
+            approx = ratio_from_kt(at_order(table, k), kt, ktt)
             worst23 = max(worst23,
                           abs(approx - exact) / abs(exact),
                           abs(closed - exact) / abs(exact))
-        r1 = ratio_from_kt(table, kt, ktt, 1)
+        r1 = ratio_from_kt(at_order(table, 1), kt, ktt)
         if structure == "diagonal":
             k1_diag_worst = max(k1_diag_worst, abs(r1 - exact) / abs(exact))
         else:
@@ -181,7 +181,8 @@ def test_criterion_5_projection_normalization():
     for alpha in (0.5, 1.0, 2.0):
         table = build_ratio_table(gram(kern, pts), alpha, order=3)
         for k in (1, 2, 3):
-            total = sum(ratio_approx(np.array(g), table, order=k)
+            table_k = at_order(table, k)
+            total = sum(ratio_approx(np.array(g), table_k)
                         for g in ground)
             worst = max(worst, abs(total / (n + alpha * nu) - 1.0))
     elapsed = time.time() - t0
@@ -200,7 +201,7 @@ def test_criterion_6_penta_diagonal():
         exact = ratio_exact_matrix(A, alpha)
         table = build_ratio_table(GramMatrix.from_matrix(A[:n - 1, :n - 1]),
                                   alpha, order=3)
-        approx = ratio_from_kt(table, A[n - 1, :n - 1], A[n - 1, n - 1], 3)
+        approx = ratio_from_kt(table, A[n - 1, :n - 1], A[n - 1, n - 1])
         errs3.append(abs(approx - exact) / abs(exact))
     frac = float(np.mean(np.asarray(errs3) <= 1e-3))
     elapsed = time.time() - t0

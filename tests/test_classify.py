@@ -141,7 +141,7 @@ def test_predict_matches_per_query_reference(rng, order, monkeypatch):
     table = predict(model, queries)
     for q, t in enumerate(queries):
         ref = [ratio_from_kt(s, kernel_column(params.kernel, t, s.gram.points),
-                             1.0, order) if len(s.gram.points) else s.alpha
+                             1.0) if len(s.gram.points) else s.alpha
                for s in model.classes]
         np.testing.assert_allclose(table.raw[q], ref, rtol=1e-12, atol=0.0)
     assert np.array_equal(table.argmax, table.probs.argmax(axis=1))

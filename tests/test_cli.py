@@ -292,6 +292,30 @@ def test_genes_rank_refuses_a_negative_top(tmp_path, capsys):
     assert len(lines) == 1 + 3
 
 
+def test_features_csv_past_the_field_limit_is_refused_by_line(tmp_path, capsys):
+    # the csv module's own error is not a ValueError; the loader names the
+    # file and line of the field it could not read
+    data = tmp_path / "wide.csv"
+    data.write_text("x0,label\n" + "1" * 200_000 + ",a\n", encoding="utf-8")
+    model = tmp_path / "model.json"
+    code, _, err = run(["fit", "--data", str(data), "--out", str(model)], capsys)
+    assert code == 1
+    assert f"{data}:2: field larger than field limit" in err
+    assert not model.exists()
+
+
+def test_a_programming_error_in_a_handler_propagates(tmp_path, monkeypatch):
+    # only the package's refusals and file errors become "error:" lines
+    def broken(*args):
+        raise TypeError("not an input error")
+
+    monkeypatch.setattr(cli, "gen_chequerboard", broken)
+    out = tmp_path / "sim.csv"
+    with pytest.raises(TypeError, match="not an input error"):
+        main(["simulate", "chequerboard", "--out", str(out)])
+    assert not out.exists()
+
+
 def test_failure_leaves_no_unsuffixed_output(tmp_path, capsys):
     out = tmp_path / "never.csv"
     code, _, err = run(["predict", "--model", str(tmp_path / "missing.json"),

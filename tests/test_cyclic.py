@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import (ALPHA, GradedValue, augment, banded_gram,
+from conftest import (ALPHA, GradedValue, at_order, augment, banded_gram,
                       block_constant_matrix, build_limit_table,
                       closed_form_ratio_matrix, cyclic_ratio_from_kt,
                       cyclic_ratio_scalar, generic_ratio, generic_tables,
@@ -114,7 +114,7 @@ def test_table_diagonal_kernel():
 
 def test_table_single_point():
     g = GramMatrix.from_matrix(np.array([[2.0]]))
-    table = build_ratio_table(g, 1.1, order=1)
+    table = build_ratio_table(g, 1.1, order=2)
     assert table.r1_loo[0] == pytest.approx(1.1 * 2.0)
 
 
@@ -140,21 +140,15 @@ def test_table_rejects_bad_alpha_and_order(rng):
         build_ratio_table(g, 1.0, order=4)
 
 
-def test_insufficient_table_order(rng):
-    g = GramMatrix.from_matrix(sym_nonneg(rng, 4))
-    table = build_ratio_table(g, 1.0, order=1)
-    with pytest.raises(ValueError, match="order"):
-        ratio_from_kt(table, np.ones(4), 1.0, order=3)
-    # one order above the built one is allowed
-    ratio_from_kt(table, np.ones(4), 1.0, order=2)
-
-
 @pytest.mark.parametrize("order", [0, 1, 2, 3])
 def test_table_builds_only_what_its_order_reads(rng, order):
     for n in (0, 5):
         table = build_ratio_table(GramMatrix.from_matrix(sym_nonneg(rng, n)), 0.9,
                                   order=order)
-        assert table.r1_loo.shape == (n,)
+        if order < 2:
+            assert table.r1_loo is None  # orders 0 and 1 read only the Gram diagonal
+        else:
+            assert table.r1_loo.shape == (n,)
         order_3_only = (table.r2_loo, table._t3, table._s3, table._dg)
         assert [t is not None for t in order_3_only] == [order == 3] * 4
         # the four-cycle matrix is built on first use, and then kept
@@ -182,7 +176,7 @@ def test_core_finish_matches_fresh_build(rng, order):
             fresh = build_ratio_table(g, alpha, order=order)
             one_pass = ratio_table_one_shot(M, alpha, order)
             for a, b, c, absent in zip(_table_arrays(got), _table_arrays(fresh), one_pass,
-                                       [False] + [order < 3] * 4):
+                                       [order < 2] + [order < 3] * 4):
                 if absent:
                     assert a is None and b is None and c is None
                 else:
@@ -262,14 +256,15 @@ def test_kernel_stacked_core_finish_and_rows_equal_each_kernels_tables(rng, orde
                 assert np.array_equal(got[k, j], one.rows(Kt[k], ktt[k]))
 
 
-def test_stacked_core_refuses_a_bad_diagonal_naming_its_point():
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_stacked_core_refuses_a_bad_diagonal_naming_its_point(order):
     good = np.eye(3)
     bad = np.eye(3)
     bad[2, 2] = 0.0
     with pytest.raises(ValueError, match="point index 2 has K"):
-        _fit_core(GramMatrix(np.stack([good, bad]), np.zeros((3, 1))), 2)
+        _fit_core(GramMatrix(np.stack([good, bad]), np.zeros((3, 1))), order)
     with pytest.raises(ValueError, match="gram matrix row 1, column 0 is not finite"):
-        _fit_core(GramMatrix(np.array([[1.0, 0.0], [np.inf, 1.0]]), np.zeros((2, 1))), 2)
+        _fit_core(GramMatrix(np.array([[1.0, 0.0], [np.inf, 1.0]]), np.zeros((2, 1))), order)
 
 
 def _order_3_grams(rng):
@@ -413,13 +408,6 @@ def test_stacked_rows_warn_once_per_call(caplog):
     assert f"{np.count_nonzero(values < 0.0)} of 30 order-2" in records[0].getMessage()
 
 
-def test_order_3_query_needs_order_3_table(rng):
-    table = build_ratio_table(GramMatrix.from_matrix(sym_nonneg(rng, 4)), 1.0,
-                              order=2)
-    with pytest.raises(ValueError, match="rebuild with order 3"):
-        ratio_from_kt(table, np.ones(4), 1.0, order=3)
-
-
 def _generic_table_arrays(M, alpha):
     r1, r12, r2 = generic_tables(M.tolist(), M.diagonal().tolist(), alpha, 3)
     r12 = np.array([[np.nan if v is None else v for v in row] for row in r12])
@@ -480,7 +468,7 @@ def test_theorem4_diagonal_all_orders(seed):
     closed = closed_form_ratio_matrix(G, kt, ktt, alpha, "diagonal")
     table = build_ratio_table(GramMatrix.from_matrix(G), alpha, order=3)
     for k in (1, 2, 3):
-        assert ratio_from_kt(table, kt, ktt, k) == pytest.approx(exact, rel=1e-10)
+        assert ratio_from_kt(at_order(table, k), kt, ktt) == pytest.approx(exact, rel=1e-10)
     assert closed == pytest.approx(exact, rel=1e-10)
 
 
@@ -497,7 +485,7 @@ def test_theorem4_block_constant(seed):
     exact = ratio_exact_matrix(augment(G, kt, ktt), alpha)
     table = build_ratio_table(GramMatrix.from_matrix(G), alpha, order=3)
     for k in (2, 3):
-        assert ratio_from_kt(table, kt, ktt, k) == pytest.approx(exact, rel=1e-10)
+        assert ratio_from_kt(at_order(table, k), kt, ktt) == pytest.approx(exact, rel=1e-10)
     closed = closed_form_ratio_matrix(G, kt, ktt, alpha, "block_constant")
     assert closed == pytest.approx(exact, rel=1e-10)
 
@@ -508,7 +496,7 @@ def test_two_cycle_not_exact_off_diagonal_case(rng):
     kt = rng.random(4)
     table = build_ratio_table(GramMatrix.from_matrix(G), 1.0, order=3)
     exact = ratio_exact_matrix(augment(G, kt, 1.0), 1.0)
-    r1 = ratio_from_kt(table, kt, 1.0, 1)
+    r1 = ratio_from_kt(at_order(table, 1), kt, 1.0)
     assert abs(r1 - exact) / exact > 1e-6
 
 
@@ -575,7 +563,7 @@ def test_fast_path_matches_generic_recursion(rng):
     Gl, dl = M.tolist(), M.diagonal().tolist()
     r1, r12, r2 = generic_tables(Gl, dl, alpha, 3)
     for k in (0, 1, 2, 3):
-        fast = ratio_from_kt(table, kt, ktt, k)
+        fast = ratio_from_kt(at_order(table, k), kt, ktt)
         slow = generic_ratio(ktt, kt.tolist(), Gl, dl, alpha, k, r1, r12, r2)
         assert fast == pytest.approx(slow, rel=1e-12)
 
@@ -588,19 +576,20 @@ def test_ratio_approx_kernel_route(rng):
     table = build_ratio_table(g, 1.0, order=3)
     kt = kernel_column(kern, t, pts)
     for k in (0, 1, 2, 3):
-        assert ratio_approx(t, table, order=k) == pytest.approx(
-            ratio_from_kt(table, kt, 1.0, k) if k else 1.0, rel=1e-12)
+        table_k = at_order(table, k)
+        assert ratio_approx(t, table_k) == pytest.approx(
+            ratio_from_kt(table_k, kt, 1.0) if k else 1.0, rel=1e-12)
 
 
 def test_ratio_nonnegative_on_kernels(rng):
     kern = Kernel.exponential(0.6)
     pts = rng.normal(size=(12, 2))
     g = gram(kern, pts)
-    table = build_ratio_table(g, 0.8, order=3)
+    tables = [build_ratio_table(g, 0.8, order=k) for k in (0, 1, 2, 3)]
     for _ in range(20):
         t = rng.normal(size=2) * 2
-        for k in (0, 1, 2, 3):
-            assert ratio_approx(t, table, order=k) > 0
+        for table in tables:
+            assert ratio_approx(t, table) > 0
 
 
 def test_penta_diagonal_near_exactness(rng):
@@ -613,8 +602,8 @@ def test_penta_diagonal_near_exactness(rng):
         table = build_ratio_table(GramMatrix.from_matrix(A[:n-1, :n-1]),
                                   alpha, order=3)
         kt, ktt = A[n-1, :n-1], A[n-1, n-1]
-        errs2.append(abs(ratio_from_kt(table, kt, ktt, 2) - exact) / abs(exact))
-        errs3.append(abs(ratio_from_kt(table, kt, ktt, 3) - exact) / abs(exact))
+        errs2.append(abs(ratio_from_kt(at_order(table, 2), kt, ktt) - exact) / abs(exact))
+        errs3.append(abs(ratio_from_kt(table, kt, ktt) - exact) / abs(exact))
     assert max(errs2) <= 1e-2
     assert max(errs3) <= 1e-3
 
@@ -643,7 +632,7 @@ def _assert_batch_matches_reference(M, Kt, ktt, alpha):
     for k in (0, 1, 2, 3):
         table = build_ratio_table(GramMatrix.from_matrix(M), alpha, order=k)
         batch = table.rows(Kt, ktt)
-        ref = np.array([ratio_from_kt(table, kt, t, k) for kt, t in zip(Kt, ktt)])
+        ref = np.array([ratio_from_kt(table, kt, t) for kt, t in zip(Kt, ktt)])
         np.testing.assert_allclose(batch, ref, rtol=1e-12, atol=0.0)
 
 
@@ -948,7 +937,7 @@ def cyclic_ratio_smallalpha(g: GramMatrix, kt, ktt: float, order: int,
     vals = []
     for a in (eps, eps / 10.0):
         table = build_ratio_table(g, a, order=order)
-        vals.append(ratio_from_kt(table, kt, ktt, order))
+        vals.append(ratio_from_kt(table, kt, ktt))
     return (10.0 * vals[1] - vals[0]) / 9.0
 
 
@@ -975,9 +964,9 @@ def test_negative_values_surfaced_and_logged(caplog):
     # three-cycle terms negative; the value must come back unclamped
     G = np.array([[1.0, 0.9], [0.9, 1.0]])
     kt = np.array([1.0, -1.0])
-    table = build_ratio_table(GramMatrix.from_matrix(G), 0.5, order=3)
+    table = build_ratio_table(GramMatrix.from_matrix(G), 0.5, order=2)
     with caplog.at_level(logging.WARNING, logger="permclass.cyclic"):
-        value = ratio_from_kt(table, kt, 0.1, 2)
+        value = ratio_from_kt(table, kt, 0.1)
     assert value < 0.0
     assert any("negative" in rec.message for rec in caplog.records)
 
@@ -995,7 +984,8 @@ def test_projection_normalization_general_matrix(rng):
     for alpha in (0.5, 1.3):
         table = build_ratio_table(GramMatrix.from_matrix(sub), alpha, order=3)
         for k in (1, 2, 3):
-            total = sum(ratio_from_kt(table, P[t, train], P[t, t], k)
+            table_k = at_order(table, k)
+            total = sum(ratio_from_kt(table_k, P[t, train], P[t, t])
                         for t in range(8))
             assert total / (n + alpha * nu) == pytest.approx(1.0, abs=1e-10)
 
@@ -1019,16 +1009,19 @@ def test_fit_core_refuses_non_finite_gram(order):
 
 def _one_shot_core(G, order):
     """The one-pass formulas over one Gram matrix or a stack: the core's
-    row sums of Qoff = G * G / d with a zero diagonal and, at order 3, its
-    g_inner, and the alpha = 1 table's dg and T^T = G / l2o with a zero
-    diagonal, l2o[m, i] being r1_loo[m] less Qoff[m, i]."""
+    row sums of Qoff = G * G / d with a zero diagonal (None at orders 0 and
+    1) and, at order 3, its g_inner, and the alpha = 1 table's dg and
+    T^T = G / l2o with a zero diagonal, l2o[m, i] being r1_loo[m] less
+    Qoff[m, i]."""
+    if order < 2:
+        return {"q_sum": None}
     d = np.diagonal(G, axis1=-2, axis2=-1)[..., None, :]
     diag = (..., *np.diag_indices(G.shape[-1]))
     qoff = G * G
     qoff /= d
     qoff[diag] = 0.0
     q_sum = qoff.sum(axis=-1)
-    if order < 3:
+    if order == 2:
         return {"q_sum": q_sum}
     inner = (G / d) @ G
     inner -= 2.0 * G
@@ -1049,12 +1042,14 @@ def _assert_one_shot_bits(g, orders):
         got = {"q_sum": core.q_sum, "g_inner": core.g_inner, "dg": table._dg,
                "Tt": None if order < 3 else np.swapaxes(table._t3, -1, -2)[..., 0, :, :]}
         for name, want in _one_shot_core(g.entries, order).items():
-            assert np.array_equal(got[name], want), (order, name)
+            assert (got[name] is None and want is None) or np.array_equal(got[name], want), \
+                (order, name)
 
 
 @pytest.mark.parametrize("block_entries", [kernels._BLOCK_ENTRIES, 40])
 def test_blocked_q_sum_has_the_one_shot_bits(rng, monkeypatch, block_entries):
-    # every order sums Qoff's rows a block at a time through one scratch:
+    # orders 2 and 3 sum Qoff's rows a block at a time through one scratch
+    # (orders 0 and 1 make no Qoff):
     # the core's fields and the arrays an order-3 finish makes from G and d
     # equal the one-pass formulas, over one Gram matrix and stacks of 1-10
     # kernels, with sizes on either side of a whole block (and 1000 points,
@@ -1193,7 +1188,6 @@ def _table(order=2):
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: ratio_from_kt(_table(), np.ones(3), 1.0, order=5), "order must be in 0..3, got 5"),
     (lambda: ratio_from_kt(_table(), np.ones(2), 1.0),
      r"kernel column must have length 3, got \(2,\)"),
     (lambda: ratio_approx([0.5],
@@ -1202,7 +1196,7 @@ def _table(order=2):
     (lambda: ratio_approx_matrix([], 1.0, order=2),
      "ratio needs at least the added point on the diagonal"),
     (lambda: LimitTable(4), "order must be in 0..3, got 4"),
-], ids=["query-order", "column-length", "raw-matrix-table", "empty-matrix",
+], ids=["column-length", "raw-matrix-table", "empty-matrix",
         "limit-table-order"])
 def test_cyclic_refusals_name_their_cause(call, message):
     with pytest.raises(ValueError, match=message):
