@@ -365,8 +365,12 @@ def sequential_partition(points, params: ModelParams, rule: str = "argmax",
     """Grow a partition one point at a time by repeated block prediction.
 
     ``rule`` is "argmax" (deterministic) or "sample" (seeded, reproducible).
-    Each new point's kernel column is evaluated once and sliced per block.
-    Blocks of one point are weighed together in one vector operation (see
+    The points' kernel rows are made a block at a time: the steps are cut
+    as `kernels._query_steps` cuts N queries against N points, each cut's
+    rows against the points up to its last is one `kernel_block` (the
+    floats `kernel_column` gives), and K(x, x) is one `kernel_self_batch`.
+    A step's kernel column is a row of its cut, sliced per block.  Blocks
+    of one point are weighed together in one vector operation (see
     `_Blocks`); larger blocks keep their tables, and the block that gains
     the point grows its table in place.  So a step at order 3 costs a few
     matrix-vector products per block of two or more points plus one
@@ -379,23 +383,27 @@ def sequential_partition(points, params: ModelParams, rule: str = "argmax",
         raise ValueError("infinite-class prediction needs lambda")
     rng = np.random.default_rng(seed) if rule == "sample" else None
     pts = _as_rows(points, "point")
-    if pts.shape[0] < 2:
-        return Partition.from_blocks([[0]] if pts.shape[0] else [])
+    n = pts.shape[0]
+    if n < 2:
+        return Partition.from_blocks([[0]] if n else [])
     kernel = params.kernel
+    self_k = kernel_self_batch(kernel, pts).tolist()
     blocks = _Blocks(params.order)
-    blocks.open(0, kernel_self(kernel, pts[0]))
-    for i in range(1, pts.shape[0]):
-        ktt = kernel_self(kernel, pts[i])
-        col = kernel_column(kernel, pts[i], pts[:i])
-        row = _normalised(blocks.weights(col, ktt, params.lam))
-        if rule == "argmax":
-            choice = row.argmax
-        else:
-            choice = int(rng.choice(len(row.probs), p=row.probs))
-        if choice == len(blocks.tables):
-            blocks.open(i, ktt)
-        else:
-            blocks.add(choice, i, col[blocks.members[choice]], ktt)
+    blocks.open(0, self_k[0])
+    for cut in _query_steps(n, n):
+        lo, hi = cut.start, min(cut.stop, n)
+        rows = kernel_block(kernel, pts[lo:hi], pts[:hi])
+        for i in range(max(lo, 1), hi):
+            col, ktt = rows[i - lo, :i], self_k[i]
+            row = _normalised(blocks.weights(col, ktt, params.lam))
+            if rule == "argmax":
+                choice = row.argmax
+            else:
+                choice = int(rng.choice(len(row.probs), p=row.probs))
+            if choice == len(blocks.tables):
+                blocks.open(i, ktt)
+            else:
+                blocks.add(choice, i, col[blocks.members[choice]], ktt)
     return Partition.from_blocks(blocks.members)
 
 

@@ -17,6 +17,7 @@ import math
 import os
 import sys
 from collections import deque
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -55,9 +56,20 @@ def write_json(path: str, payload: dict, seed, config: dict) -> None:
     write_text(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
+@contextmanager
+def _named(what: str):
+    """Prefix the message of a `ValueError` raised in the block with
+    ``what``: the input file, or the place in it, that was refused."""
+    try:
+        yield
+    except ValueError as err:
+        raise ValueError(f"{what}: {err}") from None
+
+
 def _load_matrix(path: str) -> np.ndarray:
-    return _as_square(np.loadtxt(path, delimiter=",", comments="#", ndmin=2),
-                      f"{path}: matrix")
+    with _named(path):
+        m = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
+    return _as_square(m, f"{path}: matrix")
 
 
 def _kernel_from_args(args) -> Kernel:
@@ -122,14 +134,15 @@ def cmd_fit(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    with open(args.model, encoding="utf-8") as fh:
-        stored = _entry(json.load(fh), "model", args.model)
-    params = ModelParams.from_dict(_entry(stored, "params", "model"))
-    points, labels, n_classes, class_names = (_entry(stored, key, "model") for key in
-                                              ("points", "labels", "n_classes", "class_names"))
-    data = LabeledDataset(np.array(points, dtype=float), np.array(labels, dtype=int), n_classes,
-                          tuple(class_names))
-    tables = _tables(data, params)  # refit a class at a time as queries read it
+    with _named(args.model):
+        with open(args.model, encoding="utf-8") as fh:
+            stored = _entry(json.load(fh), "model", "model file")
+        params = ModelParams.from_dict(_entry(stored, "params", "model"))
+        points, labels, n_classes, class_names = (
+            _entry(stored, key, "model") for key in ("points", "labels", "n_classes", "class_names"))
+        data = LabeledDataset(np.array(points, dtype=float), np.array(labels, dtype=int),
+                              n_classes, tuple(class_names))
+        tables = _tables(data, params)  # refit a class at a time as queries read it
     queries = load_features_csv(args.queries, require_label=False)
     table = _posterior(params.kernel, tables, map(data.class_points, range(data.n_classes)),
                        queries.points)
@@ -160,12 +173,16 @@ def cmd_partition(args) -> int:
 
 
 def _grid_from_json(path: str) -> list[ModelParams]:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") as fh, _named(path):
         doc = json.load(fh)
     entries = _entry(doc, "grid", path) if isinstance(doc, dict) else doc
     if not isinstance(entries, list):
         raise ValueError(f"{path}: grid must be a list of candidates, got {type(entries).__name__}")
-    return [ModelParams.from_dict(e) for e in entries]
+    grid = []
+    for i, entry in enumerate(entries):
+        with _named(f"{path}: grid entry {i}"):
+            grid.append(ModelParams.from_dict(entry))
+    return grid
 
 
 def cmd_cv(args) -> int:

@@ -229,8 +229,10 @@ class _FitCore:
              (order 3 only).
 
     Beside the Gram matrix the core keeps only g_inner, its one O(n^3)
-    product; `finish` makes the rest from G and d, in O(n^2) per alpha.  Qoff
-    skips its division by a diagonal of exact ones, with the same bits.
+    product; `finish` makes the rest from G and d, in O(n^2) per alpha.  On a
+    diagonal of exact ones nothing is divided by it, with the same bits
+    (x / 1.0 = x): Qoff is G * G, g_inner's product is G @ G and `finish`'s
+    dg is a copy of G.
     Over a stack of Gram matrices every array has the stack's kernel axis.
     """
 
@@ -283,9 +285,11 @@ class _FitCore:
             Tt[diag] = 0.0
             del l2o
             table._t3 = np.swapaxes(Tt, -1, -2)
-            # dg: G / d by rows, zero diagonal, once per kernel; s3[i] = (dg T^T)[i, i],
+            # dg: G / d by rows (a copy of G on a unit diagonal, in the layout the
+            # division makes), zero diagonal, once per kernel; s3[i] = (dg T^T)[i, i],
             # the k = i terms, from the very products dg[i, j] T[i, j] that (Kt dg) T^T sums
-            dg = self.gram.entries / self.d[..., :, None]
+            entries = self.gram.entries
+            dg = entries.copy(order="K") if self.unit else entries / self.d[..., :, None]
             dg[diag] = 0.0
             table._s3 = (each(dg)[..., None, :] @ table._t3[..., None])[..., 0, 0]
             table._dg = dg
@@ -328,18 +332,23 @@ def _gram_diagonal(G: np.ndarray) -> np.ndarray:
 def _fit_core(g: GramMatrix, order: int) -> _FitCore:
     """Everything of an order-``order`` table that does not depend on alpha:
     O(n^2), plus one O(n^3) product at order 3, for one Gram matrix or a
-    stack.  Orders 0 and 1 keep only the diagonal.  At orders 2 and 3
-    Qoff's rows are summed a `_block_rows` block at a time in a reused
-    scratch, with the same bits, so the only n x n array made and kept is
-    order 3's g_inner.  On a diagonal of exact ones (the distance kernels')
-    Qoff skips its division by it, which changes no bit."""
+    stack.  Orders 0 and 1 keep only the diagonal, and test the Gram matrix
+    for a non-finite entry by its sum.  At orders 2 and 3 Qoff's rows are
+    summed a `_block_rows` block at a time in a reused scratch, with the
+    same bits, so the only n x n array made and kept is order 3's g_inner.
+    On a diagonal of exact ones (the distance kernels') Qoff and g_inner
+    skip their divisions by it, which changes no bit."""
     if order not in (0, 1, 2, 3):
         raise ValueError(f"order must be in 0..3, got {order}")
     G = g.entries
     d = _gram_diagonal(G)
     unit = bool((d == 1.0).all())
     if order < 2:
-        _check_finite(G, "gram matrix")
+        with np.errstate(over="ignore"):  # finite entries may sum past the float range
+            finite = math.isfinite(G.sum())
+        if not finite:
+            # a NaN or infinite entry makes the sum so; finding it is O(n^2)
+            _check_finite(G, "gram matrix")
         return _FitCore(g, order, d, None, unit)
     n = g.n
     step = _block_rows(d.size)
@@ -359,7 +368,7 @@ def _fit_core(g: GramMatrix, order: int) -> _FitCore:
         _check_finite(G, "gram matrix")
     if order == 2:
         return _FitCore(g, order, d, q_sum, unit)
-    inner = (G / d[..., None, :]) @ G
+    inner = (G if unit else G / d[..., None, :]) @ G
     inner -= 2.0 * G
     inner *= G
     return _FitCore(g, order, d, q_sum, unit, inner)
@@ -517,7 +526,10 @@ class LimitTable:
     flat      the i with r0 = 0: every term of r2_loo[i] starts at alpha^1,
               and r1 there is d + delta;
     lone      the (i, j) with off[i, j] > 0 and s2[i, j] = 0 (x_i is x_j's
-              only neighbour), and off there.
+              only neighbour), and off there;
+    unit      whether every K(x, x) grown so far is exactly 1.0 (the
+              distance kernels'): `grow` and `ratio` then skip their
+              divisions by d, with the same bits (x / 1.0 = x).
 
     Kernel values are nonnegative, so a sum of them is exactly 0 only if
     none of its terms is positive.  Every value above is built by adding
@@ -542,6 +554,7 @@ class LimitTable:
             raise ValueError(f"order must be in 0..3, got {order}")
         self.order = order
         self.n = 0
+        self.unit = True
         self.d = self.s = self.delta = self.r0 = np.zeros(0)
         self.s_terms = np.zeros(0, dtype=int)
         self.off = self.s2 = self.inner = self.t0 = np.zeros((0, 0))
@@ -590,12 +603,14 @@ class LimitTable:
             raise ValueError(f"gram diagonal must be strictly positive; point "
                              f"index {n} has K(x, x) = {ktt}")
         dp, d = float(ktt), self.d
+        # a unit diagonal divides nothing, with the same bits: x / 1.0 = x
+        unit = self.unit and dp == 1.0
         if self.order >= 2:
             aa = a * a
-            q_col = aa / dp              # Q[j, p] for the new point p
-            q_row = aa / d               # Q[p, m]
-            corner = q_row.sum()         # s, s2 and inner at (p, p)
-            finite = corner < math.inf   # an inf or NaN entry makes the sum so
+            q_col = aa if unit else aa / dp  # Q[j, p] for the new point p
+            q_row = aa if unit else aa / d   # Q[p, m]
+            corner = q_row.sum()             # s, s2 and inner at (p, p)
+            finite = corner < math.inf       # an inf or NaN entry makes the sum so
         else:
             finite = a.max(initial=0.0) < math.inf
         # a.min is NaN if any entry is; the row is scanned again only to name
@@ -607,12 +622,14 @@ class LimitTable:
         if self.order >= 2:
             off = self._border("off", 0.0, a, a)
             if self.order == 3:
-                self._grow_order3(a, dp, d, q_col, q_row, corner, off)
+                a_dp, a_d = (a, a) if unit else (a / dp, a / d)
+                self._grow_order3(a, a_dp, a_d, q_col, q_row, corner, off)
             self.s[:n] += q_col  # after order 3 read old s
             self._border("s", corner)
         self.n += 1
+        self.unit = unit
 
-    def _grow_order3(self, a, dp, d, q_col, q_row, corner, off) -> None:
+    def _grow_order3(self, a, a_dp, a_d, q_col, q_row, corner, off) -> None:
         n = self.n
         self.s_terms[:n] += q_col > 0
         s_terms = self._border("s_terms", np.count_nonzero(q_row))
@@ -621,7 +638,7 @@ class LimitTable:
         # the new row and column of s2 and inner; their old entries gain the
         # terms through p in `_grow_rows`
         s2 = self._border("s2", corner, self.s, _sum_without(q_row))
-        new = (a / d) @ off[:n, :n]
+        new = a_d @ off[:n, :n]
         inner = self._border("inner", corner, new, new)
         t0 = self.t0 = self._buffers["t0"][:n + 1, :n + 1]
         self.delta, r0 = np.empty(n + 1), np.empty(n + 1)
@@ -630,7 +647,7 @@ class LimitTable:
             # t0 is off where s2 = 0, a lone lane where off > 0 there; the row
             # sums read t0 after this fix
             with np.errstate(divide="ignore", invalid="ignore"):
-                self._grow_rows(a, a / dp, q_col, None)
+                self._grow_rows(a, a_dp, q_col, None)
             cols = np.flatnonzero(s_terms <= 1)
             rows, at = np.nonzero(s2[:, cols] == 0)
             cols = cols[at]
@@ -641,7 +658,7 @@ class LimitTable:
             np.einsum("ij,ij->i", t0, off, out=self.delta)
             np.einsum("ij,ij->i", t0, inner, out=r0)
         else:
-            self._grow_rows(a, a / dp, q_col, r0)
+            self._grow_rows(a, a_dp, q_col, r0)
         self.lone = lr, lc, lv = lone
         if lr.size:
             r0 += np.bincount(lr, lv ** 2 / self.d[lc], minlength=n + 1)
@@ -685,7 +702,7 @@ class LimitTable:
         order = self.order
         if order == 0:
             return 0.0
-        w = kt / self.d
+        w = kt if self.unit else kt / self.d
         if order == 1:
             return float(kt @ w)
         # u[i] = sum_{j != i} K(x_i, x_j) K(t, x_j) / d_j

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import (augment, cyclic_ratio_scalar, knn_loop, projection_kernel,
                       sequential_partition_scalar)
-from permclass import kernels
+from permclass import classify, kernels
 from permclass.classify import (LabeledDataset, ModelParams, fit, knn_predict,
                                 predict, predict_infinite, sequential_partition)
 from permclass.classify import _fit_kernel, _kernel_blocks, _singleton_ratio, _weights
@@ -424,6 +424,42 @@ def test_sequential_partition_matches_scalar_path(order):
             assert (sequential_partition(pts, params, rule="sample", seed=seed).blocks
                     == sequential_partition_scalar(pts, params, rule="sample",
                                                    seed=seed).blocks), (name, seed)
+
+
+@pytest.mark.parametrize("block_entries", [64, 8])
+def test_sequential_partition_reads_kernel_rows_a_cut_at_a_time(monkeypatch, block_entries):
+    # with a small block budget the steps' cuts fall every few points (64
+    # entries) or at every row (8): each cut's kernel rows are one
+    # `kernel_block` call, no step calls `kernel_column`, and the
+    # partitions equal the scalar path's at every order, by argmax and by
+    # seeded sampling
+    monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", block_entries)
+    calls = []
+    block = classify.kernel_block
+
+    def spy(kernel, queries, points):
+        calls.append((len(queries), len(points)))
+        return block(kernel, queries, points)
+
+    def refuse(*args):
+        raise AssertionError("a partition step called kernel_column")
+
+    monkeypatch.setattr(classify, "kernel_block", spy)
+    monkeypatch.setattr(classify, "kernel_column", refuse)
+    for order in (0, 1, 2, 3, "exact"):
+        for name, kern, pts, lam in _partition_configs():
+            if order == "exact":
+                pts = pts[:10]  # blocks stay within the exact size cap
+            n = pts.shape[0]
+            cuts = [(len(range(n)[cut]), min(cut.stop, n)) for cut in kernels._query_steps(n, n)]
+            assert len(cuts) > 1
+            params = ModelParams(kernel=kern, lam=lam, order=order)
+            for rule, seed in (("argmax", None), ("sample", 0), ("sample", 1), ("sample", 7)):
+                calls.clear()
+                got = sequential_partition(pts, params, rule=rule, seed=seed).blocks
+                assert calls == cuts, (name, order)
+                assert got == sequential_partition_scalar(pts, params, rule=rule,
+                                                          seed=seed).blocks, (name, order, seed)
 
 
 @pytest.mark.parametrize("order", [0, 1, 2, 3])

@@ -717,6 +717,12 @@ def test_malformed_grid_and_model_documents_are_refused_by_field(tmp_path, capsy
         assert code == 1, document
         assert message in err, (document, err)
         assert not out.exists()
+        # the file is named once, and a candidate by its place in the grid
+        assert err.count(str(path)) == 1, err
+        if command == "predict":
+            assert f"{path}: {message}" in err, err
+        elif "grid must be a list" not in message:
+            assert f"{path}: grid entry 0: {message}" in err, err
 
 
 def test_fit_reads_the_constant_kernel_flag(tmp_path, capsys):
@@ -747,3 +753,37 @@ def test_cli_refusals_name_their_cause(tmp_path, capsys, argv, files, message):
     assert out == ""
     assert message.replace("{tmp}", str(tmp_path)) in err
     assert not (tmp_path / "out.csv").exists()
+
+
+_TRAIN = "x0,x1,label\n0.0,0.1,a\n0.2,0.0,a\n0.1,0.3,a\n2.0,2.1,b\n2.2,1.9,b\n1.9,2.2,b\n"
+
+
+@pytest.mark.parametrize("name, text, argv", [
+    ("features.csv", "x0,label\n0.5,a\nabc,b\n",
+     ["fit", "--data", "{doc}", "--out", "{tmp}/out.json"]),
+    ("expr.csv", "gene_id,S0,S1\nG0,1,x\n",
+     ["genes", "rank", "--expr", "{doc}", "--labels", "{tmp}/labels.csv",
+      "--out", "{tmp}/out.csv"]),
+    ("matrix.csv", "1,2,3\n4,5\n", ["perm", "exact", "--matrix", "{doc}", "--alpha", "1"]),
+    ("model.json", '{"model": {"params": ',
+     ["predict", "--model", "{doc}", "--queries", "{tmp}/train.csv", "--out", "{tmp}/out.csv"]),
+    ("grid.json", json.dumps({"grid": [{"kernel": {"family": "gaussian", "tau": 0.5},
+                                        "alphas": "x"}]}),
+     ["cv", "--data", "{tmp}/train.csv", "--grid", "{doc}", "--folds", "2",
+      "--out", "{tmp}/out.json"]),
+    ("run.cfg", "# defaults\nper_cell 3\n",
+     ["simulate", "chequerboard", "--config", "{doc}", "--out", "{tmp}/out.csv"]),
+], ids=["features-csv", "expression-csv", "matrix-csv", "model-json", "grid-json", "config"])
+def test_a_malformed_input_file_is_refused_by_name(tmp_path, capsys, name, text, argv):
+    # one malformed document of each input format: the command exits 1,
+    # its message names the file, and it writes nothing
+    (tmp_path / "train.csv").write_text(_TRAIN)
+    (tmp_path / "labels.csv").write_text("sample,label\nS0,a\nS1,b\n")
+    doc = tmp_path / name
+    doc.write_text(text)
+    inputs = sorted(tmp_path.iterdir())
+    code, out, err = run([a.replace("{doc}", str(doc)).replace("{tmp}", str(tmp_path))
+                          for a in argv], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"permclass: error: {doc}"), err
+    assert sorted(tmp_path.iterdir()) == inputs

@@ -16,7 +16,7 @@ from permclass.classify import ModelParams, fit
 from permclass.cyclic import (DegenerateConfigurationError, LimitTable,
                               build_ratio_table, per_alpha_cyclic, ratio_approx,
                               ratio_approx_matrix, ratio_from_kt)
-from permclass import kernels
+from permclass import cyclic, kernels
 from permclass.cyclic import _fit_core, _FitCore
 from permclass.exact import per_alpha_exact, ratio_exact_matrix
 from permclass.datasets import gen_chequerboard
@@ -861,12 +861,12 @@ def test_limit_table_grows_checked_rows():
 def _limit_state(table):
     arrays = [table.d, table.s, table.s_terms, table.delta, table.r0, table.flat,
               *table.lone, table.off, table.s2, table.inner, table.t0]
-    return table.n, [a.copy() for a in arrays]
+    return (table.n, table.unit), [a.copy() for a in arrays]
 
 
 def _assert_same_state(a, b):
     assert a[0] == b[0]
-    for x, y in zip(a[1], b[1]):
+    for x, y in zip(a[1], b[1], strict=True):
         assert x.dtype == y.dtype and x.shape == y.shape
         assert x.tobytes() == y.tobytes()
 
@@ -875,24 +875,75 @@ def _assert_same_state(a, b):
 def test_limit_table_refused_growth_changes_nothing(rng, order):
     # the 1-d fields live in buffers as the square ones do, so a refusal
     # must come before the first write; 8 points fill the first buffers,
-    # so the refused ninth point would also have grown them
+    # so the refused ninth point would also have grown them.  Over a
+    # diagonal of ones the table is unit, and a refused non-unit K(x, x)
+    # must leave it so
     M = sym_nonneg(rng, 9)
-    table, twin = LimitTable(order), LimitTable(order)
-    for p in range(8):
-        table.grow(M[p, :p], M[p, p])
-        twin.grow(M[p, :p], M[p, p])
-    before = _limit_state(table)
-    row = M[8, :8]
-    for kt, ktt in ((np.append(row[:-1], -0.1), 1.0), (np.append(row[:-1], np.nan), 1.0),
-                    (row[:-1], 1.0), (np.append(row, 0.1), 1.0),
-                    (row, 0.0), (row, -1.0), (row, np.nan), (row, np.inf)):
-        with pytest.raises(ValueError):
-            table.grow(kt, ktt)
-        _assert_same_state(_limit_state(table), before)
-    # and the next point grows it as if nothing had been refused
-    table.grow(row, M[8, 8])
-    twin.grow(row, M[8, 8])
-    _assert_same_state(_limit_state(table), _limit_state(twin))
+    ones = M.copy()
+    np.fill_diagonal(ones, 1.0)
+    for M in (M, ones):
+        table, twin = LimitTable(order), LimitTable(order)
+        for p in range(8):
+            table.grow(M[p, :p], M[p, p])
+            twin.grow(M[p, :p], M[p, p])
+        before = _limit_state(table)
+        assert table.unit == (M is ones)
+        row = M[8, :8]
+        for kt, ktt in ((np.append(row[:-1], -0.1), 1.0), (np.append(row[:-1], np.nan), 1.0),
+                        (row[:-1], 1.0), (np.append(row, 0.1), 1.0), (np.append(row, 0.1), 2.0),
+                        (row, 0.0), (row, -1.0), (row, np.nan), (row, np.inf)):
+            with pytest.raises(ValueError):
+                table.grow(kt, ktt)
+            _assert_same_state(_limit_state(table), before)
+        # and the next point grows it as if nothing had been refused
+        table.grow(row, M[8, 8])
+        twin.grow(row, M[8, 8])
+        _assert_same_state(_limit_state(table), _limit_state(twin))
+
+
+def _limit_ratios(table, queries):
+    """The table's ratio of each query over its points, as hex strings, or
+    the error it raises."""
+    out = []
+    for kt in queries:
+        try:
+            out.append(table.ratio(kt[:table.n], 0.9).hex())
+        except DegenerateConfigurationError:
+            out.append("diverges")
+    return out
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_limit_table_unit_diagonal_has_the_dividing_bits(rng, order):
+    # a table whose every K(x, x) is exactly 1.0 skips its divisions by the
+    # diagonal in `grow` and `ratio`; after every growth its fields and
+    # ratios equal, bit for bit, those of a twin grown from the same rows
+    # and made to divide.  Gaussian and exponential points, spread enough
+    # that some kernel values underflow to 0 (lone and flat lanes), and a
+    # diagonal of ones whose one entry of 2.5 arrives first, midway or last
+    pts = rng.uniform(0.0, 4.0, size=(18, 2))
+    queries = rng.uniform(0.0, 4.0, size=(4, 2))
+    grams = {}
+    for kernel in (Kernel.gaussian(0.3), Kernel.gaussian(1.5), Kernel.exponential(0.1),
+                   Kernel.exponential(1.0)):
+        grams[f"{kernel.family.value}-{kernel.tau}"] = (
+            gram(kernel, pts).entries, [kernel_column(kernel, t, pts) for t in queries])
+    G, cols = grams["gaussian-1.5"]
+    for at in (0, 9, 17):
+        M = G.copy()
+        M[at, at] = 2.5
+        grams[f"one-non-unit-at-{at}"] = M, cols
+    for name, (M, cols) in grams.items():
+        table, dividing = LimitTable(order), LimitTable(order)
+        for p in range(M.shape[0]):
+            table.grow(M[p, :p], M[p, p])
+            dividing.unit = False
+            dividing.grow(M[p, :p], M[p, p])
+            assert table.unit == bool((M.diagonal()[:p + 1] == 1.0).all()), (name, p)
+            assert not dividing.unit
+            _assert_same_state((p, _limit_state(table)[1]), (p, _limit_state(dividing)[1]))
+            kts = [*cols, np.zeros(18), M[p]]
+            assert _limit_ratios(table, kts) == _limit_ratios(dividing, kts), (name, p)
 
 
 def test_limit_table_chain_takes_then_skips_lone_lanes():
@@ -1124,6 +1175,39 @@ def test_unit_diagonal_core_has_the_dividing_bits(rng, monkeypatch, block_entrie
                 for field in ("r1_loo", "r2_loo", "_t3", "_s3", "_dg"):
                     assert np.array_equal(getattr(got, field), getattr(ref, field)), \
                         (name, order, field)
+                if order == 3:
+                    # g_inner and dg equal the formulas that divide by d
+                    G, diag = g.entries, (..., *np.diag_indices(g.n))
+                    inner = (G / d[..., None, :]) @ G
+                    inner -= 2.0 * G
+                    inner *= G
+                    assert np.array_equal(core.g_inner, inner), name
+                    dg = G / d[..., :, None]
+                    dg[diag] = 0.0
+                    assert np.array_equal(got._dg, dg), name
+
+
+def test_a_finite_gram_at_orders_0_and_1_is_not_scanned(rng, monkeypatch):
+    # orders 0 and 1 test the Gram matrix for a non-finite entry by its sum
+    # and scan it entry by entry only to name one: a finite Gram matrix or
+    # stack makes no scan, and one whose finite entries sum past the float
+    # range is scanned and passes
+    calls = []
+    check = cyclic._check_finite
+
+    def spy(m, what):
+        calls.append(what)
+        check(m, what)
+
+    monkeypatch.setattr(cyclic, "_check_finite", spy)
+    pts = rng.normal(size=(30, 2))
+    for g in _unit_and_other_diagonals(rng, pts).values():
+        for order in (0, 1):
+            _fit_core(g, order)
+    assert calls == []
+    for order in (0, 1):
+        _fit_core(GramMatrix.from_matrix(np.full((3, 3), 1e308)), order)
+    assert calls == ["gram matrix"] * 2
 
 
 def test_rows_skip_a_unit_diagonal_with_the_dividing_bits(rng):
