@@ -2,6 +2,8 @@
 
 __version__ = "0.1.0"
 
+import importlib
+
 from .kernels import (GramMatrix, Kernel, KernelFamily, gram, kernel_block,
                       kernel_column, kernel_eval, kernel_self)
 from .exact import (EXACT_SIZE_CAP, ExactSizeLimitError, Partition,
@@ -15,15 +17,28 @@ from .cyclic import (EXACT_ORDER, MAX_ORDER, DegenerateConfigurationError,
 from .classify import (FittedModel, LabeledDataset, ModelParams, PosteriorTable,
                        fit, knn_predict, predict, predict_infinite,
                        sequential_partition)
-from .model_select import (CVReport, CVSpec, cross_entropy, cross_validate,
-                           default_grid, error_rate, fold_assignment,
-                           median_pairwise_distance)
 from .datasets import (ExpressionMatrix, SplitPlan, chequerboard_label,
                        gen_chequerboard, gen_expression, gen_grid_testset,
                        gen_triangular, load_expression_csv, load_features_csv,
                        make_splits, rank_genes_bw, save_features_csv,
                        splitmix64, two_axis_projection)
-from .benchmarks import (BenchReport, StudyConfig, StudyReport, accuracy_study,
-                         bench_orders)
-from .experiments import (ChequerboardResult, MicroarrayResult,
-                          run_chequerboard, run_microarray)
+
+# The pipelines that only `cv`, `bench`, `study` and `reproduce` run are
+# imported on first use of one of their names (PEP 562), so that a start of
+# `partition`, `fit` or `predict` neither loads nor compiles them.
+_PIPELINE_NAMES = {
+    "model_select": ("CVReport", "CVSpec", "cross_entropy", "cross_validate",
+                     "default_grid", "error_rate", "fold_assignment",
+                     "median_pairwise_distance"),
+    "benchmarks": ("BenchReport", "StudyConfig", "StudyReport", "accuracy_study",
+                   "bench_orders"),
+    "experiments": ("ChequerboardResult", "MicroarrayResult", "run_chequerboard",
+                    "run_microarray"),
+}
+
+
+def __getattr__(name):
+    for module, names in _PIPELINE_NAMES.items():
+        if name in names:
+            return getattr(importlib.import_module(f".{module}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

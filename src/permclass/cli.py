@@ -7,6 +7,9 @@ content is staged to a `.partial` file and renamed only on success.  A
 flat key=value config file sets the defaults of a subcommand's optional
 flags, so each value goes through the flag's type and explicit flags win;
 required flags and positional arguments stay on the command line.
+The cross-validation, benchmark and experiment pipelines are imported by
+the handlers that run them, so a start of any other subcommand neither
+loads nor compiles them.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import __version__
-from .benchmarks import StudyConfig, accuracy_study, bench_orders
 from .classify import LabeledDataset, ModelParams, _posterior, _tables, sequential_partition
 from .cyclic import EXACT_ORDER, per_alpha_cyclic, ratio_approx_matrix
 from .datasets import (SplitPlan, gen_chequerboard, gen_expression,
@@ -30,9 +32,7 @@ from .datasets import (SplitPlan, gen_chequerboard, gen_expression,
                        save_features_csv, rank_genes_bw, two_axis_projection,
                        write_csv, write_text)
 from .exact import per_alpha_exact, ratio_exact_matrix
-from .experiments import DEFAULT_TABLE1_SEED, run_chequerboard, run_microarray
-from .kernels import Kernel, _as_square, _entry
-from .model_select import CVSpec, cross_validate, default_grid
+from .kernels import GramMatrix, Kernel, _as_square, _entry, _is_integer
 
 PROG = "permclass"
 
@@ -66,10 +66,12 @@ def _named(what: str):
         raise ValueError(f"{what}: {err}") from None
 
 
-def _load_matrix(path: str) -> np.ndarray:
+def _load_matrix(path: str, symmetric: bool) -> np.ndarray:
+    """A matrix CSV as a finite square array, exactly symmetric if
+    ``symmetric``; a refusal names the file."""
     with _named(path):
         m = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
-    return _as_square(m, f"{path}: matrix")
+        return GramMatrix.from_matrix(m).entries if symmetric else _as_square(m)
 
 
 def _kernel_from_args(args) -> Kernel:
@@ -96,7 +98,8 @@ def _config_of(args) -> dict:
 
 
 def cmd_perm(args) -> int:
-    m = _load_matrix(args.matrix)
+    # the cyclic ratios need a symmetric matrix; per_a is defined for any
+    m = _load_matrix(args.matrix, symmetric=args.mode == "approx")
     if args.mode == "exact":
         value = per_alpha_exact(m, args.alpha)
         ratio = ratio_exact_matrix(m, args.alpha)
@@ -140,8 +143,15 @@ def cmd_predict(args) -> int:
         params = ModelParams.from_dict(_entry(stored, "params", "model"))
         points, labels, n_classes, class_names = (
             _entry(stored, key, "model") for key in ("points", "labels", "n_classes", "class_names"))
-        data = LabeledDataset(np.array(points, dtype=float), np.array(labels, dtype=int),
-                              n_classes, tuple(class_names))
+        for key, ok, kind in (
+                ("points", isinstance(points, list), "a list"),
+                ("labels", isinstance(labels, list), "a list"),
+                ("n_classes", _is_integer(n_classes), "an integer"),
+                ("class_names", isinstance(class_names, list)
+                 and all(isinstance(name, str) for name in class_names), "a list of strings")):
+            if not ok:
+                raise ValueError(f"model {key} must be {kind}, got {stored[key]!r:.40}")
+        data = LabeledDataset(points, labels, n_classes, tuple(class_names))
         tables = _tables(data, params)  # refit a class at a time as queries read it
     queries = load_features_csv(args.queries, require_label=False)
     table = _posterior(params.kernel, tables, map(data.class_points, range(data.n_classes)),
@@ -186,6 +196,7 @@ def _grid_from_json(path: str) -> list[ModelParams]:
 
 
 def cmd_cv(args) -> int:
+    from .model_select import CVSpec, cross_validate, default_grid
     data = load_features_csv(args.data)
     grid = (_grid_from_json(args.grid) if args.grid
             else default_grid(data.points))
@@ -225,6 +236,7 @@ def cmd_genes(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from .benchmarks import bench_orders
     sizes = [int(s) for s in args.sizes.split(",")]
     if min(sizes) < 1:
         raise ValueError(f"--sizes must each be at least 1, got {args.sizes}")
@@ -259,6 +271,7 @@ def _study_outputs(outdir: str, report, seed, config) -> None:
 
 
 def cmd_study(args) -> int:
+    from .benchmarks import StudyConfig, accuracy_study
     cfg = StudyConfig(n=args.n, tau=args.tau, alpha=args.alpha, seed=args.seed,
                       t_points=args.t_points)
     report = accuracy_study(cfg)
@@ -268,11 +281,6 @@ def cmd_study(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    if args.seed is None:
-        # canonical pinned seeds per experiment
-        args.seed = {"figure1": StudyConfig().seed,
-                     "table1": DEFAULT_TABLE1_SEED,
-                     "microarray": 0}[args.what]
     if args.what != "microarray":
         for flag in ("expr", "labels", "repetitions"):
             if getattr(args, flag) is not None:
@@ -284,6 +292,15 @@ def cmd_reproduce(args) -> int:
                          f"give both, or neither for the synthetic data")
     if args.repetitions is None:
         args.repetitions = DEFAULT_REPETITIONS
+    # each experiment loads only its own pipeline, and pins its own seed
+    if args.what == "figure1":
+        from .benchmarks import DEFAULT_STUDY_SEED, StudyConfig, accuracy_study
+        pinned = DEFAULT_STUDY_SEED
+    else:
+        from .experiments import DEFAULT_TABLE1_SEED, run_chequerboard, run_microarray
+        pinned = DEFAULT_TABLE1_SEED if args.what == "table1" else 0
+    if args.seed is None:
+        args.seed = pinned
     config = _config_of(args)
     hdr = _header(args.seed, config)
     # every input is read and every result computed before --out is made,

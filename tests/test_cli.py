@@ -1,10 +1,15 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import permclass
 from permclass import cli
 from permclass.cli import main
 
@@ -645,6 +650,34 @@ def test_predict_names_a_missing_model_key(tmp_path, capsys, key):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("class_names", 3, "model class_names must be a list of strings, got 3"),
+    ("class_names", [1, 2], "model class_names must be a list of strings, got [1, 2]"),
+    ("n_classes", "2", "model n_classes must be an integer, got '2'"),
+    ("n_classes", True, "model n_classes must be an integer, got True"),
+    ("n_classes", 2.0, "model n_classes must be an integer, got 2.0"),
+    ("points", 5, "model points must be a list, got 5"),
+    ("points", {"x": [0.0]}, "model points must be a list, got {'x': [0.0]}"),
+    ("labels", "ab", "model labels must be a list, got 'ab'"),
+    ("labels", [0.5, 0, 1, 1, 1, 1], "label 0 is not an integer class code (0.5)"),
+], ids=["int-names", "int-name-entries", "str-count", "bool-count", "float-count",
+        "int-points", "dict-points", "str-labels", "fractional-label"])
+def test_predict_refuses_a_model_field_of_the_wrong_type(tmp_path, capsys, key, value,
+                                                         message):
+    data, queries = _two_class_files(tmp_path, 3)
+    model = tmp_path / "model.json"
+    assert run(["fit", "--data", str(data), "--out", str(model)], capsys)[0] == 0
+    doc = json.loads(model.read_text())
+    doc["model"][key] = value
+    model.write_text(json.dumps(doc))
+    out = tmp_path / "pred.csv"
+    code, stdout, err = run(["predict", "--model", str(model), "--queries", str(queries),
+                             "--out", str(out)], capsys)
+    assert (code, stdout) == (1, "")
+    assert f"{model}: {message}" in err, err
+    assert not out.exists()
+
+
 def test_fit_and_predict_hold_one_class_gram_at_a_time(tmp_path, capsys):
     # two classes of n points at order 2: the peak of traced allocations
     # stays near one n x n Gram matrix, where both classes' would be twice it
@@ -741,10 +774,12 @@ def test_fit_reads_the_constant_kernel_flag(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, files, message", [
     (["perm", "approx", "--matrix", "{tmp}/m.csv", "--alpha", "1", "--order", "exact"],
-     {"m.csv": "1,0.5\n0.5,1\n"}, "--order must be 0..3 for perm approx"),
+     {"m.csv": "1,0.5\n0.5,1\n"}, "permclass: error: --order must be 0..3 for perm approx"),
+    (["perm", "approx", "--matrix", "{tmp}/m.csv", "--alpha", "-1"],
+     {"m.csv": "1,0.5\n0.5,1\n"}, "permclass: error: alpha must be positive, got -1.0"),
     (["simulate", "chequerboard", "--config", "{tmp}/run.cfg", "--out", "{tmp}/out.csv"],
      {"run.cfg": "# defaults\nper_cell 3\n"}, "{tmp}/run.cfg:2: expected key=value"),
-], ids=["perm-approx-exact-order", "config-line-without-equals"])
+], ids=["perm-approx-exact-order", "perm-approx-negative-alpha", "config-line-without-equals"])
 def test_cli_refusals_name_their_cause(tmp_path, capsys, argv, files, message):
     for name, text in files.items():
         (tmp_path / name).write_text(text)
@@ -765,6 +800,7 @@ _TRAIN = "x0,x1,label\n0.0,0.1,a\n0.2,0.0,a\n0.1,0.3,a\n2.0,2.1,b\n2.2,1.9,b\n1.
      ["genes", "rank", "--expr", "{doc}", "--labels", "{tmp}/labels.csv",
       "--out", "{tmp}/out.csv"]),
     ("matrix.csv", "1,2,3\n4,5\n", ["perm", "exact", "--matrix", "{doc}", "--alpha", "1"]),
+    ("ns.csv", "1,0.5\n0.4,1\n", ["perm", "approx", "--matrix", "{doc}", "--alpha", "1"]),
     ("model.json", '{"model": {"params": ',
      ["predict", "--model", "{doc}", "--queries", "{tmp}/train.csv", "--out", "{tmp}/out.csv"]),
     ("grid.json", json.dumps({"grid": [{"kernel": {"family": "gaussian", "tau": 0.5},
@@ -773,7 +809,8 @@ _TRAIN = "x0,x1,label\n0.0,0.1,a\n0.2,0.0,a\n0.1,0.3,a\n2.0,2.1,b\n2.2,1.9,b\n1.
       "--out", "{tmp}/out.json"]),
     ("run.cfg", "# defaults\nper_cell 3\n",
      ["simulate", "chequerboard", "--config", "{doc}", "--out", "{tmp}/out.csv"]),
-], ids=["features-csv", "expression-csv", "matrix-csv", "model-json", "grid-json", "config"])
+], ids=["features-csv", "expression-csv", "matrix-csv", "asymmetric-matrix-csv", "model-json",
+        "grid-json", "config"])
 def test_a_malformed_input_file_is_refused_by_name(tmp_path, capsys, name, text, argv):
     # one malformed document of each input format: the command exits 1,
     # its message names the file, and it writes nothing
@@ -787,3 +824,88 @@ def test_a_malformed_input_file_is_refused_by_name(tmp_path, capsys, name, text,
     assert (code, out) == (1, "")
     assert err.startswith(f"permclass: error: {doc}"), err
     assert sorted(tmp_path.iterdir()) == inputs
+
+
+# every name the package exported when it imported each of its modules eagerly
+_PACKAGE_NAMES = [
+    "GramMatrix", "Kernel", "KernelFamily", "gram", "kernel_block", "kernel_column",
+    "kernel_eval", "kernel_self", "EXACT_SIZE_CAP", "ExactSizeLimitError", "Partition",
+    "cyclic_ratio_exact", "cyp_exact", "ewens_probability", "iter_set_partitions",
+    "label_probability_exact", "partition_probability_exact", "per_alpha_exact",
+    "ratio_exact", "ratio_exact_matrix", "rising_factorial", "EXACT_ORDER", "MAX_ORDER",
+    "DegenerateConfigurationError", "LimitTable", "RatioTable", "build_ratio_table",
+    "per_alpha_cyclic", "ratio_approx", "ratio_approx_matrix", "ratio_from_kt",
+    "FittedModel", "LabeledDataset", "ModelParams", "PosteriorTable", "fit", "knn_predict",
+    "predict", "predict_infinite", "sequential_partition", "CVReport", "CVSpec",
+    "cross_entropy", "cross_validate", "default_grid", "error_rate", "fold_assignment",
+    "median_pairwise_distance", "ExpressionMatrix", "SplitPlan", "chequerboard_label",
+    "gen_chequerboard", "gen_expression", "gen_grid_testset", "gen_triangular",
+    "load_expression_csv", "load_features_csv", "make_splits", "rank_genes_bw",
+    "save_features_csv", "splitmix64", "two_axis_projection", "BenchReport", "StudyConfig",
+    "StudyReport", "accuracy_study", "bench_orders", "ChequerboardResult",
+    "MicroarrayResult", "run_chequerboard", "run_microarray",
+]
+
+
+def test_every_package_name_still_imports_from_permclass():
+    # the pipelines' names are looked up on use, so this runs that lookup
+    # whether or not their modules are loaded yet
+    for name in _PACKAGE_NAMES:
+        exec(f"from permclass import {name}", {})
+    with pytest.raises(ImportError, match="no_such_name"):
+        exec("from permclass import no_such_name", {})
+
+
+_PIPELINES = ("permclass.benchmarks", "permclass.experiments", "permclass.model_select")
+
+# runs the subcommand given as arguments, if any, after importing the CLI
+# alone, and prints which pipeline modules the interpreter has loaded
+_LOADED_AFTER = f"""
+import sys
+from permclass.cli import main
+code = main(sys.argv[1:]) if sys.argv[1:] else 0
+print(sorted(m for m in sys.modules if m in {_PIPELINES!r}))
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    ([], []),
+    (["perm", "approx", "--matrix", "{tmp}/m.csv", "--alpha", "1"], []),
+    (["fit", "--data", "{tmp}/train.csv", "--out", "{tmp}/fitted.json"], []),
+    (["predict", "--model", "{tmp}/model.json", "--queries", "{tmp}/train.csv",
+      "--out", "{tmp}/pred.csv"], []),
+    (["partition", "--data", "{tmp}/train.csv", "--lambda", "1", "--out", "{tmp}/part.json"],
+     []),
+    (["simulate", "triangular", "--n", "5", "--out", "{tmp}/sim.csv"], []),
+    (["genes", "rank", "--expr", "{tmp}/expr.csv", "--labels", "{tmp}/labels.csv",
+      "--out", "{tmp}/genes.csv"], []),
+    (["cv", "--data", "{tmp}/train.csv", "--folds", "2", "--out", "{tmp}/cv.json"],
+     ["permclass.model_select"]),
+    (["bench", "--orders", "1", "--sizes", "4,8", "--queries", "1"], ["permclass.benchmarks"]),
+    (["study", "--n", "16", "--t-points", "9", "--out", "{tmp}/study"],
+     ["permclass.benchmarks"]),
+    (["reproduce", "figure1", "--out", "{tmp}/figure1"], ["permclass.benchmarks"]),
+    (["reproduce", "table1", "--out", "{tmp}/table1"],
+     ["permclass.experiments", "permclass.model_select"]),
+    (["reproduce", "microarray", "--repetitions", "2", "--out", "{tmp}/microarray"],
+     ["permclass.experiments", "permclass.model_select"]),
+], ids=["import", "perm", "fit", "predict", "partition", "simulate", "genes", "cv", "bench",
+        "study", "reproduce-figure1", "reproduce-table1", "reproduce-microarray"])
+def test_a_start_loads_only_the_pipelines_its_subcommand_runs(tmp_path, capsys, argv, loaded):
+    # each start is a fresh interpreter, as a command-line start is
+    (tmp_path / "train.csv").write_text(_TRAIN)
+    (tmp_path / "m.csv").write_text("1,0.5\n0.5,1\n")
+    (tmp_path / "expr.csv").write_text("gene_id,S0,S1,S2,S3\nG0,1,1,5,5\nG1,1,2,1.5,1.6\n")
+    (tmp_path / "labels.csv").write_text("sample,label\nS0,a\nS1,a\nS2,b\nS3,b\n")
+    assert run(["fit", "--data", str(tmp_path / "train.csv"),
+                "--out", str(tmp_path / "model.json")], capsys)[0] == 0
+    src = str(Path(permclass.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_AFTER,
+         *(a.replace("{tmp}", str(tmp_path)) for a in argv)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == repr(loaded)
