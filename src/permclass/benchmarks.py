@@ -73,10 +73,11 @@ def _fit_slope(sizes, times) -> float | None:
     return float(np.polyfit(x, y, 1)[0])
 
 
-def bench_orders(n_list, kernel: Kernel | None = None, alpha: float = 1.0,
-                 seed: int = 0, orders=(1, 2, 3), queries: int = 20,
-                 warmup: int = 3, target_time: float = 2e-3) -> BenchReport:
-    """Median per-query wall time of ratio_approx per (n, order).
+def bench_orders(n_list, alpha: float = 1.0, seed: int = 0, orders=(1, 2, 3),
+                 queries: int = 20, warmup: int = 3,
+                 target_time: float = 2e-3) -> BenchReport:
+    """Median per-query wall time of ratio_approx per (n, order), with a
+    gaussian kernel of tau 1.
 
     Each order reads its own table, built at that order outside the timed
     region, so the measurement isolates per-query cost.  Each query point
@@ -88,8 +89,7 @@ def bench_orders(n_list, kernel: Kernel | None = None, alpha: float = 1.0,
     sizes = sorted(int(n) for n in n_list)
     if sizes != list(n_list):
         raise ValueError("sizes must be ascending")
-    if kernel is None:
-        kernel = Kernel.gaussian(1.0)
+    kernel = Kernel.gaussian(1.0)
     rng = np.random.default_rng(seed)
     per_order: dict[int, list[float]] = {k: [] for k in orders}
     for n in sizes:

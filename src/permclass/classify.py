@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -101,7 +101,9 @@ class ModelParams:
             raise ValueError(f"lambda must be positive and finite, got {self.lam}")
         alphas = (self.alphas if np.iterable(self.alphas) and not isinstance(self.alphas, str)
                   else [self.alphas])
-        if not all(_is_real(a) and math.isfinite(a) for a in alphas):
+        # a mapping iterates over its keys, and an empty list would pass all()
+        if (isinstance(alphas, Mapping) or not len(alphas)
+                or not all(_is_real(a) and math.isfinite(a) for a in alphas)):
             raise ValueError(f"alphas must be finite real numbers, got {self.alphas!r}")
 
     def alpha_vector(self, k: int) -> np.ndarray:
@@ -226,8 +228,9 @@ def _weights(tables: Iterable, ktt: np.ndarray, blocks) -> np.ndarray:
     finished for an array of alphas (one call to each table's ``rows`` per
     block serves every candidate, told the query count).  Over tables of
     stacked Gram matrices, ``ktt`` and the blocks carry the stack's leading
-    kernel axis.  Each table is dropped before the next is pulled, so over
-    a generator one class's table is alive at once."""
+    kernel axis, which the weights keep after the candidate axis (A x K
+    alphas give (A, K, Q, classes)).  Each table is dropped before the next
+    is pulled, so over a generator one class's table is alive at once."""
     raw = None
     r = 0
     for table in tables:

@@ -111,11 +111,12 @@ class RatioTable:
     leading axis with one slice per candidate, bit for bit that candidate's
     own table, and `rows` answers for every candidate in one pass.  Over a
     stack of K Gram matrices (one per kernel, as cross-validation builds
-    them) ``alpha`` is a K x A array, row k the alphas of kernel k's A
-    candidates, and the entries gain both leading axes; each kernel's
-    values broadcast over its candidates, so no per-kernel array is copied
-    per candidate.  Such a stacked table serves `rows` only, not the
-    single-query `ratio_from_kt`.
+    them) ``alpha`` is an A x K array, column k the alphas of kernel k's A
+    candidates, and the entries gain both leading axes, candidate before
+    kernel; a kernel's arrays, which carry only the kernel axis, broadcast
+    over its candidates by numpy's trailing-axis rule, so no per-kernel
+    array is copied per candidate.  Such a stacked table serves `rows`
+    only, not the single-query `ratio_from_kt`.
     """
 
     gram: GramMatrix
@@ -144,9 +145,9 @@ class RatioTable:
         alpha-free product P = (Kt / d) G - Kt once per call and kernel;
         order 3 its four-cycle bracket from Kt M for a query set of
         ``n_queries`` >= n rows (default: the block), else from Kt dg,
-        once per call and kernel, and Kt T^T.  The
-        result has shape (Q,) for a table of one alpha, (A, Q) for A alphas
-        and (K, A, Q) over a stack of K Gram matrices, each row the one-alpha
+        once per call and kernel, and Kt T^T.  The result has shape (Q,)
+        for a table of one alpha, (A, Q) for A alphas and (A, K, Q) for an
+        A x K array over a stack of K Gram matrices, each row the one-alpha
         result bit for bit.  Negative order >= 2 values are returned as
         computed and reported in one warning per call.
         """
@@ -155,34 +156,27 @@ class RatioTable:
         Kt = np.asarray(Kt, dtype=float)
         if Kt.ndim != self.gram.entries.ndim or Kt.shape[-1] != n:
             raise ValueError(f"kernel block must have {n} columns, got shape {Kt.shape}")
-        # alpha broadcast against a block: (1, 1) for one alpha, (A, 1, 1) for A
+        # alpha against a block: (1, 1) for one alpha, (A, 1, 1) or (A, K, 1, 1)
         a = np.asarray(self.alpha)[..., None, None]
-
-        def each(x):
-            return _per_candidate(x, self.gram)
-
-        out = a[..., 0] * each(np.asarray(ktt, dtype=float))
+        out = a[..., 0] * np.asarray(ktt, dtype=float)
         if order == 0 or n == 0:
             return out
         G = self.gram.entries
         # a diagonal of exact ones divides nothing, so it is skipped: x / 1.0 = x
         d = None if self.unit else self.gram.diagonal[..., None, :]
         if order == 1:
-            return out + each((Kt * Kt if d is None else Kt * Kt / d).sum(axis=-1))
+            return out + (Kt * Kt if d is None else Kt * Kt / d).sum(axis=-1)
         if order == 2:
             # P[q, i] = sum_{j != i} K(x_i, x_j) K(t_q, x_j) / d_j, the same for every alpha
             P = (Kt if d is None else Kt / d) @ G - Kt
-            Kt, P = each(Kt), each(P)
             out = out + ((a * Kt * Kt + Kt * P) / self.r1_loo[..., None, :]).sum(axis=-1)
         else:
             # the four-cycle bracket E: Kt M, or without M (for fewer rows)
             # Kt + (Kt + (Kt dg) / a) T^T less the k = i terms Kt s3 / a
             if _reads_four_cycle_matrix(Kt.shape[-2] if n_queries is None else n_queries, n):
-                Kt = each(Kt)
                 E = Kt @ self._four_cycle_matrix()
             else:
-                E = each(Kt @ self._dg) / a
-                Kt = each(Kt)
+                E = (Kt @ self._dg) / a
                 E += Kt
                 E = E @ np.swapaxes(self._t3, -1, -2)
                 E += Kt
@@ -200,7 +194,7 @@ class RatioTable:
         terms): one O(n^3) product per alpha, made on first use and kept."""
         if self._m3 is None:
             Tt = np.swapaxes(self._t3, -1, -2)
-            m3 = _per_candidate(self._dg, self.gram) @ Tt
+            m3 = self._dg @ Tt
             m3 *= 1.0 / np.asarray(self.alpha)[..., None, None]
             m3 += Tt
             m3[(..., *np.diag_indices(self.n))] = 1.0
@@ -245,30 +239,27 @@ class _FitCore:
 
     def finish(self, alpha, out: np.ndarray | None = None) -> RatioTable:
         """The table for one alpha > 0, for a 1-d array of alphas stacked
-        along a leading axis or, over a stack of K Gram matrices, for a
-        K x A array (row k for kernel k): O(n^2) elementwise work on the
-        core per alpha, each slice bit for bit the one-alpha table.  At
-        order 3 T^T is written into ``out`` when it is given (alpha's shape
-        + (n, n)), else into a new array; cross-validation reuses one."""
+        along a leading axis or, over a stack of K Gram matrices, for an
+        A x K array (column k for kernel k), before which the core's kernel
+        axis broadcasts: O(n^2) elementwise work on the core per alpha,
+        each slice bit for bit the one-alpha table.  At order 3 T^T is
+        written into ``out`` when it is given (alpha's shape + (n, n)),
+        else into a new array; cross-validation reuses one."""
         alpha = _alpha_arg(alpha)
-        a = np.asarray(alpha)[..., None]  # (1,) for one alpha, (A, 1) for A
-
-        def each(x):
-            return _per_candidate(x, self.gram)
-
+        a = np.asarray(alpha)[..., None]  # (1,) for one alpha, (A, 1) or (A, K, 1)
         table = RatioTable(self.gram, alpha, self.order, unit=self.unit)
         if self.order < 2:
             return table
-        ad = a * each(self.d)
-        r1_loo = table.r1_loo = ad + each(self.q_sum)
+        ad = a * self.d
+        r1_loo = table.r1_loo = ad + self.q_sum
         if self.order == 3:
-            G = each(self.gram.entries)
+            G = self.gram.entries
             # r1_l2o^T: l2o[m, i] is x_m's two-cycle ratio against the points
             # minus {i, m}, r1_loo[m] less q[m, i] = Qoff[m, i] (1.0 on the diagonal)
-            q = self.gram.entries * self.gram.entries
+            q = G * G
             if not self.unit:
                 q /= self.d[..., None, :]
-            l2o = r1_loo[..., :, None] - each(q)
+            l2o = r1_loo[..., :, None] - q
             del q
             diag = (..., *np.diag_indices(self.gram.n))
             l2o[diag] = 1.0
@@ -276,7 +267,7 @@ class _FitCore:
             # groups as (a * G) * G, and a * (G * G) would round differently
             C = np.multiply(a[..., None], G, out=out)
             C *= G
-            C += each(self.g_inner)
+            C += self.g_inner
             C /= l2o
             C[diag] = 0.0
             table.r2_loo = ad + C.sum(axis=-2)
@@ -288,10 +279,9 @@ class _FitCore:
             # dg: G / d by rows (a copy of G on a unit diagonal, in the layout the
             # division makes), zero diagonal, once per kernel; s3[i] = (dg T^T)[i, i],
             # the k = i terms, from the very products dg[i, j] T[i, j] that (Kt dg) T^T sums
-            entries = self.gram.entries
-            dg = entries.copy(order="K") if self.unit else entries / self.d[..., :, None]
+            dg = G.copy(order="K") if self.unit else G / self.d[..., :, None]
             dg[diag] = 0.0
-            table._s3 = (each(dg)[..., None, :] @ table._t3[..., None])[..., 0, 0]
+            table._s3 = (dg[..., None, :] @ table._t3[..., None])[..., 0, 0]
             table._dg = dg
         return table
 
@@ -300,13 +290,6 @@ def _reads_four_cycle_matrix(n_queries: int, n: int) -> bool:
     """Whether an order-3 table of n points reads ``n_queries`` queries
     by M: its O(n^3) build saves one O(n^2) product per query."""
     return n_queries >= n
-
-
-def _per_candidate(x: np.ndarray, g: GramMatrix) -> np.ndarray:
-    """Per-kernel values broadcast over each kernel's candidates: over a
-    stack of Gram matrices ``g``, a candidate axis (of length 1) after the
-    kernel axis, which is a view; over one Gram matrix, ``x`` itself."""
-    return x[:, None] if g.entries.ndim == 3 else x
 
 
 def _alpha_arg(alpha):

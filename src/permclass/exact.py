@@ -222,8 +222,8 @@ class _PerTable:
         and ``ktt[q] = K(t_q, t_q)`` (a 0 x 0 Gram matrix gives alpha K(t, t)):
         shape (Q,) for one alpha, (A, Q) for A alphas, one alpha at a time.
         Over a stack of one Gram matrix, as cross-validation builds it,
-        ``Kt`` and ``ktt`` gain its leading axis and alpha is a 1 x A array,
-        giving shape (1, A, Q).
+        ``Kt`` and ``ktt`` gain its leading axis and alpha is an A x 1 array
+        (candidates before the kernel), giving shape (A, 1, Q).
 
         The denominator per_a{K(x)} is computed once per call and alpha, and
         each query's matrix borders the Gram matrix.

@@ -60,7 +60,10 @@ def _as_points(points) -> np.ndarray:
 
 def _as_rows(points, what: str) -> np.ndarray:
     """Points as a 2-d float array whose entries are all finite."""
-    pts = np.asarray(points, dtype=float)
+    try:
+        pts = np.asarray(points, dtype=float)
+    except (TypeError, ValueError) as err:  # a mapping or a string in it, or ragged rows
+        raise ValueError(f"{what} array must be rows of real numbers ({err})") from None
     if pts.ndim < 2:
         pts = pts.reshape(-1, 1)
     if pts.ndim > 2:
@@ -72,7 +75,10 @@ def _as_rows(points, what: str) -> np.ndarray:
 def _as_square(matrix, what: str = "matrix") -> np.ndarray:
     """A raw matrix as a square 2-d float array whose entries are all
     finite; ``[]`` is the 0 x 0 matrix."""
-    m = np.asarray(matrix, dtype=float)
+    try:
+        m = np.asarray(matrix, dtype=float)
+    except (TypeError, ValueError) as err:  # a mapping or a string in it, or ragged rows
+        raise ValueError(f"{what} must be rows of real numbers ({err})") from None
     if m.shape == (0,):
         m = m.reshape(0, 0)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -99,13 +105,19 @@ def _check_kernel_row(kt: np.ndarray, ktt: float) -> None:
 
 
 def _label_codes(labels) -> np.ndarray:
-    """Labels as a 1-d int array, refusing other shapes, values that are
-    not whole numbers and negative codes."""
+    """Labels as a 1-d int array, refusing other shapes, entries that are
+    not whole numbers in the int64 range, and negative codes."""
     raw = np.asarray(labels)
     if raw.ndim != 1:
         raise ValueError(f"labels must be a 1-d array (one code per point), got shape {raw.shape}")
+    if raw.dtype.kind not in "biuf":  # a string, a null or a mapping among them
+        for i, v in enumerate(raw.tolist()):
+            if not _is_real(v):
+                raise ValueError(f"label {i} is not an integer class code ({v!r})")
+        raw = raw.astype(float)
     if raw.dtype.kind == "f":
-        bad = np.flatnonzero(~np.isfinite(raw) | (raw != np.round(raw)))
+        # a whole number past the int64 range would wrap when converted
+        bad = np.flatnonzero(~np.isfinite(raw) | (raw != np.round(raw)) | (abs(raw) >= 2.0**63))
         if bad.size:
             i = int(bad[0])
             raise ValueError(f"label {i} is not an integer class code ({raw[i]})")

@@ -204,8 +204,8 @@ def _runs(groups: list[tuple[Kernel, list[int]]], sizes: list[int], n_queries: i
     core and finish answer, and how many candidates of a lone kernel one
     finish takes.
 
-    A stacked table is finished for a kernels x alphas array, so a run's
-    kernels have equal candidate counts (groups are taken fewest first).
+    A stacked table is finished for an A x K array (A alphas per kernel), so
+    a run's kernels have equal candidate counts (groups are taken fewest first).
     Per kernel, a stacked core holds each class's n_r x n_r Gram matrix and
     held-out block (at order 3 also g_inner, and its finish Qoff, then dg);
     per candidate, the stacked tables hold each class's T^T at order 3, and
@@ -292,9 +292,9 @@ class _Sweep:
         # fit in one finish of ``step``
         width = max(1, step // len(run))
         for lo in range(0, len(run[0][1]), width):
-            members = np.array([live[lo:lo + width] for _, live in run])
+            members = np.column_stack([live[lo:lo + width] for _, live in run])
             try:
-                # kernels x candidates x classes alphas; each class's core is
+                # candidates x kernels x classes alphas; each class's core is
                 # finished for its slice just before its blocks are read
                 alpha = np.array([self.alphas[i] for i in members.ravel()])
                 alpha = alpha.reshape(*members.shape, -1)
@@ -326,7 +326,7 @@ def cross_validate(data: LabeledDataset, spec: CVSpec) -> CVReport:
     kernel axis, and one table core per class over the stack
     (O(sum_r n_r^2) per kernel, O(sum_r n_r^3) at order 3 as one batched
     product), a lone kernel as a stack of one.  Each core is finished once
-    for a kernels x alphas array (O(sum_r n_r^2) per candidate), one
+    for an A x K array of alphas (O(sum_r n_r^2) per candidate), one
     ``rows`` call per class and held-out block answers every candidate (the
     held-out rows are cut by `predict`'s rule, `kernels._query_steps`), and
     normalisation and the objective run as array operations over them.  Each candidate's

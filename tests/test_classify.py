@@ -195,10 +195,13 @@ def test_non_finite_model_parameters_raise():
     ("alphas", "1.0", r"alphas must be finite real numbers, got '1.0'"),
     ("alphas", [1.0, True], r"alphas must be finite real numbers, got \[1.0, True\]"),
     ("alphas", np.array([True, False]), r"alphas must be finite real numbers"),
+    ("alphas", {}, r"alphas must be finite real numbers, got \{\}"),
+    ("alphas", {0.5: 1.0}, r"alphas must be finite real numbers, got \{0.5: 1.0\}"),
+    ("alphas", [], r"alphas must be finite real numbers, got \[\]"),
     ("lam", True, r"lambda must be a real number, got True"),
     ("lam", "0.5", r"lambda must be a real number, got '0.5'"),
-], ids=["bool-alpha", "str-alpha", "bool-in-alphas", "bool-array-alphas", "bool-lambda",
-        "str-lambda"])
+], ids=["bool-alpha", "str-alpha", "bool-in-alphas", "bool-array-alphas", "empty-mapping-alphas",
+        "mapping-alphas", "empty-alphas", "bool-lambda", "str-lambda"])
 def test_model_parameters_that_are_not_numbers_are_refused(field, value, message):
     # Python and numpy take a bool as 0 or 1, and a string would fail in a
     # comparison far from the field that holds it

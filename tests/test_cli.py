@@ -660,8 +660,16 @@ def test_predict_names_a_missing_model_key(tmp_path, capsys, key):
     ("points", {"x": [0.0]}, "model points must be a list, got {'x': [0.0]}"),
     ("labels", "ab", "model labels must be a list, got 'ab'"),
     ("labels", [0.5, 0, 1, 1, 1, 1], "label 0 is not an integer class code (0.5)"),
+    ("points", [[{}], [1], [2], [3]], "point array must be rows of real numbers (float() "
+     "argument must be a string or a real number, not 'dict')"),
+    ("points", [["a"], [1], [2], [3]], "point array must be rows of real numbers (could not "
+     "convert string to float: 'a')"),
+    ("points", [[0.0, 1.0], [1.0]], "point array must be rows of real numbers ("),
+    ("labels", [0, {}, 1, 1, 1, 1], "label 1 is not an integer class code ({})"),
+    ("labels", [0, 0, None, 1, 1, 1], "label 2 is not an integer class code (None)"),
 ], ids=["int-names", "int-name-entries", "str-count", "bool-count", "float-count",
-        "int-points", "dict-points", "str-labels", "fractional-label"])
+        "int-points", "dict-points", "str-labels", "fractional-label", "dict-in-points",
+        "str-in-points", "ragged-points", "dict-label", "null-label"])
 def test_predict_refuses_a_model_field_of_the_wrong_type(tmp_path, capsys, key, value,
                                                          message):
     data, queries = _two_class_files(tmp_path, 3)
@@ -704,7 +712,16 @@ def test_fit_and_predict_hold_one_class_gram_at_a_time(tmp_path, capsys):
      "order must be 0..3 or 'exact', got 3.0"),
     ({"grid": [{"kernel": {"family": "constant", "c": 1.0, "tau": 0.1}, "alphas": 1.0}]},
      "constant kernel takes no tau, got 0.1"),
-], ids=["no-grid-key", "bool-order", "float-order", "constant-tau"])
+    ({"grid": [{"kernel": {"family": "gaussian", "tau": 0.5}, "alphas": {}}]},
+     "grid.json: grid entry 0: alphas must be finite real numbers, got {}"),
+    ({"grid": [{"kernel": {"family": "gaussian", "tau": 0.5}, "alphas": []}]},
+     "grid.json: grid entry 0: alphas must be finite real numbers, got []"),
+    ({"grid": [{"kernel": {"family": "projection_matrix",
+                           "aux": {"matrix": [[{}]], "points": [[0.0]]}}, "alphas": 1.0}]},
+     "grid.json: grid entry 0: projection matrix must be rows of real numbers (float() "
+     "argument must be a string or a real number, not 'dict')"),
+], ids=["no-grid-key", "bool-order", "float-order", "constant-tau", "mapping-alphas",
+        "empty-alphas", "mapping-in-projection-matrix"])
 def test_cv_refuses_a_bad_grid_file_and_writes_nothing(tmp_path, capsys, grid, message):
     data = tmp_path / "train.csv"
     run(["simulate", "chequerboard", "--per-cell", "3", "--seed", "9",

@@ -221,22 +221,23 @@ def test_stacked_finish_and_rows_equal_each_alphas_table(rng, order):
 
 @pytest.mark.parametrize("order", [0, 1, 2, 3])
 def test_kernel_stacked_core_finish_and_rows_equal_each_kernels_tables(rng, order):
-    # one core over a stack of K Gram matrices, one finish for a K x A array
-    # of alphas (row k for kernel k) and one rows call over the stacked
-    # blocks give, at [k, j], kernel k's own core, alpha j's own table and
-    # its rows, bit for bit; so does a finish into a given buffer
+    # one core over a stack of K Gram matrices, one finish for an A x K array
+    # of alphas (column k for kernel k, A = 3 != K = 4, so swapped axes fail
+    # on shape) and one rows call over the stacked blocks give, at [j, k],
+    # kernel k's own core, alpha j's own table and its rows, bit for bit; so
+    # does a finish into a given buffer
     for n in (0, 1, 2, 9, 40):
         mats = [sym_nonneg(rng, n), np.diag(rng.uniform(0.5, 2.0, size=n)),
                 np.full((n, n), 0.7), banded_gram(rng, n) if n > 2 else sym_nonneg(rng, n)]
         stack = GramMatrix(np.stack(mats), np.zeros((n, 1)))
         core = _fit_core(stack, order)
-        alphas = np.array([[2.0, 0.5, 0.25], [1.0, 1.0, 0.1 + 0.2], [4.0, 0.5, 2.0],
-                           [0.25, 3.0, 1.0]])
+        alphas = np.array([[2.0, 1.0, 4.0, 0.25], [0.5, 1.0, 0.5, 3.0],
+                           [0.25, 0.1 + 0.2, 2.0, 1.0]])
         Kt = np.stack([_sparse_block(rng, 30, n) for _ in mats])
         ktt = rng.uniform(0.5, 1.5, size=(len(mats), 30))
         stacked = core.finish(alphas)
         got = stacked.rows(Kt, ktt)
-        assert got.shape == (len(mats), 3, 30)
+        assert got.shape == (3, len(mats), 30)
         if order == 3:
             buffer = np.full((*alphas.shape, n, n), np.nan)
             into = core.finish(alphas, out=buffer)
@@ -247,13 +248,13 @@ def test_kernel_stacked_core_finish_and_rows_equal_each_kernels_tables(rng, orde
             for name in ("d", "q_sum", "g_inner"):
                 a, b = getattr(core, name), getattr(own, name)
                 assert (a is None and b is None) or np.array_equal(a[k], b)
-            for j, alpha in enumerate(alphas[k]):
+            for j, alpha in enumerate(alphas[:, k]):
                 one = own.finish(alpha)
                 assert (stacked._dg is None and one._dg is None) or np.array_equal(
                     stacked._dg[k], one._dg)
                 for a, b in zip(_table_arrays(stacked), _table_arrays(one)):
-                    assert (a is None and b is None) or np.array_equal(a[k, j], b)
-                assert np.array_equal(got[k, j], one.rows(Kt[k], ktt[k]))
+                    assert (a is None and b is None) or np.array_equal(a[j, k], b)
+                assert np.array_equal(got[j, k], one.rows(Kt[k], ktt[k]))
 
 
 @pytest.mark.parametrize("order", [0, 1, 2, 3])
@@ -286,11 +287,11 @@ def test_order_3_rows_match_the_nested_sums(rng):
     # a block of at least n rows reads the four-cycle matrix M, one product
     # per alpha (M is built on that call), a shorter block the two-product
     # form, which builds no M; ratio_from_kt reads the nested sums over T.
-    # At 1, n - 1, n and n + 1 rows each alpha's row, alone or in a
-    # kernels x alphas stack, stays within 1e-13 of the nested sums, every
-    # stacked slice is the one-alpha row bit for bit, and M's diagonal is
-    # exactly 1
-    alphas = np.array([[0.25, 1.0], [0.1 + 0.2, 4.0]])
+    # At 1, n - 1, n and n + 1 rows each alpha's row, alone or in an
+    # alphas x kernels stack (3 x 2), stays within 1e-13 of the nested sums,
+    # every stacked slice is the one-alpha row bit for bit, and M's diagonal
+    # is exactly 1
+    alphas = np.array([[0.25, 0.1 + 0.2], [1.0, 4.0], [2.0, 0.5]])
     for M in _order_3_grams(rng):
         n = M.shape[0]
         mats = [M, sym_nonneg(rng, n)]
@@ -303,11 +304,11 @@ def test_order_3_rows_match_the_nested_sums(rng):
             got = stacked.rows(Kt, ktt)
             tables = [stacked] + [core.finish(a) for core in cores for a in (0.5, 2.0)]
             for k, core in enumerate(cores):
-                for j, alpha in enumerate(alphas[k]):
+                for j, alpha in enumerate(alphas[:, k]):
                     one = core.finish(alpha)
                     row = one.rows(Kt[k], ktt[k])
                     tables.append(one)
-                    assert np.array_equal(got[k, j], row)
+                    assert np.array_equal(got[j, k], row)
                     ref = np.array([ratio_from_kt(one, kt, t) for kt, t in zip(Kt[k], ktt[k])])
                     np.testing.assert_allclose(row, ref, rtol=1e-13, atol=0.0)
             for table in tables[1:5]:
@@ -319,11 +320,11 @@ def test_order_3_rows_match_the_nested_sums(rng):
 
 
 def test_kernel_stacked_order_3_rows_equal_each_one_alpha_fit(rng):
-    # each [k, j] slice of a K x A order-3 table's rows is the rows of the
-    # table `fit` makes for kernel k and alpha j alone, bit for bit
+    # each [j, k] slice of an A x K (2 x 3) order-3 table's rows is the rows
+    # of the table `fit` makes for kernel k and alpha j alone, bit for bit
     data = gen_chequerboard(4, seed=5)
     kernels = [Kernel.gaussian(0.4), Kernel.exponential(1.1), Kernel.gaussian(2.0)]
-    alphas = np.array([[0.5, 2.0], [1.0, 0.1 + 0.2], [4.0, 0.25]])
+    alphas = np.array([[0.5, 1.0, 4.0], [2.0, 0.1 + 0.2, 0.25]])
     queries = rng.uniform(0.0, 3.0, size=(20, 2))
     for r in range(data.n_classes):
         pts = data.class_points(r)
@@ -333,9 +334,9 @@ def test_kernel_stacked_order_3_rows_equal_each_one_alpha_fit(rng):
         ktt = np.stack([kernel_self_batch(k, queries) for k in kernels])
         got = stacked.rows(Kt, ktt)
         for k, kernel in enumerate(kernels):
-            for j, alpha in enumerate(alphas[k]):
+            for j, alpha in enumerate(alphas[:, k]):
                 one = fit(data, ModelParams(kernel=kernel, alphas=alpha, order=3)).classes[r]
-                assert np.array_equal(got[k, j], one.rows(Kt[k], ktt[k]))
+                assert np.array_equal(got[j, k], one.rows(Kt[k], ktt[k]))
 
 
 def _four_cycle_bracket_longdouble(T, G, Kt, alpha):
@@ -1088,10 +1089,10 @@ def _one_shot_core(G, order):
 def _assert_one_shot_bits(g, orders):
     for order in orders:
         core = _fit_core(g, order)
-        # alpha = 1 as a one-candidate array, over a stack one per kernel
-        table = core.finish(np.ones((*g.entries.shape[:-2], 1)))
+        # alpha = 1 as a one-candidate array, over a stack of K kernels 1 x K
+        table = core.finish(np.ones((1, *g.entries.shape[:-2])))
         got = {"q_sum": core.q_sum, "g_inner": core.g_inner, "dg": table._dg,
-               "Tt": None if order < 3 else np.swapaxes(table._t3, -1, -2)[..., 0, :, :]}
+               "Tt": None if order < 3 else np.swapaxes(table._t3, -1, -2)[0]}
         for name, want in _one_shot_core(g.entries, order).items():
             assert (got[name] is None and want is None) or np.array_equal(got[name], want), \
                 (order, name)
@@ -1161,8 +1162,10 @@ def test_unit_diagonal_core_has_the_dividing_bits(rng, monkeypatch, block_entrie
     unit = {"gaussian", "exponential", "constant-1", "unit-projection", "distance-stack"}
     for name, g in _unit_and_other_diagonals(rng, pts).items():
         stacked = g.entries.ndim == 3
+        # over a stack of K kernels, K + 1 candidates each, no two alphas equal
+        k = g.entries.shape[0]
         alphas = (0.7, np.array([0.3, 1.0, 4.5])) if not stacked else (
-            np.array([[0.3, 1.0]] * g.entries.shape[0]),)
+            np.linspace(0.3, 4.5, (k + 1) * k).reshape(k + 1, k),)
         d = np.diagonal(g.entries, axis1=-2, axis2=-1).copy()
         for order in (0, 1, 2, 3):
             _assert_one_shot_bits(g, (order,))
@@ -1230,7 +1233,9 @@ def test_rows_skip_a_unit_diagonal_with_the_dividing_bits(rng):
         layouts = [block, block[..., 5:17, :], wide[..., ::2]]
         if not stacked:
             layouts.append(np.asfortranarray(block))
-        alphas = (np.array([[0.3, 1.0]] * 3),) if stacked else (0.7, np.array([0.3, 1.0, 4.5]))
+        # over the stack of 3 kernels, 2 candidates each
+        alphas = ((np.array([[0.3, 1.0, 4.5], [1.0, 0.3, 2.0]]),) if stacked
+                  else (0.7, np.array([0.3, 1.0, 4.5])))
         for order in (1, 2):
             core = _fit_core(g, order)
             assert core.unit == (name == "gaussian"), name

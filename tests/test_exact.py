@@ -344,7 +344,13 @@ def test_label_probability_rejects_non_finite_points():
     ([0, 1.7, 1], r"label 1 is not an integer class code \(1\.7\)"),
     ([0, np.nan, 1], r"label 1 is not an integer class code \(nan\)"),
     ([[0], [1], [1]], r"labels must be a 1-d array .* shape \(3, 1\)"),
-], ids=["fractional", "nan", "two-d"])
+    ([0, {}, 1], r"label 1 is not an integer class code \(\{\}\)"),
+    ([0, 1, None], r"label 2 is not an integer class code \(None\)"),
+    (["0", "1", "1"], r"label 0 is not an integer class code \('0'\)"),
+    ([0, 1e20, 1], r"label 1 is not an integer class code \(1e\+20\)"),
+    ([0, 1, 10**20], r"label 2 is not an integer class code \(1e\+20\)"),
+], ids=["fractional", "nan", "two-d", "mapping", "null", "strings", "past-int64",
+        "int-past-int64"])
 def test_label_probability_rejects_bad_labels(labels, match):
     with pytest.raises(ValueError, match=match):
         label_probability_exact(np.zeros((3, 1)), labels, [1.0, 1.0], Kernel.gaussian(1.0))

@@ -176,17 +176,24 @@ PAIR = [(0.0,), (1.0,)]
      r"projection matrix must be square, got shape \(1, 2\)"),
     ("projection_matrix", {"aux": {"matrix": [[1.0, np.nan], [np.nan, 1.0]], "points": PAIR}},
      r"projection matrix row 0, column 1 is not finite \(nan\)"),
+    ("projection_matrix", {"aux": {"matrix": [[{}, 0.0], [0.0, 1.0]], "points": PAIR}},
+     r"projection matrix must be rows of real numbers \(float\(\) argument"),
+    ("projection_matrix", {"aux": {"matrix": [[1.0, 0.0], [0.0]], "points": PAIR}},
+     r"projection matrix must be rows of real numbers \("),
     ("projection_matrix", {"aux": {"matrix": np.eye(2), "points": [(0.0,), (0.0,)]}},
      "ground set points must be distinct"),
     ("projection_matrix", {"aux": {"matrix": np.eye(2), "points": [(np.nan,), (1.0,)]}},
      r"ground set row 0, column 0 is not finite \(nan\)"),
+    ("projection_matrix", {"aux": {"matrix": np.eye(2), "points": [({},), (1.0,)]}},
+     r"ground set array must be rows of real numbers \(float\(\) argument"),
     ("projection_matrix", {}, "projection kernel has no 'aux' key"),
     ("gaussian", {"tau": "0.5"}, "gaussian kernel requires a finite tau > 0, got '0.5'"),
     ("exponential", {"tau": None}, "exponential kernel requires a finite tau > 0, got None"),
     ("constant", {"c": np.bool_(True)}, "constant kernel requires a finite c > 0, got "),
     ("constant", {"c": "1.0"}, "constant kernel requires a finite c > 0, got '1.0'"),
 ], ids=["negative", "negative-off-diagonal", "asymmetric", "non-square", "non-finite",
-        "repeated-point", "nan-point", "no-aux", "str-tau", "no-tau", "numpy-bool-c", "str-c"])
+        "mapping-entry", "ragged", "repeated-point", "nan-point", "mapping-point", "no-aux",
+        "str-tau", "no-tau", "numpy-bool-c", "str-c"])
 def test_every_way_of_making_a_kernel_refuses_a_bad_one(family, params, message):
     # the one check in the constructor is the only one: a bad kernel made
     # directly used to reach `kernel_block`, `fit` and `predict`
