@@ -79,41 +79,46 @@ def bench_orders(n_list, alpha: float = 1.0, seed: int = 0, orders=(1, 2, 3),
     """Median per-query wall time of ratio_approx per (n, order), with a
     gaussian kernel of tau 1.
 
-    Each order reads its own table, built at that order outside the timed
-    region, so the measurement isolates per-query cost.  Each query point
-    is timed as the mean of enough repeated calls to fill ``target_time``
-    (median of repeats, after warmup), and the reported value is the
-    median across query points.  Single process, single thread; the heavy contractions here
-    do not fan out to threads.
+    Every size's points, queries and per-order tables are built, and every
+    (n, order) cell warmed up, before any timing, so the measurement
+    isolates per-query cost.  Query point q is then one repeat: it visits
+    every cell once, in a seeded shuffled order, and is timed there as the
+    mean of enough repeated calls to fill ``target_time``.  A cell reports
+    its median over the repeats.  Because each repeat spans every cell, a
+    shift in the machine's speed during the run moves all sizes alike and
+    leaves the slopes level.  Single process, single thread; the heavy
+    contractions here do not fan out to threads.
     """
     sizes = sorted(int(n) for n in n_list)
     if sizes != list(n_list):
         raise ValueError("sizes must be ascending")
     kernel = Kernel.gaussian(1.0)
     rng = np.random.default_rng(seed)
-    per_order: dict[int, list[float]] = {k: [] for k in orders}
+    qpts, cells = {}, []  # cells: (n, order, table, calls per timing)
     for n in sizes:
-        points = rng.random((n, 2)) * 3.0
-        g = gram(kernel, points)
-        qpts = rng.random((max(queries, 1), 2)) * 3.0
+        g = gram(kernel, rng.random((n, 2)) * 3.0)
+        qpts[n] = rng.random((max(queries, 1), 2)) * 3.0
         for k in orders:
             table = build_ratio_table(g, alpha, order=k)
             for _ in range(warmup):
-                ratio_approx(qpts[0], table)
+                ratio_approx(qpts[n][0], table)
             t0 = time.perf_counter()
-            ratio_approx(qpts[0], table)
+            ratio_approx(qpts[n][0], table)
             probe = time.perf_counter() - t0
-            reps = max(1, min(50, int(target_time / max(probe, 1e-9))))
-            times = []
-            for q in qpts:
-                t0 = time.perf_counter()
-                for _ in range(reps):
-                    ratio_approx(q, table)
-                times.append((time.perf_counter() - t0) / reps)
-            per_order[k].append(float(np.median(times)))
-    timings = [OrderTiming(order=k, sizes=sizes, medians=per_order[k],
-                           slope=_fit_slope(sizes, per_order[k]) if k > 0 else None)
-               for k in orders]
+            cells.append((n, k, table, max(1, min(50, int(target_time / max(probe, 1e-9))))))
+    times: dict[tuple[int, int], list[float]] = {(n, k): [] for n, k, _, _ in cells}
+    for q in range(max(queries, 1)):
+        for c in rng.permutation(len(cells)):
+            n, k, table, reps = cells[c]
+            t0 = time.perf_counter()
+            for _ in range(reps):
+                ratio_approx(qpts[n][q], table)
+            times[n, k].append((time.perf_counter() - t0) / reps)
+    timings = []
+    for k in orders:
+        medians = [float(np.median(times[n, k])) for n in sizes]
+        timings.append(OrderTiming(order=k, sizes=sizes, medians=medians,
+                                   slope=_fit_slope(sizes, medians) if k > 0 else None))
     return BenchReport(timings=timings, sizes=sizes, queries=queries, seed=seed,
                        kernel=kernel.to_dict(), alpha=alpha)
 

@@ -13,21 +13,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .cyclic import EXACT_ORDER, MAX_ORDER, LimitTable, RatioTable, _fit_core, _FitCore
-from .exact import Partition, _CypTable, _PerTable
 from .kernels import (GramMatrix, Kernel, _as_rows, _entry, _is_integer, _is_real,
                       _label_codes, _query_steps, _sq_distances, gram, kernel_block,
                       kernel_column, kernel_self, kernel_self_batch)
+
+if TYPE_CHECKING:  # the exact order's tables load on its first use
+    from .exact import _CypTable, _PerTable
 
 __all__ = [
     "LabeledDataset",
     "ModelParams",
     "FittedModel",
     "PosteriorTable",
+    "Partition",
     "fit",
     "predict",
     "predict_infinite",
@@ -158,7 +161,10 @@ def _fit_kernel(g: GramMatrix, order) -> _FitCore | _PerTable:
     """A class's alpha-free core from its Gram matrix or a stack of them,
     whose ``finish(alpha)`` is its table: a `cyclic._FitCore` at orders
     0-3, an `exact._PerTable` otherwise."""
-    return _PerTable(g) if order == EXACT_ORDER else _fit_core(g, order)
+    if order == EXACT_ORDER:
+        from .exact import _PerTable
+        return _PerTable(g)
+    return _fit_core(g, order)
 
 
 def _tables(data: LabeledDataset, params: ModelParams):
@@ -260,6 +266,49 @@ def predict(model: FittedModel, queries) -> PosteriorTable:
                       [table.gram.points for table in model.classes], queries)
 
 
+@dataclass(frozen=True)
+class Partition:
+    """Set partition of {0..n-1} into disjoint nonempty blocks."""
+
+    blocks: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        seen: set[int] = set()
+        for b in self.blocks:
+            if not b:
+                raise ValueError("partition blocks must be nonempty")
+            if seen & set(b):
+                raise ValueError("partition blocks must be disjoint")
+            seen |= set(b)
+        if seen != set(range(len(seen))):
+            raise ValueError("partition blocks must cover 0..n-1 without gaps")
+
+    @classmethod
+    def from_blocks(cls, blocks: Iterable[Iterable[int]]) -> "Partition":
+        canon = tuple(sorted((tuple(sorted(int(i) for i in b)) for b in blocks),
+                             key=lambda b: b[0]))
+        return cls(canon)
+
+    @classmethod
+    def from_labels(cls, assignments: Sequence[int]) -> "Partition":
+        groups: dict[int, list[int]] = {}
+        for i, a in enumerate(assignments):
+            groups.setdefault(int(a), []).append(i)
+        return cls.from_blocks(groups.values())
+
+    @property
+    def n(self) -> int:
+        return sum(len(b) for b in self.blocks)
+
+    @property
+    def block_count(self) -> int:
+        return len(self.blocks)
+
+    @property
+    def sizes(self) -> tuple[int, ...]:
+        return tuple(len(b) for b in self.blocks)
+
+
 def _singleton_ratio(order: int, k: np.ndarray, d: np.ndarray):
     """The limit ratio of one-point blocks, K(t, x) = ``k`` and K(x, x) = ``d``
     elementwise, bit for bit a one-point `LimitTable.ratio`: 0 at order 0,
@@ -302,7 +351,11 @@ class _Blocks:
             self.one_d = np.concatenate((self.one_d, (ktt,)))
         else:
             # the exact order's table, or a one-point table refusing ktt by name
-            table = LimitTable(self.order) if self.lane else _CypTable()
+            if self.lane:
+                table = LimitTable(self.order)
+            else:
+                from .exact import _CypTable
+                table = _CypTable()
             table.grow(np.zeros(0), ktt)
         self.members.append(np.array([i]))
         self.tables.append(table)

@@ -7,9 +7,9 @@ content is staged to a `.partial` file and renamed only on success.  A
 flat key=value config file sets the defaults of a subcommand's optional
 flags, so each value goes through the flag's type and explicit flags win;
 required flags and positional arguments stay on the command line.
-The cross-validation, benchmark and experiment pipelines are imported by
-the handlers that run them, so a start of any other subcommand neither
-loads nor compiles them.
+The cross-validation, benchmark and experiment pipelines, the exact
+oracle and the data generators are imported by the handlers that run
+them, so a start of any other subcommand neither loads nor compiles them.
 """
 
 from __future__ import annotations
@@ -27,11 +27,7 @@ import numpy as np
 from . import __version__
 from .classify import LabeledDataset, ModelParams, _posterior, _tables, sequential_partition
 from .cyclic import EXACT_ORDER, per_alpha_cyclic, ratio_approx_matrix
-from .datasets import (SplitPlan, gen_chequerboard, gen_expression,
-                       gen_triangular, load_expression_csv, load_features_csv,
-                       save_features_csv, rank_genes_bw, two_axis_projection,
-                       write_csv, write_text)
-from .exact import per_alpha_exact, ratio_exact_matrix
+from .files import load_features_csv, save_features_csv, write_csv, write_text
 from .kernels import GramMatrix, Kernel, _as_square, _entry, _is_integer
 
 PROG = "permclass"
@@ -101,6 +97,7 @@ def cmd_perm(args) -> int:
     # the cyclic ratios need a symmetric matrix; per_a is defined for any
     m = _load_matrix(args.matrix, symmetric=args.mode == "approx")
     if args.mode == "exact":
+        from .exact import per_alpha_exact, ratio_exact_matrix
         value = per_alpha_exact(m, args.alpha)
         ratio = ratio_exact_matrix(m, args.alpha)
         print(f"per_alpha = {value!r}")
@@ -209,6 +206,7 @@ def cmd_cv(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .datasets import gen_chequerboard, gen_triangular
     if args.what == "chequerboard":
         data = gen_chequerboard(args.per_cell, args.seed)
     else:
@@ -225,6 +223,7 @@ def cmd_simulate(args) -> int:
 def cmd_genes(args) -> int:
     if args.top < 0:
         raise ValueError(f"--top must be nonnegative (0 keeps all genes), got {args.top}")
+    from .datasets import load_expression_csv, rank_genes_bw
     expr = load_expression_csv(args.expr, args.labels)
     ranked = rank_genes_bw(expr)
     top = ranked[: args.top] if args.top else ranked
@@ -320,6 +319,7 @@ def cmd_reproduce(args) -> int:
         write_json(os.path.join(args.out, "summary.json"),
                    {"table1": result.to_dict()}, args.seed, config)
     else:
+        from .datasets import SplitPlan, gen_expression, load_expression_csv, two_axis_projection
         if args.expr is not None:
             expr = load_expression_csv(args.expr, args.labels)
         else:

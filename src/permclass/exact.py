@@ -26,10 +26,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
+from .classify import Partition
 from .cyclic import _alpha_arg
 from .kernels import (GramMatrix, Kernel, _as_rows, _as_square, _check_kernel_row,
                       _label_codes, gram, kernel_column, kernel_self)
@@ -330,49 +331,6 @@ def label_probability_exact(points, labels, alphas: Sequence[float],
     if denom == 0.0:
         raise ZeroDivisionError("per_alpha of the full configuration is zero")
     return num / denom
-
-
-@dataclass(frozen=True)
-class Partition:
-    """Set partition of {0..n-1} into disjoint nonempty blocks."""
-
-    blocks: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        seen: set[int] = set()
-        for b in self.blocks:
-            if not b:
-                raise ValueError("partition blocks must be nonempty")
-            if seen & set(b):
-                raise ValueError("partition blocks must be disjoint")
-            seen |= set(b)
-        if seen != set(range(len(seen))):
-            raise ValueError("partition blocks must cover 0..n-1 without gaps")
-
-    @classmethod
-    def from_blocks(cls, blocks: Iterable[Iterable[int]]) -> "Partition":
-        canon = tuple(sorted((tuple(sorted(int(i) for i in b)) for b in blocks),
-                             key=lambda b: b[0]))
-        return cls(canon)
-
-    @classmethod
-    def from_labels(cls, assignments: Sequence[int]) -> "Partition":
-        groups: dict[int, list[int]] = {}
-        for i, a in enumerate(assignments):
-            groups.setdefault(int(a), []).append(i)
-        return cls.from_blocks(groups.values())
-
-    @property
-    def n(self) -> int:
-        return sum(len(b) for b in self.blocks)
-
-    @property
-    def block_count(self) -> int:
-        return len(self.blocks)
-
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(len(b) for b in self.blocks)
 
 
 def partition_probability_exact(points, partition: Partition, lam: float,

@@ -104,17 +104,24 @@ def _check_kernel_row(kt: np.ndarray, ktt: float) -> None:
         raise ValueError("kernel produced a negative Gram entry")
 
 
+_BOOL_TYPES = frozenset((bool, np.bool_))
+
+
 def _label_codes(labels) -> np.ndarray:
-    """Labels as a 1-d int array, refusing other shapes, entries that are
-    not whole numbers in the int64 range, and negative codes."""
+    """Labels as a 1-d int array, refusing other shapes, bools, entries
+    that are not whole numbers in the int64 range, and negative codes."""
     raw = np.asarray(labels)
     if raw.ndim != 1:
         raise ValueError(f"labels must be a 1-d array (one code per point), got shape {raw.shape}")
-    if raw.dtype.kind not in "biuf":  # a string, a null or a mapping among them
+    if raw.dtype.kind not in "iuf":  # a bool, a string, a null or a mapping among them
         for i, v in enumerate(raw.tolist()):
             if not _is_real(v):
                 raise ValueError(f"label {i} is not an integer class code ({v!r})")
         raw = raw.astype(float)
+    elif isinstance(labels, (list, tuple)) and not _BOOL_TYPES.isdisjoint(map(type, labels)):
+        # numpy has read a bool among the numbers as 0 or 1
+        i = next(i for i, v in enumerate(labels) if type(v) in _BOOL_TYPES)
+        raise ValueError(f"label {i} is not an integer class code ({labels[i]!r})")
     if raw.dtype.kind == "f":
         # a whole number past the int64 range would wrap when converted
         bad = np.flatnonzero(~np.isfinite(raw) | (raw != np.round(raw)) | (abs(raw) >= 2.0**63))

@@ -314,7 +314,8 @@ def test_a_programming_error_in_a_handler_propagates(tmp_path, monkeypatch):
     def broken(*args):
         raise TypeError("not an input error")
 
-    monkeypatch.setattr(cli, "gen_chequerboard", broken)
+    # the handler imports the generator where it runs
+    monkeypatch.setattr("permclass.datasets.gen_chequerboard", broken)
     out = tmp_path / "sim.csv"
     with pytest.raises(TypeError, match="not an input error"):
         main(["simulate", "chequerboard", "--out", str(out)])
@@ -667,9 +668,13 @@ def test_predict_names_a_missing_model_key(tmp_path, capsys, key):
     ("points", [[0.0, 1.0], [1.0]], "point array must be rows of real numbers ("),
     ("labels", [0, {}, 1, 1, 1, 1], "label 1 is not an integer class code ({})"),
     ("labels", [0, 0, None, 1, 1, 1], "label 2 is not an integer class code (None)"),
+    ("labels", [False, False, False, True, True, True],
+     "label 0 is not an integer class code (False)"),
+    ("labels", [0, 0, 0, 1, 1, True], "label 5 is not an integer class code (True)"),
 ], ids=["int-names", "int-name-entries", "str-count", "bool-count", "float-count",
         "int-points", "dict-points", "str-labels", "fractional-label", "dict-in-points",
-        "str-in-points", "ragged-points", "dict-label", "null-label"])
+        "str-in-points", "ragged-points", "dict-label", "null-label", "bool-labels",
+        "bool-in-labels"])
 def test_predict_refuses_a_model_field_of_the_wrong_type(tmp_path, capsys, key, value,
                                                          message):
     data, queries = _two_class_files(tmp_path, 3)
@@ -873,10 +878,17 @@ def test_every_package_name_still_imports_from_permclass():
         exec("from permclass import no_such_name", {})
 
 
-_PIPELINES = ("permclass.benchmarks", "permclass.experiments", "permclass.model_select")
+def test_partition_is_one_class_under_both_module_names():
+    from permclass import classify, exact
+    assert exact.Partition is classify.Partition
+
+
+# the modules that a start loads only when its subcommand runs them
+_PIPELINES = ("permclass.benchmarks", "permclass.datasets", "permclass.exact",
+              "permclass.experiments", "permclass.model_select")
 
 # runs the subcommand given as arguments, if any, after importing the CLI
-# alone, and prints which pipeline modules the interpreter has loaded
+# alone, and prints which of those modules the interpreter has loaded
 _LOADED_AFTER = f"""
 import sys
 from permclass.cli import main
@@ -886,29 +898,39 @@ sys.exit(code)
 """
 
 
+_EXACT = ["permclass.exact"]
+_DATASETS = ["permclass.datasets"]
+_BENCHMARKS = ["permclass.benchmarks", "permclass.datasets", "permclass.exact"]
+_EXPERIMENTS = ["permclass.datasets", "permclass.experiments", "permclass.model_select"]
+
+
 @pytest.mark.parametrize("argv, loaded", [
     ([], []),
     (["perm", "approx", "--matrix", "{tmp}/m.csv", "--alpha", "1"], []),
+    (["perm", "exact", "--matrix", "{tmp}/m.csv", "--alpha", "1"], _EXACT),
     (["fit", "--data", "{tmp}/train.csv", "--out", "{tmp}/fitted.json"], []),
+    (["fit", "--data", "{tmp}/train.csv", "--order", "exact", "--out", "{tmp}/fitted.json"],
+     _EXACT),
     (["predict", "--model", "{tmp}/model.json", "--queries", "{tmp}/train.csv",
       "--out", "{tmp}/pred.csv"], []),
     (["partition", "--data", "{tmp}/train.csv", "--lambda", "1", "--out", "{tmp}/part.json"],
      []),
-    (["simulate", "triangular", "--n", "5", "--out", "{tmp}/sim.csv"], []),
+    (["partition", "--data", "{tmp}/train.csv", "--lambda", "1", "--order", "exact",
+      "--out", "{tmp}/part.json"], _EXACT),
+    (["simulate", "triangular", "--n", "5", "--out", "{tmp}/sim.csv"], _DATASETS),
     (["genes", "rank", "--expr", "{tmp}/expr.csv", "--labels", "{tmp}/labels.csv",
-      "--out", "{tmp}/genes.csv"], []),
+      "--out", "{tmp}/genes.csv"], _DATASETS),
     (["cv", "--data", "{tmp}/train.csv", "--folds", "2", "--out", "{tmp}/cv.json"],
      ["permclass.model_select"]),
-    (["bench", "--orders", "1", "--sizes", "4,8", "--queries", "1"], ["permclass.benchmarks"]),
-    (["study", "--n", "16", "--t-points", "9", "--out", "{tmp}/study"],
-     ["permclass.benchmarks"]),
-    (["reproduce", "figure1", "--out", "{tmp}/figure1"], ["permclass.benchmarks"]),
-    (["reproduce", "table1", "--out", "{tmp}/table1"],
-     ["permclass.experiments", "permclass.model_select"]),
+    (["bench", "--orders", "1", "--sizes", "4,8", "--queries", "1"], _BENCHMARKS),
+    (["study", "--n", "16", "--t-points", "9", "--out", "{tmp}/study"], _BENCHMARKS),
+    (["reproduce", "figure1", "--out", "{tmp}/figure1"], _BENCHMARKS),
+    (["reproduce", "table1", "--out", "{tmp}/table1"], _EXPERIMENTS),
     (["reproduce", "microarray", "--repetitions", "2", "--out", "{tmp}/microarray"],
-     ["permclass.experiments", "permclass.model_select"]),
-], ids=["import", "perm", "fit", "predict", "partition", "simulate", "genes", "cv", "bench",
-        "study", "reproduce-figure1", "reproduce-table1", "reproduce-microarray"])
+     _EXPERIMENTS),
+], ids=["import", "perm", "perm-exact", "fit", "fit-exact", "predict", "partition",
+        "partition-exact", "simulate", "genes", "cv", "bench", "study", "reproduce-figure1",
+        "reproduce-table1", "reproduce-microarray"])
 def test_a_start_loads_only_the_pipelines_its_subcommand_runs(tmp_path, capsys, argv, loaded):
     # each start is a fresh interpreter, as a command-line start is
     (tmp_path / "train.csv").write_text(_TRAIN)

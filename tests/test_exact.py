@@ -349,8 +349,12 @@ def test_label_probability_rejects_non_finite_points():
     (["0", "1", "1"], r"label 0 is not an integer class code \('0'\)"),
     ([0, 1e20, 1], r"label 1 is not an integer class code \(1e\+20\)"),
     ([0, 1, 10**20], r"label 2 is not an integer class code \(1e\+20\)"),
+    (np.array([False, True, True]), r"label 0 is not an integer class code \(False\)"),
+    ([0, True, 1], r"label 1 is not an integer class code \(True\)"),
+    ((0, 1, False), r"label 2 is not an integer class code \(False\)"),
+    ([0.0, 1.0, True], r"label 2 is not an integer class code \(True\)"),
 ], ids=["fractional", "nan", "two-d", "mapping", "null", "strings", "past-int64",
-        "int-past-int64"])
+        "int-past-int64", "bool-array", "bool-in-list", "bool-in-tuple", "bool-among-floats"])
 def test_label_probability_rejects_bad_labels(labels, match):
     with pytest.raises(ValueError, match=match):
         label_probability_exact(np.zeros((3, 1)), labels, [1.0, 1.0], Kernel.gaussian(1.0))
