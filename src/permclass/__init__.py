@@ -6,20 +6,20 @@ import importlib
 
 from .kernels import (GramMatrix, Kernel, KernelFamily, gram, kernel_block,
                       kernel_column, kernel_eval, kernel_self)
-from .cyclic import (EXACT_ORDER, MAX_ORDER, DegenerateConfigurationError,
-                     LimitTable, RatioTable, build_ratio_table, per_alpha_cyclic,
-                     ratio_approx, ratio_approx_matrix, ratio_from_kt)
-from .classify import (FittedModel, LabeledDataset, ModelParams, Partition,
-                       PosteriorTable, fit, knn_predict, predict, predict_infinite,
+from .classify import (EXACT_ORDER, MAX_ORDER, FittedModel, LabeledDataset, ModelParams,
+                       Partition, PosteriorTable, fit, predict, predict_infinite,
                        sequential_partition)
 from .files import load_features_csv, save_features_csv
 
-# The modules that `partition`, `fit`, `predict` and `cv` at orders 0-3 never
-# run (the exact oracle, the data generators, and the cross-validation,
-# benchmark and experiment pipelines) are imported on first use of one of
-# their names (PEP 562), so that a start of those commands neither loads
-# nor compiles them.
+# The rest is imported on first use of one of its names (PEP 562): each
+# model's tables (the finite-class `cyclic`, the small-mass `limit`), the
+# exact oracle, the data generators, and the cross-validation, benchmark and
+# experiment pipelines.  So a start loads and compiles only the modules its
+# subcommand runs.
 _ON_USE = {
+    "cyclic": ("RatioTable", "build_ratio_table", "per_alpha_cyclic", "ratio_approx",
+               "ratio_approx_matrix", "ratio_from_kt"),
+    "limit": ("DegenerateConfigurationError", "LimitTable"),
     "exact": ("EXACT_SIZE_CAP", "ExactSizeLimitError", "cyclic_ratio_exact", "cyp_exact",
               "ewens_probability", "iter_set_partitions", "label_probability_exact",
               "partition_probability_exact", "per_alpha_exact", "ratio_exact",
@@ -33,9 +33,17 @@ _ON_USE = {
                      "median_pairwise_distance"),
     "benchmarks": ("BenchReport", "StudyConfig", "StudyReport", "accuracy_study",
                    "bench_orders"),
-    "experiments": ("ChequerboardResult", "MicroarrayResult", "run_chequerboard",
-                    "run_microarray"),
+    "experiments": ("ChequerboardResult", "MicroarrayResult", "knn_predict",
+                    "run_chequerboard", "run_microarray"),
 }
+
+__all__ = [
+    "GramMatrix", "Kernel", "KernelFamily", "gram", "kernel_block", "kernel_column",
+    "kernel_eval", "kernel_self", "EXACT_ORDER", "MAX_ORDER", "FittedModel",
+    "LabeledDataset", "ModelParams", "Partition", "PosteriorTable", "fit", "predict",
+    "predict_infinite", "sequential_partition", "load_features_csv", "save_features_csv",
+    *(name for names in _ON_USE.values() for name in names),
+]
 
 
 def __getattr__(name):
@@ -43,3 +51,7 @@ def __getattr__(name):
         if name in names:
             return getattr(importlib.import_module(f".{module}", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

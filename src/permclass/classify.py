@@ -7,6 +7,11 @@ point joins block b with probability proportional to the cyclic ratio
 C(t; x^(b)) and opens a new block with probability proportional to
 lambda K(t, t).  Proportionality is turned into probabilities by
 dividing by the total; ties in the argmax go to the lowest class index.
+
+Each mode loads its own tables where it first builds one: the finite
+mode's (`cyclic`) in `fit` and `predict`, the infinite mode's (`limit`) in
+`sequential_partition` and `predict_infinite`, and the exact order's
+(`exact`) on that order alone, so a start loads only its own mode's.
 """
 
 from __future__ import annotations
@@ -17,13 +22,13 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .cyclic import EXACT_ORDER, MAX_ORDER, LimitTable, RatioTable, _fit_core, _FitCore
-from .kernels import (GramMatrix, Kernel, _as_rows, _entry, _is_integer, _is_real,
-                      _label_codes, _query_steps, _sq_distances, gram, kernel_block,
-                      kernel_column, kernel_self, kernel_self_batch)
+from .kernels import (GramMatrix, Kernel, _as_rows, _entry, _is_real, _label_codes,
+                      _query_steps, gram, kernel_block, kernel_column, kernel_self,
+                      kernel_self_batch)
 
-if TYPE_CHECKING:  # the exact order's tables load on its first use
-    from .exact import _CypTable, _PerTable
+if TYPE_CHECKING:  # each mode's tables load on their first use
+    from .cyclic import RatioTable, _FitCore
+    from .exact import _PerTable
 
 __all__ = [
     "LabeledDataset",
@@ -35,8 +40,10 @@ __all__ = [
     "predict",
     "predict_infinite",
     "sequential_partition",
-    "knn_predict",
 ]
+
+MAX_ORDER = 3
+EXACT_ORDER = "exact"
 
 
 @dataclass
@@ -164,6 +171,7 @@ def _fit_kernel(g: GramMatrix, order) -> _FitCore | _PerTable:
     if order == EXACT_ORDER:
         from .exact import _PerTable
         return _PerTable(g)
+    from .cyclic import _fit_core
     return _fit_core(g, order)
 
 
@@ -309,87 +317,6 @@ class Partition:
         return tuple(len(b) for b in self.blocks)
 
 
-def _singleton_ratio(order: int, k: np.ndarray, d: np.ndarray):
-    """The limit ratio of one-point blocks, K(t, x) = ``k`` and K(x, x) = ``d``
-    elementwise, bit for bit a one-point `LimitTable.ratio`: 0 at order 0,
-    the two-cycle term k (k / d) at orders 1 and 2, and at order 3 the
-    ``flat`` lane's alpha^1 term (k k) / d."""
-    if order == 0:
-        return 0.0
-    if order == 3:
-        # plus the table's empty pair sum, 0 (k / d): 0, or NaN where k / d overflows
-        return k * k / d + 0.0 * (k / d)
-    return k * (k / d)
-
-
-class _Blocks:
-    """A partition's blocks in the order they opened, and how each is weighed.
-
-    ``members[j]`` is block j's index array.  At orders 0-3 a block of one
-    point is held in the singleton lane, its position, member index and
-    K(x, x) in three arrays, and all of them are weighed at once by
-    `_singleton_ratio`; a block gets a `LimitTable` (``tables[j]``, else
-    None) when it gains its second member.  The exact order gives every
-    block an `exact._CypTable`.
-    """
-
-    def __init__(self, order):
-        self.order = order
-        self.lane = order != EXACT_ORDER
-        self.members: list[np.ndarray] = []
-        self.tables: list[LimitTable | _CypTable | None] = []
-        self.one_at = np.zeros(0, dtype=int)
-        self.one_idx = np.zeros(0, dtype=int)
-        self.one_d = np.zeros(0)
-
-    def open(self, i: int, ktt: float) -> None:
-        """A new last block of point ``i``, whose K(x, x) is ``ktt``."""
-        table = None
-        if self.lane and 0 < ktt < math.inf:
-            self.one_at = np.concatenate((self.one_at, (len(self.tables),)))
-            self.one_idx = np.concatenate((self.one_idx, (i,)))
-            self.one_d = np.concatenate((self.one_d, (ktt,)))
-        else:
-            # the exact order's table, or a one-point table refusing ktt by name
-            if self.lane:
-                table = LimitTable(self.order)
-            else:
-                from .exact import _CypTable
-                table = _CypTable()
-            table.grow(np.zeros(0), ktt)
-        self.members.append(np.array([i]))
-        self.tables.append(table)
-
-    def add(self, j: int, i: int, kt: np.ndarray, ktt: float) -> None:
-        """Point ``i`` joins block j: ``kt`` its kernel values against the
-        block's members, ``ktt`` its K(x, x)."""
-        table = self.tables[j]
-        if table is None:
-            at = int(np.searchsorted(self.one_at, j))
-            table = self.tables[j] = LimitTable(self.order)
-            table.grow(np.zeros(0), self.one_d[at])
-            self.one_at, self.one_idx, self.one_d = (
-                np.delete(x, at) for x in (self.one_at, self.one_idx, self.one_d))
-        table.grow(kt, ktt)
-        self.members[j] = np.concatenate((self.members[j], (i,)))
-
-    def weights(self, col: np.ndarray, ktt: float, lam: float) -> np.ndarray:
-        """Raw weights of a query whose kernel values against every point
-        are ``col``: one per block, in order, then lambda K(t, t)."""
-        raw = np.empty(len(self.tables) + 1)
-        for j, table in enumerate(self.tables):
-            if table is not None:
-                try:
-                    raw[j] = table.ratio(col[self.members[j]], ktt)
-                except ZeroDivisionError as err:
-                    raise ZeroDivisionError(
-                        f"block {j} ({self.members[j].tolist()}): {err}") from None
-        if self.one_at.size:
-            raw[self.one_at] = _singleton_ratio(self.order, col[self.one_idx], self.one_d)
-        raw[-1] = lam * ktt
-        return raw
-
-
 def predict_infinite(points, partition: Partition, t,
                      params: ModelParams) -> PosteriorTable:
     """Posterior over existing blocks plus a new block for one query.
@@ -405,6 +332,7 @@ def predict_infinite(points, partition: Partition, t,
     t = _as_rows(np.reshape(t, (1, -1)), "query")[0]
     if partition.n != pts.shape[0]:
         raise ValueError("partition must cover exactly the given points")
+    from .limit import _Blocks
     kernel = params.kernel
     blocks = _Blocks(params.order)
     for j, b in enumerate(partition.blocks):
@@ -427,7 +355,7 @@ def sequential_partition(points, params: ModelParams, rule: str = "argmax",
     floats `kernel_column` gives), and K(x, x) is one `kernel_self_batch`.
     A step's kernel column is a row of its cut, sliced per block.  Blocks
     of one point are weighed together in one vector operation (see
-    `_Blocks`); larger blocks keep their tables, and the block that gains
+    `limit._Blocks`); larger blocks keep their tables, and the block that gains
     the point grows its table in place.  So a step at order 3 costs a few
     matrix-vector products per block of two or more points plus one
     O(n_b^2) table update (n_b a block's size): an order-3 partition of N
@@ -442,6 +370,7 @@ def sequential_partition(points, params: ModelParams, rule: str = "argmax",
     n = pts.shape[0]
     if n < 2:
         return Partition.from_blocks([[0]] if n else [])
+    from .limit import _Blocks
     kernel = params.kernel
     self_k = kernel_self_batch(kernel, pts).tolist()
     blocks = _Blocks(params.order)
@@ -461,39 +390,3 @@ def sequential_partition(points, params: ModelParams, rule: str = "argmax",
             else:
                 blocks.add(choice, i, col[blocks.members[choice]], ktt)
     return Partition.from_blocks(blocks.members)
-
-
-def knn_predict(train_points, train_labels, queries, k: int = 5) -> np.ndarray:
-    """Plain k-nearest-neighbour baseline, majority vote.
-
-    Distance ties resolve by training index (as a stable sort would) and
-    vote ties by lowest class code, so results are deterministic.  The
-    neighbours are selected, not sorted: every point nearer than the k-th
-    smallest distance, then the lowest-indexed points at that distance.
-    """
-    if not _is_integer(k):
-        raise ValueError(f"k must be an integer, got {k!r}")
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
-    X = _as_rows(train_points, "point")
-    if X.shape[0] == 0:
-        raise ValueError("k-nearest-neighbour vote needs at least one training point")
-    y = _label_codes(train_labels)
-    if y.shape != (X.shape[0],):
-        raise ValueError(f"expected {X.shape[0]} labels, one per point, got shape {y.shape}")
-    Q = _as_rows(queries, "query")
-    out = np.empty(Q.shape[0], dtype=int)
-    one_hot = (y[:, None] == np.arange(int(y.max()) + 1)).astype(float)
-    k = min(k, X.shape[0])
-    for rows in _query_steps(Q.shape[0], X.shape[0]):
-        dist = _sq_distances(Q[rows], X)
-        kth = np.partition(dist, k - 1, axis=1)[:, k - 1, None]
-        nearer = dist < kth
-        tied = dist == kth
-        free = k - nearer.sum(axis=1)
-        # only a row with more points at the k-th distance than free slots
-        # cuts its ties, keeping the lowest training indices
-        cut = np.flatnonzero(tied.sum(axis=1) > free)
-        tied[cut] &= np.cumsum(tied[cut], axis=1) <= free[cut, None]
-        out[rows] = ((nearer | tied) @ one_hot).argmax(axis=1)
-    return out

@@ -8,7 +8,6 @@ ignored.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -35,7 +34,13 @@ __all__ = [
     "two_axis_projection",
 ]
 
-log = logging.getLogger(__name__)
+
+def _info(msg: str, *args) -> None:
+    """Report on this module's logger, which `logging` makes (and is loaded
+    for) only when a first report is made."""
+    import logging
+    logging.getLogger(__name__).info(msg, *args)
+
 
 GRID_SIDE = 3.0
 
@@ -195,12 +200,10 @@ def rank_genes_bw(expr: ExpressionMatrix,
         if wss[g] == 0.0:
             if bss[g] == 0.0:
                 scores[g] = 0.0
-                log.info("gene %s is constant everywhere; score pinned to 0",
-                         expr.gene_ids[g])
+                _info("gene %s is constant everywhere; score pinned to 0", expr.gene_ids[g])
             else:
                 scores[g] = np.inf
-                log.info("gene %s has zero within-class variance; score +inf",
-                         expr.gene_ids[g])
+                _info("gene %s has zero within-class variance; score +inf", expr.gene_ids[g])
         else:
             scores[g] = bss[g] / wss[g]
     order = sorted(range(expr.n_genes), key=lambda g: (-scores[g], g))
@@ -274,7 +277,7 @@ def load_expression_csv(expr_path: str, labels_path: str) -> ExpressionMatrix:
         # a row of the wrong width is refused, missing values or not
         if len(row) == len(header) and any(v == "" or v.upper() in ("NA", "NAN")
                                            for v in row[1:]):
-            log.info("dropping gene %s (line %d): missing values", row[0], lineno)
+            _info("dropping gene %s (line %d): missing values", row[0], lineno)
             continue
         data.append(_float_row(expr_path, lineno, row, header, slice(1, None), "sample"))
         gene_ids.append(row[0])

@@ -260,7 +260,7 @@ class _CypTable:
     """The exact order's growable table: the Gram matrix of its points, in
     the order they were added, and its cyclic product sum, computed on the
     first `ratio` after a growth.  It answers `grow` and `ratio` as
-    `cyclic.LimitTable` does, within `EXACT_SIZE_CAP` points for the
+    `limit.LimitTable` does, within `EXACT_SIZE_CAP` points for the
     bordered matrix.
     """
 
@@ -288,7 +288,7 @@ class _CypTable:
 
 
 def _grown(table, G: np.ndarray):
-    """``table``, a `_CypTable` or a `cyclic.LimitTable`, grown by the points
+    """``table``, a `_CypTable` or a `limit.LimitTable`, grown by the points
     of the Gram matrix ``G`` in index order."""
     for p in range(G.shape[0]):
         table.grow(G[p, :p], G[p, p])

@@ -1,4 +1,5 @@
-"""End-to-end experiment harnesses behind the `reproduce` commands."""
+"""End-to-end experiment harnesses behind the `reproduce` commands, and the
+k-nearest-neighbour baseline they score beside the permanental models."""
 
 from __future__ import annotations
 
@@ -7,10 +8,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .classify import LabeledDataset, ModelParams, fit, knn_predict, predict
+from .classify import LabeledDataset, ModelParams, fit, predict
 from .datasets import (ExpressionMatrix, SplitPlan, gen_chequerboard,
                        gen_grid_testset, make_splits, rank_genes_bw)
-from .kernels import Kernel
+from .kernels import Kernel, _as_rows, _is_integer, _label_codes, _query_steps, _sq_distances
 from .model_select import CVSpec, _winner, cross_validate, median_pairwise_distance
 
 __all__ = [
@@ -19,6 +20,7 @@ __all__ = [
     "run_chequerboard",
     "MicroarrayResult",
     "run_microarray",
+    "knn_predict",
 ]
 
 # seed whose draw yields a table close to the reference error counts;
@@ -30,6 +32,42 @@ EXTERNAL_ROWS = ("neural network", "support vector machine",
 
 # the neighbour count of the kNN baseline in both experiments
 KNN_K = 5
+
+
+def knn_predict(train_points, train_labels, queries, k: int = 5) -> np.ndarray:
+    """Plain k-nearest-neighbour baseline, majority vote.
+
+    Distance ties resolve by training index (as a stable sort would) and
+    vote ties by lowest class code, so results are deterministic.  The
+    neighbours are selected, not sorted: every point nearer than the k-th
+    smallest distance, then the lowest-indexed points at that distance.
+    """
+    if not _is_integer(k):
+        raise ValueError(f"k must be an integer, got {k!r}")
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
+    X = _as_rows(train_points, "point")
+    if X.shape[0] == 0:
+        raise ValueError("k-nearest-neighbour vote needs at least one training point")
+    y = _label_codes(train_labels)
+    if y.shape != (X.shape[0],):
+        raise ValueError(f"expected {X.shape[0]} labels, one per point, got shape {y.shape}")
+    Q = _as_rows(queries, "query")
+    out = np.empty(Q.shape[0], dtype=int)
+    one_hot = (y[:, None] == np.arange(int(y.max()) + 1)).astype(float)
+    k = min(k, X.shape[0])
+    for rows in _query_steps(Q.shape[0], X.shape[0]):
+        dist = _sq_distances(Q[rows], X)
+        kth = np.partition(dist, k - 1, axis=1)[:, k - 1, None]
+        nearer = dist < kth
+        tied = dist == kth
+        free = k - nearer.sum(axis=1)
+        # only a row with more points at the k-th distance than free slots
+        # cuts its ties, keeping the lowest training indices
+        cut = np.flatnonzero(tied.sum(axis=1) > free)
+        tied[cut] &= np.cumsum(tied[cut], axis=1) <= free[cut, None]
+        out[rows] = ((nearer | tied) @ one_hot).argmax(axis=1)
+    return out
 
 
 @dataclass

@@ -14,8 +14,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .classify import _DEGENERATE, LabeledDataset, ModelParams, _fit_kernel, _normalised, _weights
-from .cyclic import EXACT_ORDER, _reads_four_cycle_matrix
+from .classify import (_DEGENERATE, EXACT_ORDER, LabeledDataset, ModelParams, _fit_kernel,
+                       _normalised, _weights)
+from .cyclic import _reads_four_cycle_matrix
 from . import kernels
 from .kernels import (_DISTANCE_FAMILIES, GramMatrix, Kernel, _as_rows, _block_rows,
                       _is_integer, _kernel_stack, _query_steps, kernel_self_batch)

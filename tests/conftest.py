@@ -24,11 +24,11 @@ from hypothesis import settings
 
 from permclass import kernels
 from permclass.classify import LabeledDataset, fit, predict
-from permclass.cyclic import (DegenerateConfigurationError, LimitTable, RatioTable,
-                              build_ratio_table)
+from permclass.cyclic import RatioTable, build_ratio_table
 from permclass.exact import Partition, _grown, cyp_exact
 from permclass.kernels import (GramMatrix, Kernel, KernelFamily, _as_square, gram,
                                kernel_column, kernel_self)
+from permclass.limit import DegenerateConfigurationError, LimitTable
 from permclass.model_select import (CandidateResult, CVReport, _tie_key, cross_entropy,
                                     error_rate, fold_assignment)
 

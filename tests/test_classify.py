@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 from conftest import (augment, cyclic_ratio_scalar, knn_loop, projection_kernel,
                       sequential_partition_scalar)
 from permclass import classify, kernels
-from permclass.classify import (LabeledDataset, ModelParams, fit, knn_predict,
-                                predict, predict_infinite, sequential_partition)
-from permclass.classify import _fit_kernel, _kernel_blocks, _singleton_ratio, _weights
-from permclass.cyclic import LimitTable, build_ratio_table, ratio_from_kt
+from permclass.classify import (LabeledDataset, ModelParams, fit, predict,
+                                predict_infinite, sequential_partition)
+from permclass.classify import _fit_kernel, _kernel_blocks, _weights
+from permclass.cyclic import build_ratio_table, ratio_from_kt
+from permclass.experiments import knn_predict
+from permclass.limit import LimitTable, _singleton_ratio
 from permclass.exact import ExactSizeLimitError, Partition, cyp_exact, ratio_exact
 from permclass.kernels import Kernel, gram, kernel_block, kernel_column, kernel_self
 

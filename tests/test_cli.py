@@ -878,14 +878,29 @@ def test_every_package_name_still_imports_from_permclass():
         exec("from permclass import no_such_name", {})
 
 
+def test_every_package_name_is_listed_and_star_imported():
+    # the names looked up on use are listed by dir() and bound by `import *`
+    # as the eagerly imported ones are
+    listed = dir(permclass)
+    bound: dict = {}
+    exec("from permclass import *", bound)
+    assert [name for name in _PACKAGE_NAMES if name not in listed] == []
+    assert [name for name in _PACKAGE_NAMES if name not in bound] == []
+    assert all(bound[name] is getattr(permclass, name) for name in _PACKAGE_NAMES)
+
+
 def test_partition_is_one_class_under_both_module_names():
     from permclass import classify, exact
     assert exact.Partition is classify.Partition
 
 
-# the modules that a start loads only when its subcommand runs them
-_PIPELINES = ("permclass.benchmarks", "permclass.datasets", "permclass.exact",
-              "permclass.experiments", "permclass.model_select")
+# the modules that a start loads only when its subcommand runs them: the
+# finite-class tables, the small-mass limit tables, the exact oracle, the data
+# generators, the pipelines and their handlers, and `logging`, which only a
+# report loads
+_PIPELINES = ("logging", "permclass.benchmarks", "permclass.cyclic", "permclass.datasets",
+              "permclass.exact", "permclass.experiments", "permclass.limit",
+              "permclass.model_select", "permclass.pipelines")
 
 # runs the subcommand given as arguments, if any, after importing the CLI
 # alone, and prints which of those modules the interpreter has loaded
@@ -898,30 +913,37 @@ sys.exit(code)
 """
 
 
-_EXACT = ["permclass.exact"]
-_DATASETS = ["permclass.datasets"]
-_BENCHMARKS = ["permclass.benchmarks", "permclass.datasets", "permclass.exact"]
-_EXPERIMENTS = ["permclass.datasets", "permclass.experiments", "permclass.model_select"]
+_CYCLIC = ["permclass.cyclic"]
+_LIMIT = ["permclass.limit"]
+_EXACT = ["permclass.cyclic", "permclass.exact"]
+_DATASETS = ["permclass.datasets", "permclass.pipelines"]
+_BENCHMARKS = ["permclass.benchmarks", "permclass.cyclic", "permclass.datasets",
+               "permclass.exact", "permclass.pipelines"]
+_EXPERIMENTS = ["permclass.cyclic", "permclass.datasets", "permclass.experiments",
+                "permclass.model_select", "permclass.pipelines"]
+_PARTITION = ["partition", "--data", "{tmp}/train.csv", "--lambda", "1",
+              "--out", "{tmp}/part.json"]
 
 
 @pytest.mark.parametrize("argv, loaded", [
     ([], []),
-    (["perm", "approx", "--matrix", "{tmp}/m.csv", "--alpha", "1"], []),
+    (["perm", "approx", "--matrix", "{tmp}/m.csv", "--alpha", "1"], _CYCLIC),
     (["perm", "exact", "--matrix", "{tmp}/m.csv", "--alpha", "1"], _EXACT),
-    (["fit", "--data", "{tmp}/train.csv", "--out", "{tmp}/fitted.json"], []),
+    (["fit", "--data", "{tmp}/train.csv", "--out", "{tmp}/fitted.json"], _CYCLIC),
     (["fit", "--data", "{tmp}/train.csv", "--order", "exact", "--out", "{tmp}/fitted.json"],
      _EXACT),
     (["predict", "--model", "{tmp}/model.json", "--queries", "{tmp}/train.csv",
-      "--out", "{tmp}/pred.csv"], []),
-    (["partition", "--data", "{tmp}/train.csv", "--lambda", "1", "--out", "{tmp}/part.json"],
-     []),
-    (["partition", "--data", "{tmp}/train.csv", "--lambda", "1", "--order", "exact",
-      "--out", "{tmp}/part.json"], _EXACT),
+      "--out", "{tmp}/pred.csv"], _CYCLIC),
+    (_PARTITION, _LIMIT),
+    (_PARTITION + ["--order", "0"], _LIMIT),
+    (_PARTITION + ["--order", "1"], _LIMIT),
+    (_PARTITION + ["--order", "2"], _LIMIT),
+    (_PARTITION + ["--order", "exact"], _EXACT + _LIMIT),
     (["simulate", "triangular", "--n", "5", "--out", "{tmp}/sim.csv"], _DATASETS),
     (["genes", "rank", "--expr", "{tmp}/expr.csv", "--labels", "{tmp}/labels.csv",
-      "--out", "{tmp}/genes.csv"], _DATASETS),
+      "--out", "{tmp}/genes.csv"], ["logging", *_DATASETS]),
     (["cv", "--data", "{tmp}/train.csv", "--folds", "2", "--out", "{tmp}/cv.json"],
-     ["permclass.model_select"]),
+     ["permclass.cyclic", "permclass.model_select"]),
     (["bench", "--orders", "1", "--sizes", "4,8", "--queries", "1"], _BENCHMARKS),
     (["study", "--n", "16", "--t-points", "9", "--out", "{tmp}/study"], _BENCHMARKS),
     (["reproduce", "figure1", "--out", "{tmp}/figure1"], _BENCHMARKS),
@@ -929,7 +951,8 @@ _EXPERIMENTS = ["permclass.datasets", "permclass.experiments", "permclass.model_
     (["reproduce", "microarray", "--repetitions", "2", "--out", "{tmp}/microarray"],
      _EXPERIMENTS),
 ], ids=["import", "perm", "perm-exact", "fit", "fit-exact", "predict", "partition",
-        "partition-exact", "simulate", "genes", "cv", "bench", "study", "reproduce-figure1",
+        "partition-order0", "partition-order1", "partition-order2", "partition-exact",
+        "simulate", "genes", "cv", "bench", "study", "reproduce-figure1",
         "reproduce-table1", "reproduce-microarray"])
 def test_a_start_loads_only_the_pipelines_its_subcommand_runs(tmp_path, capsys, argv, loaded):
     # each start is a fresh interpreter, as a command-line start is

@@ -13,9 +13,9 @@ from conftest import (ALPHA, GradedValue, at_order, augment, banded_gram,
                       cyclic_ratio_scalar, generic_ratio, generic_tables,
                       projection_kernel, ratio_table_one_shot, sym_nonneg)
 from permclass.classify import ModelParams, fit
-from permclass.cyclic import (DegenerateConfigurationError, LimitTable,
-                              build_ratio_table, per_alpha_cyclic, ratio_approx,
+from permclass.cyclic import (build_ratio_table, per_alpha_cyclic, ratio_approx,
                               ratio_approx_matrix, ratio_from_kt)
+from permclass.limit import DegenerateConfigurationError, LimitTable
 from permclass import cyclic, kernels
 from permclass.cyclic import _fit_core, _FitCore
 from permclass.exact import per_alpha_exact, ratio_exact_matrix
