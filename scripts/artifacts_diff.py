@@ -9,15 +9,28 @@ example the parent commit's, unpacked with `git archive`).  The list
 (`_steps`) runs once under PARENT_SRC and once under this checkout's
 `src`, each in fresh interpreters that call `permclass.cli.main` once per
 command, in the same working directory, so that the output paths, and the
-headers that record them, are the same.  It covers:
+headers that record them, are the same.  The fits are at alpha 0.7 and
+both grid files hold 0.3 (beside 2.0 or 0.7), masses that are not powers
+of two, so that a product grouped another way rounds differently.  It
+covers, with the branch each reaches:
 - the three `reproduce` pipelines (microarray at 20 repetitions);
 - `fit` and `predict` at orders 0-3 and exact, for gaussian, exponential
-  and c = 2.5 constant kernels, at alpha 0.7 (a mass that is not a power
-  of two, so that products grouped another way round differently);
-- `cv --folds 3`, `cv --objective xent`, and a `--grid` of distance
-  kernels, constant kernels of c = 1 and 2.5 and a projection kernel whose
-  matrix has a zero on its diagonal, which is refused;
-- `partition` at orders 0-3 and exact, by argmax and with `--sample 7`.
+  and c = 2.5 constant kernels: the distance kernels' Gram diagonal of
+  exact ones skips the divisions by it, c = 2.5 runs them, and an order-3
+  `predict` of 360 queries reads each class's four-cycle matrix;
+- order-2 `fit`s of the 360 points (classes of 200 and 160) with the
+  exponential and gaussian kernels, each summed over several row blocks,
+  and a `predict` of the 45 points against each;
+- `cv --folds 3` and `cv --objective xent`, whose held-out blocks read
+  the four-cycle matrix or two products by their size, and an order-3
+  `--grid` of distance kernels, constant kernels of c = 1 and 2.5 and a
+  projection kernel whose matrix has a zero on its diagonal, stacked in
+  one pass, where the projection kernel alone is refused;
+- `cv --grid` on 9 points at orders 1-3 and exact: one stacked pass per
+  finite order, one candidate at a time at the exact order;
+- `partition` by argmax and with `--sample 7`, at orders 0-3 and exact
+  with a gaussian kernel (a unit diagonal) and at orders 1-3 with a
+  c = 2.5 constant kernel (the `LimitTable` branch that divides by it).
 
 It prints each file that differs, with the largest relative difference
 between the numbers in it, and exits 1 if any file differs or a command
@@ -77,23 +90,35 @@ def _steps() -> tuple[list[list[str]], list[list[str]]]:
                           "--out", model])
             first.append(["predict", "--model", model, "--queries", queries,
                           "--out", f"predict-{name}-{order}.csv"])
+    for name in ("exponential", "gaussian"):
+        model = f"model-{name}-2-large.json"
+        first.append(["fit", "--data", "queries.csv", *KERNELS[name], "--alpha", "0.7",
+                      "--order", "2", "--out", model])
+        first.append(["predict", "--model", model, "--queries", "points.csv",
+                      "--out", f"predict-{name}-2-large.csv"])
     first.append(["cv", "--data", "points.csv", "--folds", "3", "--out", "cv-folds3.json"])
     first.append(["cv", "--data", "points.csv", "--objective", "xent", "--out", "cv-xent.json"])
-    for order in ORDERS:
-        for rule, suffix in (([], ""), (["--sample", "7"], "-sample")):
-            first.append(["partition", "--data", "line.csv", "--lambda", "0.5", "--kernel",
-                          "gaussian", "--tau", "0.3", "--order", order, *rule,
-                          "--out", f"partition-{order}{suffix}.json"])
+    for name, flags, orders in (("gaussian", ["--kernel", "gaussian", "--tau", "0.3"], ORDERS),
+                                ("constant", KERNELS["constant"], ["1", "2", "3"])):
+        for order in orders:
+            for rule, suffix in (([], ""), (["--sample", "7"], "-sample")):
+                first.append(["partition", "--data", "line.csv", "--lambda", "0.5", *flags,
+                              "--order", order, *rule,
+                              "--out", f"partition-{name}-{order}{suffix}.json"])
     second = [["cv", "--data", "points.csv", "--grid", "grid.json", "--objective", "xent",
-               "--folds", "5", "--out", "cv-grid.json"]]
+               "--folds", "5", "--out", "cv-grid.json"],
+              ["cv", "--data", "small.csv", "--grid", "grid-orders.json", "--objective",
+               "xent", "--folds", "3", "--out", "cv-grid-orders.json"]]
     return first, second
 
 
 def _write_grid(work: Path) -> None:
-    """An order-3 grid over points.csv: gaussian and exponential kernels of
-    three tau and two alphas each, constant kernels of c = 2.5 and 1, and a
-    projection kernel over the points whose matrix is the identity with a
-    zero at [0, 0], so that its Gram diagonal is refused."""
+    """grid.json, an order-3 grid over points.csv: gaussian and exponential
+    kernels of three tau and two alphas each, constant kernels of c = 2.5
+    and 1, and a projection kernel over the points whose matrix is the
+    identity with a zero at [0, 0], so that its Gram diagonal is refused;
+    and grid-orders.json, gaussian and exponential kernels of two tau and
+    two alphas each at orders 1, 2, 3 and exact."""
     with open(work / "points.csv", encoding="utf-8") as fh:
         rows = list(csv.reader(line for line in fh if not line.startswith("#")))
     points = [[float(v) for v in row[:-1]] for row in rows[1:]]
@@ -106,6 +131,10 @@ def _write_grid(work: Path) -> None:
     projection = {"family": "projection_matrix", "aux": {"matrix": matrix, "points": points}}
     grid += [{"kernel": projection, "alphas": alpha, "order": 3} for alpha in (0.3, 2.0)]
     (work / "grid.json").write_text(json.dumps({"grid": grid}), encoding="utf-8")
+    grid = [{"kernel": {"family": family, "tau": tau}, "alphas": alpha, "order": order}
+            for order in (1, 2, 3, "exact") for family in ("gaussian", "exponential")
+            for tau in (0.5, 2.0) for alpha in (0.3, 0.7)]
+    (work / "grid-orders.json").write_text(json.dumps({"grid": grid}), encoding="utf-8")
 
 
 def _run(src: Path, work: Path, argvs: list[list[str]]) -> None:

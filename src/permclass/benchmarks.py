@@ -89,9 +89,11 @@ def bench_orders(n_list, alpha: float = 1.0, seed: int = 0, orders=(1, 2, 3),
     leaves the slopes level.  Single process, single thread; the heavy
     contractions here do not fan out to threads.
     """
-    sizes = sorted(int(n) for n in n_list)
-    if sizes != list(n_list):
-        raise ValueError("sizes must be ascending")
+    sizes = [int(n) for n in n_list]
+    if sizes != sorted(set(sizes)):
+        raise ValueError(f"sizes must be strictly ascending, got {sizes}")
+    if len(set(orders)) != len(orders):
+        raise ValueError(f"orders must be distinct, got {list(orders)}")
     kernel = Kernel.gaussian(1.0)
     rng = np.random.default_rng(seed)
     qpts, cells = {}, []  # cells: (n, order, table, calls per timing)

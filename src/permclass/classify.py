@@ -46,6 +46,12 @@ MAX_ORDER = 3
 EXACT_ORDER = "exact"
 
 
+def _alpha_arg(alpha):
+    """A table's alpha as given to ``finish``: a float, or a float array for
+    a table finished for several candidates at once."""
+    return np.asarray(alpha, dtype=float) if np.ndim(alpha) else float(alpha)
+
+
 @dataclass
 class LabeledDataset:
     """Feature vectors with class labels.

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classify import EXACT_ORDER, MAX_ORDER
+from .classify import EXACT_ORDER, MAX_ORDER, _alpha_arg
 from .kernels import GramMatrix, _block_rows, _check_finite, kernel_column, kernel_self
 
 __all__ = [
@@ -265,12 +265,6 @@ def _reads_four_cycle_matrix(n_queries: int, n: int) -> bool:
     """Whether an order-3 table of n points reads ``n_queries`` queries
     by M: its O(n^3) build saves one O(n^2) product per query."""
     return n_queries >= n
-
-
-def _alpha_arg(alpha):
-    """A table's alpha as given to ``finish``: a float, or a float array for
-    a table finished for several candidates at once."""
-    return np.asarray(alpha, dtype=float) if np.ndim(alpha) else float(alpha)
 
 
 def _gram_diagonal(G: np.ndarray) -> np.ndarray:

@@ -30,8 +30,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .classify import Partition
-from .cyclic import _alpha_arg
+from .classify import Partition, _alpha_arg
 from .kernels import (GramMatrix, Kernel, _as_rows, _as_square, _check_kernel_row,
                       _label_codes, gram, kernel_column, kernel_self)
 

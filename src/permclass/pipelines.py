@@ -8,6 +8,7 @@ Each handler imports its own pipeline in turn.
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
@@ -23,6 +24,9 @@ def cmd_simulate(args) -> int:
         data = gen_chequerboard(args.per_cell, args.seed)
     else:
         lo, hi = args.lo, args.hi
+        if not -math.inf < lo < hi < math.inf:
+            raise ValueError("--lo and --hi must be finite with --hi above --lo, "
+                             f"got --lo {lo} and --hi {hi}")
         draws = gen_triangular(args.n, (lo + hi) / 2, (hi - lo) / 2, args.seed)
         data = LabeledDataset(points=draws.reshape(-1, 1),
                               labels=np.zeros(args.n, dtype=int),
@@ -46,14 +50,26 @@ def cmd_genes(args) -> int:
     return 0
 
 
+def _integers(flag: str, text: str) -> list[int]:
+    """A comma-separated flag value as integers, refused by flag name."""
+    try:
+        return [int(s) for s in text.split(",")]
+    except ValueError:
+        raise ValueError(f"{flag} must be comma-separated integers, got {text}") from None
+
+
 def cmd_bench(args) -> int:
     from .benchmarks import bench_orders
-    sizes = [int(s) for s in args.sizes.split(",")]
+    sizes = _integers("--sizes", args.sizes)
     if min(sizes) < 1:
         raise ValueError(f"--sizes must each be at least 1, got {args.sizes}")
+    if sizes != sorted(set(sizes)):
+        raise ValueError(f"--sizes must be strictly ascending, got {args.sizes}")
     if args.queries < 1:
         raise ValueError(f"--queries must be at least 1, got {args.queries}")
-    orders = tuple(int(k) for k in args.orders.split(","))
+    orders = _integers("--orders", args.orders)
+    if len(set(orders)) != len(orders):
+        raise ValueError(f"--orders must be distinct, got {args.orders}")
     report = bench_orders(sizes, alpha=args.alpha, seed=args.seed,
                           orders=orders, queries=args.queries)
     for t in report.timings:

@@ -29,6 +29,15 @@ def test_bench_rejects_unsorted_sizes():
         bench_orders([32, 16])
 
 
+@pytest.mark.parametrize("sizes, orders, message", [
+    ([16, 16], (1,), r"sizes must be strictly ascending, got \[16, 16\]"),
+    ([16, 32], (1, 1), r"orders must be distinct, got \[1, 1\]"),
+], ids=["repeated-size", "repeated-order"])
+def test_bench_rejects_repeated_sizes_and_orders(sizes, orders, message):
+    with pytest.raises(ValueError, match=message):
+        bench_orders(sizes, orders=orders)
+
+
 def test_accuracy_study_smoke():
     cfg = StudyConfig(n=24, t_points=17, subsample=6, oracle_points=5, seed=5)
     report = accuracy_study(cfg)

@@ -86,6 +86,16 @@ def test_perm_approx_computes_the_last_ratio_once(tmp_path, capsys, caplog):
     assert negative == ["order-2 ratio approximation is negative (-0.895158)"]
 
 
+def test_perm_exact_prints_a_signed_matrix_to_the_last_bit(tmp_path, capsys):
+    # the same signed matrix as above: the exact permanent and last ratio,
+    # printed in full, so that any change in their rounding shows
+    m = tmp_path / "m.csv"
+    m.write_text("1,.67,-.82\n.67,1,.59\n-.82,.59,1\n")
+    code, out, _ = run(["perm", "exact", "--matrix", str(m), "--alpha", "0.1"], capsys)
+    assert code == 0
+    assert out == "per_alpha = -0.049135200000000004\nratio_last = -0.8951575879030789\n"
+
+
 def test_perm_exact_refuses_a_matrix_past_the_cap(tmp_path, capsys):
     m = tmp_path / "m.csv"
     m.write_text("\n".join(",".join("1" if i == j else "0" for j in range(12))
@@ -444,20 +454,40 @@ def test_simulate_writes_atomically(tmp_path, capsys, monkeypatch):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("lo, hi", [("1", "1"), ("2", "1"), ("nan", "1"), ("0", "inf")])
+def test_simulate_triangular_refuses_an_interval_by_its_flags(tmp_path, capsys, lo, hi):
+    out = tmp_path / "sim.csv"
+    code, stdout, err = run(["simulate", "triangular", "--lo", lo, "--hi", hi,
+                             "--out", str(out)], capsys)
+    assert (code, stdout) == (1, "")
+    assert (f"--lo and --hi must be finite with --hi above --lo, "
+            f"got --lo {float(lo)} and --hi {float(hi)}") in err
+    assert not out.exists()
+
+
 def test_bench_command_smoke(tmp_path, capsys):
+    # every order at two sizes; no time is asserted, only that each order
+    # prints its line and stores a positive median per size
     out = tmp_path / "bench.json"
-    code, stdout, _ = run(["bench", "--orders", "1", "--sizes", "16,32",
+    code, stdout, _ = run(["bench", "--orders", "0,1,2,3", "--sizes", "16,32",
                            "--queries", "3", "--out", str(out)], capsys)
     assert code == 0
-    assert "order 1" in stdout
-    assert json.loads(out.read_text())["bench"]["timings"]
+    assert all(f"order {k}: " in stdout for k in range(4))
+    timings = json.loads(out.read_text())["bench"]["timings"]
+    assert [t["order"] for t in timings] == [0, 1, 2, 3]
+    assert all(len(t["median_seconds"]) == 2 and min(t["median_seconds"]) > 0
+               for t in timings), timings
 
 
 @pytest.mark.parametrize("flag, value", [("--queries", "0"), ("--queries", "-3"),
-                                         ("--sizes", "0,10"), ("--sizes", "-5,10")])
+                                         ("--sizes", "0,10"), ("--sizes", "-5,10"),
+                                         ("--sizes", "8,8"), ("--orders", "1,1"),
+                                         ("--orders", "1,x"), ("--sizes", "8,x")])
 def test_bench_refuses_sizes_and_query_counts_below_one(tmp_path, capsys, flag, value):
     # refused before any timing: a size of 0 would reach LAPACK, a negative
-    # one numpy, and a query count below 1 would time one query
+    # one numpy, and a query count below 1 would time one query; a repeated
+    # size would fit a slope through one x, a repeated order would print
+    # twice, and an entry that is not an integer is refused by its flag
     out = tmp_path / "bench.json"
     code, stdout, err = run(["bench", "--orders", "1", f"{flag}={value}", "--out", str(out)],
                             capsys)
@@ -717,6 +747,12 @@ def test_fit_and_predict_hold_one_class_gram_at_a_time(tmp_path, capsys):
      "order must be 0..3 or 'exact', got 3.0"),
     ({"grid": [{"kernel": {"family": "constant", "c": 1.0, "tau": 0.1}, "alphas": 1.0}]},
      "constant kernel takes no tau, got 0.1"),
+    ({"grid": [{"kernel": {"family": "diagonal_indicator", "c": 1.0}, "alphas": 1.0}]},
+     "grid.json: grid entry 0: 'diagonal_indicator' is not a valid KernelFamily"),
+    ({"grid": [{"kernel": {"family": "gaussian", "tau": 0.5}, "alphas": 1.0, "lambda": True}]},
+     "grid.json: grid entry 0: lambda must be a real number, got True"),
+    ({"grid": [{"kernel": {"family": "gaussian", "tau": "0.5"}, "alphas": 1.0}]},
+     "grid.json: grid entry 0: gaussian kernel requires a finite tau > 0, got '0.5'"),
     ({"grid": [{"kernel": {"family": "gaussian", "tau": 0.5}, "alphas": {}}]},
      "grid.json: grid entry 0: alphas must be finite real numbers, got {}"),
     ({"grid": [{"kernel": {"family": "gaussian", "tau": 0.5}, "alphas": []}]},
@@ -725,8 +761,9 @@ def test_fit_and_predict_hold_one_class_gram_at_a_time(tmp_path, capsys):
                            "aux": {"matrix": [[{}]], "points": [[0.0]]}}, "alphas": 1.0}]},
      "grid.json: grid entry 0: projection matrix must be rows of real numbers (float() "
      "argument must be a string or a real number, not 'dict')"),
-], ids=["no-grid-key", "bool-order", "float-order", "constant-tau", "mapping-alphas",
-        "empty-alphas", "mapping-in-projection-matrix"])
+], ids=["no-grid-key", "bool-order", "float-order", "constant-tau", "removed-family",
+        "bool-lambda", "str-tau", "mapping-alphas", "empty-alphas",
+        "mapping-in-projection-matrix"])
 def test_cv_refuses_a_bad_grid_file_and_writes_nothing(tmp_path, capsys, grid, message):
     data = tmp_path / "train.csv"
     run(["simulate", "chequerboard", "--per-cell", "3", "--seed", "9",
@@ -801,7 +838,12 @@ def test_fit_reads_the_constant_kernel_flag(tmp_path, capsys):
      {"m.csv": "1,0.5\n0.5,1\n"}, "permclass: error: alpha must be positive, got -1.0"),
     (["simulate", "chequerboard", "--config", "{tmp}/run.cfg", "--out", "{tmp}/out.csv"],
      {"run.cfg": "# defaults\nper_cell 3\n"}, "{tmp}/run.cfg:2: expected key=value"),
-], ids=["perm-approx-exact-order", "perm-approx-negative-alpha", "config-line-without-equals"])
+    (["perm", "exact", "--matrix", "{tmp}/m.csv", "--alpha", "1"],
+     {"m.csv": "1,2,3\n4,5\n"}, "{tmp}/m.csv: the number of columns changed"),
+    (["perm", "approx", "--matrix", "{tmp}/m.csv", "--alpha", "1"],
+     {"m.csv": "1,0.5\n0.4,1\n"}, "{tmp}/m.csv: matrix must be exactly symmetric"),
+], ids=["perm-approx-exact-order", "perm-approx-negative-alpha", "config-line-without-equals",
+        "perm-exact-ragged-matrix", "perm-approx-asymmetric-matrix"])
 def test_cli_refusals_name_their_cause(tmp_path, capsys, argv, files, message):
     for name, text in files.items():
         (tmp_path / name).write_text(text)
@@ -915,7 +957,7 @@ sys.exit(code)
 
 _CYCLIC = ["permclass.cyclic"]
 _LIMIT = ["permclass.limit"]
-_EXACT = ["permclass.cyclic", "permclass.exact"]
+_EXACT = ["permclass.exact"]
 _DATASETS = ["permclass.datasets", "permclass.pipelines"]
 _BENCHMARKS = ["permclass.benchmarks", "permclass.cyclic", "permclass.datasets",
                "permclass.exact", "permclass.pipelines"]
