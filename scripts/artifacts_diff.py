@@ -16,7 +16,8 @@ covers, with the branch each reaches:
 - the three `reproduce` pipelines (microarray at 20 repetitions);
 - `fit` and `predict` at orders 0-3 and exact, for gaussian, exponential
   and c = 2.5 constant kernels: the distance kernels' Gram diagonal of
-  exact ones skips the divisions by it, c = 2.5 runs them, and an order-3
+  exact ones skips the fit core's divisions by it, c = 2.5 runs them
+  (`rows` divides by both), and an order-3
   `predict` of 360 queries reads each class's four-cycle matrix;
 - order-2 `fit`s of the 360 points (classes of 200 and 160) with the
   exponential and gaussian kernels, each summed over several row blocks,

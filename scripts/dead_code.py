@@ -3,13 +3,16 @@
 
     python scripts/dead_code.py
 
-Two rules, read from the source with `ast` and nothing imported:
+Three rules, read from the source with `ast` and nothing imported:
 - in `src/permclass`, `tests` and `scripts`, a name that a module imports
   and never reads (a package's `__init__.py` imports to re-export, and a
   name listed in a module's `__all__` counts as read);
 - in `src/permclass`, a private module-level name (one leading underscore)
   that nothing in `src/permclass` reads outside its own definition, such as
-  a package helper that only tests use.
+  a package helper that only tests use;
+- in `src/permclass`, `tests` and `scripts`, a name that a function binds
+  and then only assigns into (``name[i] = ...``), never reading it, such as
+  a table filled and never looked up.
 
 It prints each finding as ``file:line: ...`` and exits 1 if there is any.
 """
@@ -71,11 +74,36 @@ def unread_private_names(trees: dict[Path, ast.Module]) -> list[str]:
             and reads[name] == _loads(node)[name]]
 
 
+def write_only_locals(path: Path, tree: ast.Module) -> list[str]:
+    found = {}
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        nodes = list(ast.walk(func))
+        # ``name[i] = ...`` loads ``name`` only to write into it
+        bases = {id(node.value) for node in nodes
+                 if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)}
+        names = [node for node in nodes if isinstance(node, ast.Name)]
+        into = {node.id for node in names if id(node) in bases}
+        kept = {a.arg for a in ast.walk(func.args) if isinstance(a, ast.arg)}
+        kept |= {name for node in nodes if isinstance(node, (ast.Global, ast.Nonlocal))
+                 for name in node.names}
+        kept |= {node.id for node in names
+                 if isinstance(node.ctx, ast.Load) and id(node) not in bases}
+        stores = [node for node in names if isinstance(node.ctx, ast.Store)]
+        for name in into & {node.id for node in stores} - kept:
+            line = min(node.lineno for node in stores if node.id == name)
+            found.setdefault((line, name), func.name)
+    return [f"{path.relative_to(ROOT)}:{line}: {name} in {func} is only assigned into "
+            "and never read" for (line, name), func in sorted(found.items())]
+
+
 def main() -> int:
     paths = sorted([*PACKAGE.glob("*.py"), *(ROOT / "tests").glob("*.py"),
                     *(ROOT / "scripts").glob("*.py")])
     trees = {path: ast.parse(path.read_text(encoding="utf-8"), str(path)) for path in paths}
     found = [line for path, tree in trees.items() for line in unread_imports(path, tree)]
+    found += [line for path, tree in trees.items() for line in write_only_locals(path, tree)]
     found += unread_private_names({p: t for p, t in trees.items() if p.parent == PACKAGE})
     for line in found:
         print(line)

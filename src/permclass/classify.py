@@ -22,8 +22,8 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .kernels import (GramMatrix, Kernel, _as_rows, _entry, _is_real, _label_codes,
-                      _query_steps, gram, kernel_block, kernel_column, kernel_self,
+from .kernels import (GramMatrix, Kernel, _as_rows, _check_diagonal, _entry, _is_real,
+                      _label_codes, _query_steps, gram, kernel_block, kernel_column, kernel_self,
                       kernel_self_batch)
 
 if TYPE_CHECKING:  # each mode's tables load on their first use
@@ -340,6 +340,8 @@ def predict_infinite(points, partition: Partition, t,
         raise ValueError("partition must cover exactly the given points")
     from .limit import _Blocks
     kernel = params.kernel
+    if params.order != EXACT_ORDER:  # the one-point blocks divide by K(x, x)
+        _check_diagonal(kernel_self_batch(kernel, pts))
     blocks = _Blocks(params.order)
     for j, b in enumerate(partition.blocks):
         G = gram(kernel, pts[list(b)]).entries
@@ -378,7 +380,10 @@ def sequential_partition(points, params: ModelParams, rule: str = "argmax",
         return Partition.from_blocks([[0]] if n else [])
     from .limit import _Blocks
     kernel = params.kernel
-    self_k = kernel_self_batch(kernel, pts).tolist()
+    self_k = kernel_self_batch(kernel, pts)
+    if params.order != EXACT_ORDER:  # the one-point blocks divide by K(x, x)
+        _check_diagonal(self_k)
+    self_k = self_k.tolist()
     blocks = _Blocks(params.order)
     blocks.open(0, self_k[0])
     for cut in _query_steps(n, n):

@@ -21,6 +21,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from collections import deque
 from contextlib import contextmanager
 
@@ -67,8 +68,12 @@ def _named(what: str):
 def _load_matrix(path: str, symmetric: bool) -> np.ndarray:
     """A matrix CSV as a finite square array, exactly symmetric if
     ``symmetric``; a refusal names the file."""
-    with _named(path):
+    with _named(path), warnings.catch_warnings():
+        # an empty file is refused below by name, not warned of by numpy
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         m = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
+        if not m.size:
+            raise ValueError("no data rows")
         return GramMatrix.from_matrix(m).entries if symmetric else _as_square(m)
 
 
@@ -154,6 +159,9 @@ def cmd_predict(args) -> int:
         data = LabeledDataset(points, labels, n_classes, tuple(class_names))
         tables = _tables(data, params)  # refit a class at a time as queries read it
     queries = load_features_csv(args.queries, require_label=False)
+    if data.n and queries.dim != data.dim:
+        raise ValueError(f"{args.queries}: queries are {queries.dim}-d, "
+                         f"the points of {args.model} are {data.dim}-d")
     table = _posterior(params.kernel, tables, map(data.class_points, range(data.n_classes)),
                        queries.points)
     names = data.class_names

@@ -28,7 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classify import EXACT_ORDER, MAX_ORDER, _alpha_arg
-from .kernels import GramMatrix, _block_rows, _check_finite, kernel_column, kernel_self
+from .kernels import (GramMatrix, _block_rows, _check_diagonal, _check_finite, kernel_column,
+                      kernel_self)
 
 __all__ = [
     "MAX_ORDER",
@@ -69,9 +70,6 @@ class RatioTable:
     r1_loo[i]     two-cycle ratio of x_i against the other points,
     r2_loo[i]     three-cycle ratio of x_i against the other points.
 
-    ``unit`` is whether every entry of the Gram diagonal is exactly 1.0, on
-    which `rows` skips its division by the diagonal (x / 1.0 = x).
-
     A table holds what its own order's sums read, and both `rows` and
     `ratio_from_kt` answer at that order; the rest is ``None``.  Orders 0
     and 1 read only the Gram diagonal, order 2 also r1_loo, and order 3
@@ -99,7 +97,6 @@ class RatioTable:
     order: int
     r1_loo: np.ndarray | None = None
     r2_loo: np.ndarray | None = None
-    unit: bool = False
     _lists: dict = field(default_factory=dict, repr=False)
     _t3: np.ndarray | None = field(default=None, repr=False)
     _s3: np.ndarray | None = field(default=None, repr=False)
@@ -128,7 +125,7 @@ class RatioTable:
         """
         order = self.order
         n = self.n
-        Kt = np.asarray(Kt, dtype=float)
+        Kt = np.ascontiguousarray(Kt, dtype=float)  # sums in one order, whatever the layout
         if Kt.ndim != self.gram.entries.ndim or Kt.shape[-1] != n:
             raise ValueError(f"kernel block must have {n} columns, got shape {Kt.shape}")
         # alpha against a block: (1, 1) for one alpha, (A, 1, 1) or (A, K, 1, 1)
@@ -136,14 +133,11 @@ class RatioTable:
         out = a[..., 0] * np.asarray(ktt, dtype=float)
         if order == 0 or n == 0:
             return out
-        G = self.gram.entries
-        # a diagonal of exact ones divides nothing, so it is skipped: x / 1.0 = x
-        d = None if self.unit else self.gram.diagonal[..., None, :]
         if order == 1:
-            return out + (Kt * Kt if d is None else Kt * Kt / d).sum(axis=-1)
+            return out + (Kt * Kt / self.gram.diagonal[..., None, :]).sum(axis=-1)
         if order == 2:
             # P[q, i] = sum_{j != i} K(x_i, x_j) K(t_q, x_j) / d_j, the same for every alpha
-            P = (Kt if d is None else Kt / d) @ G - Kt
+            P = (Kt / self.gram.diagonal[..., None, :]) @ self.gram.entries - Kt
             out = out + ((a * Kt * Kt + Kt * P) / self.r1_loo[..., None, :]).sum(axis=-1)
         else:
             # the four-cycle bracket E: Kt M, or without M (for fewer rows)
@@ -222,7 +216,7 @@ class _FitCore:
         else into a new array; cross-validation reuses one."""
         alpha = _alpha_arg(alpha)
         a = np.asarray(alpha)[..., None]  # (1,) for one alpha, (A, 1) or (A, K, 1)
-        table = RatioTable(self.gram, alpha, self.order, unit=self.unit)
+        table = RatioTable(self.gram, alpha, self.order)
         if self.order < 2:
             return table
         ad = a * self.d
@@ -271,13 +265,7 @@ def _gram_diagonal(G: np.ndarray) -> np.ndarray:
     """A copy of the diagonal of a Gram matrix, or of each of a stack of
     them, refusing an entry that is not strictly positive and finite."""
     d = np.diagonal(G, axis1=-2, axis2=-1).copy()
-    good = (d > 0) & (d < np.inf)
-    if not good.all():
-        at = tuple(np.argwhere(~good)[0])
-        raise ValueError(
-            f"gram diagonal must be strictly positive and finite; point index {int(at[-1])} "
-            f"has K(x, x) = {d[at]}"
-        )
+    _check_diagonal(d)
     return d
 
 

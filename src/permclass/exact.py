@@ -79,12 +79,10 @@ def _cyp_subsets(A: np.ndarray) -> np.ndarray:
     f = np.zeros((size, n))
     cyp = np.empty(size)
     cyp[0] = np.nan
-    lowbit = [0] * size
     for s in range(n):
         f[1 << s, s] = 1.0
     for S in range(1, size):
         low = (S & -S).bit_length() - 1
-        lowbit[S] = low
         rest = S & ~(1 << low)
         if rest:
             j = rest

@@ -59,11 +59,12 @@ def _float_row(path: str, lineno: int, row: list[str], header: list[str],
 def load_features_csv(path: str, require_label: bool = True) -> LabeledDataset:
     """Feature CSV: header row, feature columns, final ``label`` column.
 
-    Without ``require_label`` the label column is optional and all points
-    get class code 0.
+    Without ``require_label`` the label column is optional, all points
+    get class code 0, and a header alone is an empty set of points of the
+    header's width; a labelled file needs a data row.
     """
     rows = _rows_of(path)
-    if not rows:
+    if not rows or (require_label and len(rows) == 1):
         raise ValueError(f"{path}: no data rows")
     _, header = rows[0]
     has_label = header and header[-1] == "label"
@@ -78,7 +79,8 @@ def load_features_csv(path: str, require_label: bool = True) -> LabeledDataset:
         labels.append(row[-1] if has_label else "0")
     names = sorted(set(labels))
     lookup = {name: code for code, name in enumerate(names)}
-    return LabeledDataset(points=np.array(points), labels=[lookup[v] for v in labels],
+    return LabeledDataset(points=np.reshape(points, (-1, n_features)),
+                          labels=[lookup[v] for v in labels],
                           n_classes=len(names), class_names=tuple(names))
 
 

@@ -95,6 +95,18 @@ def _check_finite(m: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} row {at[-2]}, column {at[-1]} is not finite ({m[at]})")
 
 
+def _check_diagonal(d: np.ndarray) -> None:
+    """Refuse a Gram diagonal, or a stack of them, with an entry that is not
+    strictly positive and finite, naming its point by index."""
+    good = (d > 0) & (d < np.inf)
+    if not good.all():
+        at = tuple(np.argwhere(~good)[0])
+        raise ValueError(
+            f"gram diagonal must be strictly positive and finite; point index {int(at[-1])} "
+            f"has K(x, x) = {d[at]}"
+        )
+
+
 def _check_kernel_row(kt: np.ndarray, ktt: float) -> None:
     """Refuse a new point's kernel values ``kt`` against the points before
     it, or its K(x, x) = ``ktt``, unless each is finite and nonnegative."""
@@ -275,14 +287,12 @@ def kernel_eval(kernel: Kernel, s, t) -> float:
 
 
 def kernel_self(kernel: Kernel, t) -> float:
-    """k(t, t) without the generic two-point path (it is 1 for the
-    distance families and a plain lookup for the rest)."""
-    fam = kernel.family
-    if fam in _DISTANCE_FAMILIES:
+    """k(t, t): 1 for the distance families without touching ``t`` (the
+    single-query `cyclic.ratio_approx` reads it per call), else the
+    `kernel_self_batch` entry of the one point ``t``."""
+    if kernel.family in _DISTANCE_FAMILIES:
         return 1.0
-    if fam is KernelFamily.CONSTANT:
-        return float(kernel.c)
-    return kernel_eval(kernel, t, t)
+    return float(kernel_self_batch(kernel, _as_point(t)[None, :])[0])
 
 
 def kernel_self_batch(kernel: Kernel, points) -> np.ndarray:

@@ -362,19 +362,16 @@ class _Blocks:
         self.one_d = np.zeros(0)
 
     def open(self, i: int, ktt: float) -> None:
-        """A new last block of point ``i``, whose K(x, x) is ``ktt``."""
+        """A new last block of point ``i``, whose K(x, x) is ``ktt``; at
+        orders 0-3 the walk has refused one not positive and finite."""
         table = None
-        if self.lane and 0 < ktt < math.inf:
+        if self.lane:
             self.one_at = np.concatenate((self.one_at, (len(self.tables),)))
             self.one_idx = np.concatenate((self.one_idx, (i,)))
             self.one_d = np.concatenate((self.one_d, (ktt,)))
         else:
-            # the exact order's table, or a one-point table refusing ktt by name
-            if self.lane:
-                table = LimitTable(self.order)
-            else:
-                from .exact import _CypTable
-                table = _CypTable()
+            from .exact import _CypTable
+            table = _CypTable()
             table.grow(np.zeros(0), ktt)
         self.members.append(np.array([i]))
         self.tables.append(table)

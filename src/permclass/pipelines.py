@@ -68,6 +68,8 @@ def cmd_bench(args) -> int:
     if args.queries < 1:
         raise ValueError(f"--queries must be at least 1, got {args.queries}")
     orders = _integers("--orders", args.orders)
+    if not set(orders) <= {0, 1, 2, 3}:
+        raise ValueError(f"--orders must each be in 0..3, got {args.orders}")
     if len(set(orders)) != len(orders):
         raise ValueError(f"--orders must be distinct, got {args.orders}")
     report = bench_orders(sizes, alpha=args.alpha, seed=args.seed,

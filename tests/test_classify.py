@@ -398,6 +398,24 @@ def test_infinite_non_finite_input_rejected():
                          np.array([0.0]), params)
 
 
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_partition_refuses_a_zero_self_kernel_by_its_data_point(order):
+    # point 2 has K(x, x) = 0: a partition walk refuses it by its index in
+    # the data, not by its place in the block it would join, and before any
+    # block weighs it; the exact order divides by no K(x, x) and runs
+    ground = [(0.0,), (1.0,), (2.0,)]
+    kern = Kernel.projection([[1.0, 0.5, 0.2], [0.5, 1.0, 0.3], [0.2, 0.3, 0.0]], ground)
+    message = r"strictly positive and finite; point index 2 has K\(x, x\) = 0.0"
+    params = ModelParams(kernel=kern, lam=1.0, order=order)
+    with pytest.raises(ValueError, match=message):
+        sequential_partition(np.array(ground), params)
+    with pytest.raises(ValueError, match=message):
+        predict_infinite(np.array(ground), Partition.from_blocks([[0], [1, 2]]),
+                         np.array([0.0]), params)
+    exact = ModelParams(kernel=kern, lam=1.0, order="exact")
+    assert sequential_partition(np.array(ground), exact).blocks == ((0,), (1, 2))
+
+
 def _partition_configs():
     rng = np.random.default_rng(2024)
     clusters = np.vstack([rng.normal(0.0, 0.3, size=(8, 2)),

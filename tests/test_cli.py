@@ -482,12 +482,14 @@ def test_bench_command_smoke(tmp_path, capsys):
 @pytest.mark.parametrize("flag, value", [("--queries", "0"), ("--queries", "-3"),
                                          ("--sizes", "0,10"), ("--sizes", "-5,10"),
                                          ("--sizes", "8,8"), ("--orders", "1,1"),
-                                         ("--orders", "1,x"), ("--sizes", "8,x")])
+                                         ("--orders", "1,x"), ("--sizes", "8,x"),
+                                         ("--orders", "4"), ("--orders", "-1")])
 def test_bench_refuses_sizes_and_query_counts_below_one(tmp_path, capsys, flag, value):
     # refused before any timing: a size of 0 would reach LAPACK, a negative
     # one numpy, and a query count below 1 would time one query; a repeated
     # size would fit a slope through one x, a repeated order would print
-    # twice, and an entry that is not an integer is refused by its flag
+    # twice, and an entry that is not an integer, or an order outside 0..3,
+    # is refused by its flag before any Gram matrix is built
     out = tmp_path / "bench.json"
     code, stdout, err = run(["bench", "--orders", "1", f"{flag}={value}", "--out", str(out)],
                             capsys)
@@ -600,6 +602,42 @@ def test_predict_rejects_nan_query_cell(tmp_path, capsys):
     assert code == 1
     assert f"{queries}:3" in err and "not finite" in err
     assert not out.exists()
+
+
+def test_predict_reads_a_queries_file_at_the_model_width(tmp_path, capsys):
+    # a queries file of another width is refused with both files named and
+    # nothing written; a header alone keeps its width and writes no row
+    (tmp_path / "train.csv").write_text(_TRAIN)
+    model, queries, out = tmp_path / "model.json", tmp_path / "q.csv", tmp_path / "pred.csv"
+    assert run(["fit", "--data", str(tmp_path / "train.csv"), "--out", str(model)],
+               capsys)[0] == 0
+    argv = ["predict", "--model", str(model), "--queries", str(queries), "--out", str(out)]
+    queries.write_text("x0\n0.5\n")
+    assert run(argv, capsys) == (1, "", f"permclass: error: {queries}: queries are 1-d, "
+                                        f"the points of {model} are 2-d\n")
+    assert not out.exists()
+    queries.write_text("x0,x1\n")
+    assert run(argv, capsys)[0] == 0
+    lines = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+    assert lines == ["x0,x1,p_a,p_b,label"]
+
+
+@pytest.mark.parametrize("mode", ["exact", "approx"])
+@pytest.mark.parametrize("text", ["", "# a comment alone\n"], ids=["empty", "comment-only"])
+def test_perm_refuses_a_matrix_file_without_rows_by_name(tmp_path, mode, text):
+    # stderr holds the refusal alone: numpy's warning of an empty input
+    # does not reach it.  A fresh interpreter, as pytest would catch the warning
+    m = tmp_path / "m.csv"
+    m.write_text(text)
+    src = str(Path(permclass.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "permclass.cli", "perm", mode, "--matrix", str(m), "--alpha", "1"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == f"permclass: error: {m}: no data rows\n"
 
 
 SUBCOMMANDS = ["perm", "fit", "predict", "partition", "cv", "simulate", "genes",
@@ -842,8 +880,13 @@ def test_fit_reads_the_constant_kernel_flag(tmp_path, capsys):
      {"m.csv": "1,2,3\n4,5\n"}, "{tmp}/m.csv: the number of columns changed"),
     (["perm", "approx", "--matrix", "{tmp}/m.csv", "--alpha", "1"],
      {"m.csv": "1,0.5\n0.4,1\n"}, "{tmp}/m.csv: matrix must be exactly symmetric"),
+    (["fit", "--data", "{tmp}/train.csv", "--out", "{tmp}/out.csv"],
+     {"train.csv": "x0,x1,label\n"}, "permclass: error: {tmp}/train.csv: no data rows"),
+    (["cv", "--data", "{tmp}/train.csv", "--out", "{tmp}/out.csv"],
+     {"train.csv": "x0,x1,label\n"}, "permclass: error: {tmp}/train.csv: no data rows"),
 ], ids=["perm-approx-exact-order", "perm-approx-negative-alpha", "config-line-without-equals",
-        "perm-exact-ragged-matrix", "perm-approx-asymmetric-matrix"])
+        "perm-exact-ragged-matrix", "perm-approx-asymmetric-matrix", "fit-header-only",
+        "cv-header-only"])
 def test_cli_refusals_name_their_cause(tmp_path, capsys, argv, files, message):
     for name, text in files.items():
         (tmp_path / name).write_text(text)

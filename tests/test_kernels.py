@@ -368,9 +368,18 @@ def test_projection_kernel_lookup():
 
 
 def test_kernel_self_matches_eval(rng):
+    # a projection's K(t, t) is `kernel_self_batch`'s lookup, not
+    # `kernel_eval`'s, so the two paths are checked against each other
     t = rng.normal(size=2)
     for k in (Kernel.gaussian(1.1), Kernel.exponential(0.4), Kernel.constant(2.5)):
         assert kernel_self(k, t) == kernel_eval(k, t, t)
+    ground = [tuple(p) for p in rng.normal(size=(4, 2))]
+    m = rng.uniform(0.0, 2.0, size=(4, 4))
+    k = Kernel.projection(m + m.T, ground)
+    for p in ground:
+        assert kernel_self(k, p) == kernel_eval(k, p, p)
+    with pytest.raises(ValueError, match="not in the projection kernel ground set"):
+        kernel_self(k, t)
 
 
 def test_kernel_self_batch_matches_per_row(rng):
